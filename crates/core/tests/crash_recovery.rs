@@ -15,6 +15,13 @@
 //! * every replica equals its source field (the structural checker
 //!   walks all three strategies), and
 //! * the torn tail is discarded cleanly, never an error.
+//!
+//! A second case runs the same kind of workload through a pool a
+//! fraction of the data's size, so committed pages are written back,
+//! fetched again and delta-logged again while it runs; there the crash
+//! state is the data files *as copied between two commits* plus the log
+//! up to that point and a prefix of the next commit's group, and every
+//! acknowledged value must read back exactly.
 
 mod common;
 
@@ -47,11 +54,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn open_db(dir: &Path) -> Database {
+fn open_db(dir: &Path, cfg: DbConfig) -> Database {
     Database::open_with_wal(
         Box::new(FileDisk::open(dir).unwrap()),
         Box::new(FileWalStore::open(dir).unwrap()),
-        cfg(),
+        cfg,
     )
     .unwrap()
 }
@@ -64,12 +71,13 @@ struct World {
 
 /// Figure-1 schema with one replicated path per strategy, persisted to
 /// `dir` and checkpointed (so the data files are a durable baseline and
-/// the log is empty apart from the checkpoint marker).
-fn build_world(dir: &Path) -> World {
+/// the log is empty apart from the checkpoint marker). Employee `i` of
+/// `emps` works in department `dept_of(i)`.
+fn build_world(dir: &Path, cfg: DbConfig, emps: usize, dept_of: fn(usize) -> usize) -> World {
     let mut db = Database::with_disk_and_wal(
         Box::new(FileDisk::open(dir).unwrap()),
         Box::new(FileWalStore::open(dir).unwrap()),
-        cfg(),
+        cfg,
     )
     .unwrap();
     db.define_type(TypeDef::new(
@@ -121,13 +129,13 @@ fn build_world(dir: &Path) -> World {
             .unwrap()
         })
         .collect();
-    for i in 0..64 {
+    for i in 0..emps {
         db.insert(
             "Emp1",
             vec![
                 Value::Str(format!("emp{i}")),
-                Value::Int(i),
-                Value::Ref(depts[(i as usize) % depts.len()]),
+                Value::Int(i as i64),
+                Value::Ref(depts[dept_of(i)]),
             ],
         )
         .unwrap();
@@ -162,7 +170,7 @@ fn stage_crash(baseline: &Path, wal: &[u8], cut: usize, scratch: &Path) {
 fn kill_at_100_seeded_wal_offsets_recovers_consistently() {
     let live = temp_dir("live");
     let baseline = temp_dir("baseline");
-    let w = build_world(&live);
+    let w = build_world(&live, cfg(), 64, |i| i % 8);
 
     // Snapshot the checkpointed data files: with zero evictions during
     // the workload these ARE the on-disk pages at every kill point.
@@ -235,7 +243,7 @@ fn kill_at_100_seeded_wal_offsets_recovers_consistently() {
     let scratch = temp_dir("scratch");
     for (k, cut) in cuts.iter().enumerate() {
         stage_crash(&baseline, &wal, *cut, &scratch);
-        let mut db = open_db(&scratch);
+        let mut db = open_db(&scratch, cfg());
         let r = db.sm().recovery_report();
         // The torn tail is at most one partial frame (a page-image
         // frame is 8 bytes of framing + 4119 of payload).
@@ -293,7 +301,7 @@ fn clean_save_then_reopen_replays_nothing() {
     let dir = temp_dir("clean");
     let (depts0, budget0);
     {
-        let w = build_world(&dir);
+        let w = build_world(&dir, cfg(), 64, |i| i % 8);
         depts0 = w.depts.clone();
         let Value::Int(b) = w.db.get_field(depts0[3], "budget").unwrap() else {
             panic!()
@@ -301,7 +309,7 @@ fn clean_save_then_reopen_replays_nothing() {
         budget0 = b;
         // `build_world` ends in save(): checkpointed, log truncated.
     }
-    let mut db = open_db(&dir);
+    let mut db = open_db(&dir, cfg());
     let r = db.sm().recovery_report();
     assert_eq!(r.replayed_pages, 0, "clean shutdown leaves nothing to redo");
     assert_eq!(r.committed_txns, 0);
@@ -319,12 +327,12 @@ fn clean_save_then_reopen_replays_nothing() {
 #[test]
 fn smoke_single_commit_survives_a_kill() {
     let dir = temp_dir("smoke");
-    let w = build_world(&dir);
+    let w = build_world(&dir, cfg(), 64, |i| i % 8);
     let db = w.db;
     db.update_txn(w.depts[0], &[("name", Value::Str("rebuilt".into()))])
         .unwrap();
     drop(db); // kill: never saved after the update
-    let mut db = open_db(&dir);
+    let mut db = open_db(&dir, cfg());
     assert!(
         db.sm().recovery_report().replayed_pages > 0,
         "the commit was replayed from the log"
@@ -335,4 +343,133 @@ fn smoke_single_commit_survives_a_kill() {
     );
     check_consistency(&mut db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Employees of the eviction-bearing world, clustered by department so
+/// one ripple's write set is a few pages while the file is many.
+const CROWD: usize = 2400;
+
+/// The eviction-bearing case (see the module docs): a pool a fraction
+/// of the data, so between crash points committed pages are written
+/// back, fetched again and logged again as deltas against what the
+/// page header says was logged before.
+#[test]
+fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
+    use fieldrep_storage::wal::{record, WalRecord};
+    const STEPS: usize = 120;
+    const CRASH_EVERY: usize = 5;
+    let small = || DbConfig {
+        pool_pages: 40,
+        inline_link_threshold: 4,
+    };
+    let live = temp_dir("evict-live");
+    let scratch = temp_dir("evict-scratch");
+    // Built (bulk replication pins whole files under no-steal) and
+    // checkpointed through a roomy pool, then reopened through the
+    // small one.
+    let mut w = build_world(&live, cfg(), CROWD, |i| i * 8 / CROWD);
+    w.db = open_db(&live, small());
+    let wal = w.db.sm().wal().unwrap().clone();
+
+    // What every object must read after the commits so far.
+    let mut dept_names: Vec<String> = (0..w.depts.len()).map(|i| format!("dept{i}")).collect();
+    let mut dept_budgets: Vec<i64> = (0..w.depts.len()).map(|i| 100 * i as i64).collect();
+    let mut org_names: Vec<String> = (0..w.orgs.len()).map(|i| format!("org{i}")).collect();
+
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xE71C);
+    let mut crashes = 0;
+    w.db.reset_profile();
+    for step in 0..STEPS {
+        let crash_here = step % CRASH_EVERY == CRASH_EVERY - 1;
+        let acked = (dept_names.clone(), dept_budgets.clone(), org_names.clone());
+        let len_before = wal.log_len().unwrap() as usize;
+        if crash_here {
+            // The data files as a kill right now would leave them.
+            stage_crash(&live, &[], 0, &scratch);
+        }
+        match rng.gen_range(0..3u32) {
+            0 => {
+                let i = rng.gen_range(0..w.depts.len());
+                dept_names[i] = format!("d{i}-n{step}");
+                w.db.update_txn(w.depts[i], &[("name", Value::Str(dept_names[i].clone()))])
+                    .unwrap();
+            }
+            1 => {
+                let i = rng.gen_range(0..w.depts.len());
+                dept_budgets[i] = rng.gen_range(0..1_000_000i64);
+                w.db.update_txn(w.depts[i], &[("budget", Value::Int(dept_budgets[i]))])
+                    .unwrap();
+            }
+            _ => {
+                let i = rng.gen_range(0..w.orgs.len());
+                org_names[i] = format!("o{i}-n{step}");
+                w.db.update_txn(w.orgs[i], &[("name", Value::Str(org_names[i].clone()))])
+                    .unwrap();
+            }
+        }
+        if !crash_here {
+            continue;
+        }
+        // Killed while this commit's group was being appended: nothing
+        // of it has reached the data files (no-steal), the log holds
+        // everything before it and some prefix of it.
+        let log = std::fs::read(live.join("wal.log")).unwrap();
+        let group = log.len() - len_before;
+        for cut in [0, rng.gen_range(1..group), group] {
+            std::fs::write(scratch.join("wal.log"), &log[..len_before + cut]).unwrap();
+            let mut db = open_db(&scratch, small());
+            let (names, budgets, orgs) = if cut == group {
+                (&dept_names, &dept_budgets, &org_names)
+            } else {
+                (&acked.0, &acked.1, &acked.2)
+            };
+            for (i, d) in w.depts.iter().enumerate() {
+                assert_eq!(
+                    db.get_field(*d, "name").unwrap(),
+                    Value::Str(names[i].clone()),
+                    "step {step} cut {cut}/{group}: dept{i} name"
+                );
+                assert_eq!(
+                    db.get_field(*d, "budget").unwrap(),
+                    Value::Int(budgets[i]),
+                    "step {step} cut {cut}/{group}: dept{i} budget"
+                );
+            }
+            for (i, o) in w.orgs.iter().enumerate() {
+                assert_eq!(
+                    db.get_field(*o, "name").unwrap(),
+                    Value::Str(orgs[i].clone()),
+                    "step {step} cut {cut}/{group}: org{i} name"
+                );
+            }
+            check_consistency(&mut db);
+            crashes += 1;
+        }
+    }
+    assert_eq!(crashes, 3 * STEPS / CRASH_EVERY);
+
+    // The case is only worth its name if the pool really did steal.
+    let prof = w.db.io_profile();
+    assert!(
+        prof.evictions > 100 && prof.pool_misses > 100,
+        "workload must write pages back and fetch them again: {prof:?}"
+    );
+    let log = std::fs::read(live.join("wal.log")).unwrap();
+    let (mut images, mut deltas) = (0, 0);
+    for e in record::scan(&log).entries {
+        match e.rec {
+            WalRecord::PageImage { .. } => images += 1,
+            WalRecord::PageDelta { .. } => deltas += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        deltas > images,
+        "pages logged again after a round trip through disk are deltas: \
+         {images} images, {deltas} deltas"
+    );
+
+    drop(w);
+    let _ = std::fs::remove_dir_all(&live);
+    let _ = std::fs::remove_dir_all(&scratch);
 }

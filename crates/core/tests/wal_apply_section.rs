@@ -8,6 +8,7 @@
 use fieldrep_core::{Database, DbConfig, DbError};
 use fieldrep_model::{FieldType, TypeDef, Value};
 use fieldrep_storage::wal::fault::FaultWal;
+use fieldrep_storage::wal::{record, WalRecord};
 use fieldrep_storage::{MemDisk, MemWalStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,10 +71,14 @@ fn insert_blocks_while_the_apply_section_is_held() {
 
 #[test]
 fn failed_commit_logging_reports_commit_not_durable() {
-    // Every WAL byte fails: the workload below must therefore keep the
-    // log untouched until the first `update_txn` commit record, whose
+    // Every WAL byte past the epoch marker that opening the database
+    // writes fails: the workload below must therefore keep the log
+    // untouched until the first `update_txn` commit record, whose
     // append then dies.
-    let db = mem_db_with_wal(Box::new(FaultWal::new(MemWalStore::new()).cut_after(0)));
+    let marker = record::encode(1, &WalRecord::Checkpoint).len() as u64;
+    let db = mem_db_with_wal(Box::new(
+        FaultWal::new(MemWalStore::new()).cut_after(marker),
+    ));
     let oid = db
         .insert("Emp1", vec![Value::Str("alice".into()), Value::Int(10)])
         .expect("inserts don't log (no evictions, no commits)");

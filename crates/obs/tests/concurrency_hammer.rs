@@ -24,11 +24,12 @@ const THREADS: usize = 8;
 const INCREMENTS_PER_THREAD: u64 = 20_000;
 const EVENTS_PER_THREAD: u64 = 5_000;
 const RING_CAPACITY: usize = 512;
+const TIMELINE_TICKS: usize = 256;
 
 #[test]
 fn timeline_ticks_never_lose_or_double_count_counter_deltas() {
     let reg = Arc::new(Registry::default());
-    let timeline = Arc::new(Mutex::new(Timeline::new(256)));
+    let timeline = Arc::new(Mutex::new(Timeline::new(TIMELINE_TICKS)));
     let done = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(THREADS + 1));
 
@@ -55,8 +56,14 @@ fn timeline_ticks_never_lose_or_double_count_counter_deltas() {
         let start = Arc::clone(&start);
         thread::spawn(move || {
             start.wait();
-            while !done.load(Ordering::Acquire) {
+            // Stop one short of the timeline's capacity (the closing
+            // tick below is the last): on a loaded host the workers can
+            // outlast any number of ticks, and an evicted tick takes
+            // its deltas out of the sum this test checks.
+            let mut ticks = 0;
+            while !done.load(Ordering::Acquire) && ticks < TIMELINE_TICKS - 1 {
                 timeline.lock().unwrap().tick(&reg);
+                ticks += 1;
                 thread::yield_now();
             }
         })

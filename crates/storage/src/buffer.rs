@@ -51,6 +51,19 @@
 //! core lock — only probes the section non-blockingly: a dirty
 //! unlogged frame is simply not an eviction victim while a writer is
 //! in flight (no-steal for open operations; see `sweep_shard`).
+//!
+//! # What a commit logs
+//!
+//! A frame is **unlogged** from its first write after its last log
+//! record until a commit (or a write-back's autocommit) logs it. The
+//! false→true transition happens in [`PageHandle::data_mut`], under the
+//! frame latch, and does two things when a WAL is attached: it sets the
+//! frame's bit in the pool's lock-free [`UnloggedSet`], and — if the
+//! page already has a record in the current log epoch — it keeps a copy
+//! of the page as it was (the **pre-image**), so the next record can be
+//! the bytes that changed instead of the page. [`BufferPool::log_txn_commit`]
+//! drains the set, so a commit costs its write set, not a walk of the
+//! pool under the core lock. Without a WAL none of this runs.
 
 use crate::checksum;
 use crate::disk::DiskManager;
@@ -59,7 +72,7 @@ use crate::lockorder;
 use crate::oid::{FileId, PageId};
 use crate::page::PAGE_SIZE;
 use crate::stats::IoProfile;
-use crate::wal::Wal;
+use crate::wal::{PageLog, Wal};
 use fieldrep_obs::{io as obs_io, metrics, names as obs_names};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -179,17 +192,112 @@ fn core_order() -> lockorder::Held {
     lockorder::acquired(lockorder::POOL_CORE, false, "PoolCore")
 }
 
+/// One bit per frame: the frames that went unlogged since the last
+/// commit drained the set. A set bit is a hint — the drain re-checks the
+/// frame's flags — but an unlogged frame's bit is always set.
+struct UnloggedSet {
+    words: Box<[AtomicU64]>,
+}
+
+impl UnloggedSet {
+    fn new(frames: usize) -> UnloggedSet {
+        UnloggedSet {
+            words: (0..frames.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        }
+    }
+
+    /// `Release`, paired with the `Acquire` in [`UnloggedSet::drain`]:
+    /// a drainer that sees the bit also sees the `unlogged` flag
+    /// stored before it.
+    fn insert(&self, frame: usize) {
+        self.words[frame / 64].fetch_or(1 << (frame % 64), Ordering::Release);
+    }
+
+    /// Take every member out of the set, in frame order.
+    fn drain(&self, mut f: impl FnMut(usize)) {
+        for (w, word) in self.words.iter().enumerate() {
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = word.swap(0, Ordering::Acquire);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// What every frame of a pool shares.
+struct PoolShared {
+    /// The WAL, if durability is enabled (fixed at construction).
+    wal: Option<Arc<Wal>>,
+    unlogged: UnloggedSet,
+}
+
+/// What a frame's latch guards.
+struct FrameBuf {
+    page: PageBuf,
+    /// The page as of its last log record, kept from the frame's first
+    /// write after that record until the next one (see the module
+    /// docs). `Some` only while the frame is unlogged and a delta is
+    /// possible.
+    pre: Option<PageBuf>,
+}
+
+/// `pid` value of a frame that holds no page.
+const NO_PAGE: u64 = u64::MAX;
+
 struct FrameInner {
-    data: RwLock<PageBuf>,
+    /// This frame's index in the pool.
+    idx: usize,
+    pool: Arc<PoolShared>,
+    data: RwLock<FrameBuf>,
+    /// The resident page, packed (`file << 32 | page`), or [`NO_PAGE`].
+    /// Written only under `PoolCore`; the commit path reads it without
+    /// that lock, for frames the apply section keeps from being evicted
+    /// (those two locks order the accesses, hence `Relaxed`).
+    pid: AtomicU64,
     dirty: AtomicBool,
     pins: AtomicU32,
-    /// Dirty but not yet covered by any WAL record. Set with `dirty`,
-    /// cleared when a commit logs the page (or the write-back path
-    /// autocommits it). Meaningless when the pool has no WAL.
+    /// Dirty but not yet covered by any WAL record. Set on the first
+    /// write after the last record, cleared when a commit logs the
+    /// page (or the write-back path autocommits it). Never set when
+    /// the pool has no WAL.
     unlogged: AtomicBool,
-    /// LSN of the last commit record covering this page's image; the
-    /// steal rule requires it durable before write-back.
+    /// LSN of the last commit record covering this page; the steal
+    /// rule requires it durable before write-back, and write-back
+    /// stamps it into the page header.
     lsn: AtomicU64,
+}
+
+impl FrameInner {
+    fn pid(&self) -> Option<PageId> {
+        match self.pid.load(Ordering::Relaxed) {
+            NO_PAGE => None,
+            p => Some(PageId::new(FileId((p >> 32) as u16), p as u32)),
+        }
+    }
+
+    fn set_pid(&self, pid: Option<PageId>) {
+        let packed = pid.map_or(NO_PAGE, |p| (u64::from(p.file.0) << 32) | u64::from(p.page));
+        self.pid.store(packed, Ordering::Relaxed);
+    }
+
+    /// Flag the frame unlogged. Returns the WAL when this was the
+    /// false→true transition (the frame's first write since its last
+    /// log record), having put the frame in the unlogged set; `None`
+    /// when it already was unlogged or the pool has no WAL.
+    fn mark_unlogged(&self) -> Option<&Wal> {
+        let wal = self.pool.wal.as_deref()?;
+        if self.unlogged.swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        self.pool.unlogged.insert(self.idx);
+        Some(wal)
+    }
 }
 
 /// Write guard over a page's bytes, returned by [`PageHandle::data_mut`].
@@ -197,20 +305,30 @@ struct FrameInner {
 /// Dereferences to the page buffer. Debug builds count live guards per
 /// thread to enforce the pool's lock discipline (see the lint's L4 rule).
 pub struct PageWriteGuard<'a> {
-    guard: RwLockWriteGuard<'a, PageBuf>,
+    guard: RwLockWriteGuard<'a, FrameBuf>,
     _order: lockorder::Held,
 }
 
 impl std::ops::Deref for PageWriteGuard<'_> {
     type Target = PageBuf;
     fn deref(&self) -> &PageBuf {
-        &self.guard
+        &self.guard.page
     }
 }
 
 impl std::ops::DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut PageBuf {
-        &mut self.guard
+        &mut self.guard.page
+    }
+}
+
+/// Read guard over a page's bytes, returned by [`PageHandle::data`].
+pub struct PageReadGuard<'a>(RwLockReadGuard<'a, FrameBuf>);
+
+impl std::ops::Deref for PageReadGuard<'_> {
+    type Target = PageBuf;
+    fn deref(&self) -> &PageBuf {
+        &self.0.page
     }
 }
 
@@ -234,9 +352,18 @@ pub struct PageHandle {
 }
 
 impl PageHandle {
+    /// Pin `frame`, which holds page `pid`.
+    fn pin(frame: &Arc<FrameInner>, pid: PageId) -> PageHandle {
+        frame.pins.fetch_add(1, Ordering::Relaxed);
+        PageHandle {
+            inner: Arc::clone(frame),
+            pid,
+        }
+    }
+
     /// Shared read access to the page bytes.
-    pub fn data(&self) -> RwLockReadGuard<'_, PageBuf> {
-        self.inner.data.read()
+    pub fn data(&self) -> PageReadGuard<'_> {
+        PageReadGuard(self.inner.data.read())
     }
 
     /// Exclusive write access; marks the page dirty.
@@ -245,14 +372,20 @@ impl PageHandle {
         // goes through the ordered batch helper (checked separately by
         // the guard counters below).
         let order = lockorder::acquired(lockorder::FRAME_DATA, true, "FrameData");
-        let guard = self.inner.data.write();
+        let mut guard = self.inner.data.write();
         #[cfg(debug_assertions)]
         lockcheck::guard_acquired();
         // The dirty store must come *after* lock acquisition: flagging
         // first would let a flush racing with a still-blocked writer
         // count a spurious write-back for a page that hasn't changed.
         self.inner.dirty.store(true, Ordering::Relaxed);
-        self.inner.unlogged.store(true, Ordering::Relaxed);
+        if let Some(wal) = self.inner.mark_unlogged() {
+            // The page as of its last log record: if that record is in
+            // the current log epoch, the next one can be a delta.
+            if self.inner.lsn.load(Ordering::Relaxed) > wal.checkpoint_lsn() {
+                guard.pre = Some(guard.page.clone());
+            }
+        }
         PageWriteGuard {
             guard,
             _order: order,
@@ -283,7 +416,6 @@ impl Drop for PageHandle {
 
 struct Frame {
     inner: Arc<FrameInner>,
-    pid: Option<PageId>,
     referenced: bool,
     /// Set when the frame was filled by [`BufferPool::prefetch`] and not
     /// yet touched by a fetch (drives `storage.prefetch.hit`).
@@ -319,9 +451,11 @@ fn home_shard(pid: PageId, n: usize) -> usize {
 /// parallel through the per-frame locks of the returned [`PageHandle`]s.
 pub struct BufferPool {
     core: Mutex<PoolCore>,
-    /// The WAL, if durability is enabled (fixed at construction;
-    /// readable without locking).
-    wal: Option<Arc<Wal>>,
+    /// Every frame by index, for the commit path (which resolves the
+    /// unlogged set without the core lock). Fixed at construction.
+    frames: Box<[Arc<FrameInner>]>,
+    /// The WAL and the unlogged set (readable without locking).
+    shared: Arc<PoolShared>,
     /// Frame count (fixed at construction; readable without locking).
     capacity: usize,
     /// Shard count (fixed at construction; readable without locking).
@@ -333,7 +467,7 @@ struct PoolCore {
     frames: Vec<Frame>,
     shards: Vec<Shard>,
     disk: Box<dyn DiskManager>,
-    wal: Option<Arc<Wal>>,
+    shared: Arc<PoolShared>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -349,30 +483,39 @@ fn write_back_frame(
     pid: PageId,
     inner: &FrameInner,
 ) -> Result<()> {
-    let mut copy: PageBuf = inner.data.read().clone();
+    let mut copy: PageBuf = inner.data.read().page.clone();
     let lsn = match wal {
-        Some(w) => {
-            if inner.unlogged.swap(false, Ordering::Relaxed) {
-                // No transaction logged this page: log it now as a
-                // single-page implicit transaction (made durable inside)
-                // so the WAL invariant holds for every write-back.
-                match w.autocommit_page(pid, &copy) {
-                    Ok(lsn) => {
-                        inner.lsn.store(lsn, Ordering::Relaxed);
-                        lsn
-                    }
-                    Err(e) => {
-                        inner.unlogged.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
+        Some(w) if inner.unlogged.swap(false, Ordering::Relaxed) => {
+            // No transaction logged this page: log it now as a
+            // single-page implicit transaction (made durable inside)
+            // so the WAL invariant holds for every write-back. The
+            // pre-image leaves the frame either way: should this fail,
+            // the page's next record is simply a full image.
+            let pre = inner.data.write().pre.take();
+            let base = pre
+                .as_deref()
+                .map(|pre| (pre, inner.lsn.load(Ordering::Relaxed)));
+            match w.autocommit_page(PageLog {
+                page: pid,
+                image: &copy,
+                base,
+            }) {
+                Ok(lsn) => {
+                    inner.lsn.store(lsn, Ordering::Relaxed);
+                    lsn
                 }
-            } else {
-                // The steal rule: covering log records must be durable
-                // before the page image may overwrite its disk home.
-                let lsn = inner.lsn.load(Ordering::Relaxed);
-                w.ensure_durable(lsn)?;
-                lsn
+                Err(e) => {
+                    inner.unlogged.store(true, Ordering::Relaxed);
+                    return Err(e);
+                }
             }
+        }
+        Some(w) => {
+            // The steal rule: covering log records must be durable
+            // before the page image may overwrite its disk home.
+            let lsn = inner.lsn.load(Ordering::Relaxed);
+            w.ensure_durable(lsn)?;
+            lsn
         }
         None => inner.lsn.load(Ordering::Relaxed),
     };
@@ -395,16 +538,31 @@ impl BufferPool {
         wal: Option<Arc<Wal>>,
     ) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        let frames = (0..capacity)
-            .map(|_| Frame {
-                inner: Arc::new(FrameInner {
-                    data: RwLock::new(Box::new([0u8; PAGE_SIZE])),
+        let shared = Arc::new(PoolShared {
+            wal,
+            unlogged: UnloggedSet::new(capacity),
+        });
+        let inners: Box<[Arc<FrameInner>]> = (0..capacity)
+            .map(|idx| {
+                Arc::new(FrameInner {
+                    idx,
+                    pool: Arc::clone(&shared),
+                    data: RwLock::new(FrameBuf {
+                        page: Box::new([0u8; PAGE_SIZE]),
+                        pre: None,
+                    }),
+                    pid: AtomicU64::new(NO_PAGE),
                     dirty: AtomicBool::new(false),
                     pins: AtomicU32::new(0),
                     unlogged: AtomicBool::new(false),
                     lsn: AtomicU64::new(0),
-                }),
-                pid: None,
+                })
+            })
+            .collect();
+        let frames = inners
+            .iter()
+            .map(|inner| Frame {
+                inner: Arc::clone(inner),
                 referenced: false,
                 prefetched: false,
             })
@@ -428,12 +586,13 @@ impl BufferPool {
                 frames,
                 shards,
                 disk,
-                wal: wal.clone(),
+                shared: Arc::clone(&shared),
                 hits: 0,
                 misses: 0,
                 evictions: 0,
             }),
-            wal,
+            frames: inners,
+            shared,
             capacity,
             shard_count: n,
         }
@@ -441,7 +600,7 @@ impl BufferPool {
 
     /// The pool's WAL, if durability is enabled.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
+        self.shared.wal.as_ref()
     }
 
     /// Issue a durability barrier on the backing disk (fsync every data
@@ -455,51 +614,71 @@ impl BufferPool {
     /// transaction and return its commit LSN (`None` when the pool has
     /// no WAL or the commit touched no pages). The caller must hold the
     /// WAL's serialized apply section, and *every* engine write path
-    /// must run inside that section — then the swept frames are the
+    /// must run inside that section — then the unlogged set is the
     /// committing transaction's write set plus, possibly, leftover
     /// pages of already-*completed* unlogged operations (safe to fold
     /// into this commit; they were applied in full and would otherwise
     /// be autocommitted at eviction). No half-applied operation's page
-    /// can ever be captured. Does **not** fsync — pass the LSN to
-    /// [`Wal::sync_to`] so concurrent commits group-commit.
+    /// can ever be captured, and — unlogged dirty frames being
+    /// unevictable while the section is held — none of the set can
+    /// change frames underneath the commit. Each page is logged as the
+    /// bytes that changed where it has a pre-image, as a full image
+    /// otherwise. Does **not** fsync — pass the LSN to [`Wal::sync_to`]
+    /// so concurrent commits group-commit.
     pub fn log_txn_commit(&self) -> Result<Option<u64>> {
-        let Some(wal) = self.wal.as_ref() else {
+        let Some(wal) = self.shared.wal.as_ref() else {
             return Ok(None);
         };
-        // Pin the write set under the pool lock so none of it can be
-        // evicted (and its frame reused) between the scan and the
-        // snapshot below.
+        // A bit whose frame a write-back has logged since (or whose
+        // file was dropped) is stale. The pins are belt and braces for
+        // a caller that does not hold the apply section.
         let mut handles: Vec<PageHandle> = Vec::new();
-        {
-            let _o = core_order();
-            let core = self.core.lock();
-            for (idx, f) in core.frames.iter().enumerate() {
-                if let Some(pid) = f.pid {
-                    if f.inner.dirty.load(Ordering::Relaxed)
-                        && f.inner.unlogged.load(Ordering::Relaxed)
-                    {
-                        handles.push(core.handle(idx, pid));
-                    }
+        self.shared.unlogged.drain(|idx| {
+            let frame = &self.frames[idx];
+            if let Some(pid) = frame.pid() {
+                if frame.dirty.load(Ordering::Relaxed) && frame.unlogged.load(Ordering::Relaxed) {
+                    handles.push(PageHandle::pin(frame, pid));
                 }
             }
-        }
+        });
         if handles.is_empty() {
             return Ok(None);
         }
         handles.sort_by_key(|h| h.pid);
-        let images: Vec<(PageId, PageBuf)> = handles
-            .iter()
-            .map(|h| (h.pid, h.inner.data.read().clone()))
-            .collect();
-        let refs: Vec<(PageId, &[u8; PAGE_SIZE])> =
-            images.iter().map(|(pid, b)| (*pid, &**b)).collect();
-        let txn = wal.begin_txn();
-        let lsn = wal.append_commit(txn, &refs)?;
-        for h in &handles {
-            h.inner.lsn.store(lsn, Ordering::Relaxed);
-            h.inner.unlogged.store(false, Ordering::Relaxed);
+        // Encode straight out of the frames: read latches (writers are
+        // excluded by the apply section) held across the append.
+        let logged = {
+            let bufs: Vec<RwLockReadGuard<'_, FrameBuf>> =
+                handles.iter().map(|h| h.inner.data.read()).collect();
+            wal.append_pages(
+                wal.begin_txn(),
+                handles.iter().zip(&bufs).map(|(h, buf)| PageLog {
+                    page: h.pid,
+                    image: &buf.page,
+                    base: buf
+                        .pre
+                        .as_deref()
+                        .map(|pre| (pre, h.inner.lsn.load(Ordering::Relaxed))),
+                }),
+            )
+        };
+        match logged {
+            Ok(lsn) => {
+                for h in &handles {
+                    h.inner.data.write().pre = None;
+                    h.inner.lsn.store(lsn, Ordering::Relaxed);
+                    h.inner.unlogged.store(false, Ordering::Relaxed);
+                }
+                Ok(Some(lsn))
+            }
+            Err(e) => {
+                // Still unlogged: back into the set for the next commit.
+                for h in &handles {
+                    self.shared.unlogged.insert(h.inner.idx);
+                }
+                Err(e)
+            }
         }
-        Ok(Some(lsn))
     }
 
     /// Number of frames.
@@ -600,7 +779,7 @@ impl BufferPool {
         // exclude in-flight writers (apply-section holders): a flush
         // must never make half an operation durable. Lock order is
         // apply → core (eviction inside core only *probes* apply).
-        let _apply = self.wal.as_ref().map(|w| w.apply_lock());
+        let _apply = self.shared.wal.as_ref().map(|w| w.apply_lock());
         let _o = core_order();
         self.core.lock().flush_page(pid)
     }
@@ -609,7 +788,7 @@ impl BufferPool {
     /// leaving the pool cold. Fails if a page is still pinned.
     pub fn flush_all(&self) -> Result<()> {
         // See flush_page for why the apply section is held.
-        let _apply = self.wal.as_ref().map(|w| w.apply_lock());
+        let _apply = self.shared.wal.as_ref().map(|w| w.apply_lock());
         let _o = core_order();
         self.core.lock().flush_all()
     }
@@ -678,10 +857,11 @@ impl PoolCore {
                     "pin leak: dropping {file:?} while its page {pid:?} is \
                      still pinned"
                 );
-                f.pid = None;
+                f.inner.set_pid(None);
                 f.referenced = false;
                 f.prefetched = false;
                 f.inner.dirty.store(false, Ordering::Relaxed);
+                f.inner.unlogged.store(false, Ordering::Relaxed);
             }
         }
         self.disk.drop_file(file)
@@ -694,7 +874,8 @@ impl PoolCore {
         self.install(idx, pid, false)?;
         let h = self.handle(idx, pid);
         h.inner.dirty.store(true, Ordering::Relaxed);
-        h.inner.unlogged.store(true, Ordering::Relaxed);
+        // A fresh page has no log record, so no pre-image.
+        h.inner.mark_unlogged();
         Ok((pid, h))
     }
 
@@ -802,7 +983,7 @@ impl PoolCore {
                     return Err(e);
                 }
             };
-            self.frames[idx].pid = Some(pid);
+            self.frames[idx].inner.set_pid(Some(pid));
             self.frames[idx].referenced = true;
             self.frames[idx].prefetched = prefetched;
             self.shards[home].map.insert(pid, idx);
@@ -810,10 +991,15 @@ impl PoolCore {
             idxs.push(idx);
         }
         let res = {
-            let mut guards: Vec<RwLockWriteGuard<'_, PageBuf>> =
+            let mut guards: Vec<RwLockWriteGuard<'_, FrameBuf>> =
                 handles.iter().map(|h| h.inner.data.write()).collect();
-            let mut bufs: Vec<&mut [u8; PAGE_SIZE]> =
-                guards.iter_mut().map(|g| &mut ***g).collect();
+            let mut bufs: Vec<&mut [u8; PAGE_SIZE]> = guards
+                .iter_mut()
+                .map(|g| {
+                    g.pre = None;
+                    &mut *g.page
+                })
+                .collect();
             self.disk.read_pages(run[0], &mut bufs).and_then(|()| {
                 let mut lsns = Vec::with_capacity(bufs.len());
                 for (i, buf) in bufs.iter().enumerate() {
@@ -859,7 +1045,8 @@ impl PoolCore {
                  pinned; callers must drop the run's handles before \
                  uninstall_run"
             );
-            if let Some(pid) = self.frames[idx].pid.take() {
+            if let Some(pid) = self.frames[idx].inner.pid() {
+                self.frames[idx].inner.set_pid(None);
                 let home = self.shard_of(pid);
                 self.shards[home].map.remove(&pid);
             }
@@ -876,9 +1063,7 @@ impl PoolCore {
     }
 
     fn handle(&self, idx: usize, pid: PageId) -> PageHandle {
-        let inner = Arc::clone(&self.frames[idx].inner);
-        inner.pins.fetch_add(1, Ordering::Relaxed);
-        PageHandle { inner, pid }
+        PageHandle::pin(&self.frames[idx].inner, pid)
     }
 
     /// Find an unpinned frame, sweeping the home shard's clock first and
@@ -917,11 +1102,11 @@ impl PoolCore {
                 continue;
             }
             // Victim found: write back if needed, then unregister.
-            if let Some(old) = self.frames[idx].pid {
+            if let Some(old) = self.frames[idx].inner.pid() {
                 let inner = Arc::clone(&self.frames[idx].inner);
                 let dirty = inner.dirty.load(Ordering::Relaxed);
                 let unlogged = inner.unlogged.load(Ordering::Relaxed);
-                let _apply = match self.wal.as_deref() {
+                let _apply = match self.shared.wal.as_deref() {
                     Some(w) if dirty && unlogged => {
                         // No-steal for open operations: writing this
                         // page back would autocommit it, but a writer
@@ -942,9 +1127,12 @@ impl PoolCore {
                     _ => None,
                 };
                 if inner.dirty.swap(false, Ordering::Relaxed) {
-                    if let Err(e) =
-                        write_back_frame(self.disk.as_mut(), self.wal.as_deref(), old, &inner)
-                    {
+                    if let Err(e) = write_back_frame(
+                        self.disk.as_mut(),
+                        self.shared.wal.as_deref(),
+                        old,
+                        &inner,
+                    ) {
                         // Failed write-back must leave the page dirty:
                         // treating it as clean would silently drop its
                         // modifications at the next eviction.
@@ -957,7 +1145,7 @@ impl PoolCore {
                 }
                 let old_home = self.shard_of(old);
                 self.shards[old_home].map.remove(&old);
-                self.frames[idx].pid = None;
+                self.frames[idx].inner.set_pid(None);
             }
             self.frames[idx].prefetched = false;
             return Ok(Some(idx));
@@ -970,17 +1158,17 @@ impl PoolCore {
     fn install(&mut self, idx: usize, pid: PageId, read: bool) -> Result<()> {
         {
             let inner = Arc::clone(&self.frames[idx].inner);
-            let mut data = inner.data.write();
+            let mut buf = inner.data.write();
+            buf.pre = None;
+            let data = &mut buf.page;
             if read {
-                self.disk.read_page(pid, &mut data)?;
+                self.disk.read_page(pid, data)?;
                 obs_io::record_disk_read();
-                if !checksum::verify(&data) {
+                if !checksum::verify(data) {
                     pool_metrics().checksum_failures.inc();
                     return Err(StorageError::ChecksumMismatch(pid));
                 }
-                inner
-                    .lsn
-                    .store(checksum::read_lsn(&data), Ordering::Relaxed);
+                inner.lsn.store(checksum::read_lsn(data), Ordering::Relaxed);
             } else {
                 data.fill(0);
                 inner.lsn.store(0, Ordering::Relaxed);
@@ -988,7 +1176,7 @@ impl PoolCore {
             inner.dirty.store(false, Ordering::Relaxed);
             inner.unlogged.store(false, Ordering::Relaxed);
         }
-        self.frames[idx].pid = Some(pid);
+        self.frames[idx].inner.set_pid(Some(pid));
         self.frames[idx].referenced = true;
         self.frames[idx].prefetched = false;
         let home = self.shard_of(pid);
@@ -1002,7 +1190,7 @@ impl PoolCore {
             let inner = Arc::clone(&self.frames[idx].inner);
             if inner.dirty.swap(false, Ordering::Relaxed) {
                 if let Err(e) =
-                    write_back_frame(self.disk.as_mut(), self.wal.as_deref(), pid, &inner)
+                    write_back_frame(self.disk.as_mut(), self.shared.wal.as_deref(), pid, &inner)
                 {
                     inner.dirty.store(true, Ordering::Relaxed);
                     return Err(e);
@@ -1016,17 +1204,16 @@ impl PoolCore {
     fn flush_all(&mut self) -> Result<()> {
         for idx in 0..self.frames.len() {
             let frame = &self.frames[idx];
-            if frame.pid.is_none() {
+            let Some(pid) = frame.inner.pid() else {
                 continue;
-            }
+            };
             if frame.inner.pins.load(Ordering::Relaxed) > 0 {
                 return Err(StorageError::BufferExhausted);
             }
-            let pid = frame.pid.unwrap();
             let inner = Arc::clone(&frame.inner);
             if inner.dirty.swap(false, Ordering::Relaxed) {
                 if let Err(e) =
-                    write_back_frame(self.disk.as_mut(), self.wal.as_deref(), pid, &inner)
+                    write_back_frame(self.disk.as_mut(), self.shared.wal.as_deref(), pid, &inner)
                 {
                     inner.dirty.store(true, Ordering::Relaxed);
                     return Err(e);
@@ -1035,7 +1222,7 @@ impl PoolCore {
             }
             let home = self.shard_of(pid);
             self.shards[home].map.remove(&pid);
-            self.frames[idx].pid = None;
+            self.frames[idx].inner.set_pid(None);
             self.frames[idx].referenced = false;
             self.frames[idx].prefetched = false;
         }
@@ -1054,7 +1241,9 @@ impl PoolCore {
                     resident: shard.map.len(),
                     dirty: frames
                         .iter()
-                        .filter(|f| f.pid.is_some() && f.inner.dirty.load(Ordering::Relaxed))
+                        .filter(|f| {
+                            f.inner.pid().is_some() && f.inner.dirty.load(Ordering::Relaxed)
+                        })
                         .count(),
                     pinned: frames
                         .iter()
@@ -1548,6 +1737,178 @@ mod tests {
         assert!(bp.flush_page(pid).is_err(), "autocommit append dies");
         let dirty: usize = bp.shard_stats().iter().map(|s| s.dirty).sum();
         assert_eq!(dirty, 1, "page still pending write-back after the failure");
+    }
+
+    fn wal_pool(cap: usize) -> (BufferPool, Arc<Wal>, crate::wal::MemWalStore) {
+        let store = crate::wal::MemWalStore::new();
+        let wal = Arc::new(Wal::new(Box::new(store.clone()), 1));
+        let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), cap, Some(Arc::clone(&wal)));
+        (bp, wal, store)
+    }
+
+    fn commit(bp: &BufferPool, wal: &Wal) -> Option<u64> {
+        let _apply = wal.apply_lock();
+        bp.log_txn_commit().unwrap()
+    }
+
+    /// The kinds of page record in the log, in order.
+    fn page_records(store: &crate::wal::MemWalStore) -> Vec<(&'static str, PageId)> {
+        use crate::wal::WalRecord;
+        crate::wal::record::scan(&store.snapshot())
+            .entries
+            .into_iter()
+            .filter_map(|e| match e.rec {
+                WalRecord::PageImage { page, .. } => Some(("image", page)),
+                WalRecord::PageDelta { page, .. } => Some(("delta", page)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A page's first record in an epoch is an image, later ones are
+    /// deltas a fraction of its size; a checkpoint starts over; and a
+    /// commit with nothing written logs nothing.
+    #[test]
+    fn commits_log_an_image_then_deltas() {
+        let (bp, wal, store) = wal_pool(8);
+        let f = bp.create_file().unwrap();
+        let (pid, h) = bp.new_page(f).unwrap();
+        h.data_mut()[100] = 1;
+        assert!(commit(&bp, &wal).is_some());
+        assert_eq!(commit(&bp, &wal), None, "nothing unlogged, nothing logged");
+
+        let before = wal.stats().bytes;
+        h.data_mut()[100] = 2;
+        h.data_mut()[3000] = 3; // same commit: one record, two ranges
+        assert!(commit(&bp, &wal).is_some());
+        let delta_commit = wal.stats().bytes - before;
+        assert!(
+            delta_commit < 128,
+            "two changed bytes cost {delta_commit} log bytes"
+        );
+        assert_eq!(page_records(&store), [("image", pid), ("delta", pid)]);
+
+        wal.checkpoint_truncate().unwrap();
+        h.data_mut()[100] = 4;
+        assert!(commit(&bp, &wal).is_some());
+        assert_eq!(
+            page_records(&store),
+            [("image", pid)],
+            "first record after a checkpoint is an image again"
+        );
+    }
+
+    /// The image-or-delta choice rides in the page header: a page that
+    /// was logged, written back, and fetched again is still delta-logged,
+    /// and the log alone rebuilds its last state.
+    #[test]
+    fn delta_logging_survives_eviction_and_refetch() {
+        let (bp, wal, store) = wal_pool(2);
+        let f = bp.create_file().unwrap();
+        let (pid, h) = bp.new_page(f).unwrap();
+        h.data_mut()[100] = 1;
+        drop(h);
+        commit(&bp, &wal).unwrap();
+        // Push the page out through the two-frame pool.
+        for _ in 0..4 {
+            let (_, h) = bp.new_page(f).unwrap();
+            h.data_mut()[0] = 9;
+        }
+        commit(&bp, &wal).unwrap();
+        let misses = bp.io_profile().pool_misses;
+        let h = bp.fetch(pid).unwrap();
+        assert_eq!(bp.io_profile().pool_misses, misses + 1, "it was evicted");
+        h.data_mut()[200] = 2;
+        drop(h);
+        commit(&bp, &wal).unwrap();
+        let records = page_records(&store);
+        assert_eq!(records.first(), Some(&("image", pid)));
+        assert_eq!(records.last(), Some(&("delta", pid)));
+
+        let mut disk = MemDisk::new();
+        let mut log = store.clone();
+        crate::wal::recover(&mut disk, &mut log).unwrap();
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(pid, &mut buf).unwrap();
+        assert_eq!((buf[100], buf[200]), (1, 2));
+    }
+
+    /// An unlogged page written back before any commit is autocommitted
+    /// from its pre-image too, and leaves the unlogged set clean.
+    #[test]
+    fn write_back_autocommits_a_delta() {
+        let (bp, wal, store) = wal_pool(4);
+        let f = bp.create_file().unwrap();
+        let (pid, h) = bp.new_page(f).unwrap();
+        h.data_mut()[100] = 1;
+        commit(&bp, &wal).unwrap();
+        h.data_mut()[100] = 2;
+        drop(h);
+        bp.flush_page(pid).unwrap();
+        assert_eq!(wal.stats().autocommits, 1);
+        assert_eq!(page_records(&store), [("image", pid), ("delta", pid)]);
+        assert_eq!(commit(&bp, &wal), None, "the stale set member is skipped");
+    }
+
+    /// A commit whose append fails leaves its pages unlogged *and in the
+    /// set*: the next commit logs them.
+    #[test]
+    fn failed_commit_keeps_its_pages_for_the_next_one() {
+        use crate::wal::MemWalStore;
+        /// Refuses the first append, then behaves (`FaultWal`, the
+        /// crash-shaped injector, never recovers).
+        struct FailOnce(MemWalStore, bool);
+        impl crate::wal::WalStore for FailOnce {
+            fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
+                if std::mem::take(&mut self.1) {
+                    return Err(std::io::Error::other("injected append failure").into());
+                }
+                self.0.wal_append(bytes)
+            }
+            fn wal_sync(&mut self) -> Result<()> {
+                self.0.wal_sync()
+            }
+            fn wal_read_all(&mut self) -> Result<Vec<u8>> {
+                self.0.wal_read_all()
+            }
+            fn wal_truncate(&mut self, len: u64) -> Result<()> {
+                self.0.wal_truncate(len)
+            }
+            fn wal_len(&mut self) -> Result<u64> {
+                self.0.wal_len()
+            }
+            fn wal_syncer(&self) -> Box<dyn crate::wal::WalSyncer> {
+                self.0.wal_syncer()
+            }
+        }
+        let store = MemWalStore::new();
+        let wal = Arc::new(Wal::new(Box::new(FailOnce(store.clone(), true)), 1));
+        let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), 4, Some(Arc::clone(&wal)));
+        let f = bp.create_file().unwrap();
+        let (pid, h) = bp.new_page(f).unwrap();
+        h.data_mut()[5] = 5;
+        {
+            let _apply = wal.apply_lock();
+            assert!(bp.log_txn_commit().is_err());
+        }
+        assert!(commit(&bp, &wal).is_some(), "retried, not forgotten");
+        assert_eq!(page_records(&store), [("image", pid)]);
+    }
+
+    /// Without a WAL the commit machinery is inert: no frame is ever
+    /// flagged unlogged, nothing joins the set, no pre-image is kept.
+    #[test]
+    fn without_a_wal_writes_leave_no_commit_state() {
+        let bp = pool(4);
+        let f = bp.create_file().unwrap();
+        let (_, h) = bp.new_page(f).unwrap();
+        h.data_mut()[1] = 1;
+        assert!(!h.inner.unlogged.load(Ordering::Relaxed));
+        assert!(h.inner.data.read().pre.is_none());
+        let mut members = 0;
+        bp.shared.unlogged.drain(|_| members += 1);
+        assert_eq!(members, 0);
+        assert_eq!(bp.log_txn_commit().unwrap(), None);
     }
 
     /// The pool is shared: concurrent fetches of disjoint and overlapping

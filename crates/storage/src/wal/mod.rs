@@ -1,14 +1,26 @@
 //! Redo-only write-ahead log (ARIES-lite).
 //!
-//! The durability design is deliberately lean — full-page physical
-//! redo logging with no undo, in the spirit of the paper's "replicas
-//! are derived data" stance (and Darmont's advocacy for simplicity):
+//! The durability design is deliberately lean — physical redo logging
+//! with no undo, in the spirit of the paper's "replicas are derived
+//! data" stance (and Darmont's advocacy for simplicity):
 //!
 //! * A transaction's pages are applied in the buffer pool first; at
-//!   commit, the *after-images* of every page it dirtied are appended
-//!   as one `Begin / PageImage* / Commit` group and fsynced. There is
-//!   nothing to undo because nothing unlogged ever overwrites a
-//!   committed on-disk page:
+//!   commit, every page it dirtied is appended as one
+//!   `Begin / (PageImage | PageDelta)* / Commit` group and fsynced.
+//!   There is nothing to undo because nothing unlogged ever overwrites
+//!   a committed on-disk page.
+//! * **Image, then deltas**: a commit costs the bytes it changed, not
+//!   the pages it touched. A page's *first* record in a log epoch (its
+//!   covering LSN is at or below the epoch's `Checkpoint` marker — the
+//!   LSN is stamped in the page header at write-back, so the test
+//!   survives eviction and re-fetch) is a full `PageImage`: recovery
+//!   then never depends on an on-disk page a crash may have torn. Every
+//!   later record is a `PageDelta` — the byte ranges that differ from
+//!   the pre-image the pool captured when the page was first written
+//!   after its previous record (see `buffer.rs`); a delta that would
+//!   exceed half a page is logged as an image instead. The choice is
+//!   made under the append lock, where epochs change, so a delta can
+//!   never land in an epoch that lacks its base.
 //! * **the steal rule**: the buffer pool may evict a dirty page only
 //!   after the page's covering log records are durable
 //!   ([`Wal::ensure_durable`]). A dirty page no transaction has logged
@@ -27,24 +39,25 @@
 //!   append lock *released*, so followers keep appending (and so keep
 //!   feeding the next leader's barrier) while the fsync is in flight.
 //! * **Recovery** ([`recover`]) scans the log, discards the torn tail,
-//!   replays every committed transaction's images, syncs the data
-//!   files, and resets the log.
+//!   rebuilds every committed page in memory from its image and deltas,
+//!   writes each once, syncs the data files, and starts a new epoch
+//!   whose `Checkpoint` marker keeps the LSN space rising.
 //!
 //! The serialized *apply section* ([`Wal::apply_lock`]) is held by
 //! **every** engine write path — `update_txn` across apply+log, and
 //! the non-transactional DML paths (`insert`/`update`/`delete`/
 //! deferred-propagation sync) across their whole multi-page operation —
-//! so the log never interleaves two operations' images and a commit's
-//! dirty-page sweep can only ever see *completed* operations' pages.
-//! The fsync happens **outside** it, which is what lets back-to-back
-//! commits coalesce.
+//! so the log never interleaves two operations' records and a commit
+//! (which logs the pool's whole unlogged set) can only ever see
+//! *completed* operations' pages. The fsync happens **outside** it,
+//! which is what lets back-to-back commits coalesce.
 
 pub mod fault;
 pub mod record;
 pub mod recover;
 pub mod store;
 
-pub use record::{WalEntry, WalRecord};
+pub use record::{DeltaRange, WalEntry, WalRecord};
 pub use recover::{recover, RecoveryReport};
 pub use store::{FileWalStore, MemWalStore, WalStore, WalSyncer};
 
@@ -87,12 +100,31 @@ pub struct ApplyGuard<'a> {
     _order: lockorder::Held,
 }
 
+/// One page of a commit group, as the buffer pool hands it to the log.
+pub struct PageLog<'a> {
+    /// The page being logged.
+    pub page: PageId,
+    /// Its current bytes.
+    pub image: &'a [u8; PAGE_SIZE],
+    /// The page's bytes as of its previous log record, with that
+    /// record's covering LSN: what a delta is computed against.
+    /// `None` logs a full image.
+    pub base: Option<(&'a [u8; PAGE_SIZE], u64)>,
+}
+
+/// A commit buffer that grew past this is freed rather than kept.
+const KEEP_BUF_BYTES: usize = 1 << 20;
+
 struct WalInner {
     store: Box<dyn WalStore>,
     /// Next LSN to assign.
     next_lsn: u64,
     /// Highest LSN appended to the store.
     appended: u64,
+    /// The commit group being encoded (kept between commits).
+    buf: Vec<u8>,
+    /// Scratch for one page's changed ranges.
+    ranges: Vec<(u16, u16)>,
 }
 
 /// The write-ahead log. All methods take `&self`; the log is shared by
@@ -106,6 +138,11 @@ pub struct Wal {
     syncer: Box<dyn store::WalSyncer>,
     /// Highest LSN known fsynced.
     durable: AtomicU64,
+    /// LSN of the current epoch's `Checkpoint` marker (see the module
+    /// docs). Written only under the append lock, where the delta
+    /// choice reads it; the pool's lock-free read is a hint that
+    /// choice re-checks, so `Relaxed` suffices.
+    checkpoint_lsn: AtomicU64,
     /// Group-commit leader election: at most one fsync in flight.
     sync_lock: Mutex<()>,
     /// The serialized apply section (see module docs).
@@ -141,7 +178,8 @@ pub struct WalStats {
 impl Wal {
     /// Wrap `store`, assigning LSNs from `start_lsn` (≥ 1). Callers run
     /// [`recover`] first and pass `report.last_lsn + 1` so the LSN space
-    /// stays monotone across restarts.
+    /// stays monotone across restarts; everything below `start_lsn`
+    /// counts as checkpointed.
     pub fn new(store: Box<dyn WalStore>, start_lsn: u64) -> Wal {
         let start = start_lsn.max(1);
         let syncer = store.wal_syncer();
@@ -150,9 +188,12 @@ impl Wal {
                 store,
                 next_lsn: start,
                 appended: start - 1,
+                buf: Vec::new(),
+                ranges: Vec::new(),
             }),
             syncer,
             durable: AtomicU64::new(start - 1),
+            checkpoint_lsn: AtomicU64::new(start - 1),
             sync_lock: Mutex::new(()),
             apply: Mutex::new(()),
             next_txn: AtomicU64::new(0),
@@ -167,9 +208,9 @@ impl Wal {
     /// Enter the serialized apply section. Every engine write path
     /// holds this across its whole multi-page operation (`update_txn`
     /// additionally across commit logging), so the log never
-    /// interleaves two operations' page images and a commit's
-    /// dirty-page sweep only ever sees completed operations' pages;
-    /// it is released before the fsync.
+    /// interleaves two operations' page records and a commit only ever
+    /// logs completed operations' pages; it is released before the
+    /// fsync.
     pub fn apply_lock(&self) -> ApplyGuard<'_> {
         let order = lockorder::acquired(lockorder::WAL_APPLY, false, "WalApply");
         ApplyGuard {
@@ -197,40 +238,75 @@ impl Wal {
         self.next_txn.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    /// LSN of the current log epoch's `Checkpoint` marker: a page whose
+    /// covering LSN is at or below it gets a full image next.
+    pub fn checkpoint_lsn(&self) -> u64 {
+        self.checkpoint_lsn.load(Ordering::Relaxed)
+    }
+
     /// Append `Begin / PageImage* / Commit` for `txn` as one contiguous
-    /// group and return the commit LSN. Does **not** fsync — call
-    /// [`Wal::sync_to`] with the returned LSN (that is what group
-    /// commit coalesces).
+    /// group of full images and return the commit LSN. Does **not**
+    /// fsync — call [`Wal::sync_to`] with the returned LSN (that is
+    /// what group commit coalesces).
     pub fn append_commit(&self, txn: u64, pages: &[(PageId, &[u8; PAGE_SIZE])]) -> Result<u64> {
+        self.append_pages(
+            txn,
+            pages.iter().map(|&(page, image)| PageLog {
+                page,
+                image,
+                base: None,
+            }),
+        )
+    }
+
+    /// [`Wal::append_commit`] for pages that may carry a pre-image:
+    /// each is logged as a delta against it when its previous record
+    /// is in the current epoch and the delta is under half a page, as
+    /// a full image otherwise.
+    pub fn append_pages<'a>(
+        &self,
+        txn: u64,
+        pages: impl ExactSizeIterator<Item = PageLog<'a>>,
+    ) -> Result<u64> {
+        let records = pages.len() as u64 + 2;
         let _append_order = lockorder::acquired(lockorder::WAL_APPEND, false, "WalAppend");
-        let mut inner = self.inner.lock();
-        let mut buf = Vec::with_capacity((record::MAX_PAYLOAD + 8) * (pages.len() + 2));
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let epoch_floor = self.checkpoint_lsn();
+        inner.buf.clear();
         let mut lsn = inner.next_lsn;
-        buf.extend_from_slice(&record::encode(lsn, &WalRecord::Begin { txn }));
-        lsn += 1;
-        for (pid, image) in pages {
-            buf.extend_from_slice(&record::encode(
-                lsn,
-                &WalRecord::PageImage {
-                    txn,
-                    page: *pid,
-                    image: Box::new(**image),
-                },
-            ));
+        record::put_begin(&mut inner.buf, lsn, txn);
+        for p in pages {
             lsn += 1;
+            match p.base {
+                Some((pre, covered))
+                    if covered > epoch_floor
+                        && record::diff_ranges(pre, p.image, &mut inner.ranges) =>
+                {
+                    let runs = inner
+                        .ranges
+                        .iter()
+                        .map(|&(at, len)| (at, &p.image[at as usize..][..len as usize]));
+                    record::put_delta(&mut inner.buf, lsn, txn, p.page, runs);
+                }
+                _ => record::put_image(&mut inner.buf, lsn, txn, p.page, p.image),
+            }
         }
-        let commit_lsn = lsn;
-        buf.extend_from_slice(&record::encode(commit_lsn, &WalRecord::Commit { txn }));
-        inner.store.wal_append(&buf)?;
+        let commit_lsn = lsn + 1;
+        record::put_commit(&mut inner.buf, commit_lsn, txn);
+        inner.store.wal_append(&inner.buf)?;
         inner.next_lsn = commit_lsn + 1;
         inner.appended = commit_lsn;
-        drop(inner);
-        let records = pages.len() as u64 + 2;
+        let bytes = inner.buf.len() as u64;
+        if inner.buf.capacity() > KEEP_BUF_BYTES {
+            inner.buf = Vec::new();
+        }
+        drop(guard);
         self.appends.fetch_add(records, Ordering::Relaxed);
-        self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
         let m = wal_metrics();
         m.appends.add(records);
-        m.bytes.add(buf.len() as u64);
+        m.bytes.add(bytes);
         Ok(commit_lsn)
     }
 
@@ -278,9 +354,9 @@ impl Wal {
     /// transaction and make it durable. The buffer pool calls this
     /// before writing back a page no transaction has logged (bulk
     /// loads, non-transactional DML) — the WAL rule holds everywhere.
-    pub fn autocommit_page(&self, pid: PageId, image: &[u8; PAGE_SIZE]) -> Result<u64> {
+    pub fn autocommit_page(&self, page: PageLog<'_>) -> Result<u64> {
         let txn = self.begin_txn();
-        let lsn = self.append_commit(txn, &[(pid, image)])?;
+        let lsn = self.append_pages(txn, std::iter::once(page))?;
         self.sync_to(lsn)?;
         self.autocommits.fetch_add(1, Ordering::Relaxed);
         wal_metrics().autocommits.inc();
@@ -290,6 +366,7 @@ impl Wal {
     /// Checkpoint: the caller has flushed and synced every data page, so
     /// the log's history is dead weight — truncate it and write a fresh
     /// `Checkpoint` marker (durable) as the new epoch's first record.
+    /// Every page's next record is then a full image again.
     pub fn checkpoint_truncate(&self) -> Result<()> {
         let _leader_order = lockorder::acquired(lockorder::WAL_SYNC, false, "WalSync");
         let _leader = self.sync_lock.lock();
@@ -304,6 +381,9 @@ impl Wal {
             let mut inner = self.inner.lock();
             inner.store.wal_truncate(0)?;
             let lsn = inner.next_lsn;
+            // The old epoch's records are gone whether or not the
+            // marker lands: no delta may refer to them from here on.
+            self.checkpoint_lsn.store(lsn, Ordering::Relaxed);
             let frame = record::encode(lsn, &WalRecord::Checkpoint);
             inner.store.wal_append(&frame)?;
             inner.next_lsn = lsn + 1;

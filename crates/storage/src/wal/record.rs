@@ -9,15 +9,32 @@
 //! ```
 //!
 //! The payload starts with a one-byte record kind and the record's LSN,
-//! followed by kind-specific fields. [`scan`] walks the stream from the
-//! start and stops at the first frame that is incomplete, oversized, or
-//! fails its CRC — everything after that point is a torn tail written
-//! during the crash and is discarded (redo-only logging never needs it:
-//! a torn tail can only contain records of uncommitted transactions).
+//! followed by kind-specific fields. A page reaches the log either as a
+//! full [`WalRecord::PageImage`] or as a [`WalRecord::PageDelta`]: the
+//! byte ranges in which the page differs from its state at its previous
+//! log record ([`diff_ranges`] finds them, [`apply_delta`] replays
+//! them). Frames are encoded straight into the caller's buffer (the
+//! `put_*` functions), so a commit group is built with one copy of each
+//! logged byte.
+//!
+//! [`scan`] walks the stream from the start and stops at the first
+//! frame that is incomplete, oversized, or fails its CRC — everything
+//! after that point is a torn tail written during the crash and is
+//! discarded (redo-only logging never needs it: a torn tail can only
+//! contain records of uncommitted transactions).
 
 use crate::checksum::crc32;
 use crate::oid::{FileId, PageId};
 use crate::page::PAGE_SIZE;
+
+/// One run of changed bytes inside a page.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct DeltaRange {
+    /// Offset of the first changed byte within the page.
+    pub offset: u16,
+    /// The new bytes (`offset + bytes.len()` never exceeds the page).
+    pub bytes: Vec<u8>,
+}
 
 /// One decoded log record.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -36,13 +53,24 @@ pub enum WalRecord {
         /// The 4 KiB after-image.
         image: Box<[u8; PAGE_SIZE]>,
     },
-    /// Transaction `txn` committed; its images must be replayed.
+    /// The bytes of one page that `txn` changed since the page's
+    /// previous log record (an image or an earlier delta).
+    PageDelta {
+        /// WAL-local transaction id.
+        txn: u64,
+        /// The page the ranges patch on replay.
+        page: PageId,
+        /// Changed runs, ascending and non-overlapping.
+        ranges: Vec<DeltaRange>,
+    },
+    /// Transaction `txn` committed; its pages must be replayed.
     Commit {
         /// WAL-local transaction id.
         txn: u64,
     },
-    /// All earlier work is on disk (informational: checkpoints truncate
-    /// the log, so this is normally the first record after one).
+    /// All earlier work is on disk: the first record of a log epoch.
+    /// Its LSN is the epoch's floor — a page whose last log record is
+    /// at or below it has no record in this log yet.
     Checkpoint,
 }
 
@@ -60,67 +88,225 @@ const KIND_BEGIN: u8 = 1;
 const KIND_PAGE_IMAGE: u8 = 2;
 const KIND_COMMIT: u8 = 3;
 const KIND_CHECKPOINT: u8 = 4;
+const KIND_PAGE_DELTA: u8 = 5;
 
 /// Largest legal payload: a `PageImage` (kind + lsn + txn + file + page
 /// + image). Anything bigger is garbage and ends the scan.
 pub const MAX_PAYLOAD: usize = 1 + 8 + 8 + 2 + 4 + PAGE_SIZE;
 
+/// A delta whose encoded ranges (4 bytes of header each plus the bytes)
+/// exceed this is logged as a full image instead.
+pub const MAX_DELTA_BYTES: usize = PAGE_SIZE / 2;
+
+/// Find the byte ranges `(offset, len)` in which `cur` differs from
+/// `pre`, appended to `out` (cleared first) in ascending order: each
+/// maximal stretch of differing 8-byte words, trimmed to its first and
+/// last changed byte. Returns `false` — with `out` in an unspecified
+/// state — once the encoded ranges would exceed [`MAX_DELTA_BYTES`].
+pub fn diff_ranges(
+    pre: &[u8; PAGE_SIZE],
+    cur: &[u8; PAGE_SIZE],
+    out: &mut Vec<(u16, u16)>,
+) -> bool {
+    out.clear();
+    let mut encoded = 0usize;
+    let (pre_words, cur_words) = (pre.as_chunks::<8>().0, cur.as_chunks::<8>().0);
+    let word_diff = |w: usize| u64::from_ne_bytes(pre_words[w]) ^ u64::from_ne_bytes(cur_words[w]);
+    let mut w = 0;
+    while w < pre_words.len() {
+        // Most of a page is unchanged: step over it a cache line at a time.
+        if w % 8 == 0 && (w..w + 8).fold(0, |acc, i| acc | word_diff(i)) == 0 {
+            w += 8;
+            continue;
+        }
+        if pre_words[w] == cur_words[w] {
+            w += 1;
+            continue;
+        }
+        let mut start = w * 8;
+        while w < pre_words.len() && pre_words[w] != cur_words[w] {
+            w += 1;
+        }
+        let mut end = w * 8;
+        while pre[start] == cur[start] {
+            start += 1;
+        }
+        while pre[end - 1] == cur[end - 1] {
+            end -= 1;
+        }
+        encoded += 4 + (end - start);
+        if encoded > MAX_DELTA_BYTES {
+            return false;
+        }
+        out.push((start as u16, (end - start) as u16));
+    }
+    true
+}
+
+/// Patch `page` with the ranges of a decoded [`WalRecord::PageDelta`].
+/// Ranges that decoded are in bounds, so this cannot fail.
+pub fn apply_delta(page: &mut [u8; PAGE_SIZE], ranges: &[DeltaRange]) {
+    for r in ranges {
+        let at = r.offset as usize;
+        page[at..at + r.bytes.len()].copy_from_slice(&r.bytes);
+    }
+}
+
+/// Open a frame in `buf`: reserve its header and write the fields every
+/// payload starts with. Returns the frame's position for [`close_frame`].
+fn open_frame(buf: &mut Vec<u8>, kind: u8, lsn: u64) -> usize {
+    let at = buf.len();
+    buf.extend_from_slice(&[0u8; 8]);
+    buf.push(kind);
+    buf.extend_from_slice(&lsn.to_le_bytes());
+    at
+}
+
+/// Close the frame opened at `at`: fill in the payload's length and CRC.
+fn close_frame(buf: &mut [u8], at: usize) {
+    let len = (buf.len() - at - 8) as u32;
+    let crc = crc32(&buf[at + 8..]);
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    buf[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn put_page_id(buf: &mut Vec<u8>, txn: u64, page: PageId) {
+    buf.extend_from_slice(&txn.to_le_bytes());
+    buf.extend_from_slice(&page.file.0.to_le_bytes());
+    buf.extend_from_slice(&page.page.to_le_bytes());
+}
+
+/// Append a `Begin` frame to `buf`.
+pub(crate) fn put_begin(buf: &mut Vec<u8>, lsn: u64, txn: u64) {
+    let at = open_frame(buf, KIND_BEGIN, lsn);
+    buf.extend_from_slice(&txn.to_le_bytes());
+    close_frame(buf, at);
+}
+
+/// Append a `Commit` frame to `buf`.
+pub(crate) fn put_commit(buf: &mut Vec<u8>, lsn: u64, txn: u64) {
+    let at = open_frame(buf, KIND_COMMIT, lsn);
+    buf.extend_from_slice(&txn.to_le_bytes());
+    close_frame(buf, at);
+}
+
+/// Append a `Checkpoint` frame to `buf`.
+pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, lsn: u64) {
+    let at = open_frame(buf, KIND_CHECKPOINT, lsn);
+    close_frame(buf, at);
+}
+
+/// Append a `PageImage` frame to `buf`.
+pub(crate) fn put_image(
+    buf: &mut Vec<u8>,
+    lsn: u64,
+    txn: u64,
+    page: PageId,
+    image: &[u8; PAGE_SIZE],
+) {
+    let at = open_frame(buf, KIND_PAGE_IMAGE, lsn);
+    put_page_id(buf, txn, page);
+    buf.extend_from_slice(image);
+    close_frame(buf, at);
+}
+
+/// Append a `PageDelta` frame to `buf` from `(offset, bytes)` runs.
+pub(crate) fn put_delta<'a>(
+    buf: &mut Vec<u8>,
+    lsn: u64,
+    txn: u64,
+    page: PageId,
+    ranges: impl ExactSizeIterator<Item = (u16, &'a [u8])>,
+) {
+    let at = open_frame(buf, KIND_PAGE_DELTA, lsn);
+    put_page_id(buf, txn, page);
+    buf.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
+    for (offset, bytes) in ranges {
+        buf.extend_from_slice(&offset.to_le_bytes());
+        buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+        buf.extend_from_slice(bytes);
+    }
+    close_frame(buf, at);
+}
+
 /// Encode one record (with its LSN) as a framed byte vector.
 pub fn encode(lsn: u64, rec: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(32);
+    let mut buf = Vec::new();
     match rec {
-        WalRecord::Begin { txn } => {
-            payload.push(KIND_BEGIN);
-            payload.extend_from_slice(&lsn.to_le_bytes());
-            payload.extend_from_slice(&txn.to_le_bytes());
-        }
-        WalRecord::PageImage { txn, page, image } => {
-            payload.reserve(MAX_PAYLOAD);
-            payload.push(KIND_PAGE_IMAGE);
-            payload.extend_from_slice(&lsn.to_le_bytes());
-            payload.extend_from_slice(&txn.to_le_bytes());
-            payload.extend_from_slice(&page.file.0.to_le_bytes());
-            payload.extend_from_slice(&page.page.to_le_bytes());
-            payload.extend_from_slice(&image[..]);
-        }
-        WalRecord::Commit { txn } => {
-            payload.push(KIND_COMMIT);
-            payload.extend_from_slice(&lsn.to_le_bytes());
-            payload.extend_from_slice(&txn.to_le_bytes());
-        }
-        WalRecord::Checkpoint => {
-            payload.push(KIND_CHECKPOINT);
-            payload.extend_from_slice(&lsn.to_le_bytes());
-        }
+        WalRecord::Begin { txn } => put_begin(&mut buf, lsn, *txn),
+        WalRecord::PageImage { txn, page, image } => put_image(&mut buf, lsn, *txn, *page, image),
+        WalRecord::PageDelta { txn, page, ranges } => put_delta(
+            &mut buf,
+            lsn,
+            *txn,
+            *page,
+            ranges.iter().map(|r| (r.offset, &r.bytes[..])),
+        ),
+        WalRecord::Commit { txn } => put_commit(&mut buf, lsn, *txn),
+        WalRecord::Checkpoint => put_checkpoint(&mut buf, lsn),
     }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    buf
+}
+
+fn u16_at(payload: &[u8], at: usize) -> Option<u16> {
+    Some(u16::from_le_bytes(
+        payload.get(at..at + 2)?.try_into().ok()?,
+    ))
+}
+
+fn u64_at(payload: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(
+        payload.get(at..at + 8)?.try_into().ok()?,
+    ))
+}
+
+/// The `txn`, `file`, `page` fields shared by both page records.
+fn page_id_at(payload: &[u8]) -> Option<(u64, PageId)> {
+    let txn = u64_at(payload, 9)?;
+    let file = u16_at(payload, 17)?;
+    let page = u32::from_le_bytes(payload.get(19..23)?.try_into().ok()?);
+    Some((txn, PageId::new(FileId(file), page)))
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalEntry> {
     let kind = *payload.first()?;
-    let lsn = u64::from_le_bytes(payload.get(1..9)?.try_into().ok()?);
+    let lsn = u64_at(payload, 1)?;
     let rec = match kind {
         KIND_BEGIN => WalRecord::Begin {
-            txn: u64::from_le_bytes(payload.get(9..17)?.try_into().ok()?),
+            txn: u64_at(payload, 9)?,
         },
         KIND_COMMIT => WalRecord::Commit {
-            txn: u64::from_le_bytes(payload.get(9..17)?.try_into().ok()?),
+            txn: u64_at(payload, 9)?,
         },
         KIND_CHECKPOINT => WalRecord::Checkpoint,
         KIND_PAGE_IMAGE => {
-            let txn = u64::from_le_bytes(payload.get(9..17)?.try_into().ok()?);
-            let file = u16::from_le_bytes(payload.get(17..19)?.try_into().ok()?);
-            let page = u32::from_le_bytes(payload.get(19..23)?.try_into().ok()?);
+            let (txn, page) = page_id_at(payload)?;
             let image: [u8; PAGE_SIZE] = payload.get(23..23 + PAGE_SIZE)?.try_into().ok()?;
             WalRecord::PageImage {
                 txn,
-                page: PageId::new(FileId(file), page),
+                page,
                 image: Box::new(image),
             }
+        }
+        KIND_PAGE_DELTA => {
+            let (txn, page) = page_id_at(payload)?;
+            let count = u16_at(payload, 23)? as usize;
+            let mut ranges = Vec::with_capacity(count.min(MAX_DELTA_BYTES / 4));
+            let mut at = 25;
+            for _ in 0..count {
+                let offset = u16_at(payload, at)?;
+                let len = u16_at(payload, at + 2)? as usize;
+                if offset as usize + len > PAGE_SIZE {
+                    return None;
+                }
+                let bytes = payload.get(at + 4..at + 4 + len)?.to_vec();
+                ranges.push(DeltaRange { offset, bytes });
+                at += 4 + len;
+            }
+            if at != payload.len() {
+                return None;
+            }
+            WalRecord::PageDelta { txn, page, ranges }
         }
         _ => return None,
     };
@@ -169,9 +355,19 @@ pub fn scan(bytes: &[u8]) -> ScanResult {
     }
 }
 
+/// Frame an arbitrary payload, for tests that lay records out by hand.
+#[cfg(test)]
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+    f.extend_from_slice(&crc32(payload).to_le_bytes());
+    f.extend_from_slice(payload);
+    f
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Vec<(u64, WalRecord)> {
         let mut image = Box::new([0u8; PAGE_SIZE]);
@@ -187,8 +383,33 @@ mod tests {
                     image,
                 },
             ),
-            (3, WalRecord::Commit { txn: 7 }),
-            (4, WalRecord::Checkpoint),
+            (
+                3,
+                WalRecord::PageDelta {
+                    txn: 7,
+                    page: PageId::new(FileId(3), 12),
+                    ranges: vec![
+                        DeltaRange {
+                            offset: 0,
+                            bytes: vec![1, 2, 3],
+                        },
+                        DeltaRange {
+                            offset: (PAGE_SIZE - 2) as u16,
+                            bytes: vec![9, 9],
+                        },
+                    ],
+                },
+            ),
+            (
+                4,
+                WalRecord::PageDelta {
+                    txn: 7,
+                    page: PageId::new(FileId(3), 13),
+                    ranges: vec![],
+                },
+            ),
+            (5, WalRecord::Commit { txn: 7 }),
+            (6, WalRecord::Checkpoint),
         ]
     }
 
@@ -198,6 +419,30 @@ mod tests {
             bytes.extend_from_slice(&encode(*lsn, r));
         }
         bytes
+    }
+
+    /// The delta record `diff_ranges` + `put_delta` log for `pre → cur`,
+    /// decoded back; `None` when the change is too large for a delta.
+    fn logged_delta(pre: &[u8; PAGE_SIZE], cur: &[u8; PAGE_SIZE]) -> Option<Vec<DeltaRange>> {
+        let mut runs = Vec::new();
+        if !diff_ranges(pre, cur, &mut runs) {
+            return None;
+        }
+        let mut buf = Vec::new();
+        put_delta(
+            &mut buf,
+            1,
+            1,
+            PageId::new(FileId(0), 0),
+            runs.iter()
+                .map(|&(at, len)| (at, &cur[at as usize..][..len as usize])),
+        );
+        let scanned = scan(&buf);
+        assert_eq!(scanned.valid_len, buf.len() as u64);
+        match scanned.entries.into_iter().next().map(|e| e.rec) {
+            Some(WalRecord::PageDelta { ranges, .. }) => Some(ranges),
+            other => panic!("expected one PageDelta, got {other:?}"),
+        }
     }
 
     #[test]
@@ -253,5 +498,149 @@ mod tests {
         let scanned = scan(&bytes);
         assert!(scanned.entries.is_empty());
         assert_eq!(scanned.valid_len, 0);
+    }
+
+    /// A delta frame whose CRC is right but whose ranges run off the
+    /// page, or leave payload bytes over, is corrupt — not replayable.
+    #[test]
+    fn out_of_bounds_delta_ends_the_scan() {
+        let mut head = vec![KIND_PAGE_DELTA];
+        head.extend_from_slice(&1u64.to_le_bytes()); // lsn
+        head.extend_from_slice(&1u64.to_le_bytes()); // txn
+        head.extend_from_slice(&0u16.to_le_bytes()); // file
+        head.extend_from_slice(&0u32.to_le_bytes()); // page
+        head.extend_from_slice(&1u16.to_le_bytes()); // one range
+
+        let mut off_page = head.clone();
+        off_page.extend_from_slice(&(PAGE_SIZE as u16 - 1).to_le_bytes());
+        off_page.extend_from_slice(&2u16.to_le_bytes());
+        off_page.extend_from_slice(&[7, 7]);
+        assert!(scan(&frame(&off_page)).entries.is_empty());
+
+        let mut trailing = head.clone();
+        trailing.extend_from_slice(&0u16.to_le_bytes());
+        trailing.extend_from_slice(&1u16.to_le_bytes());
+        trailing.extend_from_slice(&[7, 0xEE]);
+        assert!(scan(&frame(&trailing)).entries.is_empty());
+
+        let mut ok = head;
+        ok.extend_from_slice(&(PAGE_SIZE as u16 - 1).to_le_bytes());
+        ok.extend_from_slice(&1u16.to_le_bytes());
+        ok.push(7);
+        assert_eq!(scan(&frame(&ok)).entries.len(), 1);
+    }
+
+    #[test]
+    fn diff_of_identical_single_byte_and_whole_page_changes() {
+        let pre = Box::new([0x11u8; PAGE_SIZE]);
+        assert_eq!(logged_delta(&pre, &pre), Some(vec![]));
+
+        for at in [0, 7, 8, 27, PAGE_SIZE - 1] {
+            let mut cur = pre.clone();
+            cur[at] = 0x22;
+            assert_eq!(
+                logged_delta(&pre, &cur),
+                Some(vec![DeltaRange {
+                    offset: at as u16,
+                    bytes: vec![0x22],
+                }]),
+                "one changed byte at {at} is one one-byte range"
+            );
+        }
+
+        let cur = Box::new([0x22u8; PAGE_SIZE]);
+        assert_eq!(
+            logged_delta(&pre, &cur),
+            None,
+            "past half a page a delta gives way to an image"
+        );
+        // Exactly at the limit (one range: 4 bytes of header) still fits.
+        let mut cur = pre.clone();
+        cur[..MAX_DELTA_BYTES - 4].fill(0x22);
+        assert_eq!(logged_delta(&pre, &cur).map(|r| r.len()), Some(1));
+        cur[MAX_DELTA_BYTES - 4] = 0x22;
+        assert_eq!(logged_delta(&pre, &cur), None);
+    }
+
+    /// A page and an edited copy: `edits` are `(offset, len, fill)`
+    /// runs overwritten in the copy.
+    fn edited(
+        seed: u8,
+        edits: &[(usize, usize, u8)],
+    ) -> (Box<[u8; PAGE_SIZE]>, Box<[u8; PAGE_SIZE]>) {
+        let mut pre = Box::new([0u8; PAGE_SIZE]);
+        for (i, b) in pre.iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(31).wrapping_add(seed);
+        }
+        let mut cur = pre.clone();
+        for &(at, len, fill) in edits {
+            let end = (at + len).min(PAGE_SIZE);
+            cur[at..end].fill(fill);
+        }
+        (pre, cur)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// apply(diff(a, b), a) == b, through the encoder and decoder,
+        /// for anything from no edit to edits covering the page.
+        #[test]
+        fn applying_the_logged_delta_reproduces_the_page(
+            seed in any::<u8>(),
+            edits in proptest::collection::vec(
+                (0..PAGE_SIZE, 1..600usize, any::<u8>()), 0..12),
+        ) {
+            let (pre, cur) = edited(seed, &edits);
+            match logged_delta(&pre, &cur) {
+                Some(ranges) => {
+                    let encoded: usize = ranges.iter().map(|r| 4 + r.bytes.len()).sum();
+                    prop_assert!(encoded <= MAX_DELTA_BYTES);
+                    let mut page = pre.clone();
+                    apply_delta(&mut page, &ranges);
+                    prop_assert!(page == cur);
+                }
+                None => {
+                    // Refused only when the change really is large: a
+                    // range costs at most 4 + 8 bytes per changed word,
+                    // and a changed word holds a changed byte.
+                    let changed = pre.iter().zip(cur.iter()).filter(|(a, b)| a != b).count();
+                    prop_assert!(changed * 12 > MAX_DELTA_BYTES,
+                        "a {changed}-byte change was refused a delta");
+                }
+            }
+        }
+
+        /// Torn tails at every cut of a stream that mixes images and
+        /// generated deltas: always a clean prefix of whole records.
+        #[test]
+        fn torn_tail_with_generated_deltas_is_a_clean_prefix(
+            seed in any::<u8>(),
+            edits in proptest::collection::vec(
+                (0..PAGE_SIZE, 1..40usize, any::<u8>()), 1..6),
+        ) {
+            let (pre, cur) = edited(seed, &edits);
+            let page = PageId::new(FileId(1), 5);
+            let ranges = logged_delta(&pre, &cur).expect("small edits fit a delta");
+            let recs = vec![
+                (1, WalRecord::Begin { txn: 1 }),
+                (2, WalRecord::PageImage { txn: 1, page, image: pre }),
+                (3, WalRecord::PageDelta { txn: 1, page, ranges }),
+                (4, WalRecord::Commit { txn: 1 }),
+            ];
+            let bytes = encode_all(&recs);
+            let image_end = encode(1, &recs[0].1).len() + encode(2, &recs[1].1).len();
+            // Every cut from inside the image's last bytes to the end.
+            for cut in image_end - 3..=bytes.len() {
+                let scanned = scan(&bytes[..cut]);
+                prop_assert!(scanned.valid_len <= cut as u64);
+                for (e, (lsn, r)) in scanned.entries.iter().zip(&recs) {
+                    prop_assert_eq!(e.lsn, *lsn);
+                    prop_assert_eq!(&e.rec, r);
+                }
+                let whole = scanned.entries.len();
+                prop_assert_eq!(scanned.valid_len as usize, encode_all(&recs[..whole]).len());
+            }
+        }
     }
 }

@@ -7,22 +7,35 @@
 //!    crash left mid-append is discarded — it can only contain records
 //!    of transactions whose `Commit` never became durable);
 //! 2. collect the set of committed transaction ids;
-//! 3. replay every committed transaction's page after-images in log
-//!    order (recreating files and extending them as needed — a crash
-//!    can lose file metadata that was never synced);
-//! 4. sync the data files, then reset the log.
+//! 3. rebuild every page a committed transaction logged, in memory and
+//!    in log order: a `PageImage` replaces the page, a `PageDelta`
+//!    patches it. A page's first record in a log epoch is an image, so
+//!    the rebuild normally never reads the data files; a delta with no
+//!    image before it (a log written across an LSN-space reset) patches
+//!    the on-disk page, whose CRC must verify;
+//! 4. write each rebuilt page **once**, stamped with the LSN of its
+//!    last record (recreating files and extending them as needed — a
+//!    crash can lose file metadata that was never synced), and sync the
+//!    data files;
+//! 5. replace the log with a durable `Checkpoint` marker one LSN above
+//!    everything seen, so the next epoch's LSNs stay above every LSN
+//!    stamped in a page header.
 //!
-//! Replay is idempotent: images are whole pages, applied in LSN order,
-//! so running recovery twice (or crashing *during* recovery) converges
-//! to the same state.
+//! Replay is unconditional — page-header LSNs are not consulted; the
+//! log's committed records simply win. It is idempotent: images are
+//! whole pages and deltas are absolute byte ranges, applied in LSN
+//! order, so running recovery twice (or crashing *during* recovery)
+//! converges to the same state.
 
-use super::record::{scan, WalRecord};
+use super::record::{self, scan, WalRecord};
 use super::store::WalStore;
 use crate::checksum;
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
-use crate::oid::FileId;
+use crate::oid::{FileId, PageId};
+use crate::page::PAGE_SIZE;
 use fieldrep_obs::{metrics, names as obs_names};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::BTreeSet;
 
 /// What [`recover`] found and did.
@@ -34,9 +47,10 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// Committed transactions replayed.
     pub committed_txns: usize,
-    /// Page images written back to the data files.
+    /// Pages rebuilt from the log and written back to the data files.
     pub replayed_pages: u64,
-    /// Highest LSN seen in the valid prefix (the next WAL epoch starts
+    /// LSN of the `Checkpoint` marker recovery left in the log, one
+    /// above everything in the valid prefix (the next WAL epoch starts
     /// above this).
     pub last_lsn: u64,
 }
@@ -64,8 +78,25 @@ fn ensure_file(disk: &mut dyn DiskManager, file: FileId) -> Result<()> {
     }
 }
 
+/// The on-disk page a delta without a preceding image patches.
+fn read_base(disk: &mut dyn DiskManager, page: PageId) -> Result<Box<[u8; PAGE_SIZE]>> {
+    let mut buf = Box::new([0u8; PAGE_SIZE]);
+    match disk.page_count(page.file) {
+        Ok(n) if page.page < n => disk.read_page(page, &mut buf)?,
+        _ => {
+            return Err(StorageError::Corrupt(format!(
+                "recovery found a delta for {page:?} with no image in the log and no page on disk"
+            )))
+        }
+    }
+    if !checksum::verify(&buf) {
+        return Err(StorageError::ChecksumMismatch(page));
+    }
+    Ok(buf)
+}
+
 /// Scan `store`, replay committed transactions onto `disk`, sync, and
-/// reset the log. See the module docs for the protocol.
+/// start a new log epoch. See the module docs for the protocol.
 pub fn recover(disk: &mut dyn DiskManager, store: &mut dyn WalStore) -> Result<RecoveryReport> {
     let bytes = store.wal_read_all()?;
     let scanned = scan(&bytes);
@@ -74,7 +105,7 @@ pub fn recover(disk: &mut dyn DiskManager, store: &mut dyn WalStore) -> Result<R
         truncated_bytes: bytes.len() as u64 - scanned.valid_len,
         ..RecoveryReport::default()
     };
-    report.last_lsn = scanned.entries.last().map(|e| e.lsn).unwrap_or(0);
+    let seen_lsn = scanned.entries.last().map(|e| e.lsn).unwrap_or(0);
 
     let committed: BTreeSet<u64> = scanned
         .entries
@@ -86,27 +117,41 @@ pub fn recover(disk: &mut dyn DiskManager, store: &mut dyn WalStore) -> Result<R
         .collect();
     report.committed_txns = committed.len();
 
-    if !committed.is_empty() {
-        for e in &scanned.entries {
-            let WalRecord::PageImage { txn, page, image } = &e.rec else {
-                continue;
-            };
-            if !committed.contains(txn) {
-                continue;
+    // Each logged page, rebuilt in log order, with its last record's LSN.
+    let mut pages: BTreeMap<PageId, (Box<[u8; PAGE_SIZE]>, u64)> = BTreeMap::new();
+    for e in scanned.entries {
+        match e.rec {
+            WalRecord::PageImage { txn, page, image } if committed.contains(&txn) => {
+                pages.insert(page, (image, e.lsn));
             }
+            WalRecord::PageDelta { txn, page, ranges } if committed.contains(&txn) => {
+                let (image, lsn) = match pages.entry(page) {
+                    Entry::Occupied(o) => o.into_mut(),
+                    Entry::Vacant(v) => v.insert((read_base(disk, page)?, 0)),
+                };
+                record::apply_delta(image, &ranges);
+                *lsn = e.lsn;
+            }
+            _ => {}
+        }
+    }
+    if !pages.is_empty() {
+        for (page, (mut image, lsn)) in pages {
             ensure_file(disk, page.file)?;
             while disk.page_count(page.file)? <= page.page {
                 disk.allocate_page(page.file)?;
             }
-            let mut img = *image.clone();
-            checksum::stamp(&mut img, e.lsn);
-            disk.write_page(*page, &img)?;
+            checksum::stamp(&mut image, lsn);
+            disk.write_page(page, &image)?;
             report.replayed_pages += 1;
         }
         disk.sync()?;
     }
-    // Everything the log promised is on disk; start a fresh epoch.
+    // Everything the log promised is on disk; start a fresh epoch whose
+    // marker carries the LSN space forward.
+    report.last_lsn = seen_lsn + 1;
     store.wal_truncate(0)?;
+    store.wal_append(&record::encode(report.last_lsn, &WalRecord::Checkpoint))?;
     store.wal_sync()?;
 
     let r = metrics::registry();
@@ -123,7 +168,7 @@ mod tests {
     use crate::oid::PageId;
     use crate::page::PAGE_SIZE;
     use crate::wal::store::MemWalStore;
-    use crate::wal::Wal;
+    use crate::wal::{PageLog, Wal};
 
     fn img(b: u8) -> Box<[u8; PAGE_SIZE]> {
         Box::new([b; PAGE_SIZE])
@@ -163,7 +208,7 @@ mod tests {
         let report = recover(&mut disk, &mut s2).unwrap();
         assert_eq!(report.committed_txns, 1);
         assert_eq!(report.replayed_pages, 1);
-        assert_eq!(report.last_lsn, lsn + 2);
+        assert_eq!(report.last_lsn, lsn + 3, "one above the scanned tail");
 
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(p0, &mut buf).unwrap();
@@ -172,7 +217,10 @@ mod tests {
         disk.read_page(p1, &mut buf).unwrap();
         assert_eq!(buf[100], 0, "uncommitted image NOT replayed");
 
-        assert_eq!(s2.wal_len().unwrap(), 0, "log reset after recovery");
+        let epoch = scan(&s2.wal_read_all().unwrap()).entries;
+        assert_eq!(epoch.len(), 1, "log reset to the new epoch's marker");
+        assert_eq!(epoch[0].rec, WalRecord::Checkpoint);
+        assert_eq!(epoch[0].lsn, report.last_lsn);
         assert!(disk.stats().syncs >= 1, "data files synced");
     }
 
@@ -245,5 +293,179 @@ mod tests {
         let mut second = [0u8; PAGE_SIZE];
         disk.read_page(p0, &mut second).unwrap();
         assert_eq!(first, second);
+    }
+
+    /// An image and the deltas after it rebuild the page in memory:
+    /// the result is the last state, written once, stamped with the
+    /// last record's LSN — and an uncommitted delta is left out.
+    #[test]
+    fn image_then_deltas_rebuild_the_page_and_write_it_once() {
+        let mut disk = MemDisk::new();
+        let f = disk.create_file().unwrap();
+        let p0 = disk.allocate_page(f).unwrap();
+        let store = MemWalStore::new();
+        let wal = Wal::new(Box::new(store.clone()), 1);
+
+        let v0 = img(0x10);
+        let first = wal.append_commit(wal.begin_txn(), &[(p0, &v0)]).unwrap();
+        let mut v1 = v0.clone();
+        v1[100..110].fill(0x21);
+        let mut v2 = v1.clone();
+        v2[4000] = 0x32;
+        let mut last = 0;
+        for (pre, cur, covered) in [(&v0, &v1, first), (&v1, &v2, first + 3)] {
+            last = wal
+                .append_pages(
+                    wal.begin_txn(),
+                    std::iter::once(PageLog {
+                        page: p0,
+                        image: cur,
+                        base: Some((pre, covered)),
+                    }),
+                )
+                .unwrap();
+        }
+        let before = store.snapshot().len();
+        assert!(
+            before < 2 * PAGE_SIZE,
+            "one image and two small deltas, not three images ({before} bytes)"
+        );
+        // A delta whose Commit never made it.
+        let mut s = store.clone();
+        s.wal_append(&record::encode(
+            last + 1,
+            &WalRecord::PageDelta {
+                txn: 99,
+                page: p0,
+                ranges: vec![record::DeltaRange {
+                    offset: 0,
+                    bytes: vec![0xEE; 8],
+                }],
+            },
+        ))
+        .unwrap();
+
+        disk.reset_stats();
+        let report = recover(&mut disk, &mut s).unwrap();
+        assert_eq!(report.committed_txns, 3);
+        assert_eq!(report.replayed_pages, 1);
+        assert_eq!(disk.stats().writes, 1, "the page is written once");
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(p0, &mut buf).unwrap();
+        assert!(crate::checksum::verify(&buf));
+        assert_eq!(crate::checksum::read_lsn(&buf), last - 1);
+        assert_eq!(buf[0], 0x10, "uncommitted delta not applied");
+        assert_eq!(buf[105], 0x21);
+        assert_eq!(buf[4000], 0x32);
+    }
+
+    /// A delta whose covering LSN is at or below the epoch's floor must
+    /// not be written: the log no longer holds its base.
+    #[test]
+    fn a_base_from_before_the_checkpoint_is_logged_as_an_image() {
+        let store = MemWalStore::new();
+        let wal = Wal::new(Box::new(store.clone()), 1);
+        let p0 = PageId::new(FileId(0), 0);
+        let v0 = img(0x10);
+        let covered = wal.append_commit(wal.begin_txn(), &[(p0, &v0)]).unwrap();
+        wal.checkpoint_truncate().unwrap();
+        assert!(wal.checkpoint_lsn() > covered);
+        let mut v1 = v0.clone();
+        v1[7] = 0x99;
+        wal.append_pages(
+            wal.begin_txn(),
+            std::iter::once(PageLog {
+                page: p0,
+                image: &v1,
+                base: Some((&v0, covered)),
+            }),
+        )
+        .unwrap();
+        let entries = scan(&store.snapshot()).entries;
+        assert!(
+            matches!(&entries[2].rec, WalRecord::PageImage { image, .. } if image[7] == 0x99),
+            "first record of the new epoch is a full image: {:?}",
+            entries.iter().map(|e| e.lsn).collect::<Vec<_>>()
+        );
+    }
+
+    /// A delta with no image before it (a log written across an LSN
+    /// reset) patches the verified on-disk page; with no such page it
+    /// is a clean error, not a panic.
+    #[test]
+    fn a_delta_without_an_image_patches_the_disk_page() {
+        let mut disk = MemDisk::new();
+        let f = disk.create_file().unwrap();
+        let p0 = disk.allocate_page(f).unwrap();
+        let mut base = img(0x44);
+        crate::checksum::stamp(&mut base, 500);
+        disk.write_page(p0, &base).unwrap();
+
+        let delta = |page| {
+            let mut log = record::encode(1, &WalRecord::Begin { txn: 1 });
+            log.extend_from_slice(&record::encode(
+                2,
+                &WalRecord::PageDelta {
+                    txn: 1,
+                    page,
+                    ranges: vec![record::DeltaRange {
+                        offset: 200,
+                        bytes: vec![0x55; 4],
+                    }],
+                },
+            ));
+            log.extend_from_slice(&record::encode(3, &WalRecord::Commit { txn: 1 }));
+            log
+        };
+        let mut s = MemWalStore::new();
+        s.wal_append(&delta(p0)).unwrap();
+        assert_eq!(recover(&mut disk, &mut s).unwrap().replayed_pages, 1);
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(p0, &mut buf).unwrap();
+        assert!(crate::checksum::verify(&buf));
+        assert_eq!(
+            &buf[198..206],
+            &[0x44, 0x44, 0x55, 0x55, 0x55, 0x55, 0x44, 0x44]
+        );
+
+        let mut s = MemWalStore::new();
+        s.wal_append(&delta(PageId::new(f, 9))).unwrap();
+        assert!(matches!(
+            recover(&mut disk, &mut s),
+            Err(StorageError::Corrupt(_))
+        ));
+    }
+
+    /// Format pin: a log laid out byte by byte the way the image-only
+    /// engine wrote it (`Begin / PageImage / Commit`, kinds 1–3) replays.
+    #[test]
+    fn a_legacy_image_only_log_still_replays() {
+        use record::frame;
+        let txn = 5u64.to_le_bytes();
+        let mut log = frame(&[&[1u8][..], &10u64.to_le_bytes(), &txn].concat());
+        log.extend_from_slice(&frame(
+            &[
+                &[2u8][..],
+                &11u64.to_le_bytes(),
+                &txn,
+                &0u16.to_le_bytes(),
+                &1u32.to_le_bytes(),
+                &[0x6Bu8; PAGE_SIZE],
+            ]
+            .concat(),
+        ));
+        log.extend_from_slice(&frame(&[&[3u8][..], &12u64.to_le_bytes(), &txn].concat()));
+
+        let mut disk = MemDisk::new();
+        let mut s = MemWalStore::new();
+        s.wal_append(&log).unwrap();
+        let report = recover(&mut disk, &mut s).unwrap();
+        assert_eq!(report.scanned_records, 3);
+        assert_eq!(report.replayed_pages, 1);
+        assert_eq!(report.last_lsn, 13);
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(PageId::new(FileId(0), 1), &mut buf).unwrap();
+        assert_eq!(buf[3000], 0x6B);
+        assert_eq!(crate::checksum::read_lsn(&buf), 11);
     }
 }

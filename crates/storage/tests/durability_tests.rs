@@ -2,7 +2,8 @@
 //! buffer pool, and WAL-backed crash survival at the storage level.
 
 use fieldrep_storage::{
-    FileDisk, HeapFile, MemDisk, MemWalStore, StorageError, StorageManager, PAGE_SIZE,
+    checksum, FileDisk, FileId, FileWalStore, HeapFile, MemDisk, MemWalStore, PageId, StorageError,
+    StorageManager, PAGE_SIZE,
 };
 use std::path::{Path, PathBuf};
 
@@ -101,4 +102,60 @@ fn checkpoint_then_reopen_needs_no_replay() {
     assert_eq!(r.replayed_pages, 0, "clean shutdown leaves nothing to redo");
     // Only the checkpoint marker survives in the scanned prefix.
     assert!(r.scanned_records <= 1);
+}
+
+/// Regression test for the LSN space restarting below the LSNs already
+/// stamped in page headers: recovery used to leave an *empty* log, so
+/// the open after a recovery (or after any clean open) started again at
+/// LSN 1. The image-or-delta rule compares page-header LSNs with the
+/// log's epoch marker, so the space must only ever rise.
+#[test]
+fn lsn_space_never_regresses_across_reopens() {
+    let dir = temp_dir("lsn");
+    let open = || {
+        StorageManager::new_with_wal(
+            Box::new(FileDisk::open(&dir).unwrap()),
+            Box::new(FileWalStore::open(&dir).unwrap()),
+            8,
+        )
+        .unwrap()
+    };
+    let mut floor;
+    {
+        let sm = open();
+        let hf = HeapFile::create(&sm).unwrap();
+        hf.rec_insert(&sm, 1, b"committed, never checkpointed")
+            .unwrap();
+        let wal = sm.wal().unwrap();
+        let lsn = {
+            let _apply = wal.apply_lock();
+            sm.pool().log_txn_commit().unwrap().unwrap()
+        };
+        wal.sync_to(lsn).unwrap();
+        floor = sm.wal_stats().last_lsn;
+        // Dropped without a checkpoint: the next open replays the log.
+    }
+    for reopen in 0..3 {
+        let sm = open();
+        assert_eq!(
+            sm.recovery_report().replayed_pages,
+            u64::from(reopen == 0),
+            "only the first reopen has anything to redo"
+        );
+        let last = sm.wal_stats().last_lsn;
+        assert!(
+            last >= floor,
+            "reopen {reopen}: LSN space fell from {floor} to {last}"
+        );
+        for page in 0..sm.page_count(FileId(0)).unwrap() {
+            let h = sm.pool().fetch(PageId::new(FileId(0), page)).unwrap();
+            let stamped = checksum::read_lsn(&h.data());
+            assert!(
+                stamped <= last && stamped <= sm.wal().unwrap().checkpoint_lsn(),
+                "reopen {reopen}: page {page} is stamped {stamped}, above the log's {last}"
+            );
+        }
+        floor = last;
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

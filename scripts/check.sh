@@ -28,15 +28,24 @@ stage lint cargo run -q -p fieldrep-lint
 
 stage test cargo test -q --workspace
 
+# The benchmark package has its own [workspace], so the stage above
+# never builds it: a public-API slip in storage/core would otherwise
+# surface only in the benchmark pipeline. Its tests run the harness at
+# a hundredth of the scale.
+stage benchmark_pkg cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Concurrency stress smoke: the seeded 8-thread hostile mix across all
 # three replication strategies (release mode, fixed seed). A torn
 # replica read or a lock-ordering deadlock fails here.
 stage concurrency_stress cargo test --release -q -p fieldrep-core --test concurrency_stress
 
 # Crash-recovery smoke: kill a committed workload's WAL at 100 seeded
-# byte offsets and reopen each truncated image (release mode, fixed
-# seed). A lost committed update, a phantom uncommitted one, or a
-# replica/source divergence after replay fails here.
+# byte offsets and reopen each truncated image; then the eviction-
+# bearing case — a pool a fraction of the data, crash images taken
+# between commits while pages are written back, re-fetched and
+# delta-logged again (release mode, fixed seeds). A lost committed
+# update, a phantom uncommitted one, or a replica/source divergence
+# after replay fails here.
 stage crash_recovery cargo test --release -q -p fieldrep-core --test crash_recovery
 
 # Fast benchmark smoke: runs the suite's tiny matrix and self-tests the
