@@ -17,8 +17,9 @@
 use crate::collapsed;
 use crate::error::Result;
 use crate::links::{link_add, link_members, link_remove};
-use crate::objects::{read_object, value_key, write_object};
+use crate::objects::{read_object, ref_target, value_key, write_object};
 use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref, read_replica};
+use crate::ripple::Chain;
 use crate::EngineCtx;
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{RepPathDef, Strategy};
@@ -64,33 +65,34 @@ pub fn walk_chain(
     path: &RepPathDef,
     source: Oid,
     source_obj: &Object,
-) -> Result<Vec<Option<Oid>>> {
-    let mut chain = Vec::with_capacity(path.hops.len() + 1);
-    chain.push(Some(source));
-    let mut cur_obj = None; // None = use source_obj
-    for (i, &hop) in path.hops.iter().enumerate() {
-        let obj_ref = match &cur_obj {
-            None => source_obj,
-            Some(o) => o,
-        };
-        let next = match &obj_ref.values[hop] {
-            Value::Ref(o) if !o.is_null() => Some(*o),
-            _ => None,
-        };
-        match next {
-            Some(oid) => {
-                chain.push(Some(oid));
-                if i + 1 < path.hops.len() {
-                    cur_obj = Some(read_object(ctx.sm, ctx.cat, oid)?);
-                }
-            }
-            None => {
-                // Broken from here on.
-                while chain.len() < path.hops.len() + 1 {
-                    chain.push(None);
-                }
-                break;
-            }
+) -> Result<Chain> {
+    let next = ref_target(&source_obj.values[path.hops[0]]);
+    walk_from(path, 0, source, next, &mut |oid, hop| {
+        Ok(ref_target(&read_object(ctx.sm, ctx.cat, oid)?.values[hop]))
+    })
+}
+
+/// The chain of `path` from node `at` onward: `node` is chain node `at`
+/// and `next` the target of its hop (given, not read — the caller may be
+/// asking about a reference the object does not hold yet). Slots below
+/// `at` stay `None`; the link helpers never look there for `from >= at`.
+/// `hop_of(oid, field)` reads a later node's reference; the terminal has
+/// no hop and is not read.
+pub(crate) fn walk_from(
+    path: &RepPathDef,
+    at: usize,
+    node: Oid,
+    next: Option<Oid>,
+    hop_of: &mut dyn FnMut(Oid, usize) -> Result<Option<Oid>>,
+) -> Result<Chain> {
+    let mut chain = vec![None; path.hops.len() + 1];
+    chain[at] = Some(node);
+    let mut cur = next;
+    for (i, slot) in chain.iter_mut().enumerate().skip(at + 1) {
+        let Some(oid) = cur else { break };
+        *slot = Some(oid);
+        if let Some(&hop) = path.hops.get(i) {
+            cur = hop_of(oid, hop)?;
         }
     }
     Ok(chain)
@@ -147,16 +149,31 @@ pub fn terminal_values(path: &RepPathDef, terminal_obj: &Object) -> Vec<Value> {
         .collect()
 }
 
-/// Attach `source` to `path`: ensure link memberships along the chain and
-/// materialise the replicated values. Idempotent.
-pub fn attach_path(ctx: &mut EngineCtx<'_>, path: &RepPathDef, source: Oid) -> Result<()> {
-    let source_obj = read_object(ctx.sm, ctx.cat, source)?;
-    let chain = walk_chain(ctx, path, source, &source_obj)?;
+/// The values `path` replicates, read from `terminal` — `None` when the
+/// chain is broken (the sources' hidden values clear).
+pub(crate) fn values_at(
+    ctx: &mut EngineCtx<'_>,
+    path: &RepPathDef,
+    terminal: Option<Oid>,
+) -> Result<Option<Vec<Value>>> {
+    terminal
+        .map(|t| Ok(terminal_values(path, &read_object(ctx.sm, ctx.cat, t)?)))
+        .transpose()
+}
+
+/// Attach `source` to `path` along its forward `chain`: ensure link
+/// memberships and materialise the replicated values. Idempotent.
+pub fn attach_path(
+    ctx: &mut EngineCtx<'_>,
+    path: &RepPathDef,
+    source: Oid,
+    chain: &[Option<Oid>],
+) -> Result<()> {
     if path.collapsed {
-        return attach_collapsed(ctx, path, source, &chain);
+        return attach_collapsed(ctx, path, source, chain);
     }
-    attach_links_from(ctx, path, &chain, 0)?;
-    attach_terminal(ctx, path, source, &chain)
+    attach_links_from(ctx, path, chain, 0)?;
+    attach_terminal(ctx, path, source, chain)
 }
 
 /// Where a collapsed entry for a chain lives: the terminal object when
@@ -201,13 +218,7 @@ fn attach_collapsed(
         }
     }
     // Terminal values: only complete chains have them.
-    let values = match chain[2] {
-        Some(t) => {
-            let tobj = read_object(ctx.sm, ctx.cat, t)?;
-            Some(terminal_values(path, &tobj))
-        }
-        None => None,
-    };
+    let values = values_at(ctx, path, chain[2])?;
     set_source_replica_values(ctx, path, source, values)
 }
 
@@ -246,13 +257,7 @@ pub fn attach_terminal(
     let terminal = *chain.last().expect("chain is non-empty");
     match path.strategy {
         Strategy::InPlace => {
-            let values = match terminal {
-                Some(t) => {
-                    let tobj = read_object(ctx.sm, ctx.cat, t)?;
-                    Some(terminal_values(path, &tobj))
-                }
-                None => None,
-            };
+            let values = values_at(ctx, path, terminal)?;
             set_source_replica_values(ctx, path, source, values)
         }
         Strategy::Separate => {
@@ -281,19 +286,18 @@ pub fn attach_terminal(
     }
 }
 
-/// Detach `source` from `path`, using the references currently stored in
-/// `source_obj` (call *before* changing a reference attribute).
+/// Detach `source` from `path` along `chain`, the forward chain through
+/// the references it was attached with (for a re-target: the old ones).
 pub fn detach_path(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
     source: Oid,
-    source_obj: &Object,
+    chain: &[Option<Oid>],
 ) -> Result<()> {
-    let chain = walk_chain(ctx, path, source, source_obj)?;
     if path.collapsed {
-        return detach_collapsed(ctx, path, source, &chain);
+        return detach_collapsed(ctx, path, source, chain);
     }
-    detach_links_from(ctx, path, &chain, 0)?;
+    detach_links_from(ctx, path, chain, 0)?;
 
     match path.strategy {
         Strategy::InPlace => set_source_replica_values(ctx, path, source, None),
@@ -432,12 +436,11 @@ pub fn read_path_values(
         Strategy::Separate => {
             let group = ctx
                 .cat
-                .group(path.group.expect("separate path has a group"))
-                .clone();
+                .group(path.group.expect("separate path has a group"));
             match find_replica_ref(source_obj, group.id.0) {
                 None => Ok(None),
                 Some((_, roid)) => {
-                    let all = read_replica(ctx.sm, &group, roid)?;
+                    let all = read_replica(ctx.sm, group, roid)?;
                     // Project the path's terminal fields out of the group's
                     // field list.
                     let vals = path

@@ -8,9 +8,10 @@
 
 use crate::attach::{attach_path, detach_path, read_path_values, walk_chain};
 use crate::error::{DbError, Result};
-use crate::objects::{read_object, value_key, write_object, REPLICA_TAG};
-use crate::propagate::{is_referenced, propagate_after_update, FieldChange};
+use crate::objects::{read_object, ref_target, value_key, write_object, REPLICA_TAG};
+use crate::propagate::{apply_plan, is_referenced};
 use crate::replicas::{find_anchor, group_values, write_replica};
+use crate::ripple::RipplePlan;
 use crate::{links, DbConfig, EngineCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
@@ -491,16 +492,7 @@ impl Database {
         match path.strategy {
             Strategy::InPlace => {
                 for (src, chain) in &chains {
-                    let values = match chain.last().copied().flatten() {
-                        Some(t) => {
-                            let ctx = self.ctx();
-                            let tobj = read_object(ctx.sm, ctx.cat, t)?;
-                            Some(crate::attach::terminal_values(path, &tobj))
-                        }
-                        None => None,
-                    };
-                    let mut ctx = self.ctx();
-                    crate::attach::set_source_replica_values(&mut ctx, path, *src, values)?;
+                    crate::attach::attach_terminal(&mut self.ctx(), path, *src, chain)?;
                 }
             }
             Strategy::Separate => {
@@ -616,15 +608,8 @@ impl Database {
 
         // Values.
         for (src, chain) in &chains {
-            let values = match chain[2] {
-                Some(t) => {
-                    let ctx = self.ctx();
-                    let tobj = read_object(ctx.sm, ctx.cat, t)?;
-                    Some(crate::attach::terminal_values(path, &tobj))
-                }
-                None => None,
-            };
             let mut ctx = self.ctx();
+            let values = crate::attach::values_at(&mut ctx, path, chain[2])?;
             crate::attach::set_source_replica_values(&mut ctx, path, *src, values)?;
         }
         Ok(())
@@ -754,50 +739,51 @@ impl Database {
 
     // ------------------------------------------------------------------ DML
 
+    /// Run `f` — one whole multi-page operation — inside the WAL apply
+    /// section, so a concurrent `update_txn` commit can never sweep a
+    /// half-applied operation into its commit record, and eviction can
+    /// never autocommit one of its pages mid-way (no-steal). Every write
+    /// path goes through here; the section is not reentrant.
+    pub(crate) fn with_apply_section<T>(
+        &self,
+        f: impl FnOnce(&Database) -> Result<T>,
+    ) -> Result<T> {
+        let _apply = self.sm.wal().map(|w| w.apply_lock());
+        f(self)
+    }
+
     /// Insert an object into a set. Reference values are type-checked;
     /// every replication path of the set is attached (§4.1.1 `insert E`).
     pub fn insert(&self, set_name: &str, values: Vec<Value>) -> Result<Oid> {
-        // Durability: the whole multi-page operation (heap insert, index
-        // maintenance, replication attach) runs inside the WAL apply
-        // section, so a concurrent `update_txn` commit can never sweep a
-        // half-applied insert into its commit record, and eviction can
-        // never autocommit one of its pages mid-way (no-steal).
-        let _apply = self.sm.wal().map(|w| w.apply_lock());
-        let set = self.catalog.set(self.catalog.set_id(set_name)?).clone();
-        let def = self.catalog.type_def(set.elem_type).clone();
-        let obj = Object::new(set.elem_type, &def, values)?;
-        // Check ref target types.
-        for (v, f) in obj.values.iter().zip(&def.fields) {
-            if let FieldType::Ref(tname) = &f.ftype {
-                let expected = self.catalog.type_id(tname)?;
-                let ctx = self.ctx();
-                crate::objects::check_ref_type(ctx.sm, ctx.cat, v, expected)?;
+        self.with_apply_section(|db| {
+            let cat = &db.catalog;
+            let set = cat.set(cat.set_id(set_name)?);
+            let def = cat.type_def(set.elem_type);
+            let obj = Object::new(set.elem_type, def, values)?;
+            // Check ref target types.
+            for (v, f) in obj.values.iter().zip(&def.fields) {
+                if let FieldType::Ref(tname) = &f.ftype {
+                    crate::objects::check_ref_type(&db.sm, cat, v, cat.type_id(tname)?)?;
+                }
             }
-        }
-        let hf = HeapFile::open(set.file);
-        let payload = obj.encode(&def);
-        let oid = hf.rec_insert(&self.sm, set.elem_type.0, &payload)?;
+            let hf = HeapFile::open(set.file);
+            let oid = hf.rec_insert(&db.sm, set.elem_type.0, &obj.encode(def))?;
 
-        // Base-field index maintenance.
-        let idxs: Vec<(usize, FileId)> = self
-            .catalog
-            .indexes_on(set.id)
-            .filter_map(|i| match i.target {
-                IndexTarget::Field(f) => Some((f, i.file)),
-                _ => None,
-            })
-            .collect();
-        for (f, file) in idxs {
-            BTreeIndex::open(file).insert(&self.sm, &value_key(&obj.values[f]), oid)?;
-        }
+            // Base-field index maintenance.
+            for idx in cat.indexes_on(set.id) {
+                if let IndexTarget::Field(f) = idx.target {
+                    BTreeIndex::open(idx.file).insert(&db.sm, &value_key(&obj.values[f]), oid)?;
+                }
+            }
 
-        // Replication attach.
-        let paths: Vec<RepPathDef> = self.catalog.paths_from(set.id).cloned().collect();
-        for p in &paths {
-            let mut ctx = self.ctx();
-            attach_path(&mut ctx, p, oid)?;
-        }
-        Ok(oid)
+            // Replication attach.
+            let mut ctx = db.ctx();
+            for p in cat.paths_from(set.id) {
+                let chain = walk_chain(&mut ctx, p, oid, &obj)?;
+                attach_path(&mut ctx, p, oid, &chain)?;
+            }
+            Ok(oid)
+        })
     }
 
     /// Read the object at `oid` (base values + annotations).
@@ -840,9 +826,8 @@ impl Database {
             .resolve_path_str(&format!("{set_name}.{dotted}"))?;
         let mut cur = obj;
         for &hop in &resolved.hops {
-            let next = match &cur.values[hop] {
-                Value::Ref(o) if !o.is_null() => *o,
-                _ => return Ok(None),
+            let Some(next) = ref_target(&cur.values[hop]) else {
+                return Ok(None);
             };
             cur = self.get(next)?;
         }
@@ -856,192 +841,95 @@ impl Database {
     }
 
     /// Update named fields of the object at `oid`, propagating to all
-    /// replicated copies (§4.1.3, §5.2) and maintaining indexes.
+    /// replicated copies (§4.1.3, §5.2) and maintaining indexes. A field
+    /// named more than once takes its last value.
     pub fn update(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<()> {
-        // Durability: see `insert`. `Txn::update_txn` takes the apply
-        // section itself (it must extend through commit logging) and
-        // calls `apply_update` directly.
-        let _apply = self.sm.wal().map(|w| w.apply_lock());
-        self.apply_update(oid, changes)
-    }
-
-    /// [`Database::update`] minus the WAL apply-section guard. Callers
-    /// must already hold the apply section (the guard is non-reentrant).
-    // lint: allow(L7) both callers (update, Txn::update_txn) hold the apply section
-    pub(crate) fn apply_update(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<()> {
-        let set = self.set_of(oid)?;
-        let set_def = self.catalog.set(set).clone();
-        let def = self.catalog.type_def(set_def.elem_type).clone();
-
-        let old_obj = self.get(oid)?;
-        // Resolve and type-check changes.
-        let mut field_changes: Vec<FieldChange> = Vec::new();
-        for (name, new) in changes {
-            let idx = def.field_index(name).ok_or_else(|| {
-                DbError::Model(fieldrep_model::ModelError::NoSuchField((*name).into()))
-            })?;
-            if !new.matches(&def.fields[idx].ftype) {
-                return Err(DbError::Model(fieldrep_model::ModelError::TypeMismatch {
-                    expected: format!("{:?}", def.fields[idx].ftype),
-                    got: new.kind_name().into(),
-                }));
-            }
-            if let FieldType::Ref(tname) = &def.fields[idx].ftype {
-                let expected = self.catalog.type_id(tname)?;
-                let ctx = self.ctx();
-                crate::objects::check_ref_type(ctx.sm, ctx.cat, new, expected)?;
-            }
-            let old = old_obj.values[idx].clone();
-            if old != *new {
-                field_changes.push((idx, old, new.clone()));
-            }
-        }
-        if field_changes.is_empty() {
-            return Ok(());
-        }
-
-        // Phase A: detach this object's own paths whose first hop changes.
-        let changed_refs: BTreeSet<usize> = field_changes
-            .iter()
-            .filter(|(i, _, _)| def.fields[*i].ftype.is_ref())
-            .map(|(i, _, _)| *i)
-            .collect();
-        let own_paths: Vec<RepPathDef> = self
-            .catalog
-            .paths_from(set)
-            .filter(|p| changed_refs.contains(&p.hops[0]))
-            .cloned()
-            .collect();
-        for p in &own_paths {
-            let mut ctx = self.ctx();
-            detach_path(&mut ctx, p, oid, &old_obj)?;
-        }
-
-        // Phase B: apply the changes and write back. Re-read the object:
-        // Phase A may have modified its annotations.
-        let mut obj = self.get(oid)?;
-        for (i, _, new) in &field_changes {
-            obj.values[*i] = new.clone();
-        }
-        {
-            let ctx = self.ctx();
-            write_object(ctx.sm, ctx.cat, oid, &obj)?;
-        }
-
-        // Base-field index maintenance.
-        let idxs: Vec<(usize, FileId)> = self
-            .catalog
-            .indexes_on(set)
-            .filter_map(|i| match i.target {
-                IndexTarget::Field(f) => Some((f, i.file)),
-                _ => None,
-            })
-            .collect();
-        for (f, file) in idxs {
-            if let Some((_, old, new)) = field_changes.iter().find(|(i, _, _)| *i == f) {
-                let tree = BTreeIndex::open(file);
-                tree.delete(&self.sm, &value_key(old), oid)?;
-                tree.insert(&self.sm, &value_key(new), oid)?;
-            }
-        }
-
-        // Phase C: re-attach own paths with the new references.
-        for p in &own_paths {
-            let mut ctx = self.ctx();
-            attach_path(&mut ctx, p, oid)?;
-        }
-
-        // Phase D: propagate to objects that replicate *from* this object.
-        let obj = self.get(oid)?; // fresh annotations
-        let mut ctx = self.ctx();
-        propagate_after_update(&mut ctx, oid, &obj, &field_changes)?;
-        Ok(())
+        self.with_apply_section(|db| {
+            apply_plan(&mut db.ctx(), RipplePlan::build(db, None, oid, changes)?)
+        })
     }
 
     /// Delete the object at `oid` (§4.1.1 `delete E`). Fails with
     /// [`DbError::StillReferenced`] if other objects still replicate
     /// through it.
     pub fn delete(&self, oid: Oid) -> Result<()> {
-        // Durability: see `insert`.
-        let _apply = self.sm.wal().map(|w| w.apply_lock());
-        let set = self.set_of(oid)?;
-        let obj = self.get(oid)?;
-        if is_referenced(&obj) {
-            return Err(DbError::StillReferenced(oid));
-        }
-        // Detach every replication path of the set.
-        let paths: Vec<RepPathDef> = self.catalog.paths_from(set).cloned().collect();
-        for p in &paths {
-            let mut ctx = self.ctx();
-            detach_path(&mut ctx, p, oid, &obj)?;
-        }
-        // Base-field index removal.
-        let idxs: Vec<(usize, FileId)> = self
-            .catalog
-            .indexes_on(set)
-            .filter_map(|i| match i.target {
-                IndexTarget::Field(f) => Some((f, i.file)),
-                _ => None,
-            })
-            .collect();
-        for (f, file) in idxs {
-            BTreeIndex::open(file).delete(&self.sm, &value_key(&obj.values[f]), oid)?;
-        }
-        let hf = HeapFile::open(oid.file);
-        hf.rec_delete(&self.sm, oid)?;
-        self.pending.purge_object(oid);
-        Ok(())
+        self.with_apply_section(|db| {
+            let cat = &db.catalog;
+            let set = db.set_of(oid)?;
+            let obj = db.get(oid)?;
+            if is_referenced(&obj) {
+                return Err(DbError::StillReferenced(oid));
+            }
+            // Detach every replication path of the set.
+            let mut ctx = db.ctx();
+            for p in cat.paths_from(set) {
+                let chain = walk_chain(&mut ctx, p, oid, &obj)?;
+                detach_path(&mut ctx, p, oid, &chain)?;
+            }
+            // Base-field index removal.
+            for idx in cat.indexes_on(set) {
+                if let IndexTarget::Field(f) = idx.target {
+                    BTreeIndex::open(idx.file).delete(&db.sm, &value_key(&obj.values[f]), oid)?;
+                }
+            }
+            HeapFile::open(oid.file).rec_delete(&db.sm, oid)?;
+            db.pending.purge_object(oid);
+            Ok(())
+        })
     }
 
     /// Apply every deferred propagation recorded for `path` (a no-op for
     /// eager paths or when nothing is pending). Returns the number of
     /// work items applied.
     pub fn sync_path(&self, path: PathId) -> Result<usize> {
-        // Durability: see `insert`.
-        let _apply = self.sm.wal().map(|w| w.apply_lock());
-        self.sync_path_inner(path)
+        self.with_apply_section(|db| db.sync_pending(path))
     }
 
-    /// [`Database::sync_path`] minus the WAL apply-section guard;
-    /// `sync_all_pending` holds the guard once across all paths.
-    fn sync_path_inner(&self, path: PathId) -> Result<usize> {
+    /// Sync every path with pending deferred work, as one unit: the apply
+    /// section is held across all of them.
+    pub fn sync_all_pending(&self) -> Result<usize> {
+        self.with_apply_section(|db| {
+            let mut total = 0;
+            for p in db.pending.dirty_paths() {
+                total += db.sync_pending(p)?;
+            }
+            Ok(total)
+        })
+    }
+
+    /// The body of a sync; the caller holds the apply section.
+    fn sync_pending(&self, path: PathId) -> Result<usize> {
         let entries = self.pending.take(path);
         if entries.is_empty() {
             return Ok(0);
         }
-        let pdef = self.catalog.path(path).clone();
+        let pdef = self.catalog.path(path);
         let n = entries.len();
+        let mut ctx = self.ctx();
         for e in entries {
             let io_before = fieldrep_obs::io::snapshot();
             let fanout = match e {
                 crate::PendingEntry::StaleSources { obj, link_level } => {
-                    let mut ctx = self.ctx();
-                    let sources = {
-                        let o = read_object(ctx.sm, ctx.cat, obj)?;
-                        let mut s =
-                            crate::attach::collect_sources(&mut ctx, &pdef, link_level, &o)?;
-                        s.dedup();
-                        s
-                    };
+                    let o = read_object(ctx.sm, ctx.cat, obj)?;
+                    let mut sources =
+                        crate::attach::collect_sources(&mut ctx, pdef, link_level, &o)?;
+                    sources.dedup();
                     // Refresh the stale sources page-group by page-group
                     // (sorted physical order, one grouped read per run).
                     crate::attach::for_each_page_group(&mut ctx, &sources, |ctx, s| {
                         let sobj = read_object(ctx.sm, ctx.cat, s)?;
-                        let chain = walk_chain(ctx, &pdef, s, &sobj)?;
-                        crate::attach::attach_terminal(ctx, &pdef, s, &chain)
+                        let chain = walk_chain(ctx, pdef, s, &sobj)?;
+                        crate::attach::attach_terminal(ctx, pdef, s, &chain)
                     })?;
                     sources.len() as u64
                 }
                 crate::PendingEntry::StaleReplica { obj } => {
                     let group = self
                         .catalog
-                        .group(pdef.group.expect("separate path has a group"))
-                        .clone();
-                    let ctx = self.ctx();
+                        .group(pdef.group.expect("separate path has a group"));
                     let o = read_object(ctx.sm, ctx.cat, obj)?;
                     if let Some((_, roid, _)) = find_anchor(&o, group.id.0) {
-                        let values = group_values(&group, &o);
-                        write_replica(ctx.sm, &group, roid, &values)?;
+                        write_replica(ctx.sm, group, roid, &group_values(group, &o))?;
                     }
                     1
                 }
@@ -1053,17 +941,6 @@ impl Database {
                 .record_update(&pdef.expr.to_string(), fanout, pages);
         }
         Ok(n)
-    }
-
-    /// Sync every path with pending deferred work.
-    pub fn sync_all_pending(&self) -> Result<usize> {
-        // Durability: see `insert`.
-        let _apply = self.sm.wal().map(|w| w.apply_lock());
-        let mut total = 0;
-        for p in self.pending.dirty_paths() {
-            total += self.sync_path_inner(p)?;
-        }
-        Ok(total)
     }
 
     /// Number of deferred work items queued for `path`.

@@ -25,6 +25,7 @@ pub mod links;
 pub mod objects;
 pub mod propagate;
 pub mod replicas;
+pub mod ripple;
 pub mod stats;
 pub mod txn;
 pub mod workload;

@@ -30,6 +30,15 @@ pub fn write_object(sm: &StorageManager, cat: &Catalog, oid: Oid, obj: &Object) 
     Ok(())
 }
 
+/// The object a reference value points at; `None` for NULL (and for
+/// anything that is not a reference).
+pub(crate) fn ref_target(v: &Value) -> Option<Oid> {
+    match v {
+        Value::Ref(o) if !o.is_null() => Some(*o),
+        _ => None,
+    }
+}
+
 /// Encode an indexable value as an order-preserving key.
 ///
 /// `Unit` (padding) and `NULL` refs sort first; refs sort by physical OID.

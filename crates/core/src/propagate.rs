@@ -1,43 +1,47 @@
-//! Update propagation (§4.1.3, §5.2).
+//! Executing a [`RipplePlan`] (§4.1.3, §5.2).
 //!
-//! After an object's fields change, three kinds of replicated state may
-//! need maintenance, all driven by the `(link-OID, link-ID)` pairs and
-//! anchors stored *in the object itself* — exactly the paper's mechanism
-//! for "determining how and when to propagate an update":
+//! `apply_plan` is the one executor of an update: detach the object's
+//! own re-targeted paths, write its new values (and maintain base-field
+//! indexes), re-attach, then run the propagation steps the plan derived
+//! from the `(link-OID, link-ID)` pairs and anchors stored *in the object
+//! itself* — exactly the paper's mechanism for "determining how and when
+//! to propagate an update":
 //!
-//! 1. **In-place terminal propagation**: the object is the terminal of
-//!    one or more in-place paths (its link IDs match the paths' last
-//!    links) and a replicated field changed → traverse the inverted path
-//!    to the source objects and rewrite their hidden values, in physical
-//!    (sorted-OID) order.
-//! 2. **Separate terminal refresh**: the object carries a replica anchor
+//! 1. **Separate terminal refresh**: the object carries a replica anchor
 //!    and a grouped field changed → rewrite the one shared replica object.
-//! 3. **Intermediate reference update**: a *reference* attribute that is
-//!    hop `i+1` of some path changed (the paper's `D.org` example) →
-//!    unlink the old suffix, link the new one, and re-materialise the
-//!    replicated values (or re-point the replica references) of every
-//!    source object below.
+//! 2. **In-place terminal fan-out**: the object is the terminal of an
+//!    in-place path and a replicated field changed → rewrite the sources'
+//!    hidden values, in physical (sorted-OID) order.
+//! 3. **Intermediate re-point**: a *reference* attribute that is hop
+//!    `i+1` of some path changed (the paper's `D.org` example) → unlink
+//!    the old suffix, link the new one, and re-materialise the replicated
+//!    values (or re-point the replica references) of every source below.
+//!
+//! Chains, source lists and holders come from the plan; nothing here
+//! discovers them.
 
 use crate::attach::{
-    attach_links_from, collect_sources, detach_links_from, for_each_page_group,
-    set_source_replica_values, terminal_values,
+    attach_links_from, attach_path, detach_links_from, detach_path, for_each_page_group,
+    set_source_replica_values, terminal_values, values_at,
 };
+use crate::collapsed;
 use crate::error::{DbError, Result};
-use crate::objects::{read_object, write_object};
+use crate::objects::{read_object, value_key, write_object};
 use crate::replicas::{
     anchor_acquire, anchor_release, find_replica_ref, group_values, write_replica,
 };
-use crate::EngineCtx;
-use crate::PendingEntry;
-use fieldrep_catalog::{LinkId, PathId, Propagation, RepPathDef, Strategy};
-use fieldrep_model::{Annotation, Object, Value};
+use crate::ripple::{RipplePlan, Step};
+use crate::{EngineCtx, PendingEntry};
+use fieldrep_btree::BTreeIndex;
+use fieldrep_catalog::{GroupId, IndexTarget, RepPathDef};
+use fieldrep_model::{Annotation, Object};
 use fieldrep_obs::{io as obs_io, metrics, names as obs_names, Span};
 use fieldrep_storage::Oid;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Test-only failpoint: when armed, the next in-place terminal
-/// propagation fails *after* its fan-out has been collected (so the
+/// propagation fails *after* its source batch has been rewritten (so the
 /// flight-recorder dump shows the failing batch's span and I/O delta).
 /// Disarms itself on first use.
 static FAIL_NEXT_INPLACE: AtomicBool = AtomicBool::new(false);
@@ -81,27 +85,68 @@ fn prop_metrics() -> &'static PropMetrics {
     })
 }
 
-/// One observed field change: `(field index, old value, new value)`.
-pub type FieldChange = (usize, Value, Value);
+/// Execute `plan` — the whole of `update(oid, changes)`. The caller holds
+/// the WAL apply section (and, on the transactional door, the plan's
+/// OID locks).
+pub(crate) fn apply_plan(ctx: &mut EngineCtx<'_>, plan: RipplePlan) -> Result<()> {
+    if plan.changes.is_empty() {
+        return Ok(());
+    }
+    let (cat, oid) = (ctx.cat, plan.oid);
 
-/// Run all propagation caused by `changed` fields of the object at `oid`.
-/// `obj` must be the object's *post-update* state.
+    // Phase A: detach this object's own paths whose first hop changes.
+    for r in &plan.own {
+        detach_path(ctx, cat.path(r.path), oid, &r.old_chain)?;
+    }
+
+    // Phase B: apply the changes and write back. Detaching rewrites the
+    // object's annotations; otherwise the plan's image is still current.
+    let mut obj = if plan.own.is_empty() {
+        plan.before
+    } else {
+        read_object(ctx.sm, cat, oid)?
+    };
+    for (i, _, new) in &plan.changes {
+        obj.values[*i] = new.clone();
+    }
+    write_object(ctx.sm, cat, oid, &obj)?;
+
+    // Base-field index maintenance.
+    for idx in cat.indexes_on(plan.set) {
+        let IndexTarget::Field(f) = idx.target else {
+            continue;
+        };
+        if let Some((_, old, new)) = plan.changes.iter().find(|c| c.0 == f) {
+            let tree = BTreeIndex::open(idx.file);
+            tree.delete(ctx.sm, &value_key(old), oid)?;
+            tree.insert(ctx.sm, &value_key(new), oid)?;
+        }
+    }
+
+    // Phase C: re-attach own paths through the new references.
+    for r in &plan.own {
+        attach_path(ctx, cat.path(r.path), oid, &r.new_chain)?;
+    }
+
+    // Phase D: propagate to objects that replicate *from* this object.
+    propagate(ctx, oid, &plan.steps, &obj)
+}
+
+/// Run a plan's propagation `steps` for the object at `oid`; `obj`
+/// carries its post-update values.
 ///
 /// Opens a `core.propagate` span and accumulates its page-I/O delta under
 /// the `"core.propagate"` component
 /// ([`io::component_take`](fieldrep_obs::io::component_take)), so the
 /// query layer can attribute propagation I/O separately from the carrying
 /// update.
-pub fn propagate_after_update(
-    ctx: &mut EngineCtx<'_>,
-    oid: Oid,
-    obj: &Object,
-    changed: &[FieldChange],
-) -> Result<()> {
+fn propagate(ctx: &mut EngineCtx<'_>, oid: Oid, steps: &[Step], obj: &Object) -> Result<()> {
     let result = {
         let _span = Span::enter(obs_names::CORE_PROPAGATE);
         let io_before = obs_io::snapshot();
-        let result = propagate_after_update_inner(ctx, oid, obj, changed);
+        let result = steps
+            .iter()
+            .try_for_each(|step| run_step(ctx, oid, obj, step));
         obs_io::component_add(obs_names::CORE_PROPAGATE, obs_io::snapshot() - io_before);
         result
     };
@@ -114,381 +159,242 @@ pub fn propagate_after_update(
     result
 }
 
-fn propagate_after_update_inner(
-    ctx: &mut EngineCtx<'_>,
-    oid: Oid,
-    obj: &Object,
-    changed: &[FieldChange],
-) -> Result<()> {
-    // ---- 2. Separate terminal refresh -------------------------------
-    let anchors: Vec<(u16, Oid)> = obj
-        .annotations
-        .iter()
-        .filter_map(|a| match a {
-            Annotation::ReplicaAnchor { group, oid, .. } => Some((*group, *oid)),
-            _ => None,
-        })
-        .collect();
-    for (gid, roid) in anchors {
-        let group = ctx.cat.group(fieldrep_catalog::GroupId(gid)).clone();
-        if changed.iter().any(|(f, _, _)| group.fields.contains(f)) {
-            // A group defers only if every path reading through it does.
-            let deferred = group
-                .paths
-                .iter()
-                .all(|p| ctx.cat.path(*p).propagation == Propagation::Deferred);
-            if deferred {
+fn run_step(ctx: &mut EngineCtx<'_>, oid: Oid, obj: &Object, step: &Step) -> Result<()> {
+    let cat = ctx.cat;
+    match step {
+        Step::SeparateRefresh {
+            group,
+            replica,
+            deferred,
+        } => {
+            let group = cat.group(*group);
+            if *deferred {
                 prop_metrics().deferred.inc();
                 for p in &group.paths {
                     ctx.pending.add(*p, PendingEntry::StaleReplica { obj: oid });
                 }
-            } else {
-                let span = Span::enter(obs_names::CORE_PROPAGATE_SEPARATE);
-                span.note("group", gid);
-                prop_metrics().separate.inc();
-                let io_before = obs_io::snapshot();
-                let values = group_values(&group, obj);
-                write_replica(ctx.sm, &group, roid, &values)?;
-                // One shared replica rewritten; every path reading
-                // through the group observed the ripple.
-                let pages = (obs_io::snapshot() - io_before).page_touches();
-                for p in &group.paths {
-                    ctx.workload
-                        .record_update(&ctx.cat.path(*p).expr.to_string(), 1, pages);
+                return Ok(());
+            }
+            let span = Span::enter(obs_names::CORE_PROPAGATE_SEPARATE);
+            span.note("group", group.id.0);
+            prop_metrics().separate.inc();
+            let io_before = obs_io::snapshot();
+            write_replica(ctx.sm, group, *replica, &group_values(group, obj))?;
+            // One shared replica rewritten; every path reading through
+            // the group observed the ripple.
+            let pages = (obs_io::snapshot() - io_before).page_touches();
+            for p in &group.paths {
+                ctx.workload
+                    .record_update(&cat.path(*p).expr.to_string(), 1, pages);
+            }
+            Ok(())
+        }
+        Step::TerminalFanout {
+            path,
+            sources,
+            deferred,
+            discovery_pages,
+        } => {
+            let path = cat.path(*path);
+            if *deferred {
+                prop_metrics().deferred.inc();
+                park_sources(ctx, path, oid, path.links.len() - 1);
+                return Ok(());
+            }
+            propagate_terminal_inplace(ctx, path, obj, sources, *discovery_pages)
+        }
+        Step::Repoint {
+            path,
+            level,
+            sources,
+            old_chain,
+            new_chain,
+            deferred,
+        } => {
+            let span = Span::enter(obs_names::CORE_PROPAGATE_INTERMEDIATE);
+            span.note("level", *level);
+            let path = cat.path(*path);
+            // Unlink the old suffix, link the new one. Structure is always
+            // maintained eagerly, even for deferred paths.
+            detach_links_from(ctx, path, old_chain, level + 1)?;
+            attach_links_from(ctx, path, new_chain, level + 1)?;
+            if *deferred {
+                park_sources(ctx, path, oid, *level);
+                return Ok(());
+            }
+            let old_terminal = old_chain.last().copied().flatten();
+            let new_terminal = new_chain.last().copied().flatten();
+            match path.group {
+                // In-place: re-materialise from the new terminal.
+                None => refresh_sources(ctx, path, sources, new_terminal),
+                Some(g) => repoint_replica_refs(ctx, g, sources, old_terminal, new_terminal),
+            }
+        }
+        Step::CollapsedRetarget {
+            path,
+            old_holder,
+            new_terminal,
+            members,
+            deferred,
+        } => {
+            let span = Span::enter(obs_names::CORE_PROPAGATE_INTERMEDIATE);
+            span.note("level", 0);
+            let path = cat.path(*path);
+            move_collapsed_entries(ctx, path, oid, *old_holder, *new_terminal, members)?;
+            match new_terminal {
+                Some(t) if *deferred => {
+                    park_sources(ctx, path, *t, 0);
+                    Ok(())
                 }
+                // A broken chain clears the values eagerly — a pending
+                // entry cannot express clearing.
+                _ => refresh_sources(ctx, path, members, *new_terminal),
             }
         }
     }
-
-    // ---- 1 & 3. Link-borne propagation -------------------------------
-    let link_ids: Vec<u8> = obj
-        .annotations
-        .iter()
-        .filter_map(|a| match a {
-            Annotation::LinkRef { link, .. }
-            | Annotation::InlineLink { link, .. }
-            | Annotation::CollapsedVia { link } => Some(*link),
-            _ => None,
-        })
-        .collect();
-
-    let mut terminal_paths: Vec<PathId> = Vec::new();
-    let mut intermediate: Vec<(PathId, usize, usize)> = Vec::new(); // (path, link level, field)
-    for (f, _, _) in changed {
-        for &l in &link_ids {
-            let link = LinkId(l);
-            for p in ctx.cat.inplace_paths_terminating_at(link, *f) {
-                if !terminal_paths.contains(&p.id) {
-                    terminal_paths.push(p.id);
-                }
-            }
-            for p in ctx.cat.paths_with_intermediate(link, *f) {
-                let lvl = p
-                    .links
-                    .iter()
-                    .position(|x| *x == link)
-                    .expect("paths_with_intermediate matched this link");
-                if !intermediate.contains(&(p.id, lvl, *f)) {
-                    intermediate.push((p.id, lvl, *f));
-                }
-            }
-        }
-    }
-
-    for pid in terminal_paths {
-        let path = ctx.cat.path(pid).clone();
-        if path.propagation == Propagation::Deferred {
-            prop_metrics().deferred.inc();
-            ctx.pending.add(
-                pid,
-                PendingEntry::StaleSources {
-                    obj: oid,
-                    link_level: path.links.len() - 1,
-                },
-            );
-        } else {
-            propagate_terminal_inplace(ctx, &path, obj)?;
-        }
-    }
-
-    for (pid, lvl, f) in intermediate {
-        let path = ctx.cat.path(pid).clone();
-        let (_, old, new) = changed
-            .iter()
-            .find(|(cf, _, _)| cf == &f)
-            .expect("field listed in changes");
-        let old_ref = match old {
-            Value::Ref(o) if !o.is_null() => Some(*o),
-            _ => None,
-        };
-        let new_ref = match new {
-            Value::Ref(o) if !o.is_null() => Some(*o),
-            _ => None,
-        };
-        handle_intermediate_ref_update(ctx, &path, lvl, oid, obj, old_ref, new_ref)?;
-    }
-    Ok(())
 }
 
-/// In-place propagation from a terminal object down to the source objects
+/// Defer (§8): the in-place sources below `obj` through `path`'s link at
+/// `link_level` re-materialise when the path is next synced.
+fn park_sources(ctx: &EngineCtx<'_>, path: &RepPathDef, obj: Oid, link_level: usize) {
+    let entry = PendingEntry::StaleSources { obj, link_level };
+    ctx.pending.add(path.id, entry);
+}
+
+/// In-place propagation from a terminal object down to its `sources`
 /// ("the inverted path … is traversed to propagate that update", §4.1).
-pub fn propagate_terminal_inplace(
+fn propagate_terminal_inplace(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
     terminal_obj: &Object,
+    sources: &[Oid],
+    discovery_pages: u64,
 ) -> Result<()> {
-    debug_assert_eq!(path.strategy, Strategy::InPlace);
     let span = Span::enter(obs_names::CORE_PROPAGATE_INPLACE);
     let io_before = obs_io::snapshot();
-    let last_level = path.links.len() - 1;
-    let mut sources = collect_sources(ctx, path, last_level, terminal_obj)?;
-    // Level-0 members arrive sorted but not deduplicated: dedup before
-    // fetching so the fan-out metric counts logical sources and co-located
-    // OIDs are not fetched repeatedly.
-    sources.dedup();
     span.note("fanout", sources.len());
-    if FAIL_NEXT_INPLACE.swap(false, Ordering::SeqCst) {
-        return Err(DbError::Unsupported(
-            "failpoint: injected propagation failure".into(),
-        ));
-    }
     prop_metrics().inplace.inc();
     prop_metrics().fanout.record(sources.len() as u64);
     let values = terminal_values(path, terminal_obj);
     // The sorted OID array visits each source page once, all co-located
     // sources rewritten under one pin (§4.1.3).
-    let pages = for_each_page_group(ctx, &sources, |ctx, s| {
+    let pages = for_each_page_group(ctx, sources, |ctx, s| {
         set_source_replica_values(ctx, path, s, Some(values.clone()))
     })?;
+    if FAIL_NEXT_INPLACE.swap(false, Ordering::SeqCst) {
+        return Err(DbError::Unsupported(
+            "failpoint: injected propagation failure".into(),
+        ));
+    }
     span.note("pages", pages);
     prop_metrics().pages_per_fanout.record(pages as u64);
     ctx.workload.record_update(
         &path.expr.to_string(),
         sources.len() as u64,
-        (obs_io::snapshot() - io_before).page_touches(),
+        discovery_pages + (obs_io::snapshot() - io_before).page_touches(),
     );
     Ok(())
 }
 
-/// Build the suffix chain (as a full-length chain vector) starting at
-/// `obj` (node `lvl + 1` of `path`) whose hop `lvl + 1` target is `next`.
-/// Positions `0..=lvl` are `None` (unused by the link helpers for `from =
-/// lvl + 1`).
-pub(crate) fn suffix_chain(
+/// Set the hidden values of in-place `path` on every one of `sources`
+/// from `terminal` (clear them when the chain is broken), in physical
+/// page order.
+fn refresh_sources(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
-    lvl: usize,
-    obj_oid: Oid,
-    next: Option<Oid>,
-) -> Result<Vec<Option<Oid>>> {
-    let n = path.hops.len() + 1;
-    let mut chain = vec![None; n];
-    chain[lvl + 1] = Some(obj_oid);
-    if lvl + 2 >= n {
-        // The changed ref was the terminal hop... cannot happen: node
-        // lvl+1 with hop lvl+1 targets node lvl+2 ≤ n-1.
-        return Ok(chain);
-    }
-    chain[lvl + 2] = next;
-    let mut cur = next;
-    for i in (lvl + 2)..path.hops.len() {
-        let Some(cur_oid) = cur else { break };
-        let cobj = read_object(ctx.sm, ctx.cat, cur_oid)?;
-        cur = match &cobj.values[path.hops[i]] {
-            Value::Ref(o) if !o.is_null() => Some(*o),
-            _ => None,
-        };
-        chain[i + 1] = cur;
-    }
-    Ok(chain)
+    sources: &[Oid],
+    terminal: Option<Oid>,
+) -> Result<()> {
+    let values = values_at(ctx, path, terminal)?;
+    for_each_page_group(ctx, sources, |ctx, s| {
+        set_source_replica_values(ctx, path, s, values.clone())
+    })?;
+    Ok(())
 }
 
-/// Handle a change of the reference attribute that is hop `lvl + 1` of
-/// `path`, on the intermediate object at `oid` (post-update state `obj`).
-pub fn handle_intermediate_ref_update(
+/// Separate re-point (§5.2's `D2.org` example): move `sources`' replica
+/// references from the old terminal's `S'` object to the new terminal's.
+fn repoint_replica_refs(
     ctx: &mut EngineCtx<'_>,
-    path: &RepPathDef,
-    lvl: usize,
-    oid: Oid,
-    obj: &Object,
-    old_ref: Option<Oid>,
-    new_ref: Option<Oid>,
+    group: GroupId,
+    sources: &[Oid],
+    old_terminal: Option<Oid>,
+    new_terminal: Option<Oid>,
 ) -> Result<()> {
-    if old_ref == new_ref {
-        return Ok(());
-    }
-    let span = Span::enter(obs_names::CORE_PROPAGATE_INTERMEDIATE);
-    span.note("level", lvl);
-    if path.collapsed {
-        return handle_collapsed_intermediate(ctx, path, oid, old_ref, new_ref);
-    }
-    // Sources below this object (they all reach the terminal through it),
-    // sorted and deduplicated so the page-grouped rewrites below touch
-    // each source page once.
-    let mut sources = collect_sources(ctx, path, lvl, obj)?;
-    sources.dedup();
-
-    // Unlink the old suffix, link the new one. Structure is always
-    // maintained eagerly, even for deferred paths.
-    let old_chain = suffix_chain(ctx, path, lvl, oid, old_ref)?;
-    detach_links_from(ctx, path, &old_chain, lvl + 1)?;
-    let new_chain = suffix_chain(ctx, path, lvl, oid, new_ref)?;
-    attach_links_from(ctx, path, &new_chain, lvl + 1)?;
-
-    match path.strategy {
-        Strategy::InPlace => {
-            if path.propagation == Propagation::Deferred {
-                ctx.pending.add(
-                    path.id,
-                    PendingEntry::StaleSources {
-                        obj: oid,
-                        link_level: lvl,
-                    },
-                );
-                return Ok(());
-            }
-            // Re-materialise values from the new terminal (None if broken).
-            let values = match new_chain.last().copied().flatten() {
-                Some(t) => {
-                    let tobj = read_object(ctx.sm, ctx.cat, t)?;
-                    Some(terminal_values(path, &tobj))
-                }
-                None => None,
-            };
-            for_each_page_group(ctx, &sources, |ctx, s| {
-                set_source_replica_values(ctx, path, s, values.clone())
-            })?;
+    let group = ctx.cat.group(group);
+    // Remove the sources' replica references (counting how many actually
+    // pointed at the old replica).
+    let mut released = 0u32;
+    for_each_page_group(ctx, sources, |ctx, s| {
+        let mut sobj = read_object(ctx.sm, ctx.cat, s)?;
+        if let Some((i, _)) = find_replica_ref(&sobj, group.id.0) {
+            sobj.annotations.remove(i);
+            write_object(ctx.sm, ctx.cat, s, &sobj)?;
+            released += 1;
         }
-        Strategy::Separate => {
-            let group = ctx
-                .cat
-                .group(path.group.expect("separate path has a group"))
-                .clone();
-            let old_terminal = old_chain.last().copied().flatten();
-            let new_terminal = new_chain.last().copied().flatten();
-
-            // Remove the sources' replica references (counting how many
-            // actually pointed at the old replica).
-            let mut released = 0u32;
-            for_each_page_group(ctx, &sources, |ctx, s| {
-                let mut sobj = read_object(ctx.sm, ctx.cat, s)?;
-                if let Some((i, _)) = find_replica_ref(&sobj, group.id.0) {
-                    sobj.annotations.remove(i);
-                    write_object(ctx.sm, ctx.cat, s, &sobj)?;
-                    released += 1;
-                }
-                Ok(())
-            })?;
-            if released > 0 {
-                if let Some(t) = old_terminal {
-                    anchor_release(ctx.sm, ctx.cat, &group, t, released)?;
-                }
-            }
-            // Point them at the new terminal's replica.
-            if let Some(t) = new_terminal {
-                let roid = anchor_acquire(ctx.sm, ctx.cat, &group, t, sources.len() as u32)?;
-                for_each_page_group(ctx, &sources, |ctx, s| {
-                    let mut sobj = read_object(ctx.sm, ctx.cat, s)?;
-                    sobj.annotations.push(Annotation::ReplicaRef {
-                        group: group.id.0,
-                        oid: roid,
-                    });
-                    write_object(ctx.sm, ctx.cat, s, &sobj)
-                })?;
-            }
+        Ok(())
+    })?;
+    if released > 0 {
+        if let Some(t) = old_terminal {
+            anchor_release(ctx.sm, ctx.cat, group, t, released)?;
         }
+    }
+    // Point them at the new terminal's replica.
+    if let Some(t) = new_terminal {
+        let roid = anchor_acquire(ctx.sm, ctx.cat, group, t, sources.len() as u32)?;
+        for_each_page_group(ctx, sources, |ctx, s| {
+            let mut sobj = read_object(ctx.sm, ctx.cat, s)?;
+            sobj.annotations.push(Annotation::ReplicaRef {
+                group: group.id.0,
+                oid: roid,
+            });
+            write_object(ctx.sm, ctx.cat, s, &sobj)
+        })?;
     }
     Ok(())
 }
 
-/// §4.3.3: the intermediate's reference attribute changed. Move every
-/// entry tagged with this intermediate from the old terminal's collapsed
-/// store to the new one ("the OIDs of E1, E2, and E3 will have to be
-/// moved from O's link object to X's link object"), then refresh the
-/// moved sources' values. A broken new reference parks the entries on the
-/// intermediate itself so the routing survives.
-fn handle_collapsed_intermediate(
+/// §4.3.3: move the entries tagged `via` (`members`) from the old
+/// holder's collapsed store to the new one ("the OIDs of E1, E2, and E3
+/// will have to be moved from O's link object to X's link object"). A
+/// broken new reference parks them on the intermediate itself so the
+/// routing survives.
+fn move_collapsed_entries(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
     via: Oid,
-    old_ref: Option<Oid>,
-    new_ref: Option<Oid>,
+    old_holder: Oid,
+    new_terminal: Option<Oid>,
+    members: &[Oid],
 ) -> Result<()> {
-    let link = ctx.cat.link(path.links[0]).clone();
-
-    // 1. Extract this intermediate's entries from their current holder
-    //    (the old terminal, or parked on the intermediate).
-    let old_holder = old_ref.unwrap_or(via);
-    let mut moved: Vec<Oid> = Vec::new();
-    {
-        let hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
-        if let Some(head) = crate::collapsed::find_store(&hobj, link.id.0) {
-            let (srcs, remaining) =
-                crate::collapsed::store_remove_tagged(ctx.sm, &link, head, via)?;
-            moved = srcs;
-            if !moved.is_empty() && remaining == 0 {
-                let mut hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
-                hobj.annotations.retain(
-                    |a| !matches!(a, Annotation::LinkRef { link: l, .. } if *l == link.id.0),
-                );
-                write_object(ctx.sm, ctx.cat, old_holder, &hobj)?;
-            }
+    let link = ctx.cat.link(path.links[0]);
+    let hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
+    if let Some(head) = collapsed::find_store(&hobj, link.id.0) {
+        let (_, remaining) = collapsed::store_remove_tagged(ctx.sm, link, head, via)?;
+        if remaining == 0 {
+            let mut hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
+            hobj.annotations
+                .retain(|a| !matches!(a, Annotation::LinkRef { link: l, .. } if *l == link.id.0));
+            write_object(ctx.sm, ctx.cat, old_holder, &hobj)?;
         }
     }
-    if moved.is_empty() {
-        return Ok(());
-    }
-
-    // 2. Insert them at the new holder (new terminal, or parked).
-    let new_holder = new_ref.unwrap_or(via);
-    {
-        let hobj = read_object(ctx.sm, ctx.cat, new_holder)?;
-        match crate::collapsed::find_store(&hobj, link.id.0) {
-            Some(head) => {
-                for &s in &moved {
-                    crate::collapsed::store_add(ctx.sm, &link, head, (s, via))?;
-                }
-            }
-            None => {
-                let entries: Vec<(Oid, Oid)> = moved.iter().map(|&s| (s, via)).collect();
-                let head = crate::collapsed::create_store(ctx.sm, &link, &entries)?;
-                let mut hobj = read_object(ctx.sm, ctx.cat, new_holder)?;
-                hobj.annotations.push(Annotation::LinkRef {
-                    link: link.id.0,
-                    oid: head,
-                });
-                write_object(ctx.sm, ctx.cat, new_holder, &hobj)?;
-            }
-        }
-    }
-
-    // 3. Refresh the moved sources' values, in physical page order.
-    moved.sort_unstable();
-    moved.dedup();
-    match new_ref {
-        Some(t) => {
-            if path.propagation == Propagation::Deferred {
-                ctx.pending.add(
-                    path.id,
-                    PendingEntry::StaleSources {
-                        obj: t,
-                        link_level: 0,
-                    },
-                );
-            } else {
-                let tobj = read_object(ctx.sm, ctx.cat, t)?;
-                let values = terminal_values(path, &tobj);
-                for_each_page_group(ctx, &moved, |ctx, s| {
-                    set_source_replica_values(ctx, path, s, Some(values.clone()))
-                })?;
+    let new_holder = new_terminal.unwrap_or(via);
+    let hobj = read_object(ctx.sm, ctx.cat, new_holder)?;
+    match collapsed::find_store(&hobj, link.id.0) {
+        Some(head) => {
+            for &s in members {
+                collapsed::store_add(ctx.sm, link, head, (s, via))?;
             }
         }
         None => {
-            // Broken chain: values disappear (eagerly — a pending entry
-            // cannot express clearing).
-            for_each_page_group(ctx, &moved, |ctx, s| {
-                set_source_replica_values(ctx, path, s, None)
-            })?;
+            let entries: Vec<(Oid, Oid)> = members.iter().map(|&s| (s, via)).collect();
+            let head = collapsed::create_store(ctx.sm, link, &entries)?;
+            let mut hobj = read_object(ctx.sm, ctx.cat, new_holder)?;
+            hobj.annotations.push(Annotation::LinkRef {
+                link: link.id.0,
+                oid: head,
+            });
+            write_object(ctx.sm, ctx.cat, new_holder, &hobj)?;
         }
     }
     Ok(())

@@ -9,18 +9,19 @@
 //! shared replica object (separate, §5.2). This module makes that unit
 //! atomic without ever blocking readers:
 //!
-//! * **Writers** ([`Database::update_txn`]) compute the closure with
-//!   [`Database::write_footprint`] (a read-only mirror of the
-//!   [`propagate`](crate::propagate) dispatch), then acquire a per-OID
-//!   write lock on every member **in globally sorted OID order** through
-//!   the single blessed helper [`TxnManager::lock_sorted`]. Sorted
+//! * **Writers** ([`Database::update_txn`]) build the update's
+//!   [`RipplePlan`] — the one description of its fan-out, which the apply
+//!   executes too — then acquire a per-OID write lock on every member of
+//!   [`RipplePlan::oids`] **in globally sorted OID order** through the
+//!   single blessed helper [`TxnManager::lock_sorted`]. Sorted
 //!   acquisition over a total order makes deadlock impossible (every
 //!   wait edge points from a smaller held OID to a larger wanted one, so
 //!   the wait-for graph is acyclic); lint rule L4 statically enforces
-//!   that no other call site acquires a raw OID lock. Because the
-//!   closure is discovered by traversing the very structures concurrent
-//!   writers mutate, it is recomputed *under* the locks and the
-//!   acquisition retried (counted as `txn.conflict`) until the locked
+//!   that no other call site acquires a raw OID lock. The plan is built
+//!   without locks, by traversing the very structures concurrent writers
+//!   mutate, so it records each OID's version as the OID joins; if any
+//!   moved by the time the locks are held it is rebuilt *under* them and
+//!   the acquisition retried (counted as `txn.conflict`) until the locked
 //!   set covers it. Sorted-OID order is also the engine's batched-I/O
 //!   order ([`fieldrep_storage::oid_page_chunks`]), so locks are taken
 //!   in the same order pages are fetched.
@@ -44,17 +45,18 @@
 //! serialize on one coarse guard — the paper's experiments (and the
 //! concurrent bench) run without secondary indexes.
 
-use crate::attach::{collect_sources, read_path_values, terminal_values, walk_chain};
+use crate::attach::{read_path_values, terminal_values, walk_chain};
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::propagate::suffix_chain;
-use crate::replicas::{find_anchor, find_replica_ref};
-use fieldrep_catalog::{GroupId, LinkId, PathId, RepPathDef, Strategy};
-use fieldrep_model::{Annotation, Object, Value};
+use crate::propagate::apply_plan;
+use crate::replicas::find_replica_ref;
+use crate::ripple::RipplePlan;
+use fieldrep_catalog::{PathId, Strategy};
+use fieldrep_model::{Object, Value};
 use fieldrep_obs::{metrics, names as obs_names};
 use fieldrep_storage::{lockorder, Oid};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -68,8 +70,8 @@ const DEADLOCK_WATCHDOG: Duration = Duration::from_secs(10);
 /// Lock-table stripes (power of two; each stripe is a mutex-guarded map).
 const LOCK_STRIPES: usize = 64;
 
-/// Re-acquisition attempts before a writer gives up on a closure that
-/// keeps changing under it.
+/// Lock acquisitions before a writer gives up on a closure that keeps
+/// changing under it.
 const MAX_LOCK_ATTEMPTS: usize = 32;
 
 /// Process-wide transaction instruments (names in [`obs_names`]).
@@ -201,8 +203,6 @@ impl LockTable {
     }
 }
 
-/// Guard over a sorted set of acquired OID write locks. Dropping it
-/// bumps every version to even (ripple complete) and releases the locks.
 /// Guard for the coarse index-maintenance mutex; carries the runtime
 /// lock-order token (rank [`lockorder::TXN_INDEX_GUARD`]).
 pub(crate) struct IndexGuard<'a> {
@@ -210,8 +210,9 @@ pub(crate) struct IndexGuard<'a> {
     _order: lockorder::Held,
 }
 
-/// The sorted set of per-OID write locks one transactional write
-/// holds; releasing it (drop) bumps every member's version to even.
+/// Guard over the sorted set of per-OID write locks one transactional
+/// write holds. Dropping it bumps every member's version to even (ripple
+/// complete) and releases the locks.
 pub struct LockSet {
     oids: Vec<Oid>,
     locks: Vec<Arc<OidLock>>,
@@ -224,6 +225,18 @@ impl LockSet {
     /// Is every OID of `oids` (sorted or not) covered by this lock set?
     pub fn covers(&self, oids: &[Oid]) -> bool {
         oids.iter().all(|o| self.oids.binary_search(o).is_ok())
+    }
+
+    /// Was every member at version `seqs[i]` — even, so no writer was in
+    /// flight — immediately before this set locked it? `seqs` must align
+    /// with the OIDs the set was acquired over.
+    pub(crate) fn acquired_at(&self, seqs: &[u64]) -> bool {
+        self.locks.len() == seqs.len()
+            && self
+                .locks
+                .iter()
+                .zip(seqs)
+                .all(|(l, s)| s & 1 == 0 && l.seq.load(Ordering::Acquire) == s + 1)
     }
 
     /// Number of locked OIDs.
@@ -444,14 +457,6 @@ impl TxnManager {
     }
 }
 
-/// Ref value → OID, `None` for null/non-ref.
-fn as_oid(v: &Value) -> Option<Oid> {
-    match v {
-        Value::Ref(o) if !o.is_null() => Some(*o),
-        _ => None,
-    }
-}
-
 /// Backoff for optimistic-read retries: spin briefly, then yield.
 fn snapshot_backoff(attempt: u32) {
     if attempt < 64 {
@@ -462,168 +467,18 @@ fn snapshot_backoff(attempt: u32) {
 }
 
 impl Database {
-    /// The write-lock closure of `update(oid, changes)`: every OID whose
-    /// stored bytes the update may rewrite, plus every source object
-    /// whose replicated view of the ripple a snapshot reader validates.
-    /// A read-only mirror of the [`crate::propagate`] dispatch — the two
-    /// must stay in sync (the recompute-under-locks retry in
-    /// [`Database::update_txn`] absorbs races, not omissions).
+    /// Concurrent-safe [`Database::update`]: plan the update's fan-out
+    /// once, lock [`RipplePlan::oids`] in sorted OID order, apply the
+    /// plan, and version-bump every member so snapshot readers observe
+    /// the ripple atomically. Safe to call from many threads; writers
+    /// with disjoint closures run in parallel.
     ///
-    /// Returned sorted and deduplicated, ready for
-    /// [`TxnManager::lock_sorted`].
-    pub(crate) fn write_footprint(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<Vec<Oid>> {
-        let set = self.set_of(oid)?;
-        let cat = self.catalog();
-        let set_def = cat.set(set).clone();
-        let def = cat.type_def(set_def.elem_type).clone();
-        let old_obj = self.get(oid)?;
-
-        // Resolve to effective (index, old, new) changes; unknown fields
-        // and type errors are left for `update` to surface.
-        let mut field_changes: Vec<(usize, Value, Value)> = Vec::new();
-        for (name, new) in changes {
-            let Some(idx) = def.field_index(name) else {
-                continue;
-            };
-            let old = old_obj.values[idx].clone();
-            if old != *new {
-                field_changes.push((idx, old, new.clone()));
-            }
-        }
-        let mut fp: BTreeSet<Oid> = BTreeSet::new();
-        fp.insert(oid);
-        if field_changes.is_empty() {
-            return Ok(fp.into_iter().collect());
-        }
-
-        // --- Own paths whose first hop changes: both chains, old and new.
-        let changed_refs: BTreeSet<usize> = field_changes
-            .iter()
-            .filter(|(i, _, _)| def.fields[*i].ftype.is_ref())
-            .map(|(i, _, _)| *i)
-            .collect();
-        let own_paths: Vec<RepPathDef> = cat
-            .paths_from(set)
-            .filter(|p| changed_refs.contains(&p.hops[0]))
-            .cloned()
-            .collect();
-        for p in &own_paths {
-            let mut ctx = self.ctx();
-            let old_chain = walk_chain(&mut ctx, p, oid, &old_obj)?;
-            fp.extend(old_chain.iter().flatten().copied());
-            let mut new_obj = old_obj.clone();
-            for (i, _, new) in &field_changes {
-                new_obj.values[*i] = new.clone();
-            }
-            let new_chain = walk_chain(&mut ctx, p, oid, &new_obj)?;
-            fp.extend(new_chain.iter().flatten().copied());
-            if p.strategy == Strategy::Separate {
-                let Some(g) = p.group else { continue };
-                let group = cat.group(g).clone();
-                // The old shared replica (refcount may drop it) and the
-                // new terminal's existing replica.
-                if let Some((_, roid)) = find_replica_ref(&old_obj, group.id.0) {
-                    fp.insert(roid);
-                }
-                if let Some(t) = new_chain.last().copied().flatten() {
-                    let tobj = self.get(t)?;
-                    if let Some((_, roid, _)) = find_anchor(&tobj, group.id.0) {
-                        fp.insert(roid);
-                    }
-                }
-            }
-        }
-
-        // --- This object as a separate-group terminal: the shared replica.
-        for a in &old_obj.annotations {
-            if let Annotation::ReplicaAnchor {
-                group, oid: roid, ..
-            } = a
-            {
-                let gdef = cat.group(GroupId(*group)).clone();
-                if field_changes
-                    .iter()
-                    .any(|(f, _, _)| gdef.fields.contains(f))
-                {
-                    fp.insert(*roid);
-                }
-            }
-        }
-
-        // --- Link-borne: in-place terminal fan-out + intermediate hops.
-        let link_ids: Vec<u8> = old_obj
-            .annotations
-            .iter()
-            .filter_map(|a| match a {
-                Annotation::LinkRef { link, .. }
-                | Annotation::InlineLink { link, .. }
-                | Annotation::CollapsedVia { link } => Some(*link),
-                _ => None,
-            })
-            .collect();
-        for (f, old, new) in &field_changes {
-            for &l in &link_ids {
-                let link = LinkId(l);
-                let term_paths: Vec<RepPathDef> = cat
-                    .inplace_paths_terminating_at(link, *f)
-                    .cloned()
-                    .collect();
-                for p in term_paths {
-                    let mut ctx = self.ctx();
-                    fp.extend(collect_sources(&mut ctx, &p, p.links.len() - 1, &old_obj)?);
-                }
-                let mid_paths: Vec<RepPathDef> =
-                    cat.paths_with_intermediate(link, *f).cloned().collect();
-                for p in mid_paths {
-                    let old_ref = as_oid(old);
-                    let new_ref = as_oid(new);
-                    if p.collapsed {
-                        // §4.3.3 re-target: both holders and every member
-                        // of the old holder's tagged store (a superset of
-                        // the entries that actually move).
-                        fp.extend(old_ref);
-                        fp.extend(new_ref);
-                        let holder = old_ref.unwrap_or(oid);
-                        let hobj = self.get(holder)?;
-                        let mut ctx = self.ctx();
-                        fp.extend(collect_sources(&mut ctx, &p, 0, &hobj)?);
-                        continue;
-                    }
-                    let Some(lvl) = p.links.iter().position(|x| *x == link) else {
-                        continue;
-                    };
-                    let mut ctx = self.ctx();
-                    fp.extend(collect_sources(&mut ctx, &p, lvl, &old_obj)?);
-                    let old_chain = suffix_chain(&mut ctx, &p, lvl, oid, old_ref)?;
-                    fp.extend(old_chain.iter().flatten().copied());
-                    let new_chain = suffix_chain(&mut ctx, &p, lvl, oid, new_ref)?;
-                    fp.extend(new_chain.iter().flatten().copied());
-                    if p.strategy == Strategy::Separate {
-                        if let Some(g) = p.group {
-                            let group = cat.group(g).clone();
-                            let terminals = [
-                                old_chain.last().copied().flatten(),
-                                new_chain.last().copied().flatten(),
-                            ];
-                            for t in terminals.into_iter().flatten() {
-                                let tobj = self.get(t)?;
-                                if let Some((_, roid, _)) = find_anchor(&tobj, group.id.0) {
-                                    fp.insert(roid);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(fp.into_iter().collect())
-    }
-
-    /// Concurrent-safe [`Database::update`]: compute the fan-out
-    /// closure, lock it in sorted OID order, re-validate under the
-    /// locks, apply, and version-bump every member so snapshot readers
-    /// observe the ripple atomically. Safe to call from many threads;
-    /// writers with disjoint closures run in parallel.
+    /// The plan is built without locks and records every OID's version as
+    /// it joins (see [`crate::ripple`] for why that is sound). If the
+    /// versions held still when the locks were taken, the plan is applied
+    /// as built. Otherwise the world is frozen now: it is rebuilt under
+    /// the locks, and if a concurrent commit grew the closure past the
+    /// locked set, the sets are unioned and the acquisition retried.
     ///
     /// # Durability errors
     ///
@@ -642,50 +497,45 @@ impl Database {
         } else {
             None
         };
-        let mut fp = self.write_footprint(oid, changes)?;
+        // An unlocked build can fail on a structure it caught mid-rewire;
+        // it is then rebuilt with `oid` locked, where a real error repeats.
+        let mut plan = RipplePlan::build(self, Some(txn), oid, changes).ok();
+        let mut want = plan.as_ref().map_or(vec![oid], |p| p.oids().to_vec());
         for _ in 0..MAX_LOCK_ATTEMPTS {
-            let guard = txn.lock_sorted(&fp)?;
-            // The closure was discovered without locks; recompute now
-            // that the world is frozen. A concurrent commit in between
-            // may have rewired links or moved sources.
-            let check = self.write_footprint(oid, changes)?;
-            if guard.covers(&check) {
-                // Durability: hold the WAL apply section across
-                // apply+log so the log never interleaves two
-                // transactions' page images, then release it *before*
-                // the fsync so concurrent commits coalesce into one
-                // barrier (group commit).
-                let wal = self.sm().wal().cloned();
-                let apply_guard = wal.as_ref().map(|w| w.apply_lock());
-                // `apply_update`, not `update`: the guard is
-                // non-reentrant and we already hold it.
-                let result = self.apply_update(oid, changes);
-                if result.is_ok() {
-                    txn.note_commit_applied();
-                    if let Some(w) = &wal {
-                        let logged = self.sm().pool().log_txn_commit();
-                        drop(apply_guard);
-                        // Past this point the update is applied and
-                        // versions will publish on guard drop; a logging
-                        // or fsync failure is a *durability* failure,
-                        // not a rejected update.
-                        match logged {
-                            Ok(Some(lsn)) => {
-                                if let Err(e) = w.sync_to(lsn) {
-                                    return Err(DbError::CommitNotDurable(e));
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(e) => return Err(DbError::CommitNotDurable(e)),
-                        }
+            let guard = txn.lock_sorted(&want)?;
+            let current = match plan.take() {
+                Some(p) if guard.acquired_at(&p.seqs) => p,
+                _ => {
+                    let p = RipplePlan::build(self, Some(txn), oid, changes)?;
+                    if !guard.covers(p.oids()) {
+                        txn.note_conflict();
+                        drop(guard);
+                        want.extend_from_slice(p.oids());
+                        want.sort_unstable();
+                        want.dedup();
+                        continue;
                     }
+                    p
                 }
-                return result; // guard drop publishes the versions
-            }
-            txn.note_conflict();
-            drop(guard);
-            let merged: BTreeSet<Oid> = fp.into_iter().chain(check).collect();
-            fp = merged.into_iter().collect();
+            };
+            // Durability: hold the WAL apply section across apply+log so
+            // the log never interleaves two transactions' page images,
+            // then release it *before* the fsync so concurrent commits
+            // coalesce into one barrier (group commit).
+            let wal = self.sm().wal();
+            let logged = self.with_apply_section(|db| {
+                apply_plan(&mut db.ctx(), current)?;
+                txn.note_commit_applied();
+                Ok(wal.map(|_| db.sm().pool().log_txn_commit()))
+            })?;
+            // Past this point the update is applied and versions will
+            // publish on guard drop; a logging or fsync failure is a
+            // *durability* failure, not a rejected update.
+            return match (wal, logged) {
+                (Some(w), Some(Ok(Some(lsn)))) => w.sync_to(lsn).map_err(DbError::CommitNotDurable),
+                (_, Some(Err(e))) => Err(DbError::CommitNotDurable(e)),
+                _ => Ok(()),
+            };
         }
         Err(DbError::Unsupported(
             "update_txn: write-lock closure kept changing under contention".into(),
@@ -741,9 +591,9 @@ impl Database {
     /// reader must not write) and may serve pre-ripple values, which is
     /// the §8 deferral contract.
     pub fn snapshot_path_values(&self, source: Oid, path: PathId) -> Result<Option<Vec<Value>>> {
-        let pdef = self.catalog().path(path).clone();
+        let pdef = self.catalog().path(path);
         let group = match (pdef.strategy, pdef.group) {
-            (Strategy::Separate, Some(g)) => Some(self.catalog().group(g).clone()),
+            (Strategy::Separate, Some(g)) => Some(self.catalog().group(g)),
             _ => None,
         };
         let txn = self.txn();
@@ -773,7 +623,7 @@ impl Database {
                 }
             };
             let mut watch: Vec<(Oid, u64)> = vec![(source, s1)];
-            if let Some(g) = &group {
+            if let Some(g) = group {
                 if let Some((_, roid)) = find_replica_ref(&obj, g.id.0) {
                     let r1 = txn.seq_of(roid);
                     if r1 & 1 == 1 {
@@ -784,7 +634,7 @@ impl Database {
             }
             let vals = {
                 let mut ctx = self.ctx();
-                match read_path_values(&mut ctx, &pdef, &obj) {
+                match read_path_values(&mut ctx, pdef, &obj) {
                     Ok(v) => v,
                     Err(e) => {
                         if watch.iter().any(|&(o, s)| txn.seq_of(o) != s) {
@@ -817,9 +667,9 @@ impl Database {
         source: Oid,
         path: PathId,
     ) -> Result<(Option<Vec<Value>>, Option<Vec<Value>>)> {
-        let pdef = self.catalog().path(path).clone();
+        let pdef = self.catalog().path(path);
         let group = match (pdef.strategy, pdef.group) {
-            (Strategy::Separate, Some(g)) => Some(self.catalog().group(g).clone()),
+            (Strategy::Separate, Some(g)) => Some(self.catalog().group(g)),
             _ => None,
         };
         let txn = self.txn();
@@ -848,7 +698,7 @@ impl Database {
                 }
             };
             let mut watch: Vec<(Oid, u64)> = vec![(source, s1)];
-            if let Some(g) = &group {
+            if let Some(g) = group {
                 if let Some((_, roid)) = find_replica_ref(&obj, g.id.0) {
                     let r1 = txn.seq_of(roid);
                     if r1 & 1 == 1 {
@@ -860,7 +710,7 @@ impl Database {
             let invalidated = |watch: &[(Oid, u64)]| watch.iter().any(|&(o, s)| txn.seq_of(o) != s);
             let (visible, chain) = {
                 let mut ctx = self.ctx();
-                let visible = match read_path_values(&mut ctx, &pdef, &obj) {
+                let visible = match read_path_values(&mut ctx, pdef, &obj) {
                     Ok(v) => v,
                     Err(e) => {
                         if invalidated(&watch) {
@@ -869,7 +719,7 @@ impl Database {
                         return Err(e);
                     }
                 };
-                let chain = match walk_chain(&mut ctx, &pdef, source, &obj) {
+                let chain = match walk_chain(&mut ctx, pdef, source, &obj) {
                     Ok(c) => c,
                     Err(e) => {
                         if invalidated(&watch) {
@@ -896,7 +746,7 @@ impl Database {
                             return Err(e);
                         }
                     };
-                    Some(terminal_values(&pdef, &tobj))
+                    Some(terminal_values(pdef, &tobj))
                 }
                 None => None,
             };
@@ -998,11 +848,16 @@ mod tests {
     }
 
     #[test]
-    fn footprint_of_terminal_update_is_the_fanout_closure() {
+    fn plan_of_terminal_update_locks_the_fanout_closure() {
         let (db, d, emps, _p) = db_with_path(Strategy::InPlace);
-        let fp = db
-            .write_footprint(d, &[("name", Value::Str("Boots".into()))])
-            .unwrap();
+        let plan = RipplePlan::build(
+            &db,
+            Some(db.txn()),
+            d,
+            &[("name", Value::Str("Boots".into()))],
+        )
+        .unwrap();
+        let fp = plan.oids();
         assert!(fp.contains(&d), "updated object");
         for e in &emps {
             assert!(fp.contains(e), "every fan-out source");
@@ -1011,11 +866,16 @@ mod tests {
     }
 
     #[test]
-    fn footprint_of_separate_update_includes_the_shared_replica() {
+    fn plan_of_separate_update_locks_the_shared_replica() {
         let (db, d, emps, p) = db_with_path(Strategy::Separate);
-        let fp = db
-            .write_footprint(d, &[("name", Value::Str("Boots".into()))])
-            .unwrap();
+        let plan = RipplePlan::build(
+            &db,
+            Some(db.txn()),
+            d,
+            &[("name", Value::Str("Boots".into()))],
+        )
+        .unwrap();
+        let fp = plan.oids();
         assert!(fp.contains(&d));
         // The shared replica object is versioned; the sources are not
         // rewritten by a separate refresh, but readers discover the
@@ -1025,6 +885,57 @@ mod tests {
         let g = db.catalog().group(pdef.group.unwrap()).clone();
         let (_, roid) = find_replica_ref(&obj, g.id.0).unwrap();
         assert!(fp.contains(&roid), "shared replica object in closure");
+    }
+
+    #[test]
+    fn stale_plan_is_rejected_and_the_replan_covers_the_new_chain() {
+        // ORG ← DEPT ← EMP with `Emp.dept.org.name` in place.
+        let mut db = Database::in_memory(DbConfig::default());
+        db.define_type(TypeDef::new("ORG", vec![("name", FieldType::Str)]))
+            .unwrap();
+        db.define_type(TypeDef::new(
+            "DEPT",
+            vec![("org", FieldType::Ref("ORG".into()))],
+        ))
+        .unwrap();
+        db.define_type(TypeDef::new(
+            "EMP",
+            vec![("dept", FieldType::Ref("DEPT".into()))],
+        ))
+        .unwrap();
+        for (set, ty) in [("Org", "ORG"), ("Dept", "DEPT"), ("Emp", "EMP")] {
+            db.create_set(set, ty).unwrap();
+        }
+        let org = |db: &Database, n: &str| db.insert("Org", vec![Value::Str(n.into())]).unwrap();
+        let (o1, o2) = (org(&db, "Acme"), org(&db, "Globex"));
+        let d1 = db.insert("Dept", vec![Value::Ref(o1)]).unwrap();
+        let d2 = db.insert("Dept", vec![Value::Ref(o1)]).unwrap();
+        let e = db.insert("Emp", vec![Value::Ref(d1)]).unwrap();
+        db.replicate("Emp.dept.org.name", Strategy::InPlace)
+            .unwrap();
+
+        // Plan `e.dept := d2`: the new chain is [e, d2, o1].
+        let changes = [("dept", Value::Ref(d2))];
+        let plan = RipplePlan::build(&db, Some(db.txn()), e, &changes).unwrap();
+        assert!(plan.oids().contains(&o1) && !plan.oids().contains(&o2));
+
+        // A commit re-points d2 to o2, rewiring the planned chain.
+        db.update_txn(d2, &[("org", Value::Ref(o2))]).unwrap();
+        let guard = db.txn().lock_sorted(plan.oids()).unwrap();
+        assert!(
+            !guard.acquired_at(&plan.seqs),
+            "d2 moved after it joined the plan"
+        );
+        let replan = RipplePlan::build(&db, Some(db.txn()), e, &changes).unwrap();
+        assert!(replan.oids().contains(&o2), "re-plan follows the new chain");
+        assert!(!guard.covers(replan.oids()), "so the locked set must grow");
+        drop(guard);
+
+        // A plan nobody disturbs validates (`replan` itself was built while
+        // its members were held, i.e. at odd versions).
+        let fresh = RipplePlan::build(&db, Some(db.txn()), e, &changes).unwrap();
+        let guard = db.txn().lock_sorted(fresh.oids()).unwrap();
+        assert!(guard.acquired_at(&fresh.seqs));
     }
 
     #[test]

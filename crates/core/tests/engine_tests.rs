@@ -724,6 +724,119 @@ fn base_field_index_maintenance() {
 }
 
 #[test]
+fn field_named_twice_takes_its_last_value_everywhere() {
+    // One resolved change per field, last assignment wins — for the stored
+    // value, the B-tree, the object's own re-target (hop 0) and the
+    // intermediate re-point (hop 1) alike, through both doors.
+    for txn in [false, true] {
+        let mut db = employee_db(DbConfig::default());
+        let w = populate(&mut db);
+        let p1 = db.replicate("Emp1.dept.name", Strategy::InPlace).unwrap();
+        let p2 = db
+            .replicate("Emp1.dept.org.name", Strategy::InPlace)
+            .unwrap();
+        let idx = db
+            .create_index("Emp1.salary", IndexKind::Unclustered)
+            .unwrap();
+        let tree = fieldrep_btree::BTreeIndex::open(db.catalog().index(idx).file);
+        let update = |db: &Database, oid, changes: &[(&str, Value)]| {
+            if txn {
+                db.update_txn(oid, changes)
+            } else {
+                db.update(oid, changes)
+            }
+            .unwrap();
+        };
+
+        // e0 sits in d0 (Shoe, Acme): indexed field and hop 0, each twice.
+        let e = w.emps1[0];
+        update(
+            &db,
+            e,
+            &[
+                ("salary", Value::Int(2)),
+                ("dept", Value::Ref(w.depts[1])),
+                ("salary", Value::Int(3)),
+                ("dept", Value::Ref(w.depts[2])),
+            ],
+        );
+        assert_eq!(db.get_field(e, "salary").unwrap(), Value::Int(3));
+        let key = |v| fieldrep_core::value_key(&Value::Int(v));
+        assert_eq!(tree.lookup(db.sm(), &key(3)).unwrap(), vec![e]);
+        assert!(tree.lookup(db.sm(), &key(2)).unwrap().is_empty());
+        assert_eq!(tree.entry_count(db.sm()).unwrap(), 9);
+        assert_eq!(db.path_values(e, p1).unwrap(), Some(vec![sval("Tool")]));
+        assert_eq!(db.path_values(e, p2).unwrap(), Some(vec![sval("Globex")]));
+        check_consistency(&mut db);
+
+        // d1 (Toy, Acme) re-points its org twice; it must end on Globex.
+        update(
+            &db,
+            w.depts[1],
+            &[
+                ("org", Value::Ref(Oid::NULL)),
+                ("org", Value::Ref(w.orgs[1])),
+            ],
+        );
+        assert_eq!(
+            db.path_values(w.emps1[1], p2).unwrap(),
+            Some(vec![sval("Globex")])
+        );
+        check_consistency(&mut db);
+    }
+}
+
+#[test]
+fn retargeting_a_self_reference_and_renaming_in_one_update() {
+    // An employee who is their own manager is the source, the terminal and
+    // the anchor of their own chain. One update that re-targets `mgr` and
+    // renames must release the old `S'` replica (the last reference to it
+    // was the employee's own) rather than refresh it: the new manager's
+    // replica is created in the freed slot.
+    for txn in [false, true] {
+        let mut db = Database::in_memory(DbConfig::default());
+        db.define_type(TypeDef::new(
+            "EMP",
+            vec![
+                ("name", FieldType::Str),
+                ("mgr", FieldType::Ref("EMP".into())),
+            ],
+        ))
+        .unwrap();
+        db.create_set("Emp", "EMP").unwrap();
+        let sep = db.replicate("Emp.mgr.name", Strategy::Separate).unwrap();
+        let two = db.replicate("Emp.mgr.mgr.name", Strategy::InPlace).unwrap();
+        let emp = |db: &Database, name| db.insert("Emp", vec![sval(name), Value::Ref(Oid::NULL)]);
+        let (e1, e2) = (emp(&db, "a").unwrap(), emp(&db, "b").unwrap());
+        let update = |db: &Database, oid, changes: &[(&str, Value)]| {
+            if txn {
+                db.update_txn(oid, changes)
+            } else {
+                db.update(oid, changes)
+            }
+            .unwrap();
+        };
+
+        update(&db, e1, &[("mgr", Value::Ref(e1))]);
+        assert_eq!(db.path_values(e1, sep).unwrap(), Some(vec![sval("a")]));
+        assert_eq!(db.path_values(e1, two).unwrap(), Some(vec![sval("a")]));
+        update(&db, e1, &[("mgr", Value::Ref(e2)), ("name", sval("x"))]);
+        assert_eq!(db.path_values(e1, sep).unwrap(), Some(vec![sval("b")]));
+        assert_eq!(db.path_values(e1, two).unwrap(), None);
+        check_consistency(&mut db);
+
+        // Close a two-cycle, then re-enter the self-cycle while renaming:
+        // the new chain comes back to e1 and continues through its *new*
+        // reference.
+        update(&db, e2, &[("mgr", Value::Ref(e1))]);
+        update(&db, e1, &[("mgr", Value::Ref(e1)), ("name", sval("y"))]);
+        assert_eq!(db.path_values(e1, two).unwrap(), Some(vec![sval("y")]));
+        assert_eq!(db.path_values(e2, two).unwrap(), Some(vec![sval("y")]));
+        check_consistency(&mut db);
+    }
+}
+
+#[test]
 fn replicate_before_and_after_population_agree() {
     // Declaring replication before inserts (incremental maintenance) and
     // after inserts (bulk build) must produce identical logical state.

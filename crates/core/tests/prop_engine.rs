@@ -2,16 +2,20 @@
 //! after ANY sequence of inserts, deletes, scalar updates and reference
 //! re-targets, every replicated structure must agree with the forward
 //! references — for in-place and separate strategies simultaneously, over
-//! 1- and 2-level paths with shared prefixes.
+//! 1- and 2-level paths with shared prefixes. Every update op additionally
+//! checks that its `RipplePlan` covers it: the objects whose stored bytes
+//! the update changed are a subset of the OIDs the plan would lock.
 
 mod common;
 
 use common::check_consistency;
 use fieldrep_catalog::{Propagation, Strategy as RepStrategy};
+use fieldrep_core::ripple::RipplePlan;
 use fieldrep_core::{Database, DbConfig, DbError};
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_storage::Oid;
+use fieldrep_storage::{HeapFile, Oid};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -128,6 +132,42 @@ fn build_db_full(
     (db, orgs, depts, vec![])
 }
 
+/// The stored bytes of every data object and every `S'` replica object
+/// (the things a plan locks; link objects have no OID lock).
+fn stored_objects(db: &Database) -> BTreeMap<Oid, Vec<u8>> {
+    let cat = db.catalog();
+    let files = cat
+        .sets()
+        .iter()
+        .map(|s| s.file)
+        .chain(cat.groups().map(|g| g.file));
+    let mut out = BTreeMap::new();
+    for file in files {
+        let mut scan = HeapFile::open(file).scan(db.sm()).unwrap();
+        while let Some((oid, _, payload)) = scan.next_record().unwrap() {
+            out.insert(oid, payload);
+        }
+    }
+    out
+}
+
+/// `db.update`, asserting `{OIDs whose bytes changed} ⊆ plan.oids()`. A
+/// replica object the update creates has no OID until it runs, so only
+/// objects that existed before are compared.
+fn update(db: &Database, oid: Oid, changes: &[(&str, Value)]) {
+    let plan = RipplePlan::build(db, Some(db.txn()), oid, changes).unwrap();
+    let before = stored_objects(db);
+    db.update(oid, changes).unwrap();
+    let after = stored_objects(db);
+    for (o, bytes) in &before {
+        assert!(
+            after.get(o) == Some(bytes) || plan.oids().contains(o),
+            "update of {oid} ({changes:?}) rewrote {o}, which its plan does not lock: {:?}",
+            plan.oids()
+        );
+    }
+}
+
 fn run_ops(threshold: usize, ops: Vec<Op>) {
     run_ops_with(threshold, Propagation::Eager, ops);
 }
@@ -204,7 +244,7 @@ fn run_ops_full(threshold: usize, propagation: Propagation, collapsed: bool, ops
                 } else {
                     depts[(d - 1) % depts.len()]
                 };
-                db.update(emp, &[("dept", Value::Ref(dept))]).unwrap();
+                update(&db, emp, &[("dept", Value::Ref(dept))]);
             }
             Op::RetargetDept(d, o) => {
                 let dept = depts[d % depts.len()];
@@ -213,28 +253,26 @@ fn run_ops_full(threshold: usize, propagation: Propagation, collapsed: bool, ops
                 } else {
                     orgs[(o - 1) % orgs.len()]
                 };
-                db.update(dept, &[("org", Value::Ref(org))]).unwrap();
+                update(&db, dept, &[("org", Value::Ref(org))]);
             }
             Op::RenameDept(d, n) => {
                 let dept = depts[d % depts.len()];
-                db.update(dept, &[("name", Value::Str(format!("dn{n}")))])
-                    .unwrap();
+                update(&db, dept, &[("name", Value::Str(format!("dn{n}")))]);
             }
             Op::RenameOrg(o, n) => {
                 let org = orgs[o % orgs.len()];
-                db.update(
+                update(
+                    &db,
                     org,
                     &[
                         ("name", Value::Str(format!("on{n}"))),
                         ("name2", Value::Str(format!("on{n}b"))),
                     ],
-                )
-                .unwrap();
+                );
             }
             Op::BudgetDept(d, b) => {
                 let dept = depts[d % depts.len()];
-                db.update(dept, &[("budget", Value::Int(b as i64))])
-                    .unwrap();
+                update(&db, dept, &[("budget", Value::Int(b as i64))]);
             }
         }
         // Deferred mode: sync sporadically mid-run (every 7th op) so the
@@ -275,5 +313,148 @@ proptest! {
     #[test]
     fn engine_invariants_hold_collapsed(ops in proptest::collection::vec(op(), 1..60)) {
         run_ops_full(0, Propagation::Eager, true, ops);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reference cycles: one self-referential type, so an object can be its
+// own source, intermediate and terminal at once, and one update can
+// re-target its own chain *and* change the fields that chain replicates.
+// Paths have at most one intermediate level and none is collapsed: a chain
+// that visits the updated object at two intermediate levels, and a
+// collapsed store on a type that is its own intermediate, are outside
+// what the engine maintains (DESIGN.md section 10).
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum CycleOp {
+    Insert(usize, u8), // mgr pick (0 = NULL), salary
+    Delete(usize),
+    /// Re-target `mgr` (0 = NULL; may pick the employee itself), optionally
+    /// renaming and re-paying in the same update.
+    Retarget(usize, usize, Option<u8>, Option<u8>),
+    Rename(usize, u8),
+    Pay(usize, u8),
+}
+
+fn cycle_op() -> impl Strategy<Value = CycleOp> {
+    let some = || proptest::option::of(any::<u8>());
+    prop_oneof![
+        1 => (0..100usize, any::<u8>()).prop_map(|(m, s)| CycleOp::Insert(m, s)),
+        1 => (0..100usize).prop_map(CycleOp::Delete),
+        6 => (0..100usize, 0..100usize, some(), some())
+            .prop_map(|(e, m, n, s)| CycleOp::Retarget(e, m, n, s)),
+        1 => (0..100usize, any::<u8>()).prop_map(|(e, n)| CycleOp::Rename(e, n)),
+        1 => (0..100usize, any::<u8>()).prop_map(|(e, s)| CycleOp::Pay(e, s)),
+    ]
+}
+
+fn run_cycle_ops(threshold: usize, propagation: Propagation, ops: Vec<CycleOp>) {
+    let mut db = Database::in_memory(DbConfig {
+        pool_pages: 1024,
+        inline_link_threshold: threshold,
+    });
+    db.define_type(TypeDef::new(
+        "EMP",
+        vec![
+            ("name", FieldType::Str),
+            ("salary", FieldType::Int),
+            ("mgr", FieldType::Ref("EMP".into())),
+        ],
+    ))
+    .unwrap();
+    db.create_set("Emp", "EMP").unwrap();
+    let emp = |db: &Database, mgr: Oid, s: u8| {
+        let values = vec![
+            Value::Str(format!("e{s}")),
+            Value::Int(s as i64),
+            Value::Ref(mgr),
+        ];
+        db.insert("Emp", values).unwrap()
+    };
+    // Few employees, so a random pick often closes a cycle of length 1-3.
+    let mut emps = vec![emp(&db, Oid::NULL, 0)];
+    emps.push(emp(&db, emps[0], 1));
+    emps.push(emp(&db, emps[1], 2));
+    for (path, strategy) in [
+        ("Emp.mgr.name", RepStrategy::InPlace),
+        ("Emp.mgr.mgr.name", RepStrategy::InPlace),
+        ("Emp.mgr.salary", RepStrategy::Separate),
+        ("Emp.mgr.mgr.salary", RepStrategy::Separate),
+    ] {
+        db.replicate_with(path, strategy, propagation).unwrap();
+    }
+    let pick = |emps: &[Oid], m: usize| match m % (emps.len() + 1) {
+        0 => Oid::NULL,
+        i => emps[i - 1],
+    };
+
+    for (tick, op) in ops.into_iter().enumerate() {
+        match op {
+            CycleOp::Insert(m, s) => {
+                let e = emp(&db, pick(&emps, m), s);
+                emps.push(e);
+            }
+            CycleOp::Delete(i) => {
+                let idx = i % emps.len();
+                match db.delete(emps[idx]) {
+                    Ok(()) => {
+                        emps.remove(idx);
+                    }
+                    Err(DbError::StillReferenced(_)) => {} // fine: in use
+                    Err(e) => panic!("unexpected delete error: {e}"),
+                }
+                if emps.is_empty() {
+                    emps.push(emp(&db, Oid::NULL, 0));
+                }
+            }
+            CycleOp::Retarget(e, m, n, s) => {
+                let mut changes = vec![("mgr", Value::Ref(pick(&emps, m)))];
+                if let Some(n) = n {
+                    changes.push(("name", Value::Str(format!("n{n}"))));
+                }
+                if let Some(s) = s {
+                    changes.push(("salary", Value::Int(s as i64)));
+                }
+                update(&db, emps[e % emps.len()], &changes);
+            }
+            CycleOp::Rename(e, n) => {
+                let name = Value::Str(format!("r{n}"));
+                update(&db, emps[e % emps.len()], &[("name", name)]);
+            }
+            CycleOp::Pay(e, s) => {
+                update(
+                    &db,
+                    emps[e % emps.len()],
+                    &[("salary", Value::Int(s as i64))],
+                );
+            }
+        }
+        if propagation == Propagation::Deferred && tick % 3 != 0 {
+            continue; // let deferred work pile up across a few ops
+        }
+        db.sync_all_pending().unwrap();
+        check_consistency(&mut db);
+    }
+    db.sync_all_pending().unwrap();
+    check_consistency(&mut db);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn cycles_keep_invariants_no_inlining(ops in proptest::collection::vec(cycle_op(), 1..40)) {
+        run_cycle_ops(0, Propagation::Eager, ops);
+    }
+
+    #[test]
+    fn cycles_keep_invariants_with_inlining(ops in proptest::collection::vec(cycle_op(), 1..40)) {
+        run_cycle_ops(2, Propagation::Eager, ops);
+    }
+
+    #[test]
+    fn cycles_keep_invariants_deferred(ops in proptest::collection::vec(cycle_op(), 1..40)) {
+        run_cycle_ops(0, Propagation::Deferred, ops);
     }
 }

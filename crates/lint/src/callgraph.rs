@@ -579,7 +579,8 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
             }
 
             // Acquire patterns.
-            if let Some((lock, is_try, plen)) = locks::match_acquire(toks, i, rel) {
+            if let Some((lock, pattern)) = locks::match_acquire(toks, i, rel) {
+                let (is_try, plen) = (pattern.is_try, pattern.toks.len());
                 let held = f.held();
                 let line = toks[i + plen - 2].line;
                 // `.data_mut(` is both a frame-lock acquire and a
@@ -659,6 +660,14 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                 }
                 let binding = f.let_ctx.clone().filter(|_| !projected);
                 match binding {
+                    // Held inside the closure block that follows.
+                    _ if pattern.closure => f.guards.push(LiveGuard {
+                        lock,
+                        line,
+                        name: None,
+                        depth: depth + 1,
+                        transient: false,
+                    }),
                     Some((name, if_let)) => f.guards.push(LiveGuard {
                         lock,
                         line,

@@ -61,6 +61,10 @@ pub struct AcquirePattern {
     pub scope: Option<&'static str>,
     /// Non-blocking acquisition: no L5 order edge, but held afterwards.
     pub is_try: bool,
+    /// The call runs a closure argument under the lock: held for the
+    /// block that follows (the closure body), not to the end of the
+    /// statement.
+    pub closure: bool,
 }
 
 /// One named lock with its place in the global order.
@@ -89,6 +93,7 @@ const fn pat(toks: &'static [&'static str]) -> AcquirePattern {
         toks,
         scope: None,
         is_try: false,
+        closure: false,
     }
 }
 
@@ -97,6 +102,7 @@ const fn pat_in(toks: &'static [&'static str], scope: &'static str) -> AcquirePa
         toks,
         scope: Some(scope),
         is_try: false,
+        closure: false,
     }
 }
 
@@ -138,9 +144,16 @@ pub const LOCKS: &[LockDef] = &[
         acquires: &[
             pat(&[".", "apply_lock", "("]),
             AcquirePattern {
+                toks: &[".", "with_apply_section", "("],
+                scope: None,
+                is_try: false,
+                closure: true,
+            },
+            AcquirePattern {
                 toks: &[".", "try_apply_lock", "("],
                 scope: None,
                 is_try: true,
+                closure: false,
             },
             pat_in(&["apply", ".", "lock", "("], "crates/storage/src/wal"),
         ],
@@ -315,12 +328,16 @@ pub fn pattern_matches(toks: &[Tok], at: usize, pattern: &[&str]) -> bool {
 }
 
 /// Try to match any registered acquire pattern at `toks[at..]` in a
-/// file at `rel`. Returns `(lock, is_try, pattern_len)`.
-pub fn match_acquire(toks: &[Tok], at: usize, rel: &str) -> Option<(LockId, bool, usize)> {
+/// file at `rel`. Returns the lock and the pattern that matched.
+pub fn match_acquire(
+    toks: &[Tok],
+    at: usize,
+    rel: &str,
+) -> Option<(LockId, &'static AcquirePattern)> {
     for (id, def) in LOCKS.iter().enumerate() {
         for p in def.acquires {
             if p.scope.is_none_or(|s| rel.starts_with(s)) && pattern_matches(toks, at, p.toks) {
-                return Some((id, p.is_try, p.toks.len()));
+                return Some((id, p));
             }
         }
     }

@@ -1,5 +1,6 @@
-//! Fixture database: exactly one L7 violation — a `pub` `&self` entry
-//! point reaching a storage mutation outside the WAL apply section —
+//! Fixture database: two L7 violations — `pub` `&self` entry points
+//! reaching a storage mutation outside the WAL apply section, one with no
+//! section at all and one after the combinator's closure has ended —
 //! plus the covered, suppressed, and exempt shapes that stay silent.
 
 pub struct Database {
@@ -34,6 +35,23 @@ impl Database {
     pub fn touch_exclusive(&mut self, oid: Oid) {
         // Fine: &mut self means no concurrent commit sweep can observe
         // a torn apply.
+        self.heap.rec_delete(&self.sm, oid);
+    }
+
+    pub fn touch_in_section(&self, oid: Oid) {
+        // Fine: the closure body runs under the section the combinator
+        // takes.
+        self.with_apply_section(|db| {
+            db.heap.rec_update(&db.sm, oid, &[]);
+        });
+    }
+
+    // L7 fires here too: the section ends with the closure, and the
+    // second mutation runs after it.
+    pub fn touch_after_section(&self, oid: Oid) {
+        self.with_apply_section(|db| {
+            db.heap.rec_update(&db.sm, oid, &[]);
+        });
         self.heap.rec_delete(&self.sm, oid);
     }
 }

@@ -148,17 +148,30 @@ fn lockflow_rules_fire_exactly_once_on_the_lockflow_fixture() {
         "{:?}",
         r.diags
     );
-    // L7: the one unguarded pub &self entry point; the covered,
-    // suppressed, private, and &mut self shapes stay silent.
-    assert_eq!(rule_diags(&r, "L7"), [("crates/core/src/database.rs", 13)]);
-    assert!(
-        r.diags.iter().any(|d| d.rule == "L7"
-            && d.msg.contains("`Database::touch`")
-            && d.msg.contains("rec_insert")),
-        "{:?}",
-        r.diags
+    // L7: the unguarded pub &self entry point, and the one that mutates
+    // after its `with_apply_section` closure has ended; the covered
+    // (guard-bound and closure-scoped), suppressed, private, and
+    // &mut self shapes stay silent.
+    assert_eq!(
+        rule_diags(&r, "L7"),
+        [
+            ("crates/core/src/database.rs", 14),
+            ("crates/core/src/database.rs", 51)
+        ]
     );
-    assert_eq!(r.diags.len(), 3, "no other diagnostics: {:?}", r.diags);
+    for (entry, mutation) in [
+        ("`Database::touch`", "rec_insert"),
+        ("`Database::touch_after_section`", "rec_delete"),
+    ] {
+        assert!(
+            r.diags
+                .iter()
+                .any(|d| d.rule == "L7" && d.msg.contains(entry) && d.msg.contains(mutation)),
+            "{:?}",
+            r.diags
+        );
+    }
+    assert_eq!(r.diags.len(), 4, "no other diagnostics: {:?}", r.diags);
     // The reasoned allow on `touch_inherited` suppresses (not silences)
     // its finding, and counts toward the ratchet.
     assert_eq!(
@@ -166,7 +179,7 @@ fn lockflow_rules_fire_exactly_once_on_the_lockflow_fixture() {
             .iter()
             .map(|d| (d.rule, d.file.as_str(), d.line))
             .collect::<Vec<_>>(),
-        [("L7", "crates/core/src/database.rs", 24)]
+        [("L7", "crates/core/src/database.rs", 25)]
     );
     assert_eq!(r.suppressions, 1);
 }
