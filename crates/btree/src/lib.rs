@@ -33,7 +33,7 @@ use fieldrep_obs::{metrics, names as obs_names, Span};
 use fieldrep_storage::{
     FileId, Oid, PageId, PageKind, PageMut, Result, StorageError, StorageManager,
 };
-use node::{entry_size, Node, Payload, NODE_CAPACITY};
+use node::{entry_size, Node, NodeView, Payload, NODE_CAPACITY};
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide count of B⁺-tree node splits (`btree.splits`).
@@ -63,11 +63,6 @@ fn composite(key: &[u8], oid: Oid) -> Vec<u8> {
     k.extend_from_slice(key);
     k.extend_from_slice(&oid.to_bytes());
     k
-}
-
-fn split_composite(comp: &[u8]) -> (Vec<u8>, Oid) {
-    let n = comp.len() - 8;
-    (comp[..n].to_vec(), Oid::from_bytes(&comp[n..]))
 }
 
 impl BTreeIndex {
@@ -117,10 +112,32 @@ impl BTreeIndex {
         Ok(self.meta(sm)?.1)
     }
 
-    fn load_node(&self, sm: &StorageManager, page: u32) -> Result<Node> {
+    /// Run `f` over a borrowed view of node `page`, under its frame's read
+    /// latch. `f` must not call back into the pool: the latch is held.
+    fn with_node<R>(
+        &self,
+        sm: &StorageManager,
+        page: u32,
+        f: impl FnOnce(NodeView<'_>) -> Result<R>,
+    ) -> Result<R> {
         let h = sm.pool().fetch(PageId::new(self.file, page))?;
         let data = h.data();
-        Ok(Node::parse(&data[..]))
+        f(NodeView::new(&data[..])?)
+    }
+
+    /// Copy node `page` out for mutation.
+    fn load_node(&self, sm: &StorageManager, page: u32) -> Result<Node> {
+        self.with_node(sm, page, |n| n.to_node())
+    }
+
+    /// Descend from the root to the leaf whose key range holds `comp`,
+    /// routing in place on each internal page.
+    fn find_leaf(&self, sm: &StorageManager, root: u32, height: u16, comp: &[u8]) -> Result<u32> {
+        let mut page = root;
+        for _ in 1..height {
+            page = self.with_node(sm, page, |n| n.route(comp))?.1;
+        }
+        Ok(page)
     }
 
     fn store_node(&self, sm: &StorageManager, page: u32, node: &Node) -> Result<()> {
@@ -145,7 +162,7 @@ impl BTreeIndex {
         let _span = Span::enter(obs_names::BTREE_INSERT);
         let comp = composite(key, oid);
         let (root, height, count) = self.meta(sm)?;
-        if let Some((sep, right_page)) = self.insert_rec(sm, root, &comp, oid)? {
+        if let Some((sep, right_page)) = self.insert_rec(sm, root, height, &comp, oid)? {
             // Root split: make a new root above.
             let old_root_min = self.min_key_of(sm, root)?;
             let mut new_root = Node::new(false);
@@ -160,25 +177,35 @@ impl BTreeIndex {
     }
 
     fn min_key_of(&self, sm: &StorageManager, page: u32) -> Result<Vec<u8>> {
-        let node = self.load_node(sm, page)?;
-        Ok(node
-            .entries
-            .first()
-            .map(|(k, _)| k.clone())
-            .unwrap_or_default())
+        self.with_node(sm, page, |n| {
+            let first = n.entries().next().transpose()?;
+            Ok(first.map(|(k, _)| k.to_vec()).unwrap_or_default())
+        })
     }
 
-    /// Recursive insert; returns `Some((min_key_of_new_right, new_page))`
-    /// if this node split.
+    /// Recursive insert into the node at `level` (1 = leaf); returns
+    /// `Some((min_key_of_new_right, new_page))` if this node split. Internal
+    /// nodes are routed in place and copied out only when a child split
+    /// hands them a separator to take.
     fn insert_rec(
         &self,
         sm: &StorageManager,
         page: u32,
+        level: u16,
         comp: &[u8],
         oid: Oid,
     ) -> Result<Option<(Vec<u8>, u32)>> {
-        let mut node = self.load_node(sm, page)?;
-        if node.is_leaf {
+        let mut node = if level > 1 {
+            let (slot, child) = self.with_node(sm, page, |n| n.route(comp))?;
+            let Some((sep, right)) = self.insert_rec(sm, child, level - 1, comp, oid)? else {
+                return Ok(None);
+            };
+            let mut node = self.load_node(sm, page)?;
+            node.entries.insert(slot + 1, (sep, Payload::Child(right)));
+            node
+        } else {
+            let mut node = self.load_node(sm, page)?;
+            debug_assert!(node.is_leaf);
             let idx = node.lower_bound(comp);
             if node
                 .entries
@@ -191,15 +218,8 @@ impl BTreeIndex {
                 )));
             }
             node.entries.insert(idx, (comp.to_vec(), Payload::Rid(oid)));
-        } else {
-            let (slot, child) = node.route(comp);
-            if let Some((sep, right)) = self.insert_rec(sm, child, comp, oid)? {
-                let at = slot + 1;
-                node.entries.insert(at, (sep, Payload::Child(right)));
-            } else {
-                return Ok(None);
-            }
-        }
+            node
+        };
         if node.used_bytes() <= NODE_CAPACITY {
             self.store_node(sm, page, &node)?;
             return Ok(None);
@@ -223,11 +243,7 @@ impl BTreeIndex {
     pub fn delete(&self, sm: &StorageManager, key: &[u8], oid: Oid) -> Result<bool> {
         let comp = composite(key, oid);
         let (root, height, count) = self.meta(sm)?;
-        let mut page = root;
-        for _ in 1..height {
-            let node = self.load_node(sm, page)?;
-            page = node.route(&comp).1;
-        }
+        let page = self.find_leaf(sm, root, height, &comp)?;
         let mut leaf = self.load_node(sm, page)?;
         debug_assert!(leaf.is_leaf);
         let idx = leaf.lower_bound(&comp);
@@ -248,56 +264,56 @@ impl BTreeIndex {
     /// All OIDs stored under exactly `key`, in OID order.
     pub fn lookup(&self, sm: &StorageManager, key: &[u8]) -> Result<Vec<Oid>> {
         let _span = Span::enter(obs_names::BTREE_LOOKUP);
-        Ok(self
-            .range(sm, key, key)?
-            .into_iter()
-            .map(|(_, oid)| oid)
-            .collect())
+        let mut out = Vec::new();
+        self.for_each_in_range(sm, key, key, |_, oid| out.push(oid))?;
+        Ok(out)
     }
 
     /// All `(key, oid)` entries with `lo ≤ key ≤ hi` (user keys, both
     /// inclusive), in key order.
     pub fn range(&self, sm: &StorageManager, lo: &[u8], hi: &[u8]) -> Result<Vec<Entry>> {
+        let mut out = Vec::new();
+        self.for_each_in_range(sm, lo, hi, |key, oid| out.push((key.to_vec(), oid)))?;
+        Ok(out)
+    }
+
+    /// Visit every entry with `lo ≤ key ≤ hi` (user keys, both inclusive)
+    /// in key order, as `f(user_key, oid)`, without materialising nodes or
+    /// keys: each page is searched in place and `user_key` borrows from it.
+    ///
+    /// `f` runs while the leaf's frame is read-latched, so it must not call
+    /// back into the storage manager (a fetch may need that very frame, or
+    /// wait on the pool behind a writer that is waiting for this latch).
+    /// Collect what is needed and act on it after the call returns.
+    pub fn for_each_in_range(
+        &self,
+        sm: &StorageManager,
+        lo: &[u8],
+        hi: &[u8],
+        mut f: impl FnMut(&[u8], Oid),
+    ) -> Result<()> {
         let span = Span::enter(obs_names::BTREE_RANGE);
         let lo_comp = composite(lo, Oid::new(FileId(0), 0, 0));
         let mut hi_comp = hi.to_vec();
         hi_comp.extend_from_slice(&[0xFF; 8]);
 
         let (root, height, _) = self.meta(sm)?;
-        let mut page = root;
-        for _ in 1..height {
-            let node = self.load_node(sm, page)?;
-            page = node.route(&lo_comp).1;
+        let mut next = Some(self.find_leaf(sm, root, height, &lo_comp)?);
+        // Only the first leaf can hold keys below `lo`; emptied
+        // (lazily-deleted) leaves fall through to their successor.
+        let mut lo = Some(lo_comp.as_slice());
+        let mut entries = 0usize;
+        while let Some(page) = next {
+            next = self.with_node(sm, page, |leaf| {
+                leaf.visit_range(lo, &hi_comp, |comp, oid| {
+                    entries += 1;
+                    f(&comp[..comp.len().saturating_sub(8)], oid);
+                })
+            })?;
+            lo = None;
         }
-        let mut out = Vec::new();
-        loop {
-            let leaf = self.load_node(sm, page)?;
-            debug_assert!(leaf.is_leaf);
-            for (k, p) in &leaf.entries {
-                if k.as_slice() < lo_comp.as_slice() {
-                    continue;
-                }
-                if k.as_slice() > hi_comp.as_slice() {
-                    span.note("entries", out.len());
-                    return Ok(out);
-                }
-                let (user, oid_from_key) = split_composite(k);
-                match p {
-                    Payload::Rid(oid) => {
-                        debug_assert_eq!(*oid, oid_from_key);
-                        out.push((user, *oid));
-                    }
-                    Payload::Child(_) => unreachable!("leaf holds RIDs"),
-                }
-            }
-            match leaf.next_leaf {
-                Some(next) => page = next,
-                None => {
-                    span.note("entries", out.len());
-                    return Ok(out);
-                }
-            }
-        }
+        span.note("entries", entries);
+        Ok(())
     }
 
     /// Every entry in the index, in key order.

@@ -187,3 +187,156 @@ fn full_fill_bulk_load_splits_on_insert() {
     assert_eq!(all.len(), 5500);
     assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
 }
+
+#[test]
+fn range_windows_at_every_alignment_to_leaf_boundaries() {
+    let sm = sm();
+    let entries: Vec<Entry> = (0..2000i64)
+        .map(|i| (keys::encode_i64(i * 3).to_vec(), oid(i as u32)))
+        .collect();
+    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    assert!(idx.pages(&sm).unwrap() > 10, "several leaves");
+    // ~155 entries per leaf: 500 consecutive 20-key windows start before,
+    // on, straddling and after at least three leaf boundaries, with bounds
+    // on stored keys and between them.
+    for first in 0..500i64 {
+        for (lo, hi) in [(first * 3, first * 3 + 57), (first * 3 - 1, first * 3 + 58)] {
+            let hits = idx
+                .range(&sm, &keys::encode_i64(lo), &keys::encode_i64(hi))
+                .unwrap();
+            let got: Vec<i64> = hits.iter().map(|(k, _)| keys::decode_i64(k)).collect();
+            let want: Vec<i64> = (first..first + 20).map(|i| i * 3).collect();
+            assert_eq!(got, want, "window [{lo}, {hi}]");
+            assert_eq!(hits[0].1, oid(first as u32));
+        }
+    }
+    // `hi` below the first entry; `lo` below it and `hi` inside.
+    assert!(idx
+        .range(&sm, &keys::encode_i64(-50), &keys::encode_i64(-1))
+        .unwrap()
+        .is_empty());
+    let hits = idx
+        .range(&sm, &keys::encode_i64(-50), &keys::encode_i64(6))
+        .unwrap();
+    assert_eq!(hits.len(), 3);
+}
+
+#[test]
+fn point_range_over_duplicates_spanning_leaves() {
+    let sm = sm();
+    let idx = BTreeIndex::create(&sm).unwrap();
+    // 100-byte keys: ~34 entries per leaf, so 50 duplicates of one user
+    // key necessarily continue into the next leaf.
+    let key = |i: i64| {
+        let mut k = vec![0xCD; 100];
+        k.extend_from_slice(&keys::encode_i64(i));
+        k
+    };
+    for i in 0..200i64 {
+        idx.insert(&sm, &key(i), oid(i as u32)).unwrap();
+    }
+    for d in (0..50u32).rev() {
+        idx.insert(&sm, &key(77), oid(1000 + d)).unwrap();
+    }
+    let hits = idx.range(&sm, &key(77), &key(77)).unwrap();
+    assert_eq!(hits.len(), 51);
+    assert!(hits.iter().all(|(k, _)| *k == key(77)));
+    assert!(hits.windows(2).all(|w| w[0].1 < w[1].1), "OID order");
+    assert_eq!(
+        idx.lookup(&sm, &key(77)).unwrap(),
+        hits.iter().map(|(_, o)| *o).collect::<Vec<_>>()
+    );
+    let mut visited = 0;
+    idx.for_each_in_range(&sm, &key(77), &key(77), |k, _| {
+        assert_eq!(k, key(77));
+        visited += 1;
+    })
+    .unwrap();
+    assert_eq!(visited, 51);
+}
+
+#[test]
+fn hostile_node_page_is_a_typed_error_not_a_panic() {
+    use fieldrep_storage::{PageId, PageKind, PageMut, StorageError};
+    let sm = sm();
+    let entries: Vec<Entry> = (0..1000i64)
+        .map(|i| (keys::encode_i64(i).to_vec(), oid(i as u32)))
+        .collect();
+    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    assert_eq!(idx.height(&sm).unwrap(), 2);
+    // Page 2 is the first leaf a bulk load writes (0 is the meta page, 1
+    // the empty root `create` left behind): turn it into something else.
+    let leaf = sm.pool().fetch(PageId::new(idx.file, 2)).unwrap();
+    let saved = leaf.data().to_vec();
+    PageMut::new(&mut leaf.data_mut()[..]).init(PageKind::Heap);
+    let key = keys::encode_i64(3);
+    assert!(matches!(
+        idx.range(&sm, &key, &key),
+        Err(StorageError::Corrupt(_))
+    ));
+    assert!(matches!(
+        idx.lookup(&sm, &key),
+        Err(StorageError::Corrupt(_))
+    ));
+    assert!(matches!(idx.scan_all(&sm), Err(StorageError::Corrupt(_))));
+    assert!(matches!(
+        idx.delete(&sm, &key, oid(3)),
+        Err(StorageError::Corrupt(_))
+    ));
+    assert!(matches!(
+        idx.insert(&sm, &key, oid(9999)),
+        Err(StorageError::Corrupt(_))
+    ));
+    // An entry count running past the page.
+    leaf.data_mut().copy_from_slice(&saved);
+    leaf.data_mut()[40..42].copy_from_slice(&u16::MAX.to_le_bytes());
+    assert!(matches!(idx.scan_all(&sm), Err(StorageError::Corrupt(_))));
+    // Restored, the tree answers again.
+    leaf.data_mut().copy_from_slice(&saved);
+    assert_eq!(idx.scan_all(&sm).unwrap().len(), 1000);
+}
+
+/// FNV-1a over every page of the index file, in page order.
+fn file_fingerprint(sm: &StorageManager, idx: &BTreeIndex) -> (u32, u64) {
+    let pages = idx.pages(sm).unwrap();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for p in 0..pages {
+        let page = sm
+            .pool()
+            .fetch(fieldrep_storage::PageId::new(idx.file, p))
+            .unwrap();
+        for &b in page.data().iter() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (pages, h)
+}
+
+#[test]
+fn file_bytes_match_the_owned_node_implementation() {
+    // The same operations, run by the code before nodes were read through
+    // a borrowed view (every node parsed into an owned `Node`), produced
+    // exactly these pages: the on-page format and the split/placement
+    // decisions are unchanged, so files written by either open in both.
+    let sm = sm();
+    let idx = BTreeIndex::create(&sm).unwrap();
+    let key = |i: u32| {
+        keys::encode_bytes(format!("k{}", i.wrapping_mul(2_654_435_761) % 5000).as_bytes())
+    };
+    for i in 0..6000u32 {
+        idx.insert(&sm, &key(i), oid(i)).unwrap();
+    }
+    for i in (0..6000u32).step_by(3) {
+        assert!(idx.delete(&sm, &key(i), oid(i)).unwrap());
+    }
+    for i in 6000..6500u32 {
+        idx.insert(&sm, &key(i), oid(i)).unwrap();
+    }
+    let all = idx.scan_all(&sm).unwrap();
+    assert_eq!(all.len(), 4500);
+    assert!(all
+        .windows(2)
+        .all(|w| (&w[0].0, w[0].1) < (&w[1].0, w[1].1)));
+    assert_eq!(idx.height(&sm).unwrap(), 2);
+    assert_eq!(file_fingerprint(&sm, &idx), (62, 6_870_923_918_513_344_098));
+}

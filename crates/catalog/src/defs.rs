@@ -164,6 +164,9 @@ pub struct RepPathDef {
     pub id: PathId,
     /// The original expression.
     pub expr: PathExpr,
+    /// `expr` in dotted form, rendered once at declaration: the key every
+    /// statement records its workload statistics under.
+    pub expr_text: String,
     /// The source set (whose objects receive replicated values).
     pub set: SetId,
     /// Ref-field indexes for each hop, from the set's element type to the

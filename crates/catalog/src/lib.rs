@@ -518,6 +518,7 @@ impl Catalog {
         self.paths.push(Some(RepPathDef {
             id: path_id,
             expr: expr.clone(),
+            expr_text: expr.to_string(),
             set: resolved.set,
             hops: resolved.hops,
             node_types: resolved.node_types,

@@ -379,6 +379,7 @@ pub fn decode(bytes: &[u8]) -> Result<Catalog> {
         };
         cat.paths.push(Some(RepPathDef {
             id: PathId(slot as u16),
+            expr_text: expr.to_string(),
             expr,
             set,
             hops,

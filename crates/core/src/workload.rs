@@ -180,7 +180,11 @@ impl WorkloadStats {
         let delta = {
             let mut map = self.shard(path).write();
             let is_new = !map.contains_key(path);
-            let w = map.entry(path.to_string()).or_default();
+            // The key is copied only the first time a path is seen.
+            let w = match map.get_mut(path) {
+                Some(w) => w,
+                None => map.entry(path.to_string()).or_default(),
+            };
             let old_w = w.read_pages_ewma * w.reads as f64;
             let seeded = w.reads > 0;
             w.read_pages_ewma = ewma_fold(w.read_pages_ewma, seeded, per_read);

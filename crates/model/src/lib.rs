@@ -16,7 +16,7 @@ pub mod types;
 pub mod value;
 
 pub use error::ModelError;
-pub use object::{Annotation, Object};
+pub use object::{Annotation, Object, ObjectView};
 pub use path::PathExpr;
 pub use types::{FieldDef, FieldType, TypeDef, TypeId};
 pub use value::Value;

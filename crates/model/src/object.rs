@@ -31,7 +31,7 @@
 
 use crate::error::ModelError;
 use crate::types::{FieldType, TypeDef, TypeId};
-use crate::value::Value;
+use crate::value::{le, Value};
 use fieldrep_storage::Oid;
 
 /// Hidden, engine-managed data carried by an object (see module docs).
@@ -93,11 +93,15 @@ pub enum Annotation {
     },
 }
 
+/// Encoding tags of the two annotations a read looks up by id.
+const TAG_REPLICA_VALUE: u8 = 1;
+const TAG_REPLICA_REF: u8 = 4;
+
 impl Annotation {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Annotation::ReplicaValue { path, values } => {
-                out.push(1);
+                out.push(TAG_REPLICA_VALUE);
                 out.extend_from_slice(&path.to_le_bytes());
                 out.extend_from_slice(&Value::encode_list(values));
             }
@@ -116,7 +120,7 @@ impl Annotation {
                 }
             }
             Annotation::ReplicaRef { group, oid } => {
-                out.push(4);
+                out.push(TAG_REPLICA_REF);
                 out.extend_from_slice(&group.to_le_bytes());
                 out.extend_from_slice(&oid.to_bytes());
             }
@@ -137,85 +141,189 @@ impl Annotation {
         }
     }
 
-    fn decode(b: &[u8]) -> Result<(Annotation, usize), ModelError> {
-        let tag = *b.first().ok_or(ModelError::Truncated)?;
-        match tag {
-            1 => {
-                let path = u16::from_le_bytes(
-                    b.get(1..3)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
+    /// Encoded width of the annotation at the head of `b`, without
+    /// decoding it.
+    fn len_at(b: &[u8]) -> Result<usize, ModelError> {
+        match *b.first().ok_or(ModelError::Truncated)? {
+            TAG_REPLICA_VALUE => {
                 let body = b.get(3..).ok_or(ModelError::Truncated)?;
-                let values = Value::decode_list(body)?;
-                let used: usize = 1 + values.iter().map(|v| v.encode().len()).sum::<usize>();
-                Ok((Annotation::ReplicaValue { path, values }, 3 + used))
+                Ok(3 + Value::list_len_at(body)?)
             }
-            2 => {
-                let link = *b.get(1).ok_or(ModelError::Truncated)?;
-                let oid = Oid::from_bytes(b.get(2..10).ok_or(ModelError::Truncated)?);
-                Ok((Annotation::LinkRef { link, oid }, 10))
-            }
-            3 => {
-                let link = *b.get(1).ok_or(ModelError::Truncated)?;
-                let n = u16::from_le_bytes(
-                    b.get(2..4)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                ) as usize;
-                let mut oids = Vec::with_capacity(n);
-                let mut off = 4;
-                for _ in 0..n {
-                    oids.push(Oid::from_bytes(
-                        b.get(off..off + 8).ok_or(ModelError::Truncated)?,
-                    ));
-                    off += 8;
-                }
-                Ok((Annotation::InlineLink { link, oids }, off))
-            }
-            4 => {
-                let group = u16::from_le_bytes(
-                    b.get(1..3)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
-                let oid = Oid::from_bytes(b.get(3..11).ok_or(ModelError::Truncated)?);
-                Ok((Annotation::ReplicaRef { group, oid }, 11))
-            }
-            5 => {
-                let group = u16::from_le_bytes(
-                    b.get(1..3)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
-                let oid = Oid::from_bytes(b.get(3..11).ok_or(ModelError::Truncated)?);
-                let refcount = u32::from_le_bytes(
-                    b.get(11..15)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
-                Ok((
-                    Annotation::ReplicaAnchor {
-                        group,
-                        oid,
-                        refcount,
-                    },
-                    15,
-                ))
-            }
-            6 => {
-                let link = *b.get(1).ok_or(ModelError::Truncated)?;
-                Ok((Annotation::CollapsedVia { link }, 2))
-            }
+            2 => Ok(10),
+            3 => Ok(4 + 8 * u16::from_le_bytes(le(b, 2)?) as usize),
+            TAG_REPLICA_REF => Ok(11),
+            5 => Ok(15),
+            6 => Ok(2),
             other => Err(ModelError::BadEncoding(format!(
                 "bad annotation tag {other}"
             ))),
         }
+    }
+
+    /// Decode one annotation from exactly its bytes (see [`Annotations`]).
+    fn decode(b: &[u8]) -> Result<Annotation, ModelError> {
+        let oid_at = |off| Ok(Oid::from_bytes(&le::<8>(b, off)?));
+        let id = || Ok(u16::from_le_bytes(le(b, 1)?));
+        Ok(match b[0] {
+            TAG_REPLICA_VALUE => Annotation::ReplicaValue {
+                path: id()?,
+                values: Value::decode_list(&b[3..])?,
+            },
+            2 => Annotation::LinkRef {
+                link: b[1],
+                oid: oid_at(2)?,
+            },
+            3 => Annotation::InlineLink {
+                link: b[1],
+                oids: b[4..].chunks_exact(8).map(Oid::from_bytes).collect(),
+            },
+            TAG_REPLICA_REF => Annotation::ReplicaRef {
+                group: id()?,
+                oid: oid_at(3)?,
+            },
+            5 => Annotation::ReplicaAnchor {
+                group: id()?,
+                oid: oid_at(3)?,
+                refcount: u32::from_le_bytes(le(b, 11)?),
+            },
+            6 => Annotation::CollapsedVia { link: b[1] },
+            other => {
+                return Err(ModelError::BadEncoding(format!(
+                    "bad annotation tag {other}"
+                )))
+            }
+        })
+    }
+}
+
+/// Walks an annotation section (`[count u8][annotations…]`), yielding each
+/// annotation's exact bytes undecoded.
+struct Annotations<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Annotations<'a> {
+    fn new(section: &'a [u8]) -> Result<Annotations<'a>, ModelError> {
+        let (&n, rest) = section.split_first().ok_or(ModelError::Truncated)?;
+        Ok(Annotations {
+            rest,
+            left: n as usize,
+        })
+    }
+}
+
+impl<'a> Iterator for Annotations<'a> {
+    type Item = Result<&'a [u8], ModelError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let split = Annotation::len_at(self.rest)
+            .and_then(|len| self.rest.split_at_checked(len).ok_or(ModelError::Truncated));
+        Some(split.map(|(a, rest)| {
+            self.rest = rest;
+            a
+        }))
+    }
+}
+
+/// Step over the stored field of type `ftype` at the head of `rest` and
+/// decode it. With `want` false the caller is only skipping: a string is
+/// neither validated nor copied and the value returned means nothing. The
+/// one place that knows how a base field is laid out — [`Object::decode`]
+/// wants every field, [`ObjectView`] the one it is asked for.
+#[inline(always)]
+fn read_field(ftype: &FieldType, rest: &mut &[u8], want: bool) -> Result<Value, ModelError> {
+    let mut take = |n: usize| {
+        let (head, tail) = rest.split_at_checked(n).ok_or(ModelError::Truncated)?;
+        *rest = tail;
+        Ok(head)
+    };
+    Ok(match ftype {
+        FieldType::Int => Value::Int(i64::from_le_bytes(le(take(8)?, 0)?)),
+        FieldType::Float => Value::Float(f64::from_le_bytes(le(take(8)?, 0)?)),
+        FieldType::Str => {
+            let len = u16::from_le_bytes(le(take(2)?, 0)?) as usize;
+            let bytes = take(len)?;
+            if !want {
+                return Ok(Value::Unit);
+            }
+            let s = std::str::from_utf8(bytes)
+                .map_err(|_| ModelError::BadEncoding("non-UTF-8 string".into()))?;
+            Value::Str(s.to_string())
+        }
+        FieldType::Ref(_) => Value::Ref(Oid::from_bytes(take(8)?)),
+        FieldType::Pad(n) => {
+            take(*n as usize)?;
+            Value::Unit
+        }
+    })
+}
+
+/// Borrowed access to an encoded object payload: decodes only what is
+/// asked for, straight from the stored bytes — how a read takes a base
+/// field, or the hidden field replication put beside it, without
+/// materialising the [`Object`].
+#[derive(Clone, Copy, Debug)]
+pub struct ObjectView<'a> {
+    def: &'a TypeDef,
+    bytes: &'a [u8],
+}
+
+impl<'a> ObjectView<'a> {
+    /// View `bytes`, a payload of type `def`. Nothing is read until asked.
+    pub fn new(def: &'a TypeDef, bytes: &'a [u8]) -> ObjectView<'a> {
+        ObjectView { def, bytes }
+    }
+
+    /// Base field `idx` (schema order).
+    pub fn field(&self, idx: usize) -> Result<Value, ModelError> {
+        let mut rest = self.bytes;
+        for (i, f) in self.def.fields.iter().enumerate() {
+            let v = read_field(&f.ftype, &mut rest, i == idx)?;
+            if i == idx {
+                return Ok(v);
+            }
+        }
+        Err(ModelError::NoSuchField(format!(
+            "#{idx} of {}",
+            self.def.name
+        )))
+    }
+
+    /// The annotation with encoding tag `tag` and id `id`, decoded; the
+    /// fields and the annotations before it are stepped over.
+    fn find(&self, tag: u8, id: u16) -> Result<Option<Annotation>, ModelError> {
+        let mut rest = self.bytes;
+        for f in &self.def.fields {
+            read_field(&f.ftype, &mut rest, false)?;
+        }
+        for a in Annotations::new(rest)? {
+            let a = a?;
+            if a[0] == tag && u16::from_le_bytes(le(a, 1)?) == id {
+                return Annotation::decode(a).map(Some);
+            }
+        }
+        Ok(None)
+    }
+
+    /// The hidden replicated values for replication path `path`, if any
+    /// (what [`Object::replica_values`] returns for the decoded object).
+    pub fn replica_values(&self, path: u16) -> Result<Option<Vec<Value>>, ModelError> {
+        Ok(match self.find(TAG_REPLICA_VALUE, path)? {
+            Some(Annotation::ReplicaValue { values, .. }) => Some(values),
+            _ => None,
+        })
+    }
+
+    /// The shared replica object this source reads path group `group`
+    /// through, if any.
+    pub fn replica_ref(&self, group: u16) -> Result<Option<Oid>, ModelError> {
+        Ok(match self.find(TAG_REPLICA_REF, group)? {
+            Some(Annotation::ReplicaRef { oid, .. }) => Some(oid),
+            _ => None,
+        })
     }
 }
 
@@ -337,67 +445,15 @@ impl Object {
 
     /// Decode an object payload (inverse of [`Object::encode`]).
     pub fn decode(type_id: TypeId, def: &TypeDef, b: &[u8]) -> Result<Object, ModelError> {
-        let mut off = 0;
+        let mut rest = b;
         let mut values = Vec::with_capacity(def.fields.len());
         for f in &def.fields {
-            match &f.ftype {
-                FieldType::Int => {
-                    let v = i64::from_le_bytes(
-                        b.get(off..off + 8)
-                            .ok_or(ModelError::Truncated)?
-                            .try_into()
-                            .unwrap(),
-                    );
-                    off += 8;
-                    values.push(Value::Int(v));
-                }
-                FieldType::Float => {
-                    let v = f64::from_le_bytes(
-                        b.get(off..off + 8)
-                            .ok_or(ModelError::Truncated)?
-                            .try_into()
-                            .unwrap(),
-                    );
-                    off += 8;
-                    values.push(Value::Float(v));
-                }
-                FieldType::Str => {
-                    let len = u16::from_le_bytes(
-                        b.get(off..off + 2)
-                            .ok_or(ModelError::Truncated)?
-                            .try_into()
-                            .unwrap(),
-                    ) as usize;
-                    off += 2;
-                    let bytes = b.get(off..off + len).ok_or(ModelError::Truncated)?;
-                    off += len;
-                    values.push(Value::Str(
-                        std::str::from_utf8(bytes)
-                            .map_err(|_| ModelError::BadEncoding("non-UTF-8 string".into()))?
-                            .to_string(),
-                    ));
-                }
-                FieldType::Ref(_) => {
-                    let o = Oid::from_bytes(b.get(off..off + 8).ok_or(ModelError::Truncated)?);
-                    off += 8;
-                    values.push(Value::Ref(o));
-                }
-                FieldType::Pad(n) => {
-                    off += *n as usize;
-                    if off > b.len() {
-                        return Err(ModelError::Truncated);
-                    }
-                    values.push(Value::Unit);
-                }
-            }
+            values.push(read_field(&f.ftype, &mut rest, true)?);
         }
-        let n_ann = *b.get(off).ok_or(ModelError::Truncated)? as usize;
-        off += 1;
-        let mut annotations = Vec::with_capacity(n_ann);
-        for _ in 0..n_ann {
-            let (a, used) = Annotation::decode(&b[off..])?;
-            off += used;
-            annotations.push(a);
+        let section = Annotations::new(rest)?;
+        let mut annotations = Vec::with_capacity(section.left);
+        for a in section {
+            annotations.push(Annotation::decode(a?)?);
         }
         Ok(Object {
             type_id,
@@ -487,6 +543,59 @@ mod tests {
             &[Value::Str("Sales".into()), Value::Int(7)]
         );
         assert_eq!(back.replica_values(5), None);
+    }
+
+    #[test]
+    fn view_reads_what_the_decoded_object_holds() {
+        let (def, mut obj) = sample();
+        // The looked-up annotations sit behind ones of every other shape.
+        obj.annotations.push(Annotation::CollapsedVia { link: 5 });
+        obj.annotations.push(Annotation::InlineLink {
+            link: 2,
+            oids: vec![Oid::new(FileId(1), 1, 1), Oid::new(FileId(1), 2, 2)],
+        });
+        obj.set_replica_values(3, vec![Value::Str("other".into())]);
+        obj.annotations.push(Annotation::ReplicaAnchor {
+            group: 9,
+            oid: Oid::new(FileId(8), 0, 1),
+            refcount: 17,
+        });
+        obj.set_replica_values(4, vec![Value::Str("Sales".into()), Value::Unit]);
+        obj.annotations.push(Annotation::LinkRef {
+            link: 1,
+            oid: Oid::new(FileId(5), 6, 7),
+        });
+        obj.annotations.push(Annotation::ReplicaRef {
+            group: 9,
+            oid: Oid::new(FileId(8), 0, 0),
+        });
+        let enc = obj.encode(&def);
+        let view = ObjectView::new(&def, &enc);
+        for (i, v) in obj.values.iter().enumerate() {
+            assert_eq!(&view.field(i).unwrap(), v);
+        }
+        assert!(matches!(view.field(5), Err(ModelError::NoSuchField(_))));
+        for path in [3, 4, 5] {
+            assert_eq!(
+                view.replica_values(path).unwrap().as_deref(),
+                obj.replica_values(path)
+            );
+        }
+        assert_eq!(
+            view.replica_ref(9).unwrap(),
+            Some(Oid::new(FileId(8), 0, 0))
+        );
+        assert_eq!(view.replica_ref(8).unwrap(), None);
+        // A cut anywhere is an error from whichever accessor reaches it,
+        // never a panic and never a wrong value.
+        for cut in 0..enc.len() {
+            let short = ObjectView::new(&def, &enc[..cut]);
+            assert!(Object::decode(TypeId(3), &def, &enc[..cut]).is_err());
+            assert!(short.replica_ref(9).is_err(), "cut at {cut}");
+            for (i, v) in obj.values.iter().enumerate() {
+                assert!(short.field(i).map_or(true, |got| &got == v));
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,13 @@ use crate::types::FieldType;
 use fieldrep_storage::Oid;
 use std::fmt;
 
+/// `N` bytes of `b` at `off`, or `Truncated`.
+pub(crate) fn le<const N: usize>(b: &[u8], off: usize) -> Result<[u8; N], ModelError> {
+    b.get(off..off + N)
+        .and_then(|s| s.try_into().ok())
+        .ok_or(ModelError::Truncated)
+}
+
 /// A runtime value of one field.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Value {
@@ -118,31 +125,10 @@ impl Value {
     pub fn decode(b: &[u8]) -> Result<(Value, usize), ModelError> {
         let tag = *b.first().ok_or(ModelError::Truncated)?;
         match tag {
-            1 => {
-                let v = i64::from_le_bytes(
-                    b.get(1..9)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
-                Ok((Value::Int(v), 9))
-            }
-            2 => {
-                let v = f64::from_le_bytes(
-                    b.get(1..9)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
-                Ok((Value::Float(v), 9))
-            }
+            1 => Ok((Value::Int(i64::from_le_bytes(le(b, 1)?)), 9)),
+            2 => Ok((Value::Float(f64::from_le_bytes(le(b, 1)?)), 9)),
             3 => {
-                let len = u16::from_le_bytes(
-                    b.get(1..3)
-                        .ok_or(ModelError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                ) as usize;
+                let len = u16::from_le_bytes(le(b, 1)?) as usize;
                 let bytes = b.get(3..3 + len).ok_or(ModelError::Truncated)?;
                 let s = std::str::from_utf8(bytes)
                     .map_err(|_| ModelError::BadEncoding("non-UTF-8 string".into()))?;
@@ -155,6 +141,26 @@ impl Value {
             5 => Ok((Value::Unit, 1)),
             other => Err(ModelError::BadEncoding(format!("bad value tag {other}"))),
         }
+    }
+
+    /// Encoded width of the value list at the head of `b`, stepping over
+    /// its values without decoding them.
+    pub(crate) fn list_len_at(b: &[u8]) -> Result<usize, ModelError> {
+        let n = *b.first().ok_or(ModelError::Truncated)?;
+        let mut off = 1;
+        for _ in 0..n {
+            let v = b.get(off..).ok_or(ModelError::Truncated)?;
+            off += match (v.first(), v.get(1..3)) {
+                (Some(1 | 2 | 4), _) => 9,
+                (Some(3), Some(len)) => 3 + u16::from_le_bytes([len[0], len[1]]) as usize,
+                (Some(5), _) => 1,
+                (Some(3) | None, _) => return Err(ModelError::Truncated),
+                (Some(other), _) => {
+                    return Err(ModelError::BadEncoding(format!("bad value tag {other}")))
+                }
+            };
+        }
+        Ok(off)
     }
 
     /// Encode a list of values (used for replica objects in separate

@@ -47,6 +47,12 @@ impl From<CatalogError> for QueryError {
     }
 }
 
+impl From<fieldrep_model::ModelError> for QueryError {
+    fn from(e: fieldrep_model::ModelError) -> Self {
+        QueryError::Db(DbError::Model(e))
+    }
+}
+
 impl From<StorageError> for QueryError {
     fn from(e: StorageError) -> Self {
         QueryError::Db(DbError::Storage(e))

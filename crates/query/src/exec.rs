@@ -10,11 +10,10 @@ use crate::error::{QueryError, Result};
 use crate::plan::{plan_access, plan_projection, AccessPlan, Plan, ProjPlan};
 use crate::{Assign, Filter, ReadQuery, UpdateQuery};
 use fieldrep_btree::BTreeIndex;
-use fieldrep_core::{read_object, value_key, Database};
-use fieldrep_model::{Annotation, Object, Value};
+use fieldrep_core::{value_key, Database};
+use fieldrep_model::{Object, ObjectView, TypeId, Value};
 use fieldrep_obs::{io as obs_io, names as obs_names, Profile, Span};
 use fieldrep_storage::{oid_page_chunks, HeapFile, Oid};
-use std::collections::HashMap;
 
 /// One result row: one entry per projected column (`None` when a path was
 /// broken by a NULL reference).
@@ -50,48 +49,79 @@ pub struct UpdateResult {
 
 /// The page-chunk cap for batched fetches: half the pool, so decode work
 /// under the pins always has free frames available.
-fn max_batch_pages(db: &mut Database) -> usize {
+fn max_batch_pages(db: &Database) -> usize {
     (db.sm().pool().capacity() / 2).clamp(1, 32)
 }
 
-/// Fetch many objects with each page read once: sort unique OIDs into
-/// physical order, then move each adjacent page run with one grouped
-/// disk read ([`fieldrep_storage::StorageManager::get_pages_batch`]) and
-/// decode the objects while their pages are pinned.
-fn fetch_batch(db: &mut Database, oids: &[Oid]) -> Result<HashMap<Oid, Object>> {
-    let mut uniq: Vec<Oid> = oids.to_vec();
-    uniq.sort_unstable();
-    uniq.dedup();
-    let mut map = HashMap::with_capacity(uniq.len());
-    let max_pages = max_batch_pages(db);
-    for (range, pages) in oid_page_chunks(&uniq, max_pages) {
+/// Read something from each of `oids` with every page requested once: the
+/// distinct OIDs are visited in physical order, each adjacent page run is
+/// moved with one grouped disk read
+/// ([`fieldrep_storage::StorageManager::get_pages_batch`]), and
+/// `read(type_tag, payload)` takes what it needs straight from the record's
+/// bytes in the pinned page. It runs under that frame's read latch, so it
+/// must not touch the pool. Results come back in `oids` order, `None` for
+/// `None`.
+fn read_batch<T: Clone>(
+    db: &Database,
+    oids: &[Option<Oid>],
+    mut read: impl FnMut(u16, &[u8]) -> Result<T>,
+) -> Result<Vec<Option<T>>> {
+    let mut order: Vec<usize> = (0..oids.len()).filter(|&i| oids[i].is_some()).collect();
+    order.sort_unstable_by_key(|&i| oids[i]);
+    let sorted: Vec<Oid> = order.iter().filter_map(|&i| oids[i]).collect();
+    let mut out: Vec<Option<T>> = vec![None; oids.len()];
+    for (range, pages) in oid_page_chunks(&sorted, max_batch_pages(db)) {
         let pinned = db.sm().get_pages_batch(&pages)?;
-        for &oid in &uniq[range] {
-            let ctx = db.ctx();
-            let obj = read_object(ctx.sm, ctx.cat, oid)?;
-            map.insert(oid, obj);
+        let mut page = 0;
+        for k in range {
+            let oid = sorted[k];
+            out[order[k]] = if k > 0 && sorted[k - 1] == oid {
+                out[order[k - 1]].clone()
+            } else {
+                while pinned[page].pid != oid.page_id() {
+                    page += 1;
+                }
+                let hf = HeapFile::open(oid.file);
+                Some(hf.read_pinned(db.sm(), &pinned[page], oid, &mut read)??)
+            };
         }
-        drop(pinned);
     }
-    Ok(map)
+    Ok(out)
+}
+
+/// A borrowed reader over the stored bytes of an object with type tag `tag`.
+fn object_view<'a>(db: &'a Database, tag: u16, payload: &'a [u8]) -> ObjectView<'a> {
+    ObjectView::new(db.catalog().type_def(TypeId(tag)), payload)
+}
+
+/// The object a stored reference points at (`None` for NULL).
+fn ref_target(v: &Value) -> Option<Oid> {
+    match v {
+        Value::Ref(o) if !o.is_null() => Some(*o),
+        _ => None,
+    }
 }
 
 /// Evaluate the access path: the OIDs (in retrieval order) of the
 /// qualifying set members.
 fn run_access(db: &mut Database, plan: &Plan, filter: Option<&Filter>) -> Result<Vec<Oid>> {
-    let set = db.catalog().set(plan.set).clone();
     match &plan.access {
         AccessPlan::IndexRange { index, .. } | AccessPlan::PathIndexRange { index, .. } => {
             let f = filter.ok_or_else(|| {
                 QueryError::BadQuery("index access plan requires a filter".into())
             })?;
             let (lo, hi) = f.bounds();
-            let tree = BTreeIndex::open(*index);
-            let hits = tree.range(db.sm(), &value_key(&lo), &value_key(&hi))?;
-            Ok(hits.into_iter().map(|(_, oid)| oid).collect())
+            let mut oids = Vec::new();
+            BTreeIndex::open(*index).for_each_in_range(
+                db.sm(),
+                &value_key(&lo),
+                &value_key(&hi),
+                |_, oid| oids.push(oid),
+            )?;
+            Ok(oids)
         }
         AccessPlan::FullScan => {
-            let hf = HeapFile::open(set.file);
+            let hf = HeapFile::open(db.catalog().set(plan.set).file);
             let mut oids = Vec::new();
             {
                 let mut scan = hf.scan(db.sm())?;
@@ -132,6 +162,68 @@ fn eval_filter_value(
     Ok(rows.pop().and_then(|mut r| r.pop()).flatten())
 }
 
+/// What a read takes from one source object while its page is pinned.
+#[derive(Clone)]
+struct Source {
+    /// The row so far: base fields and in-place replicas are finished
+    /// columns, the columns a join will fill in are `None`.
+    row: Row,
+    /// Per projection, where its join starts (replica ref, first hop);
+    /// `None` for NULL, and for projections that do not join.
+    starts: Vec<Option<Oid>>,
+    /// The whole object — decoded only when a collapse projection needs it
+    /// for `read_path_values`.
+    obj: Option<Object>,
+}
+
+/// Take what `projections` need from one source record's bytes: only the
+/// fields the plan names are decoded (a base field by index, the hidden
+/// replica values of one path, the replica ref of one group, a first hop).
+fn read_source(
+    db: &Database,
+    projections: &[ProjPlan],
+    width: usize,
+    tag: u16,
+    payload: &[u8],
+) -> Result<Source> {
+    let view = object_view(db, tag, payload);
+    let mut src = Source {
+        row: Row::with_capacity(width),
+        starts: Vec::with_capacity(projections.len()),
+        obj: None,
+    };
+    let mut end = 0;
+    for proj in projections {
+        let start = match proj {
+            ProjPlan::BaseField { field } => {
+                src.row.push(Some(view.field(*field)?));
+                None
+            }
+            ProjPlan::InPlaceReplica { path, positions } => {
+                let vals = view.replica_values(path.0)?;
+                for &pos in positions {
+                    src.row.push(vals.as_ref().map(|v| v[pos].clone()));
+                }
+                None
+            }
+            ProjPlan::SeparateReplica { group, .. } => view.replica_ref(group.0)?,
+            ProjPlan::FunctionalJoin { hops, .. } => ref_target(&view.field(hops[0])?),
+            ProjPlan::CollapseThenJoin { .. } => {
+                if src.obj.is_none() {
+                    let def = db.catalog().type_def(TypeId(tag));
+                    src.obj = Some(Object::decode(TypeId(tag), def, payload)?);
+                }
+                None
+            }
+        };
+        src.starts.push(start);
+        // The columns a join fills in later stay `None` until then.
+        end += proj.width();
+        src.row.resize(end, None);
+    }
+    Ok(src)
+}
+
 /// Compute the projected columns for `oids`, one row per OID.
 ///
 /// With `prof`, the sync/fetch phases and every projection operator close
@@ -152,8 +244,7 @@ fn project(
                 db.sync_path(*path)?;
             }
             ProjPlan::SeparateReplica { group, .. } => {
-                let paths: Vec<_> = db.catalog().group(*group).paths.clone();
-                for p in paths {
+                for &p in &db.catalog().group(*group).paths {
                     db.sync_path(p)?;
                 }
             }
@@ -163,70 +254,36 @@ fn project(
     if let Some(p) = prof.as_deref_mut() {
         p.mark(obs_names::OP_SYNC);
     }
-    // Fetch the source objects once (optimally).
-    let src = fetch_batch(db, oids)?;
+    // Read the source objects once (optimally), building each row while
+    // its object's page is pinned.
+    let width: usize = projections.iter().map(super::plan::ProjPlan::width).sum();
+    let wanted: Vec<Option<Oid>> = oids.iter().copied().map(Some).collect();
+    let mut srcs: Vec<Source> = read_batch(db, &wanted, |tag, payload| {
+        read_source(db, projections, width, tag, payload)
+    })?
+    .into_iter()
+    .flatten()
+    .collect();
     if let Some(p) = prof.as_deref_mut() {
         p.mark(obs_names::OP_FETCH);
     }
-    let width: usize = projections.iter().map(super::plan::ProjPlan::width).sum();
-    let mut rows: Vec<Row> = oids.iter().map(|_| Vec::with_capacity(width)).collect();
 
+    // What is left are the joins: each fills the columns its projection
+    // left open.
+    let mut col = 0;
     for (proj_idx, proj) in projections.iter().enumerate() {
         let io_before = obs_io::snapshot();
-        match proj {
-            ProjPlan::BaseField { field } => {
-                for (row, oid) in rows.iter_mut().zip(oids) {
-                    row.push(Some(src[oid].values[*field].clone()));
-                }
-            }
-            ProjPlan::InPlaceReplica { path, positions } => {
-                for (row, oid) in rows.iter_mut().zip(oids) {
-                    let vals = src[oid].replica_values(path.0);
-                    for &pos in positions {
-                        row.push(vals.map(|v| v[pos].clone()));
-                    }
-                }
-            }
-            ProjPlan::SeparateReplica { group, positions } => {
-                let gdef = db.catalog().group(*group).clone();
-                // Gather replica OIDs per row, then join optimally.
-                let refs: Vec<Option<Oid>> = oids
-                    .iter()
-                    .map(|oid| {
-                        src[oid].annotations.iter().find_map(|a| match a {
-                            Annotation::ReplicaRef { group: g, oid } if *g == gdef.id.0 => {
-                                Some(*oid)
-                            }
-                            _ => None,
-                        })
-                    })
-                    .collect();
-                let mut targets: Vec<Oid> = refs.iter().flatten().copied().collect();
-                targets.sort_unstable();
-                targets.dedup();
-                let hf = HeapFile::open(gdef.file);
-                let mut replica_vals: HashMap<Oid, Vec<Value>> = HashMap::new();
+        let starts = |srcs: &[Source]| srcs.iter().map(|s| s.starts[proj_idx]).collect::<Vec<_>>();
+        let joined = match proj {
+            ProjPlan::BaseField { .. } | ProjPlan::InPlaceReplica { .. } => None,
+            ProjPlan::SeparateReplica { positions, .. } => {
                 // S'-scan: batched over the sorted replica OIDs, one
                 // grouped read per adjacent page run.
-                let max_pages = max_batch_pages(db);
-                for (range, pages) in oid_page_chunks(&targets, max_pages) {
-                    let pinned = db.sm().get_pages_batch(&pages)?;
-                    for &t in &targets[range] {
-                        let (_, payload) = hf.read(db.sm(), t)?;
-                        replica_vals.insert(
-                            t,
-                            Value::decode_list(&payload).map_err(|e| {
-                                QueryError::BadQuery(format!("bad replica object: {e}"))
-                            })?,
-                        );
-                    }
-                    drop(pinned);
-                }
-                for (row, r) in rows.iter_mut().zip(&refs) {
-                    for &pos in positions {
-                        row.push(r.and_then(|t| replica_vals.get(&t).map(|v| v[pos].clone())));
-                    }
-                }
+                Some(read_batch(db, &starts(&srcs), |_, payload| {
+                    let vals = Value::decode_list(payload)
+                        .map_err(|e| QueryError::BadQuery(format!("bad replica object: {e}")))?;
+                    Ok(positions.iter().map(|&pos| vals[pos].clone()).collect())
+                })?)
             }
             ProjPlan::CollapseThenJoin {
                 path,
@@ -234,49 +291,32 @@ fn project(
                 terminal_fields,
             } => {
                 // Jump through the replicated reference…
-                let pdef = db.catalog().path(*path).clone();
-                let mut current: Vec<Option<Oid>> = Vec::with_capacity(oids.len());
-                for oid in oids {
-                    let obj = &src[oid];
-                    let ctx_vals = {
-                        let mut ctx = db.ctx();
-                        fieldrep_core::attach::read_path_values(&mut ctx, &pdef, obj)
-                            .map_err(QueryError::from)?
-                    };
-                    let target = ctx_vals.and_then(|v| match v.first() {
-                        Some(Value::Ref(o)) if !o.is_null() => Some(*o),
-                        _ => None,
-                    });
-                    current.push(target);
+                let pdef = db.catalog().path(*path);
+                let mut current = Vec::with_capacity(srcs.len());
+                for obj in srcs.iter().filter_map(|s| s.obj.as_ref()) {
+                    let vals = fieldrep_core::attach::read_path_values(&mut db.ctx(), pdef, obj)
+                        .map_err(QueryError::from)?;
+                    current.push(vals.and_then(|v| v.first().and_then(ref_target)));
                 }
-                let cols = join_chain(db, current, remaining_hops, terminal_fields)?;
-                for (row, c) in rows.iter_mut().zip(cols) {
-                    row.extend(c);
-                }
+                Some(join_chain(db, current, remaining_hops, terminal_fields)?)
             }
             ProjPlan::FunctionalJoin {
                 hops,
                 terminal_fields,
-            } => {
-                let current: Vec<Option<Oid>> = oids
-                    .iter()
-                    .map(|oid| match &src[oid].values[hops[0]] {
-                        Value::Ref(o) if !o.is_null() => Some(*o),
-                        _ => None,
-                    })
-                    .collect();
-                let cols = join_chain(db, current, &hops[1..], terminal_fields)?;
-                for (row, c) in rows.iter_mut().zip(cols) {
-                    row.extend(c);
-                }
+            } => Some(join_chain(db, starts(&srcs), &hops[1..], terminal_fields)?),
+        };
+        for (src, vals) in srcs.iter_mut().zip(joined.into_iter().flatten()) {
+            for (slot, v) in src.row[col..].iter_mut().zip(vals.into_iter().flatten()) {
+                *slot = Some(v);
             }
         }
+        col += proj.width();
         record_replica_reads(db, proj, oids, io_before);
         if let Some(p) = prof.as_deref_mut() {
-            p.mark(format!("proj[{proj_idx}]:{}", proj.label()));
+            p.mark(proj.label(proj_idx));
         }
     }
-    Ok(rows)
+    Ok(srcs.into_iter().map(|s| s.row).collect())
 }
 
 /// Feed one projection's replicated reads into the database's observed
@@ -297,24 +337,18 @@ fn record_replica_reads(
     let n = oids.len() as u64;
     match proj {
         ProjPlan::InPlaceReplica { path, .. } | ProjPlan::CollapseThenJoin { path, .. } => {
-            let expr = db.catalog().path(*path).expr.to_string();
-            db.workload().record_read(&expr, n, pages);
+            db.workload()
+                .record_read(&db.catalog().path(*path).expr_text, n, pages);
         }
         ProjPlan::SeparateReplica { group, .. } => {
             // Attribute to the group's paths rooted at the queried set
             // (the ones this projection could have been planned from).
             let set = oids.first().and_then(|&o| db.set_of(o).ok());
-            let exprs: Vec<String> = db
-                .catalog()
-                .group(*group)
-                .paths
-                .iter()
-                .map(|p| db.catalog().path(*p))
-                .filter(|p| set.is_none_or(|s| p.set == s))
-                .map(|p| p.expr.to_string())
-                .collect();
-            for e in exprs {
-                db.workload().record_read(&e, n, pages);
+            for p in &db.catalog().group(*group).paths {
+                let p = db.catalog().path(*p);
+                if set.is_none_or(|s| p.set == s) {
+                    db.workload().record_read(&p.expr_text, n, pages);
+                }
             }
         }
         _ => {}
@@ -323,39 +357,28 @@ fn record_replica_reads(
 
 /// Perform the remaining functional joins: `current` holds, per row, the
 /// OID reached so far; `hops` are the ref fields still to follow; the
-/// terminal fields are projected from the final objects. Each join level
-/// is batched (page-optimal).
+/// terminal fields are projected from the final objects (`None` for a row
+/// whose chain broke on a NULL reference). Each join level is batched
+/// (page-optimal) and decodes only the field it follows.
 fn join_chain(
-    db: &mut Database,
+    db: &Database,
     mut current: Vec<Option<Oid>>,
     hops: &[usize],
     terminal_fields: &[usize],
-) -> Result<Vec<Vec<Option<Value>>>> {
+) -> Result<Vec<Option<Vec<Value>>>> {
     for &hop in hops {
-        let batch: Vec<Oid> = current.iter().flatten().copied().collect();
-        let objs = fetch_batch(db, &batch)?;
-        current = current
-            .into_iter()
-            .map(|c| {
-                c.and_then(|oid| match &objs[&oid].values[hop] {
-                    Value::Ref(o) if !o.is_null() => Some(*o),
-                    _ => None,
-                })
-            })
-            .collect();
+        let next = read_batch(db, &current, |tag, payload| {
+            Ok(ref_target(&object_view(db, tag, payload).field(hop)?))
+        })?;
+        current = next.into_iter().map(Option::flatten).collect();
     }
-    let batch: Vec<Oid> = current.iter().flatten().copied().collect();
-    let objs = fetch_batch(db, &batch)?;
-    Ok(current
-        .into_iter()
-        .map(|c| match c {
-            Some(oid) => terminal_fields
-                .iter()
-                .map(|&f| Some(objs[&oid].values[f].clone()))
-                .collect(),
-            None => terminal_fields.iter().map(|_| None).collect(),
-        })
-        .collect())
+    read_batch(db, &current, |tag, payload| {
+        let obj = object_view(db, tag, payload);
+        Ok(terminal_fields
+            .iter()
+            .map(|&f| obj.field(f))
+            .collect::<std::result::Result<_, _>>()?)
+    })
 }
 
 /// Project `projections` for one object using only the seqlock-validated
@@ -423,20 +446,14 @@ fn snapshot_project_into(
             } => {
                 let target = db
                     .snapshot_path_values(oid, *path)?
-                    .and_then(|v| match v.first() {
-                        Some(Value::Ref(o)) if !o.is_null() => Some(*o),
-                        _ => None,
-                    });
+                    .and_then(|v| v.first().and_then(ref_target));
                 snapshot_join_into(db, target, remaining_hops, terminal_fields, row)?;
             }
             ProjPlan::FunctionalJoin {
                 hops,
                 terminal_fields,
             } => {
-                let target = match &db.snapshot_get(oid)?.values[hops[0]] {
-                    Value::Ref(o) if !o.is_null() => Some(*o),
-                    _ => None,
-                };
+                let target = ref_target(&db.snapshot_get(oid)?.values[hops[0]]);
                 snapshot_join_into(db, target, &hops[1..], terminal_fields, row)?;
             }
         }
@@ -458,10 +475,7 @@ fn snapshot_join_into(
 ) -> Result<()> {
     for &hop in hops {
         current = match current {
-            Some(oid) => match &db.snapshot_get(oid)?.values[hop] {
-                Value::Ref(o) if !o.is_null() => Some(*o),
-                _ => None,
-            },
+            Some(oid) => ref_target(&db.snapshot_get(oid)?.values[hop]),
             None => None,
         };
     }
@@ -579,11 +593,12 @@ impl ReadQuery {
         let mut prof = Profile::start();
         let plan = self.plan(db)?;
         prof.mark(obs_names::OP_PLAN);
-        let access_span = span.child(&plan.access.label());
+        let access_label = plan.access.label();
+        let access_span = span.child(&access_label);
         let oids = run_access(db, &plan, self.filter.as_ref())?;
         access_span.note("oids", oids.len());
         drop(access_span);
-        prof.mark(plan.access.label());
+        prof.mark(access_label);
         let rows = project(db, &oids, &plan.projections, Some(&mut prof))?;
         span.note("rows", rows.len());
 
@@ -674,7 +689,8 @@ impl UpdateQuery {
         let mut prof = Profile::start();
         let plan = self.plan(db)?;
         prof.mark(obs_names::OP_PLAN);
-        let access_span = span.child(&plan.access.label());
+        let access_label = plan.access.label();
+        let access_span = span.child(&access_label);
         let mut oids = run_access(db, &plan, self.filter.as_ref())?;
         access_span.note("oids", oids.len());
         drop(access_span);
@@ -682,17 +698,17 @@ impl UpdateQuery {
         // clustered order).
         oids.sort_unstable();
         oids.dedup();
-        prof.mark(plan.access.label());
+        prof.mark(access_label);
         span.note("updates", oids.len());
         // Drain any propagation I/O a previous (unprofiled) caller left
         // accumulated on this thread, so "apply" splits only its own.
         let _ = obs_io::component_take(obs_names::CORE_PROPAGATE);
 
-        let set = db.catalog().set(plan.set).clone();
-        let def = db.catalog().type_def(set.elem_type).clone();
+        let elem_type = db.catalog().set(plan.set).elem_type;
         for oid in &oids {
             let obj = db.get(*oid)?;
-            let changes = eval_assignments(&def, &obj, &self.assignments)?;
+            let def = db.catalog().type_def(elem_type);
+            let changes = eval_assignments(def, &obj, &self.assignments)?;
             db.update(*oid, &changes)?;
         }
         prof.mark(obs_names::OP_APPLY);

@@ -75,20 +75,25 @@ impl ProjPlan {
         }
     }
 
-    /// Short operator label for profiles and span notes.
-    pub fn label(&self) -> String {
+    /// Operator label of this projection as the plan's `idx`-th, for
+    /// profiles and span notes.
+    pub fn label(&self, idx: usize) -> String {
         match self {
-            ProjPlan::BaseField { field } => format!("base-field(#{field})"),
-            ProjPlan::InPlaceReplica { path, .. } => format!("inplace-replica({path})"),
+            ProjPlan::BaseField { field } => format!("proj[{idx}]:base-field(#{field})"),
+            ProjPlan::InPlaceReplica { path, .. } => {
+                format!("proj[{idx}]:inplace-replica({path})")
+            }
             ProjPlan::SeparateReplica { group, .. } => {
-                format!("separate-replica(group #{})", group.0)
+                format!("proj[{idx}]:separate-replica(group #{})", group.0)
             }
             ProjPlan::CollapseThenJoin {
                 path,
                 remaining_hops,
                 ..
-            } => format!("collapse({path})+{}join", remaining_hops.len()),
-            ProjPlan::FunctionalJoin { hops, .. } => format!("functional-join({})", hops.len()),
+            } => format!("proj[{idx}]:collapse({path})+{}join", remaining_hops.len()),
+            ProjPlan::FunctionalJoin { hops, .. } => {
+                format!("proj[{idx}]:functional-join({})", hops.len())
+            }
         }
     }
 }

@@ -734,20 +734,19 @@ impl BufferPool {
         self.core.lock().fetch(pid)
     }
 
-    /// Fetch a set of pages with grouped disk reads: the distinct page
-    /// ids are sorted into physical order, resident pages are pinned as
-    /// hits, and each maximal run of adjacent missing pages is moved with
-    /// one [`DiskManager::read_pages`] call. Returns one pinned handle
-    /// per *input* id, in input order (duplicates get handle clones).
+    /// Fetch a set of pages with grouped disk reads. `pids` must be
+    /// **strictly ascending** (physical order, no repeats) — what
+    /// `oid_page_chunks` in the crate root produces from sorted OIDs;
+    /// anything else is [`StorageError::BatchNotAscending`] and touches
+    /// nothing. Resident pages are pinned as hits, and each maximal run
+    /// of adjacent missing pages is moved with one
+    /// [`DiskManager::read_pages`] call. Returns one pinned handle per
+    /// input id, in input order.
     ///
     /// Every page of the batch stays pinned until its returned handle is
     /// dropped, so batches are bounded by pool capacity; callers with
-    /// large sorted runs chunk them (see `oid_page_chunks` in the crate
-    /// root).
+    /// large sorted runs chunk them (`oid_page_chunks` again).
     pub fn get_pages_batch(&self, pids: &[PageId]) -> Result<Vec<PageHandle>> {
-        if pids.is_empty() {
-            return Ok(Vec::new());
-        }
         // This *is* the ordered batch helper: frame locks below are taken
         // in sorted page order from a single site, so a caller-held write
         // guard cannot form a cycle with them.
@@ -896,41 +895,46 @@ impl PoolCore {
     }
 
     fn get_pages_batch(&mut self, pids: &[PageId]) -> Result<Vec<PageHandle>> {
-        let mut uniq: Vec<PageId> = pids.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        let mut got: HashMap<PageId, PageHandle> = HashMap::with_capacity(uniq.len());
-        let mut missing: Vec<PageId> = Vec::new();
-        for &pid in &uniq {
+        if let Some(w) = pids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(StorageError::BatchNotAscending(w[1]));
+        }
+        // Pin every resident page first, so the installs below cannot
+        // evict a page of this very batch.
+        let mut got: Vec<Option<PageHandle>> = Vec::with_capacity(pids.len());
+        for &pid in pids {
             let home = self.shard_of(pid);
-            if let Some(&idx) = self.shards[home].map.get(&pid) {
+            got.push(self.shards[home].map.get(&pid).copied().map(|idx| {
                 self.hits += 1;
                 obs_io::record_pool_hit();
                 self.note_prefetch_hit(idx);
                 self.frames[idx].referenced = true;
-                got.insert(pid, self.handle(idx, pid));
-            } else {
-                missing.push(pid);
-            }
+                self.handle(idx, pid)
+            }));
         }
+        // The rest, one grouped read per run of adjacent missing pages
+        // (ascending input makes such a run a contiguous slice of `pids`).
         let max_run = self.max_batch_run();
         let mut i = 0;
-        while i < missing.len() {
+        while i < pids.len() {
+            if got[i].is_some() {
+                i += 1;
+                continue;
+            }
             let mut j = i + 1;
-            while j < missing.len()
+            while j < pids.len()
+                && got[j].is_none()
                 && j - i < max_run
-                && missing[j].file == missing[i].file
-                && missing[j].page == missing[j - 1].page + 1
+                && pids[j].file == pids[i].file
+                && pids[j].page == pids[j - 1].page + 1
             {
                 j += 1;
             }
-            let handles = self.read_run(&missing[i..j], false)?;
-            for (pid, h) in missing[i..j].iter().zip(handles) {
-                got.insert(*pid, h);
+            for (slot, h) in got[i..j].iter_mut().zip(self.read_run(&pids[i..j], false)?) {
+                *slot = Some(h);
             }
             i = j;
         }
-        Ok(pids.iter().map(|p| got[p].clone()).collect())
+        Ok(got.into_iter().flatten().collect())
     }
 
     fn prefetch(&mut self, pids: &[PageId]) -> Result<()> {
@@ -1591,6 +1595,60 @@ mod tests {
         let prof = bp.io_profile();
         assert_eq!(prof.disk.reads, 5);
         assert_eq!(prof.disk.read_calls, 2, "two adjacent runs");
+    }
+
+    #[test]
+    fn batch_fetch_rejects_unsorted_or_repeated_ids_and_touches_nothing() {
+        let bp = pool(8);
+        let f = bp.create_file().unwrap();
+        let pids: Vec<PageId> = (0..4).map(|_| bp.new_page(f).unwrap().0).collect();
+        bp.flush_all().unwrap();
+        bp.reset_profile();
+        for bad in [
+            vec![pids[1], pids[0]],
+            vec![pids[0], pids[2], pids[1], pids[3]],
+            vec![pids[2], pids[2]],
+        ] {
+            let culprit = bad.windows(2).find(|w| w[0] >= w[1]).unwrap()[1];
+            match bp.get_pages_batch(&bad) {
+                Err(StorageError::BatchNotAscending(p)) => assert_eq!(p, culprit),
+                Err(e) => panic!("wrong error for {bad:?}: {e}"),
+                Ok(_) => panic!("{bad:?} must be refused"),
+            }
+        }
+        let prof = bp.io_profile();
+        assert_eq!(
+            (prof.pool_hits, prof.pool_misses, prof.disk.reads),
+            (0, 0, 0)
+        );
+        // Ascending across files is fine; so is nothing at all.
+        let g = bp.create_file().unwrap();
+        let (gp, _) = bp.new_page(g).unwrap();
+        assert_eq!(bp.get_pages_batch(&[pids[3], gp]).unwrap().len(), 2);
+        assert!(bp.get_pages_batch(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn batch_fetch_pins_hits_before_reading_the_runs_between_them() {
+        let bp = pool(16);
+        let f = bp.create_file().unwrap();
+        let mut pids = vec![];
+        for i in 0..6u8 {
+            let (pid, h) = bp.new_page(f).unwrap();
+            h.data_mut()[0] = i;
+            pids.push(pid);
+        }
+        bp.flush_all().unwrap();
+        let _warm = (bp.fetch(pids[1]).unwrap(), bp.fetch(pids[4]).unwrap());
+        bp.reset_profile();
+        // Resident pages 1 and 4 split the misses into runs 0, 2-3 and 5.
+        let handles = bp.get_pages_batch(&pids).unwrap();
+        for (i, h) in handles.iter().enumerate() {
+            assert_eq!((h.pid, h.data()[0]), (pids[i], i as u8));
+        }
+        let prof = bp.io_profile();
+        assert_eq!((prof.pool_hits, prof.pool_misses), (2, 4));
+        assert_eq!((prof.disk.reads, prof.disk.read_calls), (4, 3));
     }
 
     #[test]

@@ -28,6 +28,10 @@ pub enum StorageError {
     /// Every buffer-pool frame is pinned; the caller holds too many page
     /// handles at once.
     BufferExhausted,
+    /// A batched fetch was handed page ids that are not strictly
+    /// ascending (unsorted, or one repeated); names the first id found
+    /// out of order.
+    BatchNotAscending(PageId),
     /// On-page data failed an internal consistency check.
     Corrupt(String),
     /// The page's stored CRC32 does not match its contents — the page was
@@ -50,6 +54,9 @@ impl fmt::Display for StorageError {
             StorageError::InvalidOid(oid) => write!(f, "OID {oid} does not name a live record"),
             StorageError::BufferExhausted => {
                 write!(f, "all buffer-pool frames are pinned; cannot evict")
+            }
+            StorageError::BatchNotAscending(pid) => {
+                write!(f, "batched fetch: page {pid} is not above its predecessor")
             }
             StorageError::Corrupt(msg) => write!(f, "corrupt page data: {msg}"),
             StorageError::ChecksumMismatch(pid) => {

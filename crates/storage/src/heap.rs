@@ -14,7 +14,7 @@
 use crate::error::{Result, StorageError};
 use crate::oid::{FileId, Oid, PageId};
 use crate::page::{PageKind, PageMut, PageView, RecordFlags, RecordHeader};
-use crate::StorageManager;
+use crate::{PageHandle, StorageManager};
 use std::collections::VecDeque;
 
 /// Per-file free-space bookkeeping kept by the storage manager.
@@ -129,17 +129,49 @@ impl HeapFile {
         let (hdr, payload) = self.read_raw(sm, oid)?;
         match hdr.flags {
             RecordFlags::Normal | RecordFlags::Moved => Ok((hdr.type_tag, payload)),
-            RecordFlags::Forward => {
-                let target = Oid::from_bytes(&payload);
-                let (thdr, tpayload) = self.read_raw(sm, target)?;
-                if thdr.flags != RecordFlags::Moved {
-                    return Err(StorageError::Corrupt(format!(
-                        "forwarding stub {oid} points at non-moved record {target}"
-                    )));
-                }
-                Ok((thdr.type_tag, tpayload))
-            }
+            RecordFlags::Forward => self.read_moved(sm, oid, Oid::from_bytes(&payload)),
         }
+    }
+
+    /// Read the record at `oid` from `page`, a handle the caller already
+    /// holds on `oid`'s page (a batch pin): the payload is lent to `f`
+    /// under the frame's read latch instead of the page being requested
+    /// again and the payload copied out. `f` must not call back into the
+    /// pool. A forwarding stub is followed with an ordinary read of the
+    /// moved body, after the latch is released.
+    pub fn read_pinned<R>(
+        &self,
+        sm: &StorageManager,
+        page: &PageHandle,
+        oid: Oid,
+        f: impl FnOnce(u16, &[u8]) -> R,
+    ) -> Result<R> {
+        if oid.file != self.file || page.pid != oid.page_id() {
+            return Err(StorageError::InvalidOid(oid));
+        }
+        let target = {
+            let data = page.data();
+            let (hdr, payload) = PageView::new(&data[..])
+                .record(oid.slot)
+                .ok_or(StorageError::InvalidOid(oid))?;
+            if hdr.flags != RecordFlags::Forward {
+                return Ok(f(hdr.type_tag, payload));
+            }
+            Oid::from_bytes(payload)
+        };
+        let (tag, body) = self.read_moved(sm, oid, target)?;
+        Ok(f(tag, &body))
+    }
+
+    /// The moved body `target` that the forwarding stub at `oid` points at.
+    fn read_moved(&self, sm: &StorageManager, oid: Oid, target: Oid) -> Result<(u16, Vec<u8>)> {
+        let (thdr, tpayload) = self.read_raw(sm, target)?;
+        if thdr.flags != RecordFlags::Moved {
+            return Err(StorageError::Corrupt(format!(
+                "forwarding stub {oid} points at non-moved record {target}"
+            )));
+        }
+        Ok((thdr.type_tag, tpayload))
     }
 
     fn read_raw(&self, sm: &StorageManager, oid: Oid) -> Result<(RecordHeader, Vec<u8>)> {
@@ -402,6 +434,36 @@ mod tests {
         // And grow it further, forcing a re-forward.
         hf.rec_update(&sm, victim, &[6u8; 3000]).unwrap();
         assert_eq!(hf.read(&sm, victim).unwrap().1, vec![6u8; 3000]);
+    }
+
+    #[test]
+    fn read_pinned_lends_the_record_and_follows_a_stub() {
+        let sm = sm();
+        let hf = HeapFile::create(&sm).unwrap();
+        let oids: Vec<Oid> = (0..33u8)
+            .map(|i| hf.rec_insert(&sm, 7, &[i; 100]).unwrap())
+            .collect();
+        hf.rec_update(&sm, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
+        let page = sm.pool().fetch(oids[0].page_id()).unwrap();
+        sm.reset_io();
+        let len_and_first = |tag: u16, body: &[u8]| (tag, body.len(), body[0]);
+        // Under the pin a record costs no page request at all…
+        let got = hf.read_pinned(&sm, &page, oids[5], len_and_first).unwrap();
+        assert_eq!(got, (7, 100, 5));
+        assert_eq!(sm.io_profile().pool_hits + sm.io_profile().pool_misses, 0);
+        // …and a forwarded one exactly the request for its moved body.
+        let got = hf.read_pinned(&sm, &page, oids[0], len_and_first).unwrap();
+        assert_eq!(got, (7, 600, 9));
+        assert_eq!(sm.io_profile().pool_hits + sm.io_profile().pool_misses, 1);
+        // The handle must be the OID's own page, and the slot a live record.
+        let other = hf.rec_insert(&sm, 7, &[1u8; 3000]).unwrap();
+        assert_ne!(other.page, oids[0].page);
+        assert!(matches!(
+            hf.read_pinned(&sm, &page, other, len_and_first),
+            Err(StorageError::InvalidOid(o)) if o == other
+        ));
+        hf.rec_delete(&sm, oids[5]).unwrap();
+        assert!(hf.read_pinned(&sm, &page, oids[5], len_and_first).is_err());
     }
 
     #[test]
