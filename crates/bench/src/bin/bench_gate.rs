@@ -1,26 +1,14 @@
 //! Regression gate over two `bench_suite` reports: compares the newer
 //! report's points against the older one and exits nonzero if measured
-//! page I/O regressed beyond the threshold, a point disappeared, or
-//! EXPLAIN-ANALYZE model drift exceeds its bound.
+//! page I/O or disk read calls regressed beyond the threshold, a point
+//! disappeared, or EXPLAIN-ANALYZE model drift exceeds its bound.
+//! Improvements pass.
 //!
 //! Run: `cargo run --release -p fieldrep-bench --bin bench_gate -- \
-//!         OLD.json NEW.json [--max-io-regress PCT] [--max-drift PCT] \
-//!         [--max-wall-regress PCT] [--max-obs-overhead PCT] \
-//!         [--min-read-scaling X]`
+//!         OLD.json NEW.json [--max-io-regress PCT] [--max-drift PCT]`
 //!
-//! Wall-clock gating only applies to points whose readings clear the
-//! noise floor in both reports (and never against v1 baselines, which
-//! carry no `wall_ms`); pass `--max-wall-regress 0` to disable it.
-//! The telemetry-overhead check compares the new report's
-//! `overhead/telemetry/on` and `…/off` wall readings against each other
-//! (default limit 5%); `--max-obs-overhead 0` disables it.
-//! The read-scaling check requires the new report's 4-thread snapshot
-//! read throughput to be at least X times its 1-thread throughput
-//! (default 2.0), but only when the producing host had ≥4 CPUs and both
-//! readings cleared the noise floor; `--min-read-scaling 0` disables it.
-//!
-//! `scripts/bench_gate.sh` wires this to the two newest committed
-//! `BENCH_*.json` snapshots.
+//! `scripts/bench_gate.sh` wires this to the committed
+//! `BENCH_BASELINE.json` and a fresh run of the working tree.
 
 use fieldrep_bench::suite::{gate, GateThresholds, SuiteReport};
 use std::process::ExitCode;
@@ -48,32 +36,11 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .expect("--max-drift PCT");
             }
-            "--max-wall-regress" => {
-                t.max_wall_regress_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-wall-regress PCT");
-            }
-            "--max-obs-overhead" => {
-                t.max_obs_overhead_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-obs-overhead PCT");
-            }
-            "--min-read-scaling" => {
-                t.min_read_scaling = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-read-scaling X");
-            }
             other => files.push(other.to_string()),
         }
     }
     if files.len() != 2 {
-        eprintln!(
-            "usage: bench_gate OLD.json NEW.json [--max-io-regress PCT] [--max-drift PCT] \
-             [--max-wall-regress PCT] [--max-obs-overhead PCT] [--min-read-scaling X]"
-        );
+        eprintln!("usage: bench_gate OLD.json NEW.json [--max-io-regress PCT] [--max-drift PCT]");
         return ExitCode::FAILURE;
     }
     let (old, new) = match (load(&files[0]), load(&files[1])) {
@@ -86,17 +53,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "gate: {} (run {}) vs {} (run {}); limits: io +{:.0}%, drift ±{:.0}%, wall +{:.0}%, \
-         telemetry overhead +{:.0}%, read scaling ≥{:.1}x",
-        files[0],
-        old.run_id,
-        files[1],
-        new.run_id,
-        t.max_io_regress_pct,
-        t.max_drift_pct,
-        t.max_wall_regress_pct,
-        t.max_obs_overhead_pct,
-        t.min_read_scaling
+        "gate: {} (run {}) vs {} (run {}); limits: io +{:.0}%, drift ±{:.0}%",
+        files[0], old.run_id, files[1], new.run_id, t.max_io_regress_pct, t.max_drift_pct
     );
     let violations = gate(&old, &new, &t);
     if violations.is_empty() {

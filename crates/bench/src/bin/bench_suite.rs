@@ -1,104 +1,30 @@
-//! Continuous benchmark suite: runs the fixed measurement matrix (§6
-//! read/update I/O across settings, sharing levels, and strategies,
-//! propagation fan-out, EXPLAIN-ANALYZE model drift, and the Figure
-//! 12/14 analytical cells) and writes a schema-versioned report for
-//! `bench_gate` to diff against the previous run.
+//! Page-count suite: runs the fixed measurement matrix (§6 read/update
+//! I/O across settings, sharing levels, and strategies, propagation
+//! fan-out, EXPLAIN-ANALYZE model drift, and the Figure 12/14
+//! analytical cells) and writes the report `bench_gate` diffs against
+//! the committed baseline.
 //!
 //! Run: `cargo run --release -p fieldrep-bench --bin bench_suite -- \
-//!         [--smoke] [--out PATH] [--run-id ID]`
+//!         [--out PATH] [--run-id ID]`
 //!
-//! * default output: `BENCH_<YYYY-MM-DD>.json` in the current directory;
-//! * `--smoke`: the seconds-scale CI matrix, which additionally
-//!   self-tests the gate logic (a report must pass against itself, and
-//!   an injected +50% I/O regression must fail) and exits nonzero if
-//!   those checks break.
+//! The report holds only deterministic counts, so the same commit and
+//! `--run-id` always write the same bytes. With no flags, run from the
+//! repository root, it re-records `BENCH_BASELINE.json` in place — do
+//! that (and commit the diff) when a change moves page counts on
+//! purpose. `scripts/bench_gate.sh` passes `--out target/…` instead.
 
-use fieldrep_bench::suite::{gate, run_suite, GateThresholds, SuiteConfig, SuiteReport};
+use fieldrep_bench::suite::{run_suite, SuiteConfig};
+use fieldrep_obs::{export, registry};
 use std::process::ExitCode;
-use std::time::{SystemTime, UNIX_EPOCH};
-
-/// `YYYY-MM-DD` from a Unix timestamp (civil-from-days, Howard Hinnant's
-/// algorithm) — avoids a date-time dependency.
-fn utc_date(secs: u64) -> String {
-    let days = (secs / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// The gate self-test run in smoke mode: identical reports must pass,
-/// an injected regression must fail. Returns an error description if
-/// the gate logic itself is broken.
-fn smoke_gate_check(report: &SuiteReport) -> Result<(), String> {
-    let t = GateThresholds::default();
-    let v = gate(report, report, &t);
-    if !v.is_empty() {
-        return Err(format!("self-comparison must pass, got {v:?}"));
-    }
-    let mut worse = report.clone();
-    let p = worse
-        .points
-        .iter_mut()
-        .find(|p| p.id.starts_with("io/"))
-        .ok_or("no io/ point in smoke report")?;
-    p.measured_io *= 1.5;
-    if gate(report, &worse, &t).is_empty() {
-        return Err("injected +50% I/O regression was not caught".into());
-    }
-    // Wall-clock gating: a synthetic 100 ms -> 130 ms slowdown (above the
-    // noise floor) must be caught.
-    let mut slow_old = report.clone();
-    let mut slow_new = report.clone();
-    let id = slow_old
-        .points
-        .iter()
-        .find(|p| p.id.starts_with("io/"))
-        .ok_or("no io/ point in smoke report")?
-        .id
-        .clone();
-    slow_old
-        .points
-        .iter_mut()
-        .find(|p| p.id == id)
-        .unwrap()
-        .wall_ms = 100.0;
-    slow_new
-        .points
-        .iter_mut()
-        .find(|p| p.id == id)
-        .unwrap()
-        .wall_ms = 130.0;
-    if !gate(&slow_old, &slow_new, &t)
-        .iter()
-        .any(|v| v.contains("wall clock"))
-    {
-        return Err("injected +30% wall-clock regression was not caught".into());
-    }
-    let back = SuiteReport::parse(&report.to_json()).map_err(|e| format!("reparse: {e}"))?;
-    if back.points != report.points {
-        return Err("report did not survive a JSON round trip".into());
-    }
-    Ok(())
-}
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut run_id: Option<String> = None;
+    let mut out = "BENCH_BASELINE.json".to_string();
+    let mut run_id = "baseline".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out PATH")),
-            "--run-id" => run_id = Some(args.next().expect("--run-id ID")),
+            "--out" => out = args.next().expect("--out PATH"),
+            "--run-id" => run_id = args.next().expect("--run-id ID"),
             other => {
                 eprintln!("unknown flag {other}");
                 return ExitCode::FAILURE;
@@ -106,23 +32,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let cfg = if smoke {
-        SuiteConfig::smoke()
-    } else {
-        SuiteConfig::full()
-    };
-    let now = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let run_id = run_id.unwrap_or_else(|| format!("local-{}", utc_date(now)));
-    let out = out.unwrap_or_else(|| format!("BENCH_{}.json", utc_date(now)));
-
-    println!(
-        "=== bench_suite ({}) run_id={run_id} ===\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    let report = run_suite(&cfg, &run_id).expect("bench suite");
+    println!("=== bench_suite run_id={run_id} ===\n");
+    let report = run_suite(&SuiteConfig::full(), &run_id).expect("bench suite");
 
     println!(
         "{:<40} {:>10} {:>10} {:>8}",
@@ -138,12 +49,12 @@ fn main() -> ExitCode {
         );
     }
 
-    // Batched I/O: wall clock and grouped-read calls per io/ point. Page
-    // I/O is unchanged by batching; the win shows up as fewer read calls
-    // (seek/syscall proxy) and lower wall time.
+    // Batched I/O: grouped-read calls per io/ point. Page I/O is
+    // unchanged by batching; the win shows up as fewer read calls
+    // (seek/syscall proxy).
     println!(
-        "\n--- Batched I/O ---\n{:<40} {:>10} {:>10} {:>10}",
-        "point", "wall_ms", "calls", "pages/call"
+        "\n--- Batched I/O ---\n{:<40} {:>10} {:>10}",
+        "point", "calls", "pages/call"
     );
     for p in &report.points {
         if !p.id.starts_with("io/") {
@@ -154,66 +65,18 @@ fn main() -> ExitCode {
         } else {
             0.0
         };
-        println!(
-            "{:<40} {:>10.2} {:>10.1} {:>10.2}",
-            p.id, p.wall_ms, p.batch_io, per_call
-        );
+        println!("{:<40} {:>10.1} {:>10.2}", p.id, p.batch_io, per_call);
     }
-    for line in &report.metrics {
+    for line in export::snapshot_jsonl(&registry().snapshot()) {
         if line.contains("storage.disk.batch_len") || line.contains("storage.prefetch.") {
             println!("{line}");
         }
-    }
-
-    // Concurrency: snapshot-read / transactional-update throughput by
-    // thread count (ops/s; scaling judged by the gate on capable hosts).
-    println!(
-        "\n--- Concurrency ---\n{:<40} {:>12} {:>10}",
-        "point", "ops/s", "wall_ms"
-    );
-    for p in &report.points {
-        if !p.id.starts_with("concurrency/") {
-            continue;
-        }
-        if p.id == "concurrency/host/cpus" {
-            println!("{:<40} {:>12.0} {:>10}", p.id, p.measured_io, "-");
-        } else {
-            println!("{:<40} {:>12.0} {:>10.1}", p.id, p.ops_per_sec, p.wall_ms);
-        }
-    }
-
-    // Telemetry overhead: always-on pipeline (recorder + timeline tick)
-    // vs. recorder disabled, min-of-reps on one fixed workload.
-    let wall = |mode: &str| {
-        report
-            .points
-            .iter()
-            .find(|p| p.id == format!("overhead/telemetry/{mode}"))
-            .map(|p| p.wall_ms)
-    };
-    if let (Some(on), Some(off)) = (wall("on"), wall("off")) {
-        let pct = if off > 0.0 {
-            100.0 * (on - off) / off
-        } else {
-            0.0
-        };
-        println!(
-            "\n--- Telemetry overhead ---\non  {on:>8.2} ms\noff {off:>8.2} ms\ncost {pct:>+6.1}%"
-        );
-    }
-
-    if smoke {
-        if let Err(e) = smoke_gate_check(&report) {
-            eprintln!("\nsmoke gate self-test FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\nsmoke gate self-test passed (self-diff clean, injected regression caught)");
     }
 
     if let Err(e) = std::fs::write(&out, report.to_json() + "\n") {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {} points to {out}", report.points.len());
+    println!("\nwrote {} points to {out}", report.points.len());
     ExitCode::SUCCESS
 }

@@ -6,7 +6,7 @@
 //!     by (i) plain functional joins, (ii) a collapse path + 1 join,
 //!     (iii) a full 2-level replica.
 //!
-//! Run: `cargo run --release -p fieldrep-bench --bin ablations`
+//! Run: `cargo run --release -p fieldrep-bench --bin repro -- ablations`
 
 use fieldrep_catalog::{Propagation, Strategy};
 use fieldrep_core::{Database, DbConfig};
@@ -108,7 +108,7 @@ fn measure<F: FnOnce(&mut Database)>(db: &mut Database, f: F) -> u64 {
     db.io_profile().total_io()
 }
 
-fn main() {
+pub(crate) fn run() {
     println!("=== Ablation (a): inline-link threshold (§4.3.1) ===");
     println!("1-level path Emp1.dept.name at fan-in 2 (each dept referenced by two");
     println!("employees — the regime §4.3.1 targets); the update query renames 40");

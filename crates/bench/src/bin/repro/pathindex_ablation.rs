@@ -3,7 +3,7 @@
 //! values, vs. (b) a Gemstone-style multi-component path index
 //! ("three B⁺-tree traversals").
 //!
-//! Run: `cargo run --release -p fieldrep-bench --bin pathindex_ablation`
+//! Run: `cargo run --release -p fieldrep-bench --bin repro -- pathindex_ablation`
 
 use fieldrep_catalog::Strategy;
 use fieldrep_core::{Database, DbConfig};
@@ -71,7 +71,7 @@ fn build(n_orgs: usize, depts_per_org: usize, emps_per_dept: usize) -> Database 
     db
 }
 
-fn main() {
+pub(crate) fn run() {
     println!("=== Path-index ablation: lookup I/O on Emp1.dept.org.name ===\n");
     println!(
         "{:>8} {:>8} | {:>16} {:>16} {:>8}",

@@ -1,10 +1,10 @@
 //! A minimal JSON value type with a parser and renderer.
 //!
-//! The bench suite writes and re-reads its own `BENCH_*.json` reports
-//! (for regression gating) without external crates, so this module
-//! covers exactly the JSON subset those reports use: objects, arrays,
-//! strings with `\"`/`\\`/`\n`/`\t`/`\u` escapes, finite numbers,
-//! booleans, and null.
+//! The bench suite writes and re-reads its own reports (for regression
+//! gating) and `obs_smoke` validates the engine's JSONL exports without
+//! external crates, so this module covers exactly the JSON subset those
+//! use: objects, arrays, strings with `\"`/`\\`/`\n`/`\t`/`\u` escapes,
+//! finite numbers, booleans, and null.
 
 use std::fmt::Write as _;
 
@@ -61,14 +61,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -335,7 +327,7 @@ mod tests {
         let v = Json::parse(src).unwrap();
         assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(1.0));
         assert_eq!(v.get("run_id").unwrap().as_str(), Some("ci-42"));
-        assert_eq!(v.get("smoke").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("smoke"), Some(&Json::Bool(true)));
         let pts = v.get("points").unwrap().as_arr().unwrap();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[1].get("measured_io").unwrap().as_f64(), Some(0.5));

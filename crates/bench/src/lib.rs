@@ -1,22 +1,25 @@
 //! # fieldrep-bench
 //!
-//! The benchmark harness that regenerates the paper's evaluation.
+//! The reproduction and page-count harness for the paper's evaluation.
+//! It holds no clock: every number it produces is a page count or an
+//! analytical value, so every output is reproducible bit for bit.
+//! Timing (throughput, latency, telemetry overhead, multi-client runs)
+//! is measured by the standalone `benchmark/` package.
 //!
 //! * The **analytical side** (Figures 11–14) is pure `fieldrep-costmodel`;
-//!   the binaries `fig11`…`fig14` print the same series/rows the paper
+//!   `repro fig11`…`repro fig14` print the same series/rows the paper
 //!   reports.
 //! * The **empirical side** builds the §6 schema (`R` referencing `S`
 //!   through `sref`, `replicate R.sref.repfield`) at the paper's object
 //!   sizes on the real storage engine, runs the paper's read/update
 //!   queries, and measures actual page I/O with a cold buffer pool —
-//!   `cargo run --release -p fieldrep-bench --bin empirical`.
+//!   `cargo run --release -p fieldrep-bench --bin repro -- empirical`.
+//! * The **page-count suite** ([`suite`]) pins a fixed matrix of those
+//!   measurements against the committed `BENCH_BASELINE.json`.
 //!
 //! This library holds the shared workload builder and measurement
-//! helpers; see `src/bin/` for the per-figure drivers and `benches/` for
-//! the Criterion timing benchmarks.
+//! helpers; see `src/bin/` for the drivers.
 
-pub mod concurrency;
-pub mod durability;
 pub mod figures;
 pub mod json;
 pub mod suite;
@@ -89,7 +92,8 @@ impl WorkloadSpec {
         }
     }
 
-    /// A scaled-down copy (for Criterion timing benches).
+    /// A copy at a smaller `|S|` (the suite, the tests and `repro
+    /// empirical_curves` run below paper scale).
     pub fn scaled(mut self, s_count: usize) -> WorkloadSpec {
         self.s_count = s_count;
         self
@@ -454,10 +458,6 @@ pub struct CellMeasurement {
     pub update_measured: f64,
     /// Analytical `C_update`.
     pub update_model: f64,
-    /// Wall time of all read queries, nanoseconds.
-    pub read_nanos: u64,
-    /// Wall time of all update queries, nanoseconds.
-    pub update_nanos: u64,
     /// Disk read *calls* per read query, averaged (grouped batch reads
     /// count once; `read_measured / read_calls` ≈ mean batch length).
     pub read_calls: f64,
@@ -472,19 +472,13 @@ pub fn measure_cell(spec: WorkloadSpec, queries: usize) -> Result<(Workload, Cel
     let model = spec.model_strategy();
     let setting = spec.setting;
     let mut w = build_workload(spec)?;
-    let t0 = std::time::Instant::now();
     let (read_measured, read_calls) = avg_read_stats(&mut w, queries)?;
-    let read_nanos = t0.elapsed().as_nanos() as u64;
-    let t1 = std::time::Instant::now();
     let (update_measured, update_calls) = avg_update_stats(&mut w, queries)?;
-    let update_nanos = t1.elapsed().as_nanos() as u64;
     let cell = CellMeasurement {
         read_measured,
         read_model: read_cost(&params, model, setting).total(),
         update_measured,
         update_model: update_cost(&params, model, setting).total(),
-        read_nanos,
-        update_nanos,
         read_calls,
         update_calls,
     };

@@ -1,47 +1,31 @@
-//! The continuous benchmark suite and its regression gate.
+//! The page-count suite and its regression gate.
 //!
 //! [`run_suite`] executes a fixed measurement matrix — the §6 read and
 //! update workloads across sharing levels, settings, and strategies,
 //! plus propagation fan-out and EXPLAIN-ANALYZE model drift — and the
-//! analytical Figure 12/14 reference cells, producing a schema-versioned
-//! [`SuiteReport`] that `bench_suite` writes as `BENCH_<date>.json`.
-//! [`gate`] diffs two reports point-by-point and reports violations
-//! (I/O regressions beyond a threshold, model drift beyond a bound, or
-//! vanished points), which `bench_gate` / `scripts/bench_gate.sh` turn
-//! into a nonzero exit.
+//! analytical Figure 12/14 reference cells, producing a [`SuiteReport`]
+//! of page counts only. Every field is deterministic, so the report
+//! `bench_suite` writes is byte-identical run to run and the committed
+//! `BENCH_BASELINE.json` is one such run. [`gate`] diffs two reports
+//! point-by-point and reports violations (page I/O or read calls up
+//! beyond a threshold, model drift beyond a bound, or vanished points),
+//! which `bench_gate` / `scripts/bench_gate.sh` turn into a nonzero
+//! exit. Timing lives in `benchmark/`, not here.
 
 use crate::figures::selected_points;
 use crate::json::Json;
 use crate::{
-    build_workload, measure_cell, measure_read_query, measure_update_query, profile_update_query,
-    read_query, strategy_name, update_query, WorkloadSpec, ALL_STRATEGIES,
+    measure_cell, profile_update_query, read_query, strategy_name, WorkloadSpec, ALL_STRATEGIES,
 };
-use fieldrep_catalog::Strategy;
 use fieldrep_costmodel::{
     drift_pct, predict_update, AccessShape, IndexSetting, ModelStrategy, UpdateShape,
 };
-use fieldrep_obs::{export, names as obs_names, recorder, registry, slowlog, timeline};
-use fieldrep_query::{explain_analyze_read, SysQuery};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use fieldrep_query::explain_analyze_read;
 
-/// Version of the `BENCH_*.json` document layout. Bump on any breaking
-/// change to [`SuiteReport::to_json`]; [`SuiteReport::parse`] rejects
-/// unknown versions so the gate never diffs incompatible reports.
-///
-/// v2 added `wall_ms` and `batch_io` per point (the batched-I/O fast
-/// path's wall-clock and grouped-read-call telemetry). v1 documents are
-/// still parsed, with those fields defaulting to 0 — which also disables
-/// wall-clock gating against a v1 baseline.
-///
-/// v3 added `ops_per_sec` and the `concurrency/…` point family (the
-/// multi-threaded snapshot-read/`update_txn` throughput sweep). v1 and
-/// v2 documents still parse, with `ops_per_sec` defaulting to 0 — the
-/// read-scaling gate only judges the *new* report, so old baselines
-/// never trip it.
-pub const BENCH_SCHEMA_VERSION: u32 = 3;
-
-/// Wall-clock readings below this are considered noise and never gated.
-pub const WALL_FLOOR_MS: f64 = 5.0;
+/// Version of the report layout. Bump on any change to
+/// [`SuiteReport::to_json`]; [`SuiteReport::parse`] rejects every other
+/// version so the gate never diffs incompatible reports.
+pub const BENCH_SCHEMA_VERSION: u32 = 4;
 
 /// What the suite measures.
 #[derive(Clone, Debug)]
@@ -58,13 +42,12 @@ pub struct SuiteConfig {
     pub read_sel: f64,
     /// Update selectivity (the paper's `f_s`).
     pub update_sel: f64,
-    /// True for the fast CI variant.
-    pub smoke: bool,
 }
 
 impl SuiteConfig {
-    /// The full nightly matrix (a scaled-down |S| keeps the suite under
-    /// a few minutes; the paper-scale run is `--bin empirical`).
+    /// The matrix `bench_suite` runs and the baseline records (a
+    /// scaled-down |S| keeps it at a couple of seconds; the paper-scale
+    /// run is `repro empirical`).
     pub fn full() -> SuiteConfig {
         SuiteConfig {
             s_count: 2000,
@@ -73,21 +56,6 @@ impl SuiteConfig {
             queries: 3,
             read_sel: 0.001,
             update_sel: 0.001,
-            smoke: false,
-        }
-    }
-
-    /// A seconds-scale variant for `scripts/check.sh`: tiny workloads,
-    /// one setting, selectivities raised so every query touches rows.
-    pub fn smoke() -> SuiteConfig {
-        SuiteConfig {
-            s_count: 240,
-            sharings: vec![1, 3],
-            settings: vec![IndexSetting::Unclustered],
-            queries: 1,
-            read_sel: 0.02,
-            update_sel: 0.02,
-            smoke: true,
         }
     }
 
@@ -117,38 +85,19 @@ pub struct BenchPoint {
     pub model_io: f64,
     /// `100·(measured − model)/model`.
     pub drift_pct: f64,
-    /// Wall time of the measured queries, nanoseconds (0 for `model/…`).
-    pub wall_nanos: u64,
-    /// Wall time in milliseconds (same window as `wall_nanos`; kept as a
-    /// separate field so gates and humans read one unit). 0 when the
-    /// point has no wall measurement or came from a v1 document.
-    pub wall_ms: f64,
     /// Disk read *calls* per query (grouped batch reads count once) —
     /// the syscall/seek proxy; `measured_io / batch_io` ≈ mean batch
-    /// length. 0 for non-`io/` points and v1 documents.
+    /// length. 0 for non-`io/` points.
     pub batch_io: f64,
-    /// Operations per second, for `concurrency/…` throughput points.
-    /// 0 for all other points and for pre-v3 documents.
-    pub ops_per_sec: f64,
 }
 
-/// A full suite run, serialisable to/from `BENCH_*.json`.
+/// A full suite run, serialisable to/from JSON.
 #[derive(Clone, Debug)]
 pub struct SuiteReport {
-    /// [`BENCH_SCHEMA_VERSION`] at write time.
-    pub schema_version: u32,
-    /// Caller-supplied run identifier (CI job id, date, …).
+    /// Caller-supplied run identifier (CI job id, PR number, …).
     pub run_id: String,
-    /// Seconds since the Unix epoch at write time.
-    pub generated_unix: u64,
-    /// True if produced by the smoke config.
-    pub smoke: bool,
     /// All points, in matrix order.
     pub points: Vec<BenchPoint>,
-    /// The observability registry snapshot after the run, as JSONL
-    /// lines (includes the `costmodel.drift.*` gauges and the run
-    /// header from [`export::run_meta_jsonl`]).
-    pub metrics: Vec<String>,
 }
 
 fn setting_name(s: IndexSetting) -> &'static str {
@@ -184,10 +133,7 @@ pub fn run_suite(cfg: &SuiteConfig, run_id: &str) -> Result<SuiteReport, String>
                         measured_io: v as f64,
                         model_io: v as f64,
                         drift_pct: 0.0,
-                        wall_nanos: 0,
-                        wall_ms: 0.0,
                         batch_io: 0.0,
-                        ops_per_sec: 0.0,
                     });
                 }
             }
@@ -207,20 +153,14 @@ pub fn run_suite(cfg: &SuiteConfig, run_id: &str) -> Result<SuiteReport, String>
                     measured_io: cell.read_measured,
                     model_io: cell.read_model,
                     drift_pct: drift_pct(cell.read_model, cell.read_measured),
-                    wall_nanos: cell.read_nanos,
-                    wall_ms: cell.read_nanos as f64 / 1e6,
                     batch_io: cell.read_calls,
-                    ops_per_sec: 0.0,
                 });
                 points.push(BenchPoint {
                     id: format!("{base}/update"),
                     measured_io: cell.update_measured,
                     model_io: cell.update_model,
                     drift_pct: drift_pct(cell.update_model, cell.update_measured),
-                    wall_nanos: cell.update_nanos,
-                    wall_ms: cell.update_nanos as f64 / 1e6,
                     batch_io: cell.update_calls,
-                    ops_per_sec: 0.0,
                 });
 
                 // Propagation fan-out: the `core.propagate` slice of one
@@ -252,10 +192,7 @@ pub fn run_suite(cfg: &SuiteConfig, run_id: &str) -> Result<SuiteReport, String>
                         measured_io: measured,
                         model_io: model,
                         drift_pct: drift_pct(model, measured),
-                        wall_nanos: run.profile.total_nanos as u64,
-                        wall_ms: run.profile.total_nanos as f64 / 1e6,
                         batch_io: 0.0,
-                        ops_per_sec: 0.0,
                     });
                 }
 
@@ -272,251 +209,54 @@ pub fn run_suite(cfg: &SuiteConfig, run_id: &str) -> Result<SuiteReport, String>
                     measured_io: e.measured_total.unwrap_or(0) as f64,
                     model_io: e.predicted_total,
                     drift_pct: e.total_drift().unwrap_or(0.0),
-                    wall_nanos: 0,
-                    wall_ms: 0.0,
                     batch_io: 0.0,
-                    ops_per_sec: 0.0,
                 });
             }
         }
     }
 
-    // Telemetry overhead: the same workload with the always-on pipeline
-    // engaged vs. the recorder disabled. Gated within one report (same
-    // machine, same run), so the points carry only wall clock.
-    let (on_ms, off_ms) = measure_overhead(cfg)?;
-    for (mode, ms) in [("on", on_ms), ("off", off_ms)] {
-        points.push(BenchPoint {
-            id: format!("overhead/telemetry/{mode}"),
-            measured_io: 0.0,
-            model_io: 0.0,
-            drift_pct: 0.0,
-            wall_nanos: (ms * 1e6) as u64,
-            wall_ms: ms,
-            batch_io: 0.0,
-            ops_per_sec: 0.0,
-        });
-    }
-
-    // Introspection overhead: the slow-query log armed (recording every
-    // statement) plus a monitoring client's sys.* scans, vs. the same
-    // queries with the log disarmed. Gated within one report, like the
-    // telemetry pair above.
-    let (on_ms, off_ms) = measure_introspect_overhead(cfg)?;
-    for (mode, ms) in [("on", on_ms), ("off", off_ms)] {
-        points.push(BenchPoint {
-            id: format!("overhead/introspect/{mode}"),
-            measured_io: 0.0,
-            model_io: 0.0,
-            drift_pct: 0.0,
-            wall_nanos: (ms * 1e6) as u64,
-            wall_ms: ms,
-            batch_io: 0.0,
-            ops_per_sec: 0.0,
-        });
-    }
-
-    // Multi-threaded throughput: snapshot readers and OID-ordered
-    // transactional writers over one shared database (schema v3's
-    // `concurrency/…` family). An engine error here is a found bug,
-    // not a measurement problem — fail the suite loudly.
-    let conc = if cfg.smoke {
-        crate::concurrency::ConcurrencyConfig::smoke()
-    } else {
-        crate::concurrency::ConcurrencyConfig::full()
-    };
-    points.extend(crate::concurrency::run_concurrency(&conc)?);
-
-    // Durability: the WAL on/off page-I/O pin (deterministic, gated
-    // cross-run) and the fsync-bound group-commit throughput sweep
-    // (under the gate-exempt `concurrency/` prefix). As above, an
-    // engine error here is a found bug — fail the suite loudly.
-    points.extend(crate::durability::run_durability(cfg.smoke)?);
-
-    let mut metrics = vec![export::run_meta_jsonl(run_id)];
-    metrics.extend(export::snapshot_jsonl(&registry().snapshot()));
     Ok(SuiteReport {
-        schema_version: BENCH_SCHEMA_VERSION,
         run_id: run_id.to_string(),
-        generated_unix: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        smoke: cfg.smoke,
         points,
-        metrics,
     })
 }
 
-/// Wall clock of the always-on telemetry pipeline vs. the recorder
-/// disabled, as `(on_ms, off_ms)`: min over `reps` passes of one §6
-/// read + update query on a fixed in-place workload, after a warmup
-/// pass. The "on" mode additionally takes one timeline tick per pass —
-/// the configuration the engine actually ships with.
-fn measure_overhead(cfg: &SuiteConfig) -> Result<(f64, f64), String> {
-    let sharing = cfg.sharings.last().copied().unwrap_or(1);
-    let setting = cfg
-        .settings
-        .first()
-        .copied()
-        .unwrap_or(IndexSetting::Unclustered);
-    let spec = cfg.spec(sharing, setting, Some(Strategy::InPlace));
-    let mut w = build_workload(spec).map_err(|e| e.to_string())?;
-    let reps = if cfg.smoke { 3 } else { 5 };
-    let was_on = recorder::enabled();
-    let mut best = |telemetry: bool| -> Result<f64, String> {
-        recorder::set_enabled(telemetry);
-        let mut min = f64::INFINITY;
-        for rep in 0..=reps {
-            let t0 = Instant::now();
-            measure_read_query(&mut w, 0).map_err(|e| e.to_string())?;
-            measure_update_query(&mut w, 0).map_err(|e| e.to_string())?;
-            if telemetry {
-                timeline::global_tick();
-            }
-            let ms = t0.elapsed().as_nanos() as f64 / 1e6;
-            if rep > 0 {
-                min = min.min(ms); // pass 0 is warmup
-            }
-        }
-        Ok(min)
-    };
-    // "on" runs first so any residual cache warmth favours "off",
-    // overstating rather than hiding the overhead.
-    let on_ms = best(true)?;
-    let off_ms = best(false)?;
-    recorder::set_enabled(was_on);
-    Ok((on_ms, off_ms))
-}
-
-/// Wall clock of the introspection subsystem armed vs. idle, as
-/// `(on_ms, off_ms)`: min over `reps` passes of one §6 read + update
-/// query on a fixed in-place workload, after a warmup pass. The "on"
-/// mode arms the slow-query log at a threshold that records every
-/// statement, observes each statement at its boundary (the `lang`
-/// front-end's hook), and scans `sys.metrics` + `sys.pool` once per
-/// pass — a monitoring client polling the engine. The "off" mode runs
-/// the identical queries with the log disarmed and no scans.
-fn measure_introspect_overhead(cfg: &SuiteConfig) -> Result<(f64, f64), String> {
-    let sharing = cfg.sharings.last().copied().unwrap_or(1);
-    let setting = cfg
-        .settings
-        .first()
-        .copied()
-        .unwrap_or(IndexSetting::Unclustered);
-    let spec = cfg.spec(sharing, setting, Some(Strategy::InPlace));
-    let mut w = build_workload(spec).map_err(|e| e.to_string())?;
-    let reps = if cfg.smoke { 3 } else { 5 };
-    let mut best = |introspect: bool| -> Result<f64, String> {
-        if introspect {
-            slowlog::set_thresholds(Some(0), None); // wall 0 ms: record everything
-        } else {
-            slowlog::set_off();
-        }
-        let mut min = f64::INFINITY;
-        for rep in 0..=reps {
-            let t0 = Instant::now();
-            let q = read_query(&w, 0);
-            w.db.flush_all().map_err(|e| e.to_string())?;
-            w.db.reset_profile();
-            let res = q.run(&mut w.db).map_err(|e| e.to_string())?;
-            if introspect {
-                w.db.observe_statement(
-                    "suite read",
-                    &res.plan.to_string(),
-                    &res.profile,
-                    res.rows.len() as u64,
-                );
-            }
-            if let Some(f) = res.output_file {
-                w.db.sm().drop_file(f).map_err(|e| e.to_string())?;
-            }
-            let uq = update_query(&w, 0);
-            w.db.flush_all().map_err(|e| e.to_string())?;
-            w.db.reset_profile();
-            let ur = uq.run(&mut w.db).map_err(|e| e.to_string())?;
-            if introspect {
-                w.db.observe_statement(
-                    "suite update",
-                    &ur.plan.to_string(),
-                    &ur.profile,
-                    ur.updated as u64,
-                );
-                for table in [obs_names::SYS_METRICS, obs_names::SYS_POOL] {
-                    SysQuery::on(table)
-                        .run(&mut w.db)
-                        .map_err(|e| e.to_string())?;
-                }
-            }
-            let ms = t0.elapsed().as_nanos() as f64 / 1e6;
-            if rep > 0 {
-                min = min.min(ms); // pass 0 is warmup
-            }
-        }
-        Ok(min)
-    };
-    // "on" first, so residual cache warmth favours "off" (overstates
-    // rather than hides the overhead), matching `measure_overhead`.
-    let on_ms = best(true)?;
-    let off_ms = best(false)?;
-    slowlog::set_off();
-    slowlog::clear();
-    Ok((on_ms, off_ms))
-}
-
 impl SuiteReport {
-    /// Serialise to pretty-enough JSON (one point per line).
+    /// Serialise to JSON, one point per line, so a re-recorded baseline
+    /// diffs point by point.
     pub fn to_json(&self) -> String {
-        let points = Json::Arr(
-            self.points
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        ("id".into(), Json::Str(p.id.clone())),
-                        ("measured_io".into(), Json::Num(p.measured_io)),
-                        ("model_io".into(), Json::Num(p.model_io)),
-                        ("drift_pct".into(), Json::Num(p.drift_pct)),
-                        ("wall_nanos".into(), Json::Num(p.wall_nanos as f64)),
-                        ("wall_ms".into(), Json::Num(p.wall_ms)),
-                        ("batch_io".into(), Json::Num(p.batch_io)),
-                        ("ops_per_sec".into(), Json::Num(p.ops_per_sec)),
-                    ])
-                })
-                .collect(),
-        );
-        let doc = Json::Obj(vec![
-            (
-                "schema_version".into(),
-                Json::Num(self.schema_version as f64),
-            ),
-            ("run_id".into(), Json::Str(self.run_id.clone())),
-            (
-                "generated_unix".into(),
-                Json::Num(self.generated_unix as f64),
-            ),
-            ("smoke".into(), Json::Bool(self.smoke)),
-            ("points".into(), points),
-            (
-                "metrics".into(),
-                Json::Arr(self.metrics.iter().cloned().map(Json::Str).collect()),
-            ),
-        ]);
-        doc.render()
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| {
+                Json::Obj(vec![
+                    ("id".into(), Json::Str(p.id.clone())),
+                    ("measured_io".into(), Json::Num(p.measured_io)),
+                    ("model_io".into(), Json::Num(p.model_io)),
+                    ("drift_pct".into(), Json::Num(p.drift_pct)),
+                    ("batch_io".into(), Json::Num(p.batch_io)),
+                ])
+                .render()
+            })
+            .collect();
+        format!(
+            "{{\"schema_version\":{BENCH_SCHEMA_VERSION},\"run_id\":{},\"points\":[\n{}\n]}}",
+            Json::Str(self.run_id.clone()).render(),
+            points.join(",\n")
+        )
     }
 
-    /// Parse a report written by [`SuiteReport::to_json`]. Accepts the
-    /// current schema and every earlier one (v1 points lack `wall_ms` /
-    /// `batch_io`, v1/v2 points lack `ops_per_sec`; missing fields
-    /// default to 0, which exempts them from the corresponding gates).
+    /// Parse a report written by [`SuiteReport::to_json`]. Any schema
+    /// version but the current one is an error.
     pub fn parse(src: &str) -> Result<SuiteReport, String> {
         let doc = Json::parse(src)?;
         let version = doc
             .get("schema_version")
             .and_then(Json::as_f64)
-            .ok_or("missing schema_version")? as u32;
-        if !(1..=BENCH_SCHEMA_VERSION).contains(&version) {
+            .ok_or("missing schema_version")?;
+        if version != f64::from(BENCH_SCHEMA_VERSION) {
             return Err(format!(
-                "schema_version {version} unsupported (expected 1..={BENCH_SCHEMA_VERSION})"
+                "schema_version {version} unsupported (expected {BENCH_SCHEMA_VERSION})"
             ));
         }
         let num = |p: &Json, k: &str| -> Result<f64, String> {
@@ -539,37 +279,17 @@ impl SuiteReport {
                     measured_io: num(p, "measured_io")?,
                     model_io: num(p, "model_io")?,
                     drift_pct: num(p, "drift_pct")?,
-                    wall_nanos: num(p, "wall_nanos")? as u64,
-                    // v2 fields; absent in v1 documents.
-                    wall_ms: p.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
-                    batch_io: p.get("batch_io").and_then(Json::as_f64).unwrap_or(0.0),
-                    // v3 field; absent in v1/v2 documents.
-                    ops_per_sec: p.get("ops_per_sec").and_then(Json::as_f64).unwrap_or(0.0),
+                    batch_io: num(p, "batch_io")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(SuiteReport {
-            schema_version: version,
             run_id: doc
                 .get("run_id")
                 .and_then(Json::as_str)
-                .unwrap_or("")
+                .ok_or("missing run_id")?
                 .to_string(),
-            generated_unix: doc
-                .get("generated_unix")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
-            smoke: doc.get("smoke").and_then(Json::as_bool).unwrap_or(false),
             points,
-            metrics: doc
-                .get("metrics")
-                .and_then(Json::as_arr)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|v| v.as_str().map(str::to_string))
-                        .collect()
-                })
-                .unwrap_or_default(),
         })
     }
 }
@@ -577,27 +297,11 @@ impl SuiteReport {
 /// Gate thresholds.
 #[derive(Clone, Copy, Debug)]
 pub struct GateThresholds {
-    /// Maximum allowed measured-I/O increase vs. the previous run, %.
+    /// Maximum allowed increase of a point's measured page I/O, or of
+    /// its disk read calls, vs. the baseline, %.
     pub max_io_regress_pct: f64,
     /// Maximum allowed |model drift| on `drift/…` points, %.
     pub max_drift_pct: f64,
-    /// Maximum allowed wall-clock increase vs. the previous run, %.
-    /// Only applied when both readings are at least [`WALL_FLOOR_MS`]
-    /// (sub-floor timings are noise); `<= 0` disables wall gating.
-    pub max_wall_regress_pct: f64,
-    /// Maximum wall-clock cost of the always-on telemetry pipeline:
-    /// `overhead/telemetry/on` vs. `…/off` **within the new report**
-    /// (same machine, same run). Only applied when the "off" reading
-    /// clears [`WALL_FLOOR_MS`]; `<= 0` disables the check.
-    pub max_obs_overhead_pct: f64,
-    /// Minimum `concurrency/read/t4` ÷ `concurrency/read/t1` throughput
-    /// ratio **within the new report**: snapshot readers never block, so
-    /// read throughput must scale with threads. Only applied when the
-    /// producing host reported at least 4 CPUs (`concurrency/host/cpus`)
-    /// and both readings ran long enough to clear [`WALL_FLOOR_MS`] — a
-    /// 1-core CI box physically cannot scale and a sub-floor smoke run
-    /// is noise. `<= 0` disables the check.
-    pub min_read_scaling: f64,
 }
 
 impl Default for GateThresholds {
@@ -605,18 +309,13 @@ impl Default for GateThresholds {
         GateThresholds {
             max_io_regress_pct: 10.0,
             max_drift_pct: 60.0,
-            max_wall_regress_pct: 15.0,
-            max_obs_overhead_pct: 5.0,
-            min_read_scaling: 2.0,
         }
     }
 }
 
 /// Diff `new` against `old`; returns human-readable violations (empty =
-/// gate passes). Page I/O is deterministic and gated strictly; wall
-/// clock is gated loosely (floor + wide threshold) because it is
-/// machine-dependent, and not at all against v1 baselines (their
-/// `wall_ms` parses as 0, below the floor).
+/// gate passes). Both counts are deterministic, so any increase is a
+/// code change, never noise; improvements pass.
 pub fn gate(old: &SuiteReport, new: &SuiteReport, t: &GateThresholds) -> Vec<String> {
     let mut violations = Vec::new();
     for op in &old.points {
@@ -624,28 +323,15 @@ pub fn gate(old: &SuiteReport, new: &SuiteReport, t: &GateThresholds) -> Vec<Str
             violations.push(format!("{}: point missing from new report", op.id));
             continue;
         };
-        if op.id.starts_with("overhead/") || op.id.starts_with("concurrency/") {
-            // Overhead and concurrency points are judged within the new
-            // report below (on/off pairs; thread-scaling ratios); their
-            // absolute readings are machine-dependent noise here.
-            continue;
-        }
-        let regress = 100.0 * (np.measured_io - op.measured_io) / op.measured_io.max(1.0);
-        if regress > t.max_io_regress_pct {
-            violations.push(format!(
-                "{}: measured I/O regressed {:.1}% ({:.1} -> {:.1} pages, limit {:.0}%)",
-                op.id, regress, op.measured_io, np.measured_io, t.max_io_regress_pct
-            ));
-        }
-        if t.max_wall_regress_pct > 0.0
-            && op.wall_ms >= WALL_FLOOR_MS
-            && np.wall_ms >= WALL_FLOOR_MS
-        {
-            let wall_regress = 100.0 * (np.wall_ms - op.wall_ms) / op.wall_ms;
-            if wall_regress > t.max_wall_regress_pct {
+        for (what, unit, was, now) in [
+            ("measured I/O", "pages", op.measured_io, np.measured_io),
+            ("disk read calls", "calls", op.batch_io, np.batch_io),
+        ] {
+            let regress = 100.0 * (now - was) / was.max(1.0);
+            if regress > t.max_io_regress_pct {
                 violations.push(format!(
-                    "{}: wall clock regressed {:.1}% ({:.1} -> {:.1} ms, limit {:.0}%)",
-                    op.id, wall_regress, op.wall_ms, np.wall_ms, t.max_wall_regress_pct
+                    "{}: {what} regressed {regress:.1}% ({was:.1} -> {now:.1} {unit}, limit {:.0}%)",
+                    op.id, t.max_io_regress_pct
                 ));
             }
         }
@@ -658,74 +344,33 @@ pub fn gate(old: &SuiteReport, new: &SuiteReport, t: &GateThresholds) -> Vec<Str
             ));
         }
     }
-    if t.max_obs_overhead_pct > 0.0 {
-        let wall = |id: &str| new.points.iter().find(|p| p.id == id).map(|p| p.wall_ms);
-        for (kind, label) in [
-            ("telemetry", "always-on telemetry"),
-            ("introspect", "armed introspection"),
-        ] {
-            if let (Some(on), Some(off)) = (
-                wall(&format!("overhead/{kind}/on")),
-                wall(&format!("overhead/{kind}/off")),
-            ) {
-                if off >= WALL_FLOOR_MS {
-                    let pct = 100.0 * (on - off) / off;
-                    if pct > t.max_obs_overhead_pct {
-                        violations.push(format!(
-                            "overhead/{kind}: {label} costs {pct:+.1}% wall clock \
-                             ({off:.1} -> {on:.1} ms, limit {:.0}%)",
-                            t.max_obs_overhead_pct
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if t.min_read_scaling > 0.0 {
-        let find = |id: &str| new.points.iter().find(|p| p.id == id);
-        let cpus = find("concurrency/host/cpus")
-            .map(|p| p.measured_io)
-            .unwrap_or(0.0);
-        if let (Some(p1), Some(p4)) = (find("concurrency/read/t1"), find("concurrency/read/t4")) {
-            if cpus >= 4.0
-                && p1.wall_ms >= WALL_FLOOR_MS
-                && p4.wall_ms >= WALL_FLOOR_MS
-                && p1.ops_per_sec > 0.0
-            {
-                let scaling = p4.ops_per_sec / p1.ops_per_sec;
-                if scaling < t.min_read_scaling {
-                    violations.push(format!(
-                        "concurrency/read: 4-thread snapshot reads scale only {scaling:.2}x over \
-                         1 thread ({:.0} -> {:.0} ops/s on a {cpus:.0}-CPU host, minimum {:.1}x)",
-                        p1.ops_per_sec, p4.ops_per_sec, t.min_read_scaling
-                    ));
-                }
-            }
-        }
-    }
     violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fieldrep_obs::{export, registry};
 
+    /// Tiny workloads, one setting, selectivities raised so every query
+    /// touches rows.
     fn tiny_report() -> SuiteReport {
-        let mut cfg = SuiteConfig::smoke();
-        cfg.sharings = vec![2];
-        cfg.s_count = 180;
-        let mut r = run_suite(&cfg, "test-run").unwrap();
-        // The overhead pairs are measured live and judged *within* the
-        // new report, so under parallel-test load they can spuriously
-        // clear the noise floor and break emptiness assertions. Pin
-        // them sub-floor here; the overhead-gate tests set their own
-        // values explicitly.
-        for p in &mut r.points {
-            if p.id.starts_with("overhead/") {
-                p.wall_ms = 1.0;
-            }
-        }
-        r
+        let cfg = SuiteConfig {
+            s_count: 180,
+            sharings: vec![2],
+            settings: vec![IndexSetting::Unclustered],
+            queries: 1,
+            read_sel: 0.02,
+            update_sel: 0.02,
+        };
+        run_suite(&cfg, "test-run").unwrap()
+    }
+
+    fn first_io(r: &mut SuiteReport) -> &mut BenchPoint {
+        r.points
+            .iter_mut()
+            .find(|p| p.id.starts_with("io/"))
+            .unwrap()
     }
 
     #[test]
@@ -734,16 +379,6 @@ mod tests {
         assert!(r.points.iter().any(|p| p.id.starts_with("io/")));
         assert!(r.points.iter().any(|p| p.id.starts_with("propagation/")));
         assert!(r.points.iter().any(|p| p.id.starts_with("drift/")));
-        for kind in ["telemetry", "introspect"] {
-            for mode in ["on", "off"] {
-                let p = r
-                    .points
-                    .iter()
-                    .find(|p| p.id == format!("overhead/{kind}/{mode}"))
-                    .expect("overhead point");
-                assert!(p.wall_ms > 0.0, "{}: wall must be measured", p.id);
-            }
-        }
         assert_eq!(
             r.points
                 .iter()
@@ -752,32 +387,20 @@ mod tests {
             24,
             "2 figures x 2 sharing levels x 3 strategies x read+update"
         );
-        let read_t1 = r
-            .points
-            .iter()
-            .find(|p| p.id == "concurrency/read/t1")
-            .expect("concurrency read point");
-        assert!(read_t1.ops_per_sec > 0.0, "throughput must be measured");
         assert!(
-            r.points.iter().any(|p| p.id == "concurrency/host/cpus"),
-            "host parallelism must be recorded for the scaling gate"
-        );
-        assert!(
-            r.points
+            export::snapshot_jsonl(&registry().snapshot())
                 .iter()
-                .any(|p| p.id.starts_with("concurrency/mixed/p30/")),
-            "mixed-update sweep must be present"
-        );
-        assert!(r.metrics.iter().any(|l| l.contains("\"type\":\"run\"")));
-        assert!(
-            r.metrics.iter().any(|l| l.contains("costmodel.drift.")),
-            "drift gauges must be exported: {:#?}",
-            r.metrics
+                .any(|l| l.contains("costmodel.drift.")),
+            "the drift points must leave their gauges in the registry"
         );
         let back = SuiteReport::parse(&r.to_json()).unwrap();
         assert_eq!(back.points, r.points);
         assert_eq!(back.run_id, "test-run");
-        assert!(back.smoke);
+    }
+
+    #[test]
+    fn same_config_and_run_id_render_the_same_bytes() {
+        assert_eq!(tiny_report().to_json(), tiny_report().to_json());
     }
 
     #[test]
@@ -787,19 +410,31 @@ mod tests {
         assert!(gate(&r, &r, &t).is_empty());
 
         let mut worse = r.clone();
-        let io = worse
-            .points
-            .iter_mut()
-            .find(|p| p.id.starts_with("io/"))
-            .unwrap();
-        io.measured_io *= 1.5;
+        first_io(&mut worse).measured_io *= 1.5;
         let v = gate(&r, &worse, &t);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("regressed"), "{v:?}");
+        assert!(v[0].contains("measured I/O regressed"), "{v:?}");
 
         let mut missing = r.clone();
         missing.points.retain(|p| !p.id.starts_with("drift/"));
         assert!(!gate(&r, &missing, &t).is_empty());
+    }
+
+    #[test]
+    fn gate_fails_on_injected_read_call_regression() {
+        let r = tiny_report();
+        let t = GateThresholds::default();
+        let mut chatty = r.clone();
+        let p = first_io(&mut chatty);
+        assert!(p.batch_io > 0.0, "{}: read calls must be recorded", p.id);
+        p.batch_io *= 1.5;
+        let v = gate(&r, &chatty, &t);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("disk read calls regressed"), "{v:?}");
+        // Fewer calls for the same pages is the batching win: passes.
+        let mut better = r.clone();
+        first_io(&mut better).batch_io *= 0.5;
+        assert!(gate(&r, &better, &t).is_empty());
     }
 
     #[test]
@@ -818,165 +453,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_other_schema_versions() {
-        let r = tiny_report();
-        let bumped = r
-            .to_json()
-            .replacen("\"schema_version\":3", "\"schema_version\":99", 1);
-        assert!(SuiteReport::parse(&bumped).is_err());
-        // Every released schema still parses.
-        for old in ["1", "2"] {
-            let back = r.to_json().replacen(
-                "\"schema_version\":3",
-                &format!("\"schema_version\":{old}"),
-                1,
+        let json = tiny_report().to_json();
+        let current = format!("\"schema_version\":{BENCH_SCHEMA_VERSION}");
+        assert!(json.contains(&current));
+        for other in ["1", "2", "3", "99"] {
+            let doc = json.replacen(&current, &format!("\"schema_version\":{other}"), 1);
+            assert!(
+                SuiteReport::parse(&doc).is_err(),
+                "v{other} must be rejected"
             );
-            assert!(SuiteReport::parse(&back).is_ok(), "v{old} must parse");
         }
-    }
-
-    #[test]
-    fn parse_accepts_v1_documents_with_wall_fields_defaulted() {
-        // A v1 document: no wall_ms / batch_io on its points.
-        let v1 = concat!(
-            "{\"schema_version\":1,\"run_id\":\"old\",\"generated_unix\":1,",
-            "\"smoke\":true,\"points\":[{\"id\":\"io/x/f1/none/read\",",
-            "\"measured_io\":10,\"model_io\":9,\"drift_pct\":11.1,",
-            "\"wall_nanos\":8000000}],\"metrics\":[]}"
-        );
-        let r = SuiteReport::parse(v1).unwrap();
-        assert_eq!(r.schema_version, 1);
-        assert_eq!(r.points.len(), 1);
-        assert_eq!(r.points[0].wall_ms, 0.0);
-        assert_eq!(r.points[0].batch_io, 0.0);
-        // wall_ms 0 < WALL_FLOOR_MS: no wall gating against a v1 baseline,
-        // even against an arbitrarily slow new report.
-        let mut new = r.clone();
-        new.points[0].wall_ms = 1e6;
-        assert!(gate(&r, &new, &GateThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn gate_flags_wall_clock_regression_above_floor_only() {
-        let r = tiny_report();
-        let mut old = r.clone();
-        let mut new = r.clone();
-        let id = old
-            .points
-            .iter()
-            .find(|p| p.id.starts_with("io/"))
-            .unwrap()
-            .id
-            .clone();
-        let set = |rep: &mut SuiteReport, ms: f64| {
-            rep.points.iter_mut().find(|p| p.id == id).unwrap().wall_ms = ms;
-        };
-        // 100 ms -> 130 ms: +30% > 15% limit.
-        set(&mut old, 100.0);
-        set(&mut new, 130.0);
-        let v = gate(&old, &new, &GateThresholds::default());
-        assert!(
-            v.iter().any(|m| m.contains("wall clock regressed")),
-            "{v:?}"
-        );
-        // Same ratio below the floor: noise, not gated.
-        set(&mut old, 1.0);
-        set(&mut new, 1.3);
-        assert!(gate(&old, &new, &GateThresholds::default()).is_empty());
-        // Threshold <= 0 disables wall gating entirely.
-        set(&mut old, 100.0);
-        set(&mut new, 130.0);
-        let off = GateThresholds {
-            max_wall_regress_pct: 0.0,
-            ..GateThresholds::default()
-        };
-        assert!(gate(&old, &new, &off).is_empty());
-    }
-
-    #[test]
-    fn read_scaling_gate_is_host_and_floor_guarded() {
-        let r = tiny_report();
-        let set = |rep: &mut SuiteReport, id: &str, ops: f64, ms: f64| {
-            let p = rep.points.iter_mut().find(|p| p.id == id).unwrap();
-            p.ops_per_sec = ops;
-            p.wall_ms = ms;
-            if id == "concurrency/host/cpus" {
-                p.measured_io = ops;
-            }
-        };
-        // An 8-CPU host whose 4-thread reads only reach 1.5x: caught.
-        let mut flat = r.clone();
-        set(&mut flat, "concurrency/host/cpus", 8.0, 0.0);
-        set(&mut flat, "concurrency/read/t1", 100_000.0, 50.0);
-        set(&mut flat, "concurrency/read/t4", 150_000.0, 40.0);
-        let v = gate(&r, &flat, &GateThresholds::default());
-        assert!(v.iter().any(|m| m.contains("scale only 1.50x")), "{v:?}");
-        // 2.5x scaling on the same host: passes.
-        let mut scaled = flat.clone();
-        set(&mut scaled, "concurrency/read/t4", 250_000.0, 40.0);
-        assert!(gate(&r, &scaled, &GateThresholds::default()).is_empty());
-        // A 1-CPU host physically cannot scale: exempt.
-        let mut small = flat.clone();
-        set(&mut small, "concurrency/host/cpus", 1.0, 0.0);
-        assert!(gate(&r, &small, &GateThresholds::default()).is_empty());
-        // Sub-floor readings (the smoke config) are noise: exempt.
-        let mut fast = flat.clone();
-        set(&mut fast, "concurrency/read/t1", 100_000.0, 1.0);
-        assert!(gate(&r, &fast, &GateThresholds::default()).is_empty());
-        // Threshold <= 0 disables the check.
-        let off = GateThresholds {
-            min_read_scaling: 0.0,
-            ..GateThresholds::default()
-        };
-        assert!(gate(&r, &flat, &off).is_empty());
-        // Concurrency points are exempt from the old-vs-new wall
-        // comparison (machine-dependent; judged within one run instead).
-        let mut slow = r.clone();
-        set(&mut slow, "concurrency/read/t1", 1.0, 1e6);
-        assert!(gate(&r, &slow, &GateThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn gate_flags_telemetry_overhead_within_the_new_report() {
-        let r = tiny_report();
-        let set = |rep: &mut SuiteReport, mode: &str, ms: f64| {
-            rep.points
-                .iter_mut()
-                .find(|p| p.id == format!("overhead/telemetry/{mode}"))
-                .unwrap()
-                .wall_ms = ms;
-        };
-        // +10% overhead above the floor: caught at the default 5% limit.
-        let mut costly = r.clone();
-        set(&mut costly, "off", 100.0);
-        set(&mut costly, "on", 110.0);
-        let v = gate(&r, &costly, &GateThresholds::default());
-        assert!(v.iter().any(|m| m.contains("always-on telemetry")), "{v:?}");
-        // Overhead wall readings are exempt from the old-vs-new wall
-        // comparison (they're compared within one run instead).
-        assert_eq!(v.len(), 1, "{v:?}");
-        // Same ratio below the noise floor: not gated.
-        let mut tiny = r.clone();
-        set(&mut tiny, "off", 1.0);
-        set(&mut tiny, "on", 1.1);
-        assert!(gate(&r, &tiny, &GateThresholds::default()).is_empty());
-        // The introspection pair is gated the same way.
-        let set_i = |rep: &mut SuiteReport, mode: &str, ms: f64| {
-            rep.points
-                .iter_mut()
-                .find(|p| p.id == format!("overhead/introspect/{mode}"))
-                .unwrap()
-                .wall_ms = ms;
-        };
-        let mut probing = r.clone();
-        set_i(&mut probing, "off", 100.0);
-        set_i(&mut probing, "on", 110.0);
-        let v = gate(&r, &probing, &GateThresholds::default());
-        assert!(v.iter().any(|m| m.contains("armed introspection")), "{v:?}");
-        // Threshold <= 0 disables the check.
-        let off = GateThresholds {
-            max_obs_overhead_pct: 0.0,
-            ..GateThresholds::default()
-        };
-        assert!(gate(&r, &costly, &off).is_empty());
     }
 }

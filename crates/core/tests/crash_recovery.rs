@@ -29,7 +29,7 @@ use common::check_consistency;
 use fieldrep_catalog::{Propagation, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_storage::{FileDisk, FileWalStore, Oid};
+use fieldrep_storage::{FileDisk, FileWalStore, MemDisk, MemWalStore, Oid};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
@@ -69,17 +69,10 @@ struct World {
     depts: Vec<Oid>,
 }
 
-/// Figure-1 schema with one replicated path per strategy, persisted to
-/// `dir` and checkpointed (so the data files are a durable baseline and
-/// the log is empty apart from the checkpoint marker). Employee `i` of
-/// `emps` works in department `dept_of(i)`.
-fn build_world(dir: &Path, cfg: DbConfig, emps: usize, dept_of: fn(usize) -> usize) -> World {
-    let mut db = Database::with_disk_and_wal(
-        Box::new(FileDisk::open(dir).unwrap()),
-        Box::new(FileWalStore::open(dir).unwrap()),
-        cfg,
-    )
-    .unwrap();
+/// Figure-1 schema with one replicated path per strategy, loaded into a
+/// freshly created `db`. Employee `i` of `emps` works in department
+/// `dept_of(i)`.
+fn populate(mut db: Database, emps: usize, dept_of: fn(usize) -> usize) -> World {
     db.define_type(TypeDef::new(
         "ORG",
         vec![("name", FieldType::Str), ("budget", FieldType::Int)],
@@ -146,8 +139,22 @@ fn build_world(dir: &Path, cfg: DbConfig, emps: usize, dept_of: fn(usize) -> usi
         .unwrap();
     db.replicate_collapsed("Emp1.dept.org.name", Propagation::Eager)
         .unwrap();
-    db.save().unwrap();
     World { db, orgs, depts }
+}
+
+/// [`populate`] over a file-backed database with a log in `dir`, then
+/// checkpointed (so the data files are a durable baseline and the log
+/// is empty apart from the checkpoint marker).
+fn build_world(dir: &Path, cfg: DbConfig, emps: usize, dept_of: fn(usize) -> usize) -> World {
+    let db = Database::with_disk_and_wal(
+        Box::new(FileDisk::open(dir).unwrap()),
+        Box::new(FileWalStore::open(dir).unwrap()),
+        cfg,
+    )
+    .unwrap();
+    let mut w = populate(db, emps, dept_of);
+    w.db.save().unwrap();
+    w
 }
 
 /// Copy every `f*.pages` baseline file into `scratch` and install the
@@ -343,6 +350,46 @@ fn smoke_single_commit_survives_a_kill() {
     );
     check_consistency(&mut db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Attaching a WAL changes page I/O by exactly zero: the log is a
+/// separate byte stream and page checksums are stamped in place, so a
+/// counted [`MemDisk`] sees the same traffic (reads + writes +
+/// allocations, world build and update loop together) with and without
+/// one. The pool holds everything, so nothing else moves the count.
+#[test]
+fn wal_on_and_off_do_identical_page_io() {
+    let page_io = |db: Database| {
+        db.reset_profile();
+        let w = populate(db, 512, |i| i % 8);
+        let mut rng = StdRng::seed_from_u64(SEED);
+        for step in 0..UPDATES {
+            let dept = w.depts[rng.gen_range(0..w.depts.len())];
+            let (oid, change) = match rng.gen_range(0..3u32) {
+                0 => (dept, ("name", Value::Str(format!("d-{step}")))),
+                1 => (dept, ("budget", Value::Int(rng.gen_range(0..1_000_000)))),
+                _ => (
+                    w.orgs[rng.gen_range(0..w.orgs.len())],
+                    ("name", Value::Str(format!("o-{step}"))),
+                ),
+            };
+            w.db.update_txn(oid, &[change]).unwrap();
+        }
+        let prof = w.db.io_profile();
+        assert_eq!(prof.evictions, 0, "the pin must stay eviction-free");
+        prof.disk.reads + prof.disk.writes + prof.disk.allocations
+    };
+    let off = page_io(Database::with_disk(Box::new(MemDisk::new()), cfg()));
+    let on = page_io(
+        Database::with_disk_and_wal(
+            Box::new(MemDisk::new()),
+            Box::new(MemWalStore::new()),
+            cfg(),
+        )
+        .unwrap(),
+    );
+    assert!(off > 0, "the pin must measure something");
+    assert_eq!(off, on, "attaching a WAL changed page I/O");
 }
 
 /// Employees of the eviction-bearing world, clustered by department so

@@ -1,24 +1,18 @@
 #!/usr/bin/env bash
-# Regression gate over committed benchmark snapshots: diff the two newest
-# BENCH_*.json reports and fail on I/O regressions, excess model drift,
-# a >15% wall-clock regression (wall gating applies only to readings
-# above the noise floor, and never against v1 snapshots), >5%
-# always-on telemetry overhead in the newest report's overhead section,
-# or <2x 1->4-thread snapshot-read scaling in the newest report (only
-# judged when the producing host had >=4 CPUs and the readings cleared
-# the noise floor).
+# Page-count regression gate: run the full bench_suite matrix on the
+# working tree (~2 s; every field is a deterministic count) and diff it
+# against the committed BENCH_BASELINE.json. Fails on a point whose
+# measured page I/O or disk read calls rose more than 10%, on model
+# drift beyond ±60%, or on a point that vanished; improvements pass.
+# When a change moves the counts on purpose, re-record the baseline:
+#   cargo run --release -p fieldrep-bench --bin bench_suite
 # Run from anywhere:
-#   ./scripts/bench_gate.sh [--max-io-regress PCT] [--max-drift PCT] \
-#                           [--max-wall-regress PCT] [--max-obs-overhead PCT] \
-#                           [--min-read-scaling X]
+#   ./scripts/bench_gate.sh [--max-io-regress PCT] [--max-drift PCT]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mapfile -t files < <(ls -1 BENCH_*.json 2>/dev/null | sort | tail -2)
-if [ "${#files[@]}" -lt 2 ]; then
-    echo "bench_gate: need two BENCH_*.json snapshots (found ${#files[@]});"
-    echo "run 'cargo run --release -p fieldrep-bench --bin bench_suite' to create one."
-    exit 0
-fi
+mkdir -p target
+cargo run --release -q -p fieldrep-bench --bin bench_suite -- \
+    --run-id bench_gate.sh --out target/BENCH_current.json
 exec cargo run --release -q -p fieldrep-bench --bin bench_gate -- \
-    "${files[0]}" "${files[1]}" --max-wall-regress 15 --max-obs-overhead 5 "$@"
+    BENCH_BASELINE.json target/BENCH_current.json "$@"

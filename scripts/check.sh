@@ -48,11 +48,11 @@ stage concurrency_stress cargo test --release -q -p fieldrep-core --test concurr
 # after replay fails here.
 stage crash_recovery cargo test --release -q -p fieldrep-core --test crash_recovery
 
-# Fast benchmark smoke: runs the suite's tiny matrix and self-tests the
-# regression-gate logic (exits nonzero if the gate stops catching
-# injected regressions).
-stage bench_smoke cargo run --release -q -p fieldrep-bench --bin bench_suite -- \
-    --smoke --run-id check.sh --out target/BENCH_smoke.json
+# Page-count gate: the full bench_suite matrix of the working tree
+# against the committed BENCH_BASELINE.json (I/O or read calls up > 10%,
+# drift beyond ±60%, or a vanished point fails; the gate logic's own
+# injected-regression checks are unit tests in crates/bench/src/suite.rs).
+stage bench_smoke ./scripts/bench_gate.sh
 
 # Observability smoke: a tiny workload through the always-on pipeline
 # (two timeline ticks + flight-recorder dump), validating that every

@@ -7,25 +7,30 @@ mkdir -p results
 
 FULL="${1:-}"
 
+# One `repro` subcommand per output file.
+repro() {
+  cargo run --release -q -p fieldrep-bench --bin repro -- "$@"
+}
+
 echo "== analytical figures =="
-cargo run --release -q -p fieldrep-bench --bin fig11 > results/fig11.txt
-cargo run --release -q -p fieldrep-bench --bin fig12 > results/fig12.txt
-cargo run --release -q -p fieldrep-bench --bin fig13 > results/fig13.txt
-cargo run --release -q -p fieldrep-bench --bin fig14 > results/fig14.txt
+repro fig11 > results/fig11.txt
+repro fig12 > results/fig12.txt
+repro fig13 > results/fig13.txt
+repro fig14 > results/fig14.txt
 
 echo "== empirical validation =="
 if [ "$FULL" = "--full" ]; then
-  cargo run --release -q -p fieldrep-bench --bin empirical -- --full > results/empirical.txt
+  repro empirical --full > results/empirical.txt
 else
-  cargo run --release -q -p fieldrep-bench --bin empirical > results/empirical.txt
+  repro empirical > results/empirical.txt
 fi
 
 echo "== measured curves and traces =="
-cargo run --release -q -p fieldrep-bench --bin empirical_curves -- --s 2000 > results/empirical_curves.txt
+repro empirical_curves --s 2000 > results/empirical_curves.txt
 cargo run --release -q -p fieldrep-bench --bin trace_run > results/trace_run.txt
 
 echo "== ablations =="
-cargo run --release -q -p fieldrep-bench --bin ablations > results/ablations.txt
-cargo run --release -q -p fieldrep-bench --bin pathindex_ablation > results/pathindex_ablation.txt
+repro ablations > results/ablations.txt
+repro pathindex_ablation > results/pathindex_ablation.txt
 
 echo "done — see results/"
