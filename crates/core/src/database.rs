@@ -132,14 +132,7 @@ impl Database {
         let image = fieldrep_catalog::persist::encode(&self.catalog);
         let hf = HeapFile::open(self.catalog_file);
         // Clear the previous image.
-        let mut old = Vec::new();
-        {
-            let mut scan = hf.scan(&self.sm)?;
-            while let Some((oid, _, _)) = scan.next_record()? {
-                old.push(oid);
-            }
-        }
-        for oid in old {
+        for oid in self.file_oids(hf.file)? {
             hf.rec_delete(&self.sm, oid)?;
         }
         // Write the new image as sequence-numbered chunks.
@@ -327,12 +320,6 @@ impl Database {
         self.sm.reset_profile();
     }
 
-    /// Reset I/O counters. Alias of [`Database::reset_profile`], kept for
-    /// existing call sites.
-    pub fn reset_io(&self) {
-        self.reset_profile();
-    }
-
     /// Flush all dirty pages and leave the buffer pool cold (used between
     /// measured queries).
     pub fn flush_all(&self) -> Result<()> {
@@ -425,14 +412,7 @@ impl Database {
         }
         // Pass 1: scan the source set, walk every chain.
         let set = self.catalog.set(path.set).clone();
-        let hf = HeapFile::open(set.file);
-        let mut sources = Vec::new();
-        {
-            let mut scan = hf.scan(&self.sm)?;
-            while let Some((oid, _tag, _payload)) = scan.next_record()? {
-                sources.push(oid);
-            }
-        }
+        let sources = self.file_oids(set.file)?;
         // memberships[level]: target -> sorted members.
         let mut memberships: Vec<BTreeMap<Oid, BTreeSet<Oid>>> =
             vec![BTreeMap::new(); path.links.len()];
@@ -552,14 +532,7 @@ impl Database {
     /// (or per parked intermediate), `CollapsedVia` markers, then values.
     fn build_collapsed_path(&mut self, path: &RepPathDef, pre_links: &BTreeSet<u8>) -> Result<()> {
         let set = self.catalog.set(path.set).clone();
-        let hf = HeapFile::open(set.file);
-        let mut sources = Vec::new();
-        {
-            let mut scan = hf.scan(&self.sm)?;
-            while let Some((oid, _, _)) = scan.next_record()? {
-                sources.push(oid);
-            }
-        }
+        let sources = self.file_oids(set.file)?;
         let link = self.catalog.link(path.links[0]).clone();
         let link_is_new = !pre_links.contains(&link.id.0);
 
@@ -626,15 +599,7 @@ impl Database {
             .map(|s| s.file)
             .collect();
         for file in term_sets {
-            let hf = HeapFile::open(file);
-            let mut oids = Vec::new();
-            {
-                let mut scan = hf.scan(&self.sm)?;
-                while let Some((oid, _, _)) = scan.next_record()? {
-                    oids.push(oid);
-                }
-            }
-            for oid in oids {
+            for oid in self.file_oids(file)? {
                 let ctx = self.ctx();
                 let obj = read_object(ctx.sm, ctx.cat, oid)?;
                 if let Some((_, roid, _)) = find_anchor(&obj, group.id.0) {
@@ -657,15 +622,7 @@ impl Database {
             let set = self.catalog.set(resolved.set).clone();
             // Build sorted (key, oid) pairs from a scan.
             let mut entries = Vec::new();
-            let hf = HeapFile::open(set.file);
-            let mut oids = Vec::new();
-            {
-                let mut scan = hf.scan(&self.sm)?;
-                while let Some((oid, _, _)) = scan.next_record()? {
-                    oids.push(oid);
-                }
-            }
-            for oid in oids {
+            for oid in self.file_oids(set.file)? {
                 let ctx = self.ctx();
                 let obj = read_object(ctx.sm, ctx.cat, oid)?;
                 entries.push((value_key(&obj.values[field]), oid));
@@ -710,14 +667,7 @@ impl Database {
                 .position(|f| *f == field)
                 .expect("replica_for checked membership");
             let set = self.catalog.set(resolved.set).clone();
-            let hf = HeapFile::open(set.file);
-            let mut oids = Vec::new();
-            {
-                let mut scan = hf.scan(&self.sm)?;
-                while let Some((oid, _, _)) = scan.next_record()? {
-                    oids.push(oid);
-                }
-            }
+            let oids = self.file_oids(set.file)?;
             let mut entries = Vec::new();
             for oid in oids {
                 let ctx = self.ctx();
@@ -960,15 +910,7 @@ impl Database {
         let set = self.catalog.set(pdef.set).clone();
 
         // Strip source-side state: hidden values / replica refs.
-        let sources = {
-            let hf = HeapFile::open(set.file);
-            let mut oids = Vec::new();
-            let mut scan = hf.scan(&self.sm)?;
-            while let Some((oid, _, _)) = scan.next_record()? {
-                oids.push(oid);
-            }
-            oids
-        };
+        let sources = self.file_oids(set.file)?;
         let dropped_group = removed.dropped_group.clone();
         for src in &sources {
             let ctx = self.ctx();
@@ -1005,15 +947,7 @@ impl Database {
                 .flat_map(|t| self.catalog.sets_of_type(*t).map(|s| s.file))
                 .collect();
             for file in dst_sets {
-                let hf = HeapFile::open(file);
-                let mut oids = Vec::new();
-                {
-                    let mut scan = hf.scan(&self.sm)?;
-                    while let Some((oid, _, _)) = scan.next_record()? {
-                        oids.push(oid);
-                    }
-                }
-                for oid in oids {
+                for oid in self.file_oids(file)? {
                     let ctx = self.ctx();
                     let mut obj = read_object(ctx.sm, ctx.cat, oid)?;
                     let before = obj.annotations.len();
@@ -1041,15 +975,7 @@ impl Database {
                 .map(|s| s.file)
                 .collect();
             for file in term_sets {
-                let hf = HeapFile::open(file);
-                let mut oids = Vec::new();
-                {
-                    let mut scan = hf.scan(&self.sm)?;
-                    while let Some((oid, _, _)) = scan.next_record()? {
-                        oids.push(oid);
-                    }
-                }
-                for oid in oids {
+                for oid in self.file_oids(file)? {
                     let ctx = self.ctx();
                     let mut obj = read_object(ctx.sm, ctx.cat, oid)?;
                     let before = obj.annotations.len();
@@ -1111,14 +1037,17 @@ impl Database {
 
     /// All live member OIDs of a set, in physical order.
     pub fn scan_set(&self, set_name: &str) -> Result<Vec<Oid>> {
-        let set = self.catalog.set(self.catalog.set_id(set_name)?).clone();
-        let hf = HeapFile::open(set.file);
-        let mut out = Vec::new();
-        let mut scan = hf.scan(&self.sm)?;
+        self.file_oids(self.catalog.set(self.catalog.set_id(set_name)?).file)
+    }
+
+    /// The OIDs of every live record of a heap file, in physical order.
+    pub fn file_oids(&self, file: FileId) -> Result<Vec<Oid>> {
+        let mut oids = Vec::new();
+        let mut scan = HeapFile::open(file).scan(&self.sm)?;
         while let Some((oid, _, _)) = scan.next_record()? {
-            out.push(oid);
+            oids.push(oid);
         }
-        Ok(out)
+        Ok(oids)
     }
 
     /// Number of members of a set.

@@ -13,7 +13,6 @@ use crate::error::{DbError, Result};
 use crate::objects::read_object;
 use fieldrep_costmodel::{recommend, IndexSetting, Params, Recommendation};
 use fieldrep_model::{Object, Value};
-use fieldrep_storage::HeapFile;
 use std::collections::BTreeMap;
 
 /// Measured statistics for one reference path.
@@ -76,14 +75,7 @@ impl Database {
             )));
         }
         let set = self.catalog().set(resolved.set).clone();
-        let hf = HeapFile::open(set.file);
-        let mut sources = Vec::new();
-        {
-            let mut scan = hf.scan(self.sm())?;
-            while let Some((oid, _, _)) = scan.next_record()? {
-                sources.push(oid);
-            }
-        }
+        let sources = self.file_oids(set.file)?;
 
         let src_def = self.catalog().type_def(set.elem_type).clone();
         let term_type = *resolved.node_types.last().unwrap();

@@ -51,7 +51,7 @@ use crate::error::{DbError, Result};
 use crate::propagate::apply_plan;
 use crate::replicas::find_replica_ref;
 use crate::ripple::RipplePlan;
-use fieldrep_catalog::{PathId, Strategy};
+use fieldrep_catalog::{PathId, RepPathDef, Strategy};
 use fieldrep_model::{Object, Value};
 use fieldrep_obs::{metrics, names as obs_names};
 use fieldrep_storage::{lockorder, Oid};
@@ -542,9 +542,18 @@ impl Database {
         ))
     }
 
-    /// Seqlock-validated snapshot read of one object. Never blocks:
-    /// retries (with backoff) while a writer's ripple is in flight.
-    pub fn snapshot_get(&self, oid: Oid) -> Result<Object> {
+    /// The one seqlock read loop. `body` is one optimistic attempt: it
+    /// [`Watch::enter`]s every OID whose bytes it is about to consume and
+    /// returns `Ok(None)` when told a writer holds one. The attempt's
+    /// outcome — value or error — stands only if every entered OID is
+    /// still at the version it was entered under; otherwise it is retried
+    /// (counted, with backoff), and after [`DEADLOCK_WATCHDOG`] given up
+    /// as [`DbError::LockTimeout`] on `anchor`. Never blocks.
+    fn snapshot_read<T>(
+        &self,
+        anchor: Oid,
+        mut body: impl FnMut(&mut Watch<'_>) -> Result<Option<T>>,
+    ) -> Result<T> {
         let txn = self.txn();
         let start = Instant::now();
         let mut attempt = 0u32;
@@ -553,27 +562,32 @@ impl Database {
                 txn.note_snapshot_retry();
                 snapshot_backoff(attempt);
                 if attempt.is_multiple_of(1024) && start.elapsed() > DEADLOCK_WATCHDOG {
-                    return Err(DbError::LockTimeout(oid));
+                    return Err(DbError::LockTimeout(anchor));
                 }
             }
             attempt = attempt.wrapping_add(1);
-            let s1 = txn.seq_of(oid);
-            if s1 & 1 == 1 {
-                continue;
-            }
-            let obj = match self.get(oid) {
-                Ok(o) => o,
-                Err(e) => {
-                    if txn.seq_of(oid) != s1 {
-                        continue; // torn by a concurrent writer: retry
-                    }
-                    return Err(e);
-                }
+            let mut watch = Watch {
+                txn,
+                seen: [(Oid::NULL, 0); 3],
+                len: 0,
             };
-            if txn.seq_of(oid) == s1 {
-                return Ok(obj);
+            match body(&mut watch) {
+                Ok(Some(v)) if watch.still_valid() => return Ok(v),
+                Err(e) if watch.still_valid() => return Err(e),
+                _ => {} // a writer was, or got, in the way
             }
         }
+    }
+
+    /// Seqlock-validated snapshot read of one object. Never blocks:
+    /// retries (with backoff) while a writer's ripple is in flight.
+    pub fn snapshot_get(&self, oid: Oid) -> Result<Object> {
+        self.snapshot_read(oid, |watch| {
+            if !watch.enter(oid) {
+                return Ok(None);
+            }
+            self.get(oid).map(Some)
+        })
     }
 
     /// Snapshot read of one base field by name.
@@ -581,6 +595,29 @@ impl Database {
         let obj = self.snapshot_get(oid)?;
         let def = self.catalog().type_def(obj.type_id);
         Ok(obj.get(def, field)?.clone())
+    }
+
+    /// One attempt's read of `source` for `pdef`: enters the source and,
+    /// on a separate path, the shared replica object its values live in.
+    /// `None` asks for a retry.
+    fn snapshot_source(
+        &self,
+        watch: &mut Watch<'_>,
+        source: Oid,
+        pdef: &RepPathDef,
+    ) -> Result<Option<Object>> {
+        if !watch.enter(source) {
+            return Ok(None);
+        }
+        let obj = self.get(source)?;
+        if let (Strategy::Separate, Some(g)) = (pdef.strategy, pdef.group) {
+            if let Some((_, roid)) = find_replica_ref(&obj, g.0) {
+                if !watch.enter(roid) {
+                    return Ok(None);
+                }
+            }
+        }
+        Ok(Some(obj))
     }
 
     /// Snapshot read of `path`'s replicated values as seen from `source`
@@ -592,65 +629,18 @@ impl Database {
     /// the §8 deferral contract.
     pub fn snapshot_path_values(&self, source: Oid, path: PathId) -> Result<Option<Vec<Value>>> {
         let pdef = self.catalog().path(path);
-        let group = match (pdef.strategy, pdef.group) {
-            (Strategy::Separate, Some(g)) => Some(self.catalog().group(g)),
-            _ => None,
-        };
-        let txn = self.txn();
-        let start = Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            if attempt > 0 {
-                txn.note_snapshot_retry();
-                snapshot_backoff(attempt);
-                if attempt.is_multiple_of(1024) && start.elapsed() > DEADLOCK_WATCHDOG {
-                    return Err(DbError::LockTimeout(source));
-                }
-            }
-            attempt = attempt.wrapping_add(1);
+        let (vals, pages) = self.snapshot_read(source, |watch| {
             let io_before = fieldrep_obs::io::snapshot();
-            let s1 = txn.seq_of(source);
-            if s1 & 1 == 1 {
-                continue;
-            }
-            let obj = match self.get(source) {
-                Ok(o) => o,
-                Err(e) => {
-                    if txn.seq_of(source) != s1 {
-                        continue;
-                    }
-                    return Err(e);
-                }
+            let Some(obj) = self.snapshot_source(watch, source, pdef)? else {
+                return Ok(None);
             };
-            let mut watch: Vec<(Oid, u64)> = vec![(source, s1)];
-            if let Some(g) = group {
-                if let Some((_, roid)) = find_replica_ref(&obj, g.id.0) {
-                    let r1 = txn.seq_of(roid);
-                    if r1 & 1 == 1 {
-                        continue;
-                    }
-                    watch.push((roid, r1));
-                }
-            }
-            let vals = {
-                let mut ctx = self.ctx();
-                match read_path_values(&mut ctx, pdef, &obj) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        if watch.iter().any(|&(o, s)| txn.seq_of(o) != s) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                }
-            };
-            if watch.iter().all(|&(o, s)| txn.seq_of(o) == s) {
-                let pages = (fieldrep_obs::io::snapshot() - io_before).page_touches();
-                self.workload()
-                    .record_read(&pdef.expr.to_string(), 1, pages);
-                return Ok(vals);
-            }
-        }
+            let vals = read_path_values(&mut self.ctx(), pdef, &obj)?;
+            let pages = (fieldrep_obs::io::snapshot() - io_before).page_touches();
+            Ok(Some((vals, pages)))
+        })?;
+        self.workload()
+            .record_read(&pdef.expr.to_string(), 1, pages);
+        Ok(vals)
     }
 
     /// One consistent snapshot of both sides of a replication path: the
@@ -668,92 +658,56 @@ impl Database {
         path: PathId,
     ) -> Result<(Option<Vec<Value>>, Option<Vec<Value>>)> {
         let pdef = self.catalog().path(path);
-        let group = match (pdef.strategy, pdef.group) {
-            (Strategy::Separate, Some(g)) => Some(self.catalog().group(g)),
-            _ => None,
-        };
-        let txn = self.txn();
-        let start = Instant::now();
-        let mut attempt = 0u32;
-        'retry: loop {
-            if attempt > 0 {
-                txn.note_snapshot_retry();
-                snapshot_backoff(attempt);
-                if attempt.is_multiple_of(1024) && start.elapsed() > DEADLOCK_WATCHDOG {
-                    return Err(DbError::LockTimeout(source));
-                }
-            }
-            attempt = attempt.wrapping_add(1);
-            let s1 = txn.seq_of(source);
-            if s1 & 1 == 1 {
-                continue;
-            }
-            let obj = match self.get(source) {
-                Ok(o) => o,
-                Err(e) => {
-                    if txn.seq_of(source) != s1 {
-                        continue;
-                    }
-                    return Err(e);
-                }
+        self.snapshot_read(source, |watch| {
+            let Some(obj) = self.snapshot_source(watch, source, pdef)? else {
+                return Ok(None);
             };
-            let mut watch: Vec<(Oid, u64)> = vec![(source, s1)];
-            if let Some(g) = group {
-                if let Some((_, roid)) = find_replica_ref(&obj, g.id.0) {
-                    let r1 = txn.seq_of(roid);
-                    if r1 & 1 == 1 {
-                        continue;
-                    }
-                    watch.push((roid, r1));
-                }
-            }
-            let invalidated = |watch: &[(Oid, u64)]| watch.iter().any(|&(o, s)| txn.seq_of(o) != s);
             let (visible, chain) = {
                 let mut ctx = self.ctx();
-                let visible = match read_path_values(&mut ctx, pdef, &obj) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        if invalidated(&watch) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                };
-                let chain = match walk_chain(&mut ctx, pdef, source, &obj) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        if invalidated(&watch) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                };
-                (visible, chain)
+                let visible = read_path_values(&mut ctx, pdef, &obj)?;
+                (visible, walk_chain(&mut ctx, pdef, source, &obj)?)
             };
             let truth = match chain.last().copied().flatten() {
                 Some(t) => {
-                    let t1 = txn.seq_of(t);
-                    if t1 & 1 == 1 {
-                        continue;
+                    if !watch.enter(t) {
+                        return Ok(None);
                     }
-                    watch.push((t, t1));
-                    let tobj = match self.get(t) {
-                        Ok(o) => o,
-                        Err(e) => {
-                            if invalidated(&watch) {
-                                continue 'retry;
-                            }
-                            return Err(e);
-                        }
-                    };
-                    Some(terminal_values(pdef, &tobj))
+                    Some(terminal_values(pdef, &self.get(t)?))
                 }
                 None => None,
             };
-            if !invalidated(&watch) {
-                return Ok((visible, truth));
-            }
+            Ok(Some((visible, truth)))
+        })
+    }
+}
+
+/// The OIDs one optimistic read attempt consumed bytes of, each with the
+/// (even) version it was entered under. Three is the most any snapshot
+/// read touches: source, shared replica object, terminal.
+struct Watch<'a> {
+    txn: &'a TxnManager,
+    seen: [(Oid, u64); 3],
+    len: usize,
+}
+
+impl Watch<'_> {
+    /// Start watching `oid`; `false` means a writer holds it right now
+    /// and the attempt should be abandoned.
+    fn enter(&mut self, oid: Oid) -> bool {
+        let seq = self.txn.seq_of(oid);
+        if seq & 1 == 1 {
+            return false;
         }
+        self.seen[self.len] = (oid, seq);
+        self.len += 1;
+        true
+    }
+
+    /// Whether no entered OID has been written since it was entered.
+    fn still_valid(&self) -> bool {
+        self.seen[..self.len]
+            .iter()
+            .all(|&(oid, seq)| self.txn.seq_of(oid) == seq)
     }
 }
 

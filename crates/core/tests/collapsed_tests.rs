@@ -163,7 +163,7 @@ fn collapsed_single_link_level_io_advantage() {
     for collapsed in [false, true] {
         let (db, o) = build(collapsed);
         db.flush_all().unwrap();
-        db.reset_io();
+        db.reset_profile();
         db.update(o, &[("name", sval("o#1"))]).unwrap();
         db.flush_all().unwrap();
         io.push(db.io_profile().total_io());

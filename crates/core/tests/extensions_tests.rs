@@ -246,13 +246,13 @@ fn deferred_update_is_cheap_sync_pays_later() {
     let d_def = deferred.scan_set("Dept").unwrap()[0];
 
     eager.flush_all().unwrap();
-    eager.reset_io();
+    eager.reset_profile();
     eager.update(d_eager, &[("name", sval("d#1"))]).unwrap();
     eager.flush_all().unwrap();
     let io_eager = eager.io_profile().total_io();
 
     deferred.flush_all().unwrap();
-    deferred.reset_io();
+    deferred.reset_profile();
     deferred.update(d_def, &[("name", sval("d#1"))]).unwrap();
     deferred.flush_all().unwrap();
     let io_deferred = deferred.io_profile().total_io();

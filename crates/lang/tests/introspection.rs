@@ -137,10 +137,11 @@ fn sys_tables_and_slow_query_log_round_trip() {
     assert!(matches!(rows[0][1], Some(Value::Int(n)) if n > 0));
 
     // sys.pool reflects the buffer pool; frame total == capacity.
-    let (_, rows) = rows_of(it.execute("retrieve (all) from sys.pool").unwrap());
+    let (cols, rows) = rows_of(it.execute("retrieve (all) from sys.pool").unwrap());
+    assert_eq!(cols[0], "frames");
     let frames: i64 = rows
         .iter()
-        .map(|r| match r[1] {
+        .map(|r| match r[0] {
             Some(Value::Int(n)) => n,
             _ => 0,
         })

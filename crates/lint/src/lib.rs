@@ -16,10 +16,12 @@
 //! - **L3 — panic budget**: `unwrap`/`expect`/`panic!`/`unreachable!` in
 //!   non-test, non-bin library code is counted per crate against the
 //!   committed `lint_budget.toml`, which may only ratchet down.
-//! - **L4 — lock discipline**: no buffer frame may be acquired (`fetch`,
-//!   `new_page`, `prefetch`) while a page write guard is live, except
-//!   through the ordered batch helper `get_pages_batch`. Mirrors the
-//!   debug-build runtime check in `storage::buffer`.
+//! - **L4 — OID lock acquisition site**: `.raw_acquire(`, the raw
+//!   per-OID write lock, is called exactly once, inside
+//!   `TxnManager::lock_sorted` — sorted acquisition is the transaction
+//!   layer's whole deadlock-freedom argument. (Frame latches need no
+//!   rule of their own: entering the pool under a live page write guard
+//!   is an L5 rank violation, `FrameData` 50 → `PoolCore` 40.)
 //! - **L5 — lock order**: held-lock sets propagate through a
 //!   workspace-wide call graph ([`callgraph`]); any acquisition edge
 //!   that violates the declared total order over the named locks

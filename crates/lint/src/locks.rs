@@ -8,11 +8,12 @@
 //! a **rank**, and a thread may only acquire a lock of strictly higher
 //! rank than anything it already holds (equal rank is allowed for
 //! *reentrant* locks, which order their members internally — the OID
-//! seqlock table sorts by OID, the frame locks go through the ordered
-//! batch helper). Because the declared order is total, rank checking is
-//! complete: any wait-for cycle must contain at least one edge from a
-//! higher-or-equal rank to a lower-or-equal rank, so L5's edge check
-//! also rules out cycles.
+//! seqlock table sorts by OID, and the pool takes several frame write
+//! latches at once only on frames it has just claimed, which no other
+//! thread can reach). Because the declared order is total, rank
+//! checking is complete: any wait-for cycle must contain at least one
+//! edge from a higher-or-equal rank to a lower-or-equal rank, so L5's
+//! edge check also rules out cycles.
 //!
 //! Try-acquisitions (`try_apply_lock`) never block, so they create no
 //! L5 order edges — but once a try-lock *succeeds* the lock is held

@@ -1,5 +1,5 @@
 //! The rule engine: L1 layering, L2 name registry, L3 panic budget,
-//! L4 lock discipline — token-pattern checks over library sources —
+//! L4 OID lock site — token-pattern checks over library sources —
 //! plus the interprocedural pass for L5 lock-order, L6
 //! blocking-under-lock, and L7 apply-section coverage (see
 //! [`crate::callgraph`] and [`crate::locks`]).
@@ -78,8 +78,6 @@ const OBS_NAME_APIS: [&str; 6] = [
     "component_take",
     "mark",
 ];
-/// Buffer-pool entry points that take a frame lock (L4 triggers).
-const FRAME_ACQUIRERS: [&str; 3] = ["fetch", "new_page", "prefetch"];
 /// Raw `WalStore` methods: the log's framing, fsync, and truncation
 /// surface. Deliberately distinctive names so call sites are greppable.
 const WAL_STORE_METHODS: [&str; 7] = [
@@ -94,7 +92,7 @@ const WAL_STORE_METHODS: [&str; 7] = [
 /// The only directory allowed to touch the raw log store (L1, WAL half).
 const WAL_DIR: &str = "crates/storage/src/wal";
 /// The one file allowed to acquire raw OID write locks: the transaction
-/// manager's sorted-order helper lives here (L4, concurrency half).
+/// manager's sorted-order helper lives here (L4).
 const OID_LOCK_FILE: &str = "crates/core/src/txn.rs";
 /// Where the obs name registry lives; its own consts don't count as
 /// usages of themselves.
@@ -108,8 +106,8 @@ const DRIFT_PREFIX: &str = "costmodel.drift.";
 pub fn run_checks(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let registry = Registry::load(root);
-    // L4 (concurrency half): raw OID-lock acquisitions in the blessed
-    // file — exactly one call site must remain.
+    // L4: raw OID-lock acquisitions in the blessed file — exactly one
+    // call site must remain.
     let mut blessed_file_seen = false;
     let mut blessed_acquires = 0usize;
     // Ident usages outside the registry file itself, for the dead-name
@@ -186,7 +184,6 @@ pub fn run_checks(root: &Path) -> std::io::Result<Report> {
                 check_names(&toks, reg, &mut push);
             }
         }
-        check_lock_discipline(&toks, &mut push);
         let acquire_sites = raw_acquire_sites(&toks);
         if rel == OID_LOCK_FILE {
             blessed_file_seen = true;
@@ -316,7 +313,7 @@ fn budget_diag(msg: String) -> Diagnostic {
     }
 }
 
-/// `// lint: allow(L4) guards dropped via mem::take` → marker.
+/// `// lint: allow(L7) caller holds the apply section` → marker.
 fn parse_allow(text: &str, line: u32) -> Option<Allow> {
     let rest = text.trim().strip_prefix("lint:")?.trim();
     let rest = rest.strip_prefix("allow(")?;
@@ -616,7 +613,7 @@ fn check_dead_names(root: &Path, used_idents: &BTreeSet<String>, diags: &mut Vec
     }
 }
 
-/// L4 (OID locks): lines with a `.raw_acquire(` call — the low-level,
+/// L4: lines with a `.raw_acquire(` call — the low-level,
 /// unordered OID write-lock primitive. Sorted-order acquisition is the
 /// whole deadlock-freedom argument of the concurrent transaction layer,
 /// so the only legal call site is `TxnManager::lock_sorted` (which
@@ -656,77 +653,4 @@ fn count_panics(toks: &[Tok]) -> u64 {
         }
     }
     n
-}
-
-/// L4: a function must not take another buffer frame lock (`fetch`,
-/// `new_page`, `prefetch`) while a page write guard (`data_mut()` /
-/// `data.write()`) is still live — multi-page work goes through the
-/// ordered batch helper `get_pages_batch`. Brace-depth and `drop(var)`
-/// aware, mirroring the debug-build runtime check in `storage::buffer`.
-fn check_lock_discipline(toks: &[Tok], push: &mut impl FnMut(u32, &'static str, String)) {
-    let mut guards: Vec<(String, usize)> = Vec::new(); // (var, depth at binding)
-    let mut pending: Vec<(usize, String)> = Vec::new(); // (token idx of `;`, var)
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate() {
-        if let Some(k) = pending.iter().position(|(idx, _)| *idx == i) {
-            guards.push((pending.remove(k).1, depth));
-        }
-        if t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth = depth.saturating_sub(1);
-            guards.retain(|(_, d)| *d <= depth);
-        } else if t.is_ident("fn") {
-            guards.clear();
-            pending.clear();
-        } else if t.is_ident("drop") && toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-            if let Some(v) = toks.get(i + 2) {
-                if toks.get(i + 3).is_some_and(|n| n.is_punct(")")) {
-                    guards.retain(|(name, _)| *name != v.text);
-                }
-            }
-        } else if t.is_ident("let") {
-            // `let [mut] v = … .data_mut( … ;`  /  `… .data.write( … ;`
-            let mut at = i + 1;
-            if toks.get(at).is_some_and(|n| n.is_ident("mut")) {
-                at += 1;
-            }
-            let Some(var) = toks.get(at).filter(|n| n.kind == TokKind::Ident) else {
-                continue;
-            };
-            let mut j = at + 1;
-            let mut takes_guard = false;
-            while j < toks.len() && !toks[j].is_punct(";") && !toks[j].is_punct("{") {
-                if toks[j].is_punct(".")
-                    && (matches(toks, j + 1, &["data_mut", "("])
-                        || matches(toks, j + 1, &["data", ".", "write", "("]))
-                {
-                    takes_guard = true;
-                }
-                j += 1;
-            }
-            if takes_guard && j < toks.len() && toks[j].is_punct(";") {
-                pending.push((j, var.text.clone()));
-            }
-        }
-        if t.is_punct(".")
-            && toks
-                .get(i + 1)
-                .is_some_and(|n| FRAME_ACQUIRERS.contains(&n.text.as_str()))
-            && toks.get(i + 2).is_some_and(|n| n.is_punct("("))
-        {
-            if let Some((var, _)) = guards.first() {
-                push(
-                    toks[i + 1].line,
-                    "L4",
-                    format!(
-                        "`.{}()` acquires a buffer frame while page write guard `{var}` is \
-                         live — use BufferPool::get_pages_batch (the ordered batch helper) \
-                         or drop the guard first",
-                        toks[i + 1].text
-                    ),
-                );
-            }
-        }
-    }
 }

@@ -1,6 +1,6 @@
-//! Fixture app crate: exactly one violation of each diagnostic rule.
-//! (L3 produces counts, not diagnostics: this file has exactly two
-//! panic sites in library code.)
+//! Fixture app crate: one violation of each diagnostic rule (L5 twice,
+//! once per way into the pool). L3 produces counts, not diagnostics:
+//! this file has exactly two panic sites in library code.
 
 // L1 fires here (raw file I/O outside crates/storage):
 use std::fs;
@@ -21,7 +21,7 @@ pub fn rewrite(pool: &mut BufferPool, a: PageId, b: PageId) {
     let h = pool.fetch(a).unwrap(); // L3 site 2
     let mut g = h.data_mut();
     g[0] = 1;
-    // L4 fires here (second frame acquired while `g` is live):
+    // L5 fires here (the pool entered while `g` is live):
     let _other = pool.fetch(b);
     drop(g);
     // Fine after the drop:
@@ -32,7 +32,7 @@ pub fn batched(pool: &mut BufferPool, a: PageId, b: PageId) {
     let h = pool.fetch(a);
     let mut g = h.data_mut();
     g[0] = 1;
-    // Fine: the ordered batch helper is the sanctioned path.
+    // L5 fires here too: the batch path enters the pool like any other.
     let _hs = pool.get_pages_batch(&[b]);
 }
 

@@ -56,15 +56,15 @@ fn each_rule_fires_exactly_once_on_the_violation_fixture() {
     );
     assert_eq!(
         rule_diags(&r, "L4"),
-        [
-            ("crates/app/src/lib.rs", 25),
-            ("crates/app/src/lib.rs", 61),
-            ("crates/core/src/txn.rs", 1)
-        ],
-        "L4: the one fetch under a live write guard (post-drop fetch and the \
-         ordered batch helper are fine), the one raw OID-lock acquisition \
-         outside the blessed file, and the blessed file's exactly-one check \
-         (two call sites there)"
+        [("crates/app/src/lib.rs", 61), ("crates/core/src/txn.rs", 1)],
+        "L4: the one raw OID-lock acquisition outside the blessed file, and \
+         the blessed file's exactly-one check (two call sites there)"
+    );
+    assert_eq!(
+        rule_diags(&r, "L5"),
+        [("crates/app/src/lib.rs", 25), ("crates/app/src/lib.rs", 36)],
+        "L5: the fetch and the batch fetch under a live page write guard \
+         (FrameData held, PoolCore acquired; the post-drop fetch is fine)"
     );
     assert!(
         r.diags
@@ -74,7 +74,7 @@ fn each_rule_fires_exactly_once_on_the_violation_fixture() {
         r.diags
     );
     assert!(rule_diags(&r, "suppression").is_empty());
-    assert_eq!(r.diags.len(), 8, "no other diagnostics: {:?}", r.diags);
+    assert_eq!(r.diags.len(), 9, "no other diagnostics: {:?}", r.diags);
     // L3 is a count, not a diagnostic: two library unwraps, none from the
     // bin or the test module.
     assert_eq!(r.panic_counts.get("crates/app"), Some(&2));

@@ -35,8 +35,6 @@ pub const STORAGE_POOL_HITS: &str = "storage.pool.hits";
 pub const STORAGE_POOL_MISSES: &str = "storage.pool.misses";
 /// Buffer-pool frame evictions with write-back (counter).
 pub const STORAGE_POOL_EVICTIONS: &str = "storage.pool.evictions";
-/// Victim searches that stole a frame from a non-home shard (counter).
-pub const STORAGE_POOL_SHARD_CONTENTION: &str = "storage.pool.shard_contention";
 /// hits / (hits + misses), derived at snapshot time.
 pub const STORAGE_POOL_HIT_RATE: &str = "storage.pool.hit_rate";
 /// Pages read ahead by the prefetch hint (counter).
@@ -130,7 +128,7 @@ pub const SYS_TIMELINE: &str = "sys.timeline";
 pub const SYS_WORKLOAD: &str = "sys.workload";
 /// Virtual table: flight-recorder ring contents.
 pub const SYS_RECORDER: &str = "sys.recorder";
-/// Virtual table: per-shard buffer-pool state.
+/// Virtual table: buffer-pool state (one row).
 pub const SYS_POOL: &str = "sys.pool";
 /// Virtual table: cost-model drift gauges.
 pub const SYS_DRIFT: &str = "sys.drift";
@@ -257,7 +255,6 @@ pub const ALL: &[&str] = &[
     STORAGE_POOL_HITS,
     STORAGE_POOL_MISSES,
     STORAGE_POOL_EVICTIONS,
-    STORAGE_POOL_SHARD_CONTENTION,
     STORAGE_POOL_HIT_RATE,
     STORAGE_PREFETCH_ISSUED,
     STORAGE_PREFETCH_HIT,

@@ -94,7 +94,7 @@ pub const TABLES: &[TableDef] = &[
     },
     TableDef {
         name: names::SYS_POOL,
-        columns: &["shard", "frames", "resident", "dirty", "pinned"],
+        columns: &["frames", "resident", "dirty", "pinned"],
     },
     TableDef {
         name: names::SYS_DRIFT,

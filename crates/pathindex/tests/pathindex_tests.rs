@@ -177,12 +177,12 @@ fn gemstone_lookup_costs_more_io_than_replicated_index() {
     let v = Value::Str("org0".into());
 
     db.flush_all().unwrap();
-    db.reset_io();
+    db.reset_profile();
     r.lookup(&mut db, &v).unwrap();
     let io_r = db.io_profile().pages_read();
 
     db.flush_all().unwrap();
-    db.reset_io();
+    db.reset_profile();
     g.lookup(&mut db, &v).unwrap();
     let io_g = db.io_profile().pages_read();
 

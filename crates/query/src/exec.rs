@@ -121,14 +121,7 @@ fn run_access(db: &mut Database, plan: &Plan, filter: Option<&Filter>) -> Result
             Ok(oids)
         }
         AccessPlan::FullScan => {
-            let hf = HeapFile::open(db.catalog().set(plan.set).file);
-            let mut oids = Vec::new();
-            {
-                let mut scan = hf.scan(db.sm())?;
-                while let Some((oid, _, _)) = scan.next_record()? {
-                    oids.push(oid);
-                }
-            }
+            let oids = db.file_oids(db.catalog().set(plan.set).file)?;
             match filter {
                 None => Ok(oids),
                 Some(f) => {
@@ -381,146 +374,6 @@ fn join_chain(
     })
 }
 
-/// Project `projections` for one object using only the seqlock-validated
-/// snapshot primitives (no batching: snapshot reads are per-object by
-/// construction, since each read validates the versions of exactly the
-/// OIDs whose bytes it consumed).
-fn snapshot_project_into(
-    db: &Database,
-    oid: Oid,
-    projections: &[ProjPlan],
-    row: &mut Row,
-) -> Result<()> {
-    for proj in projections {
-        match proj {
-            ProjPlan::BaseField { field } => {
-                let obj = db.snapshot_get(oid)?;
-                row.push(Some(obj.values[*field].clone()));
-            }
-            ProjPlan::InPlaceReplica { path, positions } => {
-                let vals = db.snapshot_path_values(oid, *path)?;
-                for &pos in positions {
-                    row.push(vals.as_ref().map(|v| v[pos].clone()));
-                }
-            }
-            ProjPlan::SeparateReplica { group, positions } => {
-                // Route through a replication path of the group rooted at
-                // the queried set, so the snapshot read validates exactly
-                // {source, shared replica}.
-                let gdef = db.catalog().group(*group).clone();
-                let set = db.set_of(oid)?;
-                let pdef = gdef
-                    .paths
-                    .iter()
-                    .map(|p| db.catalog().path(*p))
-                    .find(|p| {
-                        p.set == set
-                            && positions
-                                .iter()
-                                .all(|&pos| p.terminal_fields.contains(&gdef.fields[pos]))
-                    })
-                    .cloned()
-                    .ok_or_else(|| {
-                        QueryError::BadQuery(
-                            "no replication path of the group covers the projected fields \
-                             from the queried set"
-                                .into(),
-                        )
-                    })?;
-                let vals = db.snapshot_path_values(oid, pdef.id)?;
-                for &pos in positions {
-                    let idx = pdef
-                        .terminal_fields
-                        .iter()
-                        .position(|t| *t == gdef.fields[pos]);
-                    row.push(match (&vals, idx) {
-                        (Some(v), Some(i)) => Some(v[i].clone()),
-                        _ => None,
-                    });
-                }
-            }
-            ProjPlan::CollapseThenJoin {
-                path,
-                remaining_hops,
-                terminal_fields,
-            } => {
-                let target = db
-                    .snapshot_path_values(oid, *path)?
-                    .and_then(|v| v.first().and_then(ref_target));
-                snapshot_join_into(db, target, remaining_hops, terminal_fields, row)?;
-            }
-            ProjPlan::FunctionalJoin {
-                hops,
-                terminal_fields,
-            } => {
-                let target = ref_target(&db.snapshot_get(oid)?.values[hops[0]]);
-                snapshot_join_into(db, target, &hops[1..], terminal_fields, row)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Follow the remaining functional-join hops with per-object snapshot
-/// reads. Each hop is individually validated; chain-wide atomicity is
-/// not claimed — plain joins read base state, which the replica
-/// consistency invariant does not cover (that is what replicated
-/// projections are for).
-fn snapshot_join_into(
-    db: &Database,
-    mut current: Option<Oid>,
-    hops: &[usize],
-    terminal_fields: &[usize],
-    row: &mut Row,
-) -> Result<()> {
-    for &hop in hops {
-        current = match current {
-            Some(oid) => ref_target(&db.snapshot_get(oid)?.values[hop]),
-            None => None,
-        };
-    }
-    match current {
-        Some(oid) => {
-            let obj = db.snapshot_get(oid)?;
-            for &f in terminal_fields {
-                row.push(Some(obj.values[f].clone()));
-            }
-        }
-        None => row.extend(terminal_fields.iter().map(|_| None)),
-    }
-    Ok(())
-}
-
-/// The qualifying OIDs for a snapshot-mode query: always a heap scan
-/// (B-tree pages have no per-OID version to validate), with the filter
-/// evaluated through the snapshot primitives.
-fn snapshot_access(db: &Database, plan: &Plan, filter: Option<&Filter>) -> Result<Vec<Oid>> {
-    let set = db.catalog().set(plan.set).clone();
-    let hf = HeapFile::open(set.file);
-    let mut oids = Vec::new();
-    {
-        let mut scan = hf.scan(db.sm())?;
-        while let Some((oid, _, _)) = scan.next_record()? {
-            oids.push(oid);
-        }
-    }
-    let Some(f) = filter else { return Ok(oids) };
-    let fproj = plan_projection(db.catalog(), plan.set, f.path())?;
-    let mut keep = Vec::with_capacity(oids.len());
-    for oid in oids {
-        let mut row = Row::new();
-        snapshot_project_into(db, oid, std::slice::from_ref(&fproj), &mut row)?;
-        if row
-            .first()
-            .and_then(|v| v.as_ref())
-            .is_some_and(|v| f.matches(v))
-        {
-            keep.push(oid);
-        }
-    }
-    Ok(keep)
-}
-
 /// Compute the concrete `(field, new value)` changes of `assignments`
 /// against the current state `obj`.
 fn eval_assignments<'a>(
@@ -632,38 +485,6 @@ impl ReadQuery {
             profile: prof.finish(),
         })
     }
-
-    /// Snapshot-consistent execution over a shared `&Database`, safe to
-    /// run concurrently with [`Database::update_txn`] writers: every
-    /// replicated value is read through the seqlock-validated snapshot
-    /// primitives, so an in-flight replica ripple is never observed
-    /// half-applied. Differences from [`ReadQuery::run`]: the access
-    /// path is always a heap scan (the filter evaluated per object with
-    /// snapshot reads), deferred paths are *not* synced (a snapshot
-    /// reader must not write), and no output file is spooled.
-    pub fn run_snapshot(&self, db: &Database) -> Result<QueryResult> {
-        let span = Span::enter(obs_names::QUERY_READ);
-        let mut prof = Profile::start();
-        let mut plan = self.plan(db)?;
-        plan.access = AccessPlan::FullScan;
-        prof.mark(obs_names::OP_PLAN);
-        let oids = snapshot_access(db, &plan, self.filter.as_ref())?;
-        prof.mark(plan.access.label());
-        let mut rows = Vec::with_capacity(oids.len());
-        for &oid in &oids {
-            let mut row = Row::new();
-            snapshot_project_into(db, oid, &plan.projections, &mut row)?;
-            rows.push(row);
-        }
-        span.note("rows", rows.len());
-        prof.mark(obs_names::QUERY_PROJECT);
-        Ok(QueryResult {
-            rows,
-            plan,
-            output_file: None,
-            profile: prof.finish(),
-        })
-    }
 }
 
 impl UpdateQuery {
@@ -716,43 +537,6 @@ impl UpdateQuery {
             obs_names::CORE_PROPAGATE,
             obs_io::component_take(obs_names::CORE_PROPAGATE),
         );
-        Ok(UpdateResult {
-            updated: oids.len(),
-            plan,
-            profile: prof.finish(),
-        })
-    }
-
-    /// Concurrent-safe execution over a shared `&Database`: qualifying
-    /// objects are located with snapshot reads (heap scan, like
-    /// [`ReadQuery::run_snapshot`]) and each update is applied through
-    /// [`Database::update_txn`], which locks the update's whole fan-out
-    /// closure in sorted OID order before touching anything.
-    pub fn run_txn(&self, db: &Database) -> Result<UpdateResult> {
-        let span = Span::enter(obs_names::QUERY_UPDATE);
-        let mut prof = Profile::start();
-        let mut plan = self.plan(db)?;
-        plan.access = AccessPlan::FullScan;
-        prof.mark(obs_names::OP_PLAN);
-        let mut oids = snapshot_access(db, &plan, self.filter.as_ref())?;
-        oids.sort_unstable();
-        oids.dedup();
-        prof.mark(plan.access.label());
-        span.note("updates", oids.len());
-
-        let set = db.catalog().set(plan.set).clone();
-        let def = db.catalog().type_def(set.elem_type).clone();
-        for oid in &oids {
-            // Assignments are evaluated against a snapshot and applied
-            // under the closure locks; `update_txn` re-validates the
-            // closure, not the values, so read-modify-write assignments
-            // (Increment/CycleStr) are last-writer-wins at object
-            // granularity, like the plain path.
-            let obj = db.snapshot_get(*oid)?;
-            let changes = eval_assignments(&def, &obj, &self.assignments)?;
-            db.update_txn(*oid, &changes)?;
-        }
-        prof.mark(obs_names::OP_APPLY);
         Ok(UpdateResult {
             updated: oids.len(),
             plan,

@@ -285,21 +285,11 @@ fn raw_rows(db: &mut Database, table: &'static TableDef) -> Vec<sys::SysRow> {
         .collect();
     }
     if name == obs_names::SYS_POOL {
-        return db
-            .sm()
-            .pool()
-            .shard_stats()
+        let s = db.sm().pool().pool_stats();
+        return vec![[s.frames, s.resident, s.dirty, s.pinned]
             .iter()
-            .map(|s| {
-                vec![
-                    Some(SysValue::Int(s.shard as i64)),
-                    Some(SysValue::Int(s.frames as i64)),
-                    Some(SysValue::Int(s.resident as i64)),
-                    Some(SysValue::Int(s.dirty as i64)),
-                    Some(SysValue::Int(s.pinned as i64)),
-                ]
-            })
-            .collect();
+            .map(|&n| Some(SysValue::Int(n as i64)))
+            .collect()];
     }
     if name == obs_names::SYS_WORKLOAD {
         return db
@@ -385,20 +375,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_scan_reflects_shard_stats() {
+    fn pool_scan_reflects_pool_stats() {
         let mut db = db();
         let r = SysQuery::on(obs_names::SYS_POOL).run(&mut db).unwrap();
-        let shards = db.sm().pool().shard_stats();
-        assert_eq!(r.rows.len(), shards.len());
-        let frames: i64 = r
-            .rows
+        let s = db.sm().pool().pool_stats();
+        assert_eq!(s.frames, db.sm().pool().capacity());
+        let want: Vec<_> = [s.frames, s.resident, s.dirty, s.pinned]
             .iter()
-            .map(|row| match row[1] {
-                Some(Value::Int(n)) => n,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(frames as usize, db.sm().pool().capacity());
+            .map(|&n| Some(Value::Int(n as i64)))
+            .collect();
+        assert_eq!(r.rows, vec![want]);
         assert_eq!(r.profile.total_io.page_touches(), 0);
     }
 
@@ -425,10 +411,10 @@ mod tests {
     #[test]
     fn explain_renders_plan_and_analyze_appends_zero_page_profile() {
         let mut db = db();
-        let q = SysQuery::on(obs_names::SYS_POOL).project(["shard", "resident"]);
+        let q = SysQuery::on(obs_names::SYS_POOL).project(["frames", "resident"]);
         let plain = q.explain_text().unwrap();
         assert!(plain.contains("virtual scan of sys.pool"));
-        assert!(plain.contains("project: shard, resident"));
+        assert!(plain.contains("project: frames, resident"));
         let (text, result) = q.explain_analyze_text(&mut db).unwrap();
         assert!(text.contains("rows:"));
         assert!(text.contains(&format!("{}:virtual(sys.pool)", obs_names::OP_ACCESS)));

@@ -1,18 +1,14 @@
-//! Sharded buffer pool with clock eviction, pinned page handles, and a
-//! batched read fast path.
+//! Buffer pool with clock eviction, pinned page handles, and a batched
+//! read fast path.
 //!
 //! Pages are served through [`PageHandle`]s. A handle pins its frame: the
 //! clock hand skips pinned frames, so on-page references stay valid while a
 //! caller holds the handle. Handles are cheap `Arc` clones; dropping the
 //! last clone unpins the frame.
 //!
-//! The frame array is split into **shards** selected by a multiplicative
-//! hash of the page id. Each shard has its own clock hand and resident-page
-//! map, so victim searches and lookups touch only a fraction of the pool;
-//! hit/miss/eviction counters are lock-free atomics. A shard whose frames
-//! are all pinned *steals* a victim from the next shard (counted by the
-//! `storage.pool.shard_contention` metric), which preserves the invariant
-//! that an allocation only fails when every frame in the pool is pinned.
+//! Eviction is one clock over all frames: the victim is the first
+//! unpinned, unreferenced frame from the hand, and an allocation fails
+//! only when every frame in the pool is pinned.
 //!
 //! [`BufferPool::get_pages_batch`] is the batched fast path the paper's
 //! sorted link objects make possible (§4.1.3): a sorted page-id run is
@@ -31,7 +27,7 @@
 //! # Concurrency
 //!
 //! The pool is shared (`&self` everywhere): all frame *metadata* — the
-//! resident maps, clock hands, victim selection, and the disk manager —
+//! resident map, clock hand, victim selection, and the disk manager —
 //! lives behind one [`Mutex<PoolCore>`]. Keeping that state under a single
 //! lock makes every single-threaded run take exactly the eviction
 //! decisions and count exactly the I/O events the pre-concurrency pool
@@ -43,6 +39,9 @@
 //! `PoolCore` → frame data, and the pool only data-locks unpinned frames
 //! (eviction, install) or freshly claimed ones (`read_run`), so a caller
 //! holding a pinned page's guard can never deadlock against the pool.
+//! The caller's half of that order is one rule — never enter the pool
+//! holding a frame write latch — which [`lockorder`] asserts in debug
+//! builds and lint rule L5 checks statically.
 //!
 //! With a WAL attached the order grows a head: **apply section →
 //! `PoolCore`**. Flushes take the apply section before the core lock
@@ -50,7 +49,7 @@
 //! half-applied operation), while eviction — which runs *inside* the
 //! core lock — only probes the section non-blockingly: a dirty
 //! unlogged frame is simply not an eviction victim while a writer is
-//! in flight (no-steal for open operations; see `sweep_shard`).
+//! in flight (no-steal for open operations; see `find_victim`).
 //!
 //! # What a commit logs
 //!
@@ -82,19 +81,12 @@ use std::sync::{Arc, OnceLock};
 /// A page buffer: the unit the pool caches.
 pub type PageBuf = Box<[u8; PAGE_SIZE]>;
 
-/// Shards per pool (capped by the frame count: a pool never has more
-/// shards than frames).
-const DEFAULT_SHARDS: usize = 8;
-
 /// Cap on one grouped disk read, in pages (256 KiB): bounds the frames a
 /// single batch pins and the size of a vectored transfer.
 const MAX_BATCH_RUN: usize = 64;
 
 /// Process-wide pool instruments, registered once in the obs registry.
 struct PoolMetrics {
-    /// `storage.pool.shard_contention`: victim searches that had to steal
-    /// a frame from a non-home shard.
-    shard_contention: Arc<metrics::Counter>,
     /// `storage.prefetch.issued`: pages read ahead by [`BufferPool::prefetch`].
     prefetch_issued: Arc<metrics::Counter>,
     /// `storage.prefetch.hit`: fetches served from a still-resident
@@ -112,7 +104,6 @@ fn pool_metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| {
         let r = metrics::registry();
         PoolMetrics {
-            shard_contention: r.counter(obs_names::STORAGE_POOL_SHARD_CONTENTION),
             prefetch_issued: r.counter(obs_names::STORAGE_PREFETCH_ISSUED),
             prefetch_hit: r.counter(obs_names::STORAGE_PREFETCH_HIT),
             batch_len: r.histogram(
@@ -122,68 +113,6 @@ fn pool_metrics() -> &'static PoolMetrics {
             checksum_failures: r.counter(obs_names::STORAGE_CHECKSUM_FAILURES),
         }
     })
-}
-
-// ---- Debug-build lock discipline ----------------------------------------
-//
-// The pool's deadlock-freedom argument is simple: a thread holds at most
-// one page write guard at a time, except inside the ordered batch helper
-// ([`BufferPool::get_pages_batch`] → `read_run`), which locks only
-// freshly claimed victim frames in sorted page order from a single site.
-// These thread-local counters enforce the "at most one, or batched" half
-// in debug builds; release builds compile the checks away.
-#[cfg(debug_assertions)]
-mod lockcheck {
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Live write guards handed out by `PageHandle::data_mut` on this
-        /// thread.
-        static LIVE_WRITE_GUARDS: Cell<usize> = const { Cell::new(0) };
-        /// Whether this thread is inside the ordered batch helper.
-        static IN_ORDERED_BATCH: Cell<bool> = const { Cell::new(false) };
-    }
-
-    pub(super) fn guard_acquired() {
-        LIVE_WRITE_GUARDS.with(|c| c.set(c.get() + 1));
-    }
-
-    pub(super) fn guard_released() {
-        LIVE_WRITE_GUARDS.with(|c| c.set(c.get().saturating_sub(1)));
-    }
-
-    /// Trip (debug builds) if a frame lock is about to be taken while a
-    /// page write guard is live outside the ordered batch helper.
-    pub(super) fn check_frame_acquire(op: &str) {
-        let live = LIVE_WRITE_GUARDS.with(Cell::get);
-        let batched = IN_ORDERED_BATCH.with(Cell::get);
-        debug_assert!(
-            live == 0 || batched,
-            "lock discipline: {op} while {live} page write guard(s) are live \
-             on this thread; route multi-page work through \
-             BufferPool::get_pages_batch (the ordered batch helper) or drop \
-             the guard first"
-        );
-    }
-
-    /// RAII marker for the ordered batch helper's dynamic extent.
-    pub(super) struct BatchScope {
-        prev: bool,
-    }
-
-    impl BatchScope {
-        pub(super) fn enter() -> BatchScope {
-            BatchScope {
-                prev: IN_ORDERED_BATCH.with(|c| c.replace(true)),
-            }
-        }
-    }
-
-    impl Drop for BatchScope {
-        fn drop(&mut self) {
-            IN_ORDERED_BATCH.with(|c| c.set(self.prev));
-        }
-    }
 }
 
 /// Runtime lock-order token for the pool metadata mutex (rank
@@ -302,8 +231,9 @@ impl FrameInner {
 
 /// Write guard over a page's bytes, returned by [`PageHandle::data_mut`].
 ///
-/// Dereferences to the page buffer. Debug builds count live guards per
-/// thread to enforce the pool's lock discipline (see the lint's L4 rule).
+/// Dereferences to the page buffer. While it lives the thread holds a
+/// [`lockorder::FRAME_DATA`] rank, so debug builds trip on any re-entry
+/// into the pool (lint rule L5 is the static form of the same rule).
 pub struct PageWriteGuard<'a> {
     guard: RwLockWriteGuard<'a, FrameBuf>,
     _order: lockorder::Held,
@@ -329,13 +259,6 @@ impl std::ops::Deref for PageReadGuard<'_> {
     type Target = PageBuf;
     fn deref(&self) -> &PageBuf {
         &self.0.page
-    }
-}
-
-#[cfg(debug_assertions)]
-impl Drop for PageWriteGuard<'_> {
-    fn drop(&mut self) {
-        lockcheck::guard_released();
     }
 }
 
@@ -368,13 +291,8 @@ impl PageHandle {
 
     /// Exclusive write access; marks the page dirty.
     pub fn data_mut(&self) -> PageWriteGuard<'_> {
-        // Frame latches are a reentrant rank family: multi-frame work
-        // goes through the ordered batch helper (checked separately by
-        // the guard counters below).
         let order = lockorder::acquired(lockorder::FRAME_DATA, true, "FrameData");
         let mut guard = self.inner.data.write();
-        #[cfg(debug_assertions)]
-        lockcheck::guard_acquired();
         // The dirty store must come *after* lock acquisition: flagging
         // first would let a flush racing with a still-blocked writer
         // count a spurious write-back for a page that hasn't changed.
@@ -422,29 +340,7 @@ struct Frame {
     prefetched: bool,
 }
 
-/// One shard: a contiguous frame range with its own clock hand and
-/// resident-page map. Pages hash to a *home* shard; a frame stolen from
-/// another shard is still registered in the home shard's map.
-struct Shard {
-    /// First frame index owned by this shard.
-    start: usize,
-    /// Number of frames owned.
-    len: usize,
-    /// Clock hand, as a global frame index within `start..start + len`.
-    clock: usize,
-    /// Resident pages whose home is this shard → global frame index.
-    map: HashMap<PageId, usize>,
-}
-
-/// The home shard of a page id under `n` shards (multiplicative hash).
-fn home_shard(pid: PageId, n: usize) -> usize {
-    let h = ((pid.file.0 as u64) << 32) ^ (pid.page as u64);
-    let h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (((h >> 32) as usize) * n) >> 32
-}
-
-/// The buffer pool: a fixed set of frames over a [`DiskManager`],
-/// partitioned into hash-selected shards.
+/// The buffer pool: a fixed set of frames over a [`DiskManager`].
 ///
 /// All methods take `&self`: frame metadata and the disk live behind one
 /// internal mutex (see the module docs), while page bytes are accessed in
@@ -458,14 +354,16 @@ pub struct BufferPool {
     shared: Arc<PoolShared>,
     /// Frame count (fixed at construction; readable without locking).
     capacity: usize,
-    /// Shard count (fixed at construction; readable without locking).
-    shard_count: usize,
 }
 
-/// All lock-protected pool state: frames, shards, counters, and the disk.
+/// All lock-protected pool state: frames, the clock hand, the resident
+/// map, counters, and the disk.
 struct PoolCore {
     frames: Vec<Frame>,
-    shards: Vec<Shard>,
+    /// Clock hand: the frame the next victim search starts at.
+    clock: usize,
+    /// Resident pages → frame index.
+    map: HashMap<PageId, usize>,
     disk: Box<dyn DiskManager>,
     shared: Arc<PoolShared>,
     hits: u64,
@@ -567,24 +465,11 @@ impl BufferPool {
                 prefetched: false,
             })
             .collect();
-        let n = DEFAULT_SHARDS.min(capacity);
-        let (base, rem) = (capacity / n, capacity % n);
-        let mut shards = Vec::with_capacity(n);
-        let mut start = 0;
-        for i in 0..n {
-            let len = base + usize::from(i < rem);
-            shards.push(Shard {
-                start,
-                len,
-                clock: start,
-                map: HashMap::new(),
-            });
-            start += len;
-        }
         BufferPool {
             core: Mutex::new(PoolCore {
                 frames,
-                shards,
+                clock: 0,
+                map: HashMap::new(),
                 disk,
                 shared: Arc::clone(&shared),
                 hits: 0,
@@ -594,7 +479,6 @@ impl BufferPool {
             frames: inners,
             shared,
             capacity,
-            shard_count: n,
         }
     }
 
@@ -686,17 +570,6 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Number of shards the frame array is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The home shard of a page id (multiplicative hash; exposed so the
-    /// distribution can be property-tested).
-    pub fn shard_of(&self, pid: PageId) -> usize {
-        home_shard(pid, self.shard_count)
-    }
-
     /// Create a file on the backing disk.
     pub fn create_file(&self) -> Result<FileId> {
         let _o = core_order();
@@ -720,16 +593,12 @@ impl BufferPool {
     /// (zeroed) handle to it. The page is dirty from birth so it reaches
     /// disk on flush.
     pub fn new_page(&self, file: FileId) -> Result<(PageId, PageHandle)> {
-        #[cfg(debug_assertions)]
-        lockcheck::check_frame_acquire("BufferPool::new_page");
         let _o = core_order();
         self.core.lock().new_page(file)
     }
 
     /// Fetch page `pid`, reading it from disk on a miss.
     pub fn fetch(&self, pid: PageId) -> Result<PageHandle> {
-        #[cfg(debug_assertions)]
-        lockcheck::check_frame_acquire("BufferPool::fetch");
         let _o = core_order();
         self.core.lock().fetch(pid)
     }
@@ -747,12 +616,6 @@ impl BufferPool {
     /// dropped, so batches are bounded by pool capacity; callers with
     /// large sorted runs chunk them (`oid_page_chunks` again).
     pub fn get_pages_batch(&self, pids: &[PageId]) -> Result<Vec<PageHandle>> {
-        // This *is* the ordered batch helper: frame locks below are taken
-        // in sorted page order from a single site, so a caller-held write
-        // guard cannot form a cycle with them.
-        #[cfg(debug_assertions)]
-        let _batch = lockcheck::BatchScope::enter();
-        let _exempt = lockorder::frame_batch_exempt();
         let _o = core_order();
         self.core.lock().get_pages_batch(pids)
     }
@@ -763,11 +626,6 @@ impl BufferPool {
     /// prefetch never changes page-I/O totals relative to fetching the
     /// pages directly — it only turns the later fetch into a hit.
     pub fn prefetch(&self, pids: &[PageId]) -> Result<()> {
-        #[cfg(debug_assertions)]
-        lockcheck::check_frame_acquire("BufferPool::prefetch");
-        #[cfg(debug_assertions)]
-        let _batch = lockcheck::BatchScope::enter();
-        let _exempt = lockorder::frame_batch_exempt();
         let _o = core_order();
         self.core.lock().prefetch(pids)
     }
@@ -819,57 +677,43 @@ impl BufferPool {
         core.evictions = 0;
     }
 
-    /// Reset both disk and pool counters. Alias of
-    /// [`BufferPool::reset_profile`], kept for existing call sites.
-    pub fn reset_io(&self) {
-        self.reset_profile();
-    }
-
-    /// Point-in-time per-shard state, for the `sys.pool` virtual table.
+    /// Point-in-time pool state, for the `sys.pool` virtual table.
     ///
     /// Reads only in-memory frame flags — no page I/O — so introspection
     /// queries cannot perturb the pool counters they report on.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    pub fn pool_stats(&self) -> PoolStats {
         let _o = core_order();
-        self.core.lock().shard_stats()
+        self.core.lock().pool_stats()
     }
 }
 
 impl PoolCore {
-    fn shard_of(&self, pid: PageId) -> usize {
-        home_shard(pid, self.shards.len())
-    }
-
     fn drop_file(&mut self, file: FileId) -> Result<()> {
-        for s in 0..self.shards.len() {
-            let victims: Vec<PageId> = self.shards[s]
-                .map
-                .keys()
-                .filter(|p| p.file == file)
-                .copied()
-                .collect();
-            for pid in victims {
-                let idx = self.shards[s].map.remove(&pid).expect("victim was in map");
-                let f = &mut self.frames[idx];
-                debug_assert!(
-                    f.inner.pins.load(Ordering::Relaxed) == 0,
-                    "pin leak: dropping {file:?} while its page {pid:?} is \
-                     still pinned"
-                );
-                f.inner.set_pid(None);
-                f.referenced = false;
-                f.prefetched = false;
-                f.inner.dirty.store(false, Ordering::Relaxed);
-                f.inner.unlogged.store(false, Ordering::Relaxed);
+        let frames = &mut self.frames;
+        self.map.retain(|pid, idx| {
+            if pid.file != file {
+                return true;
             }
-        }
+            let f = &mut frames[*idx];
+            debug_assert!(
+                f.inner.pins.load(Ordering::Relaxed) == 0,
+                "pin leak: dropping {file:?} while its page {pid:?} is \
+                 still pinned"
+            );
+            f.inner.set_pid(None);
+            f.referenced = false;
+            f.prefetched = false;
+            f.inner.dirty.store(false, Ordering::Relaxed);
+            f.inner.unlogged.store(false, Ordering::Relaxed);
+            false
+        });
         self.disk.drop_file(file)
     }
 
     fn new_page(&mut self, file: FileId) -> Result<(PageId, PageHandle)> {
         let pid = self.disk.allocate_page(file)?;
         obs_io::record_disk_alloc();
-        let idx = self.find_victim(self.shard_of(pid))?;
+        let idx = self.find_victim()?;
         self.install(idx, pid, false)?;
         let h = self.handle(idx, pid);
         h.inner.dirty.store(true, Ordering::Relaxed);
@@ -879,8 +723,7 @@ impl PoolCore {
     }
 
     fn fetch(&mut self, pid: PageId) -> Result<PageHandle> {
-        let home = self.shard_of(pid);
-        if let Some(&idx) = self.shards[home].map.get(&pid) {
+        if let Some(&idx) = self.map.get(&pid) {
             self.hits += 1;
             obs_io::record_pool_hit();
             self.note_prefetch_hit(idx);
@@ -889,7 +732,7 @@ impl PoolCore {
         }
         self.misses += 1;
         obs_io::record_pool_miss();
-        let idx = self.find_victim(home)?;
+        let idx = self.find_victim()?;
         self.install(idx, pid, true)?;
         Ok(self.handle(idx, pid))
     }
@@ -902,8 +745,7 @@ impl PoolCore {
         // evict a page of this very batch.
         let mut got: Vec<Option<PageHandle>> = Vec::with_capacity(pids.len());
         for &pid in pids {
-            let home = self.shard_of(pid);
-            got.push(self.shards[home].map.get(&pid).copied().map(|idx| {
+            got.push(self.map.get(&pid).copied().map(|idx| {
                 self.hits += 1;
                 obs_io::record_pool_hit();
                 self.note_prefetch_hit(idx);
@@ -941,10 +783,7 @@ impl PoolCore {
         let mut missing: Vec<PageId> = pids.to_vec();
         missing.sort_unstable();
         missing.dedup();
-        missing.retain(|p| {
-            let home = self.shard_of(*p);
-            !self.shards[home].map.contains_key(p)
-        });
+        missing.retain(|p| !self.map.contains_key(p));
         if missing.is_empty() {
             return Ok(());
         }
@@ -978,8 +817,7 @@ impl PoolCore {
         let mut idxs: Vec<usize> = Vec::with_capacity(run.len());
         let mut handles: Vec<PageHandle> = Vec::with_capacity(run.len());
         for &pid in run {
-            let home = self.shard_of(pid);
-            let idx = match self.find_victim(home) {
+            let idx = match self.find_victim() {
                 Ok(i) => i,
                 Err(e) => {
                     drop(handles);
@@ -990,7 +828,7 @@ impl PoolCore {
             self.frames[idx].inner.set_pid(Some(pid));
             self.frames[idx].referenced = true;
             self.frames[idx].prefetched = prefetched;
-            self.shards[home].map.insert(pid, idx);
+            self.map.insert(pid, idx);
             handles.push(self.handle(idx, pid));
             idxs.push(idx);
         }
@@ -1040,7 +878,7 @@ impl PoolCore {
     }
 
     /// Roll back frames claimed by a failed batch: clear their page ids
-    /// and home-map entries. Callers drop the pinning handles first.
+    /// and map entries. Callers drop the pinning handles first.
     fn uninstall_run(&mut self, idxs: &[usize]) {
         for &idx in idxs {
             debug_assert!(
@@ -1051,8 +889,7 @@ impl PoolCore {
             );
             if let Some(pid) = self.frames[idx].inner.pid() {
                 self.frames[idx].inner.set_pid(None);
-                let home = self.shard_of(pid);
-                self.shards[home].map.remove(&pid);
+                self.map.remove(&pid);
             }
             self.frames[idx].referenced = false;
             self.frames[idx].prefetched = false;
@@ -1070,34 +907,16 @@ impl PoolCore {
         PageHandle::pin(&self.frames[idx].inner, pid)
     }
 
-    /// Find an unpinned frame, sweeping the home shard's clock first and
-    /// stealing from the other shards in order if every home frame is
-    /// pinned. Fails only when all frames in the pool are pinned.
-    fn find_victim(&mut self, home: usize) -> Result<usize> {
-        let n = self.shards.len();
-        for step in 0..n {
-            let s = (home + step) % n;
-            if let Some(idx) = self.sweep_shard(s)? {
-                if step > 0 {
-                    pool_metrics().shard_contention.inc();
-                }
-                return Ok(idx);
-            }
-        }
-        Err(StorageError::BufferExhausted)
-    }
-
-    /// One clock sweep over shard `s`: two full rounds (the first clears
-    /// reference bits, the second takes the first unpinned frame),
-    /// evicting the victim's current page (with write-back if dirty).
-    fn sweep_shard(&mut self, s: usize) -> Result<Option<usize>> {
-        let (start, len) = (self.shards[s].start, self.shards[s].len);
-        if len == 0 {
-            return Ok(None);
-        }
+    /// Find an unpinned frame with one clock sweep over the pool: two
+    /// full rounds (the first clears reference bits, the second takes
+    /// the first unpinned frame), evicting the victim's current page
+    /// (with write-back if dirty). Fails only when every frame is pinned
+    /// (or, mid-operation, holds an unlogged page — see below).
+    fn find_victim(&mut self) -> Result<usize> {
+        let len = self.frames.len();
         for _ in 0..2 * len {
-            let idx = self.shards[s].clock;
-            self.shards[s].clock = start + (idx + 1 - start) % len;
+            let idx = self.clock;
+            self.clock = (idx + 1) % len;
             if self.frames[idx].inner.pins.load(Ordering::Relaxed) > 0 {
                 continue;
             }
@@ -1147,14 +966,13 @@ impl PoolCore {
                     obs_io::record_disk_write();
                     obs_io::record_eviction();
                 }
-                let old_home = self.shard_of(old);
-                self.shards[old_home].map.remove(&old);
+                self.map.remove(&old);
                 self.frames[idx].inner.set_pid(None);
             }
             self.frames[idx].prefetched = false;
-            return Ok(Some(idx));
+            return Ok(idx);
         }
-        Ok(None)
+        Err(StorageError::BufferExhausted)
     }
 
     /// Put `pid` into frame `idx`; `read` loads from disk, otherwise the
@@ -1183,14 +1001,12 @@ impl PoolCore {
         self.frames[idx].inner.set_pid(Some(pid));
         self.frames[idx].referenced = true;
         self.frames[idx].prefetched = false;
-        let home = self.shard_of(pid);
-        self.shards[home].map.insert(pid, idx);
+        self.map.insert(pid, idx);
         Ok(())
     }
 
     fn flush_page(&mut self, pid: PageId) -> Result<()> {
-        let home = self.shard_of(pid);
-        if let Some(&idx) = self.shards[home].map.get(&pid) {
+        if let Some(&idx) = self.map.get(&pid) {
             let inner = Arc::clone(&self.frames[idx].inner);
             if inner.dirty.swap(false, Ordering::Relaxed) {
                 if let Err(e) =
@@ -1224,8 +1040,7 @@ impl PoolCore {
                 }
                 obs_io::record_disk_write();
             }
-            let home = self.shard_of(pid);
-            self.shards[home].map.remove(&pid);
+            self.map.remove(&pid);
             self.frames[idx].inner.set_pid(None);
             self.frames[idx].referenced = false;
             self.frames[idx].prefetched = false;
@@ -1233,46 +1048,35 @@ impl PoolCore {
         Ok(())
     }
 
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let frames = &self.frames[shard.start..shard.start + shard.len];
-                ShardStats {
-                    shard: i,
-                    frames: shard.len,
-                    resident: shard.map.len(),
-                    dirty: frames
-                        .iter()
-                        .filter(|f| {
-                            f.inner.pid().is_some() && f.inner.dirty.load(Ordering::Relaxed)
-                        })
-                        .count(),
-                    pinned: frames
-                        .iter()
-                        .filter(|f| f.inner.pins.load(Ordering::Relaxed) > 0)
-                        .count(),
-                }
-            })
-            .collect()
+    fn pool_stats(&self) -> PoolStats {
+        PoolStats {
+            frames: self.frames.len(),
+            resident: self.map.len(),
+            dirty: self
+                .frames
+                .iter()
+                .filter(|f| f.inner.pid().is_some() && f.inner.dirty.load(Ordering::Relaxed))
+                .count(),
+            pinned: self
+                .frames
+                .iter()
+                .filter(|f| f.inner.pins.load(Ordering::Relaxed) > 0)
+                .count(),
+        }
     }
 }
 
-/// Point-in-time state of one buffer-pool shard (see
-/// [`BufferPool::shard_stats`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Frames the shard owns.
+/// Point-in-time state of the buffer pool (see
+/// [`BufferPool::pool_stats`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Frames in the pool.
     pub frames: usize,
-    /// Resident pages whose *home* is this shard (a stolen frame counts
-    /// toward the page's home shard, not the frame's physical shard).
+    /// Resident pages.
     pub resident: usize,
-    /// Physically-owned frames currently marked dirty.
+    /// Frames holding a page marked dirty.
     pub dirty: usize,
-    /// Physically-owned frames currently pinned.
+    /// Frames currently pinned.
     pub pinned: usize,
 }
 
@@ -1340,35 +1144,31 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_track_residency_dirt_and_pins() {
+    fn pool_stats_track_residency_dirt_and_pins() {
         let bp = pool(8);
         let f = bp.create_file().unwrap();
-        let stats = bp.shard_stats();
-        assert_eq!(stats.len(), bp.shard_count());
-        assert_eq!(
-            stats.iter().map(|s| s.frames).sum::<usize>(),
-            bp.capacity(),
-            "shards partition the frame array"
-        );
-        assert!(stats.iter().all(|s| s.resident == 0 && s.dirty == 0));
+        let cold = PoolStats {
+            frames: bp.capacity(),
+            resident: 0,
+            dirty: 0,
+            pinned: 0,
+        };
+        assert_eq!(bp.pool_stats(), cold);
 
-        let (pid, h) = bp.new_page(f).unwrap();
+        let (_, h) = bp.new_page(f).unwrap();
         h.data_mut()[0] = 1;
-        let stats = bp.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.resident).sum::<usize>(), 1);
-        assert_eq!(stats.iter().map(|s| s.dirty).sum::<usize>(), 1);
-        assert_eq!(stats.iter().map(|s| s.pinned).sum::<usize>(), 1);
-        assert_eq!(stats[bp.shard_of(pid)].resident, 1);
+        let one = PoolStats {
+            resident: 1,
+            dirty: 1,
+            pinned: 1,
+            ..cold
+        };
+        assert_eq!(bp.pool_stats(), one);
 
         drop(h);
+        assert_eq!(bp.pool_stats(), PoolStats { pinned: 0, ..one });
         bp.flush_all().unwrap();
-        let stats = bp.shard_stats();
-        assert!(
-            stats
-                .iter()
-                .all(|s| s.resident == 0 && s.dirty == 0 && s.pinned == 0),
-            "flush_all leaves every shard cold"
-        );
+        assert_eq!(bp.pool_stats(), cold, "flush_all leaves the pool cold");
     }
 
     #[test]
@@ -1388,7 +1188,7 @@ mod tests {
         h.data_mut()[3] = 7;
         drop(h);
         bp.flush_all().unwrap();
-        bp.reset_io();
+        bp.reset_profile();
         let h = bp.fetch(pid).unwrap();
         assert_eq!(h.data()[3], 7);
         drop(h);
@@ -1397,41 +1197,43 @@ mod tests {
         assert_eq!(prof.disk.reads, 1);
     }
 
-    #[test]
+    /// A pool with one resident page whose write guard the test then
+    /// takes, and a second page to ask the pool for: every way back into
+    /// the pool under that guard must trip `lockorder`.
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock discipline")]
-    fn out_of_order_frame_acquire_is_caught_in_debug() {
+    fn two_pages() -> (BufferPool, FileId, PageHandle, PageId) {
         let bp = pool(4);
         let f = bp.create_file().unwrap();
         let (_, h0) = bp.new_page(f).unwrap();
-        let (p1, h1) = bp.new_page(f).unwrap();
-        drop(h1);
+        let (p1, _) = bp.new_page(f).unwrap();
+        (bp, f, h0, p1)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-order violation: acquiring PoolCore")]
+    fn out_of_order_frame_acquire_is_caught_in_debug() {
+        let (bp, _, h0, p1) = two_pages();
         let _guard = h0.data_mut();
-        // A second frame acquisition with the write guard live, outside
-        // the ordered batch helper, must trip the debug check.
         let _ = bp.fetch(p1);
     }
 
     #[test]
-    fn ordered_batch_with_live_guard_is_allowed() {
-        let bp = pool(8);
-        let f = bp.create_file().unwrap();
-        let mut pids = vec![];
-        for i in 0..3u8 {
-            let (pid, h) = bp.new_page(f).unwrap();
-            h.data_mut()[0] = i;
-            pids.push(pid);
-        }
-        bp.flush_all().unwrap();
-        let h0 = bp.fetch(pids[0]).unwrap();
-        let guard = h0.data_mut();
-        // Batched (sorted, single-site) acquisition is the sanctioned way
-        // to touch more frames while a write guard is live; the two cold
-        // pages below go through read_run's grouped locking.
-        let hs = bp.get_pages_batch(&[pids[1], pids[2]]).unwrap();
-        assert_eq!(hs[0].data()[0], 1);
-        assert_eq!(hs[1].data()[0], 2);
-        drop(guard);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-order violation: acquiring PoolCore")]
+    fn new_page_under_a_write_guard_is_caught_in_debug() {
+        let (bp, f, h0, _) = two_pages();
+        let _guard = h0.data_mut();
+        let _ = bp.new_page(f);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-order violation: acquiring PoolCore")]
+    fn prefetch_under_a_write_guard_is_caught_in_debug() {
+        let (bp, _, h0, p1) = two_pages();
+        let _guard = h0.data_mut();
+        let _ = bp.prefetch(&[p1]);
     }
 
     #[test]
@@ -1499,9 +1301,8 @@ mod tests {
         assert!(h.is_dirty(), "page is dirty once the write completed");
     }
 
-    /// Satellite coverage: the clock must route around many concurrently
-    /// pinned frames (across shards) and only fail when every frame is
-    /// pinned.
+    /// The clock must route around many concurrently pinned frames and
+    /// only fail when every frame is pinned.
     #[test]
     fn clock_evicts_around_concurrently_pinned_frames() {
         let bp = pool(8);
@@ -1683,34 +1484,168 @@ mod tests {
         assert_eq!(bp.io_profile().disk.reads, 4);
     }
 
-    /// Satellite property test: hashing 10k sequential page ids must land
-    /// every shard within 2x of the mean occupancy.
+    /// `BufferExhausted` iff every frame is pinned, at every capacity:
+    /// with one frame left the pool still serves a miss and a new page,
+    /// with none it refuses both, and one unpin is enough again.
     #[test]
-    fn shard_distribution_is_uniform_within_2x_of_mean() {
-        let bp = pool(64); // 8 shards
-        let mut counts = vec![0usize; bp.shard_count()];
-        for p in 0..10_000u32 {
-            counts[bp.shard_of(PageId::new(FileId(1), p))] += 1;
-        }
-        let mean = 10_000 / counts.len();
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(
-                c * 2 >= mean && c <= mean * 2,
-                "shard {s} occupancy {c} outside 2x of mean {mean}"
-            );
+    fn exhausted_iff_every_frame_is_pinned() {
+        for cap in 1..=9 {
+            let bp = pool(cap);
+            let f = bp.create_file().unwrap();
+            let (cold, _) = bp.new_page(f).unwrap();
+            bp.flush_all().unwrap();
+            let mut pins: Vec<PageHandle> = (1..cap).map(|_| bp.new_page(f).unwrap().1).collect();
+            assert_eq!(bp.pool_stats().pinned, cap - 1);
+            let misses = bp.io_profile().pool_misses;
+            drop(bp.fetch(cold).expect("one unpinned frame serves a miss"));
+            assert_eq!(bp.io_profile().pool_misses, misses + 1);
+            pins.push(bp.new_page(f).expect("and a new page").1);
+            assert_eq!(bp.pool_stats().pinned, cap);
+            assert!(matches!(bp.fetch(cold), Err(StorageError::BufferExhausted)));
+            assert!(matches!(bp.new_page(f), Err(StorageError::BufferExhausted)));
+            assert!(matches!(
+                bp.get_pages_batch(&[cold]),
+                Err(StorageError::BufferExhausted)
+            ));
+            pins.swap_remove(cap / 2);
+            drop(bp.fetch(cold).expect("one unpin is enough"));
         }
     }
 
-    #[test]
-    fn shards_partition_all_frames() {
-        for cap in [1, 2, 3, 7, 8, 9, 64] {
-            let bp = pool(cap);
-            assert_eq!(bp.shard_count(), cap.min(8));
-            // shard_of always lands in range.
-            for p in 0..100 {
-                let s = bp.shard_of(PageId::new(FileId(3), p));
-                assert!(s < bp.shard_count());
+    /// The eviction policy, restated as a model the pool is checked
+    /// against: one hand over all frames; the victim is the first frame
+    /// from the hand that is unpinned and unreferenced, a pass over a
+    /// referenced frame clearing its bit (so two rounds always suffice);
+    /// the hand stays where the search stopped. `evictions` counts the
+    /// victims that needed a write-back.
+    #[derive(Default)]
+    struct ClockModel {
+        frames: Vec<ModelFrame>,
+        hand: usize,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    #[derive(Clone, Default)]
+    struct ModelFrame {
+        pid: Option<PageId>,
+        pins: u32,
+        referenced: bool,
+        dirty: bool,
+    }
+
+    impl ClockModel {
+        fn resident(&self, pid: PageId) -> Option<usize> {
+            self.frames.iter().position(|f| f.pid == Some(pid))
+        }
+
+        /// Frame for a page that is not resident, or `None` when every
+        /// frame is pinned.
+        fn install(&mut self, pid: PageId, dirty: bool) -> Option<usize> {
+            for _ in 0..2 * self.frames.len() {
+                let i = self.hand;
+                self.hand = (i + 1) % self.frames.len();
+                let f = &mut self.frames[i];
+                if f.pins == 0 && !std::mem::take(&mut f.referenced) {
+                    self.evictions += u64::from(f.pid.is_some() && f.dirty);
+                    *f = ModelFrame {
+                        pid: Some(pid),
+                        pins: 1,
+                        referenced: true,
+                        dirty,
+                    };
+                    return Some(i);
+                }
             }
+            None
+        }
+
+        fn fetch(&mut self, pid: PageId) -> Option<usize> {
+            if let Some(i) = self.resident(pid) {
+                self.hits += 1;
+                self.frames[i].referenced = true;
+                self.frames[i].pins += 1;
+                return Some(i);
+            }
+            self.misses += 1;
+            self.install(pid, false)
+        }
+    }
+
+    /// Seeded random fetch / pin / unpin / write / `new_page` /
+    /// `flush_page` steps over pools of 1 to 40 frames: the pool picks
+    /// exactly the model's victim frame at every step and ends on exactly
+    /// its hit, miss and eviction counts.
+    #[test]
+    fn eviction_follows_the_reference_clock_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for cap in 1..=40usize {
+            let mut rng = StdRng::seed_from_u64(0xC10C + cap as u64);
+            let bp = pool(cap);
+            let f = bp.create_file().unwrap();
+            let mut model = ClockModel {
+                frames: vec![ModelFrame::default(); cap],
+                ..ClockModel::default()
+            };
+            let mut pages: Vec<PageId> = Vec::new();
+            let mut held: Vec<PageHandle> = Vec::new();
+            for step in 0..600 {
+                let got = match rng.gen_range(0..10u32) {
+                    0..=4 if !pages.is_empty() => {
+                        let pid = pages[rng.gen_range(0..pages.len())];
+                        Some((model.fetch(pid), bp.fetch(pid)))
+                    }
+                    5..=6 => {
+                        let pid = PageId::new(f, pages.len() as u32);
+                        pages.push(pid);
+                        Some((model.install(pid, true), bp.new_page(f).map(|(_, h)| h)))
+                    }
+                    7 if !pages.is_empty() => {
+                        let pid = pages[rng.gen_range(0..pages.len())];
+                        bp.flush_page(pid).unwrap();
+                        if let Some(i) = model.resident(pid) {
+                            model.frames[i].dirty = false;
+                        }
+                        None
+                    }
+                    _ if !held.is_empty() => {
+                        let h = held.swap_remove(rng.gen_range(0..held.len()));
+                        model.frames[h.inner.idx].pins -= 1;
+                        None
+                    }
+                    _ => None,
+                };
+                let Some((want, got)) = got else { continue };
+                match (want, got) {
+                    (Some(i), Ok(h)) => {
+                        assert_eq!(h.inner.idx, i, "cap {cap} step {step}: victim frame");
+                        assert_eq!(Some(h.pid), model.frames[i].pid);
+                        if rng.gen_bool(0.3) {
+                            h.data_mut()[0] = step as u8;
+                            model.frames[i].dirty = true;
+                        }
+                        if rng.gen_bool(0.5) {
+                            held.push(h);
+                        } else {
+                            model.frames[i].pins -= 1;
+                        }
+                    }
+                    (None, Err(StorageError::BufferExhausted)) => {
+                        assert!(model.frames.iter().all(|f| f.pins > 0));
+                    }
+                    (want, got) => panic!(
+                        "cap {cap} step {step}: model {want:?}, pool {:?}",
+                        got.map(|h| h.inner.idx)
+                    ),
+                }
+            }
+            let prof = bp.io_profile();
+            assert_eq!(
+                (prof.pool_hits, prof.pool_misses, prof.evictions),
+                (model.hits, model.misses, model.evictions),
+                "cap {cap}"
+            );
         }
     }
 
@@ -1793,8 +1728,11 @@ mod tests {
         h.data_mut()[7] = 1;
         drop(h);
         assert!(bp.flush_page(pid).is_err(), "autocommit append dies");
-        let dirty: usize = bp.shard_stats().iter().map(|s| s.dirty).sum();
-        assert_eq!(dirty, 1, "page still pending write-back after the failure");
+        assert_eq!(
+            bp.pool_stats().dirty,
+            1,
+            "page still pending write-back after the failure"
+        );
     }
 
     fn wal_pool(cap: usize) -> (BufferPool, Arc<Wal>, crate::wal::MemWalStore) {

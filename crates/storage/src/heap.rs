@@ -445,7 +445,7 @@ mod tests {
             .collect();
         hf.rec_update(&sm, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
         let page = sm.pool().fetch(oids[0].page_id()).unwrap();
-        sm.reset_io();
+        sm.reset_profile();
         let len_and_first = |tag: u16, body: &[u8]| (tag, body.len(), body[0]);
         // Under the pin a record costs no page request at all…
         let got = hf.read_pinned(&sm, &page, oids[5], len_and_first).unwrap();

@@ -38,7 +38,7 @@ pub mod page;
 pub mod stats;
 pub mod wal;
 
-pub use buffer::{BufferPool, PageHandle, ShardStats};
+pub use buffer::{BufferPool, PageHandle, PoolStats};
 pub use disk::{remove_db_dir, DiskManager, FileDisk, MemDisk};
 pub use error::{Result, StorageError};
 pub use fault::{FaultDisk, FaultPlan};
@@ -183,12 +183,6 @@ impl StorageManager {
     /// harness uses for cold-pool accounting between queries.
     pub fn reset_profile(&self) {
         self.pool.reset_profile();
-    }
-
-    /// Reset all I/O counters. Alias of [`StorageManager::reset_profile`],
-    /// kept for existing call sites.
-    pub fn reset_io(&self) {
-        self.reset_profile();
     }
 
     /// Write back every dirty page and empty the buffer pool, so that the

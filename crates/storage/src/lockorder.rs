@@ -1,11 +1,12 @@
 //! Runtime (debug-build) assertion of the declared global lock order.
 //!
-//! This is the dynamic mirror of the lint's static registry
-//! (`fieldrep-lint`'s `locks::LOCKS`) and the DESIGN.md §9 table: every
-//! named engine lock has a **rank**, and a thread may only acquire a
-//! lock of strictly higher rank than anything it already holds. Equal
-//! rank is allowed for *reentrant* families (the per-OID seqlock table
-//! and the frame latches), which order their members internally.
+//! This is the engine's one runtime lock checker, the dynamic mirror of
+//! the lint's static registry (`fieldrep-lint`'s `locks::LOCKS`) and the
+//! DESIGN.md §9 table: every named engine lock has a **rank**, and a
+//! thread may only acquire a lock of strictly higher rank than anything
+//! it already holds. Equal rank is allowed for *reentrant* families (the
+//! per-OID seqlock table and the frame latches), which order their
+//! members internally.
 //! Because the declared order is total, any would-be wait-for cycle
 //! must contain an edge that violates it — so a run that never trips
 //! these asserts never deadlocked *and never could have* on the
@@ -32,8 +33,10 @@ pub const OID_SEQLOCK: u8 = 20;
 pub const WAL_APPLY: u8 = 30;
 /// Rank of the buffer-pool metadata mutex.
 pub const POOL_CORE: u8 = 40;
-/// Rank of the buffer-frame page latches (reentrant: multi-frame work
-/// goes through the ordered batch helper).
+/// Rank of the buffer-frame page write latches (reentrant among
+/// themselves; above [`POOL_CORE`], so a thread holding one may not
+/// enter the pool — `fetch`, `new_page`, `prefetch` and
+/// `get_pages_batch` all trip).
 pub const FRAME_DATA: u8 = 50;
 /// Rank of the group-commit leader lock.
 pub const WAL_SYNC: u8 = 60;
@@ -42,36 +45,11 @@ pub const WAL_APPEND: u8 = 70;
 
 #[cfg(debug_assertions)]
 mod imp {
-    use std::cell::{Cell, RefCell};
+    use std::cell::RefCell;
 
     thread_local! {
         /// Ranks this thread currently holds, in acquisition order.
         static HELD: RefCell<Vec<(u8, &'static str)>> = const { RefCell::new(Vec::new()) };
-        /// Nesting depth of ordered-batch scopes (see [`frame_batch_exempt`]).
-        static BATCH_EXEMPT: Cell<u32> = const { Cell::new(0) };
-    }
-
-    /// RAII marker for the ordered batch helper's dynamic extent: while
-    /// alive, held [`super::FRAME_DATA`] entries are exempt from the
-    /// order assert. A live frame latch pins its frame, so a `PoolCore`
-    /// holder can never wait on it (eviction skips pinned frames) — the
-    /// batch helper may therefore re-enter the pool beneath live
-    /// latches without risking a cycle. This mirrors the L4 lint
-    /// exception and `lockcheck::BatchScope` in `storage::buffer`.
-    pub struct BatchExempt {
-        _private: (),
-    }
-
-    /// Enter the ordered-batch exemption (see [`BatchExempt`]).
-    pub fn frame_batch_exempt() -> BatchExempt {
-        BATCH_EXEMPT.with(|c| c.set(c.get() + 1));
-        BatchExempt { _private: () }
-    }
-
-    impl Drop for BatchExempt {
-        fn drop(&mut self) {
-            BATCH_EXEMPT.with(|c| c.set(c.get() - 1));
-        }
     }
 
     /// RAII token recording one held lock; dropping it releases the
@@ -90,12 +68,7 @@ mod imp {
             // Assert against the *maximum* held rank, not the top of
             // the stack: try-acquires may push out of order, and guards
             // need not drop LIFO.
-            let exempt_frames = BATCH_EXEMPT.with(Cell::get) > 0;
-            if let Some(&(top, top_name)) = h
-                .iter()
-                .filter(|&&(r, _)| !(exempt_frames && r == super::FRAME_DATA))
-                .max_by_key(|&&(r, _)| r)
-            {
+            if let Some(&(top, top_name)) = h.iter().max_by_key(|&&(r, _)| r) {
                 debug_assert!(
                     top < rank || (top == rank && reentrant),
                     "lock-order violation: acquiring {name} (rank {rank}) while \
@@ -137,9 +110,6 @@ mod imp {
     /// Release-build stand-in: a ZST with no drop glue.
     pub struct Held {}
 
-    /// Release-build stand-in for the ordered-batch exemption marker.
-    pub struct BatchExempt {}
-
     /// Release-build no-op (see the `debug_assertions` twin).
     #[inline(always)]
     pub fn acquired(_rank: u8, _reentrant: bool, _name: &'static str) -> Held {
@@ -151,15 +121,9 @@ mod imp {
     pub fn acquired_try(_rank: u8, _name: &'static str) -> Held {
         Held {}
     }
-
-    /// Release-build no-op (see the `debug_assertions` twin).
-    #[inline(always)]
-    pub fn frame_batch_exempt() -> BatchExempt {
-        BatchExempt {}
-    }
 }
 
-pub use imp::{acquired, acquired_try, frame_batch_exempt, BatchExempt, Held};
+pub use imp::{acquired, acquired_try, Held};
 
 #[cfg(test)]
 mod tests {

@@ -67,7 +67,7 @@ fn per_query_io_accounting_with_cold_pool() {
         oids.push(hf.rec_insert(&sm, 1, &[1u8; 100]).unwrap());
     }
     sm.flush_all().unwrap();
-    sm.reset_io();
+    sm.reset_profile();
 
     // Read one record from each of 10 pages: exactly 10 physical reads.
     for p in 0..10u32 {
@@ -89,7 +89,7 @@ fn per_query_io_accounting_with_cold_pool() {
     assert_eq!(prof.pool_hits, 10);
 
     // Updating 5 records on one page then flushing writes exactly 1 page.
-    sm.reset_io();
+    sm.reset_profile();
     for oid in oids.iter().filter(|o| o.page == 3).take(5) {
         hf.rec_update(&sm, *oid, &[2u8; 100]).unwrap();
     }

@@ -103,7 +103,7 @@ fn main() {
         .project(["name", "dept.org.name"]);
     let io = |db: &mut Database, q: &ReadQuery| {
         db.flush_all().unwrap();
-        db.reset_io();
+        db.reset_profile();
         let r = q.run(db).unwrap();
         (r, db.io_profile().total_io())
     };
@@ -138,12 +138,12 @@ fn main() {
 
     let probe = Value::Str("org-007".into());
     db.flush_all().unwrap();
-    db.reset_io();
+    db.reset_profile();
     let via_rep = rep_idx.lookup(&mut db, &probe).unwrap();
     let io_rep = db.io_profile().pages_read();
 
     db.flush_all().unwrap();
-    db.reset_io();
+    db.reset_profile();
     let mut via_gem = gem_idx.lookup(&mut db, &probe).unwrap();
     let io_gem = db.io_profile().pages_read();
 

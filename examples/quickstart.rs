@@ -103,7 +103,7 @@ fn main() {
     println!("where     Emp1.salary > 100000\n");
 
     db.flush_all().unwrap();
-    db.reset_io();
+    db.reset_profile();
     let before = query.run(&mut db).unwrap();
     let io_before = db.io_profile().total_io();
     println!("--- without replication ---");
@@ -114,7 +114,7 @@ fn main() {
     db.replicate("Emp1.dept.name", Strategy::InPlace).unwrap();
 
     db.flush_all().unwrap();
-    db.reset_io();
+    db.reset_profile();
     let after = query.run(&mut db).unwrap();
     let io_after = db.io_profile().total_io();
     println!("--- with `replicate Emp1.dept.name` ---");

@@ -12,7 +12,7 @@
 #   L1  layering        raw page/file/WAL-store I/O only inside crates/storage
 #   L2  name registry   obs name literals must exist in obs::names
 #   L3  panic budget    unwrap/expect/panic in library code only ratchets down
-#   L4  lock discipline no second frame acquire under a live page write guard
+#   L4  OID lock site   raw_acquire appears once, inside TxnManager::lock_sorted
 #   L5  lock order      held-lock sets through the call graph obey the
 #                       declared total order over the named locks
 #   L6  blocking I/O    no fsync/sleep/file I/O reachable while a lock

@@ -227,7 +227,7 @@ fn io_savings_materialise_end_to_end() {
     for strat in [None, Some(Strategy::InPlace)] {
         let mut db = build(strat);
         db.flush_all().unwrap();
-        db.reset_io();
+        db.reset_profile();
         let r = q.run(&mut db).unwrap();
         assert!(!r.rows.is_empty());
         io.push(db.io_profile().total_io());
