@@ -13,33 +13,41 @@
 //! * `update E.ref` → detach (with the old reference) then attach (with
 //!   the new one), exactly the paper's "the actions under delete E are
 //!   executed … and then the actions under insert E" (§4.1.1).
+//!
+//! Source-side state has one writer each: `set_source_replica_values`
+//! for a hidden value, `set_source_replica_ref` for a replica reference.
+//! Both edit the stored bytes through a pin on the source's page
+//! ([`fieldrep_storage::HeapFile::edit_pinned`] over
+//! [`fieldrep_model::ObjectView`]'s edits) instead of decoding, changing
+//! and re-encoding the object: a fan-out visits each source page once
+//! (`for_each_page_group`) and changes on it what the update changed.
 
 use crate::collapsed;
-use crate::error::Result;
+use crate::error::{DbError, Result};
 use crate::links::{link_add, link_members, link_remove};
-use crate::objects::{read_object, ref_target, value_key, write_object};
+use crate::objects::{pin_of, read_object, ref_target, value_key, view_object, write_object};
 use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref, read_replica};
 use crate::ripple::Chain;
 use crate::EngineCtx;
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{RepPathDef, Strategy};
-use fieldrep_model::{Annotation, Object, Value};
-use fieldrep_storage::Oid;
+use fieldrep_model::{Annotation, Object, ObjectView, TypeId, Value};
+use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageError};
 
 /// Process a physically-sorted OID batch page-group by page-group: split
 /// it into chunks of at most half-the-pool distinct pages
 /// ([`fieldrep_storage::oid_page_chunks`]), batch-fetch each chunk's
-/// pages with grouped disk reads, and invoke `f` for every OID while its
-/// page is pinned — so all co-located OIDs are rewritten under one pin,
-/// the §4.1.3 payoff of keeping link-object OIDs sorted. Returns the
-/// number of distinct pages the batch spanned.
+/// pages with grouped disk reads, and invoke `f` for every OID with the
+/// pinned handle of its page — so all co-located OIDs are rewritten under
+/// one pin, through that pin, the §4.1.3 payoff of keeping link-object
+/// OIDs sorted. Returns the number of distinct pages the batch spanned.
 pub(crate) fn for_each_page_group<F>(
     ctx: &mut EngineCtx<'_>,
     oids: &[Oid],
     mut f: F,
 ) -> Result<usize>
 where
-    F: FnMut(&mut EngineCtx<'_>, Oid) -> Result<()>,
+    F: FnMut(&mut EngineCtx<'_>, &PageHandle, Oid) -> Result<()>,
 {
     debug_assert!(oids.is_sorted(), "page grouping expects physical order");
     // Half the pool keeps enough free frames for the work `f` does under
@@ -49,10 +57,14 @@ where
     for (range, pages) in fieldrep_storage::oid_page_chunks(oids, max_pages) {
         pages_total += pages.len();
         let pinned = ctx.sm.get_pages_batch(&pages)?;
+        // Both run in page order: the handle of an OID's page is the
+        // current one or the next.
+        let mut handles = pinned.iter().peekable();
         for &oid in &oids[range] {
-            f(ctx, oid)?;
+            while handles.next_if(|h| h.pid != oid.page_id()).is_some() {}
+            let page = handles.peek().ok_or(StorageError::InvalidOid(oid))?;
+            f(ctx, page, oid)?;
         }
-        drop(pinned);
     }
     Ok(pages_total)
 }
@@ -67,6 +79,17 @@ pub fn walk_chain(
     source_obj: &Object,
 ) -> Result<Chain> {
     let next = ref_target(&source_obj.values[path.hops[0]]);
+    walk_chain_via(ctx, path, source, next)
+}
+
+/// [`walk_chain`] for a caller that read only the source's first hop:
+/// `next` is its target.
+pub(crate) fn walk_chain_via(
+    ctx: &mut EngineCtx<'_>,
+    path: &RepPathDef,
+    source: Oid,
+    next: Option<Oid>,
+) -> Result<Chain> {
     walk_from(path, 0, source, next, &mut |oid, hop| {
         Ok(ref_target(&read_object(ctx.sm, ctx.cat, oid)?.values[hop]))
     })
@@ -98,47 +121,62 @@ pub(crate) fn walk_from(
     Ok(chain)
 }
 
-/// Set (or clear, with `None`) the hidden replicated values of `path` on a
-/// source object, maintaining any index built on the path's replicated
-/// values (§3.3.4).
-pub fn set_source_replica_values(
+/// Make the hidden replicated values of `path` on `source` the encoded
+/// list `list` (`None` clears them), maintaining any index built on the
+/// path's replicated values (§3.3.4); `page` is the caller's pin on
+/// `source`'s page, if it holds one. The one writer of hidden values: the
+/// bytes are edited where they lie ([`ObjectView::edit_replica_values`]),
+/// and a source that already holds `list` is neither dirtied nor logged.
+pub(crate) fn set_source_replica_values(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
+    page: Option<&PageHandle>,
     source: Oid,
-    values: Option<Vec<Value>>,
+    list: Option<&[u8]>,
 ) -> Result<()> {
-    let mut obj = read_object(ctx.sm, ctx.cat, source)?;
-    let old_first = obj
-        .replica_values(path.id.0)
-        .and_then(|v| v.first().cloned());
-    let new_first = values.as_ref().and_then(|v| v.first().cloned());
-
-    let unchanged = match (&values, obj.replica_values(path.id.0)) {
-        (Some(v), Some(cur)) => v.as_slice() == cur,
-        (None, None) => true,
-        _ => false,
-    };
-    if unchanged {
-        return Ok(());
-    }
-
-    match values {
-        Some(v) => obj.set_replica_values(path.id.0, v),
-        None => obj.clear_replica_value(path.id.0),
-    }
-    write_object(ctx.sm, ctx.cat, source, &obj)?;
+    let index = ctx.cat.index_on_path(path.id);
+    let mut old_first = None;
+    let pin = pin_of(ctx.sm, page, source)?;
+    let changed = HeapFile::open(source.file).edit_pinned(ctx.sm, pin, source, |tag, bytes| {
+        let view = ObjectView::new(ctx.cat.type_def(TypeId(tag)), bytes);
+        if index.is_some() {
+            old_first = view
+                .replica_values(path.id.0)?
+                .and_then(|v| v.into_iter().next());
+        }
+        Ok::<_, DbError>(view.edit_replica_values(path.id.0, list)?)
+    })?;
 
     // Path-index maintenance.
-    if let Some(idx) = ctx.cat.index_on_path(path.id) {
+    if let (true, Some(idx)) = (changed, index) {
         let tree = BTreeIndex::open(idx.file);
         if let Some(old) = old_first {
             tree.delete(ctx.sm, &value_key(&old), source)?;
         }
-        if let Some(new) = new_first {
-            tree.insert(ctx.sm, &value_key(&new), source)?;
+        let new = list.map(Value::decode_list).transpose()?;
+        if let Some(new) = new.as_ref().and_then(|v| v.first()) {
+            tree.insert(ctx.sm, &value_key(new), source)?;
         }
     }
     Ok(())
+}
+
+/// Append (`Some`) or remove (`None`) `source`'s reference to the shared
+/// replica object of path group `group`, editing the stored bytes
+/// ([`ObjectView::edit_replica_ref`]) under the caller's `page`, if any.
+/// Returns whether anything changed.
+pub(crate) fn set_source_replica_ref(
+    ctx: &mut EngineCtx<'_>,
+    group: u16,
+    page: Option<&PageHandle>,
+    source: Oid,
+    replica: Option<Oid>,
+) -> Result<bool> {
+    let pin = pin_of(ctx.sm, page, source)?;
+    HeapFile::open(source.file).edit_pinned(ctx.sm, pin, source, |tag, bytes| {
+        let view = ObjectView::new(ctx.cat.type_def(TypeId(tag)), bytes);
+        Ok::<_, DbError>(view.edit_replica_ref(group, replica)?)
+    })
 }
 
 /// Read the terminal values of `path` from a loaded terminal object.
@@ -149,15 +187,19 @@ pub fn terminal_values(path: &RepPathDef, terminal_obj: &Object) -> Vec<Value> {
         .collect()
 }
 
-/// The values `path` replicates, read from `terminal` — `None` when the
-/// chain is broken (the sources' hidden values clear).
+/// The values `path` replicates, read from `terminal` and encoded as the
+/// sources store them — `None` when the chain is broken (the sources'
+/// hidden values clear). Built once per step, lent to every source.
 pub(crate) fn values_at(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
     terminal: Option<Oid>,
-) -> Result<Option<Vec<Value>>> {
+) -> Result<Option<Vec<u8>>> {
     terminal
-        .map(|t| Ok(terminal_values(path, &read_object(ctx.sm, ctx.cat, t)?)))
+        .map(|t| {
+            let values = terminal_values(path, &read_object(ctx.sm, ctx.cat, t)?);
+            Ok(Value::encode_list(&values))
+        })
         .transpose()
 }
 
@@ -173,7 +215,7 @@ pub fn attach_path(
         return attach_collapsed(ctx, path, source, chain);
     }
     attach_links_from(ctx, path, chain, 0)?;
-    attach_terminal(ctx, path, source, chain)
+    attach_terminal(ctx, path, None, source, chain)
 }
 
 /// Where a collapsed entry for a chain lives: the terminal object when
@@ -219,7 +261,7 @@ fn attach_collapsed(
     }
     // Terminal values: only complete chains have them.
     let values = values_at(ctx, path, chain[2])?;
-    set_source_replica_values(ctx, path, source, values)
+    set_source_replica_values(ctx, path, None, source, values.as_deref())
 }
 
 /// Ensure link memberships for levels `from..` along `chain`.
@@ -247,10 +289,12 @@ pub fn attach_links_from(
     Ok(())
 }
 
-/// Materialise the terminal of `path` for `source`, given its chain.
+/// Materialise the terminal of `path` for `source`, given its chain and
+/// `page`, the caller's pin on `source`'s page if it holds one.
 pub fn attach_terminal(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
+    page: Option<&PageHandle>,
     source: Oid,
     chain: &[Option<Oid>],
 ) -> Result<()> {
@@ -258,25 +302,19 @@ pub fn attach_terminal(
     match path.strategy {
         Strategy::InPlace => {
             let values = values_at(ctx, path, terminal)?;
-            set_source_replica_values(ctx, path, source, values)
+            set_source_replica_values(ctx, path, page, source, values.as_deref())
         }
         Strategy::Separate => {
             let group = ctx
                 .cat
-                .group(path.group.expect("separate path has a group"))
-                .clone();
-            let src_obj = read_object(ctx.sm, ctx.cat, source)?;
-            let already = find_replica_ref(&src_obj, group.id.0).is_some();
+                .group(path.group.expect("separate path has a group"));
+            let already =
+                view_object(ctx.sm, ctx.cat, page, source, |v| v.replica_ref(group.id.0))?
+                    .is_some();
             match (terminal, already) {
                 (Some(t), false) => {
-                    let roid = anchor_acquire(ctx.sm, ctx.cat, &group, t, 1)?;
-                    let mut src_obj = read_object(ctx.sm, ctx.cat, source)?;
-                    src_obj.annotations.push(Annotation::ReplicaRef {
-                        group: group.id.0,
-                        oid: roid,
-                    });
-                    write_object(ctx.sm, ctx.cat, source, &src_obj)?;
-                    Ok(())
+                    let roid = anchor_acquire(ctx.sm, ctx.cat, group, t, 1)?;
+                    set_source_replica_ref(ctx, group.id.0, page, source, Some(roid)).map(drop)
                 }
                 // Already attached (a sibling path of the same group did
                 // it), or chain broken: nothing to do.
@@ -300,18 +338,14 @@ pub fn detach_path(
     detach_links_from(ctx, path, chain, 0)?;
 
     match path.strategy {
-        Strategy::InPlace => set_source_replica_values(ctx, path, source, None),
+        Strategy::InPlace => set_source_replica_values(ctx, path, None, source, None),
         Strategy::Separate => {
             let group = ctx
                 .cat
-                .group(path.group.expect("separate path has a group"))
-                .clone();
-            let mut src_obj = read_object(ctx.sm, ctx.cat, source)?;
-            if let Some((i, _roid)) = find_replica_ref(&src_obj, group.id.0) {
-                src_obj.annotations.remove(i);
-                write_object(ctx.sm, ctx.cat, source, &src_obj)?;
+                .group(path.group.expect("separate path has a group"));
+            if set_source_replica_ref(ctx, group.id.0, None, source, None)? {
                 if let Some(t) = chain.last().copied().flatten() {
-                    anchor_release(ctx.sm, ctx.cat, &group, t, 1)?;
+                    anchor_release(ctx.sm, ctx.cat, group, t, 1)?;
                 }
             }
             Ok(())
@@ -383,7 +417,7 @@ fn detach_collapsed(
             }
         }
     }
-    set_source_replica_values(ctx, path, source, None)
+    set_source_replica_values(ctx, path, None, source, None)
 }
 
 /// Collect the source objects (level-0 members) that reach `obj` through
@@ -411,7 +445,7 @@ pub fn collect_sources(
         return Ok(members); // already sorted
     }
     let mut out = Vec::new();
-    for_each_page_group(ctx, &members, |ctx, m| {
+    for_each_page_group(ctx, &members, |ctx, _, m| {
         let mobj = read_object(ctx.sm, ctx.cat, m)?;
         out.extend(collect_sources(ctx, path, at_level - 1, &mobj)?);
         Ok(())
@@ -429,35 +463,37 @@ pub fn read_path_values(
     path: &RepPathDef,
     source_obj: &Object,
 ) -> Result<Option<Vec<Value>>> {
-    match path.strategy {
-        Strategy::InPlace => Ok(source_obj
+    match path.group {
+        None => Ok(source_obj
             .replica_values(path.id.0)
             .map(<[fieldrep_model::Value]>::to_vec)),
-        Strategy::Separate => {
-            let group = ctx
-                .cat
-                .group(path.group.expect("separate path has a group"));
-            match find_replica_ref(source_obj, group.id.0) {
-                None => Ok(None),
-                Some((_, roid)) => {
-                    let all = read_replica(ctx.sm, group, roid)?;
-                    // Project the path's terminal fields out of the group's
-                    // field list.
-                    let vals = path
-                        .terminal_fields
-                        .iter()
-                        .map(|f| {
-                            let pos = group
-                                .fields
-                                .iter()
-                                .position(|g| g == f)
-                                .expect("path fields are a subset of group fields");
-                            all[pos].clone()
-                        })
-                        .collect();
-                    Ok(Some(vals))
-                }
-            }
-        }
+        Some(g) => find_replica_ref(source_obj, g.0)
+            .map(|(_, roid)| replica_path_values(ctx, path, roid))
+            .transpose(),
     }
+}
+
+/// The values separate `path` serves through the shared replica object
+/// at `roid`: the group's values projected on the path's terminal fields.
+pub(crate) fn replica_path_values(
+    ctx: &mut EngineCtx<'_>,
+    path: &RepPathDef,
+    roid: Oid,
+) -> Result<Vec<Value>> {
+    let group = ctx
+        .cat
+        .group(path.group.expect("separate path has a group"));
+    let all = read_replica(ctx.sm, group, roid)?;
+    Ok(path
+        .terminal_fields
+        .iter()
+        .map(|f| {
+            let pos = group
+                .fields
+                .iter()
+                .position(|g| g == f)
+                .expect("path fields are a subset of group fields");
+            all[pos].clone()
+        })
+        .collect())
 }

@@ -8,7 +8,7 @@
 
 use crate::attach::{attach_path, detach_path, read_path_values, walk_chain};
 use crate::error::{DbError, Result};
-use crate::objects::{read_object, ref_target, value_key, write_object, REPLICA_TAG};
+use crate::objects::{read_object, ref_target, value_key, view_object, write_object, REPLICA_TAG};
 use crate::propagate::{apply_plan, is_referenced};
 use crate::replicas::{find_anchor, group_values, write_replica};
 use crate::ripple::RipplePlan;
@@ -472,7 +472,7 @@ impl Database {
         match path.strategy {
             Strategy::InPlace => {
                 for (src, chain) in &chains {
-                    crate::attach::attach_terminal(&mut self.ctx(), path, *src, chain)?;
+                    crate::attach::attach_terminal(&mut self.ctx(), path, None, *src, chain)?;
                 }
             }
             Strategy::Separate => {
@@ -583,7 +583,13 @@ impl Database {
         for (src, chain) in &chains {
             let mut ctx = self.ctx();
             let values = crate::attach::values_at(&mut ctx, path, chain[2])?;
-            crate::attach::set_source_replica_values(&mut ctx, path, *src, values)?;
+            crate::attach::set_source_replica_values(
+                &mut ctx,
+                path,
+                None,
+                *src,
+                values.as_deref(),
+            )?;
         }
         Ok(())
     }
@@ -761,7 +767,7 @@ impl Database {
             read_path_values(&mut ctx, &path, &obj)?
         };
         let pages = (fieldrep_obs::io::snapshot() - before).page_touches();
-        self.workload.record_read(&path.expr.to_string(), 1, pages);
+        self.workload.record_read(&path.expr_text, 1, pages);
         Ok(values)
     }
 
@@ -866,10 +872,11 @@ impl Database {
                     sources.dedup();
                     // Refresh the stale sources page-group by page-group
                     // (sorted physical order, one grouped read per run).
-                    crate::attach::for_each_page_group(&mut ctx, &sources, |ctx, s| {
-                        let sobj = read_object(ctx.sm, ctx.cat, s)?;
-                        let chain = walk_chain(ctx, pdef, s, &sobj)?;
-                        crate::attach::attach_terminal(ctx, pdef, s, &chain)
+                    crate::attach::for_each_page_group(&mut ctx, &sources, |ctx, page, s| {
+                        let hop =
+                            view_object(ctx.sm, ctx.cat, Some(page), s, |v| v.field(pdef.hops[0]))?;
+                        let chain = crate::attach::walk_chain_via(ctx, pdef, s, ref_target(&hop))?;
+                        crate::attach::attach_terminal(ctx, pdef, Some(page), s, &chain)
                     })?;
                     sources.len() as u64
                 }
@@ -887,8 +894,7 @@ impl Database {
             // A synced entry is an update ripple that was parked; count
             // it against the path now that its pages are known.
             let pages = (fieldrep_obs::io::snapshot() - io_before).page_touches();
-            self.workload
-                .record_update(&pdef.expr.to_string(), fanout, pages);
+            self.workload.record_update(&pdef.expr_text, fanout, pages);
         }
         Ok(n)
     }
@@ -912,25 +918,20 @@ impl Database {
         // Strip source-side state: hidden values / replica refs.
         let sources = self.file_oids(set.file)?;
         let dropped_group = removed.dropped_group.clone();
-        for src in &sources {
-            let ctx = self.ctx();
-            let mut obj = read_object(ctx.sm, ctx.cat, *src)?;
-            let before = obj.annotations.len();
-            match pdef.strategy {
-                Strategy::InPlace => obj.clear_replica_value(pdef.id.0),
-                Strategy::Separate => {
-                    if let Some(g) = &dropped_group {
-                        obj.annotations.retain(|a| {
-                            !matches!(a, Annotation::ReplicaRef { group, .. } if *group == g.id.0)
-                        });
-                    }
-                    // Group still shared by other paths: refs stay.
+        let mut ctx = self.ctx();
+        crate::attach::for_each_page_group(&mut ctx, &sources, |ctx, page, src| {
+            match (pdef.strategy, &dropped_group) {
+                (Strategy::InPlace, _) => {
+                    crate::attach::set_source_replica_values(ctx, pdef, Some(page), src, None)
                 }
+                (Strategy::Separate, Some(g)) => {
+                    crate::attach::set_source_replica_ref(ctx, g.id.0, Some(page), src, None)
+                        .map(drop)
+                }
+                // Group still shared by other paths: refs stay.
+                (Strategy::Separate, None) => Ok(()),
             }
-            if obj.annotations.len() != before || matches!(pdef.strategy, Strategy::InPlace) {
-                write_object(ctx.sm, ctx.cat, *src, &obj)?;
-            }
-        }
+        })?;
 
         // Dismantle freed links: remove annotations from every object of
         // the link's target type (for collapsed links also the

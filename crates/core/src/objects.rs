@@ -3,8 +3,9 @@
 use crate::error::{DbError, Result};
 use fieldrep_btree::keys;
 use fieldrep_catalog::Catalog;
-use fieldrep_model::{Object, TypeId, Value};
-use fieldrep_storage::{HeapFile, Oid, StorageManager};
+use fieldrep_model::{ModelError, Object, ObjectView, TypeId, Value};
+use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageManager};
+use std::borrow::Cow;
 
 /// Record type tag used for link objects (never a real `TypeId`).
 pub const LINK_TAG: u16 = 0xFFFF;
@@ -19,6 +20,37 @@ pub fn read_object(sm: &StorageManager, cat: &Catalog, oid: Oid) -> Result<Objec
     let type_id = TypeId(tag);
     let def = cat.type_def(type_id);
     Ok(Object::decode(type_id, def, &payload)?)
+}
+
+/// Request `oid`'s page for one access to its record, unless the caller
+/// holds a pin on it already (`held`). A handle fetched here is passed to
+/// the heap file by value, which lets go of it before following a stub.
+pub(crate) fn pin_of<'a>(
+    sm: &StorageManager,
+    held: Option<&'a PageHandle>,
+    oid: Oid,
+) -> Result<Cow<'a, PageHandle>> {
+    Ok(match held {
+        Some(page) => Cow::Borrowed(page),
+        None => Cow::Owned(sm.pool().fetch(oid.page_id())?),
+    })
+}
+
+/// Lend `f` a view of the stored object at `oid`, read without decoding
+/// it, through `page` if the caller holds a pin on `oid`'s page. `f` runs
+/// under the page's read latch and must not call back into the pool.
+pub(crate) fn view_object<R>(
+    sm: &StorageManager,
+    cat: &Catalog,
+    page: Option<&PageHandle>,
+    oid: Oid,
+    f: impl FnOnce(ObjectView<'_>) -> std::result::Result<R, ModelError>,
+) -> Result<R> {
+    let read =
+        HeapFile::open(oid.file).read_pinned(sm, pin_of(sm, page, oid)?, oid, |tag, bytes| {
+            f(ObjectView::new(cat.type_def(TypeId(tag)), bytes))
+        })?;
+    Ok(read?)
 }
 
 /// Encode and write back the object at `oid` (same type tag).

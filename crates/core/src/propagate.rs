@@ -22,19 +22,17 @@
 
 use crate::attach::{
     attach_links_from, attach_path, detach_links_from, detach_path, for_each_page_group,
-    set_source_replica_values, terminal_values, values_at,
+    set_source_replica_ref, set_source_replica_values, terminal_values, values_at,
 };
 use crate::collapsed;
 use crate::error::{DbError, Result};
 use crate::objects::{read_object, value_key, write_object};
-use crate::replicas::{
-    anchor_acquire, anchor_release, find_replica_ref, group_values, write_replica,
-};
+use crate::replicas::{anchor_acquire, anchor_release, group_values, write_replica};
 use crate::ripple::{RipplePlan, Step};
 use crate::{EngineCtx, PendingEntry};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{GroupId, IndexTarget, RepPathDef};
-use fieldrep_model::{Annotation, Object};
+use fieldrep_model::{Annotation, Object, Value};
 use fieldrep_obs::{io as obs_io, metrics, names as obs_names, Span};
 use fieldrep_storage::Oid;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -185,7 +183,7 @@ fn run_step(ctx: &mut EngineCtx<'_>, oid: Oid, obj: &Object, step: &Step) -> Res
             let pages = (obs_io::snapshot() - io_before).page_touches();
             for p in &group.paths {
                 ctx.workload
-                    .record_update(&cat.path(*p).expr.to_string(), 1, pages);
+                    .record_update(&cat.path(*p).expr_text, 1, pages);
             }
             Ok(())
         }
@@ -275,11 +273,11 @@ fn propagate_terminal_inplace(
     span.note("fanout", sources.len());
     prop_metrics().inplace.inc();
     prop_metrics().fanout.record(sources.len() as u64);
-    let values = terminal_values(path, terminal_obj);
+    let values = Value::encode_list(&terminal_values(path, terminal_obj));
     // The sorted OID array visits each source page once, all co-located
     // sources rewritten under one pin (§4.1.3).
-    let pages = for_each_page_group(ctx, sources, |ctx, s| {
-        set_source_replica_values(ctx, path, s, Some(values.clone()))
+    let pages = for_each_page_group(ctx, sources, |ctx, page, s| {
+        set_source_replica_values(ctx, path, Some(page), s, Some(&values))
     })?;
     if FAIL_NEXT_INPLACE.swap(false, Ordering::SeqCst) {
         return Err(DbError::Unsupported(
@@ -289,7 +287,7 @@ fn propagate_terminal_inplace(
     span.note("pages", pages);
     prop_metrics().pages_per_fanout.record(pages as u64);
     ctx.workload.record_update(
-        &path.expr.to_string(),
+        &path.expr_text,
         sources.len() as u64,
         discovery_pages + (obs_io::snapshot() - io_before).page_touches(),
     );
@@ -306,8 +304,8 @@ fn refresh_sources(
     terminal: Option<Oid>,
 ) -> Result<()> {
     let values = values_at(ctx, path, terminal)?;
-    for_each_page_group(ctx, sources, |ctx, s| {
-        set_source_replica_values(ctx, path, s, values.clone())
+    for_each_page_group(ctx, sources, |ctx, page, s| {
+        set_source_replica_values(ctx, path, Some(page), s, values.as_deref())
     })?;
     Ok(())
 }
@@ -325,13 +323,14 @@ fn repoint_replica_refs(
     // Remove the sources' replica references (counting how many actually
     // pointed at the old replica).
     let mut released = 0u32;
-    for_each_page_group(ctx, sources, |ctx, s| {
-        let mut sobj = read_object(ctx.sm, ctx.cat, s)?;
-        if let Some((i, _)) = find_replica_ref(&sobj, group.id.0) {
-            sobj.annotations.remove(i);
-            write_object(ctx.sm, ctx.cat, s, &sobj)?;
-            released += 1;
-        }
+    for_each_page_group(ctx, sources, |ctx, page, s| {
+        released += u32::from(set_source_replica_ref(
+            ctx,
+            group.id.0,
+            Some(page),
+            s,
+            None,
+        )?);
         Ok(())
     })?;
     if released > 0 {
@@ -342,13 +341,8 @@ fn repoint_replica_refs(
     // Point them at the new terminal's replica.
     if let Some(t) = new_terminal {
         let roid = anchor_acquire(ctx.sm, ctx.cat, group, t, sources.len() as u32)?;
-        for_each_page_group(ctx, sources, |ctx, s| {
-            let mut sobj = read_object(ctx.sm, ctx.cat, s)?;
-            sobj.annotations.push(Annotation::ReplicaRef {
-                group: group.id.0,
-                oid: roid,
-            });
-            write_object(ctx.sm, ctx.cat, s, &sobj)
+        for_each_page_group(ctx, sources, |ctx, page, s| {
+            set_source_replica_ref(ctx, group.id.0, Some(page), s, Some(roid)).map(drop)
         })?;
     }
     Ok(())

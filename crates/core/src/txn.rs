@@ -45,11 +45,11 @@
 //! serialize on one coarse guard — the paper's experiments (and the
 //! concurrent bench) run without secondary indexes.
 
-use crate::attach::{read_path_values, terminal_values, walk_chain};
+use crate::attach::{replica_path_values, terminal_values, walk_chain_via};
 use crate::database::Database;
 use crate::error::{DbError, Result};
+use crate::objects::{ref_target, view_object};
 use crate::propagate::apply_plan;
-use crate::replicas::find_replica_ref;
 use crate::ripple::RipplePlan;
 use fieldrep_catalog::{PathId, RepPathDef, Strategy};
 use fieldrep_model::{Object, Value};
@@ -57,6 +57,7 @@ use fieldrep_obs::{metrics, names as obs_names};
 use fieldrep_storage::{lockorder, Oid};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -157,44 +158,70 @@ impl OidLock {
     }
 }
 
-/// Striped `Oid → OidLock` table. Entries are created on first write
-/// lock and never removed (see [`OidLock::seq`]).
+/// An OID's key in the lock table: its own 64 bits through one
+/// multiplicative mix (Fibonacci hashing, the high half folded down) — a
+/// bijection, so the key stands for the OID, spread well enough to pick
+/// the stripe and the bucket both. Nothing hashes it again.
+fn table_key(oid: Oid) -> u64 {
+    let h = u64::from_le_bytes(oid.to_bytes()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^ (h >> 32)
+}
+
+/// Hasher of the stripes' maps: a [`table_key`] is its own hash.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Not taken for the `u64` keys hashed here.
+        self.0 = bytes.iter().fold(self.0, |h, &b| (h << 8) | u64::from(b));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+type Stripe = HashMap<u64, Arc<OidLock>, BuildHasherDefault<KeyHasher>>;
+
+/// Striped `Oid → OidLock` table, keyed by [`table_key`]. Entries are
+/// created on first write lock and never removed (see [`OidLock::seq`]).
 struct LockTable {
-    stripes: Vec<Mutex<HashMap<Oid, Arc<OidLock>>>>,
+    stripes: Vec<Mutex<Stripe>>,
 }
 
 impl LockTable {
     fn new() -> Self {
         LockTable {
             stripes: (0..LOCK_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Stripe::default()))
                 .collect(),
         }
     }
 
-    fn stripe_of(oid: Oid) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        oid.hash(&mut h);
-        (h.finish() as usize) % LOCK_STRIPES
+    /// The stripe of `key`: bits the maps use neither for the bucket (low)
+    /// nor for the control byte (top seven).
+    fn stripe(&self, key: u64) -> &Mutex<Stripe> {
+        &self.stripes[(key >> 40) as usize % LOCK_STRIPES]
     }
 
     /// The lock of `oid`, created if absent.
     fn entry(&self, oid: Oid) -> Arc<OidLock> {
-        Arc::clone(
-            self.stripes[Self::stripe_of(oid)]
-                .lock()
-                .entry(oid)
-                .or_default(),
-        )
+        let key = table_key(oid);
+        Arc::clone(self.stripe(key).lock().entry(key).or_default())
     }
 
     /// Current version of `oid` without creating an entry: an OID that
     /// was never write-locked is at version 0.
     fn seq_of(&self, oid: Oid) -> u64 {
-        self.stripes[Self::stripe_of(oid)]
+        let key = table_key(oid);
+        self.stripe(key)
             .lock()
-            .get(&oid)
+            .get(&key)
             .map_or(0, |l| l.seq.load(Ordering::Acquire))
     }
 
@@ -599,25 +626,38 @@ impl Database {
 
     /// One attempt's read of `source` for `pdef`: enters the source and,
     /// on a separate path, the shared replica object its values live in.
+    /// The source is read where it is stored — its first hop and the one
+    /// hidden annotation the path names, not the whole object. Returns
+    /// the first hop's target and the values visible through the path;
     /// `None` asks for a retry.
+    #[allow(clippy::type_complexity)]
     fn snapshot_source(
         &self,
         watch: &mut Watch<'_>,
         source: Oid,
         pdef: &RepPathDef,
-    ) -> Result<Option<Object>> {
+    ) -> Result<Option<(Option<Oid>, Option<Vec<Value>>)>> {
         if !watch.enter(source) {
             return Ok(None);
         }
-        let obj = self.get(source)?;
-        if let (Strategy::Separate, Some(g)) = (pdef.strategy, pdef.group) {
-            if let Some((_, roid)) = find_replica_ref(&obj, g.0) {
+        let mut ctx = self.ctx();
+        let (hop, hidden, roid) = view_object(ctx.sm, ctx.cat, None, source, |v| {
+            let hop = v.field(pdef.hops[0])?;
+            Ok(match (pdef.strategy, pdef.group) {
+                (Strategy::Separate, Some(g)) => (hop, None, v.replica_ref(g.0)?),
+                _ => (hop, v.replica_values(pdef.id.0)?, None),
+            })
+        })?;
+        let visible = match roid {
+            Some(roid) => {
                 if !watch.enter(roid) {
                     return Ok(None);
                 }
+                Some(replica_path_values(&mut ctx, pdef, roid)?)
             }
-        }
-        Ok(Some(obj))
+            None => hidden,
+        };
+        Ok(Some((ref_target(&hop), visible)))
     }
 
     /// Snapshot read of `path`'s replicated values as seen from `source`
@@ -631,15 +671,13 @@ impl Database {
         let pdef = self.catalog().path(path);
         let (vals, pages) = self.snapshot_read(source, |watch| {
             let io_before = fieldrep_obs::io::snapshot();
-            let Some(obj) = self.snapshot_source(watch, source, pdef)? else {
+            let Some((_, vals)) = self.snapshot_source(watch, source, pdef)? else {
                 return Ok(None);
             };
-            let vals = read_path_values(&mut self.ctx(), pdef, &obj)?;
             let pages = (fieldrep_obs::io::snapshot() - io_before).page_touches();
             Ok(Some((vals, pages)))
         })?;
-        self.workload()
-            .record_read(&pdef.expr.to_string(), 1, pages);
+        self.workload().record_read(&pdef.expr_text, 1, pages);
         Ok(vals)
     }
 
@@ -659,14 +697,10 @@ impl Database {
     ) -> Result<(Option<Vec<Value>>, Option<Vec<Value>>)> {
         let pdef = self.catalog().path(path);
         self.snapshot_read(source, |watch| {
-            let Some(obj) = self.snapshot_source(watch, source, pdef)? else {
+            let Some((next, visible)) = self.snapshot_source(watch, source, pdef)? else {
                 return Ok(None);
             };
-            let (visible, chain) = {
-                let mut ctx = self.ctx();
-                let visible = read_path_values(&mut ctx, pdef, &obj)?;
-                (visible, walk_chain(&mut ctx, pdef, source, &obj)?)
-            };
+            let chain = walk_chain_via(&mut self.ctx(), pdef, source, next)?;
             let truth = match chain.last().copied().flatten() {
                 Some(t) => {
                     if !watch.enter(t) {
@@ -726,6 +760,7 @@ impl TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replicas::find_replica_ref;
     use crate::{Database, DbConfig};
     use fieldrep_model::{FieldType, TypeDef};
 

@@ -206,7 +206,11 @@ impl WorkloadStats {
         let (fanout_delta, pages_delta) = {
             let mut map = self.shard(path).write();
             let is_new = !map.contains_key(path);
-            let w = map.entry(path.to_string()).or_default();
+            // As in `record_read`: the key is copied on first sight only.
+            let w = match map.get_mut(path) {
+                Some(w) => w,
+                None => map.entry(path.to_string()).or_default(),
+            };
             let old_fanout_w = w.fanout_ewma * w.updates as f64;
             let old_pages_w = w.update_pages_ewma * w.updates as f64;
             let seeded = w.updates > 0;

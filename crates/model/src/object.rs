@@ -28,11 +28,20 @@
 //! ```text
 //! [base fields, schema order] [annotation count u8] [annotations…]
 //! ```
+//!
+//! [`Object`] is the decoded form; [`ObjectView`] reads — and, for the
+//! two annotations a ripple rewrites, edits — the encoded form in place:
+//! [`ObjectView::edit_replica_values`] and
+//! [`ObjectView::edit_replica_ref`] answer with the
+//! [`RecordEdit`](fieldrep_storage::RecordEdit) that leaves exactly the
+//! bytes decode → change → encode would, so the two never disagree about
+//! the layout above.
 
 use crate::error::ModelError;
 use crate::types::{FieldType, TypeDef, TypeId};
 use crate::value::{le, Value};
-use fieldrep_storage::Oid;
+use fieldrep_storage::{Oid, RecordEdit};
+use std::ops::Range;
 
 /// Hidden, engine-managed data carried by an object (see module docs).
 #[derive(Clone, PartialEq, Debug)]
@@ -292,20 +301,33 @@ impl<'a> ObjectView<'a> {
         )))
     }
 
-    /// The annotation with encoding tag `tag` and id `id`, decoded; the
-    /// fields and the annotations before it are stepped over.
-    fn find(&self, tag: u8, id: u16) -> Result<Option<Annotation>, ModelError> {
+    /// One walk over the payload: where the annotation section (its count
+    /// byte) starts, where the first annotation with encoding tag `tag`
+    /// and id `id` lies, and where the last annotation ends. The fields
+    /// and annotations are stepped over, not decoded.
+    fn locate(&self, tag: u8, id: u16) -> Result<(usize, Option<Range<usize>>, usize), ModelError> {
         let mut rest = self.bytes;
         for f in &self.def.fields {
             read_field(&f.ftype, &mut rest, false)?;
         }
+        let section = self.bytes.len() - rest.len();
+        let (mut at, mut found) = (section + 1, None);
         for a in Annotations::new(rest)? {
             let a = a?;
-            if a[0] == tag && u16::from_le_bytes(le(a, 1)?) == id {
-                return Annotation::decode(a).map(Some);
+            if found.is_none() && is_annotation(a, tag, id)? {
+                found = Some(at..at + a.len());
             }
+            at += a.len();
         }
-        Ok(None)
+        Ok((section, found, at))
+    }
+
+    /// The annotation with encoding tag `tag` and id `id`, decoded.
+    fn find(&self, tag: u8, id: u16) -> Result<Option<Annotation>, ModelError> {
+        let (_, found, _) = self.locate(tag, id)?;
+        found
+            .map(|at| Annotation::decode(&self.bytes[at]))
+            .transpose()
     }
 
     /// The hidden replicated values for replication path `path`, if any
@@ -325,6 +347,99 @@ impl<'a> ObjectView<'a> {
             _ => None,
         })
     }
+
+    /// The edit after which the hidden values of path `path` are `list`
+    /// (a [`Value::encode_list`] encoding; `None` clears them) — the bytes
+    /// that decoding the object, setting or removing its
+    /// [`Annotation::ReplicaValue`] and encoding it again would store,
+    /// without the decode: a list of the stored list's length is
+    /// overwritten where it lies, any other change splices the annotation
+    /// section, and a payload that already reads so is kept.
+    pub fn edit_replica_values<'e>(
+        &self,
+        path: u16,
+        list: Option<&'e [u8]>,
+    ) -> Result<RecordEdit<'e>, ModelError> {
+        let (section, found, end) = self.locate(TAG_REPLICA_VALUE, path)?;
+        Ok(match (list, found) {
+            (None, None) => RecordEdit::Keep,
+            (None, Some(_)) => self.without(section, TAG_REPLICA_VALUE, path)?,
+            (Some(list), None) => self.with_appended(section, end, |out| {
+                out.push(TAG_REPLICA_VALUE);
+                out.extend_from_slice(&path.to_le_bytes());
+                out.extend_from_slice(list);
+            })?,
+            (Some(list), Some(at)) => {
+                let stored = &self.bytes[at.start + 3..at.end];
+                if stored == list {
+                    RecordEdit::Keep
+                } else if stored.len() == list.len() {
+                    RecordEdit::Overwrite {
+                        at: at.start + 3,
+                        bytes: list,
+                    }
+                } else {
+                    let head = &self.bytes[..at.start + 3];
+                    RecordEdit::Replace([head, list, &self.bytes[at.end..end]].concat())
+                }
+            }
+        })
+    }
+
+    /// The edit that appends a [`Annotation::ReplicaRef`] to `replica` for
+    /// path group `group` (`None`: removes the group's reference; a
+    /// payload without one is kept).
+    pub fn edit_replica_ref(
+        &self,
+        group: u16,
+        replica: Option<Oid>,
+    ) -> Result<RecordEdit<'static>, ModelError> {
+        let (section, found, end) = self.locate(TAG_REPLICA_REF, group)?;
+        match (replica, found) {
+            (None, None) => Ok(RecordEdit::Keep),
+            (None, Some(_)) => self.without(section, TAG_REPLICA_REF, group),
+            (Some(oid), _) => self.with_appended(section, end, |out| {
+                Annotation::ReplicaRef { group, oid }.encode_into(out);
+            }),
+        }
+    }
+
+    /// The payload without its `(tag, id)` annotations; `section` is where
+    /// the annotation section starts.
+    fn without(&self, section: usize, tag: u8, id: u16) -> Result<RecordEdit<'static>, ModelError> {
+        let mut out = self.bytes[..=section].to_vec();
+        out[section] = 0;
+        for a in Annotations::new(&self.bytes[section..])? {
+            let a = a?;
+            if !is_annotation(a, tag, id)? {
+                out[section] += 1;
+                out.extend_from_slice(a);
+            }
+        }
+        Ok(RecordEdit::Replace(out))
+    }
+
+    /// The payload with one more annotation, which `encode` appends;
+    /// `section..end` is the annotation section. The count is one byte.
+    fn with_appended(
+        &self,
+        section: usize,
+        end: usize,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<RecordEdit<'static>, ModelError> {
+        let mut out = Vec::with_capacity(end + 32);
+        out.extend_from_slice(&self.bytes[..end]);
+        out[section] = out[section]
+            .checked_add(1)
+            .ok_or_else(|| ModelError::BadEncoding("more than 255 annotations".into()))?;
+        encode(&mut out);
+        Ok(RecordEdit::Replace(out))
+    }
+}
+
+/// Whether the encoded annotation `a` has encoding tag `tag` and id `id`.
+fn is_annotation(a: &[u8], tag: u8, id: u16) -> Result<bool, ModelError> {
+    Ok(a[0] == tag && u16::from_le_bytes(le(a, 1)?) == id)
 }
 
 /// An object: typed base values plus hidden annotations.
@@ -395,26 +510,6 @@ impl Object {
         })
     }
 
-    /// Set (insert or overwrite) the hidden replicated values for `path`.
-    pub fn set_replica_values(&mut self, path: u16, values: Vec<Value>) {
-        for a in &mut self.annotations {
-            if let Annotation::ReplicaValue { path: p, values: v } = a {
-                if *p == path {
-                    *v = values;
-                    return;
-                }
-            }
-        }
-        self.annotations
-            .push(Annotation::ReplicaValue { path, values });
-    }
-
-    /// Remove the hidden replicated value for `path` (if present).
-    pub fn clear_replica_value(&mut self, path: u16) {
-        self.annotations
-            .retain(|a| !matches!(a, Annotation::ReplicaValue { path: p, .. } if *p == path));
-    }
-
     /// Encode to the on-disk payload format.
     pub fn encode(&self, def: &TypeDef) -> Vec<u8> {
         let mut out = Vec::with_capacity(def.min_encoded_size() + 16);
@@ -472,6 +567,31 @@ impl Object {
 mod tests {
     use super::*;
     use fieldrep_storage::FileId;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The oracle [`ObjectView`]'s edits are checked against: what the
+    /// engine did to a decoded object before it edited stored bytes.
+    impl Object {
+        /// Set (insert or overwrite) the hidden replicated values for `path`.
+        fn set_replica_values(&mut self, path: u16, values: Vec<Value>) {
+            for a in &mut self.annotations {
+                if let Annotation::ReplicaValue { path: p, values: v } = a {
+                    if *p == path {
+                        *v = values;
+                        return;
+                    }
+                }
+            }
+            self.annotations
+                .push(Annotation::ReplicaValue { path, values });
+        }
+
+        /// Remove the hidden replicated value for `path` (if present).
+        fn clear_replica_value(&mut self, path: u16) {
+            self.annotations
+                .retain(|a| !matches!(a, Annotation::ReplicaValue { path: p, .. } if *p == path));
+        }
+    }
 
     fn emp_type() -> TypeDef {
         TypeDef::new(
@@ -676,5 +796,211 @@ mod tests {
         )
         .unwrap();
         assert_eq!(obj.encoded_len(&def), 100);
+    }
+
+    fn random_oid(rng: &mut StdRng) -> Oid {
+        Oid::new(
+            FileId(rng.gen_range(1..9u16)),
+            rng.gen_range(0..1000u32),
+            rng.gen_range(0..40u16),
+        )
+    }
+
+    fn random_str(rng: &mut StdRng) -> String {
+        let len = rng.gen_range(0..12usize);
+        (0..len)
+            .map(|_| char::from(rng.gen_range(b'a'..b'{')))
+            .collect()
+    }
+
+    fn random_values(rng: &mut StdRng, n: usize) -> Vec<Value> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..5u8) {
+                0 => Value::Int(rng.gen_range(-1000..1000i64)),
+                1 => Value::Float(rng.gen_range(-1000..1000i64) as f64 / 8.0),
+                2 => Value::Str(random_str(rng)),
+                3 => Value::Ref(random_oid(rng)),
+                _ => Value::Unit,
+            })
+            .collect()
+    }
+
+    /// A random type layout with an object of it carrying random
+    /// annotations in random order — hidden values of paths 1..=3 and
+    /// replica references of groups 1..=2 among every other shape, now
+    /// and then the same id twice.
+    fn random_object(rng: &mut StdRng) -> (TypeDef, Object) {
+        let fields: Vec<(String, FieldType)> = (0..rng.gen_range(0..6usize))
+            .map(|i| {
+                let ftype = match rng.gen_range(0..5u8) {
+                    0 => FieldType::Int,
+                    1 => FieldType::Float,
+                    2 => FieldType::Str,
+                    3 => FieldType::Ref("T".into()),
+                    _ => FieldType::Pad(rng.gen_range(0..20u16)),
+                };
+                (format!("f{i}"), ftype)
+            })
+            .collect();
+        let def = TypeDef::new(
+            "T",
+            fields
+                .iter()
+                .map(|(n, t)| (n.as_str(), t.clone()))
+                .collect(),
+        );
+        let values = def
+            .fields
+            .iter()
+            .map(|f| match f.ftype {
+                FieldType::Int => Value::Int(rng.gen_range(-9..9i64)),
+                FieldType::Float => Value::Float(1.5),
+                FieldType::Str => Value::Str(random_str(rng)),
+                FieldType::Ref(_) => Value::Ref(random_oid(rng)),
+                FieldType::Pad(_) => Value::Unit,
+            })
+            .collect();
+        let mut obj = Object::new(TypeId(1), &def, values).unwrap();
+        for _ in 0..rng.gen_range(0..7usize) {
+            let n = rng.gen_range(0..4usize);
+            obj.annotations.push(match rng.gen_range(0..7u8) {
+                0 | 1 => Annotation::ReplicaValue {
+                    path: rng.gen_range(1..4u16),
+                    values: random_values(rng, n),
+                },
+                2 => Annotation::ReplicaRef {
+                    group: rng.gen_range(1..3u16),
+                    oid: random_oid(rng),
+                },
+                3 => Annotation::LinkRef {
+                    link: 1,
+                    oid: random_oid(rng),
+                },
+                4 => Annotation::InlineLink {
+                    link: 2,
+                    oids: (0..n).map(|_| random_oid(rng)).collect(),
+                },
+                5 => Annotation::ReplicaAnchor {
+                    group: rng.gen_range(1..3u16),
+                    oid: random_oid(rng),
+                    refcount: 3,
+                },
+                _ => Annotation::CollapsedVia { link: 4 },
+            });
+        }
+        (def, obj)
+    }
+
+    /// What the stored payload `bytes` reads after `edit`.
+    fn apply(bytes: &[u8], edit: &RecordEdit<'_>) -> Vec<u8> {
+        match edit {
+            RecordEdit::Keep => bytes.to_vec(),
+            RecordEdit::Overwrite { at, bytes: new } => {
+                let mut out = bytes.to_vec();
+                out[*at..*at + new.len()].copy_from_slice(new);
+                out
+            }
+            RecordEdit::Replace(payload) => payload.clone(),
+        }
+    }
+
+    #[test]
+    fn edits_store_what_decode_set_encode_would() {
+        let mut rng = StdRng::seed_from_u64(0x0ED1_7B17);
+        let (mut kept, mut overwritten, mut replaced) = (0, 0, 0);
+        for case in 0..4000 {
+            let (def, obj) = random_object(&mut rng);
+            let bytes = obj.encode(&def);
+            let view = ObjectView::new(&def, &bytes);
+
+            // Hidden values: cleared, re-set to what is stored, or set to
+            // a list of the same length, longer, shorter or empty.
+            let path = rng.gen_range(1..4u16);
+            let stored = obj.replica_values(path).map(<[Value]>::to_vec);
+            let values = match (rng.gen_range(0..5u8), &stored) {
+                (0, _) => None,
+                (1, Some(cur)) => Some(cur.clone()),
+                (2, Some(cur)) => Some(
+                    cur.iter()
+                        .map(|v| match v {
+                            Value::Int(x) => Value::Int(x + 1),
+                            Value::Float(x) => Value::Float(x + 1.0),
+                            Value::Str(s) => Value::Str(s.chars().rev().collect()),
+                            Value::Ref(_) => Value::Ref(random_oid(&mut rng)),
+                            Value::Unit => Value::Unit,
+                        })
+                        .collect(),
+                ),
+                _ => {
+                    let n = rng.gen_range(0..4usize);
+                    Some(random_values(&mut rng, n))
+                }
+            };
+            let list = values.as_deref().map(Value::encode_list);
+            let mut want = obj.clone();
+            match values {
+                Some(v) => want.set_replica_values(path, v),
+                None => want.clear_replica_value(path),
+            }
+            let want = want.encode(&def);
+            let edit = view.edit_replica_values(path, list.as_deref()).unwrap();
+            assert_eq!(apply(&bytes, &edit), want, "case {case}: values of {path}");
+            assert_eq!(edit == RecordEdit::Keep, want == bytes, "case {case}");
+            match edit {
+                RecordEdit::Keep => kept += 1,
+                RecordEdit::Overwrite { .. } => overwritten += 1,
+                // A list as long as the stored one never costs a splice.
+                RecordEdit::Replace(_) => {
+                    assert_ne!(want.len(), bytes.len(), "case {case}");
+                    replaced += 1;
+                }
+            }
+
+            // Replica references: one appended, or the group's removed.
+            let group = rng.gen_range(1..3u16);
+            let replica = rng.gen_bool(0.5).then(|| random_oid(&mut rng));
+            let mut want = obj.clone();
+            match replica {
+                Some(oid) => want.annotations.push(Annotation::ReplicaRef { group, oid }),
+                None => want.annotations.retain(
+                    |a| !matches!(a, Annotation::ReplicaRef { group: g, .. } if *g == group),
+                ),
+            }
+            let want = want.encode(&def);
+            let edit = view.edit_replica_ref(group, replica).unwrap();
+            assert_eq!(apply(&bytes, &edit), want, "case {case}: ref of {group}");
+            assert_eq!(edit == RecordEdit::Keep, want == bytes, "case {case}");
+        }
+        // The generator reaches all three answers.
+        assert!(kept > 100 && overwritten > 100 && replaced > 100);
+    }
+
+    #[test]
+    fn a_256th_annotation_is_a_typed_error() {
+        let (def, mut obj) = sample();
+        obj.set_replica_values(1, vec![Value::Int(7)]);
+        while obj.annotations.len() < 255 {
+            obj.annotations.push(Annotation::CollapsedVia { link: 9 });
+        }
+        let bytes = obj.encode(&def);
+        let view = ObjectView::new(&def, &bytes);
+        let list = Value::encode_list(&[Value::Int(8)]);
+        // The count byte is full: nothing can be appended…
+        assert!(matches!(
+            view.edit_replica_values(2, Some(&list)),
+            Err(ModelError::BadEncoding(_))
+        ));
+        assert!(matches!(
+            view.edit_replica_ref(1, Some(Oid::new(FileId(8), 0, 0))),
+            Err(ModelError::BadEncoding(_))
+        ));
+        // …but what is there can still be rewritten or removed.
+        let edit = view.edit_replica_values(1, Some(&list)).unwrap();
+        assert!(matches!(edit, RecordEdit::Overwrite { .. }));
+        let back = Object::decode(TypeId(3), &def, &apply(&bytes, &edit)).unwrap();
+        assert_eq!(back.replica_values(1).unwrap(), &[Value::Int(8)]);
+        let edit = view.edit_replica_values(1, None).unwrap();
+        let back = Object::decode(TypeId(3), &def, &apply(&bytes, &edit)).unwrap();
+        assert_eq!(back.annotations.len(), 254);
     }
 }

@@ -42,7 +42,7 @@ pub use buffer::{BufferPool, PageHandle, PoolStats};
 pub use disk::{remove_db_dir, DiskManager, FileDisk, MemDisk};
 pub use error::{Result, StorageError};
 pub use fault::{FaultDisk, FaultPlan};
-pub use heap::{HeapFile, HeapScan};
+pub use heap::{HeapFile, HeapScan, RecordEdit};
 pub use oid::{FileId, Oid, PageId};
 pub use page::{
     PageKind, PageMut, PageView, RecordFlags, RecordHeader, MAX_RECORD_PAYLOAD, MIN_RECORD_PAYLOAD,

@@ -260,9 +260,9 @@ impl<'a> PageView<'a> {
         })
     }
 
-    /// Fetch the record in `slot`, returning its header and payload, or
-    /// `None` if the slot is empty/deleted or out of range.
-    pub fn record(&self, slot: u16) -> Option<(RecordHeader, &'a [u8])> {
+    /// Header and payload byte range of the record in `slot`; `None` if
+    /// the slot is empty/deleted or out of range.
+    fn locate(&self, slot: u16) -> Option<(RecordHeader, std::ops::Range<usize>)> {
         if slot >= self.slot_count() {
             return None;
         }
@@ -276,7 +276,14 @@ impl<'a> PageView<'a> {
             RecordHeader::read(&self.data[off..off + RECORD_HEADER_SIZE]).ok()?;
         debug_assert!(RECORD_HEADER_SIZE + payload_len as usize <= len);
         let start = off + RECORD_HEADER_SIZE;
-        Some((hdr, &self.data[start..start + payload_len as usize]))
+        Some((hdr, start..start + payload_len as usize))
+    }
+
+    /// Fetch the record in `slot`, returning its header and payload, or
+    /// `None` if the slot is empty/deleted or out of range.
+    pub fn record(&self, slot: u16) -> Option<(RecordHeader, &'a [u8])> {
+        let (hdr, range) = self.locate(slot)?;
+        Some((hdr, &self.data[range]))
     }
 
     /// Iterate over the live records on the page in slot order, yielding
@@ -471,6 +478,13 @@ impl<'a> PageMut<'a> {
         put_u16(self.data, OFF_FREE_END, off as u16);
         self.set_slot(slot, off as u16, new_len as u16);
         Ok(true)
+    }
+
+    /// The payload bytes of the record in `slot`, writable where they lie
+    /// (the length is fixed; `None` for an empty or out-of-range slot).
+    pub fn payload_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
+        let (_, range) = self.view().locate(slot)?;
+        Some(&mut self.data[range])
     }
 
     /// Rewrite only the flags byte of a record header (used to mark stubs
