@@ -233,7 +233,8 @@ fn a_path_index_follows_the_patched_value() {
     }
 }
 
-/// ROADMAP item 5's decision gate for a logical ripple record: what an
+/// The decision gate that closed the logical-ripple-record question
+/// (ROADMAP "Parked": 448 B physical is under the 2 KB bar): what an
 /// in-place commit costs the log once every page it touches has been
 /// imaged in the current checkpoint epoch. The benchmark's 12.7 KB per
 /// in-place commit is first-image-per-epoch traffic from its

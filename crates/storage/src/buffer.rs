@@ -75,6 +75,7 @@ use crate::wal::{PageLog, Wal};
 use fieldrep_obs::{io as obs_io, metrics, names as obs_names};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -179,6 +180,34 @@ struct FrameBuf {
 /// `pid` value of a frame that holds no page.
 const NO_PAGE: u64 = u64::MAX;
 
+/// A page id in one word, `file << 32 | page`: what a frame stores and
+/// what the resident map is keyed by.
+fn pack(pid: PageId) -> u64 {
+    (u64::from(pid.file.0) << 32) | u64::from(pid.page)
+}
+
+/// Hasher of the resident map: one multiply of a [`pack`]ed page id
+/// (Fibonacci hashing, the high half folded down). The keys are the
+/// pool's own, never input, so SipHash's collision defence buys nothing.
+#[derive(Default)]
+struct PidHasher(u64);
+
+impl Hasher for PidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Not taken for the `u64` keys hashed here.
+        self.0 = bytes.iter().fold(self.0, |h, &b| (h << 8) | u64::from(b));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
 struct FrameInner {
     /// This frame's index in the pool.
     idx: usize,
@@ -211,8 +240,7 @@ impl FrameInner {
     }
 
     fn set_pid(&self, pid: Option<PageId>) {
-        let packed = pid.map_or(NO_PAGE, |p| (u64::from(p.file.0) << 32) | u64::from(p.page));
-        self.pid.store(packed, Ordering::Relaxed);
+        self.pid.store(pid.map_or(NO_PAGE, pack), Ordering::Relaxed);
     }
 
     /// Flag the frame unlogged. Returns the WAL when this was the
@@ -362,8 +390,8 @@ struct PoolCore {
     frames: Vec<Frame>,
     /// Clock hand: the frame the next victim search starts at.
     clock: usize,
-    /// Resident pages → frame index.
-    map: HashMap<PageId, usize>,
+    /// Resident pages ([`pack`]ed) → frame index.
+    map: HashMap<u64, usize, BuildHasherDefault<PidHasher>>,
     disk: Box<dyn DiskManager>,
     shared: Arc<PoolShared>,
     hits: u64,
@@ -372,16 +400,16 @@ struct PoolCore {
 }
 
 /// Write one frame's bytes back to `pid`, enforcing the WAL steal rule
-/// and stamping the durability header (LSN + CRC) into a copy — the
-/// resident frame bytes are never mutated, so concurrent readers under
-/// the frame's read lock see a stable image.
+/// and stamping the durability header (LSN + CRC) into a stack copy —
+/// the resident frame bytes are never mutated, so concurrent readers
+/// under the frame's read lock see a stable image.
 fn write_back_frame(
     disk: &mut dyn DiskManager,
     wal: Option<&Wal>,
     pid: PageId,
     inner: &FrameInner,
 ) -> Result<()> {
-    let mut copy: PageBuf = inner.data.read().page.clone();
+    let mut copy: [u8; PAGE_SIZE] = *inner.data.read().page;
     let lsn = match wal {
         Some(w) if inner.unlogged.swap(false, Ordering::Relaxed) => {
             // No transaction logged this page: log it now as a
@@ -469,7 +497,7 @@ impl BufferPool {
             core: Mutex::new(PoolCore {
                 frames,
                 clock: 0,
-                map: HashMap::new(),
+                map: HashMap::default(),
                 disk,
                 shared: Arc::clone(&shared),
                 hits: 0,
@@ -690,14 +718,14 @@ impl BufferPool {
 impl PoolCore {
     fn drop_file(&mut self, file: FileId) -> Result<()> {
         let frames = &mut self.frames;
-        self.map.retain(|pid, idx| {
-            if pid.file != file {
+        self.map.retain(|&pid, idx| {
+            if pid >> 32 != u64::from(file.0) {
                 return true;
             }
             let f = &mut frames[*idx];
             debug_assert!(
                 f.inner.pins.load(Ordering::Relaxed) == 0,
-                "pin leak: dropping {file:?} while its page {pid:?} is \
+                "pin leak: dropping {file:?} while its page {pid:#x} is \
                  still pinned"
             );
             f.inner.set_pid(None);
@@ -723,7 +751,7 @@ impl PoolCore {
     }
 
     fn fetch(&mut self, pid: PageId) -> Result<PageHandle> {
-        if let Some(&idx) = self.map.get(&pid) {
+        if let Some(&idx) = self.map.get(&pack(pid)) {
             self.hits += 1;
             obs_io::record_pool_hit();
             self.note_prefetch_hit(idx);
@@ -745,7 +773,7 @@ impl PoolCore {
         // evict a page of this very batch.
         let mut got: Vec<Option<PageHandle>> = Vec::with_capacity(pids.len());
         for &pid in pids {
-            got.push(self.map.get(&pid).copied().map(|idx| {
+            got.push(self.map.get(&pack(pid)).copied().map(|idx| {
                 self.hits += 1;
                 obs_io::record_pool_hit();
                 self.note_prefetch_hit(idx);
@@ -783,7 +811,7 @@ impl PoolCore {
         let mut missing: Vec<PageId> = pids.to_vec();
         missing.sort_unstable();
         missing.dedup();
-        missing.retain(|p| !self.map.contains_key(p));
+        missing.retain(|&p| !self.map.contains_key(&pack(p)));
         if missing.is_empty() {
             return Ok(());
         }
@@ -828,7 +856,7 @@ impl PoolCore {
             self.frames[idx].inner.set_pid(Some(pid));
             self.frames[idx].referenced = true;
             self.frames[idx].prefetched = prefetched;
-            self.map.insert(pid, idx);
+            self.map.insert(pack(pid), idx);
             handles.push(self.handle(idx, pid));
             idxs.push(idx);
         }
@@ -889,7 +917,7 @@ impl PoolCore {
             );
             if let Some(pid) = self.frames[idx].inner.pid() {
                 self.frames[idx].inner.set_pid(None);
-                self.map.remove(&pid);
+                self.map.remove(&pack(pid));
             }
             self.frames[idx].referenced = false;
             self.frames[idx].prefetched = false;
@@ -966,7 +994,7 @@ impl PoolCore {
                     obs_io::record_disk_write();
                     obs_io::record_eviction();
                 }
-                self.map.remove(&old);
+                self.map.remove(&pack(old));
                 self.frames[idx].inner.set_pid(None);
             }
             self.frames[idx].prefetched = false;
@@ -1001,12 +1029,12 @@ impl PoolCore {
         self.frames[idx].inner.set_pid(Some(pid));
         self.frames[idx].referenced = true;
         self.frames[idx].prefetched = false;
-        self.map.insert(pid, idx);
+        self.map.insert(pack(pid), idx);
         Ok(())
     }
 
     fn flush_page(&mut self, pid: PageId) -> Result<()> {
-        if let Some(&idx) = self.map.get(&pid) {
+        if let Some(&idx) = self.map.get(&pack(pid)) {
             let inner = Arc::clone(&self.frames[idx].inner);
             if inner.dirty.swap(false, Ordering::Relaxed) {
                 if let Err(e) =
@@ -1040,7 +1068,7 @@ impl PoolCore {
                 }
                 obs_io::record_disk_write();
             }
-            self.map.remove(&pid);
+            self.map.remove(&pack(pid));
             self.frames[idx].inner.set_pid(None);
             self.frames[idx].referenced = false;
             self.frames[idx].prefetched = false;

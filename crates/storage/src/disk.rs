@@ -12,7 +12,8 @@ use crate::page::PAGE_SIZE;
 use crate::stats::IoStats;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
 /// Abstraction over the physical page store.
@@ -204,6 +205,11 @@ struct OpenFile {
     pages: u32,
 }
 
+/// Byte offset of page `page` within its file.
+fn offset(page: u32) -> u64 {
+    u64::from(page) * PAGE_SIZE as u64
+}
+
 impl FileDisk {
     /// Open (or create) a disk rooted at `dir`. Existing `f*.pages` files in
     /// the directory are reopened with their page counts derived from file
@@ -278,7 +284,7 @@ impl DiskManager for FileDisk {
             .ok_or(StorageError::FileNotFound(file))?;
         let page_no = of.pages;
         of.pages += 1;
-        of.handle.set_len(u64::from(of.pages) * PAGE_SIZE as u64)?;
+        of.handle.set_len(offset(of.pages))?;
         self.stats.allocations += 1;
         Ok(PageId::new(file, page_no))
     }
@@ -293,20 +299,23 @@ impl DiskManager for FileDisk {
     fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
         let of = self
             .files
-            .get_mut(&pid.file)
+            .get(&pid.file)
             .ok_or(StorageError::FileNotFound(pid.file))?;
         if pid.page >= of.pages {
             return Err(StorageError::PageOutOfBounds(pid));
         }
-        of.handle
-            .seek(SeekFrom::Start(u64::from(pid.page) * PAGE_SIZE as u64))?;
-        of.handle.read_exact(&mut buf[..])?;
+        // Positional: one syscall, and no dependence on the cursor the
+        // vectored path below leaves behind.
+        of.handle.read_exact_at(&mut buf[..], offset(pid.page))?;
         self.stats.reads += 1;
         self.stats.read_calls += 1;
         Ok(())
     }
 
     fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
+        if let [buf] = bufs {
+            return self.read_page(first, buf);
+        }
         if bufs.is_empty() {
             return Ok(());
         }
@@ -321,8 +330,7 @@ impl DiskManager for FileDisk {
                 last as u32,
             )));
         }
-        of.handle
-            .seek(SeekFrom::Start(u64::from(first.page) * PAGE_SIZE as u64))?;
+        of.handle.seek(SeekFrom::Start(offset(first.page)))?;
         // One vectored read for the whole run; a short read (the kernel
         // may split large vectors) falls back to per-page reads at
         // explicit offsets for the remainder.
@@ -334,10 +342,8 @@ impl DiskManager for FileDisk {
         let done_pages = n / PAGE_SIZE;
         if n % PAGE_SIZE != 0 || done_pages < bufs.len() {
             for (i, buf) in bufs.iter_mut().enumerate().skip(done_pages) {
-                let page = first.page + i as u32;
                 of.handle
-                    .seek(SeekFrom::Start(u64::from(page) * PAGE_SIZE as u64))?;
-                of.handle.read_exact(&mut buf[..])?;
+                    .read_exact_at(&mut buf[..], offset(first.page + i as u32))?;
             }
         }
         self.stats.reads += bufs.len() as u64;
@@ -348,14 +354,12 @@ impl DiskManager for FileDisk {
     fn write_page(&mut self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         let of = self
             .files
-            .get_mut(&pid.file)
+            .get(&pid.file)
             .ok_or(StorageError::FileNotFound(pid.file))?;
         if pid.page >= of.pages {
             return Err(StorageError::PageOutOfBounds(pid));
         }
-        of.handle
-            .seek(SeekFrom::Start(u64::from(pid.page) * PAGE_SIZE as u64))?;
-        of.handle.write_all(&buf[..])?;
+        of.handle.write_all_at(&buf[..], offset(pid.page))?;
         self.stats.writes += 1;
         Ok(())
     }
@@ -521,6 +525,128 @@ mod tests {
         {
             let mut d = FileDisk::open(&dir).unwrap();
             exercise_batch(&mut d);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Version `v` of page `pid` (page < 8, file < 2, v < 4): each
+    /// differs from every other in all of its bytes.
+    fn pattern(pid: PageId, v: u8) -> [u8; PAGE_SIZE] {
+        let id = pid.page + 8 * u32::from(pid.file.0) + 16 * u32::from(v);
+        let mut buf = [0u8; PAGE_SIZE];
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = (i as u32 * 7 + id) as u8;
+        }
+        buf
+    }
+
+    fn try_read_run(d: &mut FileDisk, first: PageId, n: usize) -> Result<Vec<[u8; PAGE_SIZE]>> {
+        let mut storage = vec![[0u8; PAGE_SIZE]; n];
+        let mut bufs: Vec<&mut [u8; PAGE_SIZE]> = storage.iter_mut().collect();
+        d.read_pages(first, &mut bufs)?;
+        Ok(storage)
+    }
+
+    fn read_run(d: &mut FileDisk, first: PageId, n: usize) -> Vec<[u8; PAGE_SIZE]> {
+        try_read_run(d, first, n).unwrap()
+    }
+
+    /// `read_pages` moves the file cursor (seek + vectored read);
+    /// `read_page`, `write_page` and a run of one are positional. Mixed
+    /// on one file and across two, neither may depend on, or be
+    /// confused by, where the other left the cursor.
+    #[test]
+    fn file_disk_positional_and_vectored_io_interleave() {
+        let dir = std::env::temp_dir().join(format!("fieldrep-disk-pos-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut d = FileDisk::open(&dir).unwrap();
+            let (a, b) = (d.create_file().unwrap(), d.create_file().unwrap());
+            let mut version = std::collections::BTreeMap::new();
+            for f in [a, b] {
+                for _ in 0..8 {
+                    let pid = d.allocate_page(f).unwrap();
+                    d.write_page(pid, &pattern(pid, 0)).unwrap();
+                    version.insert(pid, 0u8);
+                }
+            }
+            let pid = |f: FileId, page: u32| PageId::new(f, page);
+            let mut one = [0u8; PAGE_SIZE];
+            for round in 1..=3u8 {
+                // A vectored run leaves `a`'s cursor after page 5.
+                for (i, got) in read_run(&mut d, pid(a, 2), 4).iter().enumerate() {
+                    let p = pid(a, 2 + i as u32);
+                    assert_eq!(got, &pattern(p, version[&p]), "run over {p:?}");
+                }
+                // Positional accesses before, inside and after that run.
+                for page in [0, 3, 7] {
+                    d.read_page(pid(a, page), &mut one).unwrap();
+                    assert_eq!(one, pattern(pid(a, page), version[&pid(a, page)]));
+                }
+                for p in [pid(a, 3), pid(b, 0), pid(a, 6)] {
+                    d.write_page(p, &pattern(p, round)).unwrap();
+                    version.insert(p, round);
+                }
+                // The other file's cursor is its own.
+                for (i, got) in read_run(&mut d, pid(b, 0), 3).iter().enumerate() {
+                    let p = pid(b, i as u32);
+                    assert_eq!(got, &pattern(p, version[&p]), "run over {p:?}");
+                }
+                // A run of one is positional too, and a positional write
+                // shows up in the next vectored run.
+                assert_eq!(read_run(&mut d, pid(a, 6), 1)[0], pattern(pid(a, 6), round));
+                assert_eq!(read_run(&mut d, pid(a, 3), 2)[0], pattern(pid(a, 3), round));
+            }
+            // Every byte of both files, by each path.
+            for (&p, &v) in &version {
+                d.read_page(p, &mut one).unwrap();
+                assert_eq!(one, pattern(p, v), "{p:?}");
+            }
+            for f in [a, b] {
+                for (i, got) in read_run(&mut d, pid(f, 0), 8).iter().enumerate() {
+                    let p = pid(f, i as u32);
+                    assert_eq!(got, &pattern(p, version[&p]), "{p:?}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file cut short behind an open `FileDisk` (its page count is
+    /// cached at open) is an I/O error on every read path, not a panic
+    /// and not a page of zeros.
+    #[test]
+    fn truncated_file_is_an_io_error() {
+        let dir = std::env::temp_dir().join(format!("fieldrep-disk-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut d = FileDisk::open(&dir).unwrap();
+            let f = d.create_file().unwrap();
+            for _ in 0..4 {
+                let pid = d.allocate_page(f).unwrap();
+                d.write_page(pid, &pattern(pid, 0)).unwrap();
+            }
+            let cut = OpenOptions::new().write(true).open(d.path_for(f)).unwrap();
+            cut.set_len(PAGE_SIZE as u64 + 100).unwrap();
+
+            let mut one = [0u8; PAGE_SIZE];
+            d.read_page(PageId::new(f, 0), &mut one).unwrap();
+            assert_eq!(one, pattern(PageId::new(f, 0), 0));
+            for page in [1, 3] {
+                assert!(matches!(
+                    d.read_page(PageId::new(f, page), &mut one),
+                    Err(StorageError::Io(_))
+                ));
+            }
+            for (first, n) in [(0, 3), (1, 2), (2, 1)] {
+                assert!(
+                    matches!(
+                        try_read_run(&mut d, PageId::new(f, first), n),
+                        Err(StorageError::Io(_))
+                    ),
+                    "run of {n} at page {first}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,7 +2,7 @@
 //!
 //! Wraps any disk manager and injects three failure modes at seeded
 //! operation counts, so crash/corruption tests (and the future chaos
-//! harness, ROADMAP item 3) can deterministically provoke them:
+//! harness, ROADMAP item 1) can deterministically provoke them:
 //!
 //! * **torn page write** — the N-th `write_page` transfers only the
 //!   first half of the page, then fails (a crash mid-sector-run);
