@@ -208,6 +208,14 @@ impl Database {
         })
     }
 
+    /// Tests only: this database over a lock table of `words` words, so
+    /// that many of its OIDs share one.
+    #[cfg(test)]
+    pub(crate) fn with_lock_words(mut self, words: usize) -> Database {
+        self.txn = crate::txn::TxnManager::with_lock_words(words);
+        self
+    }
+
     /// The transaction manager (OID write locks, snapshot versions,
     /// txn counters — see [`crate::txn`]).
     pub fn txn(&self) -> &crate::txn::TxnManager {

@@ -37,7 +37,6 @@ use fieldrep_catalog::{GroupId, LinkId, PathId, Propagation, RepPathDef, SetId, 
 use fieldrep_model::{Annotation, FieldType, ModelError, Object, Value};
 use fieldrep_obs::{io as obs_io, names as obs_names};
 use fieldrep_storage::Oid;
-use std::collections::BTreeMap;
 
 /// One resolved field change: `(field index, old value, final new value)`.
 pub type FieldChange = (usize, Value, Value);
@@ -171,7 +170,7 @@ impl RipplePlan {
             txn: versions,
             oid,
             own: Vec::new(),
-            seen: BTreeMap::new(),
+            seen: Vec::new(),
         };
         let cat = b.ctx.cat;
         let before = b.read(oid)?;
@@ -348,19 +347,26 @@ impl RipplePlan {
         steps.append(&mut repoints);
         obs_io::component_add(obs_names::CORE_PROPAGATE, obs_io::snapshot() - io_before);
 
-        let Builder { own, seen, .. } = b;
-        let (oids, seqs) = seen.into_iter().unzip();
+        let (oids, seqs) = lock_set(b.seen);
         Ok(RipplePlan {
             oid,
             set,
             before,
             changes: resolved,
-            own,
+            own: b.own,
             steps,
             oids,
             seqs,
         })
     }
+}
+
+/// The noted OIDs, sorted, and aligned with them the version each had as
+/// it *first* joined: the sort is stable, the dedup keeps the first.
+fn lock_set(mut seen: Vec<(Oid, u64)>) -> (Vec<Oid>, Vec<u64>) {
+    seen.sort_by_key(|&(oid, _)| oid);
+    seen.dedup_by_key(|&mut (oid, _)| oid);
+    seen.into_iter().unzip()
 }
 
 /// The read-only pass: every OID enters the plan through [`Builder::note`],
@@ -373,7 +379,7 @@ struct Builder<'a> {
     oid: Oid,
     /// Its own paths whose first hop this update re-targets.
     own: Vec<OwnRetarget>,
-    seen: BTreeMap<Oid, u64>,
+    seen: Vec<(Oid, u64)>,
 }
 
 impl Builder<'_> {
@@ -381,7 +387,7 @@ impl Builder<'_> {
     /// guards is read.
     fn note(&mut self, oid: Oid) -> Oid {
         if let Some(txn) = self.txn {
-            self.seen.entry(oid).or_insert_with(|| txn.seq_of(oid));
+            self.seen.push((oid, txn.seq_of(oid)));
         }
         oid
     }
@@ -449,5 +455,36 @@ impl Builder<'_> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DbConfig;
+
+    #[test]
+    fn an_oid_noted_twice_keeps_the_version_it_first_joined_at() {
+        let db = Database::in_memory(DbConfig::default());
+        let txn = db.txn();
+        let f = fieldrep_storage::FileId(1);
+        let (x, y) = (Oid::new(f, 0, 1), Oid::new(f, 0, 0));
+        let mut b = Builder {
+            ctx: db.ctx(),
+            txn: Some(txn),
+            oid: x,
+            own: Vec::new(),
+            seen: Vec::new(),
+        };
+        b.note(x);
+        drop(txn.lock_sorted(&[x]).unwrap()); // a commit to `x`: version 0 -> 2
+        b.note(y);
+        b.note(x);
+        let (oids, seqs) = lock_set(b.seen);
+        assert_eq!(oids, [y, x], "sorted, each once");
+        assert_eq!(seqs, [0, 0], "x at the version recorded first, not 2");
+        let guard = txn.lock_sorted(&oids).unwrap();
+        assert!(!guard.acquired_at(&seqs), "x moved after it joined");
+        assert!(guard.acquired_at(&[0, 2]));
     }
 }

@@ -11,31 +11,53 @@
 //!
 //! * **Writers** ([`Database::update_txn`]) build the update's
 //!   [`RipplePlan`] — the one description of its fan-out, which the apply
-//!   executes too — then acquire a per-OID write lock on every member of
-//!   [`RipplePlan::oids`] **in globally sorted OID order** through the
-//!   single blessed helper [`TxnManager::lock_sorted`]. Sorted
-//!   acquisition over a total order makes deadlock impossible (every
-//!   wait edge points from a smaller held OID to a larger wanted one, so
-//!   the wait-for graph is acyclic); lint rule L4 statically enforces
-//!   that no other call site acquires a raw OID lock. The plan is built
-//!   without locks, by traversing the very structures concurrent writers
-//!   mutate, so it records each OID's version as the OID joins; if any
-//!   moved by the time the locks are held it is rebuilt *under* them and
-//!   the acquisition retried (counted as `txn.conflict`) until the locked
-//!   set covers it. Sorted-OID order is also the engine's batched-I/O
-//!   order ([`fieldrep_storage::oid_page_chunks`]), so locks are taken
-//!   in the same order pages are fetched.
+//!   executes too — then write-lock every member of [`RipplePlan::oids`]
+//!   through the single blessed helper [`TxnManager::lock_sorted`], which
+//!   maps the OIDs to their lock words and takes the distinct words **in
+//!   ascending word order**. Sorted acquisition over a total order makes
+//!   deadlock impossible (every wait edge points from a smaller held word
+//!   to a larger wanted one, so the wait-for graph is acyclic); lint rule
+//!   L4 statically enforces that no other call site acquires a raw lock
+//!   word. The plan is built without locks, by traversing the very
+//!   structures concurrent writers mutate, so it records each OID's
+//!   version as the OID joins; if any moved by the time the locks are
+//!   held it is rebuilt *under* them and the acquisition retried (counted
+//!   as `txn.conflict`) until the locked set covers it.
 //! * **Readers** ([`Database::snapshot_path_values`],
 //!   [`Database::snapshot_path_check`], [`Database::snapshot_get`])
-//!   never take locks. Each locked OID carries a seqlock-style version
-//!   that is odd while a writer holds it and bumped again on release;
-//!   readers capture the versions of the objects whose bytes they
+//!   never take locks and never wait on one: a version is one atomic
+//!   load. Readers capture the versions of the objects whose bytes they
 //!   consume (source, shared replica, terminal), read optimistically,
 //!   and retry (`txn.snapshot_retry`) if any version moved. Versions are
-//!   monotonic — lock-table entries are never removed — so a validated
-//!   read is a true point-in-time snapshot: it observed no mid-flight
-//!   ripple, which is exactly the "no torn replicas" invariant the
-//!   stress harness asserts.
+//!   monotonic — a word is never reset — so a validated read is a true
+//!   point-in-time snapshot: it observed no mid-flight ripple, which is
+//!   exactly the "no torn replicas" invariant the stress harness asserts.
+//!
+//! # The lock table
+//!
+//! One flat array of [`LOCK_WORDS`] `AtomicU64`s; an OID's word is the
+//! top bits of its 64 bits times the golden-ratio constant
+//! ([`LockTable::word_of`]). A word *is* the seqlock version: odd while a
+//! writer holds it, taken by a compare-and-swap even → odd, released by
+//! adding one, never reset — so versions are monotone and ABA-free, and
+//! the table's memory is constant however many OIDs are ever locked.
+//! Several OIDs share a word. The lock's granule is an implementation
+//! choice as long as declared conflicts ⊇ true conflicts (Malta &
+//! Martinez, PAPERS.md), and they are: two OIDs of one lock set on one
+//! word are locked once; a word shared with another transaction's OID is
+//! a *false* conflict — a wait, or a retry — never a missed one.
+//!
+//! Memory ordering is the textbook seqlock's, written out. Writer: the
+//! acquiring CAS is `Acquire` (it sees everything the previous holder
+//! released) and is followed by `fence(Release)`, so the odd version is
+//! visible before any byte the holder then writes; the releasing
+//! `fetch_add` is `Release`. Reader: the entering load is `Acquire`, and
+//! `fence(Acquire)` precedes the validating re-load, so every byte the
+//! attempt read was read before the version was looked at again. Object
+//! bytes themselves travel under the buffer pool's frame latches, whose
+//! own release/acquire pairs order them; the fences make the version
+//! protocol correct without leaning on that (both compile to nothing on
+//! x86-64).
 //!
 //! Two scope notes. Deferred-propagation paths are *not* synced by
 //! snapshot reads (syncing writes, and a reader must not write); they
@@ -56,9 +78,7 @@ use fieldrep_model::{Object, Value};
 use fieldrep_obs::{metrics, names as obs_names};
 use fieldrep_storage::{lockorder, Oid};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -68,8 +88,11 @@ use std::time::{Duration, Instant};
 /// stress harness relies on it to fail fast instead of hanging.
 const DEADLOCK_WATCHDOG: Duration = Duration::from_secs(10);
 
-/// Lock-table stripes (power of two; each stripe is a mutex-guarded map).
-const LOCK_STRIPES: usize = 64;
+/// Words in the lock table: a power of two, and a constant, not an option.
+/// 2¹⁶ × 8 B = 512 KiB stays L2-resident, and a lock set of the paper's
+/// f + 1 = 11 OIDs meets a given foreign OID on a shared word once in
+/// ~6 000 tries — a false conflict costs one wait or one retry.
+const LOCK_WORDS: usize = 1 << 16;
 
 /// Lock acquisitions before a writer gives up on a closure that keeps
 /// changing under it.
@@ -104,129 +127,67 @@ fn txn_metrics() -> &'static TxnMetrics {
     })
 }
 
-/// One OID's write lock + seqlock version.
-#[derive(Default)]
-struct OidLock {
-    /// Version: odd while a writer holds the lock, bumped on acquire and
-    /// release. Monotonic — entries are never removed from the table —
-    /// so a reader can never validate against a recycled version (no
-    /// ABA).
-    seq: AtomicU64,
-    /// Writer mutual exclusion. A spin-then-yield loop rather than a
-    /// mutex: guards are stored in a `Vec` across the whole commit, and
-    /// critical sections include page I/O, so waiters back off to
-    /// `yield_now` quickly.
-    held: AtomicBool,
+/// The lock table: one versioned lock word per slot, shared by every OID
+/// that maps to it (see the module docs). Constant memory.
+struct LockTable {
+    words: Box<[AtomicU64]>,
 }
 
-impl OidLock {
+impl LockTable {
+    /// A table of `words` words (a power of two).
+    fn new(words: usize) -> Self {
+        debug_assert!(words.is_power_of_two() && words <= 1 << 16);
+        LockTable {
+            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// The word of `oid`: the top 16 bits of its own 64 bits through one
+    /// multiplicative mix (Fibonacci hashing). OIDs are engine-assigned,
+    /// not attacker-chosen, so a keyed hash would buy nothing.
+    fn word_of(&self, oid: Oid) -> u32 {
+        let h = u64::from_le_bytes(oid.to_bytes()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> 48) as u32 & (self.words.len() as u32 - 1)
+    }
+
+    /// Current version of word `w`.
+    fn load(&self, w: u32) -> u64 {
+        self.words[w as usize].load(Ordering::Acquire)
+    }
+
     /// The one raw lock acquisition in the workspace; only
     /// [`TxnManager::lock_sorted`] may call it (lint rule L4 enforces
     /// this), which is what makes the global acquisition order total.
-    fn raw_acquire(&self, oid: Oid) -> Result<bool> {
-        if self
-            .held
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return Ok(false);
-        }
-        let start = Instant::now();
+    /// Returns the even version the word had just before it was taken and
+    /// whether the caller had to wait. A spin-then-yield loop rather than
+    /// a mutex: words are held across the whole commit, and critical
+    /// sections include page I/O, so waiters back off to `yield_now`
+    /// quickly. The watchdog's clock is read on the waiting branch only.
+    fn raw_acquire(&self, w: u32, oid: Oid) -> Result<(u64, bool)> {
+        let word = &self.words[w as usize];
+        let mut waiting_since: Option<Instant> = None;
         let mut spins = 0u32;
         loop {
-            if self
-                .held
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
+            let cur = word.load(Ordering::Relaxed);
+            if cur & 1 == 0
+                && word
+                    .compare_exchange(cur, cur + 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
             {
-                return Ok(true);
+                fence(Ordering::Release); // odd before any write it guards
+                return Ok((cur, waiting_since.is_some()));
             }
+            let since = *waiting_since.get_or_insert_with(Instant::now);
             spins = spins.wrapping_add(1);
             if spins < 128 {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
             }
-            if spins.is_multiple_of(4096) && start.elapsed() > DEADLOCK_WATCHDOG {
+            if spins.is_multiple_of(4096) && since.elapsed() > DEADLOCK_WATCHDOG {
                 return Err(DbError::LockTimeout(oid));
             }
         }
-    }
-
-    fn raw_release(&self) {
-        self.held.store(false, Ordering::Release);
-    }
-}
-
-/// An OID's key in the lock table: its own 64 bits through one
-/// multiplicative mix (Fibonacci hashing, the high half folded down) — a
-/// bijection, so the key stands for the OID, spread well enough to pick
-/// the stripe and the bucket both. Nothing hashes it again.
-fn table_key(oid: Oid) -> u64 {
-    let h = u64::from_le_bytes(oid.to_bytes()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^ (h >> 32)
-}
-
-/// Hasher of the stripes' maps: a [`table_key`] is its own hash.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Not taken for the `u64` keys hashed here.
-        self.0 = bytes.iter().fold(self.0, |h, &b| (h << 8) | u64::from(b));
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-}
-
-type Stripe = HashMap<u64, Arc<OidLock>, BuildHasherDefault<KeyHasher>>;
-
-/// Striped `Oid → OidLock` table, keyed by [`table_key`]. Entries are
-/// created on first write lock and never removed (see [`OidLock::seq`]).
-struct LockTable {
-    stripes: Vec<Mutex<Stripe>>,
-}
-
-impl LockTable {
-    fn new() -> Self {
-        LockTable {
-            stripes: (0..LOCK_STRIPES)
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect(),
-        }
-    }
-
-    /// The stripe of `key`: bits the maps use neither for the bucket (low)
-    /// nor for the control byte (top seven).
-    fn stripe(&self, key: u64) -> &Mutex<Stripe> {
-        &self.stripes[(key >> 40) as usize % LOCK_STRIPES]
-    }
-
-    /// The lock of `oid`, created if absent.
-    fn entry(&self, oid: Oid) -> Arc<OidLock> {
-        let key = table_key(oid);
-        Arc::clone(self.stripe(key).lock().entry(key).or_default())
-    }
-
-    /// Current version of `oid` without creating an entry: an OID that
-    /// was never write-locked is at version 0.
-    fn seq_of(&self, oid: Oid) -> u64 {
-        let key = table_key(oid);
-        self.stripe(key)
-            .lock()
-            .get(&key)
-            .map_or(0, |l| l.seq.load(Ordering::Acquire))
-    }
-
-    fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
     }
 }
 
@@ -237,18 +198,23 @@ pub(crate) struct IndexGuard<'a> {
     _order: lockorder::Held,
 }
 
-/// Guard over the sorted set of per-OID write locks one transactional
-/// write holds. Dropping it bumps every member's version to even (ripple
-/// complete) and releases the locks.
-pub struct LockSet {
+/// Guard over the write locks one transactional write holds: its OIDs
+/// and the distinct lock words they map to. Dropping it bumps every word
+/// to the next even version (ripple complete), which releases it.
+pub struct LockSet<'a> {
+    table: &'a LockTable,
     oids: Vec<Oid>,
-    locks: Vec<Arc<OidLock>>,
+    /// The words held, each once, in the ascending order they were taken.
+    words: Vec<u32>,
+    /// `before[i]` is the even version the word of `oids[i]` had just
+    /// before this set took it.
+    before: Vec<u64>,
     /// Runtime lock-order token for the whole (internally ordered)
     /// seqlock family this set holds.
     _order: lockorder::Held,
 }
 
-impl LockSet {
+impl LockSet<'_> {
     /// Is every OID of `oids` (sorted or not) covered by this lock set?
     pub fn covers(&self, oids: &[Oid]) -> bool {
         oids.iter().all(|o| self.oids.binary_search(o).is_ok())
@@ -258,30 +224,25 @@ impl LockSet {
     /// flight — immediately before this set locked it? `seqs` must align
     /// with the OIDs the set was acquired over.
     pub(crate) fn acquired_at(&self, seqs: &[u64]) -> bool {
-        self.locks.len() == seqs.len()
-            && self
-                .locks
-                .iter()
-                .zip(seqs)
-                .all(|(l, s)| s & 1 == 0 && l.seq.load(Ordering::Acquire) == s + 1)
+        self.before == seqs
     }
 
     /// Number of locked OIDs.
     pub fn len(&self) -> usize {
-        self.locks.len()
+        self.oids.len()
     }
 
     /// True when nothing is locked.
     pub fn is_empty(&self) -> bool {
-        self.locks.is_empty()
+        self.oids.is_empty()
     }
 }
 
-impl Drop for LockSet {
+impl Drop for LockSet<'_> {
     fn drop(&mut self) {
-        for l in &self.locks {
-            l.seq.fetch_add(1, Ordering::Release); // even: ripple done
-            l.raw_release();
+        for &w in &self.words {
+            // Even: ripple done, word free.
+            self.table.words[w as usize].fetch_add(1, Ordering::Release);
         }
     }
 }
@@ -305,11 +266,9 @@ pub struct TxnStats {
     pub snapshot_retries: u64,
     /// Committed transactional writes (the global commit epoch).
     pub commit_epoch: u64,
-    /// OIDs with a lock-table entry (ever write-locked).
-    pub locks_tracked: u64,
 }
 
-/// Per-database transaction manager: the OID lock table, the commit
+/// Per-database transaction manager: the lock table, the commit
 /// epoch, and counters. All methods take `&self`; one manager serves
 /// every concurrent thread of its [`Database`].
 pub struct TxnManager {
@@ -336,7 +295,7 @@ pub struct TxnManager {
 impl Default for TxnManager {
     fn default() -> Self {
         TxnManager {
-            table: LockTable::new(),
+            table: LockTable::new(LOCK_WORDS),
             epoch: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             active: AtomicU64::new(0),
@@ -396,57 +355,57 @@ impl TxnManager {
     }
 
     /// Acquire write locks on every OID of `oids` — which **must** be
-    /// sorted and deduplicated — in that global order, and bump each
-    /// version to odd. This is the only place in the workspace that may
-    /// acquire OID locks (lint rule L4): funnelling every acquisition
-    /// through one sorted loop is the whole deadlock-freedom argument,
-    /// and the order equals the batched-I/O page order because both
-    /// derive from the same physical OID sort.
-    pub fn lock_sorted(&self, oids: &[Oid]) -> Result<LockSet> {
+    /// sorted and deduplicated — and bump each one's version to odd. The
+    /// OIDs are mapped to their lock words and the distinct words taken in
+    /// ascending word order, so two OIDs of the set that share a word lock
+    /// it once. This is the only place in the workspace that may acquire
+    /// lock words (lint rule L4): funnelling every acquisition through one
+    /// sorted loop is the whole deadlock-freedom argument.
+    pub fn lock_sorted(&self, oids: &[Oid]) -> Result<LockSet<'_>> {
         if oids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(DbError::Unsupported(
                 "lock_sorted requires a sorted, deduplicated OID set".into(),
             ));
         }
-        // One order token covers the whole family: members are acquired
-        // in sorted OID order below, which is the family's internal
-        // order (rank ties are legal within it).
-        let order = lockorder::acquired(lockorder::OID_SEQLOCK, true, "OidSeqlock");
-        let mut locks: Vec<Arc<OidLock>> = Vec::with_capacity(oids.len());
-        for &oid in oids {
-            let l = self.table.entry(oid);
-            match l.raw_acquire(oid) {
-                Ok(waited) => {
-                    if waited {
-                        self.lock_waits.fetch_add(1, Ordering::Relaxed);
-                        txn_metrics().lock_wait.inc();
-                    }
-                    l.seq.fetch_add(1, Ordering::Release); // odd: writer present
-                    locks.push(l);
+        let mut by_word: Vec<(u32, usize)> = oids
+            .iter()
+            .enumerate()
+            .map(|(i, &oid)| (self.table.word_of(oid), i))
+            .collect();
+        by_word.sort_unstable();
+        // One order token covers the whole family: its words are taken in
+        // ascending order below, which is the family's internal order
+        // (rank ties are legal within it).
+        let mut set = LockSet {
+            table: &self.table,
+            oids: oids.to_vec(),
+            words: Vec::with_capacity(oids.len()),
+            before: vec![0; oids.len()],
+            _order: lockorder::acquired(lockorder::OID_SEQLOCK, true, "OidSeqlock"),
+        };
+        let mut version = 0;
+        for &(w, i) in &by_word {
+            if set.words.last() != Some(&w) {
+                // On the watchdog's error `set` drops, releasing exactly
+                // the words pushed so far.
+                let (before, waited) = self.table.raw_acquire(w, oids[i])?;
+                if waited {
+                    self.lock_waits.fetch_add(1, Ordering::Relaxed);
+                    txn_metrics().lock_wait.inc();
                 }
-                Err(e) => {
-                    // Watchdog fired mid-acquisition: release the prefix.
-                    drop(LockSet {
-                        oids: oids[..locks.len()].to_vec(),
-                        locks,
-                        _order: order,
-                    });
-                    return Err(e);
-                }
+                set.words.push(w);
+                version = before;
             }
+            set.before[i] = version;
         }
         txn_metrics().lockset.record(oids.len() as u64);
-        Ok(LockSet {
-            oids: oids.to_vec(),
-            locks,
-            _order: order,
-        })
+        Ok(set)
     }
 
-    /// Current seqlock version of `oid` (0 if never write-locked; odd
-    /// while a writer holds it).
+    /// Current seqlock version of `oid` (0 if its word was never
+    /// write-locked; odd while a writer holds it). One atomic load.
     pub fn seq_of(&self, oid: Oid) -> u64 {
-        self.table.seq_of(oid)
+        self.table.load(self.table.word_of(oid))
     }
 
     /// The number of committed transactional writes.
@@ -479,7 +438,6 @@ impl TxnManager {
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
             snapshot_retries: self.snapshot_retries.load(Ordering::Relaxed),
             commit_epoch: self.commit_epoch(),
-            locks_tracked: self.table.len() as u64,
         }
     }
 }
@@ -582,20 +540,22 @@ impl Database {
         mut body: impl FnMut(&mut Watch<'_>) -> Result<Option<T>>,
     ) -> Result<T> {
         let txn = self.txn();
-        let start = Instant::now();
+        // The watchdog's clock starts at the first retry.
+        let mut retrying_since: Option<Instant> = None;
         let mut attempt = 0u32;
         loop {
             if attempt > 0 {
                 txn.note_snapshot_retry();
                 snapshot_backoff(attempt);
-                if attempt.is_multiple_of(1024) && start.elapsed() > DEADLOCK_WATCHDOG {
+                let since = *retrying_since.get_or_insert_with(Instant::now);
+                if attempt.is_multiple_of(1024) && since.elapsed() > DEADLOCK_WATCHDOG {
                     return Err(DbError::LockTimeout(anchor));
                 }
             }
             attempt = attempt.wrapping_add(1);
             let mut watch = Watch {
-                txn,
-                seen: [(Oid::NULL, 0); 3],
+                table: &txn.table,
+                seen: [(0, 0); 3],
                 len: 0,
             };
             match body(&mut watch) {
@@ -715,33 +675,35 @@ impl Database {
     }
 }
 
-/// The OIDs one optimistic read attempt consumed bytes of, each with the
-/// (even) version it was entered under. Three is the most any snapshot
-/// read touches: source, shared replica object, terminal.
+/// The lock words of the OIDs one optimistic read attempt consumed bytes
+/// of, each with the (even) version it was entered under. Three is the
+/// most any snapshot read touches: source, shared replica object, terminal.
 struct Watch<'a> {
-    txn: &'a TxnManager,
-    seen: [(Oid, u64); 3],
+    table: &'a LockTable,
+    seen: [(u32, u64); 3],
     len: usize,
 }
 
 impl Watch<'_> {
-    /// Start watching `oid`; `false` means a writer holds it right now
-    /// and the attempt should be abandoned.
+    /// Start watching `oid`; `false` means a writer holds its word right
+    /// now and the attempt should be abandoned.
     fn enter(&mut self, oid: Oid) -> bool {
-        let seq = self.txn.seq_of(oid);
+        let w = self.table.word_of(oid);
+        let seq = self.table.load(w);
         if seq & 1 == 1 {
             return false;
         }
-        self.seen[self.len] = (oid, seq);
+        self.seen[self.len] = (w, seq);
         self.len += 1;
         true
     }
 
-    /// Whether no entered OID has been written since it was entered.
+    /// Whether no entered word has been write-locked since it was entered.
     fn still_valid(&self) -> bool {
+        fence(Ordering::Acquire); // the attempt's reads, then the re-loads
         self.seen[..self.len]
             .iter()
-            .all(|&(oid, seq)| self.txn.seq_of(oid) == seq)
+            .all(|&(w, seq)| self.table.words[w as usize].load(Ordering::Relaxed) == seq)
     }
 }
 
@@ -763,6 +725,29 @@ mod tests {
     use crate::replicas::find_replica_ref;
     use crate::{Database, DbConfig};
     use fieldrep_model::{FieldType, TypeDef};
+    use std::sync::atomic::AtomicBool;
+
+    impl TxnManager {
+        /// A manager over `words` lock words, so that OIDs share them.
+        pub(crate) fn with_lock_words(words: usize) -> Self {
+            TxnManager {
+                table: LockTable::new(words),
+                ..TxnManager::default()
+            }
+        }
+    }
+
+    /// The `n`-th OID of an ascending sequence.
+    fn nth_oid(n: u32) -> Oid {
+        Oid::new(fieldrep_storage::FileId(1), n / 64, (n % 64) as u16)
+    }
+
+    /// The first OID after `nth_oid(from)` that shares `word`.
+    fn next_on_word(mgr: &TxnManager, word: u32, from: u32) -> u32 {
+        (from + 1..)
+            .find(|&n| mgr.table.word_of(nth_oid(n)) == word)
+            .unwrap()
+    }
 
     fn db_with_path(strategy: Strategy) -> (Database, Oid, Vec<Oid>, PathId) {
         let mut db = Database::in_memory(DbConfig {
@@ -977,8 +962,23 @@ mod tests {
     #[test]
     fn concurrent_writers_and_snapshot_readers_agree() {
         let (db, d, emps, p) = db_with_path(Strategy::InPlace);
-        let db = &db;
-        let emps = &emps;
+        writers_and_readers_agree(&db, d, &emps, p);
+    }
+
+    /// The same mix over a table of four words: every lock set meets every
+    /// other on a shared word, and so does every reader. Both strategies,
+    /// because a separate read validates two OIDs (source and `S'`).
+    #[test]
+    fn shared_words_cost_waits_and_retries_never_a_torn_read() {
+        for strategy in [Strategy::InPlace, Strategy::Separate] {
+            let (db, d, emps, p) = db_with_path(strategy);
+            let db = db.with_lock_words(4);
+            writers_and_readers_agree(&db, d, &emps, p);
+            assert_eq!(db.txn().commit_epoch(), 100, "no update timed out");
+        }
+    }
+
+    fn writers_and_readers_agree(db: &Database, d: Oid, emps: &[Oid], p: PathId) {
         std::thread::scope(|s| {
             // One writer flips the shared terminal field; a second
             // writer bounces a disjoint field; readers continuously
@@ -1011,5 +1011,110 @@ mod tests {
             let (visible, truth) = db.snapshot_path_check(*e, p).unwrap();
             assert_eq!(visible, truth);
         }
+    }
+
+    #[test]
+    fn two_oids_on_one_word_are_locked_once() {
+        let mgr = TxnManager::default();
+        let a = nth_oid(0);
+        let b = nth_oid(next_on_word(&mgr, mgr.table.word_of(a), 0));
+        let g = mgr.lock_sorted(&[a, b]).unwrap(); // no self-deadlock
+        assert_eq!((g.len(), g.words.len()), (2, 1));
+        assert!(g.covers(&[a, b]) && g.acquired_at(&[0, 0]));
+        assert_eq!((mgr.seq_of(a), mgr.seq_of(b)), (1, 1), "odd while held");
+        drop(g);
+        assert_eq!((mgr.seq_of(a), mgr.seq_of(b)), (2, 2), "+2 after");
+
+        // Another transaction's `b` waits for `a`: a false conflict, and
+        // counted as a wait whenever the waiter arrived before the release.
+        for _ in 0..1000 {
+            let waits = mgr.stats().lock_waits;
+            let (arrived, released) = (AtomicBool::new(false), AtomicBool::new(false));
+            let g = mgr.lock_sorted(&[a]).unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    arrived.store(true, Ordering::SeqCst);
+                    let g = mgr.lock_sorted(&[b]).unwrap();
+                    assert!(released.load(Ordering::SeqCst), "b locked while a was held");
+                    assert!(g.covers(&[b]) && !g.covers(&[a]));
+                });
+                while !arrived.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::yield_now();
+                released.store(true, Ordering::SeqCst);
+                drop(g);
+            });
+            match mgr.stats().lock_waits - waits {
+                0 => continue, // the waiter was descheduled until the release
+                n => return assert_eq!(n, 1, "one wait per contended word"),
+            }
+        }
+        panic!("the waiter never arrived while the word was held");
+    }
+
+    #[test]
+    fn a_snapshot_read_retries_while_its_word_is_held_for_another_oid() {
+        let (db, _d, emps, _p) = db_with_path(Strategy::InPlace);
+        let db = db.with_lock_words(4);
+        let word = |o: Oid| db.txn().table.word_of(o);
+        // Eight sources over four words: two of them share one.
+        let (a, b) = emps
+            .iter()
+            .flat_map(|&a| emps.iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| a < b && word(a) == word(b))
+            .unwrap();
+        let g = db.txn().lock_sorted(&[a]).unwrap();
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| db.snapshot_get(b).unwrap());
+            while db.txn().stats().snapshot_retries == 0 {
+                std::thread::yield_now();
+            }
+            assert!(!reader.is_finished(), "validated under a held word");
+            drop(g);
+            assert_eq!(reader.join().unwrap(), db.get(b).unwrap());
+        });
+    }
+
+    #[test]
+    fn lock_sets_whose_oid_order_and_word_order_disagree_do_not_deadlock() {
+        let mgr = TxnManager::default();
+        let word = |n: u32| mgr.table.word_of(nth_oid(n));
+        // a < b on words (hi, lo); c < d on words (lo, hi): taken in OID
+        // order the two sets would wait for each other.
+        let a = (0..).find(|&n| word(n) > word(n + 1)).unwrap();
+        let (b, (hi, lo)) = (a + 1, (word(a), word(a + 1)));
+        let c = next_on_word(&mgr, lo, b);
+        let d = next_on_word(&mgr, hi, c);
+        let sets = [[nth_oid(a), nth_oid(b)], [nth_oid(c), nth_oid(d)]];
+        std::thread::scope(|s| {
+            for set in &sets {
+                let mgr = &mgr;
+                s.spawn(move || {
+                    for _ in 0..10_000 {
+                        let g = mgr.lock_sorted(set).expect("no LockTimeout");
+                        assert_eq!(g.words, [lo, hi], "ascending word order");
+                    }
+                });
+            }
+        });
+        assert_eq!(mgr.seq_of(nth_oid(a)), 40_000, "2 per lock, both sets");
+    }
+
+    #[test]
+    fn the_table_does_not_grow_with_the_oids_ever_locked() {
+        let mgr = TxnManager::default();
+        let table = (mgr.table.words.as_ptr(), mgr.table.words.len());
+        let mut taken = 0;
+        for chunk in 0..2_000u32 {
+            let oids: Vec<Oid> = (chunk * 100..(chunk + 1) * 100).map(nth_oid).collect();
+            let g = mgr.lock_sorted(&oids).unwrap();
+            assert_eq!(g.len(), 100);
+            taken += g.words.len() as u64;
+        }
+        assert_eq!((mgr.table.words.as_ptr(), mgr.table.words.len()), table);
+        assert_eq!(table.1 * 8, 512 << 10, "512 KiB, whatever was locked");
+        let versions = mgr.table.words.iter().map(|w| w.load(Ordering::Relaxed));
+        assert_eq!(versions.sum::<u64>(), 2 * taken, "no word was ever reset");
     }
 }

@@ -17,7 +17,7 @@
 //!   non-test, non-bin library code is counted per crate against the
 //!   committed `lint_budget.toml`, which may only ratchet down.
 //! - **L4 — OID lock acquisition site**: `.raw_acquire(`, the raw
-//!   per-OID write lock, is called exactly once, inside
+//!   lock-word acquisition, is called exactly once, inside
 //!   `TxnManager::lock_sorted` — sorted acquisition is the transaction
 //!   layer's whole deadlock-freedom argument. (Frame latches need no
 //!   rule of their own: entering the pool under a live page write guard

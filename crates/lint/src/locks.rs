@@ -125,7 +125,7 @@ pub const LOCKS: &[LockDef] = &[
     },
     LockDef {
         name: "OidSeqlock",
-        what: "per-OID seqlock write locks (sorted-order family)",
+        what: "seqlock write-lock words, several OIDs each (ascending-word-order family)",
         rank: 20,
         reentrant: true,
         forbids: &[BlockClass::Sleep],

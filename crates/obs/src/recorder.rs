@@ -126,6 +126,12 @@ impl Recorder {
     /// Append one event. Returns `Some(evicted)` when recorded (with
     /// whether an older event was overwritten), `None` when disabled.
     pub fn record(&self, name: &str, kind: EventKind) -> Option<bool> {
+        self.record_interned(intern(name), kind)
+    }
+
+    /// [`Recorder::record`] for a caller that holds the [`intern`]ed name
+    /// already — a span interns once for its enter and its exit.
+    pub(crate) fn record_interned(&self, name: &'static str, kind: EventKind) -> Option<bool> {
         if !self.enabled() {
             return None;
         }
@@ -134,7 +140,7 @@ impl Recorder {
         let event = Event {
             seq,
             at_nanos: clock_nanos(),
-            name: intern(name),
+            name,
             kind,
         };
         let mut slot = self.slots[idx].lock();
@@ -246,7 +252,14 @@ pub fn enabled() -> bool {
 /// Record one event in the global ring and maintain the
 /// `obs.recorder.*` counters. No-op (one relaxed load) when disabled.
 pub fn record(name: &str, kind: EventKind) {
-    if let Some(evicted) = global().record(name, kind) {
+    if enabled() {
+        record_interned(intern(name), kind);
+    }
+}
+
+/// [`record`] with the name already [`intern`]ed.
+pub(crate) fn record_interned(name: &'static str, kind: EventKind) {
+    if let Some(evicted) = global().record_interned(name, kind) {
         let c = counters();
         c.events.inc();
         if evicted {

@@ -128,9 +128,10 @@ impl Span {
         // Flight-recorder hook: fires regardless of the tracing flag so
         // post-mortem dumps always have recent span context.
         let rec = if recorder::enabled() {
-            recorder::record(name, recorder::EventKind::SpanEnter);
+            let name = recorder::intern(name);
+            recorder::record_interned(name, recorder::EventKind::SpanEnter);
             Some(RecSpan {
-                name: recorder::intern(name),
+                name,
                 start: Instant::now(),
                 io_at_enter: io::snapshot(),
             })
@@ -177,7 +178,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(rec) = self.rec.take() {
-            recorder::record(
+            recorder::record_interned(
                 rec.name,
                 recorder::EventKind::SpanExit {
                     nanos: rec.start.elapsed().as_nanos() as u64,

@@ -247,7 +247,6 @@ fn raw_rows(db: &mut Database, table: &'static TableDef) -> Vec<sys::SysRow> {
             ("lock_waits", s.lock_waits),
             ("snapshot_retries", s.snapshot_retries),
             ("commit_epoch", s.commit_epoch),
-            ("locks_tracked", s.locks_tracked),
         ]
         .into_iter()
         .map(|(counter, value)| {

@@ -165,6 +165,36 @@ struct PoolShared {
     /// The WAL, if durability is enabled (fixed at construction).
     wal: Option<Arc<Wal>>,
     unlogged: UnloggedSet,
+    /// Pre-image buffers between uses: a commit returns here what
+    /// [`PageHandle::data_mut`] takes, so a steady stream of commits
+    /// copies pages without allocating them. A leaf mutex, held across
+    /// one push or pop.
+    spare_pre: Mutex<Vec<PageBuf>>,
+}
+
+/// Most pre-image buffers kept between uses (256 KiB).
+const MAX_SPARE_PRE: usize = 64;
+
+impl PoolShared {
+    /// A copy of `page` to keep as its pre-image.
+    fn pre_image(&self, page: &PageBuf) -> PageBuf {
+        let spare = self.spare_pre.lock().pop();
+        match spare {
+            Some(mut buf) => {
+                buf.copy_from_slice(&page[..]);
+                buf
+            }
+            None => page.clone(),
+        }
+    }
+
+    /// A pre-image is done with.
+    fn recycle_pre(&self, buf: PageBuf) {
+        let mut spare = self.spare_pre.lock();
+        if spare.len() < MAX_SPARE_PRE {
+            spare.push(buf);
+        }
+    }
 }
 
 /// What a frame's latch guards.
@@ -329,7 +359,7 @@ impl PageHandle {
             // The page as of its last log record: if that record is in
             // the current log epoch, the next one can be a delta.
             if self.inner.lsn.load(Ordering::Relaxed) > wal.checkpoint_lsn() {
-                guard.pre = Some(guard.page.clone());
+                guard.pre = Some(self.inner.pool.pre_image(&guard.page));
             }
         }
         PageWriteGuard {
@@ -467,6 +497,7 @@ impl BufferPool {
         let shared = Arc::new(PoolShared {
             wal,
             unlogged: UnloggedSet::new(capacity),
+            spare_pre: Mutex::new(Vec::new()),
         });
         let inners: Box<[Arc<FrameInner>]> = (0..capacity)
             .map(|idx| {
@@ -577,7 +608,9 @@ impl BufferPool {
         match logged {
             Ok(lsn) => {
                 for h in &handles {
-                    h.inner.data.write().pre = None;
+                    if let Some(pre) = h.inner.data.write().pre.take() {
+                        self.shared.recycle_pre(pre);
+                    }
                     h.inner.lsn.store(lsn, Ordering::Relaxed);
                     h.inner.unlogged.store(false, Ordering::Relaxed);
                 }

@@ -26,8 +26,8 @@
 
 /// Rank of the transaction layer's index maintenance guard.
 pub const TXN_INDEX_GUARD: u8 = 10;
-/// Rank of the per-OID seqlock write-lock family (reentrant: members
-/// are acquired in sorted OID order via `lock_sorted`).
+/// Rank of the seqlock write-lock family (reentrant: the lock words of
+/// a set's OIDs are acquired in ascending word order via `lock_sorted`).
 pub const OID_SEQLOCK: u8 = 20;
 /// Rank of the WAL apply section.
 pub const WAL_APPLY: u8 = 30;

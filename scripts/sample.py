@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Sampling profiler for a sandbox without `perf`: ptrace + /proc, x86-64 Linux.
+
+    scripts/sample.py PID [--hz 300] [--seconds 14] [--top 25] [--callers SYM]
+
+Seizes every thread of PID, and N times a second interrupts each, reads its
+registers, and lets it run on. RIP is resolved against `nm -C -n` of the
+executable and `nm -D -C -n` of each mapped library. When the binary was built
+with RUSTFLAGS="-C force-frame-pointers=yes" the rbp chain is walked through
+/proc/PID/mem too, which gives the inclusive table and `--callers`; without
+frame pointers only the flat table means anything. Python 3 stdlib and `nm`.
+"""
+import argparse, bisect, collections, ctypes, os, struct, subprocess, sys, time
+
+SEIZE, INTERRUPT, GETREGS, CONT, DETACH = 0x4206, 0x4207, 12, 7, 17
+WALL = 0x40000000  # __WALL: wait for threads that are not our children
+RBP, RIP = 4, 16  # indexes into user_regs_struct (27 unsigned longs)
+libc = ctypes.CDLL(None, use_errno=True)
+libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+libc.ptrace.restype = ctypes.c_long
+
+
+def ptrace(req, tid, data=None):
+    if libc.ptrace(req, tid, None, data) < 0:
+        raise OSError(ctypes.get_errno(), f"ptrace({req:#x}, {tid})")
+
+
+def nm(path, dynamic):
+    """Sorted [(address, name)] of the text symbols of `path`."""
+    cmd = ["nm", "-C", "-n"] + (["-D"] if dynamic else []) + [path]
+    out = subprocess.run(cmd, capture_output=True, text=True).stdout
+    syms = []
+    for line in out.splitlines():
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[1] in "tTwW" and parts[0]:
+            syms.append((int(parts[0], 16), parts[2]))
+    return syms
+
+
+class Images:
+    """The executable mappings of a process and a symbol table for each."""
+
+    def __init__(self, pid):
+        self.maps, self.tables, base = [], {}, {}
+        exe = os.path.realpath(f"/proc/{pid}/exe")
+        for line in open(f"/proc/{pid}/maps"):
+            f = line.split()
+            if len(f) < 6 or not f[5].startswith("/"):
+                continue
+            lo, hi = (int(x, 16) for x in f[0].split("-"))
+            base.setdefault(f[5], lo - int(f[2], 16))  # first mapping: load base
+            if "x" in f[1]:
+                self.maps.append((lo, hi, f[5], base[f[5]]))
+                if f[5] not in self.tables:
+                    syms = nm(f[5], dynamic=f[5] != exe)
+                    self.tables[f[5]] = ([a for a, _ in syms], [n for _, n in syms])
+        self.maps.sort()
+
+    def resolve(self, addr):
+        for lo, hi, path, base in self.maps:
+            if lo <= addr < hi:
+                addrs, names = self.tables[path]
+                i = bisect.bisect_right(addrs, addr - base) - 1
+                return names[i] if i >= 0 else f"[{os.path.basename(path)}]"
+        return "[unmapped]"
+
+
+def stack(mem, regs, depth=48):
+    """Return addresses up the rbp chain; stops at the first implausible frame."""
+    out, rbp = [], regs[RBP]
+    while len(out) < depth and rbp and rbp % 8 == 0:
+        try:
+            nxt, ret = struct.unpack("QQ", os.pread(mem, 16, rbp))
+        except (OSError, struct.error, OverflowError):
+            break
+        if nxt <= rbp or ret < 0x1000:
+            break
+        out.append(ret)
+        rbp = nxt
+    return out
+
+
+def table(title, counts, total, top):
+    print(f"\n{title} ({total} samples)")
+    for name, n in counts.most_common(top):
+        print(f"{100.0 * n / total:6.2f}%  {n:7d}  {name}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("pid", type=int)
+    ap.add_argument("--hz", type=float, default=300.0)
+    ap.add_argument("--seconds", type=float, default=14.0)
+    ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--callers", metavar="SYM", help="substring of a symbol: who calls it")
+    a = ap.parse_args()
+
+    images = Images(a.pid)
+    mem = os.open(f"/proc/{a.pid}/mem", os.O_RDONLY)
+    seized = set()
+    flat, incl, callers = (collections.Counter() for _ in range(3))
+    regs = (ctypes.c_ulong * 27)()
+    total, end, tick = 0, time.monotonic() + a.seconds, 1.0 / a.hz
+    try:
+        while time.monotonic() < end and os.path.exists(f"/proc/{a.pid}"):
+            began = time.monotonic()
+            for tid in map(int, os.listdir(f"/proc/{a.pid}/task")):
+                try:
+                    if tid not in seized:
+                        ptrace(SEIZE, tid)
+                        seized.add(tid)
+                    ptrace(INTERRUPT, tid)
+                    os.waitpid(tid, WALL)
+                    ptrace(GETREGS, tid, ctypes.byref(regs))
+                    frames = [regs[RIP]] + stack(mem, regs)
+                    ptrace(CONT, tid)
+                except (OSError, ChildProcessError):
+                    seized.discard(tid)  # the thread exited under us
+                    continue
+                names = [images.resolve(x) for x in frames]
+                total += 1
+                flat[names[0]] += 1
+                incl.update(set(names))
+                if a.callers:
+                    for callee, caller in zip(names, names[1:]):
+                        if a.callers in callee and a.callers not in caller:
+                            callers[caller] += 1
+            time.sleep(max(0.0, tick - (time.monotonic() - began)))
+    finally:
+        for tid in seized:
+            try:
+                ptrace(INTERRUPT, tid)
+                os.waitpid(tid, WALL)
+                ptrace(DETACH, tid)
+            except (OSError, ChildProcessError):
+                pass
+    if not total:
+        sys.exit("no samples: is the pid alive and ptrace permitted?")
+    table("flat (self)", flat, total, a.top)
+    table("inclusive (anywhere on the rbp chain)", incl, total, a.top)
+    if a.callers:
+        table(f"callers of *{a.callers}*", callers, sum(callers.values()) or 1, a.top)
+
+
+if __name__ == "__main__":
+    main()
