@@ -13,10 +13,13 @@
 //!   (f = 20, f_r = .002).
 //! * `empirical [--full]`, `empirical_curves [--s N]` — see [`empirical`].
 //! * `ablations`, `pathindex_ablation` — see the modules of those names.
+//! * `trace [--s N] [--f F] [--q N] [--profile] [--jsonl PATH]
+//!   [--chrome-trace PATH] [--run-id ID]` — see [`trace`].
 
 mod ablations;
 mod empirical;
 mod pathindex_ablation;
+mod trace;
 
 use fieldrep_bench::figures::{render_percent_figure, render_selected_values};
 use fieldrep_costmodel::IndexSetting;
@@ -68,9 +71,10 @@ fn main() {
         "empirical_curves" => empirical::curves(args),
         "ablations" => ablations::run(),
         "pathindex_ablation" => pathindex_ablation::run(),
+        "trace" => trace::run(args),
         other => panic!(
             "usage: repro <fig11|fig12|fig13|fig14|empirical [--full]|empirical_curves [--s N]|\
-             ablations|pathindex_ablation>, got {other:?}"
+             ablations|pathindex_ablation|trace [flags]>, got {other:?}"
         ),
     }
 }

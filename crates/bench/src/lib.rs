@@ -21,7 +21,6 @@
 //! helpers; see `src/bin/` for the drivers.
 
 pub mod figures;
-pub mod json;
 pub mod suite;
 pub mod trace;
 

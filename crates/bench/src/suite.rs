@@ -6,20 +6,21 @@
 //! analytical Figure 12/14 reference cells, producing a [`SuiteReport`]
 //! of page counts only. Every field is deterministic, so the report
 //! `bench_suite` writes is byte-identical run to run and the committed
-//! `BENCH_BASELINE.json` is one such run. [`gate`] diffs two reports
-//! point-by-point and reports violations (page I/O or read calls up
-//! beyond a threshold, model drift beyond a bound, or vanished points),
-//! which `bench_gate` / `scripts/bench_gate.sh` turn into a nonzero
-//! exit. Timing lives in `benchmark/`, not here.
+//! `BENCH_BASELINE.json` is one such run. [`gate`] diffs a fresh report
+//! against that baseline point-by-point and reports violations (page I/O
+//! or read calls up more than [`MAX_IO_REGRESS_PCT`], model drift beyond
+//! [`MAX_DRIFT_PCT`], or vanished points), which `bench_suite --gate` /
+//! `scripts/bench_gate.sh` turn into a nonzero exit. Timing lives in
+//! `benchmark/`, not here.
 
 use crate::figures::selected_points;
-use crate::json::Json;
 use crate::{
     measure_cell, profile_update_query, read_query, strategy_name, WorkloadSpec, ALL_STRATEGIES,
 };
 use fieldrep_costmodel::{
     drift_pct, predict_update, AccessShape, IndexSetting, ModelStrategy, UpdateShape,
 };
+use fieldrep_obs::json::Json;
 use fieldrep_query::explain_analyze_read;
 
 /// Version of the report layout. Bump on any change to
@@ -294,29 +295,16 @@ impl SuiteReport {
     }
 }
 
-/// Gate thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct GateThresholds {
-    /// Maximum allowed increase of a point's measured page I/O, or of
-    /// its disk read calls, vs. the baseline, %.
-    pub max_io_regress_pct: f64,
-    /// Maximum allowed |model drift| on `drift/…` points, %.
-    pub max_drift_pct: f64,
-}
-
-impl Default for GateThresholds {
-    fn default() -> Self {
-        GateThresholds {
-            max_io_regress_pct: 10.0,
-            max_drift_pct: 60.0,
-        }
-    }
-}
+/// Maximum allowed increase of a point's measured page I/O, or of its
+/// disk read calls, vs. the baseline, %.
+pub const MAX_IO_REGRESS_PCT: f64 = 10.0;
+/// Maximum allowed |model drift| on `drift/…` points, %.
+pub const MAX_DRIFT_PCT: f64 = 60.0;
 
 /// Diff `new` against `old`; returns human-readable violations (empty =
 /// gate passes). Both counts are deterministic, so any increase is a
 /// code change, never noise; improvements pass.
-pub fn gate(old: &SuiteReport, new: &SuiteReport, t: &GateThresholds) -> Vec<String> {
+pub fn gate(old: &SuiteReport, new: &SuiteReport) -> Vec<String> {
     let mut violations = Vec::new();
     for op in &old.points {
         let Some(np) = new.points.iter().find(|p| p.id == op.id) else {
@@ -328,19 +316,21 @@ pub fn gate(old: &SuiteReport, new: &SuiteReport, t: &GateThresholds) -> Vec<Str
             ("disk read calls", "calls", op.batch_io, np.batch_io),
         ] {
             let regress = 100.0 * (now - was) / was.max(1.0);
-            if regress > t.max_io_regress_pct {
+            if regress > MAX_IO_REGRESS_PCT {
                 violations.push(format!(
-                    "{}: {what} regressed {regress:.1}% ({was:.1} -> {now:.1} {unit}, limit {:.0}%)",
-                    op.id, t.max_io_regress_pct
+                    "{}: {what} regressed {regress:.1}% ({was:.1} -> {now:.1} {unit}, \
+                     limit {MAX_IO_REGRESS_PCT:.0}%)",
+                    op.id
                 ));
             }
         }
     }
     for np in &new.points {
-        if np.id.starts_with("drift/") && np.drift_pct.abs() > t.max_drift_pct {
+        if np.id.starts_with("drift/") && np.drift_pct.abs() > MAX_DRIFT_PCT {
             violations.push(format!(
-                "{}: model drift {:+.1}% exceeds ±{:.0}% (predicted {:.1}, measured {:.1})",
-                np.id, np.drift_pct, t.max_drift_pct, np.model_io, np.measured_io
+                "{}: model drift {:+.1}% exceeds ±{MAX_DRIFT_PCT:.0}% (predicted {:.1}, \
+                 measured {:.1})",
+                np.id, np.drift_pct, np.model_io, np.measured_io
             ));
         }
     }
@@ -406,35 +396,33 @@ mod tests {
     #[test]
     fn gate_passes_on_identical_reports_and_fails_on_injected_regression() {
         let r = tiny_report();
-        let t = GateThresholds::default();
-        assert!(gate(&r, &r, &t).is_empty());
+        assert!(gate(&r, &r).is_empty());
 
         let mut worse = r.clone();
         first_io(&mut worse).measured_io *= 1.5;
-        let v = gate(&r, &worse, &t);
+        let v = gate(&r, &worse);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("measured I/O regressed"), "{v:?}");
 
         let mut missing = r.clone();
         missing.points.retain(|p| !p.id.starts_with("drift/"));
-        assert!(!gate(&r, &missing, &t).is_empty());
+        assert!(!gate(&r, &missing).is_empty());
     }
 
     #[test]
     fn gate_fails_on_injected_read_call_regression() {
         let r = tiny_report();
-        let t = GateThresholds::default();
         let mut chatty = r.clone();
         let p = first_io(&mut chatty);
         assert!(p.batch_io > 0.0, "{}: read calls must be recorded", p.id);
         p.batch_io *= 1.5;
-        let v = gate(&r, &chatty, &t);
+        let v = gate(&r, &chatty);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("disk read calls regressed"), "{v:?}");
         // Fewer calls for the same pages is the batching win: passes.
         let mut better = r.clone();
         first_io(&mut better).batch_io *= 0.5;
-        assert!(gate(&r, &better, &t).is_empty());
+        assert!(gate(&r, &better).is_empty());
     }
 
     #[test]
@@ -447,7 +435,7 @@ mod tests {
             .find(|p| p.id.starts_with("drift/"))
             .unwrap();
         d.drift_pct = 95.0;
-        let v = gate(&r, &drifted, &GateThresholds::default());
+        let v = gate(&r, &drifted);
         assert!(v.iter().any(|m| m.contains("model drift")), "{v:?}");
     }
 

@@ -1,20 +1,31 @@
 //! End-to-end invariant: the per-operator I/O attribution produced by
 //! the executor's [`Profile`] must sum *exactly* to the raw buffer-pool
 //! counters over the same window, for read and update queries alike,
-//! under every replication strategy.
+//! under every replication strategy — and so must the diff of two
+//! snapshots of the registry's process-wide `storage.*` mirrors.
 //!
-//! This is the property that makes `trace_run --profile` trustworthy:
+//! This is the property that makes `repro trace --profile` trustworthy:
 //! no page read or write escapes attribution, and none is counted
 //! twice.
+//!
+//! The registry is process-wide, so every test here takes [`serial`]:
+//! no other query may move the mirrors inside a measured window.
 
 use fieldrep_bench::{
-    build_workload, io_counts_of, profile_read_query, profile_update_query, ProfiledRun,
-    WorkloadSpec,
+    build_workload, io_counts_of, profile_read_query, profile_update_query, read_query,
+    update_query, ProfiledRun, WorkloadSpec,
 };
 use fieldrep_catalog::Strategy;
 use fieldrep_costmodel::IndexSetting;
+use fieldrep_obs::{names, registry, IoCounts};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const STRATEGIES: [Option<Strategy>; 3] = [None, Some(Strategy::InPlace), Some(Strategy::Separate)];
+
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn check_invariant(run: &ProfiledRun) {
     let raw = io_counts_of(&run.raw);
@@ -38,6 +49,7 @@ fn check_invariant(run: &ProfiledRun) {
 
 #[test]
 fn read_query_operator_io_sums_to_raw_totals() {
+    let _serial = serial();
     for strat in STRATEGIES {
         let mut w =
             build_workload(WorkloadSpec::paper(10, IndexSetting::Unclustered, strat).scaled(500))
@@ -59,6 +71,7 @@ fn read_query_operator_io_sums_to_raw_totals() {
 
 #[test]
 fn update_query_operator_io_sums_to_raw_totals() {
+    let _serial = serial();
     for strat in STRATEGIES {
         let mut w =
             build_workload(WorkloadSpec::paper(10, IndexSetting::Unclustered, strat).scaled(500))
@@ -83,6 +96,7 @@ fn update_query_operator_io_sums_to_raw_totals() {
 
 #[test]
 fn profiled_runs_capture_span_trees() {
+    let _serial = serial();
     let mut w = build_workload(
         WorkloadSpec::paper(10, IndexSetting::Unclustered, Some(Strategy::InPlace)).scaled(500),
     )
@@ -109,4 +123,47 @@ fn profiled_runs_capture_span_trees() {
         root.find("core.propagate").is_some(),
         "update span tree includes propagation"
     );
+}
+
+#[test]
+fn registry_storage_deltas_equal_raw_pool_totals() {
+    let _serial = serial();
+    let mut spec =
+        WorkloadSpec::paper(2, IndexSetting::Unclustered, Some(Strategy::InPlace)).scaled(300);
+    spec.read_sel = 0.02;
+    spec.update_sel = 0.02;
+    let mut w = build_workload(spec).expect("build workload");
+
+    // The measured window is exactly [before, after]: the build has
+    // settled and the pool's own counters start from zero.
+    w.db.flush_all().unwrap();
+    w.db.reset_profile();
+    let before = registry().snapshot();
+
+    let res = read_query(&w, 0).run(&mut w.db).expect("read query");
+    assert!(!res.rows.is_empty(), "window must contain real work");
+    let ur = update_query(&w, 0).run(&mut w.db).expect("update query");
+    assert!(ur.updated > 0, "window must contain update ripples");
+    w.db.flush_all().unwrap();
+
+    let want = io_counts_of(&w.db.io_profile());
+    let after = registry().snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    let got = IoCounts {
+        disk_reads: delta(names::STORAGE_DISK_READS),
+        disk_writes: delta(names::STORAGE_DISK_WRITES),
+        disk_allocs: delta(names::STORAGE_DISK_ALLOCS),
+        pool_hits: delta(names::STORAGE_POOL_HITS),
+        pool_misses: delta(names::STORAGE_POOL_MISSES),
+        evictions: delta(names::STORAGE_POOL_EVICTIONS),
+    };
+    assert!(!want.is_zero(), "the window must have measured some I/O");
+    assert_eq!(
+        got, want,
+        "registry storage.* deltas must equal the raw pool counters exactly"
+    );
+
+    if let Some(f) = res.output_file {
+        w.db.sm().drop_file(f).ok();
+    }
 }

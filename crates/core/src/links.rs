@@ -88,10 +88,6 @@ pub fn create_link_store(sm: &StorageManager, link: &LinkDef, members: &[Oid]) -
 }
 
 /// Read every member of the link store headed at `head`, in sorted order.
-/// While walking the chunk chain, the next chunk's page is prefetched
-/// ahead of decoding the current one, so multi-chunk traversal overlaps
-/// its reads (and they count as prefetch hits, not pool misses, when the
-/// chunk is actually consumed).
 pub fn read_link_store(sm: &StorageManager, link: &LinkDef, head: Oid) -> Result<Vec<Oid>> {
     let hf = HeapFile::open(link.file);
     let mut out = Vec::new();
@@ -100,11 +96,6 @@ pub fn read_link_store(sm: &StorageManager, link: &LinkDef, head: Oid) -> Result
         let (tag, payload) = hf.read(sm, oid)?;
         debug_assert_eq!(tag, LINK_TAG);
         let (_, next, members) = decode_chunk(&payload);
-        if let Some(n) = next {
-            if n.page_id() != oid.page_id() {
-                sm.prefetch_pages(&[n.page_id()])?;
-            }
-        }
         out.extend(members);
         cur = next;
     }

@@ -6,9 +6,10 @@ mod common;
 
 use common::check_consistency;
 use fieldrep_catalog::{IndexKind, Strategy};
+use fieldrep_core::links::MAX_CHUNK_MEMBERS;
 use fieldrep_core::{Database, DbConfig, DbError};
 use fieldrep_model::{Annotation, FieldType, TypeDef, Value};
-use fieldrep_storage::Oid;
+use fieldrep_storage::{HeapFile, Oid};
 
 /// Build the Figure-1 schema: ORG ← DEPT ← EMP, sets Org/Dept/Emp1/Emp2.
 fn employee_db(cfg: DbConfig) -> Database {
@@ -443,6 +444,36 @@ fn zero_threshold_always_uses_link_objects() {
         .annotations
         .iter()
         .any(|a| matches!(a, Annotation::LinkRef { .. })));
+}
+
+#[test]
+fn a_link_store_past_one_chunk_chains_and_propagates() {
+    // §4.1: "each link object can contain a large number of OIDs". Ours
+    // is a chain of page-bounded chunks; replicating after population
+    // writes it in one pass, ⌈1200/503⌉ = 3 chunks for one department.
+    const N: usize = 1200;
+    let mut db = employee_db(DbConfig::default());
+    let o = org(&mut db, "O", 1);
+    let d = dept(&mut db, "Big", 1, o);
+    let emps: Vec<Oid> = (0..N)
+        .map(|i| emp(&mut db, "Emp1", &format!("e{i}"), 30, 1, d))
+        .collect();
+    let p = db.replicate("Emp1.dept.name", Strategy::InPlace).unwrap();
+    check_consistency(&mut db);
+    let links: Vec<_> = db.catalog().links().cloned().collect();
+    assert_eq!(links.len(), 1);
+    let chunks = HeapFile::open(links[0].file).count(db.sm()).unwrap();
+    assert_eq!(chunks, N.div_ceil(MAX_CHUNK_MEMBERS) as u64);
+    assert_eq!(chunks, 3);
+
+    db.update(d, &[("name", sval("Bigger"))]).unwrap();
+    check_consistency(&mut db);
+    for &e in &emps {
+        assert_eq!(db.path_values(e, p).unwrap(), Some(vec![sval("Bigger")]));
+    }
+    let mut sorted = emps;
+    sorted.sort();
+    assert_eq!(db.inverse(links[0].id, d).unwrap(), sorted);
 }
 
 // ---------------------------------------------------------------- separate

@@ -2,7 +2,8 @@
 //! error injected in the middle of an in-place propagation ripple must
 //! hand the installed error sink a JSONL dump whose final events show
 //! the failing ripple — the propagation spans (with the batch's page-I/O
-//! deltas) followed by the error itself.
+//! deltas) followed by the error itself — and every line of which is
+//! one complete JSON document.
 //!
 //! Kept as a single-test file: the recorder ring and error sink are
 //! process-wide, so this test owns its process.
@@ -10,6 +11,8 @@
 use fieldrep_catalog::Strategy;
 use fieldrep_core::{propagate, Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
+use fieldrep_obs::export::JSONL_SCHEMA_VERSION;
+use fieldrep_obs::json::Json;
 use fieldrep_obs::recorder;
 use std::sync::{Arc, Mutex};
 
@@ -48,11 +51,24 @@ fn injected_propagation_failure_dumps_the_failing_ripple() {
 
     let dump = captured.lock().unwrap().clone();
     assert!(!dump.is_empty(), "error sink never received a dump");
-    assert!(
-        dump[0].contains("\"type\":\"recorder_dump\""),
+    let parsed: Vec<Json> = dump
+        .iter()
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("dump line is not JSON ({e}): {l}")))
+        .collect();
+    let header = &parsed[0];
+    assert_eq!(
+        header.get("type").and_then(Json::as_str),
+        Some("recorder_dump"),
         "dump starts with its header: {}",
         dump[0]
     );
+    assert_eq!(
+        header.get("schema_version").and_then(Json::as_f64),
+        Some(f64::from(JSONL_SCHEMA_VERSION))
+    );
+    assert!(parsed[1..]
+        .iter()
+        .all(|e| e.get("type").and_then(Json::as_str) == Some("recorder_event")));
 
     // The final event is the error, recorded against the propagation
     // span, carrying the failpoint's message.

@@ -1,5 +1,5 @@
 //! JSONL rendering of lint results for `--json` (machine-readable
-//! diagnostics: one object per line, obs_smoke-style).
+//! diagnostics: one object per line, like `obs`'s JSONL exporters).
 //!
 //! Schema per line:
 //! `{"rule":"L6","file":"…","line":42,"msg":"…","suppressed":false}`

@@ -4,11 +4,13 @@
 //! `{"type":"span",...}` (children nested inline), `{"type":"profile",...}`,
 //! and one line per registry instrument
 //! (`{"type":"counter"|"gauge"|"histogram",...}`). Lines are valid JSON
-//! produced by a tiny built-in writer — no external serializer.
+//! produced by a tiny built-in writer — no external serializer; strings
+//! go through [`crate::json::escape`].
 
 use std::fmt::Write as _;
 
 use crate::io::IoCounts;
+use crate::json::escape;
 use crate::metrics::Snapshot;
 use crate::profile::Profile;
 use crate::span::SpanNode;
@@ -16,10 +18,9 @@ use crate::span::SpanNode;
 /// Version of the JSON-lines format emitted by this module. Bump when a
 /// line type changes shape; consumers should check the `run` header line.
 ///
-/// v2 added the flight-recorder (`recorder_dump`/`recorder_event`) and
-/// timeline (`timeline`) line types. v3 added the slow-query log
-/// (`slowlog_dump`/`slow_query`) line types and the `start_nanos` field
-/// on `span` lines.
+/// v2 added the flight-recorder (`recorder_dump`/`recorder_event`) line
+/// types. v3 added the slow-query log (`slowlog_dump`/`slow_query`) line
+/// types and the `start_nanos` field on `span` lines.
 pub const JSONL_SCHEMA_VERSION: u32 = 3;
 
 /// Header line stamping a JSONL stream with the format version and a
@@ -29,27 +30,8 @@ pub fn run_meta_jsonl(run_id: &str) -> String {
     format!(
         "{{\"type\":\"run\",\"schema_version\":{},\"run_id\":\"{}\"}}",
         JSONL_SCHEMA_VERSION,
-        escape_json(run_id)
+        escape(run_id)
     )
-}
-
-/// Escape `s` as JSON string contents (no surrounding quotes).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 pub(crate) fn io_json(io: &IoCounts) -> String {
@@ -71,7 +53,7 @@ fn span_json(node: &SpanNode) -> String {
     let notes = node
         .notes
         .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
+        .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
         .collect::<Vec<_>>()
         .join(",");
     let children = node
@@ -82,7 +64,7 @@ fn span_json(node: &SpanNode) -> String {
         .join(",");
     format!(
         "{{\"name\":\"{}\",\"start_nanos\":{},\"nanos\":{},\"io\":{},\"notes\":{{{}}},\"children\":[{}]}}",
-        escape_json(&node.name),
+        escape(&node.name),
         node.start_nanos,
         node.nanos,
         io_json(&node.io),
@@ -104,7 +86,7 @@ pub fn profile_jsonl(label: &str, profile: &Profile) -> String {
         .map(|op| {
             format!(
                 "{{\"name\":\"{}\",\"nanos\":{},\"io\":{}}}",
-                escape_json(&op.name),
+                escape(&op.name),
                 op.nanos,
                 io_json(&op.io)
             )
@@ -113,7 +95,7 @@ pub fn profile_jsonl(label: &str, profile: &Profile) -> String {
         .join(",");
     format!(
         "{{\"type\":\"profile\",\"label\":\"{}\",\"total_nanos\":{},\"total_io\":{},\"ops\":[{}]}}",
-        escape_json(label),
+        escape(label),
         profile.total_nanos,
         io_json(&profile.total_io),
         ops
@@ -126,21 +108,21 @@ pub fn snapshot_jsonl(snap: &Snapshot) -> Vec<String> {
     for (name, value) in &snap.counters {
         lines.push(format!(
             "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
-            escape_json(name),
+            escape(name),
             value
         ));
     }
     for (name, value) in &snap.gauges {
         lines.push(format!(
             "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-            escape_json(name),
+            escape(name),
             value
         ));
     }
     for (name, value) in &snap.derived {
         lines.push(format!(
             "{{\"type\":\"derived\",\"name\":\"{}\",\"value\":{value:.6}}}",
-            escape_json(name),
+            escape(name),
         ));
     }
     for h in &snap.histograms {
@@ -159,7 +141,7 @@ pub fn snapshot_jsonl(snap: &Snapshot) -> Vec<String> {
             .join(",");
         lines.push(format!(
             "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"mean\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"bounds\":[{}],\"buckets\":[{}]}}",
-            escape_json(&h.name),
+            escape(&h.name),
             h.count,
             h.sum,
             h.mean,
@@ -195,11 +177,11 @@ fn chrome_events(node: &SpanNode, cursor: &mut u128, out: &mut Vec<String>) {
     let notes = node
         .notes
         .iter()
-        .map(|(k, v)| format!(",\"{}\":\"{}\"", escape_json(k), escape_json(v)))
+        .map(|(k, v)| format!(",\"{}\":\"{}\"", escape(k), escape(v)))
         .collect::<String>();
     out.push(format!(
         "{{\"name\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":1,\"args\":{{\"io\":{}{notes}}}}}",
-        escape_json(&node.name),
+        escape(&node.name),
         chrome_ts(start),
         io_json(&node.io)
     ));
@@ -210,7 +192,7 @@ fn chrome_events(node: &SpanNode, cursor: &mut u128, out: &mut Vec<String>) {
     let end = end.max(*cursor);
     out.push(format!(
         "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{},\"pid\":1,\"tid\":1}}",
-        escape_json(&node.name),
+        escape(&node.name),
         chrome_ts(end)
     ));
     *cursor = end;
@@ -342,139 +324,65 @@ pub fn snapshot_text(snap: &Snapshot) -> String {
 mod tests {
     use super::*;
     use crate::io::IoCounts;
+    use crate::json::Json;
     use crate::metrics::Registry;
     use crate::profile::Profile;
     use crate::span::{set_tracing, take_finished, Span};
+    use std::collections::HashMap;
 
-    /// Minimal JSON validity checker: strings/escapes, numbers, null,
-    /// objects, arrays. Returns true iff `s` is one complete JSON value.
-    fn is_valid_json(s: &str) -> bool {
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-                *i += 1;
+    /// Parse `s` as one complete JSON document or fail the test.
+    fn parsed(s: &str) -> Json {
+        Json::parse(s).unwrap_or_else(|e| panic!("invalid JSON ({e}): {s}"))
+    }
+
+    /// Check a Chrome-trace document the way a trace viewer reads it:
+    /// per `(pid, tid)`, `B`/`E` phases nest like parentheses (an `E`
+    /// closes the innermost open `B` with the same name), timestamps
+    /// never go backwards, and every stack is empty at the end. Returns
+    /// the event count.
+    fn check_chrome_trace(doc: &str) -> usize {
+        let trace = parsed(doc);
+        let events = trace
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array");
+        let mut threads: HashMap<String, (f64, Vec<&str>)> = HashMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            let field = |k: &str| ev.get(k).unwrap_or_else(|| panic!("event {i}: no {k}"));
+            let name = field("name").as_str().expect("name is a string");
+            let ts = field("ts").as_f64().expect("ts is a number");
+            let tid = format!("{}/{}", field("pid").render(), field("tid").render());
+            let (cursor, stack) = threads.entry(tid.clone()).or_insert((ts, Vec::new()));
+            assert!(
+                ts >= *cursor,
+                "event {i} ({name}): ts goes backwards on {tid}"
+            );
+            *cursor = ts;
+            match field("ph").as_str() {
+                Some("B") => stack.push(name),
+                Some("E") => assert_eq!(
+                    stack.pop(),
+                    Some(name),
+                    "event {i}: E({name}) does not close the innermost B on {tid}"
+                ),
+                other => panic!("event {i} ({name}): unexpected phase {other:?}"),
             }
         }
-        fn value(b: &[u8], i: &mut usize) -> bool {
-            skip_ws(b, i);
-            if *i >= b.len() {
-                return false;
-            }
-            match b[*i] {
-                b'{' => {
-                    *i += 1;
-                    skip_ws(b, i);
-                    if *i < b.len() && b[*i] == b'}' {
-                        *i += 1;
-                        return true;
-                    }
-                    loop {
-                        skip_ws(b, i);
-                        if !string(b, i) {
-                            return false;
-                        }
-                        skip_ws(b, i);
-                        if *i >= b.len() || b[*i] != b':' {
-                            return false;
-                        }
-                        *i += 1;
-                        if !value(b, i) {
-                            return false;
-                        }
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return true;
-                            }
-                            _ => return false,
-                        }
-                    }
-                }
-                b'[' => {
-                    *i += 1;
-                    skip_ws(b, i);
-                    if *i < b.len() && b[*i] == b']' {
-                        *i += 1;
-                        return true;
-                    }
-                    loop {
-                        if !value(b, i) {
-                            return false;
-                        }
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b']') => {
-                                *i += 1;
-                                return true;
-                            }
-                            _ => return false,
-                        }
-                    }
-                }
-                b'"' => string(b, i),
-                b'n' => literal(b, i, b"null"),
-                b't' => literal(b, i, b"true"),
-                b'f' => literal(b, i, b"false"),
-                _ => number(b, i),
-            }
+        for (tid, (_, stack)) in &threads {
+            assert!(stack.is_empty(), "{tid}: spans never closed: {stack:?}");
         }
-        fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> bool {
-            if b[*i..].starts_with(lit) {
-                *i += lit.len();
-                true
-            } else {
-                false
-            }
-        }
-        fn string(b: &[u8], i: &mut usize) -> bool {
-            if *i >= b.len() || b[*i] != b'"' {
-                return false;
-            }
-            *i += 1;
-            while *i < b.len() {
-                match b[*i] {
-                    b'"' => {
-                        *i += 1;
-                        return true;
-                    }
-                    b'\\' => *i += 2,
-                    c if c < 0x20 => return false,
-                    _ => *i += 1,
-                }
-            }
-            false
-        }
-        fn number(b: &[u8], i: &mut usize) -> bool {
-            let start = *i;
-            if *i < b.len() && b[*i] == b'-' {
-                *i += 1;
-            }
-            while *i < b.len()
-                && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                *i += 1;
-            }
-            *i > start
-        }
-        let b = s.as_bytes();
-        let mut i = 0;
-        if !value(b, &mut i) {
-            return false;
-        }
-        skip_ws(b, &mut i);
-        i == b.len()
+        events.len()
     }
 
     #[test]
     fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-        assert!(is_valid_json(&format!(
-            "\"{}\"",
-            escape_json("x\"\\\n\t\r\u{2}y")
-        )));
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let raw = "x\"\\\n\t\r\u{2}y";
+        assert_eq!(
+            parsed(&format!("\"{}\"", escape(raw))),
+            Json::Str(raw.into())
+        );
     }
 
     #[test]
@@ -489,7 +397,7 @@ mod tests {
         let spans = take_finished();
         set_tracing(false);
         let line = span_jsonl(&spans[0]);
-        assert!(is_valid_json(&line), "invalid: {line}");
+        parsed(&line);
         assert!(line.contains("\"type\":\"span\""));
         assert!(line.contains("\"children\":[{"));
     }
@@ -500,26 +408,30 @@ mod tests {
         crate::io::record_pool_hit();
         p.mark("access");
         let p = p.finish();
-        let line = profile_jsonl("read q", &p);
-        assert!(is_valid_json(&line), "invalid: {line}");
+        parsed(&profile_jsonl("read q", &p));
 
         let r = Registry::default();
         r.counter("c.a").add(3);
         r.gauge("g.b").set(-7);
         r.histogram("h.c", &[1, 4, 16]).record(5);
         for line in snapshot_jsonl(&r.snapshot()) {
-            assert!(is_valid_json(&line), "invalid: {line}");
+            parsed(&line);
         }
         assert_eq!(snapshot_jsonl(&r.snapshot()).len(), 3);
     }
 
     #[test]
     fn run_meta_line_carries_schema_version_and_run_id() {
-        let line = run_meta_jsonl("bench \"42\"");
-        assert!(is_valid_json(&line), "invalid: {line}");
-        assert!(line.contains("\"type\":\"run\""));
-        assert!(line.contains(&format!("\"schema_version\":{JSONL_SCHEMA_VERSION}")));
-        assert!(line.contains("bench \\\"42\\\""));
+        let line = parsed(&run_meta_jsonl("bench \"42\""));
+        assert_eq!(line.get("type").and_then(Json::as_str), Some("run"));
+        assert_eq!(
+            line.get("schema_version").and_then(Json::as_f64),
+            Some(f64::from(JSONL_SCHEMA_VERSION))
+        );
+        assert_eq!(
+            line.get("run_id").and_then(Json::as_str),
+            Some("bench \"42\"")
+        );
     }
 
     #[test]
@@ -536,22 +448,12 @@ mod tests {
         assert_eq!(derived.len(), 1);
         assert!(derived[0].contains("storage.pool.hit_rate"));
         assert!(derived[0].contains("0.900000"));
-        assert!(is_valid_json(derived[0]));
+        parsed(derived[0]);
 
         let text = snapshot_text(&snap);
         assert!(text.contains("derived:"));
         assert!(text.contains("storage.pool.hit_rate"));
         assert!(text.contains("0.9000"));
-    }
-
-    fn trace_ts_values(doc: &str) -> Vec<f64> {
-        doc.split("\"ts\":")
-            .skip(1)
-            .map(|rest| {
-                let end = rest.find(',').expect("ts is followed by more fields");
-                rest[..end].parse::<f64>().expect("ts parses as a number")
-            })
-            .collect()
     }
 
     #[test]
@@ -569,17 +471,8 @@ mod tests {
         let spans = take_finished();
         set_tracing(false);
         let doc = chrome_trace_json(&spans);
-        assert!(is_valid_json(&doc), "invalid: {doc}");
-        assert!(doc.contains("\"traceEvents\""));
-        assert_eq!(doc.matches("\"ph\":\"B\"").count(), 3);
-        assert_eq!(doc.matches("\"ph\":\"E\"").count(), 3);
+        assert_eq!(check_chrome_trace(&doc), 6, "one B and one E per span");
         assert!(doc.contains("\"rows\":\"3\""), "notes land in args");
-        let ts = trace_ts_values(&doc);
-        assert_eq!(ts.len(), 6);
-        assert!(
-            ts.windows(2).all(|w| w[0] <= w[1]),
-            "timestamps are monotone in emission order: {ts:?}"
-        );
     }
 
     #[test]
@@ -603,14 +496,8 @@ mod tests {
             notes: vec![],
             children: vec![child],
         };
-        let doc = chrome_trace_json(&[root]);
-        assert!(is_valid_json(&doc), "invalid: {doc}");
-        let ts = trace_ts_values(&doc);
-        assert!(
-            ts.windows(2).all(|w| w[0] <= w[1]),
-            "clamped stream is monotone: {ts:?}"
-        );
-        assert!(chrome_trace_json(&[]).contains("\"traceEvents\":[]"));
+        assert_eq!(check_chrome_trace(&chrome_trace_json(&[root])), 4);
+        assert_eq!(check_chrome_trace(&chrome_trace_json(&[])), 0);
     }
 
     #[test]

@@ -21,13 +21,11 @@
 //! profile's total, by construction.
 //!
 //! [`export`] renders span trees and registry snapshots as
-//! human-readable text or JSON lines.
+//! human-readable text or JSON lines; [`json`] is the one JSON value
+//! type, parser and string escaper every exporter and harness shares.
 //!
-//! Two always-on companions extend the profiler into a telemetry
-//! pipeline: [`recorder`] keeps a fixed-capacity flight-recorder ring of
-//! recent span and I/O-delta events for post-mortem dumps, and
-//! [`timeline`] turns registry snapshots into a bounded delta
-//! time-series with JSONL and `obs_report` exports.
+//! [`recorder`] is always on: a fixed-capacity flight-recorder ring of
+//! recent span and I/O-delta events for post-mortem dumps.
 //!
 //! The introspection layer makes all of it *data*: [`sys`] exposes the
 //! obs structures as virtual-table rows (queryable from `lang` as
@@ -38,6 +36,7 @@
 
 pub mod export;
 pub mod io;
+pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod profile;
@@ -45,10 +44,8 @@ pub mod recorder;
 pub mod slowlog;
 pub mod span;
 pub mod sys;
-pub mod timeline;
 
 pub use io::IoCounts;
 pub use metrics::{registry, Registry};
 pub use profile::{OpProfile, Profile};
 pub use span::{set_tracing, take_finished, tracing_enabled, Span, SpanNode};
-pub use timeline::Timeline;

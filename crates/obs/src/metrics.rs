@@ -326,6 +326,16 @@ pub struct Snapshot {
     pub derived: Vec<(String, f64)>,
 }
 
+impl Snapshot {
+    /// Counter `name`'s value (0 when it is not registered yet), so two
+    /// snapshots diff into a window's delta.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .map_or(0, |i| self.counters[i].1)
+    }
+}
+
 /// The process-wide registry.
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
@@ -420,8 +430,8 @@ mod tests {
     fn counter_deltas_never_go_negative_across_resets() {
         // Registry counters are monotonic: lower layers may reset their
         // own profiles (e.g. `reset_profile()` on the storage side), but
-        // mirrored counters only ever grow, so snapshot deltas taken by
-        // the timeline stay non-negative by construction.
+        // mirrored counters only ever grow, so deltas between two
+        // snapshots stay non-negative by construction.
         let r = Registry::default();
         let c = r.counter("t.reset.counter");
         c.add(10);
@@ -430,14 +440,10 @@ mod tests {
         // keeps its value and keeps growing.
         c.add(2);
         let after = r.snapshot();
-        let get = |s: &Snapshot| {
-            s.counters
-                .iter()
-                .find(|(n, _)| n == "t.reset.counter")
-                .map_or(0, |(_, v)| *v)
-        };
+        let get = |s: &Snapshot| s.counter("t.reset.counter");
         assert!(get(&after) >= get(&before), "counters are monotonic");
         assert_eq!(get(&after) - get(&before), 2);
+        assert_eq!(after.counter("t.reset.unregistered"), 0);
     }
 
     #[test]

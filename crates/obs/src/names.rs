@@ -37,10 +37,6 @@ pub const STORAGE_POOL_MISSES: &str = "storage.pool.misses";
 pub const STORAGE_POOL_EVICTIONS: &str = "storage.pool.evictions";
 /// hits / (hits + misses), derived at snapshot time.
 pub const STORAGE_POOL_HIT_RATE: &str = "storage.pool.hit_rate";
-/// Pages read ahead by the prefetch hint (counter).
-pub const STORAGE_PREFETCH_ISSUED: &str = "storage.prefetch.issued";
-/// Fetches served from a still-resident prefetched frame (counter).
-pub const STORAGE_PREFETCH_HIT: &str = "storage.prefetch.hit";
 
 // --- storage: write-ahead log and checksums ---------------------------------
 
@@ -93,7 +89,7 @@ pub const CORE_PROPAGATE_FANOUT: &str = "core.propagate.fanout";
 /// Distinct pages touched per fan-out (histogram).
 pub const CORE_PROPAGATE_PAGES_PER_FANOUT: &str = "core.propagate.pages_per_fanout";
 
-// --- obs: flight recorder and timeline self-metrics ------------------------
+// --- obs: flight recorder and slow-query log self-metrics ------------------
 
 /// Events recorded into the flight-recorder ring (counter).
 pub const OBS_RECORDER_EVENTS: &str = "obs.recorder.events";
@@ -105,10 +101,6 @@ pub const OBS_RECORDER_DUMPS: &str = "obs.recorder.dumps";
 pub const OBS_RECORDER_ERRORS: &str = "obs.recorder.errors";
 /// Flight-recorder dumps suppressed by the per-sink rate limit (counter).
 pub const OBS_RECORDER_DUMPS_SUPPRESSED: &str = "obs.recorder.dumps_suppressed";
-/// Timeline ticks taken against the global registry (counter).
-pub const OBS_TIMELINE_TICKS: &str = "obs.timeline.ticks";
-/// Timeline ticks evicted from the bounded series (counter).
-pub const OBS_TIMELINE_EVICTED: &str = "obs.timeline.evicted";
 /// Statements recorded into the slow-query ring (counter).
 pub const OBS_SLOWLOG_RECORDED: &str = "obs.slowlog.recorded";
 /// Slow-query entries evicted from the bounded ring (counter).
@@ -122,8 +114,6 @@ pub const OBS_SLOWLOG_EVICTED: &str = "obs.slowlog.evicted";
 
 /// Virtual table: registry counters/gauges/derived/histogram quantiles.
 pub const SYS_METRICS: &str = "sys.metrics";
-/// Virtual table: global timeline tick deltas.
-pub const SYS_TIMELINE: &str = "sys.timeline";
 /// Virtual table: per-path workload statistics.
 pub const SYS_WORKLOAD: &str = "sys.workload";
 /// Virtual table: flight-recorder ring contents.
@@ -256,8 +246,6 @@ pub const ALL: &[&str] = &[
     STORAGE_POOL_MISSES,
     STORAGE_POOL_EVICTIONS,
     STORAGE_POOL_HIT_RATE,
-    STORAGE_PREFETCH_ISSUED,
-    STORAGE_PREFETCH_HIT,
     WAL_APPENDS,
     WAL_FSYNCS,
     WAL_BYTES,
@@ -283,12 +271,9 @@ pub const ALL: &[&str] = &[
     OBS_RECORDER_DUMPS,
     OBS_RECORDER_DUMPS_SUPPRESSED,
     OBS_RECORDER_ERRORS,
-    OBS_TIMELINE_TICKS,
-    OBS_TIMELINE_EVICTED,
     OBS_SLOWLOG_RECORDED,
     OBS_SLOWLOG_EVICTED,
     SYS_METRICS,
-    SYS_TIMELINE,
     SYS_WORKLOAD,
     SYS_RECORDER,
     SYS_POOL,
@@ -369,7 +354,6 @@ mod tests {
     fn sys_tables_are_registered() {
         for t in [
             SYS_METRICS,
-            SYS_TIMELINE,
             SYS_WORKLOAD,
             SYS_RECORDER,
             SYS_POOL,

@@ -9,8 +9,7 @@
 //! own tiny mutex (uncontended except when the ring wraps onto an active
 //! reader). When the engine hits an error it calls [`record_error`],
 //! which appends an error event and hands the last-N-events JSONL dump to
-//! the installed sink; [`install_panic_hook`] does the same for panics,
-//! printing the dump to stderr before unwinding continues.
+//! the installed sink.
 //!
 //! Overhead when enabled is a clock read, one atomic increment, and an
 //! uncontended lock per event; [`set_enabled`]`(false)` reduces every
@@ -23,8 +22,9 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::export::{escape_json, io_json, JSONL_SCHEMA_VERSION};
+use crate::export::{io_json, JSONL_SCHEMA_VERSION};
 use crate::io::IoCounts;
+use crate::json::escape;
 use crate::metrics::{registry, Counter};
 use crate::names;
 use std::collections::BTreeSet;
@@ -33,8 +33,8 @@ use std::collections::BTreeSet;
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Nanoseconds since the process-wide telemetry clock started (first
-/// use). Monotonic; shared by the recorder and the timeline so their
-/// timestamps are directly comparable.
+/// use). Monotonic; shared by the recorder, spans and the slow-query
+/// log so their timestamps are directly comparable.
 pub fn clock_nanos() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
@@ -193,7 +193,7 @@ pub fn event_jsonl(e: &Event) -> String {
         "{{\"type\":\"recorder_event\",\"seq\":{},\"at_nanos\":{},\"name\":\"{}\"",
         e.seq,
         e.at_nanos,
-        escape_json(e.name)
+        escape(e.name)
     );
     match &e.kind {
         EventKind::SpanEnter => format!("{head},\"event\":\"span_enter\"}}"),
@@ -206,7 +206,7 @@ pub fn event_jsonl(e: &Event) -> String {
         }
         EventKind::Error { message } => format!(
             "{head},\"event\":\"error\",\"message\":\"{}\"}}",
-            escape_json(message)
+            escape(message)
         ),
     }
 }
@@ -314,8 +314,7 @@ pub fn clear_error_sink() {
 }
 
 /// Record an engine error against `origin` (a registered span/component
-/// name) and, when a sink is installed, hand it the ring dump. This is
-/// the Result-path counterpart of [`install_panic_hook`].
+/// name) and, when a sink is installed, hand it the ring dump.
 ///
 /// Dumps are rate-limited per sink: a consecutive repeat of the same
 /// `(origin, message)` pair and anything past [`MAX_DUMPS_PER_SINK`]
@@ -341,24 +340,6 @@ pub fn record_error(origin: &str, message: &str) {
         state.delivered += 1;
         (state.sink)(&dump_jsonl());
     }
-}
-
-/// Install a process-wide panic hook that prints the flight-recorder
-/// dump to stderr before delegating to the previous hook. Idempotent:
-/// only the first call installs.
-pub fn install_panic_hook() {
-    static INSTALLED: AtomicBool = AtomicBool::new(false);
-    if INSTALLED.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        eprintln!("--- flight recorder dump (most recent last) ---");
-        for line in dump_jsonl() {
-            eprintln!("{line}");
-        }
-        previous(info);
-    }));
 }
 
 #[cfg(test)]

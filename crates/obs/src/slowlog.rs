@@ -19,7 +19,8 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::export::{escape_json, io_json, JSONL_SCHEMA_VERSION};
+use crate::export::{io_json, JSONL_SCHEMA_VERSION};
+use crate::json::escape;
 use crate::metrics::{registry, Counter};
 use crate::names;
 use crate::profile::Profile;
@@ -175,7 +176,7 @@ pub fn entry_jsonl(e: &SlowQuery) -> String {
         .map(|op| {
             format!(
                 "{{\"name\":\"{}\",\"nanos\":{},\"io\":{}}}",
-                escape_json(&op.name),
+                escape(&op.name),
                 op.nanos,
                 io_json(&op.io)
             )
@@ -186,12 +187,12 @@ pub fn entry_jsonl(e: &SlowQuery) -> String {
         "{{\"type\":\"slow_query\",\"seq\":{},\"at_nanos\":{},\"statement\":\"{}\",\"plan\":\"{}\",\"wall_nanos\":{},\"io_pages\":{},\"rows\":{},\"workload\":\"{}\",\"ops\":[{}]}}",
         e.seq,
         e.at_nanos,
-        escape_json(&e.statement),
-        escape_json(&e.plan),
+        escape(&e.statement),
+        escape(&e.plan),
         e.wall_nanos,
         e.io_pages,
         e.rows,
-        escape_json(&e.workload),
+        escape(&e.workload),
         ops
     )
 }

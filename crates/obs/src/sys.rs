@@ -17,7 +17,6 @@ use crate::metrics::registry;
 use crate::names;
 use crate::recorder::{self, EventKind};
 use crate::slowlog;
-use crate::timeline;
 
 /// One cell of a virtual-table row.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,21 +47,6 @@ pub const TABLES: &[TableDef] = &[
         name: names::SYS_METRICS,
         columns: &[
             "kind", "name", "value", "count", "sum", "mean", "max", "p50", "p95", "p99",
-        ],
-    },
-    TableDef {
-        name: names::SYS_TIMELINE,
-        columns: &[
-            "tick",
-            "at_nanos",
-            "kind",
-            "name",
-            "value",
-            "count_delta",
-            "sum_delta",
-            "p50",
-            "p95",
-            "p99",
         ],
     },
     TableDef {
@@ -182,43 +166,6 @@ pub fn metrics_rows() -> Vec<SysRow> {
         ]);
     }
     rows
-}
-
-/// `sys.timeline` rows: the global timeline's retained ticks, flattened
-/// to one row per (tick, instrument). Counter rows carry the window
-/// delta in `value`; gauge rows the current value; histogram rows the
-/// window movement and cumulative quantiles.
-pub fn timeline_rows() -> Vec<SysRow> {
-    timeline::with_global(|tl| {
-        let mut rows = Vec::new();
-        for t in tl.ticks() {
-            let head =
-                |kind: &str, name: &str| vec![int(t.index), int(t.at_nanos), s(kind), s(name)];
-            for (name, delta) in &t.counters {
-                let mut row = head("counter", name);
-                row.push(int(*delta));
-                row.resize(10, None);
-                rows.push(row);
-            }
-            for (name, value) in &t.gauges {
-                let mut row = head("gauge", name);
-                row.push(Some(SysValue::Int(*value)));
-                row.resize(10, None);
-                rows.push(row);
-            }
-            for h in &t.histograms {
-                let mut row = head("histogram", &h.name);
-                row.push(None);
-                row.push(int(h.count_delta));
-                row.push(int(h.sum_delta));
-                row.push(opt_int(h.p50));
-                row.push(opt_int(h.p95));
-                row.push(opt_int(h.p99));
-                rows.push(row);
-            }
-        }
-        rows
-    })
 }
 
 /// `sys.recorder` rows: the flight-recorder ring, oldest first.
@@ -350,17 +297,5 @@ mod tests {
         assert!(rows
             .iter()
             .any(|row| row[2] == Some(SysValue::Str("t.sys.rec".into()))));
-    }
-
-    #[test]
-    fn timeline_rows_flatten_ticks() {
-        registry().counter(names::OBS_TIMELINE_TICKS);
-        timeline::global_tick();
-        let width = table(names::SYS_TIMELINE)
-            .map(|t| t.columns.len())
-            .unwrap_or_default();
-        let rows = timeline_rows();
-        assert!(!rows.is_empty());
-        assert!(rows.iter().all(|row| row.len() == width));
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Two integrity properties under real contention:
 //!
-//! * **Timeline**: counter deltas across ticks are conservation-exact —
-//!   with ticks interleaved arbitrarily between increments from many
-//!   threads, the sum of per-tick deltas equals the number of
-//!   increments; nothing is lost or double-counted.
+//! * **Registry**: counter deltas between snapshots are
+//!   conservation-exact — with snapshots interleaved arbitrarily between
+//!   increments from many threads, the per-window deltas sum to the
+//!   number of increments; nothing is lost or double-counted.
 //! * **Recorder**: ring events are never torn — every event snapshotted
 //!   mid-hammer (and after) is internally consistent, with the payload
 //!   matching the invariant each writer encoded into its events.
@@ -15,21 +15,20 @@
 //! process-global pipeline other tests use.
 
 use fieldrep_obs::recorder::{EventKind, Recorder};
-use fieldrep_obs::{IoCounts, Registry, Timeline};
+use fieldrep_obs::{IoCounts, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const THREADS: usize = 8;
 const INCREMENTS_PER_THREAD: u64 = 20_000;
 const EVENTS_PER_THREAD: u64 = 5_000;
 const RING_CAPACITY: usize = 512;
-const TIMELINE_TICKS: usize = 256;
 
 #[test]
-fn timeline_ticks_never_lose_or_double_count_counter_deltas() {
+fn snapshot_deltas_never_lose_or_double_count_increments() {
+    const NAME: &str = "hammer.increments";
     let reg = Arc::new(Registry::default());
-    let timeline = Arc::new(Mutex::new(Timeline::new(TIMELINE_TICKS)));
     let done = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(THREADS + 1));
 
@@ -38,7 +37,7 @@ fn timeline_ticks_never_lose_or_double_count_counter_deltas() {
             let reg = Arc::clone(&reg);
             let start = Arc::clone(&start);
             thread::spawn(move || {
-                let c = reg.counter("hammer.increments");
+                let c = reg.counter(NAME);
                 start.wait();
                 for _ in 0..INCREMENTS_PER_THREAD {
                     c.inc();
@@ -47,25 +46,25 @@ fn timeline_ticks_never_lose_or_double_count_counter_deltas() {
         })
         .collect();
 
-    // The ticker races the workers: every tick snapshots the registry
-    // mid-increment, so window boundaries land at arbitrary counts.
-    let ticker = {
+    // The sampler races the workers: every snapshot lands mid-increment,
+    // so window boundaries fall at arbitrary counts. It returns each
+    // window's delta against the previous snapshot.
+    let sampler = {
         let reg = Arc::clone(&reg);
-        let timeline = Arc::clone(&timeline);
         let done = Arc::clone(&done);
         let start = Arc::clone(&start);
         thread::spawn(move || {
             start.wait();
-            // Stop one short of the timeline's capacity (the closing
-            // tick below is the last): on a loaded host the workers can
-            // outlast any number of ticks, and an evicted tick takes
-            // its deltas out of the sum this test checks.
-            let mut ticks = 0;
-            while !done.load(Ordering::Acquire) && ticks < TIMELINE_TICKS - 1 {
-                timeline.lock().unwrap().tick(&reg);
-                ticks += 1;
+            let mut last = 0;
+            let mut deltas = Vec::new();
+            while !done.load(Ordering::Acquire) {
+                let now = reg.snapshot().counter(NAME);
+                assert!(now >= last, "a counter went backwards: {last} -> {now}");
+                deltas.push(now - last);
+                last = now;
                 thread::yield_now();
             }
+            (deltas, last)
         })
     };
 
@@ -73,38 +72,22 @@ fn timeline_ticks_never_lose_or_double_count_counter_deltas() {
         w.join().unwrap();
     }
     done.store(true, Ordering::Release);
-    ticker.join().unwrap();
+    let (mut deltas, last) = sampler.join().unwrap();
+    // Close the final window so increments after the last racing
+    // snapshot are captured too.
+    deltas.push(reg.snapshot().counter(NAME) - last);
 
-    let mut tl = timeline.lock().unwrap();
-    // Close the final window so increments after the last racing tick
-    // are captured too.
-    tl.tick(&reg);
     let expected = THREADS as u64 * INCREMENTS_PER_THREAD;
     assert_eq!(
-        reg.counter("hammer.increments").get(),
+        reg.counter(NAME).get(),
         expected,
         "the counter itself must be exact"
     );
     assert_eq!(
-        tl.evicted(),
-        0,
-        "eviction would invalidate the conservation check"
-    );
-    assert_eq!(
-        tl.counter_total("hammer.increments"),
+        deltas.iter().sum::<u64>(),
         expected,
-        "sum of per-tick deltas must equal the increments: no window \
+        "sum of per-window deltas must equal the increments: no window \
          may lose or double-count"
-    );
-    let indexes: Vec<u64> = tl.ticks().iter().map(|t| t.index).collect();
-    assert!(
-        indexes.windows(2).all(|w| w[1] == w[0] + 1),
-        "tick indexes are dense and ordered: {indexes:?}"
-    );
-    let nanos: Vec<u64> = tl.ticks().iter().map(|t| t.at_nanos).collect();
-    assert!(
-        nanos.windows(2).all(|w| w[0] <= w[1]),
-        "tick timestamps are monotone"
     );
 }
 

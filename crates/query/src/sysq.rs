@@ -310,8 +310,6 @@ fn raw_rows(db: &mut Database, table: &'static TableDef) -> Vec<sys::SysRow> {
     }
     if name == obs_names::SYS_METRICS {
         sys::metrics_rows()
-    } else if name == obs_names::SYS_TIMELINE {
-        sys::timeline_rows()
     } else if name == obs_names::SYS_RECORDER {
         sys::recorder_rows()
     } else if name == obs_names::SYS_DRIFT {

@@ -13,9 +13,7 @@
 //! [`BufferPool::get_pages_batch`] is the batched fast path the paper's
 //! sorted link objects make possible (§4.1.3): a sorted page-id run is
 //! split into maximal adjacent runs and each run is moved with one
-//! [`DiskManager::read_pages`] call (single seek / vectored read). The
-//! [`BufferPool::prefetch`] hint reads pages ahead without pinning them;
-//! `storage.prefetch.{issued,hit}` track how often the hint paid off.
+//! [`DiskManager::read_pages`] call (single seek / vectored read).
 //!
 //! The pool tracks hits, misses, and eviction write-backs. Together with
 //! the disk manager's physical counters this is the complete I/O profile
@@ -88,11 +86,6 @@ const MAX_BATCH_RUN: usize = 64;
 
 /// Process-wide pool instruments, registered once in the obs registry.
 struct PoolMetrics {
-    /// `storage.prefetch.issued`: pages read ahead by [`BufferPool::prefetch`].
-    prefetch_issued: Arc<metrics::Counter>,
-    /// `storage.prefetch.hit`: fetches served from a still-resident
-    /// prefetched frame (first touch only).
-    prefetch_hit: Arc<metrics::Counter>,
     /// `storage.disk.batch_len`: pages per grouped disk read.
     batch_len: Arc<metrics::Histogram>,
     /// `storage.checksum.failures`: pages that failed CRC verification
@@ -105,8 +98,6 @@ fn pool_metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| {
         let r = metrics::registry();
         PoolMetrics {
-            prefetch_issued: r.counter(obs_names::STORAGE_PREFETCH_ISSUED),
-            prefetch_hit: r.counter(obs_names::STORAGE_PREFETCH_HIT),
             batch_len: r.histogram(
                 obs_names::STORAGE_DISK_BATCH_LEN,
                 &[1, 2, 4, 8, 16, 32, 64, 128],
@@ -393,9 +384,6 @@ impl Drop for PageHandle {
 struct Frame {
     inner: Arc<FrameInner>,
     referenced: bool,
-    /// Set when the frame was filled by [`BufferPool::prefetch`] and not
-    /// yet touched by a fetch (drives `storage.prefetch.hit`).
-    prefetched: bool,
 }
 
 /// The buffer pool: a fixed set of frames over a [`DiskManager`].
@@ -521,7 +509,6 @@ impl BufferPool {
             .map(|inner| Frame {
                 inner: Arc::clone(inner),
                 referenced: false,
-                prefetched: false,
             })
             .collect();
         BufferPool {
@@ -681,16 +668,6 @@ impl BufferPool {
         self.core.lock().get_pages_batch(pids)
     }
 
-    /// Read-ahead hint: load the given pages into the pool (grouped like
-    /// [`BufferPool::get_pages_batch`]) **without** pinning them. Pages
-    /// already resident are skipped with no counter effect, so issuing a
-    /// prefetch never changes page-I/O totals relative to fetching the
-    /// pages directly — it only turns the later fetch into a hit.
-    pub fn prefetch(&self, pids: &[PageId]) -> Result<()> {
-        let _o = core_order();
-        self.core.lock().prefetch(pids)
-    }
-
     /// Write back one page if buffered and dirty.
     pub fn flush_page(&self, pid: PageId) -> Result<()> {
         // Unlogged dirty pages are autocommitted at write-back, so
@@ -763,7 +740,6 @@ impl PoolCore {
             );
             f.inner.set_pid(None);
             f.referenced = false;
-            f.prefetched = false;
             f.inner.dirty.store(false, Ordering::Relaxed);
             f.inner.unlogged.store(false, Ordering::Relaxed);
             false
@@ -787,7 +763,6 @@ impl PoolCore {
         if let Some(&idx) = self.map.get(&pack(pid)) {
             self.hits += 1;
             obs_io::record_pool_hit();
-            self.note_prefetch_hit(idx);
             self.frames[idx].referenced = true;
             return Ok(self.handle(idx, pid));
         }
@@ -809,7 +784,6 @@ impl PoolCore {
             got.push(self.map.get(&pack(pid)).copied().map(|idx| {
                 self.hits += 1;
                 obs_io::record_pool_hit();
-                self.note_prefetch_hit(idx);
                 self.frames[idx].referenced = true;
                 self.handle(idx, pid)
             }));
@@ -832,39 +806,12 @@ impl PoolCore {
             {
                 j += 1;
             }
-            for (slot, h) in got[i..j].iter_mut().zip(self.read_run(&pids[i..j], false)?) {
+            for (slot, h) in got[i..j].iter_mut().zip(self.read_run(&pids[i..j])?) {
                 *slot = Some(h);
             }
             i = j;
         }
         Ok(got.into_iter().flatten().collect())
-    }
-
-    fn prefetch(&mut self, pids: &[PageId]) -> Result<()> {
-        let mut missing: Vec<PageId> = pids.to_vec();
-        missing.sort_unstable();
-        missing.dedup();
-        missing.retain(|&p| !self.map.contains_key(&pack(p)));
-        if missing.is_empty() {
-            return Ok(());
-        }
-        pool_metrics().prefetch_issued.add(missing.len() as u64);
-        let max_run = self.max_batch_run();
-        let mut i = 0;
-        while i < missing.len() {
-            let mut j = i + 1;
-            while j < missing.len()
-                && j - i < max_run
-                && missing[j].file == missing[i].file
-                && missing[j].page == missing[j - 1].page + 1
-            {
-                j += 1;
-            }
-            let handles = self.read_run(&missing[i..j], true)?;
-            drop(handles);
-            i = j;
-        }
-        Ok(())
     }
 
     fn max_batch_run(&self) -> usize {
@@ -874,7 +821,7 @@ impl PoolCore {
     /// Install and read one adjacent run of missing pages: pin a victim
     /// frame per page, then fill them all with a single grouped disk
     /// read. On any error the partially-installed run is rolled back.
-    fn read_run(&mut self, run: &[PageId], prefetched: bool) -> Result<Vec<PageHandle>> {
+    fn read_run(&mut self, run: &[PageId]) -> Result<Vec<PageHandle>> {
         let mut idxs: Vec<usize> = Vec::with_capacity(run.len());
         let mut handles: Vec<PageHandle> = Vec::with_capacity(run.len());
         for &pid in run {
@@ -888,7 +835,6 @@ impl PoolCore {
             };
             self.frames[idx].inner.set_pid(Some(pid));
             self.frames[idx].referenced = true;
-            self.frames[idx].prefetched = prefetched;
             self.map.insert(pack(pid), idx);
             handles.push(self.handle(idx, pid));
             idxs.push(idx);
@@ -953,14 +899,6 @@ impl PoolCore {
                 self.map.remove(&pack(pid));
             }
             self.frames[idx].referenced = false;
-            self.frames[idx].prefetched = false;
-        }
-    }
-
-    fn note_prefetch_hit(&mut self, idx: usize) {
-        if self.frames[idx].prefetched {
-            self.frames[idx].prefetched = false;
-            pool_metrics().prefetch_hit.inc();
         }
     }
 
@@ -1030,7 +968,6 @@ impl PoolCore {
                 self.map.remove(&pack(old));
                 self.frames[idx].inner.set_pid(None);
             }
-            self.frames[idx].prefetched = false;
             return Ok(idx);
         }
         Err(StorageError::BufferExhausted)
@@ -1061,7 +998,6 @@ impl PoolCore {
         }
         self.frames[idx].inner.set_pid(Some(pid));
         self.frames[idx].referenced = true;
-        self.frames[idx].prefetched = false;
         self.map.insert(pack(pid), idx);
         Ok(())
     }
@@ -1104,7 +1040,6 @@ impl PoolCore {
             self.map.remove(&pack(pid));
             self.frames[idx].inner.set_pid(None);
             self.frames[idx].referenced = false;
-            self.frames[idx].prefetched = false;
         }
         Ok(())
     }
@@ -1286,15 +1221,6 @@ mod tests {
         let (bp, f, h0, _) = two_pages();
         let _guard = h0.data_mut();
         let _ = bp.new_page(f);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-order violation: acquiring PoolCore")]
-    fn prefetch_under_a_write_guard_is_caught_in_debug() {
-        let (bp, _, h0, p1) = two_pages();
-        let _guard = h0.data_mut();
-        let _ = bp.prefetch(&[p1]);
     }
 
     #[test]
@@ -1511,38 +1437,6 @@ mod tests {
         let prof = bp.io_profile();
         assert_eq!((prof.pool_hits, prof.pool_misses), (2, 4));
         assert_eq!((prof.disk.reads, prof.disk.read_calls), (4, 3));
-    }
-
-    #[test]
-    fn prefetch_turns_later_fetches_into_hits_without_extra_io() {
-        let bp = pool(16);
-        let f = bp.create_file().unwrap();
-        let mut pids = vec![];
-        for i in 0..4u8 {
-            let (pid, h) = bp.new_page(f).unwrap();
-            h.data_mut()[0] = i;
-            pids.push(pid);
-        }
-        bp.flush_all().unwrap();
-        bp.reset_profile();
-
-        bp.prefetch(&pids).unwrap();
-        let prof = bp.io_profile();
-        assert_eq!(prof.disk.reads, 4);
-        assert_eq!(prof.disk.read_calls, 1);
-        assert_eq!(prof.pool_misses, 4, "prefetch counts the misses it absorbs");
-
-        for (i, pid) in pids.iter().enumerate() {
-            let h = bp.fetch(*pid).unwrap();
-            assert_eq!(h.data()[0], i as u8);
-        }
-        let prof = bp.io_profile();
-        assert_eq!(prof.disk.reads, 4, "no re-reads: all fetches hit");
-        assert_eq!(prof.pool_hits, 4);
-
-        // Prefetching resident pages is a no-op.
-        bp.prefetch(&pids).unwrap();
-        assert_eq!(bp.io_profile().disk.reads, 4);
     }
 
     /// `BufferExhausted` iff every frame is pinned, at every capacity:

@@ -197,11 +197,6 @@ impl StorageManager {
         self.pool.get_pages_batch(pids)
     }
 
-    /// Read-ahead hint: see [`BufferPool::prefetch`].
-    pub fn prefetch_pages(&self, pids: &[PageId]) -> Result<()> {
-        self.pool.prefetch(pids)
-    }
-
     /// Run `f` with exclusive access to `file`'s free-space placement
     /// state. The closure must not touch the pool (placement decisions
     /// and page I/O are deliberately decoupled so the free-space mutex is

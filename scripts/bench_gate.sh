@@ -6,13 +6,8 @@
 # drift beyond ±60%, or on a point that vanished; improvements pass.
 # When a change moves the counts on purpose, re-record the baseline:
 #   cargo run --release -p fieldrep-bench --bin bench_suite
-# Run from anywhere:
-#   ./scripts/bench_gate.sh [--max-io-regress PCT] [--max-drift PCT]
+# Run from anywhere: ./scripts/bench_gate.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mkdir -p target
-cargo run --release -q -p fieldrep-bench --bin bench_suite -- \
-    --run-id bench_gate.sh --out target/BENCH_current.json
-exec cargo run --release -q -p fieldrep-bench --bin bench_gate -- \
-    BENCH_BASELINE.json target/BENCH_current.json "$@"
+exec cargo run --release -q -p fieldrep-bench --bin bench_suite -- --gate

@@ -52,13 +52,9 @@ stage crash_recovery cargo test --release -q -p fieldrep-core --test crash_recov
 # against the committed BENCH_BASELINE.json (I/O or read calls up > 10%,
 # drift beyond ±60%, or a vanished point fails; the gate logic's own
 # injected-regression checks are unit tests in crates/bench/src/suite.rs).
+# (The exporters' JSON and Chrome-trace shape and the flight-recorder
+# dump are checked in the test stage: obs::export's unit tests and
+# crates/core/tests/flight_recorder_dump.rs.)
 stage bench_smoke ./scripts/bench_gate.sh
-
-# Observability smoke: a tiny workload through the always-on pipeline
-# (two timeline ticks + flight-recorder dump), validating that every
-# exported JSONL line parses and carries the current schema version,
-# and that the Chrome-trace/Perfetto export of the profiled read's span
-# tree is structurally sound (balanced B/E, monotone timestamps).
-stage obs_smoke cargo run --release -q -p fieldrep-bench --bin obs_smoke
 
 printf '\n== check.sh stage timings ==\n%s' "$STAGE_SUMMARY"

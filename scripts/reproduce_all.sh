@@ -27,7 +27,7 @@ fi
 
 echo "== measured curves and traces =="
 repro empirical_curves --s 2000 > results/empirical_curves.txt
-cargo run --release -q -p fieldrep-bench --bin trace_run > results/trace_run.txt
+repro trace > results/trace_run.txt
 
 echo "== ablations =="
 repro ablations > results/ablations.txt
