@@ -11,7 +11,7 @@ use crate::error::{DbError, Result};
 use crate::objects::{read_object, ref_target, value_key, view_object, write_object, REPLICA_TAG};
 use crate::propagate::{apply_plan, is_referenced};
 use crate::replicas::{find_anchor, group_values, write_replica};
-use crate::ripple::RipplePlan;
+use crate::ripple::{ChainPlan, RipplePlan};
 use crate::{links, DbConfig, EngineCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
@@ -98,9 +98,10 @@ impl Database {
     /// As [`Database::with_disk`] for a **fresh** database, with a
     /// write-ahead log attached: crash recovery runs against the pair
     /// first (a no-op on an empty log), then the pool is built with the
-    /// WAL so every [`Database::update_txn`] commit is durable and
-    /// every page write-back obeys the steal rule (see
-    /// [`fieldrep_storage::wal`]).
+    /// WAL so every operation's commit is durable and every page
+    /// write-back obeys the steal rule (see [`fieldrep_storage::wal`]).
+    /// The empty catalog's image is the first commit, so the database
+    /// reopens after a crash at any point from here on.
     pub fn with_disk_and_wal(
         disk: Box<dyn DiskManager>,
         store: Box<dyn fieldrep_storage::WalStore>,
@@ -108,7 +109,7 @@ impl Database {
     ) -> Result<Database> {
         let sm = StorageManager::new_with_wal(disk, store, cfg.pool_pages)?;
         let catalog_file = sm.create_file()?;
-        Ok(Database {
+        let db = Database {
             sm,
             catalog: Catalog::new(),
             cfg,
@@ -117,7 +118,9 @@ impl Database {
             workload: crate::WorkloadStats::new(),
             catalog_file,
             txn: crate::txn::TxnManager::default(),
-        })
+        };
+        db.apply_and_commit(Database::write_catalog)?;
+        Ok(db)
     }
 
     /// Persist the catalog (schema, sets, indexes, replication paths,
@@ -125,26 +128,42 @@ impl Database {
     /// dirty page, so the disk image is self-contained and can be
     /// reopened with [`Database::open`]. Deferred propagation is synced
     /// first (the pending queue lives only in memory). With a WAL
-    /// attached this is a full checkpoint: data files are fsynced and
-    /// the log is truncated.
+    /// attached the image is one commit and this is a full checkpoint:
+    /// data files are fsynced and the log is truncated.
     pub fn save(&mut self) -> Result<()> {
         self.sync_all_pending()?;
+        self.apply_and_commit(Database::write_catalog)?;
+        Ok(self.sm.checkpoint()?)
+    }
+
+    /// Replace the image in the catalog file with the current catalog,
+    /// as sequence-numbered chunks.
+    fn write_catalog(&self) -> Result<()> {
         let image = fieldrep_catalog::persist::encode(&self.catalog);
         let hf = HeapFile::open(self.catalog_file);
-        // Clear the previous image.
         for oid in self.file_oids(hf.file)? {
             hf.rec_delete(&self.sm, oid)?;
         }
-        // Write the new image as sequence-numbered chunks.
         let max = fieldrep_storage::MAX_RECORD_PAYLOAD - 8;
+        let count = image.chunks(max).count() as u32;
         for (seq, chunk) in image.chunks(max).enumerate() {
             let mut payload = Vec::with_capacity(8 + chunk.len());
             payload.extend_from_slice(&(seq as u32).to_le_bytes());
-            payload.extend_from_slice(&(image.chunks(max).count() as u32).to_le_bytes());
+            payload.extend_from_slice(&count.to_le_bytes());
             payload.extend_from_slice(chunk);
             hf.rec_insert(&self.sm, 0xFFFC, &payload)?;
         }
-        Ok(self.sm.checkpoint()?)
+        Ok(())
+    }
+
+    /// The end of every catalog change. Under a WAL it is one commit: the
+    /// pages the change wrote and the new catalog image. Without one it
+    /// logs nothing, and [`Database::save`] writes the image.
+    fn commit_ddl(&self) -> Result<()> {
+        if self.sm.wal_enabled() {
+            self.apply_and_commit(Database::write_catalog)?;
+        }
+        Ok(())
     }
 
     /// Reopen a database previously built with [`Database::with_disk`]
@@ -338,7 +357,9 @@ impl Database {
 
     /// `define type …`.
     pub fn define_type(&mut self, def: TypeDef) -> Result<TypeId> {
-        Ok(self.catalog.define_type(def)?)
+        let id = self.catalog.define_type(def)?;
+        self.commit_ddl()?;
+        Ok(id)
     }
 
     /// `create <Name> : {own ref <TYPE>}` — a named set stored as its own
@@ -347,6 +368,7 @@ impl Database {
         let file = self.sm.create_file()?;
         let id = self.catalog.create_set(name, type_name, file)?;
         self.file_sets.insert(file, id);
+        self.commit_ddl()?;
         Ok(id)
     }
 
@@ -410,6 +432,7 @@ impl Database {
         if decl.group_extended {
             self.resync_group(decl.group.expect("extended ⇒ group"))?;
         }
+        self.commit_ddl()?;
         Ok(decl.path)
     }
 
@@ -631,27 +654,19 @@ impl Database {
     /// replicated values stored in the source objects.
     pub fn create_index(&mut self, path: &str, kind: IndexKind) -> Result<IndexId> {
         let resolved = self.catalog.resolve_path_str(path)?;
-        if resolved.hops.is_empty() {
-            let field = resolved.terminal_fields[0];
-            let set = self.catalog.set(resolved.set).clone();
-            // Build sorted (key, oid) pairs from a scan.
-            let mut entries = Vec::new();
+        let field = resolved.terminal_fields[0];
+        let set = self.catalog.set(resolved.set).clone();
+        // Sorted (key, oid) pairs from a scan.
+        let mut entries = Vec::new();
+        let target = if resolved.hops.is_empty() {
             for oid in self.file_oids(set.file)? {
                 let ctx = self.ctx();
                 let obj = read_object(ctx.sm, ctx.cat, oid)?;
                 entries.push((value_key(&obj.values[field]), oid));
             }
-            entries.sort();
-            let tree = BTreeIndex::bulk_load(&self.sm, &entries, 1.0)?;
-            Ok(self.catalog.declare_index(
-                resolved.set,
-                IndexTarget::Field(field),
-                kind,
-                tree.file,
-            )?)
+            IndexTarget::Field(field)
         } else {
             // Index on replicated values.
-            let field = resolved.terminal_fields[0];
             let rep = self
                 .catalog
                 .replica_for(resolved.set, &resolved.hops, field)
@@ -680,70 +695,83 @@ impl Database {
                 .iter()
                 .position(|f| *f == field)
                 .expect("replica_for checked membership");
-            let set = self.catalog.set(resolved.set).clone();
-            let oids = self.file_oids(set.file)?;
-            let mut entries = Vec::new();
-            for oid in oids {
+            for oid in self.file_oids(set.file)? {
                 let ctx = self.ctx();
                 let obj = read_object(ctx.sm, ctx.cat, oid)?;
                 if let Some(vals) = obj.replica_values(rep_id.0) {
                     entries.push((value_key(&vals[pos]), oid));
                 }
             }
-            entries.sort();
-            let tree = BTreeIndex::bulk_load(&self.sm, &entries, 1.0)?;
-            Ok(self.catalog.declare_index(
-                resolved.set,
-                IndexTarget::ReplicatedPath(rep_id),
-                kind,
-                tree.file,
-            )?)
-        }
+            IndexTarget::ReplicatedPath(rep_id)
+        };
+        entries.sort();
+        let tree = BTreeIndex::bulk_load(&self.sm, &entries, 1.0)?;
+        let id = self
+            .catalog
+            .declare_index(resolved.set, target, kind, tree.file)?;
+        self.commit_ddl()?;
+        Ok(id)
     }
 
     // ------------------------------------------------------------------ DML
 
-    /// Run `f` — one whole multi-page operation — inside the WAL apply
-    /// section, so a concurrent `update_txn` commit can never sweep a
-    /// half-applied operation into its commit record, and eviction can
-    /// never autocommit one of its pages mid-way (no-steal). Every write
-    /// path goes through here; the section is not reentrant.
-    pub(crate) fn with_apply_section<T>(
-        &self,
-        f: impl FnOnce(&Database) -> Result<T>,
-    ) -> Result<T> {
-        let _apply = self.sm.wal().map(|w| w.apply_lock());
-        f(self)
+    /// The one commit sequence every mutation ends in: run `f` — the
+    /// whole operation — inside the WAL apply section, log the pages it
+    /// dirtied as one commit record while still inside, leave the
+    /// section, then make the record durable (outside it, so concurrent
+    /// commits share the fsync). Without a WAL this is just `f`.
+    ///
+    /// If `f` succeeds but logging or the fsync fails, the result is
+    /// [`DbError::CommitNotDurable`]: the operation is applied, and its
+    /// pages stay unlogged, so unevictable, until the next commit logs
+    /// them. Any other error means the operation was rejected.
+    pub(crate) fn apply_and_commit<T>(&self, f: impl FnOnce(&Database) -> Result<T>) -> Result<T> {
+        let Some(wal) = self.sm.wal() else {
+            return f(self);
+        };
+        let (out, lsn) = {
+            let _apply = wal.apply_lock();
+            let out = f(self)?;
+            let lsn = self.sm.pool().log_txn_commit();
+            (out, lsn.map_err(DbError::CommitNotDurable)?)
+        };
+        if let Some(lsn) = lsn {
+            wal.sync_to(lsn).map_err(DbError::CommitNotDurable)?;
+        }
+        Ok(out)
     }
 
     /// Insert an object into a set. Reference values are type-checked;
-    /// every replication path of the set is attached (§4.1.1 `insert E`).
+    /// every replication path of the set is attached (§4.1.1 `insert E`),
+    /// under the lock words of every node of its chains.
     pub fn insert(&self, set_name: &str, values: Vec<Value>) -> Result<Oid> {
-        self.with_apply_section(|db| {
-            let cat = &db.catalog;
-            let set = cat.set(cat.set_id(set_name)?);
-            let def = cat.type_def(set.elem_type);
-            let obj = Object::new(set.elem_type, def, values)?;
-            // Check ref target types.
-            for (v, f) in obj.values.iter().zip(&def.fields) {
-                if let FieldType::Ref(tname) = &f.ftype {
-                    crate::objects::check_ref_type(&db.sm, cat, v, cat.type_id(tname)?)?;
-                }
+        let cat = &self.catalog;
+        let set = cat.set(cat.set_id(set_name)?);
+        let def = cat.type_def(set.elem_type);
+        let obj = Object::new(set.elem_type, def, values)?;
+        // Check ref target types.
+        for (v, f) in obj.values.iter().zip(&def.fields) {
+            if let FieldType::Ref(tname) = &f.ftype {
+                crate::objects::check_ref_type(&self.sm, cat, v, cat.type_id(tname)?)?;
             }
+        }
+        let plan = || ChainPlan::attach(self, set.id, obj.clone());
+        self.write_locked(None, plan, |db, plan| {
             let hf = HeapFile::open(set.file);
-            let oid = hf.rec_insert(&db.sm, set.elem_type.0, &obj.encode(def))?;
+            let oid = hf.rec_insert(&db.sm, set.elem_type.0, &plan.obj.encode(def))?;
 
             // Base-field index maintenance.
             for idx in cat.indexes_on(set.id) {
                 if let IndexTarget::Field(f) = idx.target {
-                    BTreeIndex::open(idx.file).insert(&db.sm, &value_key(&obj.values[f]), oid)?;
+                    let key = value_key(&plan.obj.values[f]);
+                    BTreeIndex::open(idx.file).insert(&db.sm, &key, oid)?;
                 }
             }
 
             // Replication attach.
             let mut ctx = db.ctx();
-            for p in cat.paths_from(set.id) {
-                let chain = walk_chain(&mut ctx, p, oid, &obj)?;
+            for (p, mut chain) in cat.paths_from(set.id).zip(plan.chains) {
+                chain[0] = Some(oid);
                 attach_path(&mut ctx, p, oid, &chain)?;
             }
             Ok(oid)
@@ -807,33 +835,56 @@ impl Database {
     /// Update named fields of the object at `oid`, propagating to all
     /// replicated copies (§4.1.3, §5.2) and maintaining indexes. A field
     /// named more than once takes its last value.
+    ///
+    /// Safe to call from many threads; writers with disjoint closures run
+    /// in parallel. The update's fan-out is planned once, without locks
+    /// ([`RipplePlan`]); [`RipplePlan::oids`] is locked in ascending word
+    /// order, the plan applied, and every member's version bumped, so
+    /// snapshot readers observe the ripple atomically (see [`crate::txn`]).
+    ///
+    /// # Durability errors
+    ///
+    /// When a WAL is attached and the in-memory apply succeeds but
+    /// logging or fsyncing the commit record fails, this returns
+    /// [`DbError::CommitNotDurable`]. The update **is** applied; only
+    /// the crash-durability guarantee is lost. Any other error means the
+    /// update was rejected.
     pub fn update(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<()> {
-        self.with_apply_section(|db| {
-            apply_plan(&mut db.ctx(), RipplePlan::build(db, None, oid, changes)?)
+        let plan = || RipplePlan::build(self, oid, changes);
+        self.write_locked(Some(oid), plan, |db, plan| {
+            apply_plan(&mut db.ctx(), plan)?;
+            db.txn.note_commit_applied();
+            Ok(())
         })
     }
 
-    /// Delete the object at `oid` (§4.1.1 `delete E`). Fails with
+    /// [`Database::update`], under the transactional API's name.
+    pub fn update_txn(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<()> {
+        self.update(oid, changes)
+    }
+
+    /// Delete the object at `oid` (§4.1.1 `delete E`), under the lock
+    /// words of the object and every node of its chains. Fails with
     /// [`DbError::StillReferenced`] if other objects still replicate
     /// through it.
     pub fn delete(&self, oid: Oid) -> Result<()> {
-        self.with_apply_section(|db| {
-            let cat = &db.catalog;
-            let set = db.set_of(oid)?;
-            let obj = db.get(oid)?;
-            if is_referenced(&obj) {
+        let set = self.set_of(oid)?;
+        let plan = || ChainPlan::detach(self, set, oid);
+        self.write_locked(Some(oid), plan, |db, plan| {
+            if is_referenced(&plan.obj) {
                 return Err(DbError::StillReferenced(oid));
             }
             // Detach every replication path of the set.
+            let cat = &db.catalog;
             let mut ctx = db.ctx();
-            for p in cat.paths_from(set) {
-                let chain = walk_chain(&mut ctx, p, oid, &obj)?;
-                detach_path(&mut ctx, p, oid, &chain)?;
+            for (p, chain) in cat.paths_from(set).zip(&plan.chains) {
+                detach_path(&mut ctx, p, oid, chain)?;
             }
             // Base-field index removal.
             for idx in cat.indexes_on(set) {
                 if let IndexTarget::Field(f) = idx.target {
-                    BTreeIndex::open(idx.file).delete(&db.sm, &value_key(&obj.values[f]), oid)?;
+                    let key = value_key(&plan.obj.values[f]);
+                    BTreeIndex::open(idx.file).delete(&db.sm, &key, oid)?;
                 }
             }
             HeapFile::open(oid.file).rec_delete(&db.sm, oid)?;
@@ -846,13 +897,13 @@ impl Database {
     /// eager paths or when nothing is pending). Returns the number of
     /// work items applied.
     pub fn sync_path(&self, path: PathId) -> Result<usize> {
-        self.with_apply_section(|db| db.sync_pending(path))
+        self.apply_and_commit(|db| db.sync_pending(path))
     }
 
-    /// Sync every path with pending deferred work, as one unit: the apply
-    /// section is held across all of them.
+    /// Sync every path with pending deferred work, as one unit: one
+    /// commit covers all of them.
     pub fn sync_all_pending(&self) -> Result<usize> {
-        self.with_apply_section(|db| {
+        self.apply_and_commit(|db| {
             let mut total = 0;
             for p in db.pending.dirty_paths() {
                 total += db.sync_pending(p)?;
@@ -943,8 +994,7 @@ impl Database {
 
         // Dismantle freed links: remove annotations from every object of
         // the link's target type (for collapsed links also the
-        // intermediates, which may carry markers or parked stores), then
-        // drop the link file.
+        // intermediates, which may carry markers or parked stores).
         for link in &removed.freed_links {
             let mut ann_types = vec![link.dst_type];
             if link.collapsed {
@@ -972,12 +1022,10 @@ impl Database {
                     }
                 }
             }
-            self.sm.drop_file(link.file)?;
         }
 
-        // Tear down a dropped group: anchors off the terminals, then the
-        // S' file (replica objects go with it).
-        if let Some(g) = dropped_group {
+        // Tear down a dropped group: anchors off the terminals.
+        if let Some(g) = &dropped_group {
             let term_sets: Vec<FileId> = self
                 .catalog
                 .sets_of_type(g.terminal_type)
@@ -996,7 +1044,14 @@ impl Database {
                     }
                 }
             }
-            self.sm.drop_file(g.file)?;
+        }
+        // The link files and the S' file (replica objects go with it) are
+        // dropped once the catalog no longer names them: a crash before
+        // the commit finds them still there.
+        self.commit_ddl()?;
+        let groups = dropped_group.iter().map(|g| g.file);
+        for file in removed.freed_links.iter().map(|l| l.file).chain(groups) {
+            self.sm.drop_file(file)?;
         }
         Ok(())
     }

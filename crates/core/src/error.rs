@@ -38,11 +38,10 @@ pub enum DbError {
     /// means either an ordering bug or a transaction stuck inside its
     /// critical section.
     LockTimeout(Oid),
-    /// A transactional update was **applied but not made durable**: the
-    /// in-memory apply succeeded (snapshot readers already see the new
-    /// versions, and the dirty pages will still reach disk through the
-    /// eviction autocommit path), but appending or fsyncing its WAL
-    /// commit record failed. Distinct from a rejected update — callers
+    /// An operation was **applied but not made durable**: the in-memory
+    /// apply succeeded (snapshot readers already see the new versions,
+    /// and the next commit logs the dirty pages), but appending or
+    /// fsyncing its WAL commit record failed. Distinct from a rejected update — callers
     /// that need the durability guarantee must treat the database as
     /// compromised (e.g. checkpoint or fail over); callers that only
     /// need the update applied may continue.

@@ -8,7 +8,8 @@
 //! [`TxnManager::lock_sorted`](crate::txn::TxnManager::lock_sorted) locks,
 //! and `propagate::apply_plan` executes the steps, taking chains and
 //! source lists from the plan instead of re-walking them. Nothing else
-//! discovers a fan-out.
+//! discovers a fan-out. [`ChainPlan`] is the same pass for an `insert` or
+//! a `delete`: the chains the object joins or leaves.
 //!
 //! The steps run *after* the object's own re-targets, so the plan must
 //! describe that state, not the annotations it read: on a reference cycle
@@ -22,7 +23,7 @@
 //! guards was read: an object's bytes by its own OID, the link stores
 //! below an object by that object (every writer that changes a membership
 //! holds the whole forward chain through it), a replica anchor by its
-//! terminal. [`Database::update_txn`] applies a plan as built only if no
+//! terminal. [`Database::update`] applies a plan as built only if no
 //! recorded version moved before the locks were held (DESIGN.md §10).
 
 use crate::attach::{collect_sources, walk_from};
@@ -31,7 +32,7 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::objects::{check_ref_type, read_object, ref_target};
 use crate::replicas::{find_anchor, find_replica_ref};
-use crate::txn::TxnManager;
+use crate::txn::{Planned, TxnManager};
 use crate::EngineCtx;
 use fieldrep_catalog::{GroupId, LinkId, PathId, Propagation, RepPathDef, SetId, Strategy};
 use fieldrep_model::{Annotation, FieldType, ModelError, Object, Value};
@@ -152,26 +153,11 @@ impl RipplePlan {
 
     /// Plan `db.update(oid, changes)`: resolve and type-check the changes
     /// against the stored object, then derive every step from the paths of
-    /// its set and the annotations it carries. Reads only.
-    ///
-    /// `versions` is whose seqlock versions to record as OIDs join. With
-    /// `None` the plan has no lock set ([`RipplePlan::oids`] is empty):
-    /// `Database::update` applies its plan at once inside the apply
-    /// section, and nothing locks or checks it.
-    pub fn build(
-        db: &Database,
-        versions: Option<&TxnManager>,
-        oid: Oid,
-        changes: &[(&str, Value)],
-    ) -> Result<RipplePlan> {
+    /// its set and the annotations it carries, recording each OID's
+    /// version in `db.txn()` as it joins. Reads only.
+    pub fn build(db: &Database, oid: Oid, changes: &[(&str, Value)]) -> Result<RipplePlan> {
         let set = db.set_of(oid)?;
-        let mut b = Builder {
-            ctx: db.ctx(),
-            txn: versions,
-            oid,
-            own: Vec::new(),
-            seen: Vec::new(),
-        };
+        let mut b = Builder::new(db, oid);
         let cat = b.ctx.cat;
         let before = b.read(oid)?;
         let def = cat.type_def(cat.set(set).elem_type);
@@ -361,6 +347,74 @@ impl RipplePlan {
     }
 }
 
+impl Planned for RipplePlan {
+    fn oids(&self) -> &[Oid] {
+        &self.oids
+    }
+
+    fn seqs(&self) -> &[u64] {
+        &self.seqs
+    }
+}
+
+/// What an `insert` attaches or a `delete` detaches: the object and its
+/// forward chain on every path of its set, each node noted before it is
+/// read. On a separate path the replica anchored at the terminal is
+/// noted too: attaching or detaching rewrites its reference count and
+/// may create or delete it.
+pub(crate) struct ChainPlan {
+    /// The object: as given (insert) or as stored (delete).
+    pub(crate) obj: Object,
+    /// One chain per path of the object's set, in `paths_from` order.
+    pub(crate) chains: Vec<Chain>,
+    oids: Vec<Oid>,
+    seqs: Vec<u64>,
+}
+
+impl ChainPlan {
+    /// Plan attaching `obj`, not stored yet, to the paths of `set`. Its
+    /// chains start at [`Oid::NULL`]; the insert puts the new OID there.
+    pub(crate) fn attach(db: &Database, set: SetId, obj: Object) -> Result<ChainPlan> {
+        Self::walk(Builder::new(db, Oid::NULL), set, obj)
+    }
+
+    /// Plan detaching the stored object at `oid`, a member of `set`; the
+    /// object itself joins the plan first.
+    pub(crate) fn detach(db: &Database, set: SetId, oid: Oid) -> Result<ChainPlan> {
+        let mut b = Builder::new(db, oid);
+        let obj = b.read(oid)?;
+        Self::walk(b, set, obj)
+    }
+
+    fn walk(mut b: Builder<'_>, set: SetId, obj: Object) -> Result<ChainPlan> {
+        let cat = b.ctx.cat;
+        let own_hop = |hop: usize| ref_target(&obj.values[hop]);
+        let mut chains = Vec::new();
+        for p in cat.paths_from(set) {
+            let chain = b.walk(p, 0, own_hop(p.hops[0]), &own_hop)?;
+            b.note_anchor(p.group, &chain)?;
+            chains.push(chain);
+        }
+        let (oids, seqs) = lock_set(b.seen);
+        Ok(ChainPlan {
+            obj,
+            chains,
+            oids,
+            seqs,
+        })
+    }
+}
+
+impl Planned for ChainPlan {
+    fn oids(&self) -> &[Oid] {
+        &self.oids
+    }
+
+    fn seqs(&self) -> &[u64] {
+        &self.seqs
+    }
+}
+
 /// The noted OIDs, sorted, and aligned with them the version each had as
 /// it *first* joined: the sort is stable, the dedup keeps the first.
 fn lock_set(mut seen: Vec<(Oid, u64)>) -> (Vec<Oid>, Vec<u64>) {
@@ -373,22 +427,31 @@ fn lock_set(mut seen: Vec<(Oid, u64)>) -> (Vec<Oid>, Vec<u64>) {
 /// which is what keeps the lock set and the recorded versions complete.
 struct Builder<'a> {
     ctx: EngineCtx<'a>,
-    /// Whose versions to record; `None` builds no lock set.
-    txn: Option<&'a TxnManager>,
-    /// The updated object.
+    /// Whose versions to record.
+    txn: &'a TxnManager,
+    /// The object planned for: updated, deleted, or (as [`Oid::NULL`])
+    /// about to be inserted.
     oid: Oid,
     /// Its own paths whose first hop this update re-targets.
     own: Vec<OwnRetarget>,
     seen: Vec<(Oid, u64)>,
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
+    fn new(db: &'a Database, oid: Oid) -> Builder<'a> {
+        Builder {
+            ctx: db.ctx(),
+            txn: db.txn(),
+            oid,
+            own: Vec::new(),
+            seen: Vec::new(),
+        }
+    }
+
     /// `oid` joins the plan: record its version now, before anything it
     /// guards is read.
     fn note(&mut self, oid: Oid) -> Oid {
-        if let Some(txn) = self.txn {
-            self.seen.push((oid, txn.seq_of(oid)));
-        }
+        self.seen.push((oid, self.txn.seq_of(oid)));
         oid
     }
 
@@ -469,13 +532,7 @@ mod tests {
         let txn = db.txn();
         let f = fieldrep_storage::FileId(1);
         let (x, y) = (Oid::new(f, 0, 1), Oid::new(f, 0, 0));
-        let mut b = Builder {
-            ctx: db.ctx(),
-            txn: Some(txn),
-            oid: x,
-            own: Vec::new(),
-            seen: Vec::new(),
-        };
+        let mut b = Builder::new(&db, x);
         b.note(x);
         drop(txn.lock_sorted(&[x]).unwrap()); // a commit to `x`: version 0 -> 2
         b.note(y);

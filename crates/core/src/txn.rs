@@ -9,9 +9,10 @@
 //! shared replica object (separate, §5.2). This module makes that unit
 //! atomic without ever blocking readers:
 //!
-//! * **Writers** ([`Database::update_txn`]) build the update's
-//!   [`RipplePlan`] — the one description of its fan-out, which the apply
-//!   executes too — then write-lock every member of [`RipplePlan::oids`]
+//! * **Writers** ([`Database::update`]) build the update's
+//!   [`RipplePlan`](crate::ripple::RipplePlan) — the one description of
+//!   its fan-out, which the apply executes too — then write-lock every
+//!   OID it noted (an `insert` or `delete`: every node of its chains)
 //!   through the single blessed helper [`TxnManager::lock_sorted`], which
 //!   maps the OIDs to their lock words and takes the distinct words **in
 //!   ascending word order**. Sorted acquisition over a total order makes
@@ -63,16 +64,14 @@
 //! snapshot reads (syncing writes, and a reader must not write); they
 //! serve whatever is materialised, which is the documented semantics of
 //! §8 deferral. And B-tree maintenance has page-, not OID-granular
-//! state, so while any index exists, transactional updates additionally
-//! serialize on one coarse guard — the paper's experiments (and the
-//! concurrent bench) run without secondary indexes.
+//! state, so while any index exists, writers additionally serialize on
+//! one coarse guard — the paper's experiments (and the concurrent bench)
+//! run without secondary indexes.
 
 use crate::attach::{replica_path_values, terminal_values, walk_chain_via};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::objects::{ref_target, view_object};
-use crate::propagate::apply_plan;
-use crate::ripple::RipplePlan;
 use fieldrep_catalog::{PathId, RepPathDef, Strategy};
 use fieldrep_model::{Object, Value};
 use fieldrep_obs::{metrics, names as obs_names};
@@ -97,6 +96,15 @@ const LOCK_WORDS: usize = 1 << 16;
 /// Lock acquisitions before a writer gives up on a closure that keeps
 /// changing under it.
 const MAX_LOCK_ATTEMPTS: usize = 32;
+
+/// A plan built without locks (see [`crate::ripple`]): what the lock
+/// protocol needs of it.
+pub(crate) trait Planned {
+    /// Every OID it noted, sorted and deduplicated.
+    fn oids(&self) -> &[Oid];
+    /// `seqs()[i]` is the version `oids()[i]` had as it first joined.
+    fn seqs(&self) -> &[u64];
+}
 
 /// Process-wide transaction instruments (names in [`obs_names`]).
 struct TxnMetrics {
@@ -273,8 +281,8 @@ pub struct TxnStats {
 /// every concurrent thread of its [`Database`].
 pub struct TxnManager {
     table: LockTable,
-    /// Committed transactional writes. Bumped after every successful
-    /// [`Database::update_txn`]; snapshot readers do not need it (they
+    /// Committed updates. Bumped by every applied
+    /// [`Database::update`]; snapshot readers do not need it (they
     /// validate per-OID versions) but `sys.txn` exposes it as the
     /// database's logical write clock.
     epoch: AtomicU64,
@@ -312,10 +320,9 @@ impl Default for TxnManager {
 
 impl TxnManager {
     /// Begin a transaction; returns its id. Transactions are
-    /// chained-auto-commit: DML applies as it runs (there is no undo
-    /// log, matching the paper's no-recovery scope); what begin/commit
-    /// delimit is the statistics window and, for read-only work, the
-    /// right to abort.
+    /// chained-auto-commit: each DML operation applies and commits as it
+    /// runs (there is no undo log); what begin/commit delimit is the
+    /// statistics window and, for read-only work, the right to abort.
     pub fn begin(&self) -> u64 {
         self.begun.fetch_add(1, Ordering::Relaxed);
         let now_active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
@@ -452,28 +459,23 @@ fn snapshot_backoff(attempt: u32) {
 }
 
 impl Database {
-    /// Concurrent-safe [`Database::update`]: plan the update's fan-out
-    /// once, lock [`RipplePlan::oids`] in sorted OID order, apply the
-    /// plan, and version-bump every member so snapshot readers observe
-    /// the ripple atomically. Safe to call from many threads; writers
-    /// with disjoint closures run in parallel.
+    /// The one write path's locking: take the index guard while any
+    /// index exists, build the operation's plan without locks (recording
+    /// versions), lock what it noted, and apply it through
+    /// [`Database::apply_and_commit`].
     ///
-    /// The plan is built without locks and records every OID's version as
-    /// it joins (see [`crate::ripple`] for why that is sound). If the
-    /// versions held still when the locks were taken, the plan is applied
-    /// as built. Otherwise the world is frozen now: it is rebuilt under
-    /// the locks, and if a concurrent commit grew the closure past the
-    /// locked set, the sets are unioned and the acquisition retried.
-    ///
-    /// # Durability errors
-    ///
-    /// When a WAL is attached and the in-memory apply succeeds but
-    /// logging or fsyncing the commit record fails, this returns
-    /// [`DbError::CommitNotDurable`]. The update **is** applied (and
-    /// will still reach disk through the write-back path); only the
-    /// crash-durability guarantee is lost. Any other error means the
-    /// update was rejected.
-    pub fn update_txn(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<()> {
+    /// If the versions held still until the locks were taken, the plan is
+    /// applied as built. Otherwise the world is frozen now: it is rebuilt
+    /// under the locks, and if a concurrent commit grew the closure past
+    /// the locked set, the sets are unioned and the acquisition retried.
+    /// An unlocked build can fail on a structure it caught mid-rewire; it
+    /// is then rebuilt with `first` locked, where a real error repeats.
+    pub(crate) fn write_locked<P: Planned, T>(
+        &self,
+        first: Option<Oid>,
+        plan: impl Fn() -> Result<P>,
+        apply: impl FnOnce(&Database, P) -> Result<T>,
+    ) -> Result<T> {
         let txn = self.txn();
         // B-tree pages have no OID identity: serialize index maintenance
         // coarsely while any index exists.
@@ -482,16 +484,16 @@ impl Database {
         } else {
             None
         };
-        // An unlocked build can fail on a structure it caught mid-rewire;
-        // it is then rebuilt with `oid` locked, where a real error repeats.
-        let mut plan = RipplePlan::build(self, Some(txn), oid, changes).ok();
-        let mut want = plan.as_ref().map_or(vec![oid], |p| p.oids().to_vec());
+        let mut planned = plan().ok();
+        let mut want = planned
+            .as_ref()
+            .map_or_else(|| first.into_iter().collect(), |p| p.oids().to_vec());
         for _ in 0..MAX_LOCK_ATTEMPTS {
             let guard = txn.lock_sorted(&want)?;
-            let current = match plan.take() {
-                Some(p) if guard.acquired_at(&p.seqs) => p,
+            let current = match planned.take() {
+                Some(p) if guard.acquired_at(p.seqs()) => p,
                 _ => {
-                    let p = RipplePlan::build(self, Some(txn), oid, changes)?;
+                    let p = plan()?;
                     if !guard.covers(p.oids()) {
                         txn.note_conflict();
                         drop(guard);
@@ -503,27 +505,10 @@ impl Database {
                     p
                 }
             };
-            // Durability: hold the WAL apply section across apply+log so
-            // the log never interleaves two transactions' page images,
-            // then release it *before* the fsync so concurrent commits
-            // coalesce into one barrier (group commit).
-            let wal = self.sm().wal();
-            let logged = self.with_apply_section(|db| {
-                apply_plan(&mut db.ctx(), current)?;
-                txn.note_commit_applied();
-                Ok(wal.map(|_| db.sm().pool().log_txn_commit()))
-            })?;
-            // Past this point the update is applied and versions will
-            // publish on guard drop; a logging or fsync failure is a
-            // *durability* failure, not a rejected update.
-            return match (wal, logged) {
-                (Some(w), Some(Ok(Some(lsn)))) => w.sync_to(lsn).map_err(DbError::CommitNotDurable),
-                (_, Some(Err(e))) => Err(DbError::CommitNotDurable(e)),
-                _ => Ok(()),
-            };
+            return self.apply_and_commit(|db| apply(db, current));
         }
         Err(DbError::Unsupported(
-            "update_txn: write-lock closure kept changing under contention".into(),
+            "write-lock closure kept changing under contention".into(),
         ))
     }
 
@@ -723,6 +708,7 @@ impl TxnManager {
 mod tests {
     use super::*;
     use crate::replicas::find_replica_ref;
+    use crate::ripple::RipplePlan;
     use crate::{Database, DbConfig};
     use fieldrep_model::{FieldType, TypeDef};
     use std::sync::atomic::AtomicBool;
@@ -824,13 +810,7 @@ mod tests {
     #[test]
     fn plan_of_terminal_update_locks_the_fanout_closure() {
         let (db, d, emps, _p) = db_with_path(Strategy::InPlace);
-        let plan = RipplePlan::build(
-            &db,
-            Some(db.txn()),
-            d,
-            &[("name", Value::Str("Boots".into()))],
-        )
-        .unwrap();
+        let plan = RipplePlan::build(&db, d, &[("name", Value::Str("Boots".into()))]).unwrap();
         let fp = plan.oids();
         assert!(fp.contains(&d), "updated object");
         for e in &emps {
@@ -842,13 +822,7 @@ mod tests {
     #[test]
     fn plan_of_separate_update_locks_the_shared_replica() {
         let (db, d, emps, p) = db_with_path(Strategy::Separate);
-        let plan = RipplePlan::build(
-            &db,
-            Some(db.txn()),
-            d,
-            &[("name", Value::Str("Boots".into()))],
-        )
-        .unwrap();
+        let plan = RipplePlan::build(&db, d, &[("name", Value::Str("Boots".into()))]).unwrap();
         let fp = plan.oids();
         assert!(fp.contains(&d));
         // The shared replica object is versioned; the sources are not
@@ -890,7 +864,7 @@ mod tests {
 
         // Plan `e.dept := d2`: the new chain is [e, d2, o1].
         let changes = [("dept", Value::Ref(d2))];
-        let plan = RipplePlan::build(&db, Some(db.txn()), e, &changes).unwrap();
+        let plan = RipplePlan::build(&db, e, &changes).unwrap();
         assert!(plan.oids().contains(&o1) && !plan.oids().contains(&o2));
 
         // A commit re-points d2 to o2, rewiring the planned chain.
@@ -900,14 +874,14 @@ mod tests {
             !guard.acquired_at(&plan.seqs),
             "d2 moved after it joined the plan"
         );
-        let replan = RipplePlan::build(&db, Some(db.txn()), e, &changes).unwrap();
+        let replan = RipplePlan::build(&db, e, &changes).unwrap();
         assert!(replan.oids().contains(&o2), "re-plan follows the new chain");
         assert!(!guard.covers(replan.oids()), "so the locked set must grow");
         drop(guard);
 
         // A plan nobody disturbs validates (`replan` itself was built while
         // its members were held, i.e. at odd versions).
-        let fresh = RipplePlan::build(&db, Some(db.txn()), e, &changes).unwrap();
+        let fresh = RipplePlan::build(&db, e, &changes).unwrap();
         let guard = db.txn().lock_sorted(fresh.oids()).unwrap();
         assert!(guard.acquired_at(&fresh.seqs));
     }

@@ -1,7 +1,8 @@
 //! Seeded multi-threaded hostile stress: 8 threads hammer one database
 //! with snapshot path reads, terminal updates, and reference re-points
 //! across all three replication strategies at once (in-place, separate,
-//! collapsed). The acceptance invariant is the paper's consistency
+//! collapsed) — and, in a second case, with inserts and deletes beside
+//! them. The acceptance invariant is the paper's consistency
 //! contract under concurrency: every committed read observes replica
 //! values equal to their source field — no torn ripples — and the run
 //! finishes with zero errors (a deadlock would surface as
@@ -221,6 +222,106 @@ fn eight_thread_hostile_mix_has_no_torn_ripples_and_no_deadlocks() {
         stats.commit_epoch >= (THREADS * OPS_PER_THREAD / 4) as u64,
         "{stats:?}"
     );
+}
+
+/// One worker of the mixed case: snapshot checks of shared and own
+/// employees, `insert`s of new employees, `delete`s of its own, and
+/// updates through both doors — `update` for names and re-points of its
+/// own employees, `update_txn` for budgets and `dept.org` re-points.
+fn mixed_worker(w: &World, thread: usize, seed: u64) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0xA11 + thread as u64));
+    let mut mine: Vec<Oid> = Vec::new();
+    for op in 0..OPS_PER_THREAD {
+        let fail = |what: &str, e: fieldrep_core::DbError| {
+            format!("thread {thread} op {op} ({what}): {e}")
+        };
+        let dept = w.depts[rng.gen_range(0..w.depts.len())];
+        match rng.gen_range(0..100u32) {
+            0..=39 => {
+                let e = match mine.len() {
+                    n if n > 0 && rng.gen_bool(0.5) => mine[rng.gen_range(0..n)],
+                    _ => w.emps[rng.gen_range(0..w.emps.len())],
+                };
+                let p = w.paths[rng.gen_range(0..w.paths.len())];
+                let (visible, truth) =
+                    w.db.snapshot_path_check(e, p)
+                        .map_err(|e| fail("read", e))?;
+                if visible != truth {
+                    return Err(format!(
+                        "thread {thread} op {op}: torn ripple on {e:?} path {p:?}: \
+                         replica {visible:?} != source {truth:?}"
+                    ));
+                }
+            }
+            40..=54 => {
+                let values = vec![
+                    Value::Str(format!("new-t{thread}-{op}")),
+                    Value::Int(op as i64),
+                    Value::Ref(dept),
+                ];
+                mine.push(w.db.insert("Emp1", values).map_err(|e| fail("insert", e))?);
+            }
+            55..=64 if !mine.is_empty() => {
+                let e = mine.swap_remove(rng.gen_range(0..mine.len()));
+                w.db.delete(e).map_err(|e| fail("delete", e))?;
+            }
+            55..=79 => {
+                let (oid, change) = match (rng.gen_range(0..3u32), mine.is_empty()) {
+                    (0, false) => (
+                        mine[rng.gen_range(0..mine.len())],
+                        ("dept", Value::Ref(dept)),
+                    ),
+                    (1, _) => {
+                        let o = w.orgs[rng.gen_range(0..w.orgs.len())];
+                        (o, ("name", Value::Str(format!("org-m{thread}-{op}"))))
+                    }
+                    _ => (dept, ("name", Value::Str(format!("dept-m{thread}-{op}")))),
+                };
+                w.db.update(oid, &[change]).map_err(|e| fail("update", e))?;
+            }
+            _ => {
+                let change = match rng.gen_bool(0.5) {
+                    true => ("budget", Value::Int(rng.gen_range(0..1_000_000))),
+                    false => ("org", Value::Ref(w.orgs[rng.gen_range(0..w.orgs.len())])),
+                };
+                w.db.update_txn(dept, &[change])
+                    .map_err(|e| fail("update_txn", e))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every writer at once: `insert`, `delete` and `update` beside
+/// `update_txn` and snapshot readers, all through the one write path. It
+/// ends with replica == source for every employee left, a clean
+/// structural checker, and no `LockTimeout`.
+#[test]
+fn inserts_deletes_and_updates_mix_with_update_txn_and_snapshot_readers() {
+    let mut w = build_world();
+    let seed = seed();
+    let errors: Vec<String> = std::thread::scope(|s| {
+        let w = &w;
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| s.spawn(move || mixed_worker(w, t, seed)))
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("worker panicked").err())
+            .collect()
+    });
+    assert!(errors.is_empty(), "seed {seed}: {errors:#?}");
+
+    let emps = w.db.scan_set("Emp1").unwrap();
+    assert!(emps.len() > w.emps.len(), "inserts outlived the deletes");
+    for &e in &emps {
+        for &p in &w.paths {
+            let (visible, truth) = w.db.snapshot_path_check(e, p).unwrap();
+            assert_eq!(visible, truth, "seed {seed}: emp {e:?} path {p:?}");
+        }
+    }
+    check_consistency(&mut w.db);
+    assert_eq!(w.db.txn().stats().active, 0);
 }
 
 /// Same engine, single thread, fixed seed: a cheap smoke for CI scripts

@@ -22,6 +22,10 @@
 //! state is the data files *as copied between two commits* plus the log
 //! up to that point and a prefix of the next commit's group, and every
 //! acknowledged value must read back exactly.
+//!
+//! A third case checks that one operation is one commit: large ripples,
+//! a `lang` statement and a `replicate` over a small pool, each crashed
+//! inside its commit group and at the write-backs that follow it.
 
 mod common;
 
@@ -517,6 +521,106 @@ fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
     );
 
     drop(w);
+    let _ = std::fs::remove_dir_all(&live);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Employees of the one-commit case, 750 to a department: the shape of
+/// the probe that found updates torn across page-by-page log records.
+const PROBE: usize = 6000;
+
+/// Write-backs after each operation at which a crash is staged.
+const CUTS_PER_OP: usize = 3;
+
+/// One operation is one commit, at every crash cut. The world is read
+/// back through a 64-page pool, and three operations run on it: a
+/// `Database::update` renaming a department (750 sources rewritten), a
+/// `replace` statement doing the same through `lang`, and a `replicate`.
+/// Right after each, the data files are copied and recovered with the
+/// log cut before, inside and after the operation's commit group; then
+/// reads churn the pool, and at each of the next write-backs the files
+/// and the whole log are copied and recovered. Every copy must come back
+/// as of an operation boundary — the one before a cut commit group, the
+/// acknowledged one otherwise — with every replica equal to its source.
+#[test]
+fn one_operation_is_one_commit_at_every_crash_cut() {
+    let live = temp_dir("probe-live");
+    let scratch = temp_dir("probe-scratch");
+    let small = || DbConfig {
+        pool_pages: 64,
+        inline_link_threshold: 4,
+    };
+    let w = build_world(&live, cfg(), PROBE, |i| i * 8 / PROBE);
+    let depts = w.depts.clone();
+    let mut it = fieldrep_lang::Interpreter::with_db(open_db(&live, small()));
+    let emps = it.db.scan_set("Emp1").unwrap();
+    drop(w);
+
+    // The database as of an operation boundary: department names and
+    // how many paths are replicated.
+    let mut names: Vec<String> = (0..depts.len()).map(|i| format!("dept{i}")).collect();
+    let mut paths = it.db.catalog().paths().count();
+    let recovers_to = |at: &str, names: &[String], paths: usize| {
+        let mut db = open_db(&scratch, small());
+        for (i, d) in depts.iter().enumerate() {
+            let name = db.get_field(*d, "name").unwrap();
+            assert_eq!(name, Value::Str(names[i].clone()), "{at}: dept{i}");
+        }
+        assert_eq!(db.catalog().paths().count(), paths, "{at}: paths");
+        check_consistency(&mut db);
+    };
+
+    for op in 0..3 {
+        let acked = (names.clone(), paths);
+        let len_before = std::fs::metadata(live.join("wal.log")).unwrap().len() as usize;
+        match op {
+            0 => {
+                names[0] = "torn".into();
+                it.db
+                    .update(depts[0], &[("name", Value::Str(names[0].clone()))])
+                    .unwrap();
+            }
+            1 => {
+                names[1] = "shorn".into();
+                it.execute(r#"replace (Dept.name = "shorn") where Dept.name = "dept1""#)
+                    .unwrap();
+            }
+            _ => {
+                it.db.replicate("Dept.org.name", Strategy::InPlace).unwrap();
+                paths += 1;
+            }
+        }
+        // No page of the operation has reached the data files yet.
+        stage_crash(&live, &[], 0, &scratch);
+        let log = std::fs::read(live.join("wal.log")).unwrap();
+        let group = log.len() - len_before;
+        assert!(group > 0, "op {op} logged nothing");
+        for cut in [0, group / 2, group] {
+            std::fs::write(scratch.join("wal.log"), &log[..len_before + cut]).unwrap();
+            let at = format!("op {op}, log cut {cut}/{group}");
+            match cut == group {
+                true => recovers_to(&at, &names, paths),
+                false => recovers_to(&at, &acked.0, acked.1),
+            }
+        }
+        // Reads until the pool writes committed pages back.
+        let mut cuts = 0;
+        for &emp in emps.iter().rev() {
+            if cuts == CUTS_PER_OP {
+                break;
+            }
+            let writes = it.db.io_profile().evictions;
+            it.db.get(emp).unwrap();
+            if it.db.io_profile().evictions > writes {
+                stage_crash(&live, &[], 0, &scratch);
+                std::fs::copy(live.join("wal.log"), scratch.join("wal.log")).unwrap();
+                recovers_to(&format!("op {op}, write-back {cuts}"), &names, paths);
+                cuts += 1;
+            }
+        }
+        assert_eq!(cuts, CUTS_PER_OP, "op {op}: the reads wrote nothing back");
+    }
+    drop(it);
     let _ = std::fs::remove_dir_all(&live);
     let _ = std::fs::remove_dir_all(&scratch);
 }

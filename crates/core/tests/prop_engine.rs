@@ -155,7 +155,7 @@ fn stored_objects(db: &Database) -> BTreeMap<Oid, Vec<u8>> {
 /// replica object the update creates has no OID until it runs, so only
 /// objects that existed before are compared.
 fn update(db: &Database, oid: Oid, changes: &[(&str, Value)]) {
-    let plan = RipplePlan::build(db, Some(db.txn()), oid, changes).unwrap();
+    let plan = RipplePlan::build(db, oid, changes).unwrap();
     let before = stored_objects(db);
     db.update(oid, changes).unwrap();
     let after = stored_objects(db);

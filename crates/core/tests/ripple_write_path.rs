@@ -261,7 +261,6 @@ fn steady_state_inplace_commit_logs_well_under_2_kb() {
     let per_commit = (after.bytes - before.bytes) / commits;
     println!("steady-state WAL bytes per in-place commit (f = 10): {per_commit}");
     assert!(per_commit < 2048, "{per_commit} B per in-place commit");
-    assert_eq!(after.autocommits, before.autocommits, "nothing was evicted");
     for (i, &e) in emps.iter().enumerate() {
         let want = format!("d{:03}v0002", i % 50);
         assert_eq!(db.path_values(e, path).unwrap(), Some(vec![sval(&want)]));

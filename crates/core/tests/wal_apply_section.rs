@@ -1,14 +1,13 @@
-//! The WAL apply section must cover *every* engine write path, not just
-//! `update_txn` (review follow-up to ISSUE 9): while one thread holds
-//! it, a concurrent `insert` must block rather than interleave its page
-//! images into the holder's commit record. And when commit logging
-//! fails after a successful apply, the caller gets the distinct
-//! [`DbError::CommitNotDurable`] outcome, not a rejected update.
+//! The WAL apply section covers *every* engine write path, not just
+//! `update_txn`: while one thread holds it, a concurrent `insert` must
+//! block rather than interleave its page images into the holder's commit
+//! record. And when commit logging fails after a successful apply, the
+//! caller gets the distinct [`DbError::CommitNotDurable`] outcome, not a
+//! rejected update.
 
 use fieldrep_core::{Database, DbConfig, DbError};
 use fieldrep_model::{FieldType, TypeDef, Value};
 use fieldrep_storage::wal::fault::FaultWal;
-use fieldrep_storage::wal::{record, WalRecord};
 use fieldrep_storage::{MemDisk, MemWalStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,8 +16,6 @@ use std::time::Duration;
 
 fn cfg() -> DbConfig {
     DbConfig {
-        // Big enough that nothing evicts: the fault tests below need
-        // the WAL untouched until the first commit record.
         pool_pages: 256,
         inline_link_threshold: 4,
     }
@@ -71,17 +68,20 @@ fn insert_blocks_while_the_apply_section_is_held() {
 
 #[test]
 fn failed_commit_logging_reports_commit_not_durable() {
-    // Every WAL byte past the epoch marker that opening the database
-    // writes fails: the workload below must therefore keep the log
-    // untouched until the first `update_txn` commit record, whose
-    // append then dies.
-    let marker = record::encode(1, &WalRecord::Checkpoint).len() as u64;
+    // Every operation commits, so the fault is armed at the log's length
+    // after the schema and one insert, measured on a twin run: the next
+    // commit record's append is the first to die.
+    let store = MemWalStore::new();
+    let twin = mem_db_with_wal(Box::new(store.clone()));
+    twin.insert("Emp1", vec![Value::Str("alice".into()), Value::Int(10)])
+        .unwrap();
+    let logged = store.snapshot().len() as u64;
     let db = mem_db_with_wal(Box::new(
-        FaultWal::new(MemWalStore::new()).cut_after(marker),
+        FaultWal::new(MemWalStore::new()).cut_after(logged),
     ));
     let oid = db
         .insert("Emp1", vec![Value::Str("alice".into()), Value::Int(10)])
-        .expect("inserts don't log (no evictions, no commits)");
+        .expect("the insert's commit fits under the cut");
 
     let err = db
         .update_txn(oid, &[("salary", Value::Int(20))])

@@ -183,8 +183,8 @@ pub enum Stmt {
     /// `commit` — close the current transaction.
     Commit,
     /// `abort` — abandon the current transaction. The engine has no undo
-    /// log (the paper's no-recovery scope), so aborting is only legal
-    /// before the transaction's first write.
+    /// log, so aborting is only legal before the transaction's first
+    /// write.
     Abort,
     /// `sync` — apply all deferred propagation.
     Sync,

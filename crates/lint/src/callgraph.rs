@@ -68,8 +68,6 @@ pub struct Held {
 pub struct AcquireEv {
     /// Which lock.
     pub lock: LockId,
-    /// Non-blocking (`try_`) acquisition.
-    pub is_try: bool,
     /// Source line.
     pub line: u32,
     /// Locks already held (before this one).
@@ -580,7 +578,7 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
 
             // Acquire patterns.
             if let Some((lock, pattern)) = locks::match_acquire(toks, i, rel) {
-                let (is_try, plen) = (pattern.is_try, pattern.toks.len());
+                let plen = pattern.toks.len();
                 let held = f.held();
                 let line = toks[i + plen - 2].line;
                 // `.data_mut(` is both a frame-lock acquire and a
@@ -592,12 +590,7 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                         held: held.clone(),
                     });
                 }
-                f.info.acquires.push(AcquireEv {
-                    lock,
-                    is_try,
-                    line,
-                    held,
-                });
+                f.info.acquires.push(AcquireEv { lock, line, held });
                 for (k, txt) in toks[i..i + plen].iter().enumerate() {
                     if txt.kind == TokKind::Ident {
                         no_call.insert(i + k);
@@ -658,10 +651,13 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                         }
                     }
                 }
-                let binding = f.let_ctx.clone().filter(|_| !projected);
+                // What a closure-taking call returns is no guard, and a
+                // function passed by name runs during the call itself.
+                let binding = f.let_ctx.clone().filter(|_| !projected && !pattern.closure);
+                let closure_body = toks[open..k].iter().any(|t| t.is_punct("{"));
                 match binding {
                     // Held inside the closure block that follows.
-                    _ if pattern.closure => f.guards.push(LiveGuard {
+                    _ if pattern.closure && closure_body => f.guards.push(LiveGuard {
                         lock,
                         line,
                         name: None,
@@ -821,14 +817,12 @@ impl Graph {
             .unwrap_or(usize::MAX);
         for f in fns.iter_mut() {
             for ev in &f.acquires {
-                if !ev.is_try {
-                    f.may_acquire.entry(ev.lock).or_insert(Witness {
-                        file: f.file.clone(),
-                        line: ev.line,
-                        label: locks::LOCKS[ev.lock].name.to_string(),
-                        via: None,
-                    });
-                }
+                f.may_acquire.entry(ev.lock).or_insert(Witness {
+                    file: f.file.clone(),
+                    line: ev.line,
+                    label: locks::LOCKS[ev.lock].name.to_string(),
+                    via: None,
+                });
             }
             for ev in &f.blocks {
                 f.may_block.entry(ev.class).or_insert(Witness {

@@ -13,12 +13,8 @@
 //! thread can reach). Because the declared order is total, rank
 //! checking is complete: any wait-for cycle must contain at least one
 //! edge from a higher-or-equal rank to a lower-or-equal rank, so L5's
-//! edge check also rules out cycles.
-//!
-//! Try-acquisitions (`try_apply_lock`) never block, so they create no
-//! L5 order edges — but once a try-lock *succeeds* the lock is held
-//! like any other, so it still participates in held-sets for L6 and
-//! for edges to later blocking acquisitions.
+//! edge check also rules out cycles. Every acquisition blocks; there is
+//! no try-lock to exempt.
 
 use crate::callgraph::{Graph, Receiver, Vis};
 use crate::rules::Diagnostic;
@@ -53,18 +49,16 @@ impl BlockClass {
     }
 }
 
-/// A token pattern that acquires (or tries to acquire) a lock.
+/// A token pattern that acquires a lock.
 pub struct AcquirePattern {
     /// Token texts; `.`/`(`/`::` must be puncts, everything else idents.
     pub toks: &'static [&'static str],
     /// Only match in files whose workspace-relative path starts with
     /// this prefix (`None` = the pattern is globally distinctive).
     pub scope: Option<&'static str>,
-    /// Non-blocking acquisition: no L5 order edge, but held afterwards.
-    pub is_try: bool,
-    /// The call runs a closure argument under the lock: held for the
-    /// block that follows (the closure body), not to the end of the
-    /// statement.
+    /// The call runs its argument under the lock: held for the closure
+    /// body that follows or, for a function passed by name, to the end
+    /// of the statement — never past it.
     pub closure: bool,
 }
 
@@ -93,7 +87,6 @@ const fn pat(toks: &'static [&'static str]) -> AcquirePattern {
     AcquirePattern {
         toks,
         scope: None,
-        is_try: false,
         closure: false,
     }
 }
@@ -102,7 +95,6 @@ const fn pat_in(toks: &'static [&'static str], scope: &'static str) -> AcquirePa
     AcquirePattern {
         toks,
         scope: Some(scope),
-        is_try: false,
         closure: false,
     }
 }
@@ -145,16 +137,9 @@ pub const LOCKS: &[LockDef] = &[
         acquires: &[
             pat(&[".", "apply_lock", "("]),
             AcquirePattern {
-                toks: &[".", "with_apply_section", "("],
+                toks: &[".", "apply_and_commit", "("],
                 scope: None,
-                is_try: false,
                 closure: true,
-            },
-            AcquirePattern {
-                toks: &[".", "try_apply_lock", "("],
-                scope: None,
-                is_try: true,
-                closure: false,
             },
             pat_in(&["apply", ".", "lock", "("], "crates/storage/src/wal"),
         ],
@@ -164,9 +149,10 @@ pub const LOCKS: &[LockDef] = &[
         what: "the buffer-pool metadata mutex",
         rank: 40,
         reentrant: false,
-        // Page I/O and even fsync under PoolCore are load-bearing (the
-        // steal rules autocommit dirty victims during eviction — see
-        // DESIGN.md §11), so only sleeping is forbidden here.
+        // Page I/O and even fsync under PoolCore are load-bearing: a
+        // miss reads and an eviction writes back under it, and the steal
+        // rule's `sync_to` makes the victim's log records durable first
+        // (DESIGN.md §11), so only sleeping is forbidden here.
         forbids: &[BlockClass::Sleep],
         owner_hint: Some("PoolCore"),
         acquires: &[pat_in(
@@ -368,9 +354,6 @@ pub fn check_lockflow(graph: &Graph) -> Vec<Diagnostic> {
     for (fi, f) in graph.fns.iter().enumerate() {
         // L5: direct blocking acquisitions out of declared order.
         for ev in &f.acquires {
-            if ev.is_try {
-                continue;
-            }
             for held in &ev.held {
                 if order_violation(held.lock, ev.lock) && seen.insert((fi, held.lock, ev.lock)) {
                     diags.push(Diagnostic {
@@ -501,7 +484,7 @@ pub fn check_lockflow(graph: &Graph) -> Vec<Diagnostic> {
                 rule: "L7",
                 msg: format!(
                     "`Database::{}` reaches mutating storage call `{}` ({}:{}{}) without the \
-                     WAL apply section held — acquire `apply_lock()` around the mutation, or \
+                     WAL apply section held — run it inside `apply_and_commit`, or \
                      document inheriting it from the caller with a reasoned \
                      `// lint: allow(L7)`",
                     f.name,

@@ -41,7 +41,7 @@ impl Database {
     pub fn touch_in_section(&self, oid: Oid) {
         // Fine: the closure body runs under the section the combinator
         // takes.
-        self.with_apply_section(|db| {
+        self.apply_and_commit(|db| {
             db.heap.rec_update(&db.sm, oid, &[]);
         });
     }
@@ -49,7 +49,7 @@ impl Database {
     // L7 fires here too: the section ends with the closure, and the
     // second mutation runs after it.
     pub fn touch_after_section(&self, oid: Oid) {
-        self.with_apply_section(|db| {
+        self.apply_and_commit(|db| {
             db.heap.rec_update(&db.sm, oid, &[]);
         });
         self.heap.rec_delete(&self.sm, oid);

@@ -5,7 +5,6 @@
 pub struct Engine {
     txn: TxnManager,
     idx: IndexState,
-    wal: Wal,
 }
 
 impl Engine {
@@ -26,14 +25,5 @@ impl Engine {
         // Fine: strictly increasing ranks.
         let _g = self.idx.index_lock();
         let _set = self.txn.lock_sorted(oids);
-    }
-
-    pub fn evict_probe(&self, frame: &Frame) {
-        let mut g = frame.data_mut(); // FrameData held
-        // Fine: a try-acquire cannot deadlock, so probing the
-        // lower-ranked apply section creates no L5 order edge.
-        if let Some(_a) = self.wal.try_apply_lock() {
-            g[0] = 0;
-        }
     }
 }

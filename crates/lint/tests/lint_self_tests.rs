@@ -125,7 +125,7 @@ fn lockflow_rules_fire_exactly_once_on_the_lockflow_fixture() {
     let r = run_checks(&fixture("lockflow")).unwrap();
     // L5 through the call graph: `bad_order` holds OidSeqlock across a
     // call whose callee blocking-acquires the lower-ranked index guard.
-    assert_eq!(rule_diags(&r, "L5"), [("crates/core/src/engine.rs", 22)]);
+    assert_eq!(rule_diags(&r, "L5"), [("crates/core/src/engine.rs", 21)]);
     assert!(
         r.diags.iter().any(|d| d.rule == "L5"
             && d.msg.contains("`reindex`")
@@ -136,7 +136,7 @@ fn lockflow_rules_fire_exactly_once_on_the_lockflow_fixture() {
     );
     // L6: fsync inside the WalInner append section (the PR 9 shape);
     // the log write under the same lock and the post-drop fsync are
-    // fine, as is the try-probe of a lower rank in `evict_probe`.
+    // fine.
     assert_eq!(
         rule_diags(&r, "L6"),
         [("crates/storage/src/wal/mod.rs", 15)]
@@ -149,7 +149,7 @@ fn lockflow_rules_fire_exactly_once_on_the_lockflow_fixture() {
         r.diags
     );
     // L7: the unguarded pub &self entry point, and the one that mutates
-    // after its `with_apply_section` closure has ended; the covered
+    // after its `apply_and_commit` closure has ended; the covered
     // (guard-bound and closure-scoped), suppressed, private, and
     // &mut self shapes stay silent.
     assert_eq!(

@@ -53,9 +53,6 @@ pub const WAL_GROUP_COMMIT_COALESCED: &str = "wal.group_commit.coalesced";
 pub const WAL_REPLAYED_PAGES: &str = "wal.replayed_pages";
 /// Crash-recovery passes run at open (counter).
 pub const WAL_RECOVERIES: &str = "wal.recoveries";
-/// Unlogged dirty pages autocommitted as implicit single-page
-/// transactions at eviction time (counter).
-pub const WAL_AUTOCOMMITS: &str = "wal.autocommits";
 /// Pages whose CRC32 failed verification on read (counter).
 pub const STORAGE_CHECKSUM_FAILURES: &str = "storage.checksum.failures";
 
@@ -252,7 +249,6 @@ pub const ALL: &[&str] = &[
     WAL_GROUP_COMMIT_COALESCED,
     WAL_REPLAYED_PAGES,
     WAL_RECOVERIES,
-    WAL_AUTOCOMMITS,
     STORAGE_CHECKSUM_FAILURES,
     BTREE_SPLITS,
     BTREE_INSERT,

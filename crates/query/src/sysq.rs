@@ -268,7 +268,6 @@ fn raw_rows(db: &mut Database, table: &'static TableDef) -> Vec<sys::SysRow> {
             ("fsyncs", w.fsyncs),
             ("bytes", w.bytes),
             ("group_commit_coalesced", w.coalesced),
-            ("autocommits", w.autocommits),
             ("recovery_scanned_records", r.scanned_records as u64),
             ("recovery_truncated_bytes", r.truncated_bytes),
             ("recovery_committed_txns", r.committed_txns as u64),

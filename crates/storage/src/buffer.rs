@@ -42,20 +42,19 @@
 //! builds and lint rule L5 checks statically.
 //!
 //! With a WAL attached the order grows a head: **apply section →
-//! `PoolCore`**. Flushes take the apply section before the core lock
-//! (write-back autocommits unlogged pages, which must not observe a
-//! half-applied operation), while eviction — which runs *inside* the
-//! core lock — only probes the section non-blockingly: a dirty
-//! unlogged frame is simply not an eviction victim while a writer is
-//! in flight (no-steal for open operations; see `find_victim`).
+//! `PoolCore`**. Flushes take the apply section before the core lock and
+//! log any unlogged pages as one commit before writing back.
 //!
 //! # What a commit logs
 //!
 //! A frame is **unlogged** from its first write after its last log
-//! record until a commit (or a write-back's autocommit) logs it. The
-//! false→true transition happens in [`PageHandle::data_mut`], under the
-//! frame latch, and does two things when a WAL is attached: it sets the
-//! frame's bit in the pool's lock-free [`UnloggedSet`], and — if the
+//! record until a commit logs it. Every engine operation logs its pages
+//! as one commit before it leaves the apply section, so an unlogged
+//! frame belongs to an operation still in flight (or to a commit whose
+//! logging failed): it is never an eviction victim (see `find_victim`).
+//! The false→true transition happens in [`PageHandle::data_mut`], under
+//! the frame latch, and does two things when a WAL is attached: it sets
+//! the frame's bit in the pool's lock-free [`UnloggedSet`], and — if the
 //! page already has a record in the current log epoch — it keeps a copy
 //! of the page as it was (the **pre-image**), so the next record can be
 //! the bytes that changed instead of the page. [`BufferPool::log_txn_commit`]
@@ -243,8 +242,7 @@ struct FrameInner {
     pins: AtomicU32,
     /// Dirty but not yet covered by any WAL record. Set on the first
     /// write after the last record, cleared when a commit logs the
-    /// page (or the write-back path autocommits it). Never set when
-    /// the pool has no WAL.
+    /// page. Never set when the pool has no WAL.
     unlogged: AtomicBool,
     /// LSN of the last commit record covering this page; the steal
     /// rule requires it durable before write-back, and write-back
@@ -427,42 +425,14 @@ fn write_back_frame(
     pid: PageId,
     inner: &FrameInner,
 ) -> Result<()> {
+    let lsn = inner.lsn.load(Ordering::Relaxed);
+    if let Some(w) = wal {
+        // The steal rule: covering log records must be durable before
+        // the page image may overwrite its disk home.
+        debug_assert!(!inner.unlogged.load(Ordering::Relaxed), "steal of {pid}");
+        w.sync_to(lsn)?;
+    }
     let mut copy: [u8; PAGE_SIZE] = *inner.data.read().page;
-    let lsn = match wal {
-        Some(w) if inner.unlogged.swap(false, Ordering::Relaxed) => {
-            // No transaction logged this page: log it now as a
-            // single-page implicit transaction (made durable inside)
-            // so the WAL invariant holds for every write-back. The
-            // pre-image leaves the frame either way: should this fail,
-            // the page's next record is simply a full image.
-            let pre = inner.data.write().pre.take();
-            let base = pre
-                .as_deref()
-                .map(|pre| (pre, inner.lsn.load(Ordering::Relaxed)));
-            match w.autocommit_page(PageLog {
-                page: pid,
-                image: &copy,
-                base,
-            }) {
-                Ok(lsn) => {
-                    inner.lsn.store(lsn, Ordering::Relaxed);
-                    lsn
-                }
-                Err(e) => {
-                    inner.unlogged.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-        }
-        Some(w) => {
-            // The steal rule: covering log records must be durable
-            // before the page image may overwrite its disk home.
-            let lsn = inner.lsn.load(Ordering::Relaxed);
-            w.ensure_durable(lsn)?;
-            lsn
-        }
-        None => inner.lsn.load(Ordering::Relaxed),
-    };
     checksum::stamp(&mut copy, lsn);
     disk.write_page(pid, &copy)
 }
@@ -475,7 +445,7 @@ impl BufferPool {
 
     /// Create a pool of `capacity` frames over `disk`. When `wal` is
     /// given, every write-back enforces the steal rule (log records
-    /// durable first; unlogged dirty pages are autocommitted inline).
+    /// durable first; unlogged dirty pages are never evicted).
     pub fn new_with_wal(
         disk: Box<dyn DiskManager>,
         capacity: usize,
@@ -543,25 +513,23 @@ impl BufferPool {
     /// Log the current set of dirty-but-unlogged pages as one committed
     /// transaction and return its commit LSN (`None` when the pool has
     /// no WAL or the commit touched no pages). The caller must hold the
-    /// WAL's serialized apply section, and *every* engine write path
-    /// must run inside that section — then the unlogged set is the
-    /// committing transaction's write set plus, possibly, leftover
-    /// pages of already-*completed* unlogged operations (safe to fold
-    /// into this commit; they were applied in full and would otherwise
-    /// be autocommitted at eviction). No half-applied operation's page
-    /// can ever be captured, and — unlogged dirty frames being
-    /// unevictable while the section is held — none of the set can
-    /// change frames underneath the commit. Each page is logged as the
-    /// bytes that changed where it has a pre-image, as a full image
-    /// otherwise. Does **not** fsync — pass the LSN to [`Wal::sync_to`]
-    /// so concurrent commits group-commit.
+    /// WAL's serialized apply section, inside which every engine write
+    /// path runs and logs its own pages — so the unlogged set is the
+    /// committing operation's write set plus, possibly, the leftovers
+    /// of an earlier commit whose logging failed. No half-applied
+    /// operation's page can be captured, and unlogged frames being
+    /// unevictable, none of the set can change frames underneath the
+    /// commit. Each page is logged as the bytes that changed where it
+    /// has a pre-image, as a full image otherwise. Does **not** fsync —
+    /// pass the LSN to [`Wal::sync_to`] so concurrent commits
+    /// group-commit.
     pub fn log_txn_commit(&self) -> Result<Option<u64>> {
         let Some(wal) = self.shared.wal.as_ref() else {
             return Ok(None);
         };
-        // A bit whose frame a write-back has logged since (or whose
-        // file was dropped) is stale. The pins are belt and braces for
-        // a caller that does not hold the apply section.
+        // A bit whose frame a flush has logged since (or whose file was
+        // dropped) is stale. The pins are belt and braces for a caller
+        // that does not hold the apply section.
         let mut handles: Vec<PageHandle> = Vec::new();
         self.shared.unlogged.drain(|idx| {
             let frame = &self.frames[idx];
@@ -670,11 +638,7 @@ impl BufferPool {
 
     /// Write back one page if buffered and dirty.
     pub fn flush_page(&self, pid: PageId) -> Result<()> {
-        // Unlogged dirty pages are autocommitted at write-back, so
-        // exclude in-flight writers (apply-section holders): a flush
-        // must never make half an operation durable. Lock order is
-        // apply → core (eviction inside core only *probes* apply).
-        let _apply = self.shared.wal.as_ref().map(|w| w.apply_lock());
+        let _apply = self.log_leftovers()?;
         let _o = core_order();
         self.core.lock().flush_page(pid)
     }
@@ -682,10 +646,22 @@ impl BufferPool {
     /// Write back all dirty pages and drop every unpinned frame's contents,
     /// leaving the pool cold. Fails if a page is still pinned.
     pub fn flush_all(&self) -> Result<()> {
-        // See flush_page for why the apply section is held.
-        let _apply = self.shared.wal.as_ref().map(|w| w.apply_lock());
+        let _apply = self.log_leftovers()?;
         let _o = core_order();
         self.core.lock().flush_all()
+    }
+
+    /// A flush's first step under a WAL: enter the apply section, so no
+    /// operation is in flight, and log what is still unlogged — the
+    /// pages of a commit whose logging failed — as one commit, so every
+    /// dirty page may be written back. Lock order is apply → core.
+    fn log_leftovers(&self) -> Result<Option<crate::wal::ApplyGuard<'_>>> {
+        let Some(wal) = self.shared.wal.as_ref() else {
+            return Ok(None);
+        };
+        let apply = wal.apply_lock();
+        self.log_txn_commit()?;
+        Ok(Some(apply))
     }
 
     /// Combined disk + pool statistics.
@@ -910,7 +886,7 @@ impl PoolCore {
     /// full rounds (the first clears reference bits, the second takes
     /// the first unpinned frame), evicting the victim's current page
     /// (with write-back if dirty). Fails only when every frame is pinned
-    /// (or, mid-operation, holds an unlogged page — see below).
+    /// or holds an unlogged page.
     fn find_victim(&mut self) -> Result<usize> {
         let len = self.frames.len();
         for _ in 0..2 * len {
@@ -923,31 +899,15 @@ impl PoolCore {
                 self.frames[idx].referenced = false;
                 continue;
             }
+            // No-steal: an unlogged page belongs to an operation still in
+            // flight, and there is no undo to take it back from disk. It
+            // becomes evictable once a commit logs it.
+            if self.frames[idx].inner.unlogged.load(Ordering::Relaxed) {
+                continue;
+            }
             // Victim found: write back if needed, then unregister.
             if let Some(old) = self.frames[idx].inner.pid() {
                 let inner = Arc::clone(&self.frames[idx].inner);
-                let dirty = inner.dirty.load(Ordering::Relaxed);
-                let unlogged = inner.unlogged.load(Ordering::Relaxed);
-                let _apply = match self.shared.wal.as_deref() {
-                    Some(w) if dirty && unlogged => {
-                        // No-steal for open operations: writing this
-                        // page back would autocommit it, but a writer
-                        // inside the apply section may have dirtied it
-                        // mid-operation — making it durable now would
-                        // commit half an operation (there is no undo).
-                        // Probe the section without blocking (an
-                        // apply-section holder may be waiting for the
-                        // pool lock we hold); if a writer is in flight,
-                        // the frame is not a victim. It becomes
-                        // evictable once the operation finishes or a
-                        // commit logs the page.
-                        match w.try_apply_lock() {
-                            Some(g) => Some(g),
-                            None => continue,
-                        }
-                    }
-                    _ => None,
-                };
                 if inner.dirty.swap(false, Ordering::Relaxed) {
                     if let Err(e) = write_back_frame(
                         self.disk.as_mut(),
@@ -1604,37 +1564,6 @@ mod tests {
         }
     }
 
-    /// Regression test for the atomicity hole: eviction must not
-    /// autocommit a dirty-but-unlogged page while a writer is inside
-    /// the WAL apply section — that page may be a half-applied
-    /// operation's, and redo-only logging has no undo for it. Such
-    /// frames are simply not eviction victims until the section is
-    /// free.
-    #[test]
-    fn eviction_skips_unlogged_dirty_pages_while_apply_section_is_held() {
-        use crate::wal::{MemWalStore, Wal};
-        let wal = Arc::new(Wal::new(Box::new(MemWalStore::new()), 1));
-        let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), 2, Some(Arc::clone(&wal)));
-        let f = bp.create_file().unwrap();
-        for i in 0..2u8 {
-            let (_, h) = bp.new_page(f).unwrap();
-            h.data_mut()[0] = i;
-        }
-        // Both frames are dirty + unlogged and unpinned. With a writer
-        // "in flight" (apply section held), neither may be stolen.
-        let apply = wal.apply_lock();
-        assert!(
-            matches!(bp.new_page(f), Err(StorageError::BufferExhausted)),
-            "no-steal: unlogged dirty frames are unevictable mid-operation"
-        );
-        assert_eq!(wal.stats().autocommits, 0, "nothing was made durable");
-        drop(apply);
-        // Section free: eviction may autocommit and proceed.
-        let (_, h) = bp.new_page(f).unwrap();
-        h.data_mut()[0] = 9;
-        assert!(wal.stats().autocommits >= 1);
-    }
-
     /// Regression test for the lost-write bug: a failed write-back must
     /// leave the page marked dirty, or its modifications are silently
     /// dropped by the next (successful) eviction or flush.
@@ -1665,29 +1594,6 @@ mod tests {
         bp.flush_all().unwrap();
         let h = bp.fetch(pid).unwrap();
         assert_eq!(h.data()[100], 0xEE);
-    }
-
-    /// Same lost-write regression on the WAL autocommit path: a failed
-    /// autocommit restores both `dirty` and `unlogged`.
-    #[test]
-    fn failed_autocommit_restores_dirty_and_unlogged() {
-        use crate::wal::fault::FaultWal;
-        use crate::wal::{MemWalStore, Wal};
-        let wal = Arc::new(Wal::new(
-            Box::new(FaultWal::new(MemWalStore::new()).cut_after(0)),
-            1,
-        ));
-        let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), 4, Some(wal));
-        let f = bp.create_file().unwrap();
-        let (pid, h) = bp.new_page(f).unwrap();
-        h.data_mut()[7] = 1;
-        drop(h);
-        assert!(bp.flush_page(pid).is_err(), "autocommit append dies");
-        assert_eq!(
-            bp.pool_stats().dirty,
-            1,
-            "page still pending write-back after the failure"
-        );
     }
 
     fn wal_pool(cap: usize) -> (BufferPool, Arc<Wal>, crate::wal::MemWalStore) {
@@ -1764,8 +1670,9 @@ mod tests {
         for _ in 0..4 {
             let (_, h) = bp.new_page(f).unwrap();
             h.data_mut()[0] = 9;
+            drop(h);
+            commit(&bp, &wal).unwrap();
         }
-        commit(&bp, &wal).unwrap();
         let misses = bp.io_profile().pool_misses;
         let h = bp.fetch(pid).unwrap();
         assert_eq!(bp.io_profile().pool_misses, misses + 1, "it was evicted");
@@ -1784,10 +1691,90 @@ mod tests {
         assert_eq!((buf[100], buf[200]), (1, 2));
     }
 
-    /// An unlogged page written back before any commit is autocommitted
-    /// from its pre-image too, and leaves the unlogged set clean.
+    /// Refuses the first append, then behaves (`FaultWal`, the
+    /// crash-shaped injector, never recovers).
+    struct FailOnce(crate::wal::MemWalStore, bool);
+
+    impl crate::wal::WalStore for FailOnce {
+        fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
+            if std::mem::take(&mut self.1) {
+                return Err(std::io::Error::other("injected append failure").into());
+            }
+            self.0.wal_append(bytes)
+        }
+        fn wal_sync(&mut self) -> Result<()> {
+            self.0.wal_sync()
+        }
+        fn wal_read_all(&mut self) -> Result<Vec<u8>> {
+            self.0.wal_read_all()
+        }
+        fn wal_truncate(&mut self, len: u64) -> Result<()> {
+            self.0.wal_truncate(len)
+        }
+        fn wal_len(&mut self) -> Result<u64> {
+            self.0.wal_len()
+        }
+        fn wal_syncer(&self) -> Box<dyn crate::wal::WalSyncer> {
+            self.0.wal_syncer()
+        }
+    }
+
+    /// No-steal: a dirty page no commit has logged belongs to an
+    /// operation still in flight, so it is never an eviction victim —
+    /// whether or not anyone holds the apply section. A commit makes it
+    /// one.
     #[test]
-    fn write_back_autocommits_a_delta() {
+    fn an_unlogged_dirty_frame_is_never_evicted() {
+        let (bp, wal, store) = wal_pool(2);
+        let f = bp.create_file().unwrap();
+        let pids: Vec<PageId> = (0..2u8)
+            .map(|i| {
+                let (pid, h) = bp.new_page(f).unwrap();
+                h.data_mut()[0] = i;
+                pid
+            })
+            .collect();
+        assert!(matches!(bp.new_page(f), Err(StorageError::BufferExhausted)));
+        assert_eq!(bp.io_profile().disk.writes, 0, "nothing reached the disk");
+        assert!(page_records(&store).is_empty(), "nor the log");
+        commit(&bp, &wal).unwrap();
+        drop(bp.new_page(f).unwrap());
+        assert_eq!(bp.io_profile().evictions, 1, "a logged page is a victim");
+        assert_eq!(
+            page_records(&store),
+            [("image", pids[0]), ("image", pids[1])]
+        );
+    }
+
+    /// A commit whose append fails leaves its pages unlogged — so still
+    /// no victims — *and in the set*: the next commit logs them, and
+    /// then they may be written back.
+    #[test]
+    fn failed_commit_keeps_its_pages_for_the_next_one() {
+        let store = crate::wal::MemWalStore::new();
+        let wal = Arc::new(Wal::new(Box::new(FailOnce(store.clone(), true)), 1));
+        let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), 1, Some(Arc::clone(&wal)));
+        let f = bp.create_file().unwrap();
+        let (pid, h) = bp.new_page(f).unwrap();
+        h.data_mut()[5] = 5;
+        drop(h);
+        {
+            let _apply = wal.apply_lock();
+            assert!(bp.log_txn_commit().is_err());
+        }
+        assert!(matches!(bp.new_page(f), Err(StorageError::BufferExhausted)));
+        assert!(commit(&bp, &wal).is_some(), "retried, not forgotten");
+        assert_eq!(page_records(&store), [("image", pid)]);
+        drop(bp.new_page(f).unwrap());
+        let prof = bp.io_profile();
+        assert_eq!((prof.evictions, prof.disk.writes), (1, 1), "then evicted");
+    }
+
+    /// A flush under a WAL logs what no commit has (the pages of a
+    /// commit whose logging failed) as one commit, makes it durable,
+    /// and only then writes back: the log alone rebuilds the page.
+    #[test]
+    fn flush_all_logs_leftovers_before_writing_back() {
         let (bp, wal, store) = wal_pool(4);
         let f = bp.create_file().unwrap();
         let (pid, h) = bp.new_page(f).unwrap();
@@ -1795,55 +1782,20 @@ mod tests {
         commit(&bp, &wal).unwrap();
         h.data_mut()[100] = 2;
         drop(h);
-        bp.flush_page(pid).unwrap();
-        assert_eq!(wal.stats().autocommits, 1);
+        bp.flush_all().unwrap();
         assert_eq!(page_records(&store), [("image", pid), ("delta", pid)]);
-        assert_eq!(commit(&bp, &wal), None, "the stale set member is skipped");
-    }
+        let s = wal.stats();
+        assert_eq!(
+            (s.durable_lsn, bp.io_profile().disk.writes),
+            (s.last_lsn, 1)
+        );
+        assert_eq!(commit(&bp, &wal), None, "nothing left unlogged");
 
-    /// A commit whose append fails leaves its pages unlogged *and in the
-    /// set*: the next commit logs them.
-    #[test]
-    fn failed_commit_keeps_its_pages_for_the_next_one() {
-        use crate::wal::MemWalStore;
-        /// Refuses the first append, then behaves (`FaultWal`, the
-        /// crash-shaped injector, never recovers).
-        struct FailOnce(MemWalStore, bool);
-        impl crate::wal::WalStore for FailOnce {
-            fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-                if std::mem::take(&mut self.1) {
-                    return Err(std::io::Error::other("injected append failure").into());
-                }
-                self.0.wal_append(bytes)
-            }
-            fn wal_sync(&mut self) -> Result<()> {
-                self.0.wal_sync()
-            }
-            fn wal_read_all(&mut self) -> Result<Vec<u8>> {
-                self.0.wal_read_all()
-            }
-            fn wal_truncate(&mut self, len: u64) -> Result<()> {
-                self.0.wal_truncate(len)
-            }
-            fn wal_len(&mut self) -> Result<u64> {
-                self.0.wal_len()
-            }
-            fn wal_syncer(&self) -> Box<dyn crate::wal::WalSyncer> {
-                self.0.wal_syncer()
-            }
-        }
-        let store = MemWalStore::new();
-        let wal = Arc::new(Wal::new(Box::new(FailOnce(store.clone(), true)), 1));
-        let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), 4, Some(Arc::clone(&wal)));
-        let f = bp.create_file().unwrap();
-        let (pid, h) = bp.new_page(f).unwrap();
-        h.data_mut()[5] = 5;
-        {
-            let _apply = wal.apply_lock();
-            assert!(bp.log_txn_commit().is_err());
-        }
-        assert!(commit(&bp, &wal).is_some(), "retried, not forgotten");
-        assert_eq!(page_records(&store), [("image", pid)]);
+        let mut disk = MemDisk::new();
+        crate::wal::recover(&mut disk, &mut store.clone()).unwrap();
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(pid, &mut buf).unwrap();
+        assert_eq!(buf[100], 2);
     }
 
     /// Without a WAL the commit machinery is inert: no frame is ever

@@ -129,12 +129,12 @@ impl StorageManager {
         self.pool.wal().map(|w| w.stats()).unwrap_or_default()
     }
 
-    /// Checkpoint: write back every dirty page (each gated on its log
-    /// records being durable, unlogged ones autocommitted), fsync the
-    /// data files, then truncate the log — after this the WAL is empty
-    /// and the on-disk state alone is the database. Without a WAL this
-    /// is a flush plus a disk sync (still a real durability barrier on
-    /// a [`FileDisk`]).
+    /// Checkpoint: log what no commit has logged yet as one commit, write
+    /// back every dirty page (each gated on its log records being
+    /// durable), fsync the data files, then truncate the log — after this
+    /// the WAL is empty and the on-disk state alone is the database.
+    /// Without a WAL this is a flush plus a disk sync (still a real
+    /// durability barrier on a [`FileDisk`]).
     pub fn checkpoint(&self) -> Result<()> {
         self.pool.flush_all()?;
         self.pool.sync_disk()?;

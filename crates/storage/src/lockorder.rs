@@ -17,12 +17,8 @@
 //! the whole thing to nothing ([`Held`] becomes a ZST and the
 //! constructors are empty inline fns).
 //!
-//! Acquisition sites call [`acquired`] (or [`acquired_try`] for
-//! non-blocking probes, which cannot deadlock and therefore skip the
-//! order assert — but still record the hold, because a successfully
-//! try-acquired lock constrains later blocking acquisitions like any
-//! other) and keep the returned [`Held`] token alive exactly as long
-//! as the guard it describes.
+//! Acquisition sites call [`acquired`] and keep the returned [`Held`]
+//! token alive exactly as long as the guard it describes.
 
 /// Rank of the transaction layer's index maintenance guard.
 pub const TXN_INDEX_GUARD: u8 = 10;
@@ -66,8 +62,7 @@ mod imp {
         HELD.with(|h| {
             let mut h = h.borrow_mut();
             // Assert against the *maximum* held rank, not the top of
-            // the stack: try-acquires may push out of order, and guards
-            // need not drop LIFO.
+            // the stack: guards need not drop LIFO.
             if let Some(&(top, top_name)) = h.iter().max_by_key(|&&(r, _)| r) {
                 debug_assert!(
                     top < rank || (top == rank && reentrant),
@@ -79,14 +74,6 @@ mod imp {
             }
             h.push((rank, name));
         });
-        Held { rank }
-    }
-
-    /// Record a *successful* non-blocking acquisition. Try-locks cannot
-    /// deadlock, so no order assert — but the hold is tracked so later
-    /// blocking acquisitions are checked against it.
-    pub fn acquired_try(rank: u8, name: &'static str) -> Held {
-        HELD.with(|h| h.borrow_mut().push((rank, name)));
         Held { rank }
     }
 
@@ -115,15 +102,9 @@ mod imp {
     pub fn acquired(_rank: u8, _reentrant: bool, _name: &'static str) -> Held {
         Held {}
     }
-
-    /// Release-build no-op (see the `debug_assertions` twin).
-    #[inline(always)]
-    pub fn acquired_try(_rank: u8, _name: &'static str) -> Held {
-        Held {}
-    }
 }
 
-pub use imp::{acquired, acquired_try, Held};
+pub use imp::{acquired, Held};
 
 #[cfg(test)]
 mod tests {
@@ -159,16 +140,5 @@ mod tests {
     fn downward_acquisition_trips() {
         let _a = acquired(WAL_APPEND, false, "WalAppend");
         let _b = acquired(POOL_CORE, false, "PoolCore");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn try_acquire_skips_the_assert_but_constrains_later() {
-        // Holding PoolCore, try-probing the (lower-ranked) apply
-        // section is legal — that is the eviction path's exact shape.
-        let _core = acquired(POOL_CORE, false, "PoolCore");
-        let _probe = acquired_try(WAL_APPLY, "WalApply");
-        // FrameData above both is still fine.
-        let _frame = acquired(FRAME_DATA, true, "FrameData");
     }
 }

@@ -21,16 +21,12 @@
 //!   exceed half a page is logged as an image instead. The choice is
 //!   made under the append lock, where epochs change, so a delta can
 //!   never land in an epoch that lacks its base.
-//! * **the steal rule**: the buffer pool may evict a dirty page only
-//!   after the page's covering log records are durable
-//!   ([`Wal::ensure_durable`]). A dirty page no transaction has logged
-//!   yet is logged inline as a single-page implicit transaction
-//!   ([`Wal::autocommit_page`]) before it is written — but only when
-//!   no writer is inside the apply section (checked with
-//!   [`Wal::try_apply_lock`]): a page an in-flight operation dirtied
-//!   must not become durable before that operation commits, so the
-//!   pool treats it as unevictable instead (**no-steal** for open
-//!   operations' pages).
+//! * **the steal rule**: the buffer pool may write a dirty page back
+//!   only after the page's covering log records are durable
+//!   ([`Wal::sync_to`]). A dirty page no commit has logged yet belongs to
+//!   an operation still in flight — every finished one has logged its
+//!   pages — so it is never an eviction victim (**no-steal** for open
+//!   operations), and a flush logs such leftovers as one commit first.
 //! * **Group commit**: concurrent committers share fsyncs. A committer
 //!   whose commit LSN is already durable returns without syncing
 //!   (counted in `wal.group_commit.coalesced`); otherwise it elects
@@ -44,13 +40,12 @@
 //!   whose `Checkpoint` marker keeps the LSN space rising.
 //!
 //! The serialized *apply section* ([`Wal::apply_lock`]) is held by
-//! **every** engine write path — `update_txn` across apply+log, and
-//! the non-transactional DML paths (`insert`/`update`/`delete`/
-//! deferred-propagation sync) across their whole multi-page operation —
-//! so the log never interleaves two operations' records and a commit
-//! (which logs the pool's whole unlogged set) can only ever see
-//! *completed* operations' pages. The fsync happens **outside** it,
-//! which is what lets back-to-back commits coalesce.
+//! **every** engine write path across its whole multi-page operation and
+//! its commit logging — each operation is one commit record — so the log
+//! never interleaves two operations' records and a commit (which logs the
+//! pool's whole unlogged set) can only ever see its own pages and the
+//! leftovers of a commit whose logging failed. The fsync happens
+//! **outside** it, which is what lets back-to-back commits coalesce.
 
 pub mod fault;
 pub mod record;
@@ -76,7 +71,6 @@ struct WalMetrics {
     fsyncs: Arc<metrics::Counter>,
     bytes: Arc<metrics::Counter>,
     coalesced: Arc<metrics::Counter>,
-    autocommits: Arc<metrics::Counter>,
 }
 
 fn wal_metrics() -> &'static WalMetrics {
@@ -88,7 +82,6 @@ fn wal_metrics() -> &'static WalMetrics {
             fsyncs: r.counter(obs_names::WAL_FSYNCS),
             bytes: r.counter(obs_names::WAL_BYTES),
             coalesced: r.counter(obs_names::WAL_GROUP_COMMIT_COALESCED),
-            autocommits: r.counter(obs_names::WAL_AUTOCOMMITS),
         }
     })
 }
@@ -128,8 +121,8 @@ struct WalInner {
 }
 
 /// The write-ahead log. All methods take `&self`; the log is shared by
-/// the buffer pool (steal gating, autocommit) and the transaction layer
-/// (commit logging) through one `Arc`.
+/// the buffer pool (steal gating, commit logging) and the engine's write
+/// paths (the apply section, group commit) through one `Arc`.
 pub struct Wal {
     inner: Mutex<WalInner>,
     /// Durability barrier decoupled from the append lock: the
@@ -153,7 +146,6 @@ pub struct Wal {
     fsyncs: AtomicU64,
     bytes: AtomicU64,
     coalesced: AtomicU64,
-    autocommits: AtomicU64,
 }
 
 /// Point-in-time WAL counters (the `sys.wal` rows).
@@ -171,7 +163,8 @@ pub struct WalStats {
     pub bytes: u64,
     /// Commits that found their LSN already durable (group commit).
     pub coalesced: u64,
-    /// Single-page implicit transactions logged at eviction/flush.
+    /// Always 0: every operation logs its own pages, so nothing is
+    /// logged at eviction. Kept for readers of the old counter.
     pub autocommits: u64,
 }
 
@@ -201,36 +194,19 @@ impl Wal {
             fsyncs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            autocommits: AtomicU64::new(0),
         }
     }
 
     /// Enter the serialized apply section. Every engine write path
-    /// holds this across its whole multi-page operation (`update_txn`
-    /// additionally across commit logging), so the log never
-    /// interleaves two operations' page records and a commit only ever
-    /// logs completed operations' pages; it is released before the
-    /// fsync.
+    /// holds this across its whole multi-page operation and the logging
+    /// of its commit record, so the log never interleaves two
+    /// operations' page records; it is released before the fsync.
     pub fn apply_lock(&self) -> ApplyGuard<'_> {
         let order = lockorder::acquired(lockorder::WAL_APPLY, false, "WalApply");
         ApplyGuard {
             _guard: self.apply.lock(),
             _order: order,
         }
-    }
-
-    /// Non-blocking probe of the apply section, used by the buffer
-    /// pool's eviction path: an unlogged dirty victim may be
-    /// autocommitted only while no writer is inside the section
-    /// (otherwise the page might be a half-applied operation's, and
-    /// making it durable would violate atomicity — the pool skips it
-    /// instead). Must be non-blocking because eviction runs under the
-    /// pool lock, which an apply-section holder may be waiting for.
-    pub fn try_apply_lock(&self) -> Option<ApplyGuard<'_>> {
-        self.apply.try_lock().map(|g| ApplyGuard {
-            _guard: g,
-            _order: lockorder::acquired_try(lockorder::WAL_APPLY, "WalApply"),
-        })
     }
 
     /// Allocate a WAL-local transaction id.
@@ -343,26 +319,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Steal-rule gate: alias of [`Wal::sync_to`], named for the buffer
-    /// pool's call site (no dirty page reaches disk before its log
-    /// records).
-    pub fn ensure_durable(&self, lsn: u64) -> Result<()> {
-        self.sync_to(lsn)
-    }
-
-    /// Log one dirty-but-unlogged page as a single-page implicit
-    /// transaction and make it durable. The buffer pool calls this
-    /// before writing back a page no transaction has logged (bulk
-    /// loads, non-transactional DML) — the WAL rule holds everywhere.
-    pub fn autocommit_page(&self, page: PageLog<'_>) -> Result<u64> {
-        let txn = self.begin_txn();
-        let lsn = self.append_pages(txn, std::iter::once(page))?;
-        self.sync_to(lsn)?;
-        self.autocommits.fetch_add(1, Ordering::Relaxed);
-        wal_metrics().autocommits.inc();
-        Ok(lsn)
-    }
-
     /// Checkpoint: the caller has flushed and synced every data page, so
     /// the log's history is dead weight — truncate it and write a fresh
     /// `Checkpoint` marker (durable) as the new epoch's first record.
@@ -411,7 +367,7 @@ impl Wal {
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            autocommits: self.autocommits.load(Ordering::Relaxed),
+            autocommits: 0,
         }
     }
 
