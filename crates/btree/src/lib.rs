@@ -72,14 +72,11 @@ impl BTreeIndex {
         let (meta_pid, meta) = sm.pool().new_page(file)?;
         debug_assert_eq!(meta_pid.page, 0);
         let (root_pid, root) = sm.pool().new_page(file)?;
-        {
-            let mut data = root.data_mut();
-            Node::new(true).serialize(&mut data[..]);
-        }
+        Node::new(true).serialize(root.data_mut().whole_mut());
         {
             let mut data = meta.data_mut();
-            PageMut::new(&mut data[..]).init(PageKind::Meta);
-            write_meta(&mut data[..], root_pid.page, 1, 0);
+            PageMut::new(data.whole_mut()).init(PageKind::Meta);
+            write_meta(data.whole_mut(), root_pid.page, 1, 0);
         }
         Ok(BTreeIndex { file })
     }
@@ -97,8 +94,7 @@ impl BTreeIndex {
 
     fn set_meta(&self, sm: &StorageManager, root: u32, height: u16, count: u64) -> Result<()> {
         let h = sm.pool().fetch(PageId::new(self.file, 0))?;
-        let mut data = h.data_mut();
-        write_meta(&mut data[..], root, height, count);
+        write_meta(h.data_mut().whole_mut(), root, height, count);
         Ok(())
     }
 
@@ -142,15 +138,13 @@ impl BTreeIndex {
 
     fn store_node(&self, sm: &StorageManager, page: u32, node: &Node) -> Result<()> {
         let h = sm.pool().fetch(PageId::new(self.file, page))?;
-        let mut data = h.data_mut();
-        node.serialize(&mut data[..]);
+        node.serialize(h.data_mut().whole_mut());
         Ok(())
     }
 
     fn alloc_node(&self, sm: &StorageManager, node: &Node) -> Result<u32> {
         let (pid, h) = sm.pool().new_page(self.file)?;
-        let mut data = h.data_mut();
-        node.serialize(&mut data[..]);
+        node.serialize(h.data_mut().whole_mut());
         Ok(pid.page)
     }
 

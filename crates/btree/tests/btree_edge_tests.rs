@@ -268,7 +268,7 @@ fn hostile_node_page_is_a_typed_error_not_a_panic() {
     // the empty root `create` left behind): turn it into something else.
     let leaf = sm.pool().fetch(PageId::new(idx.file, 2)).unwrap();
     let saved = leaf.data().to_vec();
-    PageMut::new(&mut leaf.data_mut()[..]).init(PageKind::Heap);
+    PageMut::new(leaf.data_mut().whole_mut()).init(PageKind::Heap);
     let key = keys::encode_i64(3);
     assert!(matches!(
         idx.range(&sm, &key, &key),
@@ -288,11 +288,11 @@ fn hostile_node_page_is_a_typed_error_not_a_panic() {
         Err(StorageError::Corrupt(_))
     ));
     // An entry count running past the page.
-    leaf.data_mut().copy_from_slice(&saved);
-    leaf.data_mut()[40..42].copy_from_slice(&u16::MAX.to_le_bytes());
+    leaf.data_mut().whole_mut().copy_from_slice(&saved);
+    leaf.data_mut().whole_mut()[40..42].copy_from_slice(&u16::MAX.to_le_bytes());
     assert!(matches!(idx.scan_all(&sm), Err(StorageError::Corrupt(_))));
     // Restored, the tree answers again.
-    leaf.data_mut().copy_from_slice(&saved);
+    leaf.data_mut().whole_mut().copy_from_slice(&saved);
     assert_eq!(idx.scan_all(&sm).unwrap().len(), 1000);
 }
 

@@ -33,8 +33,9 @@ use common::check_consistency;
 use fieldrep_catalog::{Propagation, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_storage::{FileDisk, FileWalStore, MemDisk, MemWalStore, Oid};
+use fieldrep_storage::{FileDisk, FileWalStore, MemDisk, MemWalStore, Oid, PageId, PAGE_SIZE};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 const SEED: u64 = 0xC0FFEE;
@@ -505,19 +506,39 @@ fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
         prof.evictions > 100 && prof.pool_misses > 100,
         "workload must write pages back and fetch them again: {prof:?}"
     );
+    // A page logged again after a round trip through disk is a delta —
+    // its header LSN says it has a record in this log — unless the write
+    // was wide. Replaying the log page by page, an image of a page that
+    // already has one differs from its last logged state in at least 16
+    // of its 64 lines (a delta holds up to 31; a compaction moves about
+    // half a page). A page fetched again without its LSN would be imaged
+    // again after a one-line change.
     let log = std::fs::read(live.join("wal.log")).unwrap();
-    let (mut images, mut deltas) = (0, 0);
+    let mut logged: HashMap<PageId, Box<[u8; PAGE_SIZE]>> = HashMap::new();
+    let (mut deltas, mut narrowest) = (0, 64);
     for e in record::scan(&log).entries {
         match e.rec {
-            WalRecord::PageImage { .. } => images += 1,
-            WalRecord::PageDelta { .. } => deltas += 1,
+            WalRecord::PageImage { page, image, .. } => {
+                if let Some(was) = logged.get(&page) {
+                    let lines = was.chunks(64).zip(image.chunks(64));
+                    narrowest = narrowest.min(lines.filter(|(a, b)| a != b).count());
+                }
+                logged.insert(page, image);
+            }
+            WalRecord::PageDelta { page, ranges, .. } => {
+                let was = logged
+                    .get_mut(&page)
+                    .expect("a page's first record is an image");
+                record::apply_delta(was, &ranges);
+                deltas += 1;
+            }
             _ => {}
         }
     }
     assert!(
-        deltas > images,
+        deltas > 100 && narrowest >= 16,
         "pages logged again after a round trip through disk are deltas: \
-         {images} images, {deltas} deltas"
+         {deltas} deltas, and a page imaged again after a {narrowest}-line change"
     );
 
     drop(w);

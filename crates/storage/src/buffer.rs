@@ -53,20 +53,22 @@
 //! frame belongs to an operation still in flight (or to a commit whose
 //! logging failed): it is never an eviction victim (see `find_victim`).
 //! The false→true transition happens in [`PageHandle::data_mut`], under
-//! the frame latch, and does two things when a WAL is attached: it sets
-//! the frame's bit in the pool's lock-free [`UnloggedSet`], and — if the
-//! page already has a record in the current log epoch — it keeps a copy
-//! of the page as it was (the **pre-image**), so the next record can be
-//! the bytes that changed instead of the page. [`BufferPool::log_txn_commit`]
+//! the frame latch, and sets the frame's bit in the pool's lock-free
+//! [`UnloggedSet`] when a WAL is attached; [`BufferPool::log_txn_commit`]
 //! drains the set, so a commit costs its write set, not a walk of the
-//! pool under the core lock. Without a WAL none of this runs.
+//! pool under the core lock.
+//!
+//! A [`PageWriteGuard`] hands out only writes that mark the 64-byte lines
+//! they touch, and ORs its marks into the frame's **line mask** as it
+//! drops: the lines written since the page's last log record, which a
+//! commit copies straight from the frame as the page's delta.
 
 use crate::checksum;
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::lockorder;
 use crate::oid::{FileId, PageId};
-use crate::page::PAGE_SIZE;
+use crate::page::{lines_of, PageMut, PAGE_SIZE};
 use crate::stats::IoProfile;
 use crate::wal::{PageLog, Wal};
 use fieldrep_obs::{io as obs_io, metrics, names as obs_names};
@@ -155,46 +157,6 @@ struct PoolShared {
     /// The WAL, if durability is enabled (fixed at construction).
     wal: Option<Arc<Wal>>,
     unlogged: UnloggedSet,
-    /// Pre-image buffers between uses: a commit returns here what
-    /// [`PageHandle::data_mut`] takes, so a steady stream of commits
-    /// copies pages without allocating them. A leaf mutex, held across
-    /// one push or pop.
-    spare_pre: Mutex<Vec<PageBuf>>,
-}
-
-/// Most pre-image buffers kept between uses (256 KiB).
-const MAX_SPARE_PRE: usize = 64;
-
-impl PoolShared {
-    /// A copy of `page` to keep as its pre-image.
-    fn pre_image(&self, page: &PageBuf) -> PageBuf {
-        let spare = self.spare_pre.lock().pop();
-        match spare {
-            Some(mut buf) => {
-                buf.copy_from_slice(&page[..]);
-                buf
-            }
-            None => page.clone(),
-        }
-    }
-
-    /// A pre-image is done with.
-    fn recycle_pre(&self, buf: PageBuf) {
-        let mut spare = self.spare_pre.lock();
-        if spare.len() < MAX_SPARE_PRE {
-            spare.push(buf);
-        }
-    }
-}
-
-/// What a frame's latch guards.
-struct FrameBuf {
-    page: PageBuf,
-    /// The page as of its last log record, kept from the frame's first
-    /// write after that record until the next one (see the module
-    /// docs). `Some` only while the frame is unlogged and a delta is
-    /// possible.
-    pre: Option<PageBuf>,
 }
 
 /// `pid` value of a frame that holds no page.
@@ -232,7 +194,7 @@ struct FrameInner {
     /// This frame's index in the pool.
     idx: usize,
     pool: Arc<PoolShared>,
-    data: RwLock<FrameBuf>,
+    data: RwLock<PageBuf>,
     /// The resident page, packed (`file << 32 | page`), or [`NO_PAGE`].
     /// Written only under `PoolCore`; the commit path reads it without
     /// that lock, for frames the apply section keeps from being evicted
@@ -244,6 +206,11 @@ struct FrameInner {
     /// write after the last record, cleared when a commit logs the
     /// page. Never set when the pool has no WAL.
     unlogged: AtomicBool,
+    /// The line mask (see the module docs). Set under the frame's write
+    /// latch, read and cleared under its read latch: the latch orders
+    /// the accesses, hence `Relaxed`. Cleared when a commit has logged
+    /// the page and when the frame gets another page.
+    lines: AtomicU64,
     /// LSN of the last commit record covering this page; the steal
     /// rule requires it durable before write-back, and write-back
     /// stamps it into the page header.
@@ -262,50 +229,106 @@ impl FrameInner {
         self.pid.store(pid.map_or(NO_PAGE, pack), Ordering::Relaxed);
     }
 
-    /// Flag the frame unlogged. Returns the WAL when this was the
-    /// false→true transition (the frame's first write since its last
-    /// log record), having put the frame in the unlogged set; `None`
-    /// when it already was unlogged or the pool has no WAL.
-    fn mark_unlogged(&self) -> Option<&Wal> {
-        let wal = self.pool.wal.as_deref()?;
-        if self.unlogged.swap(true, Ordering::Relaxed) {
-            return None;
+    /// Flag the frame unlogged; on the false→true transition (its first
+    /// write since its last log record) put it in the unlogged set.
+    /// Nothing when the pool has no WAL.
+    fn mark_unlogged(&self) {
+        if self.pool.wal.is_some() && !self.unlogged.swap(true, Ordering::Relaxed) {
+            self.pool.unlogged.insert(self.idx);
         }
-        self.pool.unlogged.insert(self.idx);
-        Some(wal)
     }
 }
 
 /// Write guard over a page's bytes, returned by [`PageHandle::data_mut`].
 ///
-/// Dereferences to the page buffer. While it lives the thread holds a
-/// [`lockorder::FRAME_DATA`] rank, so debug builds trip on any re-entry
-/// into the pool (lint rule L5 is the static form of the same rule).
+/// Dereferences to the page buffer for reading. Every write marks the
+/// lines it touches — [`PageWriteGuard::page`]'s slotted-page writes,
+/// one byte (`guard[i] = b`), or [`PageWriteGuard::whole_mut`] — and the
+/// guard adds its marks to the frame's line mask as it drops, so a
+/// commit logs exactly the lines written. There is no unmarked `&mut`
+/// to the page:
+///
+/// ```
+/// # let sm = fieldrep_storage::StorageManager::in_memory(4);
+/// # let (_, h) = sm.pool().new_page(sm.create_file().unwrap()).unwrap();
+/// h.data_mut().whole_mut().fill(0xFF); // every line marked
+/// h.data_mut()[64] = 1; // line 1 marked
+/// ```
+///
+/// ```compile_fail
+/// # let sm = fieldrep_storage::StorageManager::in_memory(4);
+/// # let (_, h) = sm.pool().new_page(sm.create_file().unwrap()).unwrap();
+/// h.data_mut().fill(0xFF); // a write no line records
+/// ```
+///
+/// While it lives the thread holds a [`lockorder::FRAME_DATA`] rank, so
+/// debug builds trip on any re-entry into the pool (lint rule L5 is the
+/// static form of the same rule).
 pub struct PageWriteGuard<'a> {
-    guard: RwLockWriteGuard<'a, FrameBuf>,
+    page: RwLockWriteGuard<'a, PageBuf>,
+    /// The frame's line mask.
+    lines: &'a AtomicU64,
+    /// The lines this guard has written.
+    marks: u64,
     _order: lockorder::Held,
+}
+
+impl PageWriteGuard<'_> {
+    /// Run `f` on the page as a slotted page; the lines it writes are
+    /// marked.
+    pub fn page<R>(&mut self, f: impl FnOnce(&mut PageMut<'_>) -> R) -> R {
+        let mut pg = PageMut::new(&mut self.page[..]);
+        let r = f(&mut pg);
+        self.marks |= pg.written();
+        r
+    }
+
+    /// The whole page, every line marked: for pages written whole
+    /// (B⁺-tree nodes), which a commit then logs as images.
+    pub fn whole_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        self.marks = u64::MAX;
+        &mut self.page
+    }
 }
 
 impl std::ops::Deref for PageWriteGuard<'_> {
     type Target = PageBuf;
     fn deref(&self) -> &PageBuf {
-        &self.guard.page
+        &self.page
     }
 }
 
-impl std::ops::DerefMut for PageWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut PageBuf {
-        &mut self.guard.page
+impl std::ops::Index<usize> for PageWriteGuard<'_> {
+    type Output = u8;
+    fn index(&self, i: usize) -> &u8 {
+        &self.page[i]
+    }
+}
+
+impl std::ops::IndexMut<usize> for PageWriteGuard<'_> {
+    /// One byte, its line marked.
+    fn index_mut(&mut self, i: usize) -> &mut u8 {
+        self.marks |= lines_of(i, 1);
+        &mut self.page[i]
+    }
+}
+
+impl Drop for PageWriteGuard<'_> {
+    fn drop(&mut self) {
+        // Still under the latch: a commit reads the mask under it.
+        if self.marks != 0 {
+            self.lines.fetch_or(self.marks, Ordering::Relaxed);
+        }
     }
 }
 
 /// Read guard over a page's bytes, returned by [`PageHandle::data`].
-pub struct PageReadGuard<'a>(RwLockReadGuard<'a, FrameBuf>);
+pub struct PageReadGuard<'a>(RwLockReadGuard<'a, PageBuf>);
 
 impl std::ops::Deref for PageReadGuard<'_> {
     type Target = PageBuf;
     fn deref(&self) -> &PageBuf {
-        &self.0.page
+        &self.0
     }
 }
 
@@ -339,20 +362,16 @@ impl PageHandle {
     /// Exclusive write access; marks the page dirty.
     pub fn data_mut(&self) -> PageWriteGuard<'_> {
         let order = lockorder::acquired(lockorder::FRAME_DATA, true, "FrameData");
-        let mut guard = self.inner.data.write();
+        let page = self.inner.data.write();
         // The dirty store must come *after* lock acquisition: flagging
         // first would let a flush racing with a still-blocked writer
         // count a spurious write-back for a page that hasn't changed.
         self.inner.dirty.store(true, Ordering::Relaxed);
-        if let Some(wal) = self.inner.mark_unlogged() {
-            // The page as of its last log record: if that record is in
-            // the current log epoch, the next one can be a delta.
-            if self.inner.lsn.load(Ordering::Relaxed) > wal.checkpoint_lsn() {
-                guard.pre = Some(self.inner.pool.pre_image(&guard.page));
-            }
-        }
+        self.inner.mark_unlogged();
         PageWriteGuard {
-            guard,
+            page,
+            lines: &self.inner.lines,
+            marks: 0,
             _order: order,
         }
     }
@@ -432,7 +451,7 @@ fn write_back_frame(
         debug_assert!(!inner.unlogged.load(Ordering::Relaxed), "steal of {pid}");
         w.sync_to(lsn)?;
     }
-    let mut copy: [u8; PAGE_SIZE] = *inner.data.read().page;
+    let mut copy: [u8; PAGE_SIZE] = **inner.data.read();
     checksum::stamp(&mut copy, lsn);
     disk.write_page(pid, &copy)
 }
@@ -455,21 +474,18 @@ impl BufferPool {
         let shared = Arc::new(PoolShared {
             wal,
             unlogged: UnloggedSet::new(capacity),
-            spare_pre: Mutex::new(Vec::new()),
         });
         let inners: Box<[Arc<FrameInner>]> = (0..capacity)
             .map(|idx| {
                 Arc::new(FrameInner {
                     idx,
                     pool: Arc::clone(&shared),
-                    data: RwLock::new(FrameBuf {
-                        page: Box::new([0u8; PAGE_SIZE]),
-                        pre: None,
-                    }),
+                    data: RwLock::new(Box::new([0u8; PAGE_SIZE])),
                     pid: AtomicU64::new(NO_PAGE),
                     dirty: AtomicBool::new(false),
                     pins: AtomicU32::new(0),
                     unlogged: AtomicBool::new(false),
+                    lines: AtomicU64::new(0),
                     lsn: AtomicU64::new(0),
                 })
             })
@@ -519,10 +535,10 @@ impl BufferPool {
     /// of an earlier commit whose logging failed. No half-applied
     /// operation's page can be captured, and unlogged frames being
     /// unevictable, none of the set can change frames underneath the
-    /// commit. Each page is logged as the bytes that changed where it
-    /// has a pre-image, as a full image otherwise. Does **not** fsync —
-    /// pass the LSN to [`Wal::sync_to`] so concurrent commits
-    /// group-commit.
+    /// commit. Each page is logged as its marked lines where it has a
+    /// record in the current log epoch, as a full image otherwise. Does
+    /// **not** fsync — pass the LSN to [`Wal::sync_to`] so concurrent
+    /// commits group-commit.
     pub fn log_txn_commit(&self) -> Result<Option<u64>> {
         let Some(wal) = self.shared.wal.as_ref() else {
             return Ok(None);
@@ -543,29 +559,23 @@ impl BufferPool {
             return Ok(None);
         }
         handles.sort_by_key(|h| h.pid);
-        // Encode straight out of the frames: read latches (writers are
-        // excluded by the apply section) held across the append.
-        let logged = {
-            let bufs: Vec<RwLockReadGuard<'_, FrameBuf>> =
-                handles.iter().map(|h| h.inner.data.read()).collect();
-            wal.append_pages(
-                wal.begin_txn(),
-                handles.iter().zip(&bufs).map(|(h, buf)| PageLog {
-                    page: h.pid,
-                    image: &buf.page,
-                    base: buf
-                        .pre
-                        .as_deref()
-                        .map(|pre| (pre, h.inner.lsn.load(Ordering::Relaxed))),
-                }),
-            )
-        };
+        // Encode straight out of the frames, under read latches (writers
+        // are excluded by the apply section) held to the function's end.
+        let bufs: Vec<RwLockReadGuard<'_, PageBuf>> =
+            handles.iter().map(|h| h.inner.data.read()).collect();
+        let logged = wal.append_pages(
+            wal.begin_txn(),
+            handles.iter().zip(&bufs).map(|(h, buf)| PageLog {
+                page: h.pid,
+                image: buf,
+                covered: h.inner.lsn.load(Ordering::Relaxed),
+                lines: h.inner.lines.load(Ordering::Relaxed),
+            }),
+        );
         match logged {
             Ok(lsn) => {
                 for h in &handles {
-                    if let Some(pre) = h.inner.data.write().pre.take() {
-                        self.shared.recycle_pre(pre);
-                    }
+                    h.inner.lines.store(0, Ordering::Relaxed);
                     h.inner.lsn.store(lsn, Ordering::Relaxed);
                     h.inner.unlogged.store(false, Ordering::Relaxed);
                 }
@@ -718,6 +728,7 @@ impl PoolCore {
             f.referenced = false;
             f.inner.dirty.store(false, Ordering::Relaxed);
             f.inner.unlogged.store(false, Ordering::Relaxed);
+            f.inner.lines.store(0, Ordering::Relaxed);
             false
         });
         self.disk.drop_file(file)
@@ -730,7 +741,6 @@ impl PoolCore {
         self.install(idx, pid, false)?;
         let h = self.handle(idx, pid);
         h.inner.dirty.store(true, Ordering::Relaxed);
-        // A fresh page has no log record, so no pre-image.
         h.inner.mark_unlogged();
         Ok((pid, h))
     }
@@ -816,15 +826,10 @@ impl PoolCore {
             idxs.push(idx);
         }
         let res = {
-            let mut guards: Vec<RwLockWriteGuard<'_, FrameBuf>> =
+            let mut guards: Vec<RwLockWriteGuard<'_, PageBuf>> =
                 handles.iter().map(|h| h.inner.data.write()).collect();
-            let mut bufs: Vec<&mut [u8; PAGE_SIZE]> = guards
-                .iter_mut()
-                .map(|g| {
-                    g.pre = None;
-                    &mut *g.page
-                })
-                .collect();
+            let mut bufs: Vec<&mut [u8; PAGE_SIZE]> =
+                guards.iter_mut().map(|g| &mut ***g).collect();
             self.disk.read_pages(run[0], &mut bufs).and_then(|()| {
                 let mut lsns = Vec::with_capacity(bufs.len());
                 for (i, buf) in bufs.iter().enumerate() {
@@ -842,6 +847,7 @@ impl PoolCore {
                 for (h, lsn) in handles.iter().zip(lsns) {
                     h.inner.dirty.store(false, Ordering::Relaxed);
                     h.inner.unlogged.store(false, Ordering::Relaxed);
+                    h.inner.lines.store(0, Ordering::Relaxed);
                     h.inner.lsn.store(lsn, Ordering::Relaxed);
                 }
                 self.misses += run.len() as u64;
@@ -938,23 +944,24 @@ impl PoolCore {
     fn install(&mut self, idx: usize, pid: PageId, read: bool) -> Result<()> {
         {
             let inner = Arc::clone(&self.frames[idx].inner);
-            let mut buf = inner.data.write();
-            buf.pre = None;
-            let data = &mut buf.page;
+            let mut data = inner.data.write();
             if read {
-                self.disk.read_page(pid, data)?;
+                self.disk.read_page(pid, &mut data)?;
                 obs_io::record_disk_read();
-                if !checksum::verify(data) {
+                if !checksum::verify(&data) {
                     pool_metrics().checksum_failures.inc();
                     return Err(StorageError::ChecksumMismatch(pid));
                 }
-                inner.lsn.store(checksum::read_lsn(data), Ordering::Relaxed);
+                inner
+                    .lsn
+                    .store(checksum::read_lsn(&data), Ordering::Relaxed);
             } else {
                 data.fill(0);
                 inner.lsn.store(0, Ordering::Relaxed);
             }
             inner.dirty.store(false, Ordering::Relaxed);
             inner.unlogged.store(false, Ordering::Relaxed);
+            inner.lines.store(0, Ordering::Relaxed);
         }
         self.frames[idx].inner.set_pid(Some(pid));
         self.frames[idx].referenced = true;
@@ -1636,11 +1643,11 @@ mod tests {
 
         let before = wal.stats().bytes;
         h.data_mut()[100] = 2;
-        h.data_mut()[3000] = 3; // same commit: one record, two ranges
+        h.data_mut()[3000] = 3; // same commit: one record, two lines
         assert!(commit(&bp, &wal).is_some());
         let delta_commit = wal.stats().bytes - before;
         assert!(
-            delta_commit < 128,
+            delta_commit < 2 * 64 + 128,
             "two changed bytes cost {delta_commit} log bytes"
         );
         assert_eq!(page_records(&store), [("image", pid), ("delta", pid)]);
@@ -1691,14 +1698,19 @@ mod tests {
         assert_eq!((buf[100], buf[200]), (1, 2));
     }
 
-    /// Refuses the first append, then behaves (`FaultWal`, the
-    /// crash-shaped injector, never recovers).
-    struct FailOnce(crate::wal::MemWalStore, bool);
+    /// Refuses one append, after letting `.1` of them through, then
+    /// behaves (`FaultWal`, the crash-shaped injector, never recovers).
+    struct FailOnce(crate::wal::MemWalStore, Option<u32>);
 
     impl crate::wal::WalStore for FailOnce {
         fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-            if std::mem::take(&mut self.1) {
-                return Err(std::io::Error::other("injected append failure").into());
+            match self.1 {
+                Some(0) => {
+                    self.1 = None;
+                    return Err(std::io::Error::other("injected append failure").into());
+                }
+                Some(n) => self.1 = Some(n - 1),
+                None => {}
             }
             self.0.wal_append(bytes)
         }
@@ -1752,7 +1764,7 @@ mod tests {
     #[test]
     fn failed_commit_keeps_its_pages_for_the_next_one() {
         let store = crate::wal::MemWalStore::new();
-        let wal = Arc::new(Wal::new(Box::new(FailOnce(store.clone(), true)), 1));
+        let wal = Arc::new(Wal::new(Box::new(FailOnce(store.clone(), Some(0))), 1));
         let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), 1, Some(Arc::clone(&wal)));
         let f = bp.create_file().unwrap();
         let (pid, h) = bp.new_page(f).unwrap();
@@ -1768,6 +1780,31 @@ mod tests {
         drop(bp.new_page(f).unwrap());
         let prof = bp.io_profile();
         assert_eq!((prof.evictions, prof.disk.writes), (1, 1), "then evicted");
+    }
+
+    /// A failed commit keeps its pages' line marks too: the retry logs
+    /// the lines as a delta, and the log alone rebuilds the page.
+    #[test]
+    fn failed_commit_keeps_the_lines_it_did_not_log() {
+        let store = crate::wal::MemWalStore::new();
+        let wal = Arc::new(Wal::new(Box::new(FailOnce(store.clone(), Some(1))), 1));
+        let bp = BufferPool::new_with_wal(Box::new(MemDisk::new()), 2, Some(Arc::clone(&wal)));
+        let f = bp.create_file().unwrap();
+        let (pid, h) = bp.new_page(f).unwrap();
+        h.data_mut()[5] = 5;
+        commit(&bp, &wal).unwrap();
+        h.data_mut()[3000] = 3;
+        {
+            let _apply = wal.apply_lock();
+            assert!(bp.log_txn_commit().is_err());
+        }
+        commit(&bp, &wal).unwrap();
+        assert_eq!(page_records(&store), [("image", pid), ("delta", pid)]);
+        let mut disk = MemDisk::new();
+        crate::wal::recover(&mut disk, &mut store.clone()).unwrap();
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(pid, &mut buf).unwrap();
+        assert_eq!((buf[5], buf[3000]), (5, 3));
     }
 
     /// A flush under a WAL logs what no commit has (the pages of a
@@ -1799,7 +1836,7 @@ mod tests {
     }
 
     /// Without a WAL the commit machinery is inert: no frame is ever
-    /// flagged unlogged, nothing joins the set, no pre-image is kept.
+    /// flagged unlogged and nothing joins the set.
     #[test]
     fn without_a_wal_writes_leave_no_commit_state() {
         let bp = pool(4);
@@ -1807,7 +1844,6 @@ mod tests {
         let (_, h) = bp.new_page(f).unwrap();
         h.data_mut()[1] = 1;
         assert!(!h.inner.unlogged.load(Ordering::Relaxed));
-        assert!(h.inner.data.read().pre.is_none());
         let mut members = 0;
         bp.shared.unlogged.drain(|_| members += 1);
         assert_eq!(members, 0);

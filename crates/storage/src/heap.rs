@@ -20,7 +20,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::oid::{FileId, Oid, PageId};
-use crate::page::{PageKind, PageMut, PageView, RecordFlags, RecordHeader};
+use crate::page::{PageKind, PageView, RecordFlags, RecordHeader};
 use crate::{PageHandle, StorageManager};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -117,11 +117,12 @@ impl HeapFile {
 
         for page_no in candidates {
             let pid = PageId::new(self.file, page_no);
-            let h = sm.pool().fetch(pid)?;
-            let mut data = h.data_mut();
-            let mut pg = PageMut::new(&mut data[..]);
-            if let Some(slot) = pg.insert(header, payload)? {
-                drop(data);
+            let placed = sm
+                .pool()
+                .fetch(pid)?
+                .data_mut()
+                .page(|pg| pg.insert(header, payload))?;
+            if let Some(slot) = placed {
                 self.after_placement(sm, page_no);
                 return Ok(Oid::new(self.file, page_no, slot));
             }
@@ -129,13 +130,13 @@ impl HeapFile {
 
         // 3. Extend the file.
         let (pid, h) = sm.pool().new_page(self.file)?;
-        let mut data = h.data_mut();
-        let mut pg = PageMut::new(&mut data[..]);
-        pg.init(PageKind::Heap);
-        let slot = pg
-            .insert(header, payload)?
+        let slot = h
+            .data_mut()
+            .page(|pg| {
+                pg.init(PageKind::Heap);
+                pg.insert(header, payload)
+            })?
             .expect("fresh page always fits a legal record");
-        drop(data);
         sm.with_free_space(self.file, |space| space.append_page = Some(pid.page));
         Ok(Oid::new(self.file, pid.page, slot))
     }
@@ -257,12 +258,13 @@ impl HeapFile {
         match edit? {
             RecordEdit::Keep => return Ok(false),
             RecordEdit::Overwrite { at: k, bytes } => {
-                let mut data = body.data_mut();
-                PageMut::new(&mut data[..])
-                    .payload_mut(at.slot)
-                    .and_then(|p| p.get_mut(k..k + bytes.len()))
-                    .ok_or(StorageError::InvalidOid(oid))?
-                    .copy_from_slice(bytes);
+                let range = k..k + bytes.len();
+                body.data_mut()
+                    .page(|pg| {
+                        pg.payload_mut(at.slot, range)
+                            .map(|p| p.copy_from_slice(bytes))
+                    })
+                    .ok_or(StorageError::InvalidOid(oid))?;
             }
             RecordEdit::Replace(payload) => {
                 self.write_resolved(sm, oid, (body, at, hdr), &payload)?;
@@ -281,7 +283,10 @@ impl HeapFile {
         (body, at, hdr): (PageHandle, Oid, RecordHeader),
         payload: &[u8],
     ) -> Result<()> {
-        if PageMut::new(&mut body.data_mut()[..]).update(at.slot, hdr, payload)? {
+        if body
+            .data_mut()
+            .page(|pg| pg.update(at.slot, hdr, payload))?
+        {
             return Ok(());
         }
         drop(body);
@@ -300,9 +305,8 @@ impl HeapFile {
         // Move: place the record elsewhere as Moved, stub here.
         let target = self.insert_flagged(sm, hdr.type_tag, RecordFlags::Moved, payload)?;
         let home = sm.pool().fetch(oid.page_id())?;
-        let mut data = home.data_mut();
-        PageMut::new(&mut data[..]).write_forward_stub(oid.slot, hdr.type_tag, target)?;
-        drop(data);
+        home.data_mut()
+            .page(|pg| pg.write_forward_stub(oid.slot, hdr.type_tag, target))?;
         if at == oid {
             self.note_shrink(sm, oid.page);
         }
@@ -321,9 +325,7 @@ impl HeapFile {
 
     fn delete_raw(&self, sm: &StorageManager, oid: Oid) -> Result<()> {
         let h = sm.pool().fetch(oid.page_id())?;
-        let mut data = h.data_mut();
-        PageMut::new(&mut data[..]).delete(oid.slot)?;
-        drop(data);
+        h.data_mut().page(|pg| pg.delete(oid.slot))?;
         self.note_shrink(sm, oid.page);
         Ok(())
     }

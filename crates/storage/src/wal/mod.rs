@@ -15,12 +15,12 @@
 //!   LSN is stamped in the page header at write-back, so the test
 //!   survives eviction and re-fetch) is a full `PageImage`: recovery
 //!   then never depends on an on-disk page a crash may have torn. Every
-//!   later record is a `PageDelta` — the byte ranges that differ from
-//!   the pre-image the pool captured when the page was first written
-//!   after its previous record (see `buffer.rs`); a delta that would
-//!   exceed half a page is logged as an image instead. The choice is
-//!   made under the append lock, where epochs change, so a delta can
-//!   never land in an epoch that lacks its base.
+//!   later record is a `PageDelta` — the runs of 64-byte lines written
+//!   since the page's previous record, which the pool marks as they are
+//!   written (its line mask, see `buffer.rs`); a delta that would exceed
+//!   half a page is logged as an image instead. The choice is made under
+//!   the append lock, where epochs change, so a delta can never land in
+//!   an epoch that lacks its base.
 //! * **the steal rule**: the buffer pool may write a dirty page back
 //!   only after the page's covering log records are durable
 //!   ([`Wal::sync_to`]). A dirty page no commit has logged yet belongs to
@@ -99,10 +99,11 @@ pub struct PageLog<'a> {
     pub page: PageId,
     /// Its current bytes.
     pub image: &'a [u8; PAGE_SIZE],
-    /// The page's bytes as of its previous log record, with that
-    /// record's covering LSN: what a delta is computed against.
-    /// `None` logs a full image.
-    pub base: Option<(&'a [u8; PAGE_SIZE], u64)>,
+    /// The covering LSN of the page's previous log record (0: none).
+    pub covered: u64,
+    /// The lines written since that record, one bit each (see
+    /// [`crate::page::LINE_SIZE`]): what a delta carries.
+    pub lines: u64,
 }
 
 /// A commit buffer that grew past this is freed rather than kept.
@@ -116,8 +117,6 @@ struct WalInner {
     appended: u64,
     /// The commit group being encoded (kept between commits).
     buf: Vec<u8>,
-    /// Scratch for one page's changed ranges.
-    ranges: Vec<(u16, u16)>,
 }
 
 /// The write-ahead log. All methods take `&self`; the log is shared by
@@ -133,8 +132,7 @@ pub struct Wal {
     durable: AtomicU64,
     /// LSN of the current epoch's `Checkpoint` marker (see the module
     /// docs). Written only under the append lock, where the delta
-    /// choice reads it; the pool's lock-free read is a hint that
-    /// choice re-checks, so `Relaxed` suffices.
+    /// choice reads it, so `Relaxed` suffices.
     checkpoint_lsn: AtomicU64,
     /// Group-commit leader election: at most one fsync in flight.
     sync_lock: Mutex<()>,
@@ -182,7 +180,6 @@ impl Wal {
                 next_lsn: start,
                 appended: start - 1,
                 buf: Vec::new(),
-                ranges: Vec::new(),
             }),
             syncer,
             durable: AtomicU64::new(start - 1),
@@ -230,15 +227,16 @@ impl Wal {
             pages.iter().map(|&(page, image)| PageLog {
                 page,
                 image,
-                base: None,
+                covered: 0,
+                lines: u64::MAX,
             }),
         )
     }
 
-    /// [`Wal::append_commit`] for pages that may carry a pre-image:
-    /// each is logged as a delta against it when its previous record
-    /// is in the current epoch and the delta is under half a page, as
-    /// a full image otherwise.
+    /// [`Wal::append_commit`] for pages that may have a record already:
+    /// each is logged as a delta of its marked lines when its previous
+    /// record is in the current epoch and the delta is under half a
+    /// page, as a full image otherwise.
     pub fn append_pages<'a>(
         &self,
         txn: u64,
@@ -254,18 +252,11 @@ impl Wal {
         record::put_begin(&mut inner.buf, lsn, txn);
         for p in pages {
             lsn += 1;
-            match p.base {
-                Some((pre, covered))
-                    if covered > epoch_floor
-                        && record::diff_ranges(pre, p.image, &mut inner.ranges) =>
-                {
-                    let runs = inner
-                        .ranges
-                        .iter()
-                        .map(|&(at, len)| (at, &p.image[at as usize..][..len as usize]));
-                    record::put_delta(&mut inner.buf, lsn, txn, p.page, runs);
-                }
-                _ => record::put_image(&mut inner.buf, lsn, txn, p.page, p.image),
+            if p.covered > epoch_floor && record::delta_fits(p.lines) {
+                let runs = record::line_runs(p.lines).map(|r| (r.start as u16, &p.image[r]));
+                record::put_delta(&mut inner.buf, lsn, txn, p.page, runs);
+            } else {
+                record::put_image(&mut inner.buf, lsn, txn, p.page, p.image);
             }
         }
         let commit_lsn = lsn + 1;

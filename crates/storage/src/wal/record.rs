@@ -10,12 +10,12 @@
 //!
 //! The payload starts with a one-byte record kind and the record's LSN,
 //! followed by kind-specific fields. A page reaches the log either as a
-//! full [`WalRecord::PageImage`] or as a [`WalRecord::PageDelta`]: the
-//! byte ranges in which the page differs from its state at its previous
-//! log record ([`diff_ranges`] finds them, [`apply_delta`] replays
-//! them). Frames are encoded straight into the caller's buffer (the
-//! `put_*` functions), so a commit group is built with one copy of each
-//! logged byte.
+//! full [`WalRecord::PageImage`] or as a [`WalRecord::PageDelta`]: byte
+//! ranges of the page written since its previous log record — the runs
+//! of 64-byte lines the pool marked — which [`apply_delta`] replays.
+//! Frames are encoded straight into the caller's buffer (the `put_*`
+//! functions), so a commit group is built with one copy of each logged
+//! byte.
 //!
 //! [`scan`] walks the stream from the start and stops at the first
 //! frame that is incomplete, oversized, or fails its CRC — everything
@@ -25,7 +25,8 @@
 
 use crate::checksum::crc32;
 use crate::oid::{FileId, PageId};
-use crate::page::PAGE_SIZE;
+use crate::page::{LINE_SIZE, PAGE_SIZE};
+use std::ops::Range;
 
 /// One run of changed bytes inside a page.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -98,49 +99,26 @@ pub const MAX_PAYLOAD: usize = 1 + 8 + 8 + 2 + 4 + PAGE_SIZE;
 /// exceed this is logged as a full image instead.
 pub const MAX_DELTA_BYTES: usize = PAGE_SIZE / 2;
 
-/// Find the byte ranges `(offset, len)` in which `cur` differs from
-/// `pre`, appended to `out` (cleared first) in ascending order: each
-/// maximal stretch of differing 8-byte words, trimmed to its first and
-/// last changed byte. Returns `false` — with `out` in an unspecified
-/// state — once the encoded ranges would exceed [`MAX_DELTA_BYTES`].
-pub fn diff_ranges(
-    pre: &[u8; PAGE_SIZE],
-    cur: &[u8; PAGE_SIZE],
-    out: &mut Vec<(u16, u16)>,
-) -> bool {
-    out.clear();
-    let mut encoded = 0usize;
-    let (pre_words, cur_words) = (pre.as_chunks::<8>().0, cur.as_chunks::<8>().0);
-    let word_diff = |w: usize| u64::from_ne_bytes(pre_words[w]) ^ u64::from_ne_bytes(cur_words[w]);
-    let mut w = 0;
-    while w < pre_words.len() {
-        // Most of a page is unchanged: step over it a cache line at a time.
-        if w % 8 == 0 && (w..w + 8).fold(0, |acc, i| acc | word_diff(i)) == 0 {
-            w += 8;
-            continue;
+/// Whether the lines marked in `lines` make a delta: a run costs 4 bytes
+/// of header plus its lines, and the runs may not exceed
+/// [`MAX_DELTA_BYTES`].
+pub(crate) fn delta_fits(lines: u64) -> bool {
+    let runs = (lines & !(lines << 1)).count_ones() as usize;
+    4 * runs + LINE_SIZE * lines.count_ones() as usize <= MAX_DELTA_BYTES
+}
+
+/// The byte ranges of the runs of marked lines in `lines`, ascending.
+pub(crate) fn line_runs(mut lines: u64) -> impl Iterator<Item = Range<usize>> {
+    std::iter::from_fn(move || {
+        if lines == 0 {
+            return None;
         }
-        if pre_words[w] == cur_words[w] {
-            w += 1;
-            continue;
-        }
-        let mut start = w * 8;
-        while w < pre_words.len() && pre_words[w] != cur_words[w] {
-            w += 1;
-        }
-        let mut end = w * 8;
-        while pre[start] == cur[start] {
-            start += 1;
-        }
-        while pre[end - 1] == cur[end - 1] {
-            end -= 1;
-        }
-        encoded += 4 + (end - start);
-        if encoded > MAX_DELTA_BYTES {
-            return false;
-        }
-        out.push((start as u16, (end - start) as u16));
-    }
-    true
+        let first = lines.trailing_zeros() as usize;
+        let len = (lines >> first).trailing_ones() as usize;
+        // Adding the run's lowest bit carries through the run.
+        lines &= lines.wrapping_add(1 << first);
+        Some(first * LINE_SIZE..(first + len) * LINE_SIZE)
+    })
 }
 
 /// Patch `page` with the ranges of a decoded [`WalRecord::PageDelta`].
@@ -216,16 +194,20 @@ pub(crate) fn put_delta<'a>(
     lsn: u64,
     txn: u64,
     page: PageId,
-    ranges: impl ExactSizeIterator<Item = (u16, &'a [u8])>,
+    ranges: impl Iterator<Item = (u16, &'a [u8])>,
 ) {
     let at = open_frame(buf, KIND_PAGE_DELTA, lsn);
     put_page_id(buf, txn, page);
-    buf.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
+    let count_at = buf.len();
+    buf.extend_from_slice(&[0, 0]);
+    let mut count = 0u16;
     for (offset, bytes) in ranges {
         buf.extend_from_slice(&offset.to_le_bytes());
         buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
         buf.extend_from_slice(bytes);
+        count += 1;
     }
+    buf[count_at..count_at + 2].copy_from_slice(&count.to_le_bytes());
     close_frame(buf, at);
 }
 
@@ -421,11 +403,23 @@ mod tests {
         bytes
     }
 
-    /// The delta record `diff_ranges` + `put_delta` log for `pre → cur`,
-    /// decoded back; `None` when the change is too large for a delta.
+    /// The lines in which `cur` differs from `pre`, one bit each.
+    fn changed_lines(pre: &[u8; PAGE_SIZE], cur: &[u8; PAGE_SIZE]) -> u64 {
+        let (pre, cur) = (
+            pre.as_chunks::<LINE_SIZE>().0,
+            cur.as_chunks::<LINE_SIZE>().0,
+        );
+        (0..pre.len())
+            .filter(|&l| pre[l] != cur[l])
+            .fold(0, |mask, l| mask | 1 << l)
+    }
+
+    /// The delta record `line_runs` + `put_delta` log for `pre → cur`
+    /// with the changed lines marked, decoded back; `None` when the
+    /// change is too large for a delta.
     fn logged_delta(pre: &[u8; PAGE_SIZE], cur: &[u8; PAGE_SIZE]) -> Option<Vec<DeltaRange>> {
-        let mut runs = Vec::new();
-        if !diff_ranges(pre, cur, &mut runs) {
+        let lines = changed_lines(pre, cur);
+        if !delta_fits(lines) {
             return None;
         }
         let mut buf = Vec::new();
@@ -434,8 +428,7 @@ mod tests {
             1,
             1,
             PageId::new(FileId(0), 0),
-            runs.iter()
-                .map(|&(at, len)| (at, &cur[at as usize..][..len as usize])),
+            line_runs(lines).map(|r| (r.start as u16, &cur[r])),
         );
         let scanned = scan(&buf);
         assert_eq!(scanned.valid_len, buf.len() as u64);
@@ -531,20 +524,28 @@ mod tests {
     }
 
     #[test]
-    fn diff_of_identical_single_byte_and_whole_page_changes() {
+    fn marked_lines_log_as_runs_and_as_a_delta_only_under_the_bound() {
+        let runs = |lines| line_runs(lines).collect::<Vec<_>>();
+        assert_eq!(runs(0), []);
+        assert_eq!(runs(u64::MAX), vec![0..PAGE_SIZE]);
+        assert_eq!(
+            runs(0b1011 | 1 << 62 | 1 << 63),
+            [0..128, 192..256, PAGE_SIZE - 128..PAGE_SIZE]
+        );
+
         let pre = Box::new([0x11u8; PAGE_SIZE]);
         assert_eq!(logged_delta(&pre, &pre), Some(vec![]));
-
-        for at in [0, 7, 8, 27, PAGE_SIZE - 1] {
+        for at in [0, 7, 63, 64, 1000, PAGE_SIZE - 1] {
             let mut cur = pre.clone();
             cur[at] = 0x22;
+            let line = at / LINE_SIZE * LINE_SIZE;
             assert_eq!(
                 logged_delta(&pre, &cur),
                 Some(vec![DeltaRange {
-                    offset: at as u16,
-                    bytes: vec![0x22],
+                    offset: line as u16,
+                    bytes: cur[line..line + LINE_SIZE].to_vec(),
                 }]),
-                "one changed byte at {at} is one one-byte range"
+                "one changed byte at {at} is its line"
             );
         }
 
@@ -554,12 +555,26 @@ mod tests {
             None,
             "past half a page a delta gives way to an image"
         );
-        // Exactly at the limit (one range: 4 bytes of header) still fits.
+        // One run of 31 lines (4 + 1984 bytes) fits; 32 lines do not,
+        // nor do 31 lines in more than 16 runs (4·16 + 1984 = 2048).
         let mut cur = pre.clone();
-        cur[..MAX_DELTA_BYTES - 4].fill(0x22);
+        cur[..31 * LINE_SIZE].fill(0x22);
         assert_eq!(logged_delta(&pre, &cur).map(|r| r.len()), Some(1));
-        cur[MAX_DELTA_BYTES - 4] = 0x22;
+        cur[31 * LINE_SIZE] = 0x22;
         assert_eq!(logged_delta(&pre, &cur), None);
+        let in_runs = |n: u32| {
+            let last_run = ((1u64 << (32 - n)) - 1) << (2 * (n - 1));
+            (0..n - 1).fold(last_run, |mask, r| mask | 1 << (2 * r))
+        };
+        assert_eq!(
+            (in_runs(16).count_ones(), runs(in_runs(16)).len()),
+            (31, 16)
+        );
+        assert_eq!(
+            (in_runs(17).count_ones(), runs(in_runs(17)).len()),
+            (31, 17)
+        );
+        assert!(delta_fits(in_runs(16)) && !delta_fits(in_runs(17)));
     }
 
     /// A page and an edited copy: `edits` are `(offset, len, fill)`
@@ -583,8 +598,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// apply(diff(a, b), a) == b, through the encoder and decoder,
-        /// for anything from no edit to edits covering the page.
+        /// apply(delta(a → b), a) == b, through the encoder and
+        /// decoder, for anything from no edit to edits covering the page.
         #[test]
         fn applying_the_logged_delta_reproduces_the_page(
             seed in any::<u8>(),
@@ -602,11 +617,10 @@ mod tests {
                 }
                 None => {
                     // Refused only when the change really is large: a
-                    // range costs at most 4 + 8 bytes per changed word,
-                    // and a changed word holds a changed byte.
-                    let changed = pre.iter().zip(cur.iter()).filter(|(a, b)| a != b).count();
-                    prop_assert!(changed * 12 > MAX_DELTA_BYTES,
-                        "a {changed}-byte change was refused a delta");
+                    // changed line costs at most 4 + 64 bytes.
+                    let changed = changed_lines(&pre, &cur).count_ones() as usize;
+                    prop_assert!(changed * (4 + LINE_SIZE) > MAX_DELTA_BYTES,
+                        "a {changed}-line change was refused a delta");
                 }
             }
         }

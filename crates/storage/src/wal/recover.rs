@@ -313,14 +313,16 @@ mod tests {
         let mut v2 = v1.clone();
         v2[4000] = 0x32;
         let mut last = 0;
-        for (pre, cur, covered) in [(&v0, &v1, first), (&v1, &v2, first + 3)] {
+        // Lines 1 and 62 hold the changes.
+        for (cur, covered, lines) in [(&v1, first, 1 << 1), (&v2, first + 3, 1 << 62)] {
             last = wal
                 .append_pages(
                     wal.begin_txn(),
                     std::iter::once(PageLog {
                         page: p0,
                         image: cur,
-                        base: Some((pre, covered)),
+                        covered,
+                        lines,
                     }),
                 )
                 .unwrap();
@@ -377,7 +379,8 @@ mod tests {
             std::iter::once(PageLog {
                 page: p0,
                 image: &v1,
-                base: Some((&v0, covered)),
+                covered,
+                lines: 1,
             }),
         )
         .unwrap();

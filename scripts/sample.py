@@ -8,13 +8,19 @@ registers, and lets it run on. RIP is resolved against `nm -C -n` of the
 executable and `nm -D -C -n` of each mapped library. When the binary was built
 with RUSTFLAGS="-C force-frame-pointers=yes" the rbp chain is walked through
 /proc/PID/mem too, which gives the inclusive table and `--callers`; without
-frame pointers only the flat table means anything. Python 3 stdlib and `nm`.
+frame pointers only the flat table means anything. A sample in a library keeps
+the word at [rsp] as its caller when that word is a code address: a frameless
+leaf such as glibc's memcpy leaves rbp at its caller's frame, so the chain alone
+would skip the caller. Libraries resolve through their exported symbols (`nm
+-D`); an address whose function (its `.eh_frame` entry, from `readelf`) starts
+past the nearest export prints as `lib.so+0xSTART (export)` rather than under
+the export's name. Python 3 stdlib, `nm` and `readelf`.
 """
 import argparse, bisect, collections, ctypes, os, struct, subprocess, sys, time
 
 SEIZE, INTERRUPT, GETREGS, CONT, DETACH = 0x4206, 0x4207, 12, 7, 17
 WALL = 0x40000000  # __WALL: wait for threads that are not our children
-RBP, RIP = 4, 16  # indexes into user_regs_struct (27 unsigned longs)
+RBP, RIP, RSP = 4, 16, 19  # indexes into user_regs_struct (27 unsigned longs)
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
 libc.ptrace.restype = ctypes.c_long
@@ -37,12 +43,24 @@ def nm(path, dynamic):
     return syms
 
 
+def functions(path):
+    """Sorted [(start, end)] of the functions `.eh_frame` of `path` describes."""
+    cmd = ["readelf", "--debug-dump=frames", path]
+    out = subprocess.run(cmd, capture_output=True, text=True).stdout
+    spans = []
+    for line in out.splitlines():
+        if " FDE " in line and " pc=" in line:
+            lo, hi = line.split(" pc=")[1].split()[0].split("..")
+            spans.append((int(lo, 16), int(hi, 16)))
+    return sorted(spans)
+
+
 class Images:
     """The executable mappings of a process and a symbol table for each."""
 
     def __init__(self, pid):
-        self.maps, self.tables, base = [], {}, {}
-        exe = os.path.realpath(f"/proc/{pid}/exe")
+        self.maps, self.tables, self.funcs, base = [], {}, {}, {}
+        self.exe = exe = os.path.realpath(f"/proc/{pid}/exe")
         for line in open(f"/proc/{pid}/maps"):
             f = line.split()
             if len(f) < 6 or not f[5].startswith("/"):
@@ -54,15 +72,29 @@ class Images:
                 if f[5] not in self.tables:
                     syms = nm(f[5], dynamic=f[5] != exe)
                     self.tables[f[5]] = ([a for a, _ in syms], [n for _, n in syms])
+                    spans = functions(f[5]) if f[5] != exe else []
+                    self.funcs[f[5]] = ([a for a, _ in spans], [b for _, b in spans])
         self.maps.sort()
 
-    def resolve(self, addr):
+    def mapping(self, addr):
         for lo, hi, path, base in self.maps:
             if lo <= addr < hi:
-                addrs, names = self.tables[path]
-                i = bisect.bisect_right(addrs, addr - base) - 1
-                return names[i] if i >= 0 else f"[{os.path.basename(path)}]"
-        return "[unmapped]"
+                return path, base
+        return None, 0
+
+    def resolve(self, addr):
+        path, base = self.mapping(addr)
+        if path is None:
+            return "[unmapped]"
+        off, lib = addr - base, os.path.basename(path)
+        addrs, names = self.tables[path]
+        i = bisect.bisect_right(addrs, off) - 1
+        starts, ends = self.funcs[path]
+        j = bisect.bisect_right(starts, off) - 1
+        if j >= 0 and off < ends[j] and (i < 0 or addrs[i] < starts[j]):
+            # The nearest export lies before the function `addr` is in.
+            return f"{lib}+{starts[j]:#x} ({names[i] if i >= 0 else '-'})"
+        return names[i] if i >= 0 else f"[{lib}]"
 
 
 def stack(mem, regs, depth=48):
@@ -78,6 +110,14 @@ def stack(mem, regs, depth=48):
         out.append(ret)
         rbp = nxt
     return out
+
+
+def word(mem, addr):
+    """The u64 at `addr` in the process, or 0 where it cannot be read."""
+    try:
+        return struct.unpack("Q", os.pread(mem, 8, addr))[0]
+    except (OSError, struct.error, OverflowError):
+        return 0
 
 
 def table(title, counts, total, top):
@@ -113,6 +153,10 @@ def main():
                     os.waitpid(tid, WALL)
                     ptrace(GETREGS, tid, ctypes.byref(regs))
                     frames = [regs[RIP]] + stack(mem, regs)
+                    path, _ = images.mapping(regs[RIP])
+                    ret = word(mem, regs[RSP]) if path not in (None, images.exe) else 0
+                    if images.mapping(ret)[0] and ret not in frames[1:2]:
+                        frames.insert(1, ret)  # a frameless leaf's caller
                     ptrace(CONT, tid)
                 except (OSError, ChildProcessError):
                     seized.discard(tid)  # the thread exited under us
