@@ -239,23 +239,39 @@ impl Catalog {
     /// Resolve a dotted path expression against the schema.
     pub fn resolve_path(&self, expr: &PathExpr) -> Result<ResolvedPath> {
         let set = self.set_id(&expr.set)?;
+        self.resolve_segments(set, expr.segments.iter().map(String::as_str))
+    }
+
+    /// Resolve `dotted`, a path relative to `set` (`"dept.name"`), straight
+    /// from the text: what a query plans each statement, without building
+    /// a [`PathExpr`]. An empty or unknown segment is an unknown field.
+    pub fn resolve_relative(&self, set: SetId, dotted: &str) -> Result<ResolvedPath> {
+        self.resolve_segments(set, dotted.split('.'))
+    }
+
+    /// Resolve `segments`, the reference attributes from `set`'s element
+    /// type then the terminal, against the schema.
+    fn resolve_segments<'s>(
+        &self,
+        set: SetId,
+        segments: impl Iterator<Item = &'s str>,
+    ) -> Result<ResolvedPath> {
         let mut cur_type = self.set(set).elem_type;
         let mut hops = Vec::new();
         let mut node_types = vec![cur_type];
-
-        let (ref_segs, terminal) = expr
-            .segments
-            .split_last()
-            .map(|(last, init)| (init, last.as_str()))
-            .expect("PathExpr::parse guarantees at least one segment");
-
-        for seg in ref_segs {
+        let mut segments = segments.peekable();
+        let mut terminal = "";
+        while let Some(seg) = segments.next() {
+            if segments.peek().is_none() {
+                terminal = seg;
+                break;
+            }
             let def = self.type_def(cur_type);
             let idx = def
                 .field_index(seg)
                 .ok_or_else(|| CatalogError::UnknownField {
                     type_name: def.name.clone(),
-                    field: seg.clone(),
+                    field: seg.into(),
                 })?;
             let target = self.ref_target(cur_type, idx)?;
             hops.push(idx);

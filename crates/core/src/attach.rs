@@ -54,9 +54,10 @@ where
     // the pins (forwarding, link pages, replica objects).
     let max_pages = (ctx.sm.pool().capacity() / 2).clamp(1, 32);
     let mut pages_total = 0;
-    for (range, pages) in fieldrep_storage::oid_page_chunks(oids, max_pages) {
+    let mut chunks = fieldrep_storage::oid_page_chunks(oids, max_pages, |o| *o);
+    while let Some((range, pages)) = chunks.next_chunk() {
         pages_total += pages.len();
-        let pinned = ctx.sm.get_pages_batch(&pages)?;
+        let pinned = ctx.sm.get_pages_batch(pages)?;
         // Both run in page order: the handle of an OID's page is the
         // current one or the next.
         let mut handles = pinned.iter().peekable();

@@ -136,7 +136,7 @@ impl Interpreter {
         })
     }
 
-    fn filter_of(&self, pred: &Predicate) -> Result<(String, Filter), LangError> {
+    fn filter_of<'p>(&self, pred: &'p Predicate) -> Result<(&'p str, Filter), LangError> {
         let (path, filter) = match pred {
             Predicate::Between { path, lo, hi } => {
                 let (set, rel) = split_set(path)?;
@@ -190,16 +190,18 @@ impl Interpreter {
         projections: &[Vec<String>],
         predicate: &Option<Predicate>,
     ) -> Result<(Vec<String>, ReadQuery), LangError> {
-        let (set, first_rel) = split_set(&projections[0])?;
-        let mut q = ReadQuery::on(set.clone()).project([first_rel]);
-        for p in &projections[1..] {
+        // The first projection names the set; the loop checks them all.
+        let set = projections[0].first().map_or("", String::as_str);
+        let mut q = ReadQuery::on(set);
+        q.projections.reserve_exact(projections.len());
+        for p in projections {
             let (s, rel) = split_set(p)?;
             if s != set {
                 return Err(LangError::Exec(format!(
                     "all projections must start from the same set ({set} vs {s})"
                 )));
             }
-            q = q.project([rel]);
+            q.projections.push(rel);
         }
         if let Some(pred) = predicate {
             let (pset, filter) = self.filter_of(pred)?;
@@ -230,7 +232,7 @@ impl Interpreter {
             }
             (s, rel)
         };
-        let mut q = UpdateQuery::on(set.clone())
+        let mut q = UpdateQuery::on(set)
             .assign(first_field, Assign::Set(self.value_of(&assignments[0].1)?));
         for (path, e) in &assignments[1..] {
             let (s, rel) = split_set(path)?;
@@ -560,7 +562,7 @@ impl Interpreter {
                     None => victims = oids,
                     Some(pred) => {
                         let (pset, filter) = self.filter_of(pred)?;
-                        if &pset != set {
+                        if pset != set {
                             return Err(LangError::Exec(format!(
                                 "predicate set {pset} differs from target set {set}"
                             )));
@@ -865,12 +867,12 @@ fn cmp_filter(rel: String, op: CmpOp, v: Value) -> Result<Filter, LangError> {
 }
 
 /// Split `[set, rest…]` into `(set, "rest.joined")`.
-fn split_set(path: &[String]) -> Result<(String, String), LangError> {
+fn split_set(path: &[String]) -> Result<(&str, String), LangError> {
     if path.len() < 2 {
         return Err(LangError::Exec(format!(
             "path {:?} must be set-qualified (Set.field…)",
             path.join(".")
         )));
     }
-    Ok((path[0].clone(), path[1..].join(".")))
+    Ok((&path[0], path[1..].join(".")))
 }

@@ -1,21 +1,26 @@
 //! Tokenizer for the EXTRA-style statement language.
+//!
+//! Tokens borrow the statement text: an identifier, a variable name or a
+//! string literal without escapes is a slice of it, so lexing allocates
+//! only the token vector (and a string literal that has escapes).
 
 use crate::LangError;
+use std::borrow::Cow;
 
-/// A lexical token.
+/// A lexical token, borrowing from the text it was lexed from.
 #[derive(Clone, PartialEq, Debug)]
-pub enum Token {
+pub enum Token<'a> {
     /// Identifier or keyword (`define`, `Emp1`, `salary`…). Keywords are
     /// recognised case-insensitively by the parser.
-    Ident(String),
+    Ident(&'a str),
     /// `$name` — an interpreter variable holding an object reference.
-    Var(String),
+    Var(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// Double-quoted string literal (supports `\"` and `\\`).
-    Str(String),
+    /// Double-quoted string literal (supports `\"`, `\\` and `\n`).
+    Str(Cow<'a, str>),
     /// `(`
     LParen,
     /// `)`
@@ -50,169 +55,134 @@ pub enum Token {
     Semi,
 }
 
-/// Tokenize one statement (or script). `--` starts a line comment.
-pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
-    let mut out = Vec::new();
-    let b: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i];
+/// Where the run of identifier characters starting at byte `from` ends.
+fn ident_end(src: &str, from: usize) -> usize {
+    src[from..]
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .map_or(src.len(), |n| from + n)
+}
+
+/// The string literal whose opening quote is at byte `open`, unescaped,
+/// and the byte just past its closing quote.
+fn string_at(src: &str, open: usize) -> Result<(Cow<'_, str>, usize), LangError> {
+    let body = open + 1;
+    let unterminated = || LangError::Lex("unterminated string".into());
+    let stop = src[body..].find(['"', '\\']).ok_or_else(unterminated)? + body;
+    if src.as_bytes()[stop] == b'"' {
+        return Ok((Cow::Borrowed(&src[body..stop]), stop + 1));
+    }
+    let mut s = String::from(&src[body..stop]);
+    let mut chars = src[stop..].char_indices();
+    while let Some((at, c)) = chars.next() {
         match c {
-            c if c.is_whitespace() => i += 1,
-            '-' if b.get(i + 1) == Some(&'-') => {
-                while i < b.len() && b[i] != '\n' {
-                    i += 1;
+            '"' => return Ok((Cow::Owned(s), stop + at + 1)),
+            '\\' => match chars.next() {
+                Some((_, '"')) => s.push('"'),
+                Some((_, '\\')) => s.push('\\'),
+                Some((_, 'n')) => s.push('\n'),
+                other => {
+                    let other = other.map(|(_, c)| c);
+                    return Err(LangError::Lex(format!("bad escape: \\{other:?}")));
                 }
+            },
+            c => s.push(c),
+        }
+    }
+    Err(unterminated())
+}
+
+/// The number literal starting at byte `start` (a digit, or `-` before
+/// one), and the byte just past it. `_` separates digits.
+fn number_at(src: &str, start: usize) -> Result<(Token<'_>, usize), LangError> {
+    let b = src.as_bytes();
+    let mut j = start + 1;
+    let mut is_float = false;
+    while j < b.len() {
+        match b[j] {
+            d if d.is_ascii_digit() => j += 1,
+            b'.' if !is_float && b.get(j + 1).is_some_and(u8::is_ascii_digit) => {
+                is_float = true;
+                j += 1;
             }
-            '(' => {
-                out.push(Token::LParen);
-                i += 1;
+            b'_' => j += 1,
+            _ => break,
+        }
+    }
+    let text = &src[start..j];
+    let text: Cow<'_, str> = if text.contains('_') {
+        Cow::Owned(text.replace('_', ""))
+    } else {
+        Cow::Borrowed(text)
+    };
+    let tok = if is_float {
+        Token::Float(
+            text.parse()
+                .map_err(|e| LangError::Lex(format!("bad float {text:?}: {e}")))?,
+        )
+    } else {
+        Token::Int(
+            text.parse()
+                .map_err(|e| LangError::Lex(format!("bad int {text:?}: {e}")))?,
+        )
+    };
+    Ok((tok, j))
+}
+
+/// Tokenize one statement (or script). `--` starts a line comment.
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LangError> {
+    // Statements average about four bytes a token.
+    let mut out = Vec::with_capacity(src.len() / 3 + 1);
+    let mut i = 0;
+    while let Some(c) = src[i..].chars().next() {
+        let next = src[i + c.len_utf8()..].chars().next();
+        let (tok, len) = match c {
+            c if c.is_whitespace() => {
+                i += c.len_utf8();
+                continue;
             }
-            ')' => {
-                out.push(Token::RParen);
-                i += 1;
+            '-' if next == Some('-') => {
+                i = src[i..].find('\n').map_or(src.len(), |n| i + n);
+                continue;
             }
-            '{' => {
-                out.push(Token::LBrace);
-                i += 1;
-            }
-            '}' => {
-                out.push(Token::RBrace);
-                i += 1;
-            }
-            '[' => {
-                out.push(Token::LBracket);
-                i += 1;
-            }
-            ']' => {
-                out.push(Token::RBracket);
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
-            }
-            ':' => {
-                out.push(Token::Colon);
-                i += 1;
-            }
-            '.' => {
-                out.push(Token::Dot);
-                i += 1;
-            }
-            ';' => {
-                out.push(Token::Semi);
-                i += 1;
-            }
-            '=' => {
-                out.push(Token::Eq);
-                i += 1;
-            }
-            '!' if b.get(i + 1) == Some(&'=') => {
-                out.push(Token::Ne);
-                i += 2;
-            }
-            '<' => {
-                if b.get(i + 1) == Some(&'=') {
-                    out.push(Token::Le);
-                    i += 2;
-                } else {
-                    out.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if b.get(i + 1) == Some(&'=') {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
-            }
+            '(' => (Token::LParen, 1),
+            ')' => (Token::RParen, 1),
+            '{' => (Token::LBrace, 1),
+            '}' => (Token::RBrace, 1),
+            '[' => (Token::LBracket, 1),
+            ']' => (Token::RBracket, 1),
+            ',' => (Token::Comma, 1),
+            ':' => (Token::Colon, 1),
+            '.' => (Token::Dot, 1),
+            ';' => (Token::Semi, 1),
+            '=' => (Token::Eq, 1),
+            '!' if next == Some('=') => (Token::Ne, 2),
+            '<' if next == Some('=') => (Token::Le, 2),
+            '<' => (Token::Lt, 1),
+            '>' if next == Some('=') => (Token::Ge, 2),
+            '>' => (Token::Gt, 1),
             '$' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < b.len() && (b[j].is_alphanumeric() || b[j] == '_') {
-                    j += 1;
-                }
-                if j == start {
+                let end = ident_end(src, i + 1);
+                if end == i + 1 {
                     return Err(LangError::Lex("empty variable name after '$'".into()));
                 }
-                out.push(Token::Var(b[start..j].iter().collect()));
-                i = j;
+                (Token::Var(&src[i + 1..end]), end - i)
             }
             '"' => {
-                let mut s = String::new();
-                let mut j = i + 1;
-                loop {
-                    match b.get(j) {
-                        None => return Err(LangError::Lex("unterminated string".into())),
-                        Some('"') => {
-                            j += 1;
-                            break;
-                        }
-                        Some('\\') => {
-                            match b.get(j + 1) {
-                                Some('"') => s.push('"'),
-                                Some('\\') => s.push('\\'),
-                                Some('n') => s.push('\n'),
-                                other => {
-                                    return Err(LangError::Lex(format!("bad escape: \\{other:?}")))
-                                }
-                            }
-                            j += 2;
-                        }
-                        Some(c) => {
-                            s.push(*c);
-                            j += 1;
-                        }
-                    }
-                }
-                out.push(Token::Str(s));
-                i = j;
+                let (s, end) = string_at(src, i)?;
+                (Token::Str(s), end - i)
             }
-            c if c.is_ascii_digit()
-                || (c == '-' && b.get(i + 1).is_some_and(char::is_ascii_digit)) =>
-            {
-                let start = i;
-                let mut j = i + 1;
-                let mut is_float = false;
-                while j < b.len() {
-                    match b[j] {
-                        d if d.is_ascii_digit() => j += 1,
-                        '.' if !is_float && b.get(j + 1).is_some_and(char::is_ascii_digit) => {
-                            is_float = true;
-                            j += 1;
-                        }
-                        '_' => j += 1,
-                        _ => break,
-                    }
-                }
-                let text: String = b[start..j].iter().filter(|c| **c != '_').collect();
-                if is_float {
-                    out.push(Token::Float(text.parse().map_err(|e| {
-                        LangError::Lex(format!("bad float {text:?}: {e}"))
-                    })?));
-                } else {
-                    out.push(Token::Int(
-                        text.parse()
-                            .map_err(|e| LangError::Lex(format!("bad int {text:?}: {e}")))?,
-                    ));
-                }
-                i = j;
+            c if c.is_ascii_digit() || (c == '-' && next.is_some_and(|d| d.is_ascii_digit())) => {
+                let (tok, end) = number_at(src, i)?;
+                (tok, end - i)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i;
-                while j < b.len() && (b[j].is_alphanumeric() || b[j] == '_') {
-                    j += 1;
-                }
-                out.push(Token::Ident(b[start..j].iter().collect()));
-                i = j;
+                let end = ident_end(src, i);
+                (Token::Ident(&src[i..end]), end - i)
             }
             other => return Err(LangError::Lex(format!("unexpected character {other:?}"))),
-        }
+        };
+        out.push(tok);
+        i += len;
     }
     Ok(out)
 }
@@ -227,16 +197,16 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("retrieve".into()),
+                Token::Ident("retrieve"),
                 Token::LParen,
-                Token::Ident("Emp1".into()),
+                Token::Ident("Emp1"),
                 Token::Dot,
-                Token::Ident("name".into()),
+                Token::Ident("name"),
                 Token::RParen,
-                Token::Ident("where".into()),
-                Token::Ident("Emp1".into()),
+                Token::Ident("where"),
+                Token::Ident("Emp1"),
                 Token::Dot,
-                Token::Ident("salary".into()),
+                Token::Ident("salary"),
                 Token::Gt,
                 Token::Int(100_000),
             ]
@@ -247,7 +217,7 @@ mod tests {
     fn lex_strings_and_vars() {
         let toks = lex(r#"insert Dept (name = "Sho\"e", org = $acme)"#).unwrap();
         assert!(toks.contains(&Token::Str("Sho\"e".into())));
-        assert!(toks.contains(&Token::Var("acme".into())));
+        assert!(toks.contains(&Token::Var("acme")));
     }
 
     #[test]

@@ -33,21 +33,21 @@ pub fn parse_stmt(src: &str) -> Result<Stmt, LangError> {
         .ok_or_else(|| LangError::Parse("empty statement".into()))
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Result<Token, LangError> {
+    fn next(&mut self) -> Result<Token<'a>, LangError> {
         let t = self
             .tokens
             .get(self.pos)
@@ -66,7 +66,7 @@ impl Parser {
         }
     }
 
-    fn expect_tok(&mut self, t: Token) -> Result<(), LangError> {
+    fn expect_tok(&mut self, t: Token<'_>) -> Result<(), LangError> {
         let got = self.next()?;
         if got == t {
             Ok(())
@@ -77,7 +77,7 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String, LangError> {
         match self.next()? {
-            Token::Ident(s) => Ok(s),
+            Token::Ident(s) => Ok(s.to_string()),
             other => Err(LangError::Parse(format!(
                 "expected identifier, found {other:?}"
             ))),
@@ -239,7 +239,9 @@ impl Parser {
     }
 
     fn dotted_path(&mut self) -> Result<Vec<String>, LangError> {
-        let mut path = vec![self.ident()?];
+        // Room for `Set.ref.ref.field` without growing.
+        let mut path = Vec::with_capacity(4);
+        path.push(self.ident()?);
         while self.eat(&Token::Dot) {
             path.push(self.ident()?);
         }
@@ -304,8 +306,8 @@ impl Parser {
         match self.next()? {
             Token::Int(v) => Ok(Expr::Int(v)),
             Token::Float(v) => Ok(Expr::Float(v)),
-            Token::Str(s) => Ok(Expr::Str(s)),
-            Token::Var(v) => Ok(Expr::Var(v)),
+            Token::Str(s) => Ok(Expr::Str(s.into_owned())),
+            Token::Var(v) => Ok(Expr::Var(v.to_string())),
             Token::Ident(s) if s.eq_ignore_ascii_case("null") => Ok(Expr::Null),
             other => Err(LangError::Parse(format!("expected value, found {other:?}"))),
         }
@@ -333,7 +335,7 @@ impl Parser {
         }
         let bind = if self.keyword("as") {
             match self.next()? {
-                Token::Var(v) => Some(v),
+                Token::Var(v) => Some(v.to_string()),
                 other => {
                     return Err(LangError::Parse(format!(
                         "expected $variable after `as`, found {other:?}"

@@ -3,7 +3,8 @@
 //! mapped to (or resembles) a panic path in the parser or interpreter.
 
 use fieldrep_core::DbConfig;
-use fieldrep_lang::{parse_script, parse_stmt, Interpreter};
+use fieldrep_lang::{parse_script, parse_stmt, Interpreter, LangError, Output};
+use fieldrep_query::QueryError;
 
 /// Statements that are syntactically broken in assorted ways. Each must
 /// produce a parse error, not a panic.
@@ -135,5 +136,37 @@ fn unknown_names_are_interpreter_errors() {
         "show ghosts",
     ] {
         assert!(it.execute(src).is_err(), "expected error for {src:?}");
+    }
+}
+
+/// A `where` literal of another type than the field it filters is a
+/// query error, not an empty result: `between 1.5 and 3.5` on an int key
+/// once matched nothing, though keys 2 and 3 exist.
+#[test]
+fn filter_literals_of_the_wrong_type_are_errors() {
+    let mut it = Interpreter::new(DbConfig::default());
+    it.run_script(
+        "define type EMP ( name: char[], salary: int ); create Emp1: {own ref EMP};
+         insert Emp1 (name = \"a\", salary = 2); insert Emp1 (name = \"b\", salary = 3);
+         build btree on Emp1.salary",
+    )
+    .unwrap();
+    for src in [
+        "retrieve (Emp1.name) where Emp1.salary between 1.5 and 3.5",
+        "retrieve (Emp1.name) where Emp1.salary = \"abc\"",
+        "retrieve (Emp1.salary) where Emp1.name = 2",
+        "replace (Emp1.name = \"c\") where Emp1.salary = \"2\"",
+    ] {
+        assert!(
+            matches!(
+                it.execute(src),
+                Err(LangError::Query(QueryError::BadQuery(_)))
+            ),
+            "{src}"
+        );
+    }
+    match it.execute("retrieve (Emp1.name) where Emp1.salary between 1 and 3") {
+        Ok(Output::Rows { rows, .. }) => assert_eq!(rows.len(), 2),
+        other => panic!("{other:?}"),
     }
 }

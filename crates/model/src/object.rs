@@ -333,10 +333,14 @@ impl<'a> ObjectView<'a> {
     /// The hidden replicated values for replication path `path`, if any
     /// (what [`Object::replica_values`] returns for the decoded object).
     pub fn replica_values(&self, path: u16) -> Result<Option<Vec<Value>>, ModelError> {
-        Ok(match self.find(TAG_REPLICA_VALUE, path)? {
-            Some(Annotation::ReplicaValue { values, .. }) => Some(values),
-            _ => None,
-        })
+        self.replica_list(path)?.map(Value::decode_list).transpose()
+    }
+
+    /// The stored list of [`ObjectView::replica_values`], undecoded: a
+    /// reader takes the positions it projects with [`Value::list_item`].
+    pub fn replica_list(&self, path: u16) -> Result<Option<&'a [u8]>, ModelError> {
+        let (_, found, _) = self.locate(TAG_REPLICA_VALUE, path)?;
+        Ok(found.map(|at| &self.bytes[at.start + 3..at.end]))
     }
 
     /// The shared replica object this source reads path group `group`
@@ -700,6 +704,15 @@ mod tests {
                 view.replica_values(path).unwrap().as_deref(),
                 obj.replica_values(path)
             );
+            // The undecoded list reads the same values, one at a time.
+            let list = view.replica_list(path).unwrap();
+            let items = list.map(|l| {
+                let n = obj.replica_values(path).map_or(0, <[Value]>::len);
+                (0..n)
+                    .map(|i| Value::list_item(l, i).unwrap())
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(items.as_deref(), obj.replica_values(path));
         }
         assert_eq!(
             view.replica_ref(9).unwrap(),

@@ -149,18 +149,40 @@ impl Value {
         let n = *b.first().ok_or(ModelError::Truncated)?;
         let mut off = 1;
         for _ in 0..n {
-            let v = b.get(off..).ok_or(ModelError::Truncated)?;
-            off += match (v.first(), v.get(1..3)) {
-                (Some(1 | 2 | 4), _) => 9,
-                (Some(3), Some(len)) => 3 + u16::from_le_bytes([len[0], len[1]]) as usize,
-                (Some(5), _) => 1,
-                (Some(3) | None, _) => return Err(ModelError::Truncated),
-                (Some(other), _) => {
-                    return Err(ModelError::BadEncoding(format!("bad value tag {other}")))
-                }
-            };
+            off += Value::len_at(b.get(off..).ok_or(ModelError::Truncated)?)?;
         }
         Ok(off)
+    }
+
+    /// Encoded width of the one value at the head of `b`, without decoding
+    /// it.
+    fn len_at(v: &[u8]) -> Result<usize, ModelError> {
+        Ok(match (v.first(), v.get(1..3)) {
+            (Some(1 | 2 | 4), _) => 9,
+            (Some(3), Some(len)) => 3 + u16::from_le_bytes([len[0], len[1]]) as usize,
+            (Some(5), _) => 1,
+            (Some(3) | None, _) => return Err(ModelError::Truncated),
+            (Some(other), _) => {
+                return Err(ModelError::BadEncoding(format!("bad value tag {other}")))
+            }
+        })
+    }
+
+    /// Value `i` of the list [`Value::encode_list`] left at the head of
+    /// `b`: the values before it are stepped over, not decoded, and none
+    /// is copied but the one returned.
+    pub fn list_item(b: &[u8], i: usize) -> Result<Value, ModelError> {
+        let n = *b.first().ok_or(ModelError::Truncated)? as usize;
+        if i >= n {
+            return Err(ModelError::BadEncoding(format!(
+                "value #{i} of a {n}-value list"
+            )));
+        }
+        let mut off = 1;
+        for _ in 0..i {
+            off += Value::len_at(b.get(off..).ok_or(ModelError::Truncated)?)?;
+        }
+        Ok(Value::decode(b.get(off..).ok_or(ModelError::Truncated)?)?.0)
     }
 
     /// Encode a list of values (used for replica objects in separate
@@ -224,6 +246,19 @@ mod tests {
         }
         let list = Value::encode_list(&vals);
         assert_eq!(Value::decode_list(&list).unwrap(), vals);
+        for (i, v) in vals.iter().enumerate() {
+            assert_eq!(&Value::list_item(&list, i).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn list_item_rejects_what_the_list_does_not_hold() {
+        let list = Value::encode_list(&[Value::Str("abc".into()), Value::Int(7)]);
+        assert!(Value::list_item(&list, 2).is_err());
+        assert!(Value::list_item(&[], 0).is_err());
+        // Cut inside the first value: stepping over it must not overrun.
+        assert!(Value::list_item(&list[..4], 1).is_err());
+        assert!(Value::list_item(&list[..list.len() - 1], 1).is_err());
     }
 
     #[test]

@@ -51,7 +51,9 @@ impl Profile {
         let now = Instant::now();
         let snap = io::snapshot();
         Profile {
-            ops: Vec::new(),
+            // A read closes plan, access, sync, fetch, spool and one
+            // segment per projection.
+            ops: Vec::with_capacity(8),
             total_io: IoCounts::default(),
             total_nanos: 0,
             start_io: snap,

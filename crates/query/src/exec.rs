@@ -5,6 +5,16 @@
 //! sorted into physical order, and each needed page is then fetched once.
 //! With a cold buffer pool this makes measured page I/O directly
 //! comparable to the analytical `C_read` / `C_update`.
+//!
+//! A read allocates for the rows it returns, not for the plumbing that
+//! finds them: one `Vec` per row, one allocation per returned string, one
+//! handle vector per page chunk, and a bounded constant per statement
+//! (the plan, the sorted OID list of each batched step, the start list of
+//! each join). Every value is decoded from the pinned page straight into
+//! its row's column, and a replicated value list yields only the
+//! positions projected ([`Value::list_item`]).
+//! `crates/lang/tests/read_allocs.rs` pins the rule on the §6 read for all
+//! three strategies.
 
 use crate::error::{QueryError, Result};
 use crate::plan::{plan_access, plan_projection, AccessPlan, Plan, ProjPlan};
@@ -57,36 +67,36 @@ fn max_batch_pages(db: &Database) -> usize {
 /// distinct OIDs are visited in physical order, each adjacent page run is
 /// moved with one grouped disk read
 /// ([`fieldrep_storage::StorageManager::get_pages_batch`]), and
-/// `read(type_tag, payload)` takes what it needs straight from the record's
-/// bytes in the pinned page. It runs under that frame's read latch, so it
-/// must not touch the pool. Results come back in `oids` order, `None` for
-/// `None`.
-fn read_batch<T: Clone>(
+/// `visit(i, type_tag, payload)` takes what input `i` needs straight from
+/// the record's bytes in the pinned page. An OID named more than once is
+/// read once and visited once per position; a `None` is not visited.
+/// `visit` runs under the frame's read latch, so it must not touch the
+/// pool.
+fn read_batch(
     db: &Database,
-    oids: &[Option<Oid>],
-    mut read: impl FnMut(u16, &[u8]) -> Result<T>,
-) -> Result<Vec<Option<T>>> {
-    let mut order: Vec<usize> = (0..oids.len()).filter(|&i| oids[i].is_some()).collect();
-    order.sort_unstable_by_key(|&i| oids[i]);
-    let sorted: Vec<Oid> = order.iter().filter_map(|&i| oids[i]).collect();
-    let mut out: Vec<Option<T>> = vec![None; oids.len()];
-    for (range, pages) in oid_page_chunks(&sorted, max_batch_pages(db)) {
-        let pinned = db.sm().get_pages_batch(&pages)?;
+    oids: impl ExactSizeIterator<Item = Option<Oid>>,
+    mut visit: impl FnMut(usize, u16, &[u8]) -> Result<()>,
+) -> Result<()> {
+    // (OID, position) pairs, sorted: physical order, repeats adjacent.
+    let mut order: Vec<(Oid, usize)> = Vec::with_capacity(oids.len());
+    order.extend(oids.enumerate().filter_map(|(i, oid)| Some((oid?, i))));
+    order.sort_unstable();
+    let mut chunks = oid_page_chunks(&order, max_batch_pages(db), |&(oid, _)| oid);
+    while let Some((range, pages)) = chunks.next_chunk() {
+        let pinned = db.sm().get_pages_batch(pages)?;
         let mut page = 0;
-        for k in range {
-            let oid = sorted[k];
-            out[order[k]] = if k > 0 && sorted[k - 1] == oid {
-                out[order[k - 1]].clone()
-            } else {
-                while pinned[page].pid != oid.page_id() {
-                    page += 1;
-                }
-                let hf = HeapFile::open(oid.file);
-                Some(hf.read_pinned(db.sm(), &pinned[page], oid, &mut read)??)
-            };
+        for same in order[range].chunk_by(|a, b| a.0 == b.0) {
+            let oid = same[0].0;
+            while pinned[page].pid != oid.page_id() {
+                page += 1;
+            }
+            let hf = HeapFile::open(oid.file);
+            hf.read_pinned(db.sm(), &pinned[page], oid, |tag, payload| {
+                same.iter().try_for_each(|&(_, i)| visit(i, tag, payload))
+            })??;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// A borrowed reader over the stored bytes of an object with type tag `tag`.
@@ -104,7 +114,7 @@ fn ref_target(v: &Value) -> Option<Oid> {
 
 /// Evaluate the access path: the OIDs (in retrieval order) of the
 /// qualifying set members.
-fn run_access(db: &mut Database, plan: &Plan, filter: Option<&Filter>) -> Result<Vec<Oid>> {
+fn run_access(db: &Database, plan: &Plan, filter: Option<&Filter>) -> Result<Vec<Oid>> {
     match &plan.access {
         AccessPlan::IndexRange { index, .. } | AccessPlan::PathIndexRange { index, .. } => {
             let f = filter.ok_or_else(|| {
@@ -114,8 +124,8 @@ fn run_access(db: &mut Database, plan: &Plan, filter: Option<&Filter>) -> Result
             let mut oids = Vec::new();
             BTreeIndex::open(*index).for_each_in_range(
                 db.sm(),
-                &value_key(&lo),
-                &value_key(&hi),
+                &value_key(lo),
+                &value_key(hi),
                 |_, oid| oids.push(oid),
             )?;
             Ok(oids)
@@ -144,7 +154,7 @@ fn run_access(db: &mut Database, plan: &Plan, filter: Option<&Filter>) -> Result
 }
 
 fn eval_filter_value(
-    db: &mut Database,
+    db: &Database,
     set: fieldrep_catalog::SetId,
     f: &Filter,
     oid: Oid,
@@ -155,66 +165,47 @@ fn eval_filter_value(
     Ok(rows.pop().and_then(|mut r| r.pop()).flatten())
 }
 
-/// What a read takes from one source object while its page is pinned.
-#[derive(Clone)]
-struct Source {
-    /// The row so far: base fields and in-place replicas are finished
-    /// columns, the columns a join will fill in are `None`.
-    row: Row,
-    /// Per projection, where its join starts (replica ref, first hop);
-    /// `None` for NULL, and for projections that do not join.
-    starts: Vec<Option<Oid>>,
-    /// The whole object — decoded only when a collapse projection needs it
-    /// for `read_path_values`.
-    obj: Option<Object>,
-}
-
-/// Take what `projections` need from one source record's bytes: only the
-/// fields the plan names are decoded (a base field by index, the hidden
-/// replica values of one path, the replica ref of one group, a first hop).
+/// Take what `projections` need from one source record's bytes into a new
+/// row of `width` columns: only the fields the plan names are decoded (a
+/// base field by index, the projected positions of one path's hidden
+/// replica values, the replica ref of one group, a first hop). The
+/// columns a join fills in later stay `None`; where each projection's
+/// join starts goes to its entry of `starts` (left `None` for NULL and
+/// for projections that do not join). With `obj`, the whole object is
+/// decoded into it, for a collapse projection's `read_path_values`.
 fn read_source(
     db: &Database,
     projections: &[ProjPlan],
     width: usize,
     tag: u16,
     payload: &[u8],
-) -> Result<Source> {
+    starts: &mut [Option<Oid>],
+    obj: Option<&mut Option<Object>>,
+) -> Result<Row> {
     let view = object_view(db, tag, payload);
-    let mut src = Source {
-        row: Row::with_capacity(width),
-        starts: Vec::with_capacity(projections.len()),
-        obj: None,
-    };
-    let mut end = 0;
-    for proj in projections {
-        let start = match proj {
-            ProjPlan::BaseField { field } => {
-                src.row.push(Some(view.field(*field)?));
-                None
-            }
+    let mut row = Row::with_capacity(width);
+    for (proj, start) in projections.iter().zip(starts) {
+        let end = row.len() + proj.width();
+        match proj {
+            ProjPlan::BaseField { field } => row.push(Some(view.field(*field)?)),
             ProjPlan::InPlaceReplica { path, positions } => {
-                let vals = view.replica_values(path.0)?;
-                for &pos in positions {
-                    src.row.push(vals.as_ref().map(|v| v[pos].clone()));
+                if let Some(list) = view.replica_list(path.0)? {
+                    for &pos in positions {
+                        row.push(Some(Value::list_item(list, pos)?));
+                    }
                 }
-                None
             }
-            ProjPlan::SeparateReplica { group, .. } => view.replica_ref(group.0)?,
-            ProjPlan::FunctionalJoin { hops, .. } => ref_target(&view.field(hops[0])?),
-            ProjPlan::CollapseThenJoin { .. } => {
-                if src.obj.is_none() {
-                    let def = db.catalog().type_def(TypeId(tag));
-                    src.obj = Some(Object::decode(TypeId(tag), def, payload)?);
-                }
-                None
-            }
-        };
-        src.starts.push(start);
-        // The columns a join fills in later stay `None` until then.
-        end += proj.width();
-        src.row.resize(end, None);
+            ProjPlan::SeparateReplica { group, .. } => *start = view.replica_ref(group.0)?,
+            ProjPlan::FunctionalJoin { hops, .. } => *start = ref_target(&view.field(hops[0])?),
+            ProjPlan::CollapseThenJoin { .. } => {}
+        }
+        row.resize(end, None);
     }
-    Ok(src)
+    if let Some(obj) = obj {
+        let def = db.catalog().type_def(TypeId(tag));
+        *obj = Some(Object::decode(TypeId(tag), def, payload)?);
+    }
+    Ok(row)
 }
 
 /// Compute the projected columns for `oids`, one row per OID.
@@ -223,7 +214,7 @@ fn read_source(
 /// their own profile segment (`None` when called for a nested filter
 /// evaluation, whose I/O belongs to the enclosing access segment).
 fn project(
-    db: &mut Database,
+    db: &Database,
     oids: &[Oid],
     projections: &[ProjPlan],
     mut prof: Option<&mut Profile>,
@@ -248,15 +239,30 @@ fn project(
         p.mark(obs_names::OP_SYNC);
     }
     // Read the source objects once (optimally), building each row while
-    // its object's page is pinned.
-    let width: usize = projections.iter().map(super::plan::ProjPlan::width).sum();
-    let wanted: Vec<Option<Oid>> = oids.iter().copied().map(Some).collect();
-    let mut srcs: Vec<Source> = read_batch(db, &wanted, |tag, payload| {
-        read_source(db, projections, width, tag, payload)
-    })?
-    .into_iter()
-    .flatten()
-    .collect();
+    // its object's page is pinned. `starts` holds, row after row, where
+    // each projection's join starts; `objs` the decoded objects a
+    // collapse projection reads its replicated reference from.
+    let (n, nproj) = (oids.len(), projections.len());
+    let width = projections.iter().map(ProjPlan::width).sum();
+    let mut rows: Vec<Row> = vec![Row::new(); n];
+    let mut starts: Vec<Option<Oid>> = vec![None; n * nproj];
+    let collapses = projections
+        .iter()
+        .any(|p| matches!(p, ProjPlan::CollapseThenJoin { .. }));
+    let mut objs: Vec<Option<Object>> = vec![None; if collapses { n } else { 0 }];
+    read_batch(db, oids.iter().map(|&oid| Some(oid)), |i, tag, payload| {
+        let starts = &mut starts[i * nproj..(i + 1) * nproj];
+        rows[i] = read_source(
+            db,
+            projections,
+            width,
+            tag,
+            payload,
+            starts,
+            objs.get_mut(i),
+        )?;
+        Ok(())
+    })?;
     if let Some(p) = prof.as_deref_mut() {
         p.mark(obs_names::OP_FETCH);
     }
@@ -266,17 +272,21 @@ fn project(
     let mut col = 0;
     for (proj_idx, proj) in projections.iter().enumerate() {
         let io_before = obs_io::snapshot();
-        let starts = |srcs: &[Source]| srcs.iter().map(|s| s.starts[proj_idx]).collect::<Vec<_>>();
-        let joined = match proj {
-            ProjPlan::BaseField { .. } | ProjPlan::InPlaceReplica { .. } => None,
+        let starts = starts.iter().skip(proj_idx).step_by(nproj).copied();
+        match proj {
+            ProjPlan::BaseField { .. } | ProjPlan::InPlaceReplica { .. } => {}
             ProjPlan::SeparateReplica { positions, .. } => {
                 // S'-scan: batched over the sorted replica OIDs, one
                 // grouped read per adjacent page run.
-                Some(read_batch(db, &starts(&srcs), |_, payload| {
-                    let vals = Value::decode_list(payload)
-                        .map_err(|e| QueryError::BadQuery(format!("bad replica object: {e}")))?;
-                    Ok(positions.iter().map(|&pos| vals[pos].clone()).collect())
-                })?)
+                read_batch(db, starts, |i, _, payload| {
+                    for (slot, &pos) in rows[i][col..].iter_mut().zip(positions) {
+                        let v = Value::list_item(payload, pos).map_err(|e| {
+                            QueryError::BadQuery(format!("bad replica object: {e}"))
+                        })?;
+                        *slot = Some(v);
+                    }
+                    Ok(())
+                })?;
             }
             ProjPlan::CollapseThenJoin {
                 path,
@@ -285,23 +295,25 @@ fn project(
             } => {
                 // Jump through the replicated reference…
                 let pdef = db.catalog().path(*path);
-                let mut current = Vec::with_capacity(srcs.len());
-                for obj in srcs.iter().filter_map(|s| s.obj.as_ref()) {
+                let mut current = Vec::with_capacity(n);
+                for obj in objs.iter().flatten() {
                     let vals = fieldrep_core::attach::read_path_values(&mut db.ctx(), pdef, obj)
                         .map_err(QueryError::from)?;
                     current.push(vals.and_then(|v| v.first().and_then(ref_target)));
                 }
-                Some(join_chain(db, current, remaining_hops, terminal_fields)?)
+                join_chain(db, current, remaining_hops, terminal_fields, &mut rows, col)?;
             }
             ProjPlan::FunctionalJoin {
                 hops,
                 terminal_fields,
-            } => Some(join_chain(db, starts(&srcs), &hops[1..], terminal_fields)?),
-        };
-        for (src, vals) in srcs.iter_mut().zip(joined.into_iter().flatten()) {
-            for (slot, v) in src.row[col..].iter_mut().zip(vals.into_iter().flatten()) {
-                *slot = Some(v);
-            }
+            } => join_chain(
+                db,
+                starts.collect(),
+                &hops[1..],
+                terminal_fields,
+                &mut rows,
+                col,
+            )?,
         }
         col += proj.width();
         record_replica_reads(db, proj, oids, io_before);
@@ -309,7 +321,7 @@ fn project(
             p.mark(proj.label(proj_idx));
         }
     }
-    Ok(srcs.into_iter().map(|s| s.row).collect())
+    Ok(rows)
 }
 
 /// Feed one projection's replicated reads into the database's observed
@@ -317,12 +329,7 @@ fn project(
 /// the projection was answered by, with the projection's page-I/O delta
 /// spread over them. Base fields and plain functional joins record
 /// nothing — they do not touch replicated state.
-fn record_replica_reads(
-    db: &mut Database,
-    proj: &ProjPlan,
-    oids: &[Oid],
-    io_before: obs_io::IoCounts,
-) {
+fn record_replica_reads(db: &Database, proj: &ProjPlan, oids: &[Oid], io_before: obs_io::IoCounts) {
     if oids.is_empty() {
         return;
     }
@@ -350,27 +357,32 @@ fn record_replica_reads(
 
 /// Perform the remaining functional joins: `current` holds, per row, the
 /// OID reached so far; `hops` are the ref fields still to follow; the
-/// terminal fields are projected from the final objects (`None` for a row
-/// whose chain broke on a NULL reference). Each join level is batched
-/// (page-optimal) and decodes only the field it follows.
+/// terminal fields of the final objects go to `rows` from column `col` on
+/// (left `None` for a row whose chain broke on a NULL reference). Each
+/// join level is batched (page-optimal) and decodes only the field it
+/// follows.
 fn join_chain(
     db: &Database,
     mut current: Vec<Option<Oid>>,
     hops: &[usize],
     terminal_fields: &[usize],
-) -> Result<Vec<Option<Vec<Value>>>> {
+    rows: &mut [Row],
+    col: usize,
+) -> Result<()> {
     for &hop in hops {
-        let next = read_batch(db, &current, |tag, payload| {
-            Ok(ref_target(&object_view(db, tag, payload).field(hop)?))
+        let mut next = vec![None; current.len()];
+        read_batch(db, current.iter().copied(), |i, tag, payload| {
+            next[i] = ref_target(&object_view(db, tag, payload).field(hop)?);
+            Ok(())
         })?;
-        current = next.into_iter().map(Option::flatten).collect();
+        current = next;
     }
-    read_batch(db, &current, |tag, payload| {
+    read_batch(db, current.iter().copied(), |i, tag, payload| {
         let obj = object_view(db, tag, payload);
-        Ok(terminal_fields
-            .iter()
-            .map(|&f| obj.field(f))
-            .collect::<std::result::Result<_, _>>()?)
+        for (slot, &f) in rows[i][col..].iter_mut().zip(terminal_fields) {
+            *slot = Some(obj.field(f)?);
+        }
+        Ok(())
     })
 }
 
@@ -423,11 +435,7 @@ impl ReadQuery {
     /// Plan this query against the catalog without running it.
     pub fn plan(&self, db: &Database) -> Result<Plan> {
         let set = db.catalog().set_id(&self.set)?;
-        let access = plan_access(
-            db.catalog(),
-            set,
-            self.filter.as_ref().map(super::Filter::path),
-        )?;
+        let access = plan_access(db.catalog(), set, self.filter.as_ref())?;
         let projections = self
             .projections
             .iter()
@@ -491,11 +499,7 @@ impl UpdateQuery {
     /// Plan this query.
     pub fn plan(&self, db: &Database) -> Result<Plan> {
         let set = db.catalog().set_id(&self.set)?;
-        let access = plan_access(
-            db.catalog(),
-            set,
-            self.filter.as_ref().map(super::Filter::path),
-        )?;
+        let access = plan_access(db.catalog(), set, self.filter.as_ref())?;
         Ok(Plan {
             set,
             access,
@@ -542,5 +546,138 @@ impl UpdateQuery {
             plan,
             profile: prof.finish(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fieldrep_core::DbConfig;
+    use fieldrep_model::{FieldType, TypeDef};
+    use fieldrep_storage::{
+        DiskManager, FileId, IoStats, MemDisk, PageId, Result as SResult, PAGE_SIZE,
+    };
+    use std::collections::BTreeSet;
+    use std::sync::{Arc, Mutex};
+
+    /// A `MemDisk` that logs every page it reads, in order.
+    struct Recording {
+        disk: MemDisk,
+        reads: Arc<Mutex<Vec<PageId>>>,
+    }
+
+    impl DiskManager for Recording {
+        fn create_file(&mut self) -> SResult<FileId> {
+            self.disk.create_file()
+        }
+        fn drop_file(&mut self, file: FileId) -> SResult<()> {
+            self.disk.drop_file(file)
+        }
+        fn allocate_page(&mut self, file: FileId) -> SResult<PageId> {
+            self.disk.allocate_page(file)
+        }
+        fn page_count(&self, file: FileId) -> SResult<u32> {
+            self.disk.page_count(file)
+        }
+        fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> SResult<()> {
+            self.reads.lock().unwrap().push(pid);
+            self.disk.read_page(pid, buf)
+        }
+        fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> SResult<()> {
+            let run = (first.page..).take(bufs.len());
+            let mut reads = self.reads.lock().unwrap();
+            reads.extend(run.map(|page| PageId::new(first.file, page)));
+            self.disk.read_pages(first, bufs)
+        }
+        fn write_page(&mut self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> SResult<()> {
+            self.disk.write_page(pid, buf)
+        }
+        fn sync(&mut self) -> SResult<()> {
+            self.disk.sync()
+        }
+        fn stats(&self) -> IoStats {
+            self.disk.stats()
+        }
+        fn reset_stats(&mut self) {
+            self.disk.reset_stats();
+        }
+    }
+
+    /// The page-request sequence a batched read must keep: inputs with
+    /// repeats and `None`s over more pages than one chunk holds are
+    /// answered position by position, with one request per distinct page,
+    /// ascending.
+    #[test]
+    fn read_batch_requests_each_page_once_and_answers_in_input_order() {
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        let disk = Recording {
+            disk: MemDisk::new(),
+            reads: Arc::clone(&reads),
+        };
+        // Four frames: a chunk holds two pages.
+        let cfg = DbConfig {
+            pool_pages: 4,
+            ..DbConfig::default()
+        };
+        let mut db = Database::with_disk(Box::new(disk), cfg);
+        let fields = vec![("key", FieldType::Int), ("pad", FieldType::Pad(900))];
+        db.define_type(TypeDef::new("T", fields)).unwrap();
+        db.create_set("T", "T").unwrap();
+        // About four objects a page.
+        let oids: Vec<Oid> = (0..24)
+            .map(|k| db.insert("T", vec![Value::Int(k), Value::Unit]).unwrap())
+            .collect();
+        let picks = [
+            None,
+            Some(17),
+            Some(3),
+            Some(3),
+            None,
+            Some(22),
+            Some(9),
+            Some(0),
+            Some(17),
+            Some(5),
+            Some(12),
+            Some(21),
+            Some(8),
+            Some(1),
+            None,
+        ];
+        let input: Vec<Option<Oid>> = picks.iter().map(|p| p.map(|k| oids[k])).collect();
+        let pages: BTreeSet<PageId> = input.iter().flatten().map(Oid::page_id).collect();
+        assert_eq!(max_batch_pages(&db), 2);
+        assert!(
+            pages.len() > 2 * max_batch_pages(&db),
+            "three chunks or more"
+        );
+
+        // A cold pool: every request is a miss, and a disk read.
+        db.sm().flush_all().unwrap();
+        reads.lock().unwrap().clear();
+        let before = obs_io::snapshot();
+        let mut got = vec![None; input.len()];
+        let mut visits = 0;
+        read_batch(&db, input.iter().copied(), |i, tag, payload| {
+            visits += 1;
+            got[i] = Some(object_view(&db, tag, payload).field(0)?);
+            Ok(())
+        })
+        .unwrap();
+        let io = obs_io::snapshot() - before;
+
+        let want: Vec<Option<Value>> = picks
+            .iter()
+            .map(|p| p.map(|k| Value::Int(k as i64)))
+            .collect();
+        assert_eq!(got, want, "every position answered, in input order");
+        assert_eq!(visits, 12, "a repeat is visited once per position");
+        assert_eq!(
+            io.pool_hits + io.pool_misses,
+            pages.len() as u64,
+            "one request per distinct page"
+        );
+        let ascending: Vec<PageId> = pages.into_iter().collect();
+        assert_eq!(*reads.lock().unwrap(), ascending, "in ascending order");
     }
 }

@@ -62,10 +62,10 @@ impl Filter {
     }
 
     /// Inclusive key bounds for an index range scan.
-    pub fn bounds(&self) -> (Value, Value) {
+    pub fn bounds(&self) -> (&Value, &Value) {
         match self {
-            Filter::Range { lo, hi, .. } => (lo.clone(), hi.clone()),
-            Filter::Eq { value, .. } => (value.clone(), value.clone()),
+            Filter::Range { lo, hi, .. } => (lo, hi),
+            Filter::Eq { value, .. } => (value, value),
         }
     }
 

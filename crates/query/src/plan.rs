@@ -12,8 +12,8 @@
 //! 3. plain functional joins (the no-replication baseline).
 
 use crate::error::{QueryError, Result};
+use crate::Filter;
 use fieldrep_catalog::{Catalog, GroupId, IndexDef, IndexKind, PathId, SetId, Strategy};
-use fieldrep_model::PathExpr;
 use fieldrep_obs::names as obs_names;
 use std::fmt;
 
@@ -79,23 +79,38 @@ impl ProjPlan {
     /// profiles and span notes.
     pub fn label(&self, idx: usize) -> String {
         match self {
-            ProjPlan::BaseField { field } => format!("proj[{idx}]:base-field(#{field})"),
+            ProjPlan::BaseField { field } => {
+                label(format_args!("proj[{idx}]:base-field(#{field})"))
+            }
             ProjPlan::InPlaceReplica { path, .. } => {
-                format!("proj[{idx}]:inplace-replica({path})")
+                label(format_args!("proj[{idx}]:inplace-replica({path})"))
             }
-            ProjPlan::SeparateReplica { group, .. } => {
-                format!("proj[{idx}]:separate-replica(group #{})", group.0)
-            }
+            ProjPlan::SeparateReplica { group, .. } => label(format_args!(
+                "proj[{idx}]:separate-replica(group #{})",
+                group.0
+            )),
             ProjPlan::CollapseThenJoin {
                 path,
                 remaining_hops,
                 ..
-            } => format!("proj[{idx}]:collapse({path})+{}join", remaining_hops.len()),
+            } => label(format_args!(
+                "proj[{idx}]:collapse({path})+{}join",
+                remaining_hops.len()
+            )),
             ProjPlan::FunctionalJoin { hops, .. } => {
-                format!("proj[{idx}]:functional-join({})", hops.len())
+                label(format_args!("proj[{idx}]:functional-join({})", hops.len()))
             }
         }
     }
+}
+
+/// An operator label, written once into a string with room for it (where
+/// `format!` grows one from the size of its literal pieces).
+fn label(args: fmt::Arguments<'_>) -> String {
+    let mut s = String::with_capacity(48);
+    // Writing into a `String` cannot fail.
+    let _ = fmt::write(&mut s, args);
+    s
 }
 
 /// How the set's members will be located.
@@ -124,13 +139,14 @@ pub enum AccessPlan {
 impl AccessPlan {
     /// Short operator label for profiles and span notes.
     pub fn label(&self) -> String {
+        let op = obs_names::OP_ACCESS;
         match self {
-            AccessPlan::FullScan => format!("{}:full-scan", obs_names::OP_ACCESS),
+            AccessPlan::FullScan => label(format_args!("{op}:full-scan")),
             AccessPlan::IndexRange { kind, field, .. } => {
-                format!("{}:index-range({kind:?} #{field})", obs_names::OP_ACCESS)
+                label(format_args!("{op}:index-range({kind:?} #{field})"))
             }
             AccessPlan::PathIndexRange { path, .. } => {
-                format!("{}:path-index-range({path})", obs_names::OP_ACCESS)
+                label(format_args!("{op}:path-index-range({path})"))
             }
         }
     }
@@ -189,10 +205,7 @@ impl fmt::Display for Plan {
 
 /// Plan a single projection path (dotted, relative to the set).
 pub fn plan_projection(cat: &Catalog, set: SetId, dotted: &str) -> Result<ProjPlan> {
-    let set_name = &cat.set(set).name;
-    let expr = PathExpr::parse(&format!("{set_name}.{dotted}"))
-        .map_err(|e| QueryError::BadQuery(e.to_string()))?;
-    let resolved = cat.resolve_path(&expr)?;
+    let resolved = cat.resolve_relative(set, dotted)?;
 
     let Some(&first_terminal) = resolved.terminal_fields.first() else {
         return Err(QueryError::BadQuery(format!(
@@ -285,21 +298,36 @@ fn positions_of(wanted: &[usize], carried: &[usize]) -> Option<Vec<usize>> {
         .collect()
 }
 
-/// Plan the access path for a filter on `dotted` (a base field or a
-/// replicated path with an index).
-pub fn plan_access(cat: &Catalog, set: SetId, filter_path: Option<&str>) -> Result<AccessPlan> {
-    let Some(dotted) = filter_path else {
+/// Plan the access path for `filter` (on a base field, or on a replicated
+/// path with an index).
+///
+/// The filter's literals must have the type of the field it filters: an
+/// index compares key encodings and a scan compares values, and neither
+/// ever matches across types, so a literal of another type would select
+/// nothing, silently. It is a bad query instead.
+pub fn plan_access(cat: &Catalog, set: SetId, filter: Option<&Filter>) -> Result<AccessPlan> {
+    let Some(filter) = filter else {
         return Ok(AccessPlan::FullScan);
     };
-    let set_name = &cat.set(set).name;
-    let expr = PathExpr::parse(&format!("{set_name}.{dotted}"))
-        .map_err(|e| QueryError::BadQuery(e.to_string()))?;
-    let resolved = cat.resolve_path(&expr)?;
-    let Some(&first_terminal) = resolved.terminal_fields.first() else {
+    let dotted = filter.path();
+    let resolved = cat.resolve_relative(set, dotted)?;
+    // The first terminal field and its type.
+    let terminal = resolved.terminal_fields.first().and_then(|&f| {
+        let def = cat.type_def(*resolved.node_types.last()?);
+        Some((f, &def.fields.get(f)?.ftype))
+    });
+    let Some((first_terminal, ftype)) = terminal else {
         return Err(QueryError::BadQuery(format!(
             "filter path {dotted:?} resolves to no terminal fields"
         )));
     };
+    let (lo, hi) = filter.bounds();
+    if let Some(v) = [lo, hi].into_iter().find(|v| !v.matches(ftype)) {
+        return Err(QueryError::BadQuery(format!(
+            "filter on {dotted:?} compares a {ftype:?} field with the {} literal {v}",
+            v.kind_name()
+        )));
+    }
 
     if resolved.hops.is_empty() {
         let field = first_terminal;

@@ -79,6 +79,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A page buffer: the unit the pool caches.
+///
+/// Frames are separate heap pages with the allocator's 16-byte
+/// alignment, on purpose: do not make them 4 KiB-aligned. Two probes
+/// that did read 5–12 % slower on every `stmt_hot` read metric
+/// (EXPERIMENTS.md, "Read-path allocations"), most likely because every
+/// page header then maps to the same cache sets, so the first touch of
+/// each record (`PageView::locate`) misses more.
 pub type PageBuf = Box<[u8; PAGE_SIZE]>;
 
 /// Cap on one grouped disk read, in pages (256 KiB): bounds the frames a
@@ -764,40 +771,48 @@ impl PoolCore {
             return Err(StorageError::BatchNotAscending(w[1]));
         }
         // Pin every resident page first, so the installs below cannot
-        // evict a page of this very batch.
-        let mut got: Vec<Option<PageHandle>> = Vec::with_capacity(pids.len());
+        // evict a page of this very batch. All resident: that is the batch.
+        let mut hits = Vec::with_capacity(pids.len());
         for &pid in pids {
-            got.push(self.map.get(&pack(pid)).copied().map(|idx| {
+            if let Some(&idx) = self.map.get(&pack(pid)) {
                 self.hits += 1;
                 obs_io::record_pool_hit();
                 self.frames[idx].referenced = true;
-                self.handle(idx, pid)
-            }));
+                hits.push(self.handle(idx, pid));
+            }
+        }
+        if hits.len() == pids.len() {
+            return Ok(hits);
         }
         // The rest, one grouped read per run of adjacent missing pages
-        // (ascending input makes such a run a contiguous slice of `pids`).
+        // (ascending input makes such a run a contiguous slice of `pids`),
+        // merged with the hits in input order. A page is resident here
+        // exactly when it was a hit: the pins keep the hits, and only the
+        // runs before it were installed since.
+        let mut out = Vec::with_capacity(pids.len());
+        let mut hits = hits.into_iter();
         let max_run = self.max_batch_run();
+        let resident = |core: &Self, pid| core.map.contains_key(&pack(pid));
         let mut i = 0;
         while i < pids.len() {
-            if got[i].is_some() {
+            if resident(self, pids[i]) {
+                out.extend(hits.next());
                 i += 1;
                 continue;
             }
             let mut j = i + 1;
             while j < pids.len()
-                && got[j].is_none()
+                && !resident(self, pids[j])
                 && j - i < max_run
                 && pids[j].file == pids[i].file
                 && pids[j].page == pids[j - 1].page + 1
             {
                 j += 1;
             }
-            for (slot, h) in got[i..j].iter_mut().zip(self.read_run(&pids[i..j])?) {
-                *slot = Some(h);
-            }
+            self.read_run(&pids[i..j], &mut out)?;
             i = j;
         }
-        Ok(got.into_iter().flatten().collect())
+        Ok(out)
     }
 
     fn max_batch_run(&self) -> usize {
@@ -806,15 +821,16 @@ impl PoolCore {
 
     /// Install and read one adjacent run of missing pages: pin a victim
     /// frame per page, then fill them all with a single grouped disk
-    /// read. On any error the partially-installed run is rolled back.
-    fn read_run(&mut self, run: &[PageId]) -> Result<Vec<PageHandle>> {
+    /// read, appending the run's handles to `out`. On any error the
+    /// partially-installed run is rolled back and `out` is as it was.
+    fn read_run(&mut self, run: &[PageId], out: &mut Vec<PageHandle>) -> Result<()> {
+        let base = out.len();
         let mut idxs: Vec<usize> = Vec::with_capacity(run.len());
-        let mut handles: Vec<PageHandle> = Vec::with_capacity(run.len());
         for &pid in run {
             let idx = match self.find_victim() {
                 Ok(i) => i,
                 Err(e) => {
-                    drop(handles);
+                    out.truncate(base);
                     self.uninstall_run(&idxs);
                     return Err(e);
                 }
@@ -822,9 +838,10 @@ impl PoolCore {
             self.frames[idx].inner.set_pid(Some(pid));
             self.frames[idx].referenced = true;
             self.map.insert(pack(pid), idx);
-            handles.push(self.handle(idx, pid));
+            out.push(self.handle(idx, pid));
             idxs.push(idx);
         }
+        let handles = &out[base..];
         let res = {
             let mut guards: Vec<RwLockWriteGuard<'_, PageBuf>> =
                 handles.iter().map(|h| h.inner.data.write()).collect();
@@ -856,10 +873,10 @@ impl PoolCore {
                     obs_io::record_disk_read();
                 }
                 pool_metrics().batch_len.record(run.len() as u64);
-                Ok(handles)
+                Ok(())
             }
             Err(e) => {
-                drop(handles);
+                out.truncate(base);
                 self.uninstall_run(&idxs);
                 Err(e)
             }

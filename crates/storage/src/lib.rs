@@ -211,38 +211,63 @@ impl StorageManager {
     }
 }
 
-/// Split a physically-sorted OID slice into chunks of at most `max_pages`
-/// **distinct** pages each, returning for every chunk the index range it
-/// covers and its distinct page ids (in order, deduplicated).
+/// Split a physically-sorted run of OID-bearing items into chunks of at
+/// most `max_pages` **distinct** pages each; `oid` names an item's OID.
+/// [`OidPageChunks::next_chunk`] yields every chunk's index range and its
+/// distinct page ids (in order, deduplicated).
 ///
 /// This is the bridge between a link object's sorted OID array (§4.1.3)
-/// and [`BufferPool::get_pages_batch`]: callers iterate the chunks, batch-
-/// fetch each page list, and process the OIDs in `range` while the pins
+/// and [`BufferPool::get_pages_batch`]: callers walk the chunks, batch-
+/// fetch each page list, and process the items in `range` while the pins
 /// are held. Chunking caps how many frames one batch pins at once, so the
-/// fast path works even with a tiny pool. OIDs sharing a page always land
-/// in the same chunk. `max_pages` is clamped to at least 1.
-pub fn oid_page_chunks(
-    oids: &[Oid],
+/// fast path works even with a tiny pool. Items sharing a page always
+/// land in the same chunk. `max_pages` is clamped to at least 1. All
+/// chunks share one page buffer, allocated once.
+pub fn oid_page_chunks<T>(
+    items: &[T],
     max_pages: usize,
-) -> Vec<(std::ops::Range<usize>, Vec<PageId>)> {
+    oid: fn(&T) -> Oid,
+) -> OidPageChunks<'_, T> {
     let max_pages = max_pages.max(1);
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut pages: Vec<PageId> = Vec::new();
-    for (i, oid) in oids.iter().enumerate() {
-        let pid = oid.page_id();
-        if pages.last() != Some(&pid) {
-            if pages.len() == max_pages {
-                out.push((start..i, std::mem::take(&mut pages)));
-                start = i;
+    OidPageChunks {
+        items,
+        oid,
+        max_pages,
+        start: 0,
+        pages: Vec::with_capacity(max_pages.min(items.len())),
+    }
+}
+
+/// The chunks of [`oid_page_chunks`], one at a time: each borrows the
+/// page buffer the next one refills.
+pub struct OidPageChunks<'a, T> {
+    items: &'a [T],
+    oid: fn(&T) -> Oid,
+    max_pages: usize,
+    start: usize,
+    pages: Vec<PageId>,
+}
+
+impl<T> OidPageChunks<'_, T> {
+    /// The next chunk: the range of items it covers and their distinct
+    /// pages, ascending.
+    pub fn next_chunk(&mut self) -> Option<(std::ops::Range<usize>, &[PageId])> {
+        let start = self.start;
+        self.pages.clear();
+        let mut end = start;
+        for item in &self.items[start..] {
+            let pid = (self.oid)(item).page_id();
+            if self.pages.last() != Some(&pid) {
+                if self.pages.len() == self.max_pages {
+                    break;
+                }
+                self.pages.push(pid);
             }
-            pages.push(pid);
+            end += 1;
         }
+        self.start = end;
+        (end > start).then_some((start..end, &self.pages[..]))
     }
-    if !pages.is_empty() {
-        out.push((start..oids.len(), pages));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -271,7 +296,15 @@ mod tests {
             oid(2, 1),
             oid(5, 0),
         ];
-        let chunks = oid_page_chunks(&oids, 2);
+        let all = |items: &[Oid], max_pages| {
+            let mut chunks = oid_page_chunks(items, max_pages, |o| *o);
+            let mut out = Vec::new();
+            while let Some((range, pages)) = chunks.next_chunk() {
+                out.push((range, pages.to_vec()));
+            }
+            out
+        };
+        let chunks = all(&oids, 2);
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].0, 0..4);
         assert_eq!(
@@ -282,8 +315,16 @@ mod tests {
         assert_eq!(chunks[1].0, 4..7);
         assert_eq!(chunks[1].1, vec![PageId::new(f, 2), PageId::new(f, 5)]);
         // max_pages is clamped to at least one page per chunk.
-        assert_eq!(oid_page_chunks(&oids, 0).len(), 4);
-        assert!(oid_page_chunks(&[], 4).is_empty());
+        assert_eq!(all(&oids, 0).len(), 4);
+        assert!(all(&[], 4).is_empty());
+        // Items carry their OID: the pairs a batched read sorts.
+        let pairs: Vec<(Oid, usize)> = oids.iter().copied().zip(0..).collect();
+        let mut chunks = oid_page_chunks(&pairs, 8, |p| p.0);
+        assert_eq!(
+            chunks.next_chunk().map(|(r, p)| (r, p.len())),
+            Some((0..7, 4))
+        );
+        assert!(chunks.next_chunk().is_none());
     }
 
     #[test]

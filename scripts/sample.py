@@ -2,19 +2,25 @@
 """Sampling profiler for a sandbox without `perf`: ptrace + /proc, x86-64 Linux.
 
     scripts/sample.py PID [--hz 300] [--seconds 14] [--top 25] [--callers SYM]
+                          [--group NAME=SUB[,SUB...]]...
 
 Seizes every thread of PID, and N times a second interrupts each, reads its
 registers, and lets it run on. RIP is resolved against `nm -C -n` of the
 executable and `nm -D -C -n` of each mapped library. When the binary was built
 with RUSTFLAGS="-C force-frame-pointers=yes" the rbp chain is walked through
 /proc/PID/mem too, which gives the inclusive table and `--callers`; without
-frame pointers only the flat table means anything. A sample in a library keeps
-the word at [rsp] as its caller when that word is a code address: a frameless
-leaf such as glibc's memcpy leaves rbp at its caller's frame, so the chain alone
-would skip the caller. Libraries resolve through their exported symbols (`nm
+frame pointers only the flat table means anything. A sample in a library also
+takes as callers the return addresses among the stack words from [rsp] up to
+rbp's frame (at most 64 words): code addresses that follow a call instruction.
+A frameless leaf such as glibc's memcpy leaves rbp at its caller's frame, and
+glibc's allocator internals use rbp as a plain register, so the chain alone
+would skip the caller or lose the whole stack. Libraries resolve through their exported symbols (`nm
 -D`); an address whose function (its `.eh_frame` entry, from `readelf`) starts
 past the nearest export prints as `lib.so+0xSTART (export)` rather than under
-the export's name. Python 3 stdlib, `nm` and `readelf`.
+the export's name. `--group NAME=SUB,...` (repeatable) prints, in one line, the
+share of samples whose frame chain (those stack callers included) names any SUB:
+a whole subsystem such as the allocator, whatever its internals resolve to.
+Python 3 stdlib, `nm` and `readelf`.
 """
 import argparse, bisect, collections, ctypes, os, struct, subprocess, sys, time
 
@@ -112,12 +118,30 @@ def stack(mem, regs, depth=48):
     return out
 
 
-def word(mem, addr):
-    """The u64 at `addr` in the process, or 0 where it cannot be read."""
+def after_call(mem, ret):
+    """Whether the code before `ret` ends in a call: `call rel32` (E8), or
+    `call r/m64` (FF /2, two to seven bytes with displacement and SIB)."""
     try:
-        return struct.unpack("Q", os.pread(mem, 8, addr))[0]
-    except (OSError, struct.error, OverflowError):
-        return 0
+        b = os.pread(mem, 7, ret - 7)
+    except (OSError, OverflowError, ValueError):
+        return False
+    if len(b) < 7:
+        return False
+    return b[2] == 0xE8 or any(
+        b[7 - n] == 0xFF and (b[8 - n] >> 3) & 7 == 2 for n in (2, 3, 4, 6, 7)
+    )
+
+
+def stack_callers(mem, images, regs, words=64):
+    """Return addresses among the stack words from rsp up to rbp's frame."""
+    rsp, rbp = regs[RSP], regs[RBP]
+    end = rbp if rsp < rbp <= rsp + 8 * words else rsp + 8 * words
+    try:
+        raw = os.pread(mem, end - rsp, rsp)
+    except (OSError, OverflowError, ValueError):
+        return []
+    found = struct.unpack(f"{len(raw) // 8}Q", raw[: len(raw) // 8 * 8])
+    return [w for w in found if images.mapping(w)[0] and after_call(mem, w)]
 
 
 def table(title, counts, total, top):
@@ -133,12 +157,21 @@ def main():
     ap.add_argument("--seconds", type=float, default=14.0)
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--callers", metavar="SYM", help="substring of a symbol: who calls it")
+    ap.add_argument("--group", metavar="NAME=SUB[,SUB...]", action="append", default=[],
+                    help="share of samples whose frame chain names any SUB (repeatable)")
     a = ap.parse_args()
+    groups = []
+    for g in a.group:
+        name, _, subs = g.partition("=")
+        subs = [s for s in subs.split(",") if s]
+        if not name or not subs:
+            ap.error(f"--group {g!r}: expected NAME=SUB[,SUB...]")
+        groups.append((name, subs))
 
     images = Images(a.pid)
     mem = os.open(f"/proc/{a.pid}/mem", os.O_RDONLY)
     seized = set()
-    flat, incl, callers = (collections.Counter() for _ in range(3))
+    flat, incl, callers, grouped = (collections.Counter() for _ in range(4))
     regs = (ctypes.c_ulong * 27)()
     total, end, tick = 0, time.monotonic() + a.seconds, 1.0 / a.hz
     try:
@@ -154,9 +187,8 @@ def main():
                     ptrace(GETREGS, tid, ctypes.byref(regs))
                     frames = [regs[RIP]] + stack(mem, regs)
                     path, _ = images.mapping(regs[RIP])
-                    ret = word(mem, regs[RSP]) if path not in (None, images.exe) else 0
-                    if images.mapping(ret)[0] and ret not in frames[1:2]:
-                        frames.insert(1, ret)  # a frameless leaf's caller
+                    if path not in (None, images.exe):
+                        frames[1:1] = stack_callers(mem, images, regs)
                     ptrace(CONT, tid)
                 except (OSError, ChildProcessError):
                     seized.discard(tid)  # the thread exited under us
@@ -165,6 +197,9 @@ def main():
                 total += 1
                 flat[names[0]] += 1
                 incl.update(set(names))
+                for name, subs in groups:
+                    if any(s in n for n in names for s in subs):
+                        grouped[name] += 1
                 if a.callers:
                     for callee, caller in zip(names, names[1:]):
                         if a.callers in callee and a.callers not in caller:
@@ -184,6 +219,11 @@ def main():
     table("inclusive (anywhere on the rbp chain)", incl, total, a.top)
     if a.callers:
         table(f"callers of *{a.callers}*", callers, sum(callers.values()) or 1, a.top)
+    if groups:
+        print(f"\ngroups: any frame on the chain ({total} samples)")
+        for name, subs in groups:
+            n = grouped[name]
+            print(f"{100.0 * n / total:6.2f}%  {n:7d}  {name} = {','.join(subs)}")
 
 
 if __name__ == "__main__":
