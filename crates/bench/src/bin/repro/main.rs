@@ -12,14 +12,19 @@
 //!   unclustered / clustered access at (f = 1, f_r = .002) and
 //!   (f = 20, f_r = .002).
 //! * `empirical [--full]`, `empirical_curves [--s N]` — see [`empirical`].
-//! * `ablations`, `pathindex_ablation` — see the modules of those names.
+//! * `ablations`, `pathindex_ablation`, `org_analytics`, `tuning` — see
+//!   the modules of those names.
+//! * `costs [f] [f_r] [f_s]` — see [`costs`].
 //! * `trace [--s N] [--f F] [--q N] [--profile] [--jsonl PATH]
 //!   [--chrome-trace PATH] [--run-id ID]` — see [`trace`].
 
 mod ablations;
+mod costs;
 mod empirical;
+mod org_analytics;
 mod pathindex_ablation;
 mod trace;
+mod tuning;
 
 use fieldrep_bench::figures::{render_percent_figure, render_selected_values};
 use fieldrep_costmodel::IndexSetting;
@@ -69,12 +74,16 @@ fn main() {
         "fig14" => fig14(),
         "empirical" => empirical::table(args.any(|a| a == "--full")),
         "empirical_curves" => empirical::curves(args),
+        "costs" => costs::run(args),
         "ablations" => ablations::run(),
         "pathindex_ablation" => pathindex_ablation::run(),
+        "org_analytics" => org_analytics::run(),
+        "tuning" => tuning::run(),
         "trace" => trace::run(args),
         other => panic!(
-            "usage: repro <fig11|fig12|fig13|fig14|empirical [--full]|empirical_curves [--s N]|\
-             ablations|pathindex_ablation|trace [flags]>, got {other:?}"
+            "usage: repro <fig11|fig12|fig13|fig14|costs [f] [f_r] [f_s]|empirical [--full]|\
+             empirical_curves [--s N]|tuning|ablations|pathindex_ablation|org_analytics|\
+             trace [flags]>, got {other:?}"
         ),
     }
 }

@@ -82,7 +82,10 @@ fn inplace_propagation_reads_pages_not_objects_via_grouped_batches() {
         src_pages.len()
     );
 
-    let batch_len = registry().histogram("storage.disk.batch_len", &[1, 2, 4, 8, 16, 32, 64, 128]);
+    let batch_len = registry().histogram(
+        fieldrep_obs::names::STORAGE_DISK_BATCH_LEN,
+        &[1, 2, 4, 8, 16, 32, 64, 128],
+    );
     db.flush_all().unwrap();
     db.reset_profile();
     let batches_before = batch_len.count();

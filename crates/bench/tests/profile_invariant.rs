@@ -148,7 +148,7 @@ fn registry_storage_deltas_equal_raw_pool_totals() {
 
     let want = io_counts_of(&w.db.io_profile());
     let after = registry().snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
+    let delta = |name: names::Name| after.counter(name) - before.counter(name);
     let got = IoCounts {
         disk_reads: delta(names::STORAGE_DISK_READS),
         disk_writes: delta(names::STORAGE_DISK_WRITES),

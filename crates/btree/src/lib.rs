@@ -31,7 +31,7 @@ pub mod node;
 
 use fieldrep_obs::{metrics, names as obs_names, Span};
 use fieldrep_storage::{
-    FileId, Oid, PageId, PageKind, PageMut, Result, StorageError, StorageManager,
+    ApplySection, FileId, Oid, PageId, PageKind, PageMut, Result, StorageError, StorageManager,
 };
 use node::{entry_size, Node, NodeView, Payload, NODE_CAPACITY};
 use std::sync::{Arc, OnceLock};
@@ -48,7 +48,8 @@ const OFF_HEIGHT: usize = 44;
 const OFF_COUNT: usize = 46;
 
 /// A B⁺-tree index stored in its own file. The handle is a plain file id;
-/// all state lives on pages.
+/// all state lives on pages. The operations that write take an
+/// [`ApplySection`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BTreeIndex {
     /// The index file. Page 0 is the meta page; the rest are nodes.
@@ -67,11 +68,11 @@ fn composite(key: &[u8], oid: Oid) -> Vec<u8> {
 
 impl BTreeIndex {
     /// Create an empty index (meta page + one empty leaf as root).
-    pub fn create(sm: &StorageManager) -> Result<BTreeIndex> {
-        let file = sm.create_file()?;
-        let (meta_pid, meta) = sm.pool().new_page(file)?;
+    pub fn create(w: &ApplySection<'_>) -> Result<BTreeIndex> {
+        let file = w.create_file()?;
+        let (meta_pid, meta) = w.pool().new_page(file)?;
         debug_assert_eq!(meta_pid.page, 0);
-        let (root_pid, root) = sm.pool().new_page(file)?;
+        let (root_pid, root) = w.pool().new_page(file)?;
         Node::new(true).serialize(root.data_mut().whole_mut());
         {
             let mut data = meta.data_mut();
@@ -152,20 +153,20 @@ impl BTreeIndex {
     /// `(key, oid)` pair must be unique (inserting it twice is an error
     /// surfaced as `Corrupt`, because the replication engine relies on
     /// exact-once index maintenance).
-    pub fn insert(&self, sm: &StorageManager, key: &[u8], oid: Oid) -> Result<()> {
+    pub fn insert(&self, w: &ApplySection<'_>, key: &[u8], oid: Oid) -> Result<()> {
         let _span = Span::enter(obs_names::BTREE_INSERT);
         let comp = composite(key, oid);
-        let (root, height, count) = self.meta(sm)?;
-        if let Some((sep, right_page)) = self.insert_rec(sm, root, height, &comp, oid)? {
+        let (root, height, count) = self.meta(w)?;
+        if let Some((sep, right_page)) = self.insert_rec(w, root, height, &comp, oid)? {
             // Root split: make a new root above.
-            let old_root_min = self.min_key_of(sm, root)?;
+            let old_root_min = self.min_key_of(w, root)?;
             let mut new_root = Node::new(false);
             new_root.entries.push((old_root_min, Payload::Child(root)));
             new_root.entries.push((sep, Payload::Child(right_page)));
-            let new_root_page = self.alloc_node(sm, &new_root)?;
-            self.set_meta(sm, new_root_page, height + 1, count + 1)?;
+            let new_root_page = self.alloc_node(w, &new_root)?;
+            self.set_meta(w, new_root_page, height + 1, count + 1)?;
         } else {
-            self.set_meta(sm, root, height, count + 1)?;
+            self.set_meta(w, root, height, count + 1)?;
         }
         Ok(())
     }
@@ -234,11 +235,11 @@ impl BTreeIndex {
     }
 
     /// Delete the exact `(key, oid)` entry. Returns `true` if it existed.
-    pub fn delete(&self, sm: &StorageManager, key: &[u8], oid: Oid) -> Result<bool> {
+    pub fn delete(&self, w: &ApplySection<'_>, key: &[u8], oid: Oid) -> Result<bool> {
         let comp = composite(key, oid);
-        let (root, height, count) = self.meta(sm)?;
-        let page = self.find_leaf(sm, root, height, &comp)?;
-        let mut leaf = self.load_node(sm, page)?;
+        let (root, height, count) = self.meta(w)?;
+        let page = self.find_leaf(w, root, height, &comp)?;
+        let mut leaf = self.load_node(w, page)?;
         debug_assert!(leaf.is_leaf);
         let idx = leaf.lower_bound(&comp);
         if leaf
@@ -247,8 +248,8 @@ impl BTreeIndex {
             .is_some_and(|(k, _)| k.as_slice() == comp)
         {
             leaf.entries.remove(idx);
-            self.store_node(sm, page, &leaf)?;
-            self.set_meta(sm, root, height, count - 1)?;
+            self.store_node(w, page, &leaf)?;
+            self.set_meta(w, root, height, count - 1)?;
             Ok(true)
         } else {
             Ok(false)
@@ -320,7 +321,7 @@ impl BTreeIndex {
     /// `fill` is the leaf/internal fill factor in `(0, 1]`; the benchmark
     /// harness uses 1.0 for static files (the paper's sets never grow
     /// during an experiment).
-    pub fn bulk_load(sm: &StorageManager, entries: &[Entry], fill: f64) -> Result<BTreeIndex> {
+    pub fn bulk_load(w: &ApplySection<'_>, entries: &[Entry], fill: f64) -> Result<BTreeIndex> {
         let span = Span::enter(obs_names::BTREE_BULK_LOAD);
         span.note("entries", entries.len());
         assert!(fill > 0.0 && fill <= 1.0, "bad fill factor");
@@ -330,7 +331,7 @@ impl BTreeIndex {
                 .all(|w| composite(&w[0].0, w[0].1) < composite(&w[1].0, w[1].1)),
             "bulk_load input must be sorted by (key, oid) and unique"
         );
-        let index = BTreeIndex::create(sm)?;
+        let index = BTreeIndex::create(w)?;
         if entries.is_empty() {
             return Ok(index);
         }
@@ -352,13 +353,13 @@ impl BTreeIndex {
         // Allocate leaf pages, chain them, record min keys.
         let mut pages = Vec::with_capacity(leaf_nodes.len());
         for _ in 0..leaf_nodes.len() {
-            let (pid, _h) = sm.pool().new_page(index.file)?;
+            let (pid, _h) = w.pool().new_page(index.file)?;
             pages.push(pid.page);
         }
         let mut level: Vec<(Vec<u8>, u32)> = Vec::with_capacity(leaf_nodes.len());
         for (i, mut n) in leaf_nodes.into_iter().enumerate() {
             n.next_leaf = pages.get(i + 1).copied();
-            index.store_node(sm, pages[i], &n)?;
+            index.store_node(w, pages[i], &n)?;
             level.push((n.entries[0].0.clone(), pages[i]));
         }
 
@@ -377,13 +378,13 @@ impl BTreeIndex {
             }
             nodes.push(cur);
             for n in nodes {
-                let page = index.alloc_node(sm, &n)?;
+                let page = index.alloc_node(w, &n)?;
                 level.push((n.entries[0].0.clone(), page));
             }
             height += 1;
         }
         let root = level[0].1;
-        index.set_meta(sm, root, height, entries.len() as u64)?;
+        index.set_meta(w, root, height, entries.len() as u64)?;
         Ok(index)
     }
 
@@ -422,7 +423,8 @@ mod tests {
     #[test]
     fn empty_index() {
         let sm = sm();
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         assert_eq!(idx.entry_count(&sm).unwrap(), 0);
         assert_eq!(idx.height(&sm).unwrap(), 1);
         assert!(idx.lookup(&sm, &encode_i64(5)).unwrap().is_empty());
@@ -432,9 +434,10 @@ mod tests {
     #[test]
     fn insert_lookup_small() {
         let sm = sm();
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         for i in 0..100i64 {
-            idx.insert(&sm, &encode_i64(i), oid(i as u32)).unwrap();
+            idx.insert(&w, &encode_i64(i), oid(i as u32)).unwrap();
         }
         assert_eq!(idx.entry_count(&sm).unwrap(), 100);
         for i in 0..100i64 {
@@ -449,7 +452,8 @@ mod tests {
     #[test]
     fn inserts_cause_splits_and_stay_sorted() {
         let sm = sm();
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         // Insert in a scrambled order to exercise splits everywhere.
         let n: i64 = 5000;
         let mut order: Vec<i64> = (0..n).collect();
@@ -458,7 +462,7 @@ mod tests {
             order.swap(i, j);
         }
         for &i in &order {
-            idx.insert(&sm, &encode_i64(i), oid(i as u32)).unwrap();
+            idx.insert(&w, &encode_i64(i), oid(i as u32)).unwrap();
         }
         assert!(idx.height(&sm).unwrap() >= 2, "tree actually split");
         let all = idx.scan_all(&sm).unwrap();
@@ -472,9 +476,10 @@ mod tests {
     #[test]
     fn duplicate_user_keys() {
         let sm = sm();
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         for i in 0..50u32 {
-            idx.insert(&sm, &encode_i64(7), oid(i)).unwrap();
+            idx.insert(&w, &encode_i64(7), oid(i)).unwrap();
         }
         let hits = idx.lookup(&sm, &encode_i64(7)).unwrap();
         assert_eq!(hits.len(), 50);
@@ -482,15 +487,16 @@ mod tests {
         sorted.sort();
         assert_eq!(hits, sorted, "duplicates come back in OID order");
         // Exact duplicate (key, oid) is rejected.
-        assert!(idx.insert(&sm, &encode_i64(7), oid(3)).is_err());
+        assert!(idx.insert(&w, &encode_i64(7), oid(3)).is_err());
     }
 
     #[test]
     fn range_scan_inclusive() {
         let sm = sm();
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         for i in 0..1000i64 {
-            idx.insert(&sm, &encode_i64(i * 2), oid(i as u32)).unwrap();
+            idx.insert(&w, &encode_i64(i * 2), oid(i as u32)).unwrap();
         }
         let hits = idx.range(&sm, &encode_i64(100), &encode_i64(200)).unwrap();
         // Even keys 100..=200 → 51 entries.
@@ -506,15 +512,16 @@ mod tests {
     #[test]
     fn delete_exact_entries() {
         let sm = sm();
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         for i in 0..2000i64 {
-            idx.insert(&sm, &encode_i64(i), oid(i as u32)).unwrap();
+            idx.insert(&w, &encode_i64(i), oid(i as u32)).unwrap();
         }
         for i in (0..2000i64).step_by(2) {
-            assert!(idx.delete(&sm, &encode_i64(i), oid(i as u32)).unwrap());
+            assert!(idx.delete(&w, &encode_i64(i), oid(i as u32)).unwrap());
         }
         assert_eq!(idx.entry_count(&sm).unwrap(), 1000);
-        assert!(!idx.delete(&sm, &encode_i64(0), oid(0)).unwrap());
+        assert!(!idx.delete(&w, &encode_i64(0), oid(0)).unwrap());
         for i in (1..2000i64).step_by(2) {
             assert_eq!(idx.lookup(&sm, &encode_i64(i)).unwrap().len(), 1);
         }
@@ -522,16 +529,17 @@ mod tests {
             assert!(idx.lookup(&sm, &encode_i64(i)).unwrap().is_empty());
         }
         // Delete with the right key but wrong oid.
-        assert!(!idx.delete(&sm, &encode_i64(1), oid(999_999)).unwrap());
+        assert!(!idx.delete(&w, &encode_i64(1), oid(999_999)).unwrap());
     }
 
     #[test]
     fn bulk_load_equals_incremental() {
         let sm = sm();
+        let w = sm.apply_section();
         let entries: Vec<Entry> = (0..20_000i64)
             .map(|i| (encode_i64(i).to_vec(), oid(i as u32)))
             .collect();
-        let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+        let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
         assert_eq!(idx.entry_count(&sm).unwrap(), 20_000);
         let all = idx.scan_all(&sm).unwrap();
         assert_eq!(all.len(), 20_000);
@@ -541,11 +549,11 @@ mod tests {
         }
         // Point lookups and deletes work on a bulk-loaded tree.
         assert_eq!(idx.lookup(&sm, &encode_i64(12_345)).unwrap().len(), 1);
-        assert!(idx.delete(&sm, &encode_i64(12_345), oid(12_345)).unwrap());
+        assert!(idx.delete(&w, &encode_i64(12_345), oid(12_345)).unwrap());
         assert!(idx.lookup(&sm, &encode_i64(12_345)).unwrap().is_empty());
         // Inserts after bulk load still split correctly.
         for i in 0..100u32 {
-            idx.insert(&sm, &encode_i64(50_000), oid(1_000_000 + i))
+            idx.insert(&w, &encode_i64(50_000), oid(1_000_000 + i))
                 .unwrap();
         }
         assert_eq!(idx.lookup(&sm, &encode_i64(50_000)).unwrap().len(), 100);
@@ -554,20 +562,22 @@ mod tests {
     #[test]
     fn bulk_load_empty_and_single() {
         let sm = sm();
-        let idx = BTreeIndex::bulk_load(&sm, &[], 1.0).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::bulk_load(&w, &[], 1.0).unwrap();
         assert_eq!(idx.entry_count(&sm).unwrap(), 0);
         let one = vec![(encode_i64(1).to_vec(), oid(1))];
-        let idx = BTreeIndex::bulk_load(&sm, &one, 1.0).unwrap();
+        let idx = BTreeIndex::bulk_load(&w, &one, 1.0).unwrap();
         assert_eq!(idx.lookup(&sm, &encode_i64(1)).unwrap(), vec![oid(1)]);
     }
 
     #[test]
     fn string_keys() {
         let sm = sm();
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         let names = ["delta", "alpha", "charlie", "bravo", "echo"];
         for (i, n) in names.iter().enumerate() {
-            idx.insert(&sm, &keys::encode_bytes(n.as_bytes()), oid(i as u32))
+            idx.insert(&w, &keys::encode_bytes(n.as_bytes()), oid(i as u32))
                 .unwrap();
         }
         let all = idx.scan_all(&sm).unwrap();
@@ -585,10 +595,11 @@ mod tests {
         // 4054/22 ≈ 184 — same order of magnitude; the analytical model
         // keeps the paper's m = 350.
         let sm = sm();
+        let w = sm.apply_section();
         let entries: Vec<Entry> = (0..100_000i64)
             .map(|i| (encode_i64(i).to_vec(), oid(i as u32)))
             .collect();
-        let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+        let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
         assert!(idx.height(&sm).unwrap() <= 3);
     }
 }

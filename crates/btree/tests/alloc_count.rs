@@ -51,6 +51,7 @@ const SLACK: usize = 16;
 #[test]
 fn search_allocations_scale_with_the_result_not_the_nodes() {
     let sm = StorageManager::in_memory(2048);
+    let w = sm.apply_section();
     let entries: Vec<Entry> = (0..100_000i64)
         .map(|i| {
             let n = i as u32;
@@ -60,7 +61,7 @@ fn search_allocations_scale_with_the_result_not_the_nodes() {
             )
         })
         .collect();
-    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
     assert_eq!(
         idx.height(&sm).unwrap(),
         3,

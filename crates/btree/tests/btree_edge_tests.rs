@@ -15,7 +15,8 @@ fn oid(n: u32) -> Oid {
 #[test]
 fn incremental_growth_to_height_three() {
     let sm = sm();
-    let idx = BTreeIndex::create(&sm).unwrap();
+    let w = sm.apply_section();
+    let idx = BTreeIndex::create(&w).unwrap();
     // Long keys force low fanout, so height 3 arrives quickly.
     let key = |i: i64| {
         let mut k = vec![0xAB; 100];
@@ -24,7 +25,7 @@ fn incremental_growth_to_height_three() {
     };
     let n = 4000i64;
     for i in 0..n {
-        idx.insert(&sm, &key(i * 7 % n), oid(i as u32)).unwrap();
+        idx.insert(&w, &key(i * 7 % n), oid(i as u32)).unwrap();
     }
     assert!(idx.height(&sm).unwrap() >= 3, "forced a deep tree");
     assert_eq!(idx.entry_count(&sm).unwrap(), n as u64);
@@ -41,15 +42,14 @@ fn incremental_growth_to_height_three() {
 #[test]
 fn range_scan_across_emptied_leaves() {
     let sm = sm();
+    let w = sm.apply_section();
     let entries: Vec<Entry> = (0..5000i64)
         .map(|i| (keys::encode_i64(i).to_vec(), oid(i as u32)))
         .collect();
-    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
     // Empty out a band of keys in the middle (several whole leaves).
     for i in 1000..3000i64 {
-        assert!(idx
-            .delete(&sm, &keys::encode_i64(i), oid(i as u32))
-            .unwrap());
+        assert!(idx.delete(&w, &keys::encode_i64(i), oid(i as u32)).unwrap());
     }
     // A range spanning the hole sees exactly the survivors.
     let hits = idx
@@ -63,12 +63,13 @@ fn range_scan_across_emptied_leaves() {
 #[test]
 fn many_duplicates_span_leaves() {
     let sm = sm();
-    let idx = BTreeIndex::create(&sm).unwrap();
+    let w = sm.apply_section();
+    let idx = BTreeIndex::create(&w).unwrap();
     // 2000 entries under ONE user key: duplicates must span many leaves
     // and still come back complete and OID-sorted.
     let key = keys::encode_i64(42);
     for i in 0..2000u32 {
-        idx.insert(&sm, &key, oid(i)).unwrap();
+        idx.insert(&w, &key, oid(i)).unwrap();
     }
     let hits = idx.lookup(&sm, &key).unwrap();
     assert_eq!(hits.len(), 2000);
@@ -77,17 +78,18 @@ fn many_duplicates_span_leaves() {
     assert!(idx.lookup(&sm, &keys::encode_i64(41)).unwrap().is_empty());
     assert!(idx.lookup(&sm, &keys::encode_i64(43)).unwrap().is_empty());
     // Delete a specific (key, oid) out of the middle.
-    assert!(idx.delete(&sm, &key, oid(1000)).unwrap());
+    assert!(idx.delete(&w, &key, oid(1000)).unwrap());
     assert_eq!(idx.lookup(&sm, &key).unwrap().len(), 1999);
 }
 
 #[test]
 fn empty_range_and_reversed_bounds() {
     let sm = sm();
+    let w = sm.apply_section();
     let entries: Vec<Entry> = (0..100i64)
         .map(|i| (keys::encode_i64(i * 10).to_vec(), oid(i as u32)))
         .collect();
-    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
     // Range strictly between keys.
     assert!(idx
         .range(&sm, &keys::encode_i64(11), &keys::encode_i64(19))
@@ -112,10 +114,11 @@ fn empty_range_and_reversed_bounds() {
 #[test]
 fn mixed_string_lengths() {
     let sm = sm();
-    let idx = BTreeIndex::create(&sm).unwrap();
+    let w = sm.apply_section();
+    let idx = BTreeIndex::create(&w).unwrap();
     let names = ["a", "ab", "abc", "b", "ba", "z", "zz", ""];
     for (i, n) in names.iter().enumerate() {
-        idx.insert(&sm, &keys::encode_bytes(n.as_bytes()), oid(i as u32))
+        idx.insert(&w, &keys::encode_bytes(n.as_bytes()), oid(i as u32))
             .unwrap();
     }
     let all = idx.scan_all(&sm).unwrap();
@@ -136,29 +139,31 @@ fn mixed_string_lengths() {
 #[test]
 fn reinsert_after_delete() {
     let sm = sm();
-    let idx = BTreeIndex::create(&sm).unwrap();
+    let w = sm.apply_section();
+    let idx = BTreeIndex::create(&w).unwrap();
     let key = keys::encode_i64(5);
     for round in 0..50 {
-        idx.insert(&sm, &key, oid(round)).unwrap();
-        assert!(idx.delete(&sm, &key, oid(round)).unwrap());
+        idx.insert(&w, &key, oid(round)).unwrap();
+        assert!(idx.delete(&w, &key, oid(round)).unwrap());
     }
     assert_eq!(idx.entry_count(&sm).unwrap(), 0);
-    idx.insert(&sm, &key, oid(999)).unwrap();
+    idx.insert(&w, &key, oid(999)).unwrap();
     assert_eq!(idx.lookup(&sm, &key).unwrap(), vec![oid(999)]);
 }
 
 #[test]
 fn bulk_load_partial_fill_leaves_insert_room() {
     let sm = sm();
+    let w = sm.apply_section();
     let entries: Vec<Entry> = (0..10_000i64)
         .map(|i| (keys::encode_i64(i * 2).to_vec(), oid(i as u32)))
         .collect();
     // 70% fill: the classic setting for trees that keep growing.
-    let idx = BTreeIndex::bulk_load(&sm, &entries, 0.7).unwrap();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 0.7).unwrap();
     let pages_before = idx.pages(&sm).unwrap();
     // Odd keys squeeze between the evens; with 30% slack, few splits.
     for i in 0..2000i64 {
-        idx.insert(&sm, &keys::encode_i64(i * 2 + 1), oid(100_000 + i as u32))
+        idx.insert(&w, &keys::encode_i64(i * 2 + 1), oid(100_000 + i as u32))
             .unwrap();
     }
     let all = idx.scan_all(&sm).unwrap();
@@ -174,13 +179,14 @@ fn bulk_load_partial_fill_leaves_insert_room() {
 #[test]
 fn full_fill_bulk_load_splits_on_insert() {
     let sm = sm();
+    let w = sm.apply_section();
     let entries: Vec<Entry> = (0..5000i64)
         .map(|i| (keys::encode_i64(i * 2).to_vec(), oid(i as u32)))
         .collect();
-    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
     // Inserting into packed leaves must split, not corrupt.
     for i in 0..500i64 {
-        idx.insert(&sm, &keys::encode_i64(i * 20 + 1), oid(50_000 + i as u32))
+        idx.insert(&w, &keys::encode_i64(i * 20 + 1), oid(50_000 + i as u32))
             .unwrap();
     }
     let all = idx.scan_all(&sm).unwrap();
@@ -191,10 +197,11 @@ fn full_fill_bulk_load_splits_on_insert() {
 #[test]
 fn range_windows_at_every_alignment_to_leaf_boundaries() {
     let sm = sm();
+    let w = sm.apply_section();
     let entries: Vec<Entry> = (0..2000i64)
         .map(|i| (keys::encode_i64(i * 3).to_vec(), oid(i as u32)))
         .collect();
-    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
     assert!(idx.pages(&sm).unwrap() > 10, "several leaves");
     // ~155 entries per leaf: 500 consecutive 20-key windows start before,
     // on, straddling and after at least three leaf boundaries, with bounds
@@ -224,7 +231,8 @@ fn range_windows_at_every_alignment_to_leaf_boundaries() {
 #[test]
 fn point_range_over_duplicates_spanning_leaves() {
     let sm = sm();
-    let idx = BTreeIndex::create(&sm).unwrap();
+    let w = sm.apply_section();
+    let idx = BTreeIndex::create(&w).unwrap();
     // 100-byte keys: ~34 entries per leaf, so 50 duplicates of one user
     // key necessarily continue into the next leaf.
     let key = |i: i64| {
@@ -233,10 +241,10 @@ fn point_range_over_duplicates_spanning_leaves() {
         k
     };
     for i in 0..200i64 {
-        idx.insert(&sm, &key(i), oid(i as u32)).unwrap();
+        idx.insert(&w, &key(i), oid(i as u32)).unwrap();
     }
     for d in (0..50u32).rev() {
-        idx.insert(&sm, &key(77), oid(1000 + d)).unwrap();
+        idx.insert(&w, &key(77), oid(1000 + d)).unwrap();
     }
     let hits = idx.range(&sm, &key(77), &key(77)).unwrap();
     assert_eq!(hits.len(), 51);
@@ -259,10 +267,11 @@ fn point_range_over_duplicates_spanning_leaves() {
 fn hostile_node_page_is_a_typed_error_not_a_panic() {
     use fieldrep_storage::{PageId, PageKind, PageMut, StorageError};
     let sm = sm();
+    let w = sm.apply_section();
     let entries: Vec<Entry> = (0..1000i64)
         .map(|i| (keys::encode_i64(i).to_vec(), oid(i as u32)))
         .collect();
-    let idx = BTreeIndex::bulk_load(&sm, &entries, 1.0).unwrap();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
     assert_eq!(idx.height(&sm).unwrap(), 2);
     // Page 2 is the first leaf a bulk load writes (0 is the meta page, 1
     // the empty root `create` left behind): turn it into something else.
@@ -280,11 +289,11 @@ fn hostile_node_page_is_a_typed_error_not_a_panic() {
     ));
     assert!(matches!(idx.scan_all(&sm), Err(StorageError::Corrupt(_))));
     assert!(matches!(
-        idx.delete(&sm, &key, oid(3)),
+        idx.delete(&w, &key, oid(3)),
         Err(StorageError::Corrupt(_))
     ));
     assert!(matches!(
-        idx.insert(&sm, &key, oid(9999)),
+        idx.insert(&w, &key, oid(9999)),
         Err(StorageError::Corrupt(_))
     ));
     // An entry count running past the page.
@@ -319,18 +328,19 @@ fn file_bytes_match_the_owned_node_implementation() {
     // exactly these pages: the on-page format and the split/placement
     // decisions are unchanged, so files written by either open in both.
     let sm = sm();
-    let idx = BTreeIndex::create(&sm).unwrap();
+    let w = sm.apply_section();
+    let idx = BTreeIndex::create(&w).unwrap();
     let key = |i: u32| {
         keys::encode_bytes(format!("k{}", i.wrapping_mul(2_654_435_761) % 5000).as_bytes())
     };
     for i in 0..6000u32 {
-        idx.insert(&sm, &key(i), oid(i)).unwrap();
+        idx.insert(&w, &key(i), oid(i)).unwrap();
     }
     for i in (0..6000u32).step_by(3) {
-        assert!(idx.delete(&sm, &key(i), oid(i)).unwrap());
+        assert!(idx.delete(&w, &key(i), oid(i)).unwrap());
     }
     for i in 6000..6500u32 {
-        idx.insert(&sm, &key(i), oid(i)).unwrap();
+        idx.insert(&w, &key(i), oid(i)).unwrap();
     }
     let all = idx.scan_all(&sm).unwrap();
     assert_eq!(all.len(), 4500);

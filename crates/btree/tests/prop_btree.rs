@@ -31,7 +31,8 @@ proptest! {
     #[test]
     fn btree_matches_sorted_model(ops in proptest::collection::vec(op(), 1..400)) {
         let sm = StorageManager::in_memory(1024);
-        let idx = BTreeIndex::create(&sm).unwrap();
+        let w = sm.apply_section();
+        let idx = BTreeIndex::create(&w).unwrap();
         // model: set of (key, oid-number)
         let mut model: BTreeSet<(i16, u16)> = BTreeSet::new();
 
@@ -39,17 +40,17 @@ proptest! {
             match op {
                 Op::Insert(k, o) => {
                     if model.insert((k, o)) {
-                        idx.insert(&sm, &encode_i64(k as i64), mkoid(o)).unwrap();
+                        idx.insert(&w, &encode_i64(k as i64), mkoid(o)).unwrap();
                     } else {
-                        prop_assert!(idx.insert(&sm, &encode_i64(k as i64), mkoid(o)).is_err());
+                        prop_assert!(idx.insert(&w, &encode_i64(k as i64), mkoid(o)).is_err());
                     }
                 }
                 Op::Delete(i) => {
                     if model.is_empty() { continue; }
                     let pick = *model.iter().nth(i % model.len()).unwrap();
                     model.remove(&pick);
-                    prop_assert!(idx.delete(&sm, &encode_i64(pick.0 as i64), mkoid(pick.1)).unwrap());
-                    prop_assert!(!idx.delete(&sm, &encode_i64(pick.0 as i64), mkoid(pick.1)).unwrap());
+                    prop_assert!(idx.delete(&w, &encode_i64(pick.0 as i64), mkoid(pick.1)).unwrap());
+                    prop_assert!(!idx.delete(&w, &encode_i64(pick.0 as i64), mkoid(pick.1)).unwrap());
                 }
                 Op::Range(lo, hi) => {
                     let got = idx.range(&sm, &encode_i64(lo as i64), &encode_i64(hi as i64)).unwrap();

@@ -28,11 +28,11 @@ use crate::links::{link_add, link_members, link_remove};
 use crate::objects::{pin_of, read_object, ref_target, value_key, view_object, write_object};
 use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref, read_replica};
 use crate::ripple::Chain;
-use crate::EngineCtx;
+use crate::{EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{RepPathDef, Strategy};
 use fieldrep_model::{Annotation, Object, ObjectView, TypeId, Value};
-use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageError};
+use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageError, StorageManager};
 
 /// Process a physically-sorted OID batch page-group by page-group: split
 /// it into chunks of at most half-the-pool distinct pages
@@ -41,30 +41,27 @@ use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageError};
 /// pinned handle of its page — so all co-located OIDs are rewritten under
 /// one pin, through that pin, the §4.1.3 payoff of keeping link-object
 /// OIDs sorted. Returns the number of distinct pages the batch spanned.
-pub(crate) fn for_each_page_group<F>(
-    ctx: &mut EngineCtx<'_>,
+pub(crate) fn for_each_page_group(
+    sm: &StorageManager,
     oids: &[Oid],
-    mut f: F,
-) -> Result<usize>
-where
-    F: FnMut(&mut EngineCtx<'_>, &PageHandle, Oid) -> Result<()>,
-{
+    mut f: impl FnMut(&PageHandle, Oid) -> Result<()>,
+) -> Result<usize> {
     debug_assert!(oids.is_sorted(), "page grouping expects physical order");
     // Half the pool keeps enough free frames for the work `f` does under
     // the pins (forwarding, link pages, replica objects).
-    let max_pages = (ctx.sm.pool().capacity() / 2).clamp(1, 32);
+    let max_pages = (sm.pool().capacity() / 2).clamp(1, 32);
     let mut pages_total = 0;
     let mut chunks = fieldrep_storage::oid_page_chunks(oids, max_pages, |o| *o);
     while let Some((range, pages)) = chunks.next_chunk() {
         pages_total += pages.len();
-        let pinned = ctx.sm.get_pages_batch(pages)?;
+        let pinned = sm.get_pages_batch(pages)?;
         // Both run in page order: the handle of an OID's page is the
         // current one or the next.
         let mut handles = pinned.iter().peekable();
         for &oid in &oids[range] {
             while handles.next_if(|h| h.pid != oid.page_id()).is_some() {}
             let page = handles.peek().ok_or(StorageError::InvalidOid(oid))?;
-            f(ctx, page, oid)?;
+            f(page, oid)?;
         }
     }
     Ok(pages_total)
@@ -129,7 +126,7 @@ pub(crate) fn walk_from(
 /// bytes are edited where they lie ([`ObjectView::edit_replica_values`]),
 /// and a source that already holds `list` is neither dirtied nor logged.
 pub(crate) fn set_source_replica_values(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     page: Option<&PageHandle>,
     source: Oid,
@@ -138,7 +135,7 @@ pub(crate) fn set_source_replica_values(
     let index = ctx.cat.index_on_path(path.id);
     let mut old_first = None;
     let pin = pin_of(ctx.sm, page, source)?;
-    let changed = HeapFile::open(source.file).edit_pinned(ctx.sm, pin, source, |tag, bytes| {
+    let changed = HeapFile::open(source.file).edit_pinned(ctx.w, pin, source, |tag, bytes| {
         let view = ObjectView::new(ctx.cat.type_def(TypeId(tag)), bytes);
         if index.is_some() {
             old_first = view
@@ -152,11 +149,11 @@ pub(crate) fn set_source_replica_values(
     if let (true, Some(idx)) = (changed, index) {
         let tree = BTreeIndex::open(idx.file);
         if let Some(old) = old_first {
-            tree.delete(ctx.sm, &value_key(&old), source)?;
+            tree.delete(ctx.w, &value_key(&old), source)?;
         }
         let new = list.map(Value::decode_list).transpose()?;
         if let Some(new) = new.as_ref().and_then(|v| v.first()) {
-            tree.insert(ctx.sm, &value_key(new), source)?;
+            tree.insert(ctx.w, &value_key(new), source)?;
         }
     }
     Ok(())
@@ -167,14 +164,14 @@ pub(crate) fn set_source_replica_values(
 /// ([`ObjectView::edit_replica_ref`]) under the caller's `page`, if any.
 /// Returns whether anything changed.
 pub(crate) fn set_source_replica_ref(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     group: u16,
     page: Option<&PageHandle>,
     source: Oid,
     replica: Option<Oid>,
 ) -> Result<bool> {
     let pin = pin_of(ctx.sm, page, source)?;
-    HeapFile::open(source.file).edit_pinned(ctx.sm, pin, source, |tag, bytes| {
+    HeapFile::open(source.file).edit_pinned(ctx.w, pin, source, |tag, bytes| {
         let view = ObjectView::new(ctx.cat.type_def(TypeId(tag)), bytes);
         Ok::<_, DbError>(view.edit_replica_ref(group, replica)?)
     })
@@ -207,7 +204,7 @@ pub(crate) fn values_at(
 /// Attach `source` to `path` along its forward `chain`: ensure link
 /// memberships and materialise the replicated values. Idempotent.
 pub fn attach_path(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     source: Oid,
     chain: &[Option<Oid>],
@@ -230,7 +227,7 @@ fn collapsed_holder(chain: &[Option<Oid>]) -> Option<(Oid, Oid)> {
 /// §4.3.3 attach: add a tagged `(source, via)` entry to the holder's
 /// collapsed store, mark the intermediate, materialise the value.
 fn attach_collapsed(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     source: Oid,
     chain: &[Option<Oid>],
@@ -240,16 +237,16 @@ fn attach_collapsed(
         let hobj = read_object(ctx.sm, ctx.cat, holder)?;
         match collapsed::find_store(&hobj, link.id.0) {
             Some(head) => {
-                collapsed::store_add(ctx.sm, &link, head, (source, via))?;
+                collapsed::store_add(ctx.w, &link, head, (source, via))?;
             }
             None => {
-                let head = collapsed::create_store(ctx.sm, &link, &[(source, via)])?;
+                let head = collapsed::create_store(ctx.w, &link, &[(source, via)])?;
                 let mut hobj = read_object(ctx.sm, ctx.cat, holder)?;
                 hobj.annotations.push(Annotation::LinkRef {
                     link: link.id.0,
                     oid: head,
                 });
-                write_object(ctx.sm, ctx.cat, holder, &hobj)?;
+                write_object(ctx.w, ctx.cat, holder, &hobj)?;
             }
         }
         // Mark the intermediate as being on a collapsed path.
@@ -257,7 +254,7 @@ fn attach_collapsed(
         if !collapsed::has_via_marker(&dobj, link.id.0) {
             dobj.annotations
                 .push(Annotation::CollapsedVia { link: link.id.0 });
-            write_object(ctx.sm, ctx.cat, via, &dobj)?;
+            write_object(ctx.w, ctx.cat, via, &dobj)?;
         }
     }
     // Terminal values: only complete chains have them.
@@ -267,7 +264,7 @@ fn attach_collapsed(
 
 /// Ensure link memberships for levels `from..` along `chain`.
 pub fn attach_links_from(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     chain: &[Option<Oid>],
     from: usize,
@@ -279,7 +276,7 @@ pub fn attach_links_from(
         };
         let link = ctx.cat.link(*link_id).clone();
         link_add(
-            ctx.sm,
+            ctx.w,
             ctx.cat,
             &link,
             target,
@@ -293,7 +290,7 @@ pub fn attach_links_from(
 /// Materialise the terminal of `path` for `source`, given its chain and
 /// `page`, the caller's pin on `source`'s page if it holds one.
 pub fn attach_terminal(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     page: Option<&PageHandle>,
     source: Oid,
@@ -314,7 +311,7 @@ pub fn attach_terminal(
                     .is_some();
             match (terminal, already) {
                 (Some(t), false) => {
-                    let roid = anchor_acquire(ctx.sm, ctx.cat, group, t, 1)?;
+                    let roid = anchor_acquire(ctx.w, ctx.cat, group, t, 1)?;
                     set_source_replica_ref(ctx, group.id.0, page, source, Some(roid)).map(drop)
                 }
                 // Already attached (a sibling path of the same group did
@@ -328,7 +325,7 @@ pub fn attach_terminal(
 /// Detach `source` from `path` along `chain`, the forward chain through
 /// the references it was attached with (for a re-target: the old ones).
 pub fn detach_path(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     source: Oid,
     chain: &[Option<Oid>],
@@ -346,7 +343,7 @@ pub fn detach_path(
                 .group(path.group.expect("separate path has a group"));
             if set_source_replica_ref(ctx, group.id.0, None, source, None)? {
                 if let Some(t) = chain.last().copied().flatten() {
-                    anchor_release(ctx.sm, ctx.cat, group, t, 1)?;
+                    anchor_release(ctx.w, ctx.cat, group, t, 1)?;
                 }
             }
             Ok(())
@@ -358,7 +355,7 @@ pub fn detach_path(
 /// unconditional at `from`, rippling upward only while link objects empty
 /// out (§4.1.2).
 pub fn detach_links_from(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     chain: &[Option<Oid>],
     from: usize,
@@ -373,7 +370,7 @@ pub fn detach_links_from(
         };
         let link = ctx.cat.link(*link_id).clone();
         let out = link_remove(
-            ctx.sm,
+            ctx.w,
             ctx.cat,
             &link,
             target,
@@ -391,7 +388,7 @@ pub fn detach_links_from(
 /// §4.3.3 detach: drop the tagged entry, unmark the intermediate when it
 /// routes nothing any more, clear the hidden value.
 fn detach_collapsed(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     source: Oid,
     chain: &[Option<Oid>],
@@ -401,20 +398,20 @@ fn detach_collapsed(
         let hobj = read_object(ctx.sm, ctx.cat, holder)?;
         if let Some(head) = collapsed::find_store(&hobj, link.id.0) {
             let (removed_via, remaining, same_via) =
-                collapsed::store_remove(ctx.sm, &link, head, source)?;
+                collapsed::store_remove(ctx.w, &link, head, source)?;
             if removed_via.is_some() && remaining == 0 {
                 let mut hobj = read_object(ctx.sm, ctx.cat, holder)?;
                 hobj.annotations.retain(
                     |a| !matches!(a, Annotation::LinkRef { link: l, .. } if *l == link.id.0),
                 );
-                write_object(ctx.sm, ctx.cat, holder, &hobj)?;
+                write_object(ctx.w, ctx.cat, holder, &hobj)?;
             }
             if removed_via == Some(via) && same_via == 0 {
                 let mut dobj = read_object(ctx.sm, ctx.cat, via)?;
                 dobj.annotations.retain(
                     |a| !matches!(a, Annotation::CollapsedVia { link: l } if *l == link.id.0),
                 );
-                write_object(ctx.sm, ctx.cat, via, &dobj)?;
+                write_object(ctx.w, ctx.cat, via, &dobj)?;
             }
         }
     }
@@ -446,7 +443,7 @@ pub fn collect_sources(
         return Ok(members); // already sorted
     }
     let mut out = Vec::new();
-    for_each_page_group(ctx, &members, |ctx, _, m| {
+    for_each_page_group(ctx.sm, &members, |_, m| {
         let mobj = read_object(ctx.sm, ctx.cat, m)?;
         out.extend(collect_sources(ctx, path, at_level - 1, &mobj)?);
         Ok(())

@@ -24,7 +24,7 @@ use crate::error::Result;
 use crate::objects::LINK_TAG;
 use fieldrep_catalog::LinkDef;
 use fieldrep_model::{Annotation, Object};
-use fieldrep_storage::{HeapFile, Oid, StorageManager, MAX_RECORD_PAYLOAD};
+use fieldrep_storage::{ApplySection, HeapFile, Oid, StorageManager, MAX_RECORD_PAYLOAD};
 
 /// Marker byte distinguishing collapsed chunks from ordinary link chunks.
 pub const COLLAPSED_MARK: u8 = 0xCC;
@@ -71,17 +71,17 @@ pub fn decode_chunk(b: &[u8]) -> (Option<Oid>, Vec<TaggedEntry>) {
 
 /// Create a collapsed store from entries sorted by source OID; returns the
 /// head chunk OID (stable for the store's lifetime).
-pub fn create_store(sm: &StorageManager, link: &LinkDef, entries: &[TaggedEntry]) -> Result<Oid> {
+pub fn create_store(w: &ApplySection<'_>, link: &LinkDef, entries: &[TaggedEntry]) -> Result<Oid> {
     let hf = HeapFile::open(link.file);
     let chunks: Vec<&[TaggedEntry]> = entries.chunks(MAX_CHUNK_PAIRS).collect();
     let mut next = None;
     for chunk in chunks.iter().rev() {
-        let oid = hf.rec_insert(sm, LINK_TAG, &encode_chunk(next, chunk))?;
+        let oid = hf.rec_insert(w, LINK_TAG, &encode_chunk(next, chunk))?;
         next = Some(oid);
     }
     match next {
         Some(h) => Ok(h),
-        None => Ok(hf.rec_insert(sm, LINK_TAG, &encode_chunk(None, &[]))?),
+        None => Ok(hf.rec_insert(w, LINK_TAG, &encode_chunk(None, &[]))?),
     }
 }
 
@@ -124,7 +124,7 @@ pub fn members(
 /// mutation helpers below. Deletes surplus chunks / allocates new ones as
 /// needed.
 fn rewrite_store(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     link: &LinkDef,
     head: Oid,
     entries: &[TaggedEntry],
@@ -135,7 +135,7 @@ fn rewrite_store(
     {
         let mut cur = head;
         loop {
-            let (_, payload) = hf.read(sm, cur)?;
+            let (_, payload) = hf.read(w, cur)?;
             let (next, _) = decode_chunk(&payload);
             match next {
                 Some(n) => {
@@ -153,18 +153,18 @@ fn rewrite_store(
     };
     // Allocate extra chunk records if the new content needs more.
     while chain.len() < chunks.len() {
-        let oid = hf.rec_insert(sm, LINK_TAG, &encode_chunk(None, &[]))?;
+        let oid = hf.rec_insert(w, LINK_TAG, &encode_chunk(None, &[]))?;
         chain.push(oid);
     }
     // Free surplus records (never the head).
     while chain.len() > chunks.len().max(1) {
         let victim = chain.pop().unwrap();
-        hf.rec_delete(sm, victim)?;
+        hf.rec_delete(w, victim)?;
     }
     // Write chunks front to back with correct next pointers.
     for (i, chunk) in chunks.iter().enumerate() {
         let next = chain.get(i + 1).copied();
-        hf.rec_update(sm, chain[i], &encode_chunk(next, chunk))?;
+        hf.rec_update(w, chain[i], &encode_chunk(next, chunk))?;
     }
     Ok(())
 }
@@ -172,12 +172,12 @@ fn rewrite_store(
 /// Insert `(src, via)` into the store headed at `head` (idempotent on
 /// `src`). Returns `true` if newly added.
 pub fn store_add(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     link: &LinkDef,
     head: Oid,
     entry: TaggedEntry,
 ) -> Result<bool> {
-    let mut entries = read_store(sm, link, head)?;
+    let mut entries = read_store(w, link, head)?;
     match entries.binary_search_by_key(&entry.0, |e| e.0) {
         Ok(pos) => {
             if entries[pos].1 == entry.1 {
@@ -187,19 +187,19 @@ pub fn store_add(
         }
         Err(pos) => entries.insert(pos, entry),
     }
-    rewrite_store(sm, link, head, &entries)?;
+    rewrite_store(w, link, head, &entries)?;
     Ok(true)
 }
 
 /// Remove the entry for `src`. Returns `(removed_via, remaining_total,
 /// remaining_with_same_via)`.
 pub fn store_remove(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     link: &LinkDef,
     head: Oid,
     src: Oid,
 ) -> Result<(Option<Oid>, usize, usize)> {
-    let mut entries = read_store(sm, link, head)?;
+    let mut entries = read_store(w, link, head)?;
     let removed = match entries.binary_search_by_key(&src, |e| e.0) {
         Ok(pos) => Some(entries.remove(pos).1),
         Err(_) => None,
@@ -211,9 +211,9 @@ pub fn store_remove(
     if removed.is_some() {
         if remaining == 0 {
             // Caller deletes the store + annotation.
-            destroy_store(sm, link, head)?;
+            destroy_store(w, link, head)?;
         } else {
-            rewrite_store(sm, link, head, &entries)?;
+            rewrite_store(w, link, head, &entries)?;
         }
     }
     Ok((removed, remaining, same_via))
@@ -221,20 +221,20 @@ pub fn store_remove(
 
 /// Remove every entry tagged `via`, returning the source OIDs (sorted).
 pub fn store_remove_tagged(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     link: &LinkDef,
     head: Oid,
     via: Oid,
 ) -> Result<(Vec<Oid>, usize)> {
-    let entries = read_store(sm, link, head)?;
+    let entries = read_store(w, link, head)?;
     let (moved, kept): (Vec<TaggedEntry>, Vec<TaggedEntry>) =
         entries.into_iter().partition(|(_, v)| *v == via);
     let remaining = kept.len();
     if !moved.is_empty() {
         if kept.is_empty() {
-            destroy_store(sm, link, head)?;
+            destroy_store(w, link, head)?;
         } else {
-            rewrite_store(sm, link, head, &kept)?;
+            rewrite_store(w, link, head, &kept)?;
         }
     }
     Ok((moved.into_iter().map(|(s, _)| s).collect(), remaining))
@@ -249,13 +249,13 @@ pub fn count_tagged(sm: &StorageManager, link: &LinkDef, head: Oid, via: Oid) ->
 }
 
 /// Delete every chunk of a store.
-pub fn destroy_store(sm: &StorageManager, link: &LinkDef, head: Oid) -> Result<()> {
+pub fn destroy_store(w: &ApplySection<'_>, link: &LinkDef, head: Oid) -> Result<()> {
     let hf = HeapFile::open(link.file);
     let mut cur = Some(head);
     while let Some(oid) = cur {
-        let (_, payload) = hf.read(sm, oid)?;
+        let (_, payload) = hf.read(w, oid)?;
         let (next, _) = decode_chunk(&payload);
-        hf.rec_delete(sm, oid)?;
+        hf.rec_delete(w, oid)?;
         cur = next;
     }
     Ok(())

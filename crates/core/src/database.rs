@@ -12,14 +12,16 @@ use crate::objects::{read_object, ref_target, value_key, view_object, write_obje
 use crate::propagate::{apply_plan, is_referenced};
 use crate::replicas::{find_anchor, group_values, write_replica};
 use crate::ripple::{ChainPlan, RipplePlan};
-use crate::{links, DbConfig, EngineCtx};
+use crate::{links, DbConfig, EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
     Catalog, GroupId, IndexId, IndexKind, IndexTarget, LinkId, PathId, Propagation, RepPathDef,
     SetId, Strategy,
 };
 use fieldrep_model::{Annotation, FieldType, Object, PathExpr, TypeDef, TypeId, Value};
-use fieldrep_storage::{DiskManager, FileId, HeapFile, IoProfile, Oid, StorageManager};
+use fieldrep_storage::{
+    ApplySection, DiskManager, FileId, HeapFile, IoProfile, Oid, StorageManager,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// An object-oriented database with field replication (Shekita & Carey,
@@ -138,11 +140,11 @@ impl Database {
 
     /// Replace the image in the catalog file with the current catalog,
     /// as sequence-numbered chunks.
-    fn write_catalog(&self) -> Result<()> {
+    fn write_catalog(&self, w: &ApplySection<'_>) -> Result<()> {
         let image = fieldrep_catalog::persist::encode(&self.catalog);
         let hf = HeapFile::open(self.catalog_file);
         for oid in self.file_oids(hf.file)? {
-            hf.rec_delete(&self.sm, oid)?;
+            hf.rec_delete(w, oid)?;
         }
         let max = fieldrep_storage::MAX_RECORD_PAYLOAD - 8;
         let count = image.chunks(max).count() as u32;
@@ -151,19 +153,20 @@ impl Database {
             payload.extend_from_slice(&(seq as u32).to_le_bytes());
             payload.extend_from_slice(&count.to_le_bytes());
             payload.extend_from_slice(chunk);
-            hf.rec_insert(&self.sm, 0xFFFC, &payload)?;
+            hf.rec_insert(w, 0xFFFC, &payload)?;
         }
         Ok(())
     }
 
-    /// The end of every catalog change. Under a WAL it is one commit: the
-    /// pages the change wrote and the new catalog image. Without one it
-    /// logs nothing, and [`Database::save`] writes the image.
-    fn commit_ddl(&self) -> Result<()> {
+    /// The end of every catalog change, in the section `w` it ran in.
+    /// Under a WAL it is one commit: the pages the change wrote and the
+    /// new catalog image. Without one it logs nothing, and
+    /// [`Database::save`] writes the image.
+    fn commit_ddl(&self, w: ApplySection<'_>) -> Result<()> {
         if self.sm.wal_enabled() {
-            self.apply_and_commit(Database::write_catalog)?;
+            self.write_catalog(&w)?;
         }
-        Ok(())
+        self.commit(w)
     }
 
     /// Reopen a database previously built with [`Database::with_disk`]
@@ -247,7 +250,8 @@ impl Database {
     }
 
     /// The storage manager (for I/O statistics and low-level access from
-    /// the query processor).
+    /// the query processor). Writing through it takes an [`ApplySection`],
+    /// which only [`Database::apply_and_commit`] hands out.
     pub fn sm(&self) -> &StorageManager {
         &self.sm
     }
@@ -268,6 +272,11 @@ impl Database {
             pending: &self.pending,
             workload: &self.workload,
         }
+    }
+
+    /// The engine context of a write inside the section `w`.
+    pub fn write_ctx<'a>(&'a self, w: &'a ApplySection<'a>) -> WriteCtx<'a> {
+        WriteCtx { ctx: self.ctx(), w }
     }
 
     /// Observed per-path workload statistics (reads, update ripples,
@@ -358,7 +367,7 @@ impl Database {
     /// `define type …`.
     pub fn define_type(&mut self, def: TypeDef) -> Result<TypeId> {
         let id = self.catalog.define_type(def)?;
-        self.commit_ddl()?;
+        self.commit_ddl(self.sm.apply_section())?;
         Ok(id)
     }
 
@@ -368,7 +377,7 @@ impl Database {
         let file = self.sm.create_file()?;
         let id = self.catalog.create_set(name, type_name, file)?;
         self.file_sets.insert(file, id);
-        self.commit_ddl()?;
+        self.commit_ddl(self.sm.apply_section())?;
         Ok(id)
     }
 
@@ -420,6 +429,7 @@ impl Database {
         // Snapshot which links exist already (they are complete and can be
         // skipped by the builder).
         let pre_links: BTreeSet<u8> = self.catalog.links().map(|l| l.id.0).collect();
+        let w = self.sm.apply_section();
         let decl = self.catalog.declare_replication_full(
             &expr,
             strategy,
@@ -428,18 +438,23 @@ impl Database {
             &self.sm,
         )?;
         let path_def = self.catalog.path(decl.path).clone();
-        self.build_path(&path_def, &pre_links)?;
+        self.build_path(&w, &path_def, &pre_links)?;
         if decl.group_extended {
-            self.resync_group(decl.group.expect("extended ⇒ group"))?;
+            self.resync_group(&w, decl.group.expect("extended ⇒ group"))?;
         }
-        self.commit_ddl()?;
+        self.commit_ddl(w)?;
         Ok(decl.path)
     }
 
     /// Bulk-build the physical structures for a freshly declared path.
-    fn build_path(&mut self, path: &RepPathDef, pre_links: &BTreeSet<u8>) -> Result<()> {
+    fn build_path(
+        &self,
+        w: &ApplySection<'_>,
+        path: &RepPathDef,
+        pre_links: &BTreeSet<u8>,
+    ) -> Result<()> {
         if path.collapsed {
-            return self.build_collapsed_path(path, pre_links);
+            return self.build_collapsed_path(w, path, pre_links);
         }
         // Pass 1: scan the source set, walk every chain.
         let set = self.catalog.set(path.set).clone();
@@ -486,7 +501,7 @@ impl Database {
                         oids: members,
                     });
                 } else {
-                    let head = links::create_link_store(&self.sm, &link, &members)?;
+                    let head = links::create_link_store(w, &link, &members)?;
                     let ctx2 = self.ctx();
                     tobj = read_object(ctx2.sm, ctx2.cat, *target)?;
                     tobj.annotations.push(Annotation::LinkRef {
@@ -494,16 +509,16 @@ impl Database {
                         oid: head,
                     });
                 }
-                let ctx3 = self.ctx();
-                write_object(ctx3.sm, ctx3.cat, *target, &tobj)?;
+                write_object(w, &self.catalog, *target, &tobj)?;
             }
         }
 
         // Pass 3: terminal materialisation.
         match path.strategy {
             Strategy::InPlace => {
+                let mut ctx = self.write_ctx(w);
                 for (src, chain) in &chains {
-                    crate::attach::attach_terminal(&mut self.ctx(), path, None, *src, chain)?;
+                    crate::attach::attach_terminal(&mut ctx, path, None, *src, chain)?;
                 }
             }
             Strategy::Separate => {
@@ -532,8 +547,7 @@ impl Database {
                         (find_anchor(&tobj, group.id.0), group_values(&group, &tobj))
                     };
                     debug_assert!(roid.is_none(), "fresh group has no anchors yet");
-                    let roid =
-                        rf.rec_insert(&self.sm, REPLICA_TAG, &Value::encode_list(&values))?;
+                    let roid = rf.rec_insert(w, REPLICA_TAG, &Value::encode_list(&values))?;
                     {
                         let ctx = self.ctx();
                         let mut tobj = read_object(ctx.sm, ctx.cat, *t)?;
@@ -542,7 +556,7 @@ impl Database {
                             oid: roid,
                             refcount: srcs.len() as u32,
                         });
-                        write_object(ctx.sm, ctx.cat, *t, &tobj)?;
+                        write_object(w, ctx.cat, *t, &tobj)?;
                     }
                     for s in srcs {
                         let ctx = self.ctx();
@@ -551,7 +565,7 @@ impl Database {
                             group: group.id.0,
                             oid: roid,
                         });
-                        write_object(ctx.sm, ctx.cat, *s, &sobj)?;
+                        write_object(w, ctx.cat, *s, &sobj)?;
                     }
                 }
             }
@@ -561,7 +575,12 @@ impl Database {
 
     /// Bulk-build a §4.3.3 collapsed path: one tagged store per terminal
     /// (or per parked intermediate), `CollapsedVia` markers, then values.
-    fn build_collapsed_path(&mut self, path: &RepPathDef, pre_links: &BTreeSet<u8>) -> Result<()> {
+    fn build_collapsed_path(
+        &self,
+        w: &ApplySection<'_>,
+        path: &RepPathDef,
+        pre_links: &BTreeSet<u8>,
+    ) -> Result<()> {
         let set = self.catalog.set(path.set).clone();
         let sources = self.file_oids(set.file)?;
         let link = self.catalog.link(path.links[0]).clone();
@@ -590,14 +609,14 @@ impl Database {
         if link_is_new {
             for (holder, mut entries) in holders {
                 entries.sort_unstable_by_key(|e| e.0);
-                let head = crate::collapsed::create_store(&self.sm, &link, &entries)?;
+                let head = crate::collapsed::create_store(w, &link, &entries)?;
                 let ctx = self.ctx();
                 let mut hobj = read_object(ctx.sm, ctx.cat, holder)?;
                 hobj.annotations.push(Annotation::LinkRef {
                     link: link.id.0,
                     oid: head,
                 });
-                write_object(ctx.sm, ctx.cat, holder, &hobj)?;
+                write_object(w, ctx.cat, holder, &hobj)?;
             }
             for via in vias {
                 let ctx = self.ctx();
@@ -605,14 +624,14 @@ impl Database {
                 if !crate::collapsed::has_via_marker(&dobj, link.id.0) {
                     dobj.annotations
                         .push(Annotation::CollapsedVia { link: link.id.0 });
-                    write_object(ctx.sm, ctx.cat, via, &dobj)?;
+                    write_object(w, ctx.cat, via, &dobj)?;
                 }
             }
         }
 
         // Values.
+        let mut ctx = self.write_ctx(w);
         for (src, chain) in &chains {
-            let mut ctx = self.ctx();
             let values = crate::attach::values_at(&mut ctx, path, chain[2])?;
             crate::attach::set_source_replica_values(
                 &mut ctx,
@@ -627,7 +646,7 @@ impl Database {
 
     /// Rewrite every replica object of `group` from its terminal object —
     /// needed when a new path extends the group's field list.
-    fn resync_group(&mut self, group_id: GroupId) -> Result<()> {
+    fn resync_group(&self, w: &ApplySection<'_>, group_id: GroupId) -> Result<()> {
         let group = self.catalog.group(group_id).clone();
         let term_type = group.terminal_type;
         let term_sets: Vec<FileId> = self
@@ -641,7 +660,7 @@ impl Database {
                 let obj = read_object(ctx.sm, ctx.cat, oid)?;
                 if let Some((_, roid, _)) = find_anchor(&obj, group.id.0) {
                     let values = group_values(&group, &obj);
-                    write_replica(self.ctx().sm, &group, roid, &values)?;
+                    write_replica(w, &group, roid, &values)?;
                 }
             }
         }
@@ -705,18 +724,20 @@ impl Database {
             IndexTarget::ReplicatedPath(rep_id)
         };
         entries.sort();
-        let tree = BTreeIndex::bulk_load(&self.sm, &entries, 1.0)?;
+        let w = self.sm.apply_section();
+        let tree = BTreeIndex::bulk_load(&w, &entries, 1.0)?;
         let id = self
             .catalog
             .declare_index(resolved.set, target, kind, tree.file)?;
-        self.commit_ddl()?;
+        self.commit_ddl(w)?;
         Ok(id)
     }
 
     // ------------------------------------------------------------------ DML
 
     /// The one commit sequence every mutation ends in: run `f` — the
-    /// whole operation — inside the WAL apply section, log the pages it
+    /// whole operation — inside the apply section, whose
+    /// [`ApplySection`] every storage mutator demands; log the pages it
     /// dirtied as one commit record while still inside, leave the
     /// section, then make the record durable (outside it, so concurrent
     /// commits share the fsync). Without a WAL this is just `f`.
@@ -725,20 +746,28 @@ impl Database {
     /// [`DbError::CommitNotDurable`]: the operation is applied, and its
     /// pages stay unlogged, so unevictable, until the next commit logs
     /// them. Any other error means the operation was rejected.
-    pub(crate) fn apply_and_commit<T>(&self, f: impl FnOnce(&Database) -> Result<T>) -> Result<T> {
+    pub fn apply_and_commit<T>(
+        &self,
+        f: impl FnOnce(&Database, &ApplySection<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let w = self.sm.apply_section();
+        let out = f(self, &w)?;
+        self.commit(w)?;
+        Ok(out)
+    }
+
+    /// The tail of the commit sequence: log what section `w` wrote,
+    /// leave it, make the record durable.
+    fn commit(&self, w: ApplySection<'_>) -> Result<()> {
         let Some(wal) = self.sm.wal() else {
-            return f(self);
+            return Ok(());
         };
-        let (out, lsn) = {
-            let _apply = wal.apply_lock();
-            let out = f(self)?;
-            let lsn = self.sm.pool().log_txn_commit();
-            (out, lsn.map_err(DbError::CommitNotDurable)?)
-        };
-        if let Some(lsn) = lsn {
+        let lsn = self.sm.pool().log_txn_commit();
+        drop(w);
+        if let Some(lsn) = lsn.map_err(DbError::CommitNotDurable)? {
             wal.sync_to(lsn).map_err(DbError::CommitNotDurable)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Insert an object into a set. Reference values are type-checked;
@@ -756,20 +785,20 @@ impl Database {
             }
         }
         let plan = || ChainPlan::attach(self, set.id, obj.clone());
-        self.write_locked(None, plan, |db, plan| {
+        self.write_locked(None, plan, |db, w, plan| {
             let hf = HeapFile::open(set.file);
-            let oid = hf.rec_insert(&db.sm, set.elem_type.0, &plan.obj.encode(def))?;
+            let oid = hf.rec_insert(w, set.elem_type.0, &plan.obj.encode(def))?;
 
             // Base-field index maintenance.
             for idx in cat.indexes_on(set.id) {
                 if let IndexTarget::Field(f) = idx.target {
                     let key = value_key(&plan.obj.values[f]);
-                    BTreeIndex::open(idx.file).insert(&db.sm, &key, oid)?;
+                    BTreeIndex::open(idx.file).insert(w, &key, oid)?;
                 }
             }
 
             // Replication attach.
-            let mut ctx = db.ctx();
+            let mut ctx = db.write_ctx(w);
             for (p, mut chain) in cat.paths_from(set.id).zip(plan.chains) {
                 chain[0] = Some(oid);
                 attach_path(&mut ctx, p, oid, &chain)?;
@@ -851,8 +880,8 @@ impl Database {
     /// update was rejected.
     pub fn update(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<()> {
         let plan = || RipplePlan::build(self, oid, changes);
-        self.write_locked(Some(oid), plan, |db, plan| {
-            apply_plan(&mut db.ctx(), plan)?;
+        self.write_locked(Some(oid), plan, |db, w, plan| {
+            apply_plan(&mut db.write_ctx(w), plan)?;
             db.txn.note_commit_applied();
             Ok(())
         })
@@ -870,13 +899,13 @@ impl Database {
     pub fn delete(&self, oid: Oid) -> Result<()> {
         let set = self.set_of(oid)?;
         let plan = || ChainPlan::detach(self, set, oid);
-        self.write_locked(Some(oid), plan, |db, plan| {
+        self.write_locked(Some(oid), plan, |db, w, plan| {
             if is_referenced(&plan.obj) {
                 return Err(DbError::StillReferenced(oid));
             }
             // Detach every replication path of the set.
             let cat = &db.catalog;
-            let mut ctx = db.ctx();
+            let mut ctx = db.write_ctx(w);
             for (p, chain) in cat.paths_from(set).zip(&plan.chains) {
                 detach_path(&mut ctx, p, oid, chain)?;
             }
@@ -884,10 +913,10 @@ impl Database {
             for idx in cat.indexes_on(set) {
                 if let IndexTarget::Field(f) = idx.target {
                     let key = value_key(&plan.obj.values[f]);
-                    BTreeIndex::open(idx.file).delete(&db.sm, &key, oid)?;
+                    BTreeIndex::open(idx.file).delete(w, &key, oid)?;
                 }
             }
-            HeapFile::open(oid.file).rec_delete(&db.sm, oid)?;
+            HeapFile::open(oid.file).rec_delete(w, oid)?;
             db.pending.purge_object(oid);
             Ok(())
         })
@@ -897,30 +926,30 @@ impl Database {
     /// eager paths or when nothing is pending). Returns the number of
     /// work items applied.
     pub fn sync_path(&self, path: PathId) -> Result<usize> {
-        self.apply_and_commit(|db| db.sync_pending(path))
+        self.apply_and_commit(|db, w| db.sync_pending(w, path))
     }
 
     /// Sync every path with pending deferred work, as one unit: one
     /// commit covers all of them.
     pub fn sync_all_pending(&self) -> Result<usize> {
-        self.apply_and_commit(|db| {
+        self.apply_and_commit(|db, w| {
             let mut total = 0;
             for p in db.pending.dirty_paths() {
-                total += db.sync_pending(p)?;
+                total += db.sync_pending(w, p)?;
             }
             Ok(total)
         })
     }
 
-    /// The body of a sync; the caller holds the apply section.
-    fn sync_pending(&self, path: PathId) -> Result<usize> {
+    /// The body of a sync, inside the apply section `w`.
+    fn sync_pending(&self, w: &ApplySection<'_>, path: PathId) -> Result<usize> {
         let entries = self.pending.take(path);
         if entries.is_empty() {
             return Ok(0);
         }
         let pdef = self.catalog.path(path);
         let n = entries.len();
-        let mut ctx = self.ctx();
+        let mut ctx = self.write_ctx(w);
         for e in entries {
             let io_before = fieldrep_obs::io::snapshot();
             let fanout = match e {
@@ -931,11 +960,12 @@ impl Database {
                     sources.dedup();
                     // Refresh the stale sources page-group by page-group
                     // (sorted physical order, one grouped read per run).
-                    crate::attach::for_each_page_group(&mut ctx, &sources, |ctx, page, s| {
+                    crate::attach::for_each_page_group(ctx.sm, &sources, |page, s| {
                         let hop =
                             view_object(ctx.sm, ctx.cat, Some(page), s, |v| v.field(pdef.hops[0]))?;
-                        let chain = crate::attach::walk_chain_via(ctx, pdef, s, ref_target(&hop))?;
-                        crate::attach::attach_terminal(ctx, pdef, Some(page), s, &chain)
+                        let next = ref_target(&hop);
+                        let chain = crate::attach::walk_chain_via(&mut ctx, pdef, s, next)?;
+                        crate::attach::attach_terminal(&mut ctx, pdef, Some(page), s, &chain)
                     })?;
                     sources.len() as u64
                 }
@@ -945,7 +975,7 @@ impl Database {
                         .group(pdef.group.expect("separate path has a group"));
                     let o = read_object(ctx.sm, ctx.cat, obj)?;
                     if let Some((_, roid, _)) = find_anchor(&o, group.id.0) {
-                        write_replica(ctx.sm, group, roid, &group_values(group, &o))?;
+                        write_replica(w, group, roid, &group_values(group, &o))?;
                     }
                     1
                 }
@@ -977,14 +1007,15 @@ impl Database {
         // Strip source-side state: hidden values / replica refs.
         let sources = self.file_oids(set.file)?;
         let dropped_group = removed.dropped_group.clone();
-        let mut ctx = self.ctx();
-        crate::attach::for_each_page_group(&mut ctx, &sources, |ctx, page, src| {
+        let w = self.sm.apply_section();
+        let mut ctx = self.write_ctx(&w);
+        crate::attach::for_each_page_group(ctx.sm, &sources, |page, src| {
             match (pdef.strategy, &dropped_group) {
                 (Strategy::InPlace, _) => {
-                    crate::attach::set_source_replica_values(ctx, pdef, Some(page), src, None)
+                    crate::attach::set_source_replica_values(&mut ctx, pdef, Some(page), src, None)
                 }
                 (Strategy::Separate, Some(g)) => {
-                    crate::attach::set_source_replica_ref(ctx, g.id.0, Some(page), src, None)
+                    crate::attach::set_source_replica_ref(&mut ctx, g.id.0, Some(page), src, None)
                         .map(drop)
                 }
                 // Group still shared by other paths: refs stay.
@@ -1018,7 +1049,7 @@ impl Database {
                                 if *l == link.id.0)
                     });
                     if obj.annotations.len() != before {
-                        write_object(ctx.sm, ctx.cat, oid, &obj)?;
+                        write_object(&w, ctx.cat, oid, &obj)?;
                     }
                 }
             }
@@ -1040,7 +1071,7 @@ impl Database {
                         !matches!(a, Annotation::ReplicaAnchor { group, .. } if *group == g.id.0)
                     });
                     if obj.annotations.len() != before {
-                        write_object(ctx.sm, ctx.cat, oid, &obj)?;
+                        write_object(&w, ctx.cat, oid, &obj)?;
                     }
                 }
             }
@@ -1048,7 +1079,7 @@ impl Database {
         // The link files and the S' file (replica objects go with it) are
         // dropped once the catalog no longer names them: a crash before
         // the commit finds them still there.
-        self.commit_ddl()?;
+        self.commit_ddl(w)?;
         let groups = dropped_group.iter().map(|g| g.file);
         for file in removed.freed_links.iter().map(|l| l.file).chain(groups) {
             self.sm.drop_file(file)?;

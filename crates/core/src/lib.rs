@@ -38,7 +38,7 @@ pub use txn::{LockSet, TxnManager, TxnStats};
 pub use workload::{PathWorkload, WorkloadStats};
 
 use fieldrep_catalog::{Catalog, PathId};
-use fieldrep_storage::{Oid, StorageManager};
+use fieldrep_storage::{ApplySection, Oid, StorageManager};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 
@@ -81,6 +81,30 @@ pub struct EngineCtx<'a> {
     pub pending: &'a PendingSet,
     /// Observed per-path workload statistics (reads, ripples, EWMAs).
     pub workload: &'a WorkloadStats,
+}
+
+/// An [`EngineCtx`] inside the apply section: what the write path runs
+/// with. `w` is the proof every storage mutator demands (see
+/// [`ApplySection`]); reads go through the context it dereferences to.
+/// Only [`Database::apply_and_commit`] hands out the section.
+pub struct WriteCtx<'a> {
+    ctx: EngineCtx<'a>,
+    /// The apply section this context writes under.
+    pub w: &'a ApplySection<'a>,
+}
+
+impl<'a> std::ops::Deref for WriteCtx<'a> {
+    type Target = EngineCtx<'a>;
+
+    fn deref(&self) -> &EngineCtx<'a> {
+        &self.ctx
+    }
+}
+
+impl<'a> std::ops::DerefMut for WriteCtx<'a> {
+    fn deref_mut(&mut self) -> &mut EngineCtx<'a> {
+        &mut self.ctx
+    }
 }
 
 /// One deferred-propagation work item.

@@ -31,7 +31,7 @@ use crate::error::Result;
 use crate::objects::{read_object, write_object, LINK_TAG};
 use fieldrep_catalog::{Catalog, LinkDef};
 use fieldrep_model::{Annotation, Object};
-use fieldrep_storage::{HeapFile, Oid, StorageManager, MAX_RECORD_PAYLOAD};
+use fieldrep_storage::{ApplySection, HeapFile, Oid, StorageManager, MAX_RECORD_PAYLOAD};
 
 /// Bytes of chunk header (level + count + next pointer).
 pub const CHUNK_HEADER: usize = 1 + 2 + 8;
@@ -70,20 +70,20 @@ pub fn decode_chunk(b: &[u8]) -> (u8, Option<Oid>, Vec<Oid>) {
 /// Create a (possibly multi-chunk) link store holding `members` (sorted);
 /// returns the head chunk's OID. Chunks are written tail-first so each
 /// can point at its successor.
-pub fn create_link_store(sm: &StorageManager, link: &LinkDef, members: &[Oid]) -> Result<Oid> {
+pub fn create_link_store(w: &ApplySection<'_>, link: &LinkDef, members: &[Oid]) -> Result<Oid> {
     let hf = HeapFile::open(link.file);
     let chunks: Vec<&[Oid]> = members.chunks(MAX_CHUNK_MEMBERS).collect();
     let mut next: Option<Oid> = None;
     // Write from the last chunk backwards; the head is written last. (For
     // the common single-chunk case this is one insert.)
     for chunk in chunks.iter().rev() {
-        let oid = hf.rec_insert(sm, LINK_TAG, &encode_chunk(link.level as u8, next, chunk))?;
+        let oid = hf.rec_insert(w, LINK_TAG, &encode_chunk(link.level as u8, next, chunk))?;
         next = Some(oid);
     }
     // An empty member list still gets one (empty) head chunk.
     match next {
         Some(h) => Ok(h),
-        None => Ok(hf.rec_insert(sm, LINK_TAG, &encode_chunk(link.level as u8, None, &[]))?),
+        None => Ok(hf.rec_insert(w, LINK_TAG, &encode_chunk(link.level as u8, None, &[]))?),
     }
 }
 
@@ -137,17 +137,17 @@ pub fn link_members(sm: &StorageManager, target_obj: &Object, link: &LinkDef) ->
 /// Ensure `member` appears in `target`'s link store for `link`.
 /// Idempotent: returns `true` if the member was newly added.
 pub fn link_add(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     cat: &Catalog,
     link: &LinkDef,
     target: Oid,
     member: Oid,
     inline_threshold: usize,
 ) -> Result<bool> {
-    let mut obj = read_object(sm, cat, target)?;
-    let (added, dirty) = link_add_obj(sm, link, target, &mut obj, member, inline_threshold)?;
+    let mut obj = read_object(w, cat, target)?;
+    let (added, dirty) = link_add_obj(w, link, target, &mut obj, member, inline_threshold)?;
     if dirty {
-        write_object(sm, cat, target, &obj)?;
+        write_object(w, cat, target, &obj)?;
     }
     Ok(added)
 }
@@ -156,7 +156,7 @@ pub fn link_add(
 /// Returns `(member_added, obj_dirty)`; the caller must write `obj` back
 /// when `obj_dirty` is true.
 pub fn link_add_obj(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     link: &LinkDef,
     _target: Oid,
     obj: &mut Object,
@@ -172,7 +172,7 @@ pub fn link_add_obj(
                     oids: vec![member],
                 });
             } else {
-                let head = create_link_store(sm, link, &[member])?;
+                let head = create_link_store(w, link, &[member])?;
                 obj.annotations.push(Annotation::LinkRef {
                     link: link.id.0,
                     oid: head,
@@ -187,7 +187,7 @@ pub fn link_add_obj(
                     oids.insert(pos, member);
                     if oids.len() > inline_threshold {
                         // Grow out of inline form into a link store.
-                        let head = create_link_store(sm, link, &oids)?;
+                        let head = create_link_store(w, link, &oids)?;
                         obj.annotations[i] = Annotation::LinkRef {
                             link: link.id.0,
                             oid: head,
@@ -202,7 +202,7 @@ pub fn link_add_obj(
                 }
             },
             Annotation::LinkRef { oid: head, .. } => {
-                let added = chain_insert(sm, link, head, member)?;
+                let added = chain_insert(w, link, head, member)?;
                 Ok((added, false))
             }
             _ => unreachable!(),
@@ -213,11 +213,11 @@ pub fn link_add_obj(
 /// Insert `member` into the chunk chain headed at `head`. Returns `true`
 /// if it was not already present. Splits full chunks; the head OID never
 /// changes.
-fn chain_insert(sm: &StorageManager, link: &LinkDef, head: Oid, member: Oid) -> Result<bool> {
+fn chain_insert(w: &ApplySection<'_>, link: &LinkDef, head: Oid, member: Oid) -> Result<bool> {
     let hf = HeapFile::open(link.file);
     let mut cur = head;
     loop {
-        let (_, payload) = hf.read(sm, cur)?;
+        let (_, payload) = hf.read(w, cur)?;
         let (level, next, mut members) = decode_chunk(&payload);
         // Does the member belong in this chunk? Yes if it sorts before or
         // at this chunk's maximum, or if this is the last chunk.
@@ -236,12 +236,12 @@ fn chain_insert(sm: &StorageManager, link: &LinkDef, head: Oid, member: Oid) -> 
             Err(pos) => members.insert(pos, member),
         }
         if members.len() <= MAX_CHUNK_MEMBERS {
-            hf.rec_update(sm, cur, &encode_chunk(level, next, &members))?;
+            hf.rec_update(w, cur, &encode_chunk(level, next, &members))?;
         } else {
             // Split: upper half moves to a new chunk after this one.
             let upper = members.split_off(members.len() / 2);
-            let new_chunk = hf.rec_insert(sm, LINK_TAG, &encode_chunk(level, next, &upper))?;
-            hf.rec_update(sm, cur, &encode_chunk(level, Some(new_chunk), &members))?;
+            let new_chunk = hf.rec_insert(w, LINK_TAG, &encode_chunk(level, next, &upper))?;
+            hf.rec_update(w, cur, &encode_chunk(level, Some(new_chunk), &members))?;
         }
         return Ok(true);
     }
@@ -251,17 +251,17 @@ fn chain_insert(sm: &StorageManager, link: &LinkDef, head: Oid, member: Oid) -> 
 /// Deletes emptied stores and annotations; shrinks back to inline form
 /// when the count falls to the threshold.
 pub fn link_remove(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     cat: &Catalog,
     link: &LinkDef,
     target: Oid,
     member: Oid,
     inline_threshold: usize,
 ) -> Result<RemoveOutcome> {
-    let mut obj = read_object(sm, cat, target)?;
-    let (outcome, dirty) = link_remove_obj(sm, link, &mut obj, member, inline_threshold)?;
+    let mut obj = read_object(w, cat, target)?;
+    let (outcome, dirty) = link_remove_obj(w, link, &mut obj, member, inline_threshold)?;
     if dirty {
-        write_object(sm, cat, target, &obj)?;
+        write_object(w, cat, target, &obj)?;
     }
     Ok(outcome)
 }
@@ -269,7 +269,7 @@ pub fn link_remove(
 /// As [`link_remove`], but on a loaded object. Returns the outcome and
 /// whether `obj` changed (caller must write it back).
 pub fn link_remove_obj(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     link: &LinkDef,
     obj: &mut Object,
     member: Oid,
@@ -305,7 +305,7 @@ pub fn link_remove_obj(
                 Ok((RemoveOutcome { removed, now_empty }, removed || now_empty))
             }
             Annotation::LinkRef { oid: head, .. } => {
-                let (removed, remaining) = chain_remove(sm, link, head, member)?;
+                let (removed, remaining) = chain_remove(w, link, head, member)?;
                 if remaining == 0 {
                     // "If there are no longer any OIDs in the link object,
                     // it is deleted" (§4.1.1). chain_remove already
@@ -321,8 +321,8 @@ pub fn link_remove_obj(
                 }
                 if removed && use_inline && remaining <= inline_threshold {
                     // Shrink back to inline form (§4.3.1).
-                    let members = read_link_store(sm, link, head)?;
-                    destroy_chain(sm, link, head)?;
+                    let members = read_link_store(w, link, head)?;
+                    destroy_chain(w, link, head)?;
                     obj.annotations[i] = Annotation::InlineLink {
                         link: link.id.0,
                         oids: members,
@@ -354,7 +354,7 @@ pub fn link_remove_obj(
 /// stable) or — if it was the only chunk — is deleted entirely (the
 /// caller drops the annotation).
 fn chain_remove(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     link: &LinkDef,
     head: Oid,
     member: Oid,
@@ -365,7 +365,7 @@ fn chain_remove(
     let mut prev: Option<(Oid, u8, Option<Oid>, Vec<Oid>)> = None; // chunk before current
     let mut cur = Some(head);
     while let Some(coid) = cur {
-        let (_, payload) = hf.read(sm, coid)?;
+        let (_, payload) = hf.read(w, coid)?;
         let (level, next, mut members) = decode_chunk(&payload);
         if !removed {
             if let Ok(pos) = members.binary_search(&member) {
@@ -376,17 +376,17 @@ fn chain_remove(
                         match next {
                             Some(succ) => {
                                 // Absorb the successor into the head.
-                                let (_, spayload) = hf.read(sm, succ)?;
+                                let (_, spayload) = hf.read(w, succ)?;
                                 let (slevel, snext, smembers) = decode_chunk(&spayload);
-                                hf.rec_update(sm, coid, &encode_chunk(slevel, snext, &smembers))?;
-                                hf.rec_delete(sm, succ)?;
+                                hf.rec_update(w, coid, &encode_chunk(slevel, snext, &smembers))?;
+                                hf.rec_delete(w, succ)?;
                                 remaining += smembers.len();
                                 cur = snext;
                                 prev = Some((coid, slevel, snext, smembers));
                                 continue;
                             }
                             None => {
-                                hf.rec_delete(sm, coid)?;
+                                hf.rec_delete(w, coid)?;
                                 return Ok((true, remaining));
                             }
                         }
@@ -394,14 +394,14 @@ fn chain_remove(
                         // Unlink this chunk from its predecessor.
                         let (poid, plevel, _pnext, pmembers) =
                             prev.clone().expect("non-head chunk has a predecessor");
-                        hf.rec_update(sm, poid, &encode_chunk(plevel, next, &pmembers))?;
-                        hf.rec_delete(sm, coid)?;
+                        hf.rec_update(w, poid, &encode_chunk(plevel, next, &pmembers))?;
+                        hf.rec_delete(w, coid)?;
                         cur = next;
                         // prev stays the same.
                         continue;
                     }
                 } else {
-                    hf.rec_update(sm, coid, &encode_chunk(level, next, &members))?;
+                    hf.rec_update(w, coid, &encode_chunk(level, next, &members))?;
                 }
             }
         }
@@ -413,13 +413,13 @@ fn chain_remove(
 }
 
 /// Delete every chunk of a chain.
-fn destroy_chain(sm: &StorageManager, link: &LinkDef, head: Oid) -> Result<()> {
+fn destroy_chain(w: &ApplySection<'_>, link: &LinkDef, head: Oid) -> Result<()> {
     let hf = HeapFile::open(link.file);
     let mut cur = Some(head);
     while let Some(coid) = cur {
-        let (_, payload) = hf.read(sm, coid)?;
+        let (_, payload) = hf.read(w, coid)?;
         let (_, next, _) = decode_chunk(&payload);
-        hf.rec_delete(sm, coid)?;
+        hf.rec_delete(w, coid)?;
         cur = next;
     }
     Ok(())

@@ -4,7 +4,7 @@ use crate::error::{DbError, Result};
 use fieldrep_btree::keys;
 use fieldrep_catalog::Catalog;
 use fieldrep_model::{ModelError, Object, ObjectView, TypeId, Value};
-use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageManager};
+use fieldrep_storage::{ApplySection, HeapFile, Oid, PageHandle, StorageManager};
 use std::borrow::Cow;
 
 /// Record type tag used for link objects (never a real `TypeId`).
@@ -54,11 +54,11 @@ pub(crate) fn view_object<R>(
 }
 
 /// Encode and write back the object at `oid` (same type tag).
-pub fn write_object(sm: &StorageManager, cat: &Catalog, oid: Oid, obj: &Object) -> Result<()> {
+pub fn write_object(w: &ApplySection<'_>, cat: &Catalog, oid: Oid, obj: &Object) -> Result<()> {
     let def = cat.type_def(obj.type_id);
     let payload = obj.encode(def);
     let hf = HeapFile::open(oid.file);
-    hf.rec_update(sm, oid, &payload)?;
+    hf.rec_update(w, oid, &payload)?;
     Ok(())
 }
 

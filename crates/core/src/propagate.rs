@@ -29,7 +29,7 @@ use crate::error::{DbError, Result};
 use crate::objects::{read_object, value_key, write_object};
 use crate::replicas::{anchor_acquire, anchor_release, group_values, write_replica};
 use crate::ripple::{RipplePlan, Step};
-use crate::{EngineCtx, PendingEntry};
+use crate::{EngineCtx, PendingEntry, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{GroupId, IndexTarget, RepPathDef};
 use fieldrep_model::{Annotation, Object, Value};
@@ -86,7 +86,7 @@ fn prop_metrics() -> &'static PropMetrics {
 /// Execute `plan` — the whole of `update(oid, changes)`. The caller holds
 /// the WAL apply section (and, on the transactional door, the plan's
 /// OID locks).
-pub(crate) fn apply_plan(ctx: &mut EngineCtx<'_>, plan: RipplePlan) -> Result<()> {
+pub(crate) fn apply_plan(ctx: &mut WriteCtx<'_>, plan: RipplePlan) -> Result<()> {
     if plan.changes.is_empty() {
         return Ok(());
     }
@@ -107,7 +107,7 @@ pub(crate) fn apply_plan(ctx: &mut EngineCtx<'_>, plan: RipplePlan) -> Result<()
     for (i, _, new) in &plan.changes {
         obj.values[*i] = new.clone();
     }
-    write_object(ctx.sm, cat, oid, &obj)?;
+    write_object(ctx.w, cat, oid, &obj)?;
 
     // Base-field index maintenance.
     for idx in cat.indexes_on(plan.set) {
@@ -116,8 +116,8 @@ pub(crate) fn apply_plan(ctx: &mut EngineCtx<'_>, plan: RipplePlan) -> Result<()
         };
         if let Some((_, old, new)) = plan.changes.iter().find(|c| c.0 == f) {
             let tree = BTreeIndex::open(idx.file);
-            tree.delete(ctx.sm, &value_key(old), oid)?;
-            tree.insert(ctx.sm, &value_key(new), oid)?;
+            tree.delete(ctx.w, &value_key(old), oid)?;
+            tree.insert(ctx.w, &value_key(new), oid)?;
         }
     }
 
@@ -138,7 +138,7 @@ pub(crate) fn apply_plan(ctx: &mut EngineCtx<'_>, plan: RipplePlan) -> Result<()
 /// ([`io::component_take`](fieldrep_obs::io::component_take)), so the
 /// query layer can attribute propagation I/O separately from the carrying
 /// update.
-fn propagate(ctx: &mut EngineCtx<'_>, oid: Oid, steps: &[Step], obj: &Object) -> Result<()> {
+fn propagate(ctx: &mut WriteCtx<'_>, oid: Oid, steps: &[Step], obj: &Object) -> Result<()> {
     let result = {
         let _span = Span::enter(obs_names::CORE_PROPAGATE);
         let io_before = obs_io::snapshot();
@@ -157,7 +157,7 @@ fn propagate(ctx: &mut EngineCtx<'_>, oid: Oid, steps: &[Step], obj: &Object) ->
     result
 }
 
-fn run_step(ctx: &mut EngineCtx<'_>, oid: Oid, obj: &Object, step: &Step) -> Result<()> {
+fn run_step(ctx: &mut WriteCtx<'_>, oid: Oid, obj: &Object, step: &Step) -> Result<()> {
     let cat = ctx.cat;
     match step {
         Step::SeparateRefresh {
@@ -177,7 +177,7 @@ fn run_step(ctx: &mut EngineCtx<'_>, oid: Oid, obj: &Object, step: &Step) -> Res
             span.note("group", group.id.0);
             prop_metrics().separate.inc();
             let io_before = obs_io::snapshot();
-            write_replica(ctx.sm, group, *replica, &group_values(group, obj))?;
+            write_replica(ctx.w, group, *replica, &group_values(group, obj))?;
             // One shared replica rewritten; every path reading through
             // the group observed the ripple.
             let pages = (obs_io::snapshot() - io_before).page_touches();
@@ -262,7 +262,7 @@ fn park_sources(ctx: &EngineCtx<'_>, path: &RepPathDef, obj: Oid, link_level: us
 /// In-place propagation from a terminal object down to its `sources`
 /// ("the inverted path … is traversed to propagate that update", §4.1).
 fn propagate_terminal_inplace(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     terminal_obj: &Object,
     sources: &[Oid],
@@ -276,7 +276,7 @@ fn propagate_terminal_inplace(
     let values = Value::encode_list(&terminal_values(path, terminal_obj));
     // The sorted OID array visits each source page once, all co-located
     // sources rewritten under one pin (§4.1.3).
-    let pages = for_each_page_group(ctx, sources, |ctx, page, s| {
+    let pages = for_each_page_group(ctx.sm, sources, |page, s| {
         set_source_replica_values(ctx, path, Some(page), s, Some(&values))
     })?;
     if FAIL_NEXT_INPLACE.swap(false, Ordering::SeqCst) {
@@ -298,13 +298,13 @@ fn propagate_terminal_inplace(
 /// from `terminal` (clear them when the chain is broken), in physical
 /// page order.
 fn refresh_sources(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     sources: &[Oid],
     terminal: Option<Oid>,
 ) -> Result<()> {
     let values = values_at(ctx, path, terminal)?;
-    for_each_page_group(ctx, sources, |ctx, page, s| {
+    for_each_page_group(ctx.sm, sources, |page, s| {
         set_source_replica_values(ctx, path, Some(page), s, values.as_deref())
     })?;
     Ok(())
@@ -313,7 +313,7 @@ fn refresh_sources(
 /// Separate re-point (§5.2's `D2.org` example): move `sources`' replica
 /// references from the old terminal's `S'` object to the new terminal's.
 fn repoint_replica_refs(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     group: GroupId,
     sources: &[Oid],
     old_terminal: Option<Oid>,
@@ -323,7 +323,7 @@ fn repoint_replica_refs(
     // Remove the sources' replica references (counting how many actually
     // pointed at the old replica).
     let mut released = 0u32;
-    for_each_page_group(ctx, sources, |ctx, page, s| {
+    for_each_page_group(ctx.sm, sources, |page, s| {
         released += u32::from(set_source_replica_ref(
             ctx,
             group.id.0,
@@ -335,13 +335,13 @@ fn repoint_replica_refs(
     })?;
     if released > 0 {
         if let Some(t) = old_terminal {
-            anchor_release(ctx.sm, ctx.cat, group, t, released)?;
+            anchor_release(ctx.w, ctx.cat, group, t, released)?;
         }
     }
     // Point them at the new terminal's replica.
     if let Some(t) = new_terminal {
-        let roid = anchor_acquire(ctx.sm, ctx.cat, group, t, sources.len() as u32)?;
-        for_each_page_group(ctx, sources, |ctx, page, s| {
+        let roid = anchor_acquire(ctx.w, ctx.cat, group, t, sources.len() as u32)?;
+        for_each_page_group(ctx.sm, sources, |page, s| {
             set_source_replica_ref(ctx, group.id.0, Some(page), s, Some(roid)).map(drop)
         })?;
     }
@@ -354,7 +354,7 @@ fn repoint_replica_refs(
 /// broken new reference parks them on the intermediate itself so the
 /// routing survives.
 fn move_collapsed_entries(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
     via: Oid,
     old_holder: Oid,
@@ -364,12 +364,12 @@ fn move_collapsed_entries(
     let link = ctx.cat.link(path.links[0]);
     let hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
     if let Some(head) = collapsed::find_store(&hobj, link.id.0) {
-        let (_, remaining) = collapsed::store_remove_tagged(ctx.sm, link, head, via)?;
+        let (_, remaining) = collapsed::store_remove_tagged(ctx.w, link, head, via)?;
         if remaining == 0 {
             let mut hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
             hobj.annotations
                 .retain(|a| !matches!(a, Annotation::LinkRef { link: l, .. } if *l == link.id.0));
-            write_object(ctx.sm, ctx.cat, old_holder, &hobj)?;
+            write_object(ctx.w, ctx.cat, old_holder, &hobj)?;
         }
     }
     let new_holder = new_terminal.unwrap_or(via);
@@ -377,18 +377,18 @@ fn move_collapsed_entries(
     match collapsed::find_store(&hobj, link.id.0) {
         Some(head) => {
             for &s in members {
-                collapsed::store_add(ctx.sm, link, head, (s, via))?;
+                collapsed::store_add(ctx.w, link, head, (s, via))?;
             }
         }
         None => {
             let entries: Vec<(Oid, Oid)> = members.iter().map(|&s| (s, via)).collect();
-            let head = collapsed::create_store(ctx.sm, link, &entries)?;
+            let head = collapsed::create_store(ctx.w, link, &entries)?;
             let mut hobj = read_object(ctx.sm, ctx.cat, new_holder)?;
             hobj.annotations.push(Annotation::LinkRef {
                 link: link.id.0,
                 oid: head,
             });
-            write_object(ctx.sm, ctx.cat, new_holder, &hobj)?;
+            write_object(ctx.w, ctx.cat, new_holder, &hobj)?;
         }
     }
     Ok(())

@@ -10,7 +10,7 @@ use crate::error::{DbError, Result};
 use crate::objects::{read_object, write_object, REPLICA_TAG};
 use fieldrep_catalog::{Catalog, GroupDef};
 use fieldrep_model::{Annotation, Object, Value};
-use fieldrep_storage::{HeapFile, Oid, StorageManager};
+use fieldrep_storage::{ApplySection, HeapFile, Oid, StorageManager};
 
 /// The values a replica object for `group` should hold, extracted from
 /// the terminal object (in `group.fields` order).
@@ -32,13 +32,13 @@ pub fn read_replica(sm: &StorageManager, group: &GroupDef, oid: Oid) -> Result<V
 
 /// Overwrite a replica object's values.
 pub fn write_replica(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     group: &GroupDef,
     oid: Oid,
     values: &[Value],
 ) -> Result<()> {
     let hf = HeapFile::open(group.file);
-    hf.rec_update(sm, oid, &Value::encode_list(values))?;
+    hf.rec_update(w, oid, &Value::encode_list(values))?;
     Ok(())
 }
 
@@ -72,13 +72,13 @@ pub fn find_replica_ref(obj: &Object, group: u16) -> Option<(usize, Oid)> {
 /// `delta` to its refcount. Creates the replica (from the terminal's
 /// current values) on first use. Returns the replica OID.
 pub fn anchor_acquire(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     cat: &Catalog,
     group: &GroupDef,
     target: Oid,
     delta: u32,
 ) -> Result<Oid> {
-    let mut obj = read_object(sm, cat, target)?;
+    let mut obj = read_object(w, cat, target)?;
     match find_anchor(&obj, group.id.0) {
         Some((i, roid, rc)) => {
             obj.annotations[i] = Annotation::ReplicaAnchor {
@@ -86,19 +86,19 @@ pub fn anchor_acquire(
                 oid: roid,
                 refcount: rc + delta,
             };
-            write_object(sm, cat, target, &obj)?;
+            write_object(w, cat, target, &obj)?;
             Ok(roid)
         }
         None => {
             let values = group_values(group, &obj);
             let hf = HeapFile::open(group.file);
-            let roid = hf.rec_insert(sm, REPLICA_TAG, &Value::encode_list(&values))?;
+            let roid = hf.rec_insert(w, REPLICA_TAG, &Value::encode_list(&values))?;
             obj.annotations.push(Annotation::ReplicaAnchor {
                 group: group.id.0,
                 oid: roid,
                 refcount: delta,
             });
-            write_object(sm, cat, target, &obj)?;
+            write_object(w, cat, target, &obj)?;
             Ok(roid)
         }
     }
@@ -107,13 +107,13 @@ pub fn anchor_acquire(
 /// Drop `delta` references from `target`'s anchor for `group`; deletes the
 /// replica object and the anchor when the count reaches zero.
 pub fn anchor_release(
-    sm: &StorageManager,
+    w: &ApplySection<'_>,
     cat: &Catalog,
     group: &GroupDef,
     target: Oid,
     delta: u32,
 ) -> Result<()> {
-    let mut obj = read_object(sm, cat, target)?;
+    let mut obj = read_object(w, cat, target)?;
     let (i, roid, rc) = find_anchor(&obj, group.id.0).ok_or_else(|| {
         DbError::Unsupported(format!(
             "anchor_release on {target} without an anchor for group {}",
@@ -124,7 +124,7 @@ pub fn anchor_release(
     let rc = rc.saturating_sub(delta);
     if rc == 0 {
         let hf = HeapFile::open(group.file);
-        hf.rec_delete(sm, roid)?;
+        hf.rec_delete(w, roid)?;
         obj.annotations.remove(i);
     } else {
         obj.annotations[i] = Annotation::ReplicaAnchor {
@@ -133,6 +133,6 @@ pub fn anchor_release(
             refcount: rc,
         };
     }
-    write_object(sm, cat, target, &obj)?;
+    write_object(w, cat, target, &obj)?;
     Ok(())
 }

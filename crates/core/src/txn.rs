@@ -17,9 +17,10 @@
 //!   maps the OIDs to their lock words and takes the distinct words **in
 //!   ascending word order**. Sorted acquisition over a total order makes
 //!   deadlock impossible (every wait edge points from a smaller held word
-//!   to a larger wanted one, so the wait-for graph is acyclic); lint rule
-//!   L4 statically enforces that no other call site acquires a raw lock
-//!   word. The plan is built without locks, by traversing the very
+//!   to a larger wanted one, so the wait-for graph is acyclic); the raw
+//!   acquisition of a word is private to the `words` submodule, which
+//!   holds only the lock table and the sorted loop, so nothing else can
+//!   take one. The plan is built without locks, by traversing the very
 //!   structures concurrent writers mutate, so it records each OID's
 //!   version as the OID joins; if any moved by the time the locks are
 //!   held it is rebuilt *under* them and the acquisition retried (counted
@@ -68,6 +69,10 @@
 //! one coarse guard — the paper's experiments (and the concurrent bench)
 //! run without secondary indexes.
 
+mod words;
+
+pub use words::LockSet;
+
 use crate::attach::{replica_path_values, terminal_values, walk_chain_via};
 use crate::database::Database;
 use crate::error::{DbError, Result};
@@ -75,11 +80,12 @@ use crate::objects::{ref_target, view_object};
 use fieldrep_catalog::{PathId, RepPathDef, Strategy};
 use fieldrep_model::{Object, Value};
 use fieldrep_obs::{metrics, names as obs_names};
-use fieldrep_storage::{lockorder, Oid};
+use fieldrep_storage::{lockorder, ApplySection, Oid};
 use parking_lot::Mutex;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+use words::LockTable;
 
 /// Upper bound on one lock wait (and on one snapshot-read retry loop).
 /// Sorted acquisition makes deadlock impossible, so this firing means an
@@ -135,124 +141,11 @@ fn txn_metrics() -> &'static TxnMetrics {
     })
 }
 
-/// The lock table: one versioned lock word per slot, shared by every OID
-/// that maps to it (see the module docs). Constant memory.
-struct LockTable {
-    words: Box<[AtomicU64]>,
-}
-
-impl LockTable {
-    /// A table of `words` words (a power of two).
-    fn new(words: usize) -> Self {
-        debug_assert!(words.is_power_of_two() && words <= 1 << 16);
-        LockTable {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// The word of `oid`: the top 16 bits of its own 64 bits through one
-    /// multiplicative mix (Fibonacci hashing). OIDs are engine-assigned,
-    /// not attacker-chosen, so a keyed hash would buy nothing.
-    fn word_of(&self, oid: Oid) -> u32 {
-        let h = u64::from_le_bytes(oid.to_bytes()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 48) as u32 & (self.words.len() as u32 - 1)
-    }
-
-    /// Current version of word `w`.
-    fn load(&self, w: u32) -> u64 {
-        self.words[w as usize].load(Ordering::Acquire)
-    }
-
-    /// The one raw lock acquisition in the workspace; only
-    /// [`TxnManager::lock_sorted`] may call it (lint rule L4 enforces
-    /// this), which is what makes the global acquisition order total.
-    /// Returns the even version the word had just before it was taken and
-    /// whether the caller had to wait. A spin-then-yield loop rather than
-    /// a mutex: words are held across the whole commit, and critical
-    /// sections include page I/O, so waiters back off to `yield_now`
-    /// quickly. The watchdog's clock is read on the waiting branch only.
-    fn raw_acquire(&self, w: u32, oid: Oid) -> Result<(u64, bool)> {
-        let word = &self.words[w as usize];
-        let mut waiting_since: Option<Instant> = None;
-        let mut spins = 0u32;
-        loop {
-            let cur = word.load(Ordering::Relaxed);
-            if cur & 1 == 0
-                && word
-                    .compare_exchange(cur, cur + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                fence(Ordering::Release); // odd before any write it guards
-                return Ok((cur, waiting_since.is_some()));
-            }
-            let since = *waiting_since.get_or_insert_with(Instant::now);
-            spins = spins.wrapping_add(1);
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-            if spins.is_multiple_of(4096) && since.elapsed() > DEADLOCK_WATCHDOG {
-                return Err(DbError::LockTimeout(oid));
-            }
-        }
-    }
-}
-
 /// Guard for the coarse index-maintenance mutex; carries the runtime
 /// lock-order token (rank [`lockorder::TXN_INDEX_GUARD`]).
 pub(crate) struct IndexGuard<'a> {
     _guard: parking_lot::MutexGuard<'a, ()>,
     _order: lockorder::Held,
-}
-
-/// Guard over the write locks one transactional write holds: its OIDs
-/// and the distinct lock words they map to. Dropping it bumps every word
-/// to the next even version (ripple complete), which releases it.
-pub struct LockSet<'a> {
-    table: &'a LockTable,
-    oids: Vec<Oid>,
-    /// The words held, each once, in the ascending order they were taken.
-    words: Vec<u32>,
-    /// `before[i]` is the even version the word of `oids[i]` had just
-    /// before this set took it.
-    before: Vec<u64>,
-    /// Runtime lock-order token for the whole (internally ordered)
-    /// seqlock family this set holds.
-    _order: lockorder::Held,
-}
-
-impl LockSet<'_> {
-    /// Is every OID of `oids` (sorted or not) covered by this lock set?
-    pub fn covers(&self, oids: &[Oid]) -> bool {
-        oids.iter().all(|o| self.oids.binary_search(o).is_ok())
-    }
-
-    /// Was every member at version `seqs[i]` — even, so no writer was in
-    /// flight — immediately before this set locked it? `seqs` must align
-    /// with the OIDs the set was acquired over.
-    pub(crate) fn acquired_at(&self, seqs: &[u64]) -> bool {
-        self.before == seqs
-    }
-
-    /// Number of locked OIDs.
-    pub fn len(&self) -> usize {
-        self.oids.len()
-    }
-
-    /// True when nothing is locked.
-    pub fn is_empty(&self) -> bool {
-        self.oids.is_empty()
-    }
-}
-
-impl Drop for LockSet<'_> {
-    fn drop(&mut self) {
-        for &w in &self.words {
-            // Even: ripple done, word free.
-            self.table.words[w as usize].fetch_add(1, Ordering::Release);
-        }
-    }
 }
 
 /// Snapshot of the transaction manager's counters (the `sys.txn` rows).
@@ -365,46 +258,36 @@ impl TxnManager {
     /// sorted and deduplicated — and bump each one's version to odd. The
     /// OIDs are mapped to their lock words and the distinct words taken in
     /// ascending word order, so two OIDs of the set that share a word lock
-    /// it once. This is the only place in the workspace that may acquire
-    /// lock words (lint rule L4): funnelling every acquisition through one
-    /// sorted loop is the whole deadlock-freedom argument.
+    /// it once. This is the only lock acquisition the workspace can
+    /// reach: funnelling every acquisition through one sorted loop is the
+    /// whole deadlock-freedom argument.
+    ///
+    /// ```
+    /// # use fieldrep_core::TxnManager;
+    /// # use fieldrep_storage::{FileId, Oid};
+    /// let mgr = TxnManager::default();
+    /// let oids = [Oid::new(FileId(1), 0, 0), Oid::new(FileId(1), 0, 1)];
+    /// let held = mgr.lock_sorted(&oids).unwrap();
+    /// assert!(held.covers(&oids));
+    /// ```
+    ///
+    /// Neither the raw acquisition nor the table it works on is reachable:
+    ///
+    /// ```compile_fail,E0599
+    /// # use fieldrep_core::TxnManager;
+    /// # use fieldrep_storage::{FileId, Oid};
+    /// let mgr = TxnManager::default();
+    /// mgr.raw_acquire(0, Oid::new(FileId(1), 0, 0)); // no such method
+    /// ```
+    ///
+    /// ```compile_fail,E0603
+    /// use fieldrep_core::txn::words::LockTable; // private module
+    /// ```
     pub fn lock_sorted(&self, oids: &[Oid]) -> Result<LockSet<'_>> {
-        if oids.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(DbError::Unsupported(
-                "lock_sorted requires a sorted, deduplicated OID set".into(),
-            ));
-        }
-        let mut by_word: Vec<(u32, usize)> = oids
-            .iter()
-            .enumerate()
-            .map(|(i, &oid)| (self.table.word_of(oid), i))
-            .collect();
-        by_word.sort_unstable();
-        // One order token covers the whole family: its words are taken in
-        // ascending order below, which is the family's internal order
-        // (rank ties are legal within it).
-        let mut set = LockSet {
-            table: &self.table,
-            oids: oids.to_vec(),
-            words: Vec::with_capacity(oids.len()),
-            before: vec![0; oids.len()],
-            _order: lockorder::acquired(lockorder::OID_SEQLOCK, true, "OidSeqlock"),
-        };
-        let mut version = 0;
-        for &(w, i) in &by_word {
-            if set.words.last() != Some(&w) {
-                // On the watchdog's error `set` drops, releasing exactly
-                // the words pushed so far.
-                let (before, waited) = self.table.raw_acquire(w, oids[i])?;
-                if waited {
-                    self.lock_waits.fetch_add(1, Ordering::Relaxed);
-                    txn_metrics().lock_wait.inc();
-                }
-                set.words.push(w);
-                version = before;
-            }
-            set.before[i] = version;
-        }
+        let set = words::lock_sorted(&self.table, oids, || {
+            self.lock_waits.fetch_add(1, Ordering::Relaxed);
+            txn_metrics().lock_wait.inc();
+        })?;
         txn_metrics().lockset.record(oids.len() as u64);
         Ok(set)
     }
@@ -474,7 +357,7 @@ impl Database {
         &self,
         first: Option<Oid>,
         plan: impl Fn() -> Result<P>,
-        apply: impl FnOnce(&Database, P) -> Result<T>,
+        apply: impl FnOnce(&Database, &ApplySection<'_>, P) -> Result<T>,
     ) -> Result<T> {
         let txn = self.txn();
         // B-tree pages have no OID identity: serialize index maintenance
@@ -505,7 +388,7 @@ impl Database {
                     p
                 }
             };
-            return self.apply_and_commit(|db| apply(db, current));
+            return self.apply_and_commit(|db, w| apply(db, w, current));
         }
         Err(DbError::Unsupported(
             "write-lock closure kept changing under contention".into(),
@@ -688,7 +571,7 @@ impl Watch<'_> {
         fence(Ordering::Acquire); // the attempt's reads, then the re-loads
         self.seen[..self.len]
             .iter()
-            .all(|&(w, seq)| self.table.words[w as usize].load(Ordering::Relaxed) == seq)
+            .all(|&(w, seq)| self.table.reload(w) == seq)
     }
 }
 
@@ -993,7 +876,7 @@ mod tests {
         let a = nth_oid(0);
         let b = nth_oid(next_on_word(&mgr, mgr.table.word_of(a), 0));
         let g = mgr.lock_sorted(&[a, b]).unwrap(); // no self-deadlock
-        assert_eq!((g.len(), g.words.len()), (2, 1));
+        assert_eq!((g.len(), g.words().len()), (2, 1));
         assert!(g.covers(&[a, b]) && g.acquired_at(&[0, 0]));
         assert_eq!((mgr.seq_of(a), mgr.seq_of(b)), (1, 1), "odd while held");
         drop(g);
@@ -1067,7 +950,7 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..10_000 {
                         let g = mgr.lock_sorted(set).expect("no LockTimeout");
-                        assert_eq!(g.words, [lo, hi], "ascending word order");
+                        assert_eq!(g.words(), [lo, hi], "ascending word order");
                     }
                 });
             }
@@ -1078,17 +961,17 @@ mod tests {
     #[test]
     fn the_table_does_not_grow_with_the_oids_ever_locked() {
         let mgr = TxnManager::default();
-        let table = (mgr.table.words.as_ptr(), mgr.table.words.len());
+        let table = (mgr.table.words().as_ptr(), mgr.table.words().len());
         let mut taken = 0;
         for chunk in 0..2_000u32 {
             let oids: Vec<Oid> = (chunk * 100..(chunk + 1) * 100).map(nth_oid).collect();
             let g = mgr.lock_sorted(&oids).unwrap();
             assert_eq!(g.len(), 100);
-            taken += g.words.len() as u64;
+            taken += g.words().len() as u64;
         }
-        assert_eq!((mgr.table.words.as_ptr(), mgr.table.words.len()), table);
+        assert_eq!((mgr.table.words().as_ptr(), mgr.table.words().len()), table);
         assert_eq!(table.1 * 8, 512 << 10, "512 KiB, whatever was locked");
-        let versions = mgr.table.words.iter().map(|w| w.load(Ordering::Relaxed));
+        let versions = mgr.table.words().iter().map(|w| w.load(Ordering::Relaxed));
         assert_eq!(versions.sum::<u64>(), 2 * taken, "no word was ever reset");
     }
 }

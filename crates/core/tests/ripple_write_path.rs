@@ -173,9 +173,12 @@ fn rematerialising_current_sources_dirties_and_logs_nothing() {
     // values it already holds.
     let pdef = db.catalog().path(eager).clone();
     for &e in emps.iter().step_by(4) {
-        let mut ctx = db.ctx();
-        let chain = walk_chain(&mut ctx, &pdef, e, &db.get(e).unwrap()).unwrap();
-        attach_terminal(&mut ctx, &pdef, None, e, &chain).unwrap();
+        db.apply_and_commit(|db, w| {
+            let mut ctx = db.write_ctx(w);
+            let chain = walk_chain(&mut ctx, &pdef, e, &db.get(e)?)?;
+            attach_terminal(&mut ctx, &pdef, None, e, &chain)
+        })
+        .unwrap();
     }
     // A sync with nothing stale.
     assert_eq!(db.sync_path(deferred).unwrap(), 1);

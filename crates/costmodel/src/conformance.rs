@@ -75,10 +75,11 @@ pub struct UpdateShape {
 }
 
 /// Every drift-gauge metric suffix a prediction may carry. The EXPLAIN
-/// ANALYZE layer records each operator's drift under
-/// `costmodel.drift.<suffix>`; `fieldrep-lint` rule **L2** cross-checks
-/// this list against the gauges registered in `fieldrep_obs::names`, so
-/// a new operator metric cannot ship without its gauge (and vice versa).
+/// ANALYZE layer records each operator's drift under the registered
+/// `costmodel.drift.<suffix>` gauge `fieldrep_obs::names::drift` maps it
+/// to; the query layer's tests check that this list and the registered
+/// gauges are the same set, so a new operator metric cannot ship without
+/// its gauge (and vice versa).
 pub const DRIFT_METRICS: &[&str] = &[
     "plan",
     "access",
@@ -408,7 +409,7 @@ mod tests {
     }
 
     /// Every metric a prediction can emit is declared in `DRIFT_METRICS`
-    /// (the list the lint cross-checks against the obs name registry).
+    /// (the list the query layer checks against the obs name registry).
     #[test]
     fn emitted_metrics_are_all_declared() {
         let p = params(20.0);

@@ -1,11 +1,10 @@
 //! Workspace-wide call graph with per-function guard-flow summaries.
 //!
 //! Built on the token stream: one linear pass per file extracts every
-//! `fn` (with its `impl` owner, visibility, and receiver kind) and the
-//! events inside its body — lock acquisitions (from the declarative
-//! registry in [`crate::locks`]), recognised blocking operations,
-//! storage-mutation markers, and outgoing calls — each annotated with
-//! the set of locks held at that point.
+//! `fn` (with its `impl` owner) and the events inside its body — lock
+//! acquisitions (from the declarative registry in [`crate::locks`]),
+//! recognised blocking operations, and outgoing calls — each annotated
+//! with the set of locks held at that point.
 //!
 //! Held-lock tracking models the shapes the codebase actually uses:
 //! `let`-bound guards live to the end of their enclosing block (an
@@ -17,8 +16,8 @@
 //! run under the lock. A projection through `.unwrap()`/`.expect()` is
 //! recognised as still being the guard.
 //!
-//! Summaries (`may_acquire`, `may_block`, `unprotected_mutation`)
-//! propagate up the call graph to a fixpoint. Calls resolve by name;
+//! Summaries (`may_acquire`, `may_block`) propagate up the call graph
+//! to a fixpoint. Calls resolve by name;
 //! `self.f()` and `Type::f()` resolve through the impl owner, and a
 //! short stoplist of std-collection method names (`insert`, `push`,
 //! `get`, …) is excluded from cross-impl name merging — those names
@@ -29,30 +28,6 @@
 use crate::locks::{self, BlockClass, LockId};
 use crate::tokens::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Item visibility (token-level approximation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vis {
-    /// No `pub` on the item.
-    Private,
-    /// `pub(crate)` (or any `pub(..)` restriction).
-    Crate,
-    /// Plain `pub`.
-    Pub,
-}
-
-/// Receiver kind of a method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
-    /// Free function (no `self`).
-    None,
-    /// `&self`.
-    Ref,
-    /// `&mut self`.
-    RefMut,
-    /// `self` by value.
-    Owned,
-}
 
 /// One lock held at an event, with the line it was taken on.
 #[derive(Debug, Clone)]
@@ -80,17 +55,6 @@ pub struct BlockEv {
     /// Blocking class.
     pub class: BlockClass,
     /// Diagnostic label.
-    pub label: &'static str,
-    /// Source line.
-    pub line: u32,
-    /// Locks held at the call.
-    pub held: Vec<Held>,
-}
-
-/// A storage-mutation marker.
-#[derive(Debug)]
-pub struct MutateEv {
-    /// Marker name (`data_mut`, `rec_insert`, …).
     pub label: &'static str,
     /// Source line.
     pub line: u32,
@@ -139,25 +103,16 @@ pub struct FnInfo {
     pub file: String,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Visibility.
-    pub vis: Vis,
-    /// Receiver kind.
-    pub receiver: Receiver,
     /// Lock acquisitions.
     pub acquires: Vec<AcquireEv>,
     /// Blocking operations.
     pub blocks: Vec<BlockEv>,
-    /// Mutation markers.
-    pub mutations: Vec<MutateEv>,
     /// Outgoing calls.
     pub calls: Vec<CallEv>,
     /// Locks this function may blocking-acquire, transitively.
     pub may_acquire: BTreeMap<LockId, Witness>,
     /// Blocking classes reachable from this function.
     pub may_block: BTreeMap<BlockClass, Witness>,
-    /// A storage mutation reachable on a path where no caller-visible
-    /// WAL apply section is held.
-    pub unprotected_mutation: Option<Witness>,
 }
 
 /// The whole workspace graph.
@@ -333,8 +288,8 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
     let mut impl_stack: Vec<(Option<String>, usize)> = Vec::new();
     let mut pending_impl: Option<Option<String>> = None;
     let mut fn_stack: Vec<FnCtx> = Vec::new();
-    // Ident positions consumed by acquire/blocking/mutation pattern
-    // matches — excluded from generic call detection.
+    // Ident positions consumed by acquire/blocking pattern matches —
+    // excluded from generic call detection.
     let mut no_call: BTreeSet<usize> = BTreeSet::new();
     // Call positions projected directly through a fresh lock guard:
     // `self.core.lock().fetch(pid)` resolves `fetch` against the
@@ -418,23 +373,6 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
         }
         if t.is_ident("fn") && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident) {
             let name_tok = &toks[i + 1];
-            // Visibility: look back over the item header.
-            let mut vis = Vis::Private;
-            let mut back = i;
-            while back > 0 {
-                back -= 1;
-                match toks[back].text.as_str() {
-                    "unsafe" | "const" | "async" | "extern" | ")" | "(" => {}
-                    "crate" | "super" | "in" | "self" => vis = Vis::Crate,
-                    "pub" => {
-                        if vis == Vis::Private {
-                            vis = Vis::Pub;
-                        }
-                        break;
-                    }
-                    _ => break,
-                }
-            }
             // Skip generics, then the parameter list.
             let mut j = i + 2;
             if toks.get(j).is_some_and(|n| n.is_punct("<")) {
@@ -452,10 +390,8 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                     j += 1;
                 }
             }
-            let mut receiver = Receiver::None;
             if toks.get(j).is_some_and(|n| n.is_punct("(")) {
                 let mut paren = 0i32;
-                let arg_start = j + 1;
                 while j < toks.len() {
                     if toks[j].is_punct("(") {
                         paren += 1;
@@ -466,20 +402,6 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                         }
                     }
                     j += 1;
-                }
-                let first: Vec<&Tok> = toks[arg_start..j.min(toks.len())]
-                    .iter()
-                    .take_while(|x| !x.is_punct(","))
-                    .take(5)
-                    .collect();
-                if first.iter().any(|x| x.is_ident("self")) {
-                    receiver = if first.iter().any(|x| x.is_ident("mut")) {
-                        Receiver::RefMut
-                    } else if first.first().is_some_and(|x| x.is_ident("self")) {
-                        Receiver::Owned
-                    } else {
-                        Receiver::Ref
-                    };
                 }
                 j += 1; // step past the params' closing `)`
             }
@@ -509,15 +431,11 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                         owner: impl_stack.last().and_then(|(o, _)| o.clone()),
                         file: rel.to_string(),
                         line: name_tok.line,
-                        vis,
-                        receiver,
                         acquires: Vec::new(),
                         blocks: Vec::new(),
-                        mutations: Vec::new(),
                         calls: Vec::new(),
                         may_acquire: BTreeMap::new(),
                         may_block: BTreeMap::new(),
-                        unprotected_mutation: None,
                     },
                     open_depth: depth,
                     paren_depth: 0,
@@ -581,15 +499,6 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                 let plen = pattern.toks.len();
                 let held = f.held();
                 let line = toks[i + plen - 2].line;
-                // `.data_mut(` is both a frame-lock acquire and a
-                // storage-mutation marker.
-                if let Some(label) = locks::match_mutation(toks, i) {
-                    f.info.mutations.push(MutateEv {
-                        label,
-                        line,
-                        held: held.clone(),
-                    });
-                }
                 f.info.acquires.push(AcquireEv { lock, line, held });
                 for (k, txt) in toks[i..i + plen].iter().enumerate() {
                     if txt.kind == TokKind::Ident {
@@ -701,18 +610,6 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                 i += 1;
                 continue;
             }
-            // Mutation markers (`.rec_insert(` etc). No `continue` and
-            // no `no_call` entry: the marker is also an ordinary call,
-            // and the call edge carries the callee's may_block/
-            // may_acquire summaries.
-            if let Some(label) = locks::match_mutation(toks, i) {
-                let held = f.held();
-                f.info.mutations.push(MutateEv {
-                    label,
-                    line: toks[i + 1].line,
-                    held,
-                });
-            }
             // Generic call detection.
             if t.kind == TokKind::Ident
                 && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
@@ -721,11 +618,11 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                 && !KEYWORDS.contains(&t.text.as_str())
             {
                 let prev = i.checked_sub(1).map(|p| &toks[p]);
-                let (self_call, qualifier, is_method) = match prev {
+                let (self_call, qualifier) = match prev {
                     Some(p) if p.is_punct(".") => {
                         let sc = i >= 2 && toks[i - 2].is_ident("self");
                         let q = owner_hints.get(&i).map(ToString::to_string);
-                        (sc && q.is_none(), q, true)
+                        (sc && q.is_none(), q)
                     }
                     Some(p) if p.is_punct("::") => {
                         let q = i
@@ -733,9 +630,9 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                             .map(|p| &toks[p])
                             .filter(|x| x.kind == TokKind::Ident)
                             .map(|x| x.text.clone());
-                        (false, q, false)
+                        (false, q)
                     }
-                    _ => (false, None, false),
+                    _ => (false, None),
                 };
                 // `fn` defs never reach here (signatures are skipped),
                 // so this is a genuine call expression.
@@ -747,7 +644,6 @@ pub fn scan_file(rel: &str, toks: &[Tok]) -> Vec<FnInfo> {
                     qualifier: qualifier.filter(|q| q != "Self"),
                     targets: Vec::new(),
                 });
-                let _ = is_method;
             }
         }
         i += 1;
@@ -811,10 +707,6 @@ impl Graph {
 
         // Fixpoint: local events seed the summaries, call edges merge
         // callee summaries (Jacobi-style against a per-pass snapshot).
-        let apply_id = locks::LOCKS
-            .iter()
-            .position(|l| l.name == "WalApply")
-            .unwrap_or(usize::MAX);
         for f in fns.iter_mut() {
             for ev in &f.acquires {
                 f.may_acquire.entry(ev.lock).or_insert(Witness {
@@ -832,42 +724,21 @@ impl Graph {
                     via: None,
                 });
             }
-            for ev in &f.mutations {
-                if !ev.held.iter().any(|h| h.lock == apply_id) && f.unprotected_mutation.is_none() {
-                    f.unprotected_mutation = Some(Witness {
-                        file: f.file.clone(),
-                        line: ev.line,
-                        label: ev.label.to_string(),
-                        via: None,
-                    });
-                }
-            }
         }
-        type Summary = (
-            BTreeMap<LockId, Witness>,
-            BTreeMap<BlockClass, Witness>,
-            Option<Witness>,
-        );
+        type Summary = (BTreeMap<LockId, Witness>, BTreeMap<BlockClass, Witness>);
         for _pass in 0..64 {
             let snapshot: Vec<Summary> = fns
                 .iter()
-                .map(|f| {
-                    (
-                        f.may_acquire.clone(),
-                        f.may_block.clone(),
-                        f.unprotected_mutation.clone(),
-                    )
-                })
+                .map(|f| (f.may_acquire.clone(), f.may_block.clone()))
                 .collect();
             let mut changed = false;
             #[allow(clippy::needless_range_loop)] // mutates fns[fi] after reading it
             for fi in 0..fns.len() {
                 let mut add_acq: Vec<(LockId, Witness)> = Vec::new();
                 let mut add_blk: Vec<(BlockClass, Witness)> = Vec::new();
-                let mut add_mut: Option<Witness> = None;
                 for call in &fns[fi].calls {
                     for &ti in &call.targets {
-                        let (acq, blk, unp) = &snapshot[ti];
+                        let (acq, blk) = &snapshot[ti];
                         for (l, w) in acq {
                             if !fns[fi].may_acquire.contains_key(l) {
                                 add_acq.push((*l, inherit(w, &call.name)));
@@ -876,14 +747,6 @@ impl Graph {
                         for (c, w) in blk {
                             if !fns[fi].may_block.contains_key(c) {
                                 add_blk.push((*c, inherit(w, &call.name)));
-                            }
-                        }
-                        if fns[fi].unprotected_mutation.is_none()
-                            && add_mut.is_none()
-                            && !call.held.iter().any(|h| h.lock == apply_id)
-                        {
-                            if let Some(w) = unp {
-                                add_mut = Some(inherit(w, &call.name));
                             }
                         }
                     }
@@ -898,10 +761,6 @@ impl Graph {
                     if f.may_block.insert(c, w).is_none() {
                         changed = true;
                     }
-                }
-                if let Some(w) = add_mut {
-                    f.unprotected_mutation = Some(w);
-                    changed = true;
                 }
             }
             if !changed {

@@ -1,5 +1,5 @@
 //! Declarative registry of the workspace's named locks and blocking
-//! operations, plus the L5/L6/L7 checkers that run over the call-graph
+//! operations, plus the L5/L6 checkers that run over the call-graph
 //! summaries built by [`crate::callgraph`].
 //!
 //! The registry is the single source of truth for the global lock
@@ -16,7 +16,7 @@
 //! edge check also rules out cycles. Every acquisition blocks; there is
 //! no try-lock to exempt.
 
-use crate::callgraph::{Graph, Receiver, Vis};
+use crate::callgraph::Graph;
 use crate::rules::Diagnostic;
 use crate::tokens::{Tok, TokKind};
 use std::collections::BTreeSet;
@@ -136,6 +136,7 @@ pub const LOCKS: &[LockDef] = &[
         owner_hint: None,
         acquires: &[
             pat(&[".", "apply_lock", "("]),
+            pat(&[".", "apply_section", "("]),
             AcquirePattern {
                 toks: &[".", "apply_and_commit", "("],
                 scope: None,
@@ -289,17 +290,6 @@ pub const BLOCKING_OPS: &[BlockOp] = &[
     ),
 ];
 
-/// Markers that mutate page storage (for L7 apply-section coverage).
-/// All are deliberately distinctive names: the frame write latch, page
-/// allocation, and the heap record mutators.
-pub const MUTATION_MARKERS: &[&[&str]] = &[
-    &[".", "data_mut", "("],
-    &[".", "new_page", "("],
-    &[".", "rec_insert", "("],
-    &[".", "rec_update", "("],
-    &[".", "rec_delete", "("],
-];
-
 /// Does the token pattern match at `toks[at..]`, honouring kinds
 /// (punctuation elements must be puncts, names must be idents)?
 pub fn pattern_matches(toks: &[Tok], at: usize, pattern: &[&str]) -> bool {
@@ -338,15 +328,7 @@ pub fn match_blocking(toks: &[Tok], at: usize) -> Option<usize> {
         .position(|op| pattern_matches(toks, at, op.toks))
 }
 
-/// Try to match a mutation marker at `toks[at..]`. Returns its label.
-pub fn match_mutation(toks: &[Tok], at: usize) -> Option<&'static str> {
-    MUTATION_MARKERS
-        .iter()
-        .find(|p| pattern_matches(toks, at, p))
-        .map(|p| p[1])
-}
-
-/// L5 + L6 + L7 over the summarised call graph.
+/// L5 + L6 over the summarised call graph.
 pub fn check_lockflow(graph: &Graph) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut seen: BTreeSet<(usize, usize, usize)> = BTreeSet::new(); // (fn, held, other)
@@ -465,38 +447,6 @@ pub fn check_lockflow(graph: &Graph) -> Vec<Diagnostic> {
                     }
                 }
             }
-        }
-    }
-
-    // L7: Database &self entry points that reach a page mutation on some
-    // path not covered by the WAL apply section.
-    for f in &graph.fns {
-        if f.owner.as_deref() != Some("Database")
-            || f.vis == Vis::Private
-            || f.receiver != Receiver::Ref
-        {
-            continue;
-        }
-        if let Some(wit) = &f.unprotected_mutation {
-            diags.push(Diagnostic {
-                file: f.file.clone(),
-                line: f.line,
-                rule: "L7",
-                msg: format!(
-                    "`Database::{}` reaches mutating storage call `{}` ({}:{}{}) without the \
-                     WAL apply section held — run it inside `apply_and_commit`, or \
-                     document inheriting it from the caller with a reasoned \
-                     `// lint: allow(L7)`",
-                    f.name,
-                    wit.label,
-                    wit.file,
-                    wit.line,
-                    wit.via
-                        .as_ref()
-                        .map(|v| format!(", via `{v}`"))
-                        .unwrap_or_default(),
-                ),
-            });
         }
     }
 

@@ -1,19 +1,13 @@
-//! Loading the central name registry (`obs::names`) and the cost-model
-//! operator table, by parsing their source files with the lint tokenizer.
-//!
-//! The registry is the set of string values bound to `const` items in
-//! `crates/obs/src/names.rs` (scalar `&str` consts and `&[&str]` tables
-//! both contribute). The cost-model side parses the `DRIFT_METRICS`
-//! table from `crates/costmodel/src/conformance.rs` so its operator
-//! names can be resolved against the registry without running any code.
+//! Reading the central name registry (`obs::names`) with the lint
+//! tokenizer, for the dead-name check: the `const` items of
+//! `crates/obs/src/names.rs` that bind string values, with their lines.
 
 use crate::tokens::{tokenize, TokKind};
-use std::collections::BTreeSet;
 use std::path::Path;
 
 /// One `const` item binding string values: its line, identifier, and
-/// every string literal in its initializer (one for scalar `&str`
-/// consts, several for `&[&str]` tables).
+/// every string literal in its initializer (one for a name, several for a
+/// table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstDef {
     /// 1-based line of the const's identifier.
@@ -27,9 +21,9 @@ pub struct ConstDef {
 /// All `const` items binding string values in a source file, with line
 /// numbers — the dead-name check anchors its diagnostics here.
 ///
-/// Matches `const NAME: … = "value";` and `const NAME: … = &["a", "b"];`
-/// by scanning from each `const` keyword to the terminating `;` and
-/// collecting every string literal in between.
+/// Matches `const NAME: … = Name("value");` and `const NAME: … = &["a",
+/// "b"];` by scanning from each `const` keyword to the terminating `;`
+/// and collecting every string literal in between.
 pub fn const_defs(src: &str) -> Vec<ConstDef> {
     let toks = tokenize(src).toks;
     let mut out = Vec::new();
@@ -57,15 +51,6 @@ pub fn const_defs(src: &str) -> Vec<ConstDef> {
     out
 }
 
-/// All string values bound to `const` items in a source file (the
-/// line-less view of [`const_defs`]).
-pub fn const_strings(src: &str) -> Vec<(String, Vec<String>)> {
-    const_defs(src)
-        .into_iter()
-        .map(|d| (d.name, d.values))
-        .collect()
-}
-
 /// The registry's const definitions, for the dead-name check. Empty when
 /// `crates/obs/src/names.rs` is absent (fixture trees without one).
 pub fn registry_const_defs(root: &Path) -> Vec<ConstDef> {
@@ -75,79 +60,21 @@ pub fn registry_const_defs(root: &Path) -> Vec<ConstDef> {
     }
 }
 
-/// The obs name registry: every registered metric/span/operator name.
-#[derive(Debug, Default)]
-pub struct Registry {
-    names: BTreeSet<String>,
-}
-
-impl Registry {
-    /// Parse the registry from `crates/obs/src/names.rs` under `root`.
-    /// Returns `None` when the file does not exist (fixture trees that
-    /// don't exercise L2).
-    pub fn load(root: &Path) -> Option<Registry> {
-        let src = std::fs::read_to_string(root.join("crates/obs/src/names.rs")).ok()?;
-        let mut names = BTreeSet::new();
-        for (_, vals) in const_strings(&src) {
-            names.extend(vals);
-        }
-        Some(Registry { names })
-    }
-
-    /// Whether `name` is a registered name.
-    pub fn contains(&self, name: &str) -> bool {
-        self.names.contains(name)
-    }
-
-    /// Number of registered names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
-/// The cost-model operator table: `(line, name)` per `DRIFT_METRICS`
-/// entry in `crates/costmodel/src/conformance.rs`, or empty when the
-/// file (or table) is absent.
-pub fn drift_metrics(root: &Path) -> Vec<(u32, String)> {
-    let Ok(src) = std::fs::read_to_string(root.join("crates/costmodel/src/conformance.rs")) else {
-        return Vec::new();
-    };
-    let toks = tokenize(&src).toks;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("DRIFT_METRICS") {
-            let mut j = i + 1;
-            while j < toks.len() && !toks[j].is_punct(";") {
-                if toks[j].kind == TokKind::Str {
-                    out.push((toks[j].line, toks[j].text.clone()));
-                }
-                j += 1;
-            }
-            return out;
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn const_strings_sees_scalars_and_tables() {
+    fn const_defs_see_names_and_tables() {
         let src = r#"
-            pub const A: &str = "x.y";
+            pub const A: Name = Name("x.y");
             pub const T: &[&str] = &["p", "q"];
             fn not_a_const() { let s = "ignored"; }
         "#;
-        let got = const_strings(src);
+        let got: Vec<(String, Vec<String>)> = const_defs(src)
+            .into_iter()
+            .map(|d| (d.name, d.values))
+            .collect();
         assert_eq!(
             got,
             vec![

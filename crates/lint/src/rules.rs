@@ -1,8 +1,7 @@
-//! The rule engine: L1 layering, L2 name registry, L3 panic budget,
-//! L4 OID lock site — token-pattern checks over library sources —
-//! plus the interprocedural pass for L5 lock-order, L6
-//! blocking-under-lock, and L7 apply-section coverage (see
-//! [`crate::callgraph`] and [`crate::locks`]).
+//! The rule engine: L1 layering, L2 dead names, L3 panic budget —
+//! token-pattern checks over library sources — plus the
+//! interprocedural pass for L5 lock order and L6 blocking under a lock
+//! (see [`crate::callgraph`] and [`crate::locks`]).
 //!
 //! Scope: `crates/*/src/**/*.rs` and the root crate's `src/**/*.rs`,
 //! minus `src/bin/` binaries and `#[cfg(test)]` modules. A finding on a
@@ -14,7 +13,7 @@
 use crate::budget::Budget;
 use crate::callgraph;
 use crate::locks;
-use crate::registry::{drift_metrics, registry_const_defs, Registry};
+use crate::registry::registry_const_defs;
 use crate::tokens::{tokenize, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -27,7 +26,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`L1`..`L7`, `suppression`, `budget`).
+    /// Rule id (`L1`, `L2`, `L5`, `L6`, `suppression`, `budget`).
     pub rule: &'static str,
     /// Human-readable message.
     pub msg: String,
@@ -65,19 +64,9 @@ struct Allow {
     has_reason: bool,
 }
 
-/// Rules L1/L2/L4 fire as diagnostics; L3 only counts. `DiskManager`
-/// page I/O and raw file APIs are the layering surface.
+/// Rules L1/L2 fire as diagnostics; L3 only counts. `DiskManager` page
+/// I/O and raw file APIs are the layering surface.
 const DISK_METHODS: [&str; 4] = ["read_page", "read_pages", "write_page", "write_pages"];
-/// obs calls whose first argument, when a string literal, must be a
-/// registered name.
-const OBS_NAME_APIS: [&str; 6] = [
-    "counter",
-    "gauge",
-    "histogram",
-    "component_add",
-    "component_take",
-    "mark",
-];
 /// Raw `WalStore` methods: the log's framing, fsync, and truncation
 /// surface. Deliberately distinctive names so call sites are greppable.
 const WAL_STORE_METHODS: [&str; 7] = [
@@ -91,29 +80,21 @@ const WAL_STORE_METHODS: [&str; 7] = [
 ];
 /// The only directory allowed to touch the raw log store (L1, WAL half).
 const WAL_DIR: &str = "crates/storage/src/wal";
-/// The one file allowed to acquire raw OID write locks: the transaction
-/// manager's sorted-order helper lives here (L4).
-const OID_LOCK_FILE: &str = "crates/core/src/txn.rs";
 /// Where the obs name registry lives; its own consts don't count as
 /// usages of themselves.
 const NAMES_FILE: &str = "crates/obs/src/names.rs";
-/// Prefix of the drift gauge family — consts under it are exercised via
-/// `drift_gauge(suffix)` rather than by identifier, so they get a
-/// reverse check against the conformance table instead.
+/// Prefix of the drift gauge family — its consts are reached through
+/// `names::drift(metric)` rather than by identifier, and the query
+/// layer's tests pin them to the cost model's metrics instead.
 const DRIFT_PREFIX: &str = "costmodel.drift.";
 
 /// Run all checks over the workspace at `root`.
 pub fn run_checks(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
-    let registry = Registry::load(root);
-    // L4: raw OID-lock acquisitions in the blessed file — exactly one
-    // call site must remain.
-    let mut blessed_file_seen = false;
-    let mut blessed_acquires = 0usize;
     // Ident usages outside the registry file itself, for the dead-name
     // check — tests count as usages, so collect before stripping.
     let mut used_idents: BTreeSet<String> = BTreeSet::new();
-    // Pass-1 collection for the interprocedural L5/L6/L7 pass.
+    // Pass-1 collection for the interprocedural L5/L6 pass.
     let mut all_fns: Vec<callgraph::FnInfo> = Vec::new();
     let mut allow_map: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
 
@@ -179,27 +160,6 @@ pub fn run_checks(root: &Path) -> std::io::Result<Report> {
         if crate_key != "crates/lint" && !rel.starts_with(WAL_DIR) {
             check_wal_confinement(&toks, &mut push);
         }
-        if crate_key != "crates/lint" {
-            if let Some(reg) = &registry {
-                check_names(&toks, reg, &mut push);
-            }
-        }
-        let acquire_sites = raw_acquire_sites(&toks);
-        if rel == OID_LOCK_FILE {
-            blessed_file_seen = true;
-            blessed_acquires += acquire_sites.len();
-        } else {
-            for line in acquire_sites {
-                push(
-                    line,
-                    "L4",
-                    "`raw_acquire` (raw OID write lock) outside TxnManager::lock_sorted — \
-                     every OID lock must be taken through the sorted-order helper, or the \
-                     global acquisition order (and with it deadlock freedom) is lost"
-                        .into(),
-                );
-            }
-        }
         *report.panic_counts.entry(crate_key.clone()).or_insert(0) += count_panics(&toks);
         if crate_key != "crates/lint" {
             all_fns.extend(callgraph::scan_file(&rel, &toks));
@@ -207,8 +167,8 @@ pub fn run_checks(root: &Path) -> std::io::Result<Report> {
         allow_map.insert(rel, allows);
     }
     // Pass 2: resolve the call graph, run the summary fixpoint, and
-    // check lock order (L5), blocking-under-lock (L6), and apply
-    // coverage (L7) — suppression markers apply at the anchor line.
+    // check lock order (L5) and blocking under a lock (L6) — suppression
+    // markers apply at the anchor line.
     let graph = callgraph::Graph::build(all_fns);
     for diag in locks::check_lockflow(&graph) {
         let suppressed = allow_map.get(&diag.file).is_some_and(|allows| {
@@ -224,34 +184,7 @@ pub fn run_checks(root: &Path) -> std::io::Result<Report> {
             report.diags.push(diag);
         }
     }
-    if blessed_file_seen && blessed_acquires != 1 {
-        report.diags.push(Diagnostic {
-            file: OID_LOCK_FILE.into(),
-            line: 1,
-            rule: "L4",
-            msg: format!(
-                "expected exactly one `raw_acquire` call site (inside lock_sorted, which \
-                 validates sorted input), found {blessed_acquires}"
-            ),
-        });
-    }
-
-    if let Some(reg) = &registry {
-        for (line, name) in drift_metrics(root) {
-            let full = format!("costmodel.drift.{name}");
-            if !reg.contains(&full) {
-                report.diags.push(Diagnostic {
-                    file: "crates/costmodel/src/conformance.rs".into(),
-                    line,
-                    rule: "L2",
-                    msg: format!(
-                        "conformance operator {name:?} has no `{full}` gauge in obs::names"
-                    ),
-                });
-            }
-        }
-        check_dead_names(root, &used_idents, &mut report.diags);
-    }
+    check_dead_names(root, &used_idents, &mut report.diags);
 
     report
         .diags
@@ -313,7 +246,7 @@ fn budget_diag(msg: String) -> Diagnostic {
     }
 }
 
-/// `// lint: allow(L7) caller holds the apply section` → marker.
+/// `// lint: allow(L1) reads its own sidecar file` → marker.
 fn parse_allow(text: &str, line: u32) -> Option<Allow> {
     let rest = text.trim().strip_prefix("lint:")?.trim();
     let rest = rest.strip_prefix("allow(")?;
@@ -506,99 +439,24 @@ fn check_wal_confinement(toks: &[Tok], push: &mut impl FnMut(u32, &'static str, 
     }
 }
 
-/// L2: string literals handed to obs name-taking APIs must be registered
-/// in `obs::names` — EXPLAIN ANALYZE joins predictions to profiles by
-/// name, so a typo silently breaks the join.
-///
-/// The same rule covers `sys.*` virtual-table names *anywhere* they
-/// appear as a literal (catalog rows, query builders, match arms): the
-/// language front-end, the virtual-scan operator, and the table catalog
-/// all join on these strings. Only literals shaped like a name (all of
-/// `[a-z0-9_.]`, something after the dot) are in scope, which keeps
-/// format strings and prose out.
-fn check_names(toks: &[Tok], reg: &Registry, push: &mut impl FnMut(u32, &'static str, String)) {
-    for t in toks {
-        if t.kind == TokKind::Str
-            && t.text.len() > 4
-            && t.text.starts_with("sys.")
-            && t.text
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_')
-            && !reg.contains(&t.text)
-        {
-            push(
-                t.line,
-                "L2",
-                format!(
-                    "sys virtual-table name {:?} is not registered in obs::names",
-                    t.text
-                ),
-            );
-        }
-    }
-    for (i, t) in toks.iter().enumerate() {
-        // `.api("literal"` and `Span::enter("literal"`.
-        let open = if t.is_punct(".")
-            && toks
-                .get(i + 1)
-                .is_some_and(|n| OBS_NAME_APIS.contains(&n.text.as_str()))
-        {
-            i + 2
-        } else if t.is_ident("Span") && matches(toks, i + 1, &["::", "enter"]) {
-            i + 3
-        } else {
-            continue;
-        };
-        if !toks.get(open).is_some_and(|n| n.is_punct("(")) {
-            continue;
-        }
-        if let Some(arg) = toks.get(open + 1) {
-            if arg.kind == TokKind::Str && !reg.contains(&arg.text) {
-                push(
-                    arg.line,
-                    "L2",
-                    format!(
-                        "name {:?} passed to an obs API is not registered in obs::names",
-                        arg.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// L2 (dead names): every scalar const in `obs::names` must have a call
+/// L2 (dead names): every name const in `obs::names` must have a call
 /// site — an identifier usage in some other library source, tests
 /// included. A name nothing references is untested vocabulary: it rots
-/// silently until someone "reuses" it with different semantics.
+/// silently until someone "reuses" it with different semantics. (That a
+/// name is registered at all is the compiler's job: obs APIs take an
+/// `obs::Name`, which only `names.rs` can make.)
 ///
-/// Exemptions: multi-value tables (`ALL`), prefix consts (value ends in
-/// `.`), and the `costmodel.drift.*` family, whose gauges are built
-/// dynamically through `drift_gauge` — those instead must resolve to a
-/// conformance operator (or the whole-query `total`).
+/// Exemptions: prefix consts (value ends in `.`) and the
+/// `costmodel.drift.*` family (see [`DRIFT_PREFIX`]).
 fn check_dead_names(root: &Path, used_idents: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
-    let operators: BTreeSet<String> = drift_metrics(root).into_iter().map(|(_, n)| n).collect();
     for def in registry_const_defs(root) {
         let [value] = def.values.as_slice() else {
-            continue; // tables like `ALL` aggregate other consts
+            continue;
         };
-        if value.ends_with('.') {
-            continue; // prefix const — a family root, not a name
+        if value.ends_with('.') || value.starts_with(DRIFT_PREFIX) {
+            continue;
         }
-        if let Some(suffix) = value.strip_prefix(DRIFT_PREFIX) {
-            if suffix != "total" && !operators.contains(suffix) {
-                diags.push(Diagnostic {
-                    file: NAMES_FILE.into(),
-                    line: def.line,
-                    rule: "L2",
-                    msg: format!(
-                        "dead name: drift gauge const `{}` ({value:?}) matches no \
-                         conformance operator in DRIFT_METRICS",
-                        def.name
-                    ),
-                });
-            }
-        } else if !used_idents.contains(&def.name) {
+        if !used_idents.contains(&def.name) {
             diags.push(Diagnostic {
                 file: NAMES_FILE.into(),
                 line: def.line,
@@ -611,26 +469,6 @@ fn check_dead_names(root: &Path, used_idents: &BTreeSet<String>, diags: &mut Vec
             });
         }
     }
-}
-
-/// L4: lines with a `.raw_acquire(` call — the low-level,
-/// unordered OID write-lock primitive. Sorted-order acquisition is the
-/// whole deadlock-freedom argument of the concurrent transaction layer,
-/// so the only legal call site is `TxnManager::lock_sorted` (which
-/// rejects unsorted input) in [`OID_LOCK_FILE`]; propagation and replica
-/// refresh must hand their fan-out closure to it rather than lock
-/// piecemeal.
-fn raw_acquire_sites(toks: &[Tok]) -> Vec<u32> {
-    let mut sites = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_punct(".")
-            && toks.get(i + 1).is_some_and(|n| n.is_ident("raw_acquire"))
-            && toks.get(i + 2).is_some_and(|n| n.is_punct("("))
-        {
-            sites.push(toks[i + 1].line);
-        }
-    }
-    sites
 }
 
 /// L3: count panic sites (`.unwrap(`, `.expect(`, `panic!`,

@@ -10,13 +10,6 @@ pub fn read_config() -> Vec<u8> {
     fs::read("config.bin").unwrap()
 }
 
-pub fn record(reg: &Registry) {
-    // Fine: registered name.
-    reg.counter("app.known").inc();
-    // L2 fires here (literal not in the registry):
-    reg.counter("app.unknown").inc();
-}
-
 pub fn rewrite(pool: &mut BufferPool, a: PageId, b: PageId) {
     let h = pool.fetch(a).unwrap(); // L3 site 2
     let mut g = h.data_mut();
@@ -40,27 +33,6 @@ pub fn describe(reg: &Registry) {
     // A call site through the constant keeps APP_KNOWN alive for the
     // dead-name check (its sibling APP_DEAD has none).
     reg.counter(names::APP_KNOWN).inc();
-}
-
-pub fn introspect(catalog: &SysCatalog) {
-    // Fine: registered virtual-table name, as a literal and through the
-    // constant (which also keeps SYS_OK alive for the dead-name check).
-    catalog.open("sys.ok");
-    catalog.open(names::SYS_OK);
-    // L2 fires here (sys.* literal not in the registry):
-    catalog.open("sys.bogus");
-    // Fine: not name-shaped (format hole / prose / bare prefix).
-    let _fmt = "sys.{}";
-    let _prose = "sys. tables are virtual";
-    let _prefix = "sys.";
-}
-
-pub fn hostile_lock(table: &LockTable, oid: Oid) {
-    // L4 fires here (raw OID write lock outside the sorted-order
-    // helper):
-    let _held = table.raw_acquire(oid);
-    // Fine: the sanctioned path hands the whole closure to lock_sorted.
-    let _guard = table.lock_sorted(&[oid]);
 }
 
 pub fn bypass_log(store: &mut WalStore) {

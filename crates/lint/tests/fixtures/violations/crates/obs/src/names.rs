@@ -1,10 +1,8 @@
 //! Fixture registry: the only names the fixture workspace may use.
 
 /// A registered metric name.
-pub const APP_KNOWN: &str = "app.known";
-/// Registered drift gauge for the fixture's one conformance operator.
-pub const DRIFT_PLAN: &str = "costmodel.drift.plan";
+pub const APP_KNOWN: Name = Name("app.known");
+/// A drift gauge: reached through `names::drift`, exempt by prefix.
+pub const DRIFT_PLAN: Name = Name("costmodel.drift.plan");
 /// Dead name: nothing outside this file references the constant.
-pub const APP_DEAD: &str = "app.dead";
-/// Registered virtual-table name.
-pub const SYS_OK: &str = "sys.ok";
+pub const APP_DEAD: Name = Name("app.dead");

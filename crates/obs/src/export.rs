@@ -326,6 +326,7 @@ mod tests {
     use crate::io::IoCounts;
     use crate::json::Json;
     use crate::metrics::Registry;
+    use crate::names;
     use crate::profile::Profile;
     use crate::span::{set_tracing, take_finished, Span};
     use std::collections::HashMap;
@@ -390,9 +391,9 @@ mod tests {
         set_tracing(true);
         take_finished();
         {
-            let root = Span::enter("query.\"odd\" name");
+            let root = Span::enter(names::QUERY_READ);
             root.note("k", "v with \"quotes\"");
-            let _child = root.child("inner");
+            let _child = root.child("access:\"odd\" label");
         }
         let spans = take_finished();
         set_tracing(false);
@@ -411,9 +412,9 @@ mod tests {
         parsed(&profile_jsonl("read q", &p));
 
         let r = Registry::default();
-        r.counter("c.a").add(3);
-        r.gauge("g.b").set(-7);
-        r.histogram("h.c", &[1, 4, 16]).record(5);
+        r.counter(names::TXN_COMMIT).add(3);
+        r.gauge(names::TXN_ACTIVE).set(-7);
+        r.histogram(names::TXN_LOCKSET, &[1, 4, 16]).record(5);
         for line in snapshot_jsonl(&r.snapshot()) {
             parsed(&line);
         }
@@ -437,8 +438,8 @@ mod tests {
     #[test]
     fn derived_ratios_appear_in_both_exporters() {
         let r = Registry::default();
-        r.counter("storage.pool.hits").add(9);
-        r.counter("storage.pool.misses").add(1);
+        r.counter(names::STORAGE_POOL_HITS).add(9);
+        r.counter(names::STORAGE_POOL_MISSES).add(1);
         let snap = r.snapshot();
         let lines = snapshot_jsonl(&snap);
         let derived: Vec<_> = lines
@@ -461,7 +462,7 @@ mod tests {
         set_tracing(true);
         take_finished();
         {
-            let root = Span::enter("trace.root");
+            let root = Span::enter(names::QUERY_READ);
             {
                 let a = root.child("trace.a");
                 a.note("rows", 3);

@@ -11,7 +11,7 @@ use std::ops::{Add, AddAssign, Sub};
 use std::sync::OnceLock;
 
 use crate::metrics::{registry, Counter};
-use crate::names;
+use crate::names::{self, Name};
 use std::sync::Arc;
 
 /// A bundle of page-I/O event counts (or a delta between two snapshots).
@@ -182,7 +182,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 thread_local! {
-    static COMPONENTS: RefCell<HashMap<&'static str, IoCounts>> = RefCell::new(HashMap::new());
+    static COMPONENTS: RefCell<HashMap<Name, IoCounts>> = RefCell::new(HashMap::new());
 }
 
 /// Accumulate `delta` under `name` for the current thread.
@@ -191,9 +191,9 @@ thread_local! {
 /// [flight recorder](crate::recorder) as metric-delta events, so a
 /// post-mortem dump shows which component moved pages right before a
 /// failure.
-pub fn component_add(name: &'static str, delta: IoCounts) {
+pub fn component_add(name: Name, delta: IoCounts) {
     if !delta.is_zero() {
-        crate::recorder::record(name, crate::recorder::EventKind::IoDelta { io: delta });
+        crate::recorder::record(&name, crate::recorder::EventKind::IoDelta { io: delta });
     }
     COMPONENTS.with(|m| {
         *m.borrow_mut().entry(name).or_default() += delta;
@@ -201,13 +201,14 @@ pub fn component_add(name: &'static str, delta: IoCounts) {
 }
 
 /// Take (and reset) the accumulated delta for `name` on this thread.
-pub fn component_take(name: &str) -> IoCounts {
-    COMPONENTS.with(|m| m.borrow_mut().remove(name).unwrap_or_default())
+pub fn component_take(name: Name) -> IoCounts {
+    COMPONENTS.with(|m| m.borrow_mut().remove(&name).unwrap_or_default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
 
     #[test]
     fn snapshots_delta_cleanly() {
@@ -243,25 +244,28 @@ mod tests {
 
     #[test]
     fn components_accumulate_and_reset() {
-        assert!(component_take("t.alpha").is_zero());
+        assert!(component_take(names::CORE_PROPAGATE).is_zero());
         component_add(
-            "t.alpha",
+            names::CORE_PROPAGATE,
             IoCounts {
                 pool_hits: 3,
                 ..Default::default()
             },
         );
         component_add(
-            "t.alpha",
+            names::CORE_PROPAGATE,
             IoCounts {
                 pool_hits: 2,
                 disk_reads: 1,
                 ..Default::default()
             },
         );
-        let taken = component_take("t.alpha");
+        let taken = component_take(names::CORE_PROPAGATE);
         assert_eq!(taken.pool_hits, 5);
         assert_eq!(taken.disk_reads, 1);
-        assert!(component_take("t.alpha").is_zero(), "take resets");
+        assert!(
+            component_take(names::CORE_PROPAGATE).is_zero(),
+            "take resets"
+        );
     }
 }

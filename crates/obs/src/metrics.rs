@@ -10,6 +10,8 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
+use crate::names::{self, Name};
+
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -178,42 +180,43 @@ impl Histogram {
     }
 }
 
-/// The metrics registry: name → instrument.
+/// The metrics registry: name → instrument. Every name is a registered
+/// [`Name`].
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<HashMap<String, Arc<Counter>>>,
-    gauges: RwLock<HashMap<String, Arc<Gauge>>>,
-    histograms: RwLock<HashMap<String, Arc<Histogram>>>,
+    counters: RwLock<HashMap<Name, Arc<Counter>>>,
+    gauges: RwLock<HashMap<Name, Arc<Gauge>>>,
+    histograms: RwLock<HashMap<Name, Arc<Histogram>>>,
 }
 
 impl Registry {
     /// Get or create the counter named `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().get(name) {
+    pub fn counter(&self, name: Name) -> Arc<Counter> {
+        if let Some(c) = self.counters.read().get(&name) {
             return Arc::clone(c);
         }
-        Arc::clone(self.counters.write().entry(name.to_string()).or_default())
+        Arc::clone(self.counters.write().entry(name).or_default())
     }
 
     /// Get or create the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().get(name) {
+    pub fn gauge(&self, name: Name) -> Arc<Gauge> {
+        if let Some(g) = self.gauges.read().get(&name) {
             return Arc::clone(g);
         }
-        Arc::clone(self.gauges.write().entry(name.to_string()).or_default())
+        Arc::clone(self.gauges.write().entry(name).or_default())
     }
 
     /// Get or create the histogram named `name` with the given bucket
     /// upper bounds. If it already exists, the existing instrument (and
     /// its original bounds) wins.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().get(name) {
+    pub fn histogram(&self, name: Name, bounds: &[u64]) -> Arc<Histogram> {
+        if let Some(h) = self.histograms.read().get(&name) {
             return Arc::clone(h);
         }
         Arc::clone(
             self.histograms
                 .write()
-                .entry(name.to_string())
+                .entry(name)
                 .or_insert_with(|| Arc::new(Histogram::new(bounds))),
         )
     }
@@ -224,14 +227,14 @@ impl Registry {
             .counters
             .read()
             .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
+            .map(|(k, v)| (k.to_string(), v.get()))
             .collect();
         counters.sort();
         let mut gauges: Vec<(String, i64)> = self
             .gauges
             .read()
             .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
+            .map(|(k, v)| (k.to_string(), v.get()))
             .collect();
         gauges.sort();
         let mut histograms: Vec<HistogramSnapshot> = self
@@ -239,7 +242,7 @@ impl Registry {
             .read()
             .iter()
             .map(|(k, h)| HistogramSnapshot {
-                name: k.clone(),
+                name: k.to_string(),
                 count: h.count(),
                 sum: h.sum(),
                 mean: h.mean(),
@@ -266,20 +269,20 @@ impl Registry {
 /// readable without manual arithmetic. Currently:
 /// `storage.pool.hit_rate` = hits / (hits + misses).
 fn derive_metrics(counters: &[(String, u64)]) -> Vec<(String, f64)> {
-    let get = |name: &str| {
+    let get = |name: Name| {
         counters
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == *name)
             .map(|(_, v)| *v as f64)
     };
     let mut derived = Vec::new();
     if let (Some(hits), Some(misses)) = (
-        get(crate::names::STORAGE_POOL_HITS),
-        get(crate::names::STORAGE_POOL_MISSES),
+        get(names::STORAGE_POOL_HITS),
+        get(names::STORAGE_POOL_MISSES),
     ) {
         if hits + misses > 0.0 {
             derived.push((
-                crate::names::STORAGE_POOL_HIT_RATE.to_string(),
+                names::STORAGE_POOL_HIT_RATE.to_string(),
                 hits / (hits + misses),
             ));
         }
@@ -329,9 +332,9 @@ pub struct Snapshot {
 impl Snapshot {
     /// Counter `name`'s value (0 when it is not registered yet), so two
     /// snapshots diff into a window's delta.
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, name: Name) -> u64 {
         self.counters
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .binary_search_by(|(n, _)| n.as_str().cmp(&name))
             .map_or(0, |i| self.counters[i].1)
     }
 }
@@ -349,14 +352,18 @@ mod tests {
     #[test]
     fn counters_and_gauges_roundtrip() {
         let r = Registry::default();
-        let c = r.counter("c");
+        let c = r.counter(names::TXN_BEGIN);
         c.inc();
         c.add(4);
-        assert_eq!(r.counter("c").get(), 5, "same name returns same counter");
-        let g = r.gauge("g");
+        assert_eq!(
+            r.counter(names::TXN_BEGIN).get(),
+            5,
+            "same name, same counter"
+        );
+        let g = r.gauge(names::TXN_ACTIVE);
         g.set(10);
         g.add(-3);
-        assert_eq!(r.gauge("g").get(), 7);
+        assert_eq!(r.gauge(names::TXN_ACTIVE).get(), 7);
     }
 
     #[test]
@@ -433,29 +440,32 @@ mod tests {
         // mirrored counters only ever grow, so deltas between two
         // snapshots stay non-negative by construction.
         let r = Registry::default();
-        let c = r.counter("t.reset.counter");
+        let c = r.counter(names::TXN_COMMIT);
         c.add(10);
         let before = r.snapshot();
         // A storage-style "reset" has no registry analog; the counter
         // keeps its value and keeps growing.
         c.add(2);
         let after = r.snapshot();
-        let get = |s: &Snapshot| s.counter("t.reset.counter");
+        let get = |s: &Snapshot| s.counter(names::TXN_COMMIT);
         assert!(get(&after) >= get(&before), "counters are monotonic");
         assert_eq!(get(&after) - get(&before), 2);
-        assert_eq!(after.counter("t.reset.unregistered"), 0);
+        assert_eq!(after.counter(names::TXN_ABORT), 0, "never created");
     }
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let r = Registry::default();
-        r.counter("b").add(2);
-        r.counter("a").inc();
-        r.gauge("z").set(-4);
-        r.histogram("h", &[1, 2, 4]).record(3);
+        r.counter(names::TXN_COMMIT).add(2);
+        r.counter(names::TXN_ABORT).inc();
+        r.gauge(names::TXN_ACTIVE).set(-4);
+        r.histogram(names::TXN_LOCKSET, &[1, 2, 4]).record(3);
         let snap = r.snapshot();
-        assert_eq!(snap.counters, vec![("a".into(), 1), ("b".into(), 2)]);
-        assert_eq!(snap.gauges, vec![("z".into(), -4)]);
+        assert_eq!(
+            snap.counters,
+            vec![("txn.abort".into(), 1), ("txn.commit".into(), 2)]
+        );
+        assert_eq!(snap.gauges, vec![("txn.active".into(), -4)]);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].count, 1);
         assert_eq!(snap.histograms[0].buckets, vec![0, 0, 1, 0]);
@@ -465,8 +475,8 @@ mod tests {
     #[test]
     fn pool_hit_rate_is_derived_at_snapshot_time() {
         let r = Registry::default();
-        r.counter("storage.pool.hits").add(3);
-        r.counter("storage.pool.misses").add(1);
+        r.counter(names::STORAGE_POOL_HITS).add(3);
+        r.counter(names::STORAGE_POOL_MISSES).add(1);
         let snap = r.snapshot();
         assert_eq!(snap.derived.len(), 1);
         assert_eq!(snap.derived[0].0, "storage.pool.hit_rate");
@@ -476,8 +486,8 @@ mod tests {
     #[test]
     fn hit_rate_skipped_when_pool_untouched() {
         let r = Registry::default();
-        r.counter("storage.pool.hits");
-        r.counter("storage.pool.misses");
+        r.counter(names::STORAGE_POOL_HITS);
+        r.counter(names::STORAGE_POOL_MISSES);
         assert!(r.snapshot().derived.is_empty(), "0/0 must not divide");
     }
 }

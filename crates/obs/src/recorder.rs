@@ -26,7 +26,7 @@ use crate::export::{io_json, JSONL_SCHEMA_VERSION};
 use crate::io::IoCounts;
 use crate::json::escape;
 use crate::metrics::{registry, Counter};
-use crate::names;
+use crate::names::{self, Name};
 use std::collections::BTreeSet;
 
 /// Default ring capacity (events) for the global recorder.
@@ -320,9 +320,9 @@ pub fn clear_error_sink() {
 /// `(origin, message)` pair and anything past [`MAX_DUMPS_PER_SINK`]
 /// increments `obs.recorder.dumps_suppressed` instead of dumping. The
 /// first occurrence of a new error always dumps (budget permitting).
-pub fn record_error(origin: &str, message: &str) {
+pub fn record_error(origin: Name, message: &str) {
     record(
-        origin,
+        &origin,
         EventKind::Error {
             message: message.to_string(),
         },
@@ -431,24 +431,24 @@ mod tests {
         set_error_sink(move |_| {
             d.fetch_add(1, Ordering::SeqCst);
         });
-        record_error("t.ratelimit", "same boom");
-        record_error("t.ratelimit", "same boom");
-        record_error("t.ratelimit", "same boom");
+        record_error(names::CORE_PROPAGATE, "same boom");
+        record_error(names::CORE_PROPAGATE, "same boom");
+        record_error(names::CORE_PROPAGATE, "same boom");
         assert_eq!(
             delivered.load(Ordering::SeqCst),
             1,
             "consecutive repeats dedupe after the first dump"
         );
-        record_error("t.ratelimit", "other boom");
+        record_error(names::CORE_PROPAGATE, "other boom");
         assert_eq!(delivered.load(Ordering::SeqCst), 2, "a new error dumps");
-        record_error("t.ratelimit", "same boom");
+        record_error(names::CORE_PROPAGATE, "same boom");
         assert_eq!(
             delivered.load(Ordering::SeqCst),
             3,
             "a non-consecutive repeat dumps again"
         );
         for i in 0..20 {
-            record_error("t.ratelimit", &format!("boom {i}"));
+            record_error(names::CORE_PROPAGATE, &format!("boom {i}"));
         }
         assert_eq!(
             delivered.load(Ordering::SeqCst) as u64,
@@ -466,7 +466,7 @@ mod tests {
         set_error_sink(move |_| {
             d2.fetch_add(1, Ordering::SeqCst);
         });
-        record_error("t.ratelimit", "same boom");
+        record_error(names::CORE_PROPAGATE, "same boom");
         assert_eq!(delivered2.load(Ordering::SeqCst), 1);
         clear_error_sink();
     }

@@ -19,6 +19,7 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::io::{self, IoCounts};
+use crate::names::Name;
 use crate::recorder;
 
 /// A finished span: name, wall time, attributed I/O delta, notes, and
@@ -124,7 +125,18 @@ pub struct Span {
 
 impl Span {
     /// Open a span named `name`. Nested calls become children.
-    pub fn enter(name: &str) -> Span {
+    pub fn enter(name: Name) -> Span {
+        Span::open(&name)
+    }
+
+    /// Open a child span under a runtime label (an access path, a
+    /// projection). Equivalent to [`Span::enter`] while `self` is the
+    /// innermost open span; provided for call-site readability.
+    pub fn child(&self, label: &str) -> Span {
+        Span::open(label)
+    }
+
+    fn open(name: &str) -> Span {
         // Flight-recorder hook: fires regardless of the tracing flag so
         // post-mortem dumps always have recent span context.
         let rec = if recorder::enabled() {
@@ -154,12 +166,6 @@ impl Span {
             t.stack.push(open);
             Span { active: true, rec }
         })
-    }
-
-    /// Open a child span. Equivalent to [`Span::enter`] while `self` is
-    /// the innermost open span; provided for call-site readability.
-    pub fn child(&self, name: &str) -> Span {
-        Span::enter(name)
     }
 
     /// Attach a `key=value` note to this span (innermost open span).
@@ -212,7 +218,7 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io;
+    use crate::{io, names};
 
     fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanNode>) {
         set_tracing(true);
@@ -227,7 +233,7 @@ mod tests {
     fn disabled_tracing_records_nothing() {
         set_tracing(false);
         {
-            let s = Span::enter("quiet");
+            let s = Span::enter(names::QUERY_READ);
             s.note("k", "v");
         }
         assert!(take_finished().is_empty());
@@ -239,18 +245,18 @@ mod tests {
         set_tracing(false);
         let before = recorder::global().recorded_total();
         {
-            let _s = Span::enter("t.span.recorded");
+            let _s = Span::enter(names::BTREE_BULK_LOAD);
             io::record_pool_hit();
         }
         let events = recorder::global().events();
         assert!(recorder::global().recorded_total() >= before + 2);
         let enter = events
             .iter()
-            .find(|e| e.name == "t.span.recorded" && e.kind == EventKind::SpanEnter);
+            .find(|e| e.name == "btree.bulk_load" && e.kind == EventKind::SpanEnter);
         assert!(enter.is_some(), "enter event recorded");
         let exit = events
             .iter()
-            .find(|e| e.name == "t.span.recorded" && matches!(e.kind, EventKind::SpanExit { .. }));
+            .find(|e| e.name == "btree.bulk_load" && matches!(e.kind, EventKind::SpanExit { .. }));
         let Some(exit) = exit else {
             panic!("exit event recorded");
         };
@@ -262,10 +268,10 @@ mod tests {
     #[test]
     fn nesting_builds_a_tree() {
         let (_, spans) = traced(|| {
-            let root = Span::enter("query.read");
+            let root = Span::enter(names::QUERY_READ);
             {
-                let _a = root.child("btree.lookup");
-                let _b = Span::enter("storage.fetch");
+                let _a = root.child("access");
+                let _b = Span::enter(names::BTREE_LOOKUP);
             }
             let _c = root.child("project");
         });
@@ -273,17 +279,17 @@ mod tests {
         let root = &spans[0];
         assert_eq!(root.name, "query.read");
         assert_eq!(root.children.len(), 2);
-        assert_eq!(root.children[0].name, "btree.lookup");
-        assert_eq!(root.children[0].children[0].name, "storage.fetch");
+        assert_eq!(root.children[0].name, "access");
+        assert_eq!(root.children[0].children[0].name, "btree.lookup");
         assert_eq!(root.children[1].name, "project");
         assert_eq!(root.node_count(), 4);
-        assert!(root.find("storage.fetch").is_some());
+        assert!(root.find("btree.lookup").is_some());
     }
 
     #[test]
     fn io_deltas_attribute_to_the_open_span() {
         let (_, spans) = traced(|| {
-            let root = Span::enter("outer");
+            let root = Span::enter(names::QUERY_UPDATE);
             io::record_pool_hit();
             {
                 let _child = root.child("inner");
@@ -313,13 +319,13 @@ mod tests {
     fn notes_and_sequential_roots() {
         let (_, spans) = traced(|| {
             {
-                let s = Span::enter("first");
+                let s = Span::enter(names::QUERY_READ);
                 s.note("rows", 42);
             }
-            let _ = Span::enter("second");
+            let _ = Span::enter(names::QUERY_UPDATE);
         });
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].notes, vec![("rows".to_string(), "42".to_string())]);
-        assert_eq!(spans[1].name, "second");
+        assert_eq!(spans[1].name, "query.update");
     }
 }

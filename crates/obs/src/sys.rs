@@ -14,7 +14,7 @@
 //! query layer.
 
 use crate::metrics::registry;
-use crate::names;
+use crate::names::{self, Name};
 use crate::recorder::{self, EventKind};
 use crate::slowlog;
 
@@ -35,8 +35,8 @@ pub type SysRow = Vec<Option<SysValue>>;
 /// A virtual table: its registered name and column list.
 #[derive(Clone, Copy, Debug)]
 pub struct TableDef {
-    /// Table name, e.g. `"sys.metrics"` (always a [`names`] constant).
-    pub name: &'static str,
+    /// Table name, e.g. [`names::SYS_METRICS`].
+    pub name: Name,
     /// Column names, in row order.
     pub columns: &'static [&'static str],
 }
@@ -114,7 +114,7 @@ pub const TABLES: &[TableDef] = &[
 
 /// Look up a table by its full name (`"sys.metrics"`).
 pub fn table(name: &str) -> Option<&'static TableDef> {
-    TABLES.iter().find(|t| t.name == name)
+    TABLES.iter().find(|t| *t.name == *name)
 }
 
 fn int(v: u64) -> Option<SysValue> {
@@ -256,13 +256,13 @@ mod tests {
     #[test]
     fn catalog_names_are_registered_and_columns_unique() {
         for t in TABLES {
-            assert!(names::is_registered(t.name), "{} unregistered", t.name);
+            assert!(names::ALL.contains(&t.name), "{} unregistered", t.name);
             let mut cols: Vec<&str> = t.columns.to_vec();
             cols.sort_unstable();
             cols.dedup();
             assert_eq!(cols.len(), t.columns.len(), "{} has dup columns", t.name);
         }
-        assert!(table(names::SYS_METRICS).is_some());
+        assert!(table(&names::SYS_METRICS).is_some());
         assert!(table("sys.nope").is_none());
     }
 
@@ -270,7 +270,7 @@ mod tests {
     fn metrics_rows_are_width_consistent_and_cover_the_registry() {
         let r = registry();
         r.counter(names::OBS_RECORDER_EVENTS);
-        let width = table(names::SYS_METRICS)
+        let width = table(&names::SYS_METRICS)
             .map(|t| t.columns.len())
             .unwrap_or_default();
         let rows = metrics_rows();
@@ -290,7 +290,7 @@ mod tests {
     fn recorder_rows_mirror_ring_events() {
         recorder::record("t.sys.rec", EventKind::SpanEnter);
         let rows = recorder_rows();
-        let width = table(names::SYS_RECORDER)
+        let width = table(&names::SYS_RECORDER)
             .map(|t| t.columns.len())
             .unwrap_or_default();
         assert!(rows.iter().all(|row| row.len() == width));

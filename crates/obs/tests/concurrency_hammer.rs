@@ -14,6 +14,7 @@
 //! `Recorder::with_capacity`) so they neither perturb nor race the
 //! process-global pipeline other tests use.
 
+use fieldrep_obs::names::{self, Name};
 use fieldrep_obs::recorder::{EventKind, Recorder};
 use fieldrep_obs::{IoCounts, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +28,7 @@ const RING_CAPACITY: usize = 512;
 
 #[test]
 fn snapshot_deltas_never_lose_or_double_count_increments() {
-    const NAME: &str = "hammer.increments";
+    const NAME: Name = names::TXN_COMMIT;
     let reg = Arc::new(Registry::default());
     let done = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(THREADS + 1));

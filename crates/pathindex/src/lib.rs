@@ -128,12 +128,15 @@ impl GemstonePathIndex {
             }
         }
 
-        let mut components = Vec::with_capacity(n + 1);
-        for mut es in entries {
-            es.sort();
-            es.dedup();
-            components.push(BTreeIndex::bulk_load(db.sm(), &es, 1.0)?);
-        }
+        let components = db.apply_and_commit(|_, w| {
+            let mut components = Vec::with_capacity(n + 1);
+            for mut es in entries {
+                es.sort();
+                es.dedup();
+                components.push(BTreeIndex::bulk_load(w, &es, 1.0)?);
+            }
+            Ok(components)
+        })?;
         Ok(GemstonePathIndex {
             hops: resolved.hops,
             terminal_field,
@@ -196,34 +199,37 @@ impl GemstonePathIndex {
             let member = chain.get(n - i).copied().flatten()?;
             Some((target.to_bytes().to_vec(), member))
         };
-        for i in 1..=n {
-            let old = entry(old_chain, i);
-            let new = entry(new_chain, i);
-            if old == new {
-                continue;
+        db.apply_and_commit(|_, w| {
+            for i in 1..=n {
+                let old = entry(old_chain, i);
+                let new = entry(new_chain, i);
+                if old == new {
+                    continue;
+                }
+                if let Some((k, m)) = old {
+                    self.components[i].delete(w, &k, m)?;
+                }
+                if let Some((k, m)) = new {
+                    // Shared entries may already exist (another source keeps
+                    // the same link pair); tolerate duplicates.
+                    let _ = self.components[i].insert(w, &k, m);
+                }
             }
-            if let Some((k, m)) = old {
-                self.components[i].delete(db.sm(), &k, m)?;
+            // Terminal value component.
+            let old_t = old_chain.last().copied().flatten();
+            let new_t = new_chain.last().copied().flatten();
+            if old_t != new_t
+                || old_terminal_value.map(value_key) != new_terminal_value.map(value_key)
+            {
+                if let (Some(t), Some(v)) = (old_t, old_terminal_value) {
+                    self.components[0].delete(w, &value_key(v), t)?;
+                }
+                if let (Some(t), Some(v)) = (new_t, new_terminal_value) {
+                    let _ = self.components[0].insert(w, &value_key(v), t);
+                }
             }
-            if let Some((k, m)) = new {
-                // Shared entries may already exist (another source keeps
-                // the same link pair); tolerate duplicates.
-                let _ = self.components[i].insert(db.sm(), &k, m);
-            }
-        }
-        // Terminal value component.
-        let old_t = old_chain.last().copied().flatten();
-        let new_t = new_chain.last().copied().flatten();
-        if old_t != new_t || old_terminal_value.map(value_key) != new_terminal_value.map(value_key)
-        {
-            if let (Some(t), Some(v)) = (old_t, old_terminal_value) {
-                self.components[0].delete(db.sm(), &value_key(v), t)?;
-            }
-            if let (Some(t), Some(v)) = (new_t, new_terminal_value) {
-                let _ = self.components[0].insert(db.sm(), &value_key(v), t);
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Field index of the terminal value within the terminal type.

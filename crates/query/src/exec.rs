@@ -464,21 +464,24 @@ impl ReadQuery {
         span.note("rows", rows.len());
 
         // Generate the output file T if requested (§6.5.1 charges P_t for
-        // it). Rows are padded to `output_row_bytes` to model `t`.
+        // it). Rows are padded to `output_row_bytes` to model `t`. The
+        // spool commits as it goes, each time a row starts a page: under
+        // a WAL a page no commit has logged cannot be evicted, so a spool
+        // larger than the pool must not be one commit.
         let output_file = if self.spool_output {
             let hf = HeapFile::create(db.sm())?;
-            for row in &rows {
-                let vals: Vec<Value> = row
-                    .iter()
-                    .map(|v| v.clone().unwrap_or(Value::Unit))
-                    .collect();
-                let mut payload = Value::encode_list(&vals);
-                if let Some(target) = self.output_row_bytes {
-                    if payload.len() < target {
-                        payload.resize(target, 0);
+            let mut rest = rows.iter().peekable();
+            while rest.peek().is_some() {
+                db.apply_and_commit(|_, w| {
+                    let mut page = None;
+                    for row in rest.by_ref() {
+                        let oid = hf.rec_insert(w, 0xFFFD, &self.spool_payload(row))?;
+                        if *page.get_or_insert(oid.page) != oid.page {
+                            break;
+                        }
                     }
-                }
-                hf.rec_insert(db.sm(), 0xFFFD, &payload)?;
+                    Ok(())
+                })?;
             }
             Some(hf.file)
         } else {
@@ -492,6 +495,21 @@ impl ReadQuery {
             output_file,
             profile: prof.finish(),
         })
+    }
+
+    /// The record of `row` in the output file T.
+    fn spool_payload(&self, row: &Row) -> Vec<u8> {
+        let vals: Vec<Value> = row
+            .iter()
+            .map(|v| v.clone().unwrap_or(Value::Unit))
+            .collect();
+        let mut payload = Value::encode_list(&vals);
+        if let Some(target) = self.output_row_bytes {
+            if payload.len() < target {
+                payload.resize(target, 0);
+            }
+        }
+        payload
     }
 }
 

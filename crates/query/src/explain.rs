@@ -27,7 +27,8 @@ use fieldrep_costmodel::conformance::{
 };
 use fieldrep_costmodel::{IndexSetting, ModelStrategy, Params};
 use fieldrep_model::Value;
-use fieldrep_obs::{names as obs_names, registry};
+use fieldrep_obs::names::{self as obs_names, Name};
+use fieldrep_obs::registry;
 
 /// One operator row of an EXPLAIN report.
 #[derive(Clone, Debug)]
@@ -35,9 +36,9 @@ pub struct ExplainRow {
     /// Operator name (the `Profile` label for measured rows, the
     /// prediction key otherwise).
     pub op: String,
-    /// Metric suffix for the drift gauge (`None` for measured operators
-    /// no prediction claimed).
-    pub metric: Option<&'static str>,
+    /// The drift gauge this row records to (`None` for measured
+    /// operators no prediction claimed).
+    pub metric: Option<Name>,
     /// Model-predicted page I/O.
     pub predicted: f64,
     /// Measured page I/O (`None` for plain EXPLAIN).
@@ -267,7 +268,7 @@ fn join_rows(
             .iter()
             .map(|p| ExplainRow {
                 op: p.key.clone(),
-                metric: Some(p.metric),
+                metric: obs_names::drift(p.metric),
                 predicted: p.pages,
                 measured: None,
                 nanos: None,
@@ -286,7 +287,7 @@ fn join_rows(
             let (metric, predicted) = match hit {
                 Some((i, p)) => {
                     claimed[i] = true;
-                    (Some(p.metric), p.pages)
+                    (obs_names::drift(p.metric), p.pages)
                 }
                 None => (None, 0.0),
             };
@@ -303,7 +304,7 @@ fn join_rows(
         if !claimed[i] {
             rows.push(ExplainRow {
                 op: p.key.clone(),
-                metric: Some(p.metric),
+                metric: obs_names::drift(p.metric),
                 predicted: p.pages,
                 measured: Some(0),
                 nanos: None,
@@ -320,8 +321,7 @@ fn record_drift(e: &Explain) {
     let reg = registry();
     for row in &e.rows {
         if let (Some(metric), Some(drift)) = (row.metric, row.drift()) {
-            reg.gauge(&obs_names::drift_gauge(metric))
-                .set(drift.round() as i64);
+            reg.gauge(metric).set(drift.round() as i64);
         }
     }
     if let Some(total) = e.total_drift() {

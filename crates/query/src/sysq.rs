@@ -72,7 +72,7 @@ impl SysQuery {
                 self.table,
                 sys::TABLES
                     .iter()
-                    .map(|t| t.name)
+                    .map(|t| t.name.as_str())
                     .collect::<Vec<_>>()
                     .join(", ")
             ))

@@ -206,3 +206,23 @@ fn drift_gauges_reach_the_jsonl_exporter() {
         "missing conformance counter"
     );
 }
+
+/// Every metric a cost-model prediction may carry has its registered
+/// drift gauge, and every registered operator gauge (all but the total)
+/// is some prediction's: the two lists are the same set.
+#[test]
+fn every_conformance_metric_has_a_registered_drift_gauge() {
+    use fieldrep_costmodel::conformance::DRIFT_METRICS;
+    use fieldrep_obs::names;
+    for metric in DRIFT_METRICS {
+        assert!(names::drift(metric).is_some(), "{metric:?} has no gauge");
+    }
+    for name in names::ALL {
+        if let Some(suffix) = name.strip_prefix(names::COSTMODEL_DRIFT_PREFIX) {
+            assert!(
+                suffix == "total" || DRIFT_METRICS.contains(&suffix),
+                "gauge {name} records no conformance metric"
+            );
+        }
+    }
+}

@@ -5,7 +5,7 @@ use fieldrep_catalog::{IndexKind, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
 use fieldrep_query::{AccessPlan, Assign, Filter, ReadQuery, UpdateQuery};
-use fieldrep_storage::HeapFile;
+use fieldrep_storage::{HeapFile, MemDisk, MemWalStore};
 
 fn db_with_emps(n: usize) -> Database {
     let mut db = Database::in_memory(DbConfig::default());
@@ -65,6 +65,39 @@ fn spooled_rows_decode_back() {
     assert_eq!(decoded[0], vec![Value::Str("e2".into()), Value::Int(2)]);
     assert_eq!(decoded[2], vec![Value::Str("e4".into()), Value::Int(4)]);
     db.sm().drop_file(f).unwrap();
+}
+
+/// A spool of ~100 pages through a 24-page pool. Under a WAL a page no
+/// commit has logged cannot be evicted, so the spool must commit as it
+/// goes; without a WAL it always could.
+#[test]
+fn a_spool_larger_than_the_pool_succeeds_with_and_without_a_wal() {
+    let cfg = DbConfig {
+        pool_pages: 24,
+        ..DbConfig::default()
+    };
+    for wal in [false, true] {
+        let mut db = if wal {
+            let store = Box::new(MemWalStore::new());
+            Database::with_disk_and_wal(Box::new(MemDisk::new()), store, cfg.clone()).unwrap()
+        } else {
+            Database::in_memory(cfg.clone())
+        };
+        db.define_type(TypeDef::new("T", vec![("v", FieldType::Int)]))
+            .unwrap();
+        db.create_set("S", "T").unwrap();
+        for i in 0..400 {
+            db.insert("S", vec![Value::Int(i)]).unwrap();
+        }
+        let res = ReadQuery::on("S")
+            .project(["v"])
+            .spool(1000)
+            .run(&mut db)
+            .unwrap_or_else(|e| panic!("wal={wal}: {e}"));
+        assert_eq!(res.rows.len(), 400, "wal={wal}");
+        let hf = HeapFile::open(res.output_file.unwrap());
+        assert_eq!(hf.count(db.sm()).unwrap(), 400, "wal={wal}");
+    }
 }
 
 #[test]

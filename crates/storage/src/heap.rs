@@ -21,7 +21,7 @@
 use crate::error::{Result, StorageError};
 use crate::oid::{FileId, Oid, PageId};
 use crate::page::{PageKind, PageView, RecordFlags, RecordHeader};
-use crate::{PageHandle, StorageManager};
+use crate::{ApplySection, PageHandle, StorageManager};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 
@@ -63,7 +63,8 @@ pub enum RecordEdit<'a> {
 }
 
 /// A handle to a heap file. Carries no state beyond the file id; all
-/// operations go through the [`StorageManager`].
+/// operations go through the [`StorageManager`], and those that write
+/// through an [`ApplySection`] of it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeapFile {
     /// The underlying disk file.
@@ -83,8 +84,8 @@ impl HeapFile {
     }
 
     /// Insert a record, returning its stable OID.
-    pub fn rec_insert(&self, sm: &StorageManager, type_tag: u16, payload: &[u8]) -> Result<Oid> {
-        self.insert_flagged(sm, type_tag, RecordFlags::Normal, payload)
+    pub fn rec_insert(&self, w: &ApplySection<'_>, type_tag: u16, payload: &[u8]) -> Result<Oid> {
+        self.insert_flagged(w, type_tag, RecordFlags::Normal, payload)
     }
 
     fn insert_flagged(
@@ -228,10 +229,10 @@ impl HeapFile {
     /// Replace the payload of the record at `oid`, preserving its type tag
     /// and keeping `oid` valid even if the record must move pages. A
     /// payload that fits where the record is costs the one page request.
-    pub fn rec_update(&self, sm: &StorageManager, oid: Oid, payload: &[u8]) -> Result<()> {
-        let page = self.home_page(sm, oid)?;
-        let body = self.with_record(sm, page, oid, |body, at, hdr, _| (body.clone(), at, hdr))?;
-        self.write_resolved(sm, oid, body, payload)
+    pub fn rec_update(&self, w: &ApplySection<'_>, oid: Oid, payload: &[u8]) -> Result<()> {
+        let page = self.home_page(w, oid)?;
+        let body = self.with_record(w, page, oid, |body, at, hdr, _| (body.clone(), at, hdr))?;
+        self.write_resolved(w, oid, body, payload)
     }
 
     /// Edit the record at `oid` where it lies. `page` is a handle on
@@ -247,12 +248,12 @@ impl HeapFile {
     /// bytes are not compared again.
     pub fn edit_pinned<'e, E: From<StorageError>>(
         &self,
-        sm: &StorageManager,
+        w: &ApplySection<'_>,
         page: impl Borrow<PageHandle>,
         oid: Oid,
         f: impl FnOnce(u16, &[u8]) -> std::result::Result<RecordEdit<'e>, E>,
     ) -> std::result::Result<bool, E> {
-        let (edit, body, at, hdr) = self.with_record(sm, page, oid, |body, at, hdr, payload| {
+        let (edit, body, at, hdr) = self.with_record(w, page, oid, |body, at, hdr, payload| {
             (f(hdr.type_tag, payload), body.clone(), at, hdr)
         })?;
         match edit? {
@@ -267,7 +268,7 @@ impl HeapFile {
                     .ok_or(StorageError::InvalidOid(oid))?;
             }
             RecordEdit::Replace(payload) => {
-                self.write_resolved(sm, oid, (body, at, hdr), &payload)?;
+                self.write_resolved(w, oid, (body, at, hdr), &payload)?;
             }
         }
         Ok(true)
@@ -314,13 +315,13 @@ impl HeapFile {
     }
 
     /// Delete the record at `oid` (and its forwarded body, if any).
-    pub fn rec_delete(&self, sm: &StorageManager, oid: Oid) -> Result<()> {
-        let page = self.home_page(sm, oid)?;
-        let at = self.with_record(sm, page, oid, |_, at, _, _| at)?;
+    pub fn rec_delete(&self, w: &ApplySection<'_>, oid: Oid) -> Result<()> {
+        let page = self.home_page(w, oid)?;
+        let at = self.with_record(w, page, oid, |_, at, _, _| at)?;
         if at != oid {
-            self.delete_raw(sm, at)?;
+            self.delete_raw(w, at)?;
         }
-        self.delete_raw(sm, oid)
+        self.delete_raw(w, oid)
     }
 
     fn delete_raw(&self, sm: &StorageManager, oid: Oid) -> Result<()> {
@@ -447,9 +448,10 @@ mod tests {
     #[test]
     fn insert_read_roundtrip() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let a = hf.rec_insert(&sm, 1, b"alpha").unwrap();
-        let b = hf.rec_insert(&sm, 2, b"bravo").unwrap();
+        let a = hf.rec_insert(&w, 1, b"alpha").unwrap();
+        let b = hf.rec_insert(&w, 2, b"bravo").unwrap();
         assert_eq!(hf.read(&sm, a).unwrap(), (1, b"alpha".to_vec()));
         assert_eq!(hf.read(&sm, b).unwrap(), (2, b"bravo".to_vec()));
     }
@@ -457,10 +459,11 @@ mod tests {
     #[test]
     fn inserts_fill_pages_at_cost_model_density() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         // 100-byte payloads → 33 objects/page (O_r in the paper).
         for _ in 0..330 {
-            hf.rec_insert(&sm, 1, &[0u8; 100]).unwrap();
+            hf.rec_insert(&w, 1, &[0u8; 100]).unwrap();
         }
         assert_eq!(sm.page_count(hf.file).unwrap(), 10);
     }
@@ -468,43 +471,46 @@ mod tests {
     #[test]
     fn update_in_place_preserves_oid() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let oid = hf.rec_insert(&sm, 1, &[1u8; 50]).unwrap();
-        hf.rec_update(&sm, oid, &[2u8; 50]).unwrap();
+        let oid = hf.rec_insert(&w, 1, &[1u8; 50]).unwrap();
+        hf.rec_update(&w, oid, &[2u8; 50]).unwrap();
         assert_eq!(hf.read(&sm, oid).unwrap().1, vec![2u8; 50]);
     }
 
     #[test]
     fn growing_update_forwards_and_oid_stays_valid() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         // Fill a page completely.
         let mut oids = vec![];
         for _ in 0..33 {
-            oids.push(hf.rec_insert(&sm, 1, &[3u8; 100]).unwrap());
+            oids.push(hf.rec_insert(&w, 1, &[3u8; 100]).unwrap());
         }
         let victim = oids[0];
         // Grow it so it cannot stay on its full page.
-        hf.rec_update(&sm, victim, &[4u8; 600]).unwrap();
+        hf.rec_update(&w, victim, &[4u8; 600]).unwrap();
         let (tag, body) = hf.read(&sm, victim).unwrap();
         assert_eq!(tag, 1);
         assert_eq!(body, vec![4u8; 600]);
         // Update through the stub again (fits at the forwarded location).
-        hf.rec_update(&sm, victim, &[5u8; 600]).unwrap();
+        hf.rec_update(&w, victim, &[5u8; 600]).unwrap();
         assert_eq!(hf.read(&sm, victim).unwrap().1, vec![5u8; 600]);
         // And grow it further, forcing a re-forward.
-        hf.rec_update(&sm, victim, &[6u8; 3000]).unwrap();
+        hf.rec_update(&w, victim, &[6u8; 3000]).unwrap();
         assert_eq!(hf.read(&sm, victim).unwrap().1, vec![6u8; 3000]);
     }
 
     #[test]
     fn read_pinned_lends_the_record_and_follows_a_stub() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         let oids: Vec<Oid> = (0..33u8)
-            .map(|i| hf.rec_insert(&sm, 7, &[i; 100]).unwrap())
+            .map(|i| hf.rec_insert(&w, 7, &[i; 100]).unwrap())
             .collect();
-        hf.rec_update(&sm, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
+        hf.rec_update(&w, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
         let page = sm.pool().fetch(oids[0].page_id()).unwrap();
         sm.reset_profile();
         let len_and_first = |tag: u16, body: &[u8]| (tag, body.len(), body[0]);
@@ -517,37 +523,39 @@ mod tests {
         assert_eq!(got, (7, 600, 9));
         assert_eq!(sm.io_profile().pool_hits + sm.io_profile().pool_misses, 1);
         // The handle must be the OID's own page, and the slot a live record.
-        let other = hf.rec_insert(&sm, 7, &[1u8; 3000]).unwrap();
+        let other = hf.rec_insert(&w, 7, &[1u8; 3000]).unwrap();
         assert_ne!(other.page, oids[0].page);
         assert!(matches!(
             hf.read_pinned(&sm, &page, other, len_and_first),
             Err(StorageError::InvalidOid(o)) if o == other
         ));
-        hf.rec_delete(&sm, oids[5]).unwrap();
+        hf.rec_delete(&w, oids[5]).unwrap();
         assert!(hf.read_pinned(&sm, &page, oids[5], len_and_first).is_err());
     }
 
     #[test]
     fn delete_then_read_fails() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let oid = hf.rec_insert(&sm, 1, b"gone").unwrap();
-        hf.rec_delete(&sm, oid).unwrap();
+        let oid = hf.rec_insert(&w, 1, b"gone").unwrap();
+        hf.rec_delete(&w, oid).unwrap();
         assert!(hf.read(&sm, oid).is_err());
     }
 
     #[test]
     fn delete_reclaims_space_for_reuse() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         let mut oids = vec![];
         for _ in 0..33 {
-            oids.push(hf.rec_insert(&sm, 1, &[7u8; 100]).unwrap());
+            oids.push(hf.rec_insert(&w, 1, &[7u8; 100]).unwrap());
         }
         assert_eq!(sm.page_count(hf.file).unwrap(), 1);
-        hf.rec_delete(&sm, oids[10]).unwrap();
+        hf.rec_delete(&w, oids[10]).unwrap();
         // The next insert should reuse page 0, not extend the file.
-        let oid = hf.rec_insert(&sm, 1, &[8u8; 100]).unwrap();
+        let oid = hf.rec_insert(&w, 1, &[8u8; 100]).unwrap();
         assert_eq!(oid.page, 0);
         assert_eq!(sm.page_count(hf.file).unwrap(), 1);
     }
@@ -555,15 +563,16 @@ mod tests {
     #[test]
     fn scan_sees_each_logical_record_once() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         let mut expect = vec![];
         for i in 0..100u8 {
-            let oid = hf.rec_insert(&sm, 1, &[i; 60]).unwrap();
+            let oid = hf.rec_insert(&w, 1, &[i; 60]).unwrap();
             expect.push((oid, vec![i; 60]));
         }
         // Forward a few by growing them.
         for &(oid, _) in expect.iter().take(80).step_by(7) {
-            hf.rec_update(&sm, oid, &[0xEE; 900]).unwrap();
+            hf.rec_update(&w, oid, &[0xEE; 900]).unwrap();
         }
         let mut seen = std::collections::HashMap::new();
         let mut scan = hf.scan(&sm).unwrap();
@@ -584,13 +593,14 @@ mod tests {
     #[test]
     fn forwarded_delete_removes_both_records() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         for _ in 0..33 {
-            hf.rec_insert(&sm, 1, &[1u8; 100]).unwrap();
+            hf.rec_insert(&w, 1, &[1u8; 100]).unwrap();
         }
         let victim = Oid::new(hf.file, 0, 0);
-        hf.rec_update(&sm, victim, &[2u8; 1000]).unwrap(); // forwards
-        hf.rec_delete(&sm, victim).unwrap();
+        hf.rec_update(&w, victim, &[2u8; 1000]).unwrap(); // forwards
+        hf.rec_delete(&w, victim).unwrap();
         assert!(hf.read(&sm, victim).is_err());
         // Nothing in the scan refers to the moved body.
         let mut scan = hf.scan(&sm).unwrap();
@@ -604,9 +614,10 @@ mod tests {
     #[test]
     fn count_matches_inserts() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         for _ in 0..250 {
-            hf.rec_insert(&sm, 3, &[0u8; 30]).unwrap();
+            hf.rec_insert(&w, 3, &[0u8; 30]).unwrap();
         }
         assert_eq!(hf.count(&sm).unwrap(), 250);
     }
@@ -618,12 +629,12 @@ mod tests {
 
     /// A full page of 33 records, the first of them forwarded to a second
     /// page: `(oids, pin on the full page)`.
-    fn page_with_a_forwarded_record(sm: &StorageManager, hf: &HeapFile) -> (Vec<Oid>, PageHandle) {
+    fn page_with_a_forwarded_record(w: &ApplySection<'_>, hf: &HeapFile) -> (Vec<Oid>, PageHandle) {
         let oids: Vec<Oid> = (0..33u8)
-            .map(|i| hf.rec_insert(sm, 7, &[i; 100]).unwrap())
+            .map(|i| hf.rec_insert(w, 7, &[i; 100]).unwrap())
             .collect();
-        hf.rec_update(sm, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
-        let page = sm.pool().fetch(oids[0].page_id()).unwrap();
+        hf.rec_update(w, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
+        let page = w.pool().fetch(oids[0].page_id()).unwrap();
         (oids, page)
     }
 
@@ -632,12 +643,13 @@ mod tests {
     #[test]
     fn a_fitting_rec_update_makes_one_pool_request() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let oid = hf.rec_insert(&sm, 1, &[1u8; 50]).unwrap();
+        let oid = hf.rec_insert(&w, 1, &[1u8; 50]).unwrap();
         sm.reset_profile();
-        hf.rec_update(&sm, oid, &[2u8; 50]).unwrap();
+        hf.rec_update(&w, oid, &[2u8; 50]).unwrap();
         assert_eq!(requests(&sm), 1);
-        hf.rec_update(&sm, oid, &[3u8; 80]).unwrap(); // grows, still fits
+        hf.rec_update(&w, oid, &[3u8; 80]).unwrap(); // grows, still fits
         assert_eq!(requests(&sm), 2);
         assert_eq!(hf.read(&sm, oid).unwrap().1, vec![3u8; 80]);
     }
@@ -645,12 +657,13 @@ mod tests {
     #[test]
     fn edit_pinned_overwrites_where_the_record_lies() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let (oids, page) = page_with_a_forwarded_record(&sm, &hf);
+        let (oids, page) = page_with_a_forwarded_record(&w, &hf);
         sm.reset_profile();
         // A normal record: lent under the pin, patched under the pin.
         let changed = hf
-            .edit_pinned(&sm, &page, oids[5], |tag, body| -> Edit<'_> {
+            .edit_pinned(&w, &page, oids[5], |tag, body| -> Edit<'_> {
                 assert_eq!((tag, body), (7, &[5u8; 100][..]));
                 Ok(RecordEdit::Overwrite {
                     at: 10,
@@ -667,7 +680,7 @@ mod tests {
         // lands on the body's page, for the one request that finds it.
         sm.reset_profile();
         let changed = hf
-            .edit_pinned(&sm, &page, oids[0], |tag, body| -> Edit<'_> {
+            .edit_pinned(&w, &page, oids[0], |tag, body| -> Edit<'_> {
                 assert_eq!((tag, body), (7, &[9u8; 600][..]));
                 Ok(RecordEdit::Overwrite {
                     at: 595,
@@ -683,7 +696,7 @@ mod tests {
         // Its neighbours were not touched.
         assert_eq!(hf.read(&sm, oids[1]).unwrap().1, vec![1u8; 100]);
         // An overwrite past the payload's end is refused, not clipped.
-        let past_end = hf.edit_pinned(&sm, &page, oids[5], |_, _| -> Edit<'_> {
+        let past_end = hf.edit_pinned(&w, &page, oids[5], |_, _| -> Edit<'_> {
             Ok(RecordEdit::Overwrite {
                 at: 98,
                 bytes: b"patch",
@@ -695,10 +708,11 @@ mod tests {
     #[test]
     fn edit_pinned_replace_forwards_and_re_forwards() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let (oids, page) = page_with_a_forwarded_record(&sm, &hf);
+        let (oids, page) = page_with_a_forwarded_record(&w, &hf);
         let replace = |oid: Oid, payload: Vec<u8>| {
-            hf.edit_pinned(&sm, &page, oid, |_, _| -> Edit<'_> {
+            hf.edit_pinned(&w, &page, oid, |_, _| -> Edit<'_> {
                 Ok(RecordEdit::Replace(payload))
             })
             .unwrap()
@@ -721,32 +735,33 @@ mod tests {
     #[test]
     fn edit_pinned_wants_the_oids_own_page_and_passes_errors_through() {
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         let other_file = HeapFile::create(&sm).unwrap();
-        let (oids, page) = page_with_a_forwarded_record(&sm, &hf);
+        let (oids, page) = page_with_a_forwarded_record(&w, &hf);
         let keep = |_: u16, _: &[u8]| -> Edit<'_> { Ok(RecordEdit::Keep) };
         // Wrong page: a record of the same file that lives elsewhere.
-        let elsewhere = hf.rec_insert(&sm, 7, &[1u8; 3000]).unwrap();
+        let elsewhere = hf.rec_insert(&w, 7, &[1u8; 3000]).unwrap();
         assert_ne!(elsewhere.page, oids[0].page);
         assert!(matches!(
-            hf.edit_pinned(&sm, &page, elsewhere, keep),
+            hf.edit_pinned(&w, &page, elsewhere, keep),
             Err(StorageError::InvalidOid(o)) if o == elsewhere
         ));
         // Wrong file: the handle's page number matches, its file does not.
-        let foreign = other_file.rec_insert(&sm, 7, b"foreign").unwrap();
+        let foreign = other_file.rec_insert(&w, 7, b"foreign").unwrap();
         assert_eq!(foreign.page, oids[0].page);
         assert!(matches!(
-            hf.edit_pinned(&sm, &page, foreign, keep),
+            hf.edit_pinned(&w, &page, foreign, keep),
             Err(StorageError::InvalidOid(o)) if o == foreign
         ));
         assert!(matches!(
-            other_file.edit_pinned(&sm, &page, foreign, keep),
+            other_file.edit_pinned(&w, &page, foreign, keep),
             Err(StorageError::InvalidOid(_))
         ));
         // A dead slot, and the closure's own error.
-        hf.rec_delete(&sm, oids[5]).unwrap();
-        assert!(hf.edit_pinned(&sm, &page, oids[5], keep).is_err());
-        let refused = hf.edit_pinned(&sm, &page, oids[6], |_, _| -> Edit<'_> {
+        hf.rec_delete(&w, oids[5]).unwrap();
+        assert!(hf.edit_pinned(&w, &page, oids[5], keep).is_err());
+        let refused = hf.edit_pinned(&w, &page, oids[6], |_, _| -> Edit<'_> {
             Err(StorageError::Corrupt("refused".into()))
         });
         assert!(matches!(refused, Err(StorageError::Corrupt(m)) if m == "refused"));
@@ -761,7 +776,7 @@ mod tests {
         )
         .unwrap();
         let hf = HeapFile::create(&sm).unwrap();
-        let (oids, _) = page_with_a_forwarded_record(&sm, &hf);
+        let (oids, _) = page_with_a_forwarded_record(&sm.apply_section(), &hf);
         sm.checkpoint().unwrap(); // every page clean and logged
         let page = sm.pool().fetch(oids[0].page_id()).unwrap();
         let moved = {
@@ -772,7 +787,9 @@ mod tests {
         let appends = sm.wal_stats().appends;
         for oid in [oids[0], oids[5]] {
             let changed = hf
-                .edit_pinned(&sm, &page, oid, |_, _| -> Edit<'_> { Ok(RecordEdit::Keep) })
+                .edit_pinned(&sm.apply_section(), &page, oid, |_, _| -> Edit<'_> {
+                    Ok(RecordEdit::Keep)
+                })
                 .unwrap();
             assert!(!changed);
         }
@@ -780,7 +797,7 @@ mod tests {
         assert_eq!(sm.pool().log_txn_commit().unwrap(), None, "nothing to log");
         assert_eq!(sm.wal_stats().appends, appends);
         // The same walk with a change dirties exactly the body's page.
-        hf.edit_pinned(&sm, &page, oids[0], |_, _| -> Edit<'_> {
+        hf.edit_pinned(&sm.apply_section(), &page, oids[0], |_, _| -> Edit<'_> {
             Ok(RecordEdit::Overwrite { at: 0, bytes: b"x" })
         })
         .unwrap();
@@ -801,8 +818,9 @@ mod tests {
         use crate::lockorder;
         let probe = || drop(lockorder::acquired(lockorder::POOL_CORE, false, "PoolCore"));
         let sm = sm();
+        let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let (oids, page) = page_with_a_forwarded_record(&sm, &hf);
+        let (oids, page) = page_with_a_forwarded_record(&w, &hf);
         let edits: [fn() -> RecordEdit<'static>; 4] = [
             || RecordEdit::Keep,
             || RecordEdit::Overwrite {
@@ -814,7 +832,7 @@ mod tests {
         ];
         for oid in [oids[0], oids[9]] {
             for edit in edits {
-                hf.edit_pinned(&sm, &page, oid, |_, _| -> Edit<'_> {
+                hf.edit_pinned(&w, &page, oid, |_, _| -> Edit<'_> {
                     probe();
                     Ok(edit())
                 })

@@ -155,6 +155,17 @@ impl StorageManager {
         &self.pool
     }
 
+    /// Enter the apply section: the one way to get the [`ApplySection`]
+    /// every storage mutator demands. Under a WAL this takes the apply
+    /// lock ([`Wal::apply_lock`]) until the section drops; without one
+    /// it takes nothing.
+    pub fn apply_section(&self) -> ApplySection<'_> {
+        ApplySection {
+            sm: self,
+            _apply: self.wal().map(|w| w.apply_lock()),
+        }
+    }
+
     /// Create a new, empty file and return its id.
     pub fn create_file(&self) -> Result<FileId> {
         let f = self.pool.create_file()?;
@@ -208,6 +219,41 @@ impl StorageManager {
     ) -> R {
         let mut map = self.free_space.lock();
         f(map.entry(file).or_default())
+    }
+}
+
+/// Proof that its holder is inside the apply section, made only by
+/// [`StorageManager::apply_section`]. Every storage mutator takes one —
+/// [`HeapFile::rec_insert`], [`HeapFile::rec_update`],
+/// [`HeapFile::rec_delete`], [`HeapFile::edit_pinned`] and the B⁺-tree's
+/// `create`, `insert`, `delete` and `bulk_load` — so a write path that
+/// skipped the section does not compile. It dereferences to the storage
+/// manager for the reads a writer makes.
+///
+/// ```
+/// # use fieldrep_storage::{HeapFile, StorageManager};
+/// let sm = StorageManager::in_memory(4);
+/// let hf = HeapFile::create(&sm).unwrap();
+/// let w = sm.apply_section();
+/// hf.rec_insert(&w, 1, b"row").unwrap();
+/// ```
+///
+/// ```compile_fail,E0308
+/// # use fieldrep_storage::{HeapFile, StorageManager};
+/// let sm = StorageManager::in_memory(4);
+/// let hf = HeapFile::create(&sm).unwrap();
+/// hf.rec_insert(&sm, 1, b"row").unwrap(); // no section, no write
+/// ```
+pub struct ApplySection<'a> {
+    sm: &'a StorageManager,
+    _apply: Option<wal::ApplyGuard<'a>>,
+}
+
+impl std::ops::Deref for ApplySection<'_> {
+    type Target = StorageManager;
+
+    fn deref(&self) -> &StorageManager {
+        self.sm
     }
 }
 

@@ -107,13 +107,13 @@ proptest! {
             match op {
                 HeapOp::Insert(b, l) => {
                     let payload = vec![b; l as usize];
-                    let oid = hf.rec_insert(&sm, 9, &payload).unwrap();
+                    let oid = hf.rec_insert(&sm.apply_section(), 9, &payload).unwrap();
                     model.push((oid, payload));
                 }
                 HeapOp::Delete(i) => {
                     if model.is_empty() { continue; }
                     let (oid, _) = model.remove(i % model.len());
-                    hf.rec_delete(&sm, oid).unwrap();
+                    hf.rec_delete(&sm.apply_section(), oid).unwrap();
                     prop_assert!(hf.read(&sm, oid).is_err());
                 }
                 HeapOp::Update(i, b, l) => {
@@ -121,7 +121,7 @@ proptest! {
                     let idx = i % model.len();
                     let payload = vec![b; l as usize];
                     let oid = model[idx].0;
-                    hf.rec_update(&sm, oid, &payload).unwrap();
+                    hf.rec_update(&sm.apply_section(), oid, &payload).unwrap();
                     model[idx].1 = payload;
                 }
             }

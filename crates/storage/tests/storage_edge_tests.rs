@@ -15,7 +15,7 @@ fn tiny_records_can_always_be_forwarded() {
     let mut oids = Vec::new();
     // Fill a page with 1-byte records.
     loop {
-        let oid = hf.rec_insert(&sm, 1, &[7u8]).unwrap();
+        let oid = hf.rec_insert(&sm.apply_section(), 1, &[7u8]).unwrap();
         if oid.page > 0 {
             break;
         }
@@ -23,7 +23,8 @@ fn tiny_records_can_always_be_forwarded() {
     }
     // Grow every page-0 record far beyond the page: each needs a stub.
     for &oid in &oids {
-        hf.rec_update(&sm, oid, &[9u8; 300]).unwrap();
+        hf.rec_update(&sm.apply_section(), oid, &[9u8; 300])
+            .unwrap();
     }
     for &oid in &oids {
         assert_eq!(hf.read(&sm, oid).unwrap().1, vec![9u8; 300]);
@@ -35,11 +36,11 @@ fn tiny_records_can_always_be_forwarded() {
 fn zero_length_payload_roundtrip() {
     let sm = StorageManager::in_memory(16);
     let hf = HeapFile::create(&sm).unwrap();
-    let oid = hf.rec_insert(&sm, 3, &[]).unwrap();
+    let oid = hf.rec_insert(&sm.apply_section(), 3, &[]).unwrap();
     assert_eq!(hf.read(&sm, oid).unwrap(), (3, vec![]));
-    hf.rec_update(&sm, oid, &[]).unwrap();
+    hf.rec_update(&sm.apply_section(), oid, &[]).unwrap();
     assert_eq!(hf.read(&sm, oid).unwrap().1, Vec::<u8>::new());
-    hf.rec_delete(&sm, oid).unwrap();
+    hf.rec_delete(&sm.apply_section(), oid).unwrap();
 }
 
 #[test]
@@ -47,12 +48,12 @@ fn max_payload_roundtrip_through_heap() {
     let sm = StorageManager::in_memory(16);
     let hf = HeapFile::create(&sm).unwrap();
     let big = vec![0x5A; MAX_RECORD_PAYLOAD];
-    let oid = hf.rec_insert(&sm, 2, &big).unwrap();
+    let oid = hf.rec_insert(&sm.apply_section(), 2, &big).unwrap();
     assert_eq!(hf.read(&sm, oid).unwrap().1, big);
     // One byte more is rejected cleanly.
     let too_big = vec![0u8; MAX_RECORD_PAYLOAD + 1];
     assert!(matches!(
-        hf.rec_insert(&sm, 2, &too_big),
+        hf.rec_insert(&sm.apply_section(), 2, &too_big),
         Err(StorageError::RecordTooLarge { .. })
     ));
 }
@@ -64,7 +65,7 @@ fn per_query_io_accounting_with_cold_pool() {
     // 10 pages of 100-byte records.
     let mut oids = Vec::new();
     for _ in 0..330 {
-        oids.push(hf.rec_insert(&sm, 1, &[1u8; 100]).unwrap());
+        oids.push(hf.rec_insert(&sm.apply_section(), 1, &[1u8; 100]).unwrap());
     }
     sm.flush_all().unwrap();
     sm.reset_profile();
@@ -91,7 +92,8 @@ fn per_query_io_accounting_with_cold_pool() {
     // Updating 5 records on one page then flushing writes exactly 1 page.
     sm.reset_profile();
     for oid in oids.iter().filter(|o| o.page == 3).take(5) {
-        hf.rec_update(&sm, *oid, &[2u8; 100]).unwrap();
+        hf.rec_update(&sm.apply_section(), *oid, &[2u8; 100])
+            .unwrap();
     }
     sm.flush_all().unwrap();
     let prof = sm.io_profile();
@@ -105,7 +107,10 @@ fn pool_thrashing_still_correct() {
     let hf = HeapFile::create(&sm).unwrap();
     let mut oids = Vec::new();
     for i in 0..1320u32 {
-        oids.push(hf.rec_insert(&sm, 1, &i.to_le_bytes().repeat(25)).unwrap());
+        oids.push(
+            hf.rec_insert(&sm.apply_section(), 1, &i.to_le_bytes().repeat(25))
+                .unwrap(),
+        );
     }
     for (i, oid) in oids.iter().enumerate().step_by(31) {
         let (_, body) = hf.read(&sm, *oid).unwrap();
@@ -119,8 +124,8 @@ fn pool_thrashing_still_correct() {
 fn error_messages_are_informative() {
     let sm = StorageManager::in_memory(8);
     let hf = HeapFile::create(&sm).unwrap();
-    let oid = hf.rec_insert(&sm, 1, b"x").unwrap();
-    hf.rec_delete(&sm, oid).unwrap();
+    let oid = hf.rec_insert(&sm.apply_section(), 1, b"x").unwrap();
+    hf.rec_delete(&sm.apply_section(), oid).unwrap();
     let err = hf.read(&sm, oid).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("does not name a live record"), "{msg}");
@@ -139,8 +144,12 @@ fn interleaved_files_do_not_interfere() {
     let b = HeapFile::create(&sm).unwrap();
     let mut pairs = Vec::new();
     for i in 0..500u32 {
-        let oa = a.rec_insert(&sm, 1, &i.to_le_bytes()).unwrap();
-        let ob = b.rec_insert(&sm, 2, &(i * 2).to_le_bytes()).unwrap();
+        let oa = a
+            .rec_insert(&sm.apply_section(), 1, &i.to_le_bytes())
+            .unwrap();
+        let ob = b
+            .rec_insert(&sm.apply_section(), 2, &(i * 2).to_le_bytes())
+            .unwrap();
         pairs.push((oa, ob, i));
     }
     sm.drop_file(a.file).unwrap();

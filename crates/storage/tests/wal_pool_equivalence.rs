@@ -52,11 +52,12 @@ fn run(seed: u64) {
         match rng.gen_range(0..10u32) {
             0..=2 => {
                 let payload = vec![rng.next_u32() as u8; rng.gen_range(1..1200)];
-                oids.push(hf.rec_insert(&sm, 1, &payload).unwrap());
+                oids.push(hf.rec_insert(&sm.apply_section(), 1, &payload).unwrap());
             }
             3..=4 if !oids.is_empty() => {
                 let payload = vec![rng.next_u32() as u8; rng.gen_range(1..1500)];
-                hf.rec_update(&sm, pick(&mut rng, &oids), &payload).unwrap();
+                hf.rec_update(&sm.apply_section(), pick(&mut rng, &oids), &payload)
+                    .unwrap();
             }
             5..=6 if !oids.is_empty() => {
                 let oid = pick(&mut rng, &oids);
@@ -64,14 +65,14 @@ fn run(seed: u64) {
                 let at = rng.gen_range(0..len);
                 let bytes = vec![rng.next_u32() as u8; rng.gen_range(1..(len - at).min(100) + 1)];
                 let page = sm.pool().fetch(oid.page_id()).unwrap();
-                hf.edit_pinned(&sm, page, oid, |_, _| {
+                hf.edit_pinned(&sm.apply_section(), page, oid, |_, _| {
                     Ok::<_, StorageError>(RecordEdit::Overwrite { at, bytes: &bytes })
                 })
                 .unwrap();
             }
             7 if !oids.is_empty() => {
                 let oid = oids.swap_remove(rng.gen_range(0..oids.len()));
-                hf.rec_delete(&sm, oid).unwrap();
+                hf.rec_delete(&sm.apply_section(), oid).unwrap();
             }
             8 => {
                 // A whole page formatted again, over whatever it held.

@@ -21,9 +21,10 @@ stage() {
 stage fmt cargo fmt --all -- --check
 stage clippy cargo clippy --workspace --all-targets -- -D warnings
 
-# Repo-specific static analysis (layering, obs-name registry, panic
-# budget, lock discipline, interprocedural lock order / blocking-I/O /
-# apply coverage) against the committed lint_budget.toml.
+# Repo-specific static analysis (layering, dead obs names, panic budget,
+# interprocedural lock order and blocking I/O under a lock) against the
+# committed lint_budget.toml. Registered obs names, the one lock-word
+# site and apply-section coverage are types, checked by the build.
 stage lint cargo run -q -p fieldrep-lint
 
 stage test cargo test -q --workspace

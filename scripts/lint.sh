@@ -8,17 +8,16 @@
 #   ./scripts/lint.sh --update-budget rewrite lint_budget.toml after a
 #                                     legitimate ratchet-down
 #
-# The seven rules (see DESIGN.md §9 and crates/lint/src/lib.rs):
+# The rules (see DESIGN.md §9 and crates/lint/src/lib.rs):
 #   L1  layering        raw page/file/WAL-store I/O only inside crates/storage
-#   L2  name registry   obs name literals must exist in obs::names
+#   L2  dead names      every obs::names constant has a call site
 #   L3  panic budget    unwrap/expect/panic in library code only ratchets down
-#   L4  OID lock site   raw_acquire appears once, inside TxnManager::lock_sorted
 #   L5  lock order      held-lock sets through the call graph obey the
 #                       declared total order over the named locks
 #   L6  blocking I/O    no fsync/sleep/file I/O reachable while a lock
 #                       that forbids it is held
-#   L7  apply coverage  pub &self Database mutators hold (or document
-#                       inheriting) the WAL apply section
+# (L4 and L7, and L2's registered-name half, are types now; rustc checks
+# them — DESIGN.md §9, "compiler-enforced".)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

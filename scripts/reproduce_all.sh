@@ -17,6 +17,7 @@ repro fig11 > results/fig11.txt
 repro fig12 > results/fig12.txt
 repro fig13 > results/fig13.txt
 repro fig14 > results/fig14.txt
+repro costs 20 0.002 > results/costs.txt
 
 echo "== empirical validation =="
 if [ "$FULL" = "--full" ]; then
@@ -28,9 +29,11 @@ fi
 echo "== measured curves and traces =="
 repro empirical_curves --s 2000 > results/empirical_curves.txt
 repro trace > results/trace_run.txt
+repro tuning > results/tuning.txt
 
 echo "== ablations =="
 repro ablations > results/ablations.txt
 repro pathindex_ablation > results/pathindex_ablation.txt
+repro org_analytics > results/org_analytics.txt
 
 echo "done — see results/"
