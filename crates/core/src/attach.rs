@@ -25,13 +25,13 @@
 use crate::collapsed;
 use crate::error::{DbError, Result};
 use crate::links::{link_add, link_members, link_remove};
-use crate::objects::{pin_of, read_object, ref_target, value_key, view_object, write_object};
+use crate::objects::{pin_of, read_object, ref_target, value_key, view_object};
 use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref, read_replica};
 use crate::ripple::Chain;
 use crate::{EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{RepPathDef, Strategy};
-use fieldrep_model::{Annotation, Object, ObjectView, TypeId, Value};
+use fieldrep_model::{Object, ObjectView, TypeId, Value};
 use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageError, StorageManager};
 
 /// Process a physically-sorted OID batch page-group by page-group: split
@@ -232,30 +232,10 @@ fn attach_collapsed(
     source: Oid,
     chain: &[Option<Oid>],
 ) -> Result<()> {
-    let link = ctx.cat.link(path.links[0]).clone();
+    let link = ctx.cat.link(path.links[0]);
     if let Some((holder, via)) = collapsed_holder(chain) {
-        let hobj = read_object(ctx.sm, ctx.cat, holder)?;
-        match collapsed::find_store(&hobj, link.id.0) {
-            Some(head) => {
-                collapsed::store_add(ctx.w, &link, head, (source, via))?;
-            }
-            None => {
-                let head = collapsed::create_store(ctx.w, &link, &[(source, via)])?;
-                let mut hobj = read_object(ctx.sm, ctx.cat, holder)?;
-                hobj.annotations.push(Annotation::LinkRef {
-                    link: link.id.0,
-                    oid: head,
-                });
-                write_object(ctx.w, ctx.cat, holder, &hobj)?;
-            }
-        }
-        // Mark the intermediate as being on a collapsed path.
-        let mut dobj = read_object(ctx.sm, ctx.cat, via)?;
-        if !collapsed::has_via_marker(&dobj, link.id.0) {
-            dobj.annotations
-                .push(Annotation::CollapsedVia { link: link.id.0 });
-            write_object(ctx.w, ctx.cat, via, &dobj)?;
-        }
+        collapsed::tag(ctx, link, holder, &[(source, via)])?;
+        collapsed::mark_via(ctx, link.id.0, via, true)?;
     }
     // Terminal values: only complete chains have them.
     let values = values_at(ctx, path, chain[2])?;
@@ -274,15 +254,7 @@ pub fn attach_links_from(
         let (Some(member), Some(target)) = (member, target) else {
             break;
         };
-        let link = ctx.cat.link(*link_id).clone();
-        link_add(
-            ctx.w,
-            ctx.cat,
-            &link,
-            target,
-            member,
-            ctx.cfg.inline_link_threshold,
-        )?;
+        link_add(ctx, ctx.cat.link(*link_id), target, member)?;
     }
     Ok(())
 }
@@ -368,19 +340,10 @@ pub fn detach_links_from(
         let (Some(member), Some(target)) = (chain[i], chain[i + 1]) else {
             break;
         };
-        let link = ctx.cat.link(*link_id).clone();
-        let out = link_remove(
-            ctx.w,
-            ctx.cat,
-            &link,
-            target,
-            member,
-            ctx.cfg.inline_link_threshold,
-        )?;
         // `member` leaves the path only when its own membership record is
         // gone *and* nothing else keeps it: ripple upward only if the
         // target's link store is now empty.
-        proceed = out.now_empty;
+        proceed = link_remove(ctx, ctx.cat.link(*link_id), target, member)?;
     }
     Ok(())
 }
@@ -393,26 +356,10 @@ fn detach_collapsed(
     source: Oid,
     chain: &[Option<Oid>],
 ) -> Result<()> {
-    let link = ctx.cat.link(path.links[0]).clone();
+    let link = ctx.cat.link(path.links[0]);
     if let Some((holder, via)) = collapsed_holder(chain) {
-        let hobj = read_object(ctx.sm, ctx.cat, holder)?;
-        if let Some(head) = collapsed::find_store(&hobj, link.id.0) {
-            let (removed_via, remaining, same_via) =
-                collapsed::store_remove(ctx.w, &link, head, source)?;
-            if removed_via.is_some() && remaining == 0 {
-                let mut hobj = read_object(ctx.sm, ctx.cat, holder)?;
-                hobj.annotations.retain(
-                    |a| !matches!(a, Annotation::LinkRef { link: l, .. } if *l == link.id.0),
-                );
-                write_object(ctx.w, ctx.cat, holder, &hobj)?;
-            }
-            if removed_via == Some(via) && same_via == 0 {
-                let mut dobj = read_object(ctx.sm, ctx.cat, via)?;
-                dobj.annotations.retain(
-                    |a| !matches!(a, Annotation::CollapsedVia { link: l } if *l == link.id.0),
-                );
-                write_object(ctx.w, ctx.cat, via, &dobj)?;
-            }
+        if collapsed::untag(ctx, link, holder, source, via)? {
+            collapsed::mark_via(ctx, link.id.0, via, false)?;
         }
     }
     set_source_replica_values(ctx, path, None, source, None)

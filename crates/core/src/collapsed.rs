@@ -12,94 +12,23 @@
 //! Trade-offs, exactly as §4.3.3 lists them: terminal updates reach the
 //! sources through a single link level, but intermediate re-targets must
 //! *move* all tagged entries (instead of one OID), and the collapsed link
-//! cannot be shared with ordinary links.
-//!
-//! Chunked on-disk entry format (16 bytes per entry, sorted by source):
-//!
-//! ```text
-//! [0xCC] [count u16] [next chunk OID, 8B] [(src OID 8B, via OID 8B)…]
-//! ```
+//! cannot be shared with ordinary links. While the chain past the
+//! intermediate is broken, its entries are *parked* on the intermediate;
+//! a routing intermediate carries a `CollapsedVia` marker.
 
+use crate::chain;
 use crate::error::Result;
-use crate::objects::LINK_TAG;
+use crate::objects::{read_object, write_object};
+use crate::WriteCtx;
 use fieldrep_catalog::LinkDef;
 use fieldrep_model::{Annotation, Object};
-use fieldrep_storage::{ApplySection, HeapFile, Oid, StorageManager, MAX_RECORD_PAYLOAD};
-
-/// Marker byte distinguishing collapsed chunks from ordinary link chunks.
-pub const COLLAPSED_MARK: u8 = 0xCC;
-/// Chunk header bytes.
-pub const CHUNK_HEADER: usize = 1 + 2 + 8;
-/// Maximum `(src, via)` pairs per chunk.
-pub const MAX_CHUNK_PAIRS: usize = (MAX_RECORD_PAYLOAD - CHUNK_HEADER) / 16; // 251
+use fieldrep_storage::{Oid, StorageManager};
 
 /// One tagged entry: the source object and the intermediate it goes
 /// through.
 pub type TaggedEntry = (Oid, Oid);
 
-/// Encode one chunk of a collapsed store.
-pub fn encode_chunk(next: Option<Oid>, entries: &[TaggedEntry]) -> Vec<u8> {
-    debug_assert!(entries.len() <= MAX_CHUNK_PAIRS);
-    debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "sorted by src");
-    let mut out = Vec::with_capacity(CHUNK_HEADER + entries.len() * 16);
-    out.push(COLLAPSED_MARK);
-    out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-    out.extend_from_slice(&next.unwrap_or(Oid::NULL).to_bytes());
-    for (src, via) in entries {
-        out.extend_from_slice(&src.to_bytes());
-        out.extend_from_slice(&via.to_bytes());
-    }
-    out
-}
-
-/// Decode one chunk into `(next, entries)`.
-pub fn decode_chunk(b: &[u8]) -> (Option<Oid>, Vec<TaggedEntry>) {
-    debug_assert_eq!(b[0], COLLAPSED_MARK, "not a collapsed chunk");
-    let n = u16::from_le_bytes([b[1], b[2]]) as usize;
-    let next = Oid::from_bytes(&b[3..11]);
-    let next = (!next.is_null()).then_some(next);
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = CHUNK_HEADER + i * 16;
-        entries.push((
-            Oid::from_bytes(&b[off..off + 8]),
-            Oid::from_bytes(&b[off + 8..off + 16]),
-        ));
-    }
-    (next, entries)
-}
-
-/// Create a collapsed store from entries sorted by source OID; returns the
-/// head chunk OID (stable for the store's lifetime).
-pub fn create_store(w: &ApplySection<'_>, link: &LinkDef, entries: &[TaggedEntry]) -> Result<Oid> {
-    let hf = HeapFile::open(link.file);
-    let chunks: Vec<&[TaggedEntry]> = entries.chunks(MAX_CHUNK_PAIRS).collect();
-    let mut next = None;
-    for chunk in chunks.iter().rev() {
-        let oid = hf.rec_insert(w, LINK_TAG, &encode_chunk(next, chunk))?;
-        next = Some(oid);
-    }
-    match next {
-        Some(h) => Ok(h),
-        None => Ok(hf.rec_insert(w, LINK_TAG, &encode_chunk(None, &[]))?),
-    }
-}
-
-/// Read every entry of a collapsed store, sorted by source.
-pub fn read_store(sm: &StorageManager, link: &LinkDef, head: Oid) -> Result<Vec<TaggedEntry>> {
-    let hf = HeapFile::open(link.file);
-    let mut out = Vec::new();
-    let mut cur = Some(head);
-    while let Some(oid) = cur {
-        let (_, payload) = hf.read(sm, oid)?;
-        let (next, entries) = decode_chunk(&payload);
-        out.extend(entries);
-        cur = next;
-    }
-    Ok(out)
-}
-
-/// Find the collapsed-store head for `link_id` on a terminal object.
+/// Find the collapsed-store head for `link_id` on a holder.
 pub fn find_store(obj: &Object, link_id: u8) -> Option<Oid> {
     obj.annotations.iter().find_map(|a| match a {
         Annotation::LinkRef { link, oid } if *link == link_id => Some(*oid),
@@ -107,158 +36,9 @@ pub fn find_store(obj: &Object, link_id: u8) -> Option<Oid> {
     })
 }
 
-/// All entries of `terminal_obj`'s collapsed store for `link` (empty if
-/// none).
-pub fn members(
-    sm: &StorageManager,
-    terminal_obj: &Object,
-    link: &LinkDef,
-) -> Result<Vec<TaggedEntry>> {
-    match find_store(terminal_obj, link.id.0) {
-        None => Ok(Vec::new()),
-        Some(head) => read_store(sm, link, head),
-    }
-}
-
-/// Rewrite a whole store in place (head OID preserved): used by the
-/// mutation helpers below. Deletes surplus chunks / allocates new ones as
-/// needed.
-fn rewrite_store(
-    w: &ApplySection<'_>,
-    link: &LinkDef,
-    head: Oid,
-    entries: &[TaggedEntry],
-) -> Result<()> {
-    let hf = HeapFile::open(link.file);
-    // Collect the existing chain.
-    let mut chain = vec![head];
-    {
-        let mut cur = head;
-        loop {
-            let (_, payload) = hf.read(w, cur)?;
-            let (next, _) = decode_chunk(&payload);
-            match next {
-                Some(n) => {
-                    chain.push(n);
-                    cur = n;
-                }
-                None => break,
-            }
-        }
-    }
-    let chunks: Vec<&[TaggedEntry]> = if entries.is_empty() {
-        vec![&[][..]]
-    } else {
-        entries.chunks(MAX_CHUNK_PAIRS).collect()
-    };
-    // Allocate extra chunk records if the new content needs more.
-    while chain.len() < chunks.len() {
-        let oid = hf.rec_insert(w, LINK_TAG, &encode_chunk(None, &[]))?;
-        chain.push(oid);
-    }
-    // Free surplus records (never the head).
-    while chain.len() > chunks.len().max(1) {
-        let victim = chain.pop().unwrap();
-        hf.rec_delete(w, victim)?;
-    }
-    // Write chunks front to back with correct next pointers.
-    for (i, chunk) in chunks.iter().enumerate() {
-        let next = chain.get(i + 1).copied();
-        hf.rec_update(w, chain[i], &encode_chunk(next, chunk))?;
-    }
-    Ok(())
-}
-
-/// Insert `(src, via)` into the store headed at `head` (idempotent on
-/// `src`). Returns `true` if newly added.
-pub fn store_add(
-    w: &ApplySection<'_>,
-    link: &LinkDef,
-    head: Oid,
-    entry: TaggedEntry,
-) -> Result<bool> {
-    let mut entries = read_store(w, link, head)?;
-    match entries.binary_search_by_key(&entry.0, |e| e.0) {
-        Ok(pos) => {
-            if entries[pos].1 == entry.1 {
-                return Ok(false);
-            }
-            entries[pos].1 = entry.1; // re-tag (source re-routed)
-        }
-        Err(pos) => entries.insert(pos, entry),
-    }
-    rewrite_store(w, link, head, &entries)?;
-    Ok(true)
-}
-
-/// Remove the entry for `src`. Returns `(removed_via, remaining_total,
-/// remaining_with_same_via)`.
-pub fn store_remove(
-    w: &ApplySection<'_>,
-    link: &LinkDef,
-    head: Oid,
-    src: Oid,
-) -> Result<(Option<Oid>, usize, usize)> {
-    let mut entries = read_store(w, link, head)?;
-    let removed = match entries.binary_search_by_key(&src, |e| e.0) {
-        Ok(pos) => Some(entries.remove(pos).1),
-        Err(_) => None,
-    };
-    let remaining = entries.len();
-    let same_via = removed
-        .map(|v| entries.iter().filter(|(_, via)| *via == v).count())
-        .unwrap_or(0);
-    if removed.is_some() {
-        if remaining == 0 {
-            // Caller deletes the store + annotation.
-            destroy_store(w, link, head)?;
-        } else {
-            rewrite_store(w, link, head, &entries)?;
-        }
-    }
-    Ok((removed, remaining, same_via))
-}
-
-/// Remove every entry tagged `via`, returning the source OIDs (sorted).
-pub fn store_remove_tagged(
-    w: &ApplySection<'_>,
-    link: &LinkDef,
-    head: Oid,
-    via: Oid,
-) -> Result<(Vec<Oid>, usize)> {
-    let entries = read_store(w, link, head)?;
-    let (moved, kept): (Vec<TaggedEntry>, Vec<TaggedEntry>) =
-        entries.into_iter().partition(|(_, v)| *v == via);
-    let remaining = kept.len();
-    if !moved.is_empty() {
-        if kept.is_empty() {
-            destroy_store(w, link, head)?;
-        } else {
-            rewrite_store(w, link, head, &kept)?;
-        }
-    }
-    Ok((moved.into_iter().map(|(s, _)| s).collect(), remaining))
-}
-
-/// Number of entries tagged `via`.
-pub fn count_tagged(sm: &StorageManager, link: &LinkDef, head: Oid, via: Oid) -> Result<usize> {
-    Ok(read_store(sm, link, head)?
-        .iter()
-        .filter(|(_, v)| *v == via)
-        .count())
-}
-
-/// Delete every chunk of a store.
-pub fn destroy_store(w: &ApplySection<'_>, link: &LinkDef, head: Oid) -> Result<()> {
-    let hf = HeapFile::open(link.file);
-    let mut cur = Some(head);
-    while let Some(oid) = cur {
-        let (_, payload) = hf.read(w, oid)?;
-        let (next, _) = decode_chunk(&payload);
-        hf.rec_delete(w, oid)?;
-        cur = next;
-    }
-    Ok(())
+/// All entries of `holder`'s collapsed store for `link` (empty if none).
+pub fn members(sm: &StorageManager, holder: &Object, link: &LinkDef) -> Result<Vec<TaggedEntry>> {
+    find_store(holder, link.id.0).map_or(Ok(Vec::new()), |head| chain::read(sm, link, head))
 }
 
 /// Find whether an object carries the `CollapsedVia` marker for `link`.
@@ -268,10 +48,97 @@ pub fn has_via_marker(obj: &Object, link_id: u8) -> bool {
         .any(|a| matches!(a, Annotation::CollapsedVia { link } if *link == link_id))
 }
 
+/// The one holder sequence: find `holder`'s store for `link`, let `edit`
+/// change it (`None`: no store, before or after), and keep the holder's
+/// annotation in step — added with a new store, dropped with an emptied
+/// one.
+fn edit_store(
+    ctx: &WriteCtx<'_>,
+    link: &LinkDef,
+    holder: Oid,
+    edit: impl FnOnce(Option<Oid>) -> Result<Option<Oid>>,
+) -> Result<()> {
+    let mut obj = read_object(ctx.w, ctx.cat, holder)?;
+    let before = find_store(&obj, link.id.0);
+    let after = edit(before)?;
+    if after != before {
+        let id = link.id.0;
+        obj.annotations
+            .retain(|a| !matches!(a, Annotation::LinkRef { link, .. } if *link == id));
+        obj.annotations
+            .extend(after.map(|oid| Annotation::LinkRef { link: id, oid }));
+        write_object(ctx.w, ctx.cat, holder, &obj)?;
+    }
+    Ok(())
+}
+
+/// Add `entries` (sorted by source) to `holder`'s store, creating it if
+/// absent; an entry already there is re-tagged.
+pub fn tag(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, entries: &[TaggedEntry]) -> Result<()> {
+    edit_store(ctx, link, holder, |head| match head {
+        Some(head) => {
+            for &e in entries {
+                chain::insert(ctx.w, link, head, e)?;
+            }
+            Ok(Some(head))
+        }
+        None => chain::create(ctx.w, link, entries).map(Some),
+    })
+}
+
+/// Remove `src`'s entry from `holder`'s store. Returns whether it was
+/// tagged `via` and `via` now routes nothing else through this holder.
+pub fn untag(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, src: Oid, via: Oid) -> Result<bool> {
+    let (mut removed, mut routes) = (None, false);
+    edit_store(ctx, link, holder, |head| {
+        let Some(head) = head else { return Ok(None) };
+        let mut left = 0;
+        removed = chain::remove(ctx.w, link, head, src, |e: &TaggedEntry| {
+            left += 1;
+            routes |= e.1 == via;
+        })?;
+        Ok((left > 0).then_some(head))
+    })?;
+    Ok(removed.is_some_and(|(_, v)| v == via) && !routes)
+}
+
+/// Remove every entry tagged `via` from `holder`'s store — the one
+/// whole-store rewrite, since one intermediate's entries lie scattered
+/// across the chain.
+pub fn remove_tagged(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, via: Oid) -> Result<()> {
+    edit_store(ctx, link, holder, |head| {
+        let Some(head) = head else { return Ok(None) };
+        let all: Vec<TaggedEntry> = chain::read(ctx.w, link, head)?;
+        let kept: Vec<TaggedEntry> = all.iter().copied().filter(|e| e.1 != via).collect();
+        if kept.is_empty() {
+            chain::destroy::<TaggedEntry>(ctx.w, link, head)?;
+            return Ok(None);
+        }
+        if kept.len() < all.len() {
+            chain::rewrite(ctx.w, link, head, &kept)?;
+        }
+        Ok(Some(head))
+    })
+}
+
+/// Set (`on`) or clear the `CollapsedVia` marker for `link` on `via`.
+pub fn mark_via(ctx: &WriteCtx<'_>, link: u8, via: Oid, on: bool) -> Result<()> {
+    let mut obj = read_object(ctx.w, ctx.cat, via)?;
+    if has_via_marker(&obj, link) == on {
+        return Ok(());
+    }
+    obj.annotations
+        .retain(|a| !matches!(a, Annotation::CollapsedVia { link: l } if *l == link));
+    obj.annotations
+        .extend(on.then_some(Annotation::CollapsedVia { link }));
+    write_object(ctx.w, ctx.cat, via, &obj)
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use fieldrep_storage::FileId;
+    use super::TaggedEntry;
+    use crate::chain::{decode_chunk, encode_chunk, Entry, CHUNK_HEADER, COLLAPSED_MARK};
+    use fieldrep_storage::{FileId, Oid};
 
     #[test]
     fn chunk_codec_roundtrip() {
@@ -281,8 +148,8 @@ mod tests {
             (Oid::new(FileId(1), 1, 0), Oid::new(FileId(2), 6, 0)),
         ];
         let next = Some(Oid::new(FileId(9), 1, 1));
-        let enc = encode_chunk(next, &entries);
-        let (n, back) = decode_chunk(&enc);
+        let enc = encode_chunk(COLLAPSED_MARK, next, &entries);
+        let (n, back) = decode_chunk::<TaggedEntry>(COLLAPSED_MARK, &enc).unwrap();
         assert_eq!(n, next);
         assert_eq!(back, entries);
         assert_eq!(enc.len(), CHUNK_HEADER + 3 * 16);
@@ -290,6 +157,6 @@ mod tests {
 
     #[test]
     fn pair_capacity() {
-        assert_eq!(MAX_CHUNK_PAIRS, 251);
+        assert_eq!(TaggedEntry::CAPACITY, 251);
     }
 }

@@ -12,7 +12,7 @@ use crate::objects::{read_object, ref_target, value_key, view_object, write_obje
 use crate::propagate::{apply_plan, is_referenced};
 use crate::replicas::{find_anchor, group_values, write_replica};
 use crate::ripple::{ChainPlan, RipplePlan};
-use crate::{links, DbConfig, EngineCtx, WriteCtx};
+use crate::{chain, links, DbConfig, EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
     Catalog, GroupId, IndexId, IndexKind, IndexTarget, LinkId, PathId, Propagation, RepPathDef,
@@ -501,7 +501,7 @@ impl Database {
                         oids: members,
                     });
                 } else {
-                    let head = links::create_link_store(w, &link, &members)?;
+                    let head = chain::create(w, &link, &members)?;
                     let ctx2 = self.ctx();
                     tobj = read_object(ctx2.sm, ctx2.cat, *target)?;
                     tobj.annotations.push(Annotation::LinkRef {
@@ -606,31 +606,18 @@ impl Database {
             chains.push((src, chain));
         }
 
+        let mut ctx = self.write_ctx(w);
         if link_is_new {
             for (holder, mut entries) in holders {
                 entries.sort_unstable_by_key(|e| e.0);
-                let head = crate::collapsed::create_store(w, &link, &entries)?;
-                let ctx = self.ctx();
-                let mut hobj = read_object(ctx.sm, ctx.cat, holder)?;
-                hobj.annotations.push(Annotation::LinkRef {
-                    link: link.id.0,
-                    oid: head,
-                });
-                write_object(w, ctx.cat, holder, &hobj)?;
+                crate::collapsed::tag(&ctx, &link, holder, &entries)?;
             }
             for via in vias {
-                let ctx = self.ctx();
-                let mut dobj = read_object(ctx.sm, ctx.cat, via)?;
-                if !crate::collapsed::has_via_marker(&dobj, link.id.0) {
-                    dobj.annotations
-                        .push(Annotation::CollapsedVia { link: link.id.0 });
-                    write_object(w, ctx.cat, via, &dobj)?;
-                }
+                crate::collapsed::mark_via(&ctx, link.id.0, via, true)?;
             }
         }
 
         // Values.
-        let mut ctx = self.write_ctx(w);
         for (src, chain) in &chains {
             let values = crate::attach::values_at(&mut ctx, path, chain[2])?;
             crate::attach::set_source_replica_values(
@@ -1101,7 +1088,7 @@ impl Database {
                 .map(|(src, _)| src)
                 .collect());
         }
-        crate::links::link_members(ctx.sm, &obj, &ldef)
+        links::link_members(ctx.sm, &obj, &ldef)
     }
 
     /// Convenience: inverse of a 1-hop reference path given as

@@ -18,6 +18,7 @@
 //! propagation.
 
 pub mod attach;
+pub mod chain;
 pub mod collapsed;
 pub mod database;
 pub mod error;

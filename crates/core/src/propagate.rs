@@ -362,36 +362,9 @@ fn move_collapsed_entries(
     members: &[Oid],
 ) -> Result<()> {
     let link = ctx.cat.link(path.links[0]);
-    let hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
-    if let Some(head) = collapsed::find_store(&hobj, link.id.0) {
-        let (_, remaining) = collapsed::store_remove_tagged(ctx.w, link, head, via)?;
-        if remaining == 0 {
-            let mut hobj = read_object(ctx.sm, ctx.cat, old_holder)?;
-            hobj.annotations
-                .retain(|a| !matches!(a, Annotation::LinkRef { link: l, .. } if *l == link.id.0));
-            write_object(ctx.w, ctx.cat, old_holder, &hobj)?;
-        }
-    }
-    let new_holder = new_terminal.unwrap_or(via);
-    let hobj = read_object(ctx.sm, ctx.cat, new_holder)?;
-    match collapsed::find_store(&hobj, link.id.0) {
-        Some(head) => {
-            for &s in members {
-                collapsed::store_add(ctx.w, link, head, (s, via))?;
-            }
-        }
-        None => {
-            let entries: Vec<(Oid, Oid)> = members.iter().map(|&s| (s, via)).collect();
-            let head = collapsed::create_store(ctx.w, link, &entries)?;
-            let mut hobj = read_object(ctx.sm, ctx.cat, new_holder)?;
-            hobj.annotations.push(Annotation::LinkRef {
-                link: link.id.0,
-                oid: head,
-            });
-            write_object(ctx.w, ctx.cat, new_holder, &hobj)?;
-        }
-    }
-    Ok(())
+    collapsed::remove_tagged(ctx, link, old_holder, via)?;
+    let entries: Vec<(Oid, Oid)> = members.iter().map(|&s| (s, via)).collect();
+    collapsed::tag(ctx, link, new_terminal.unwrap_or(via), &entries)
 }
 
 /// Guard for deletes: true if other objects still reach this one through

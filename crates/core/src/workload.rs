@@ -10,8 +10,8 @@
 //! The registry is per-[`Database`](crate::Database) (no global state —
 //! parallel tests never pollute each other) but mirrors aggregate totals
 //! into the process-wide [`fieldrep_obs::metrics`] registry under the
-//! `core.workload.*` names, so the timeline sampler and the flight
-//! recorder see workload movement alongside the storage counters.
+//! `core.workload.*` names, so `sys.metrics` and the JSONL metrics
+//! export show workload movement alongside the storage counters.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

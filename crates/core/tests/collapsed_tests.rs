@@ -5,9 +5,10 @@ mod common;
 
 use common::check_consistency;
 use fieldrep_catalog::{Propagation, Strategy};
-use fieldrep_core::{Database, DbConfig, DbError};
+use fieldrep_core::{collapsed, Database, DbConfig, DbError};
 use fieldrep_model::{Annotation, FieldType, TypeDef, Value};
-use fieldrep_storage::Oid;
+use fieldrep_storage::{FileId, HeapFile, Oid};
+use std::collections::BTreeMap;
 
 fn sval(s: &str) -> Value {
     Value::Str(s.into())
@@ -369,4 +370,163 @@ fn collapsed_and_uncollapsed_agree() {
             .collect()
     };
     assert_eq!(run(false), run(true));
+}
+
+/// Every record of a link file, by OID: what a chunk edit changes.
+fn link_records(db: &Database, file: FileId) -> BTreeMap<Oid, Vec<u8>> {
+    let mut scan = HeapFile::open(file).scan(db.sm()).unwrap();
+    let mut out = BTreeMap::new();
+    while let Some((oid, _, payload)) = scan.next_record().unwrap() {
+        out.insert(oid, payload);
+    }
+    out
+}
+
+/// Records of `after` that are new or whose payload differs from `before`.
+fn records_changed(before: &BTreeMap<Oid, Vec<u8>>, after: &BTreeMap<Oid, Vec<u8>>) -> usize {
+    after
+        .iter()
+        .filter(|(o, p)| before.get(o) != Some(p))
+        .count()
+}
+
+#[test]
+fn a_collapsed_store_past_one_chunk_edits_one_chunk_per_source() {
+    // The twin of the link-store test in engine_tests: 600 sources through
+    // one terminal fill ⌈600/251⌉ = 3 chunks of one tagged store.
+    let mut db = employee_db();
+    let org = |db: &mut Database, n: &str| db.insert("Org", vec![sval(n), Value::Int(0)]).unwrap();
+    let (big, spare) = (org(&mut db, "big"), org(&mut db, "spare"));
+    let depts: Vec<Oid> = (0..6)
+        .map(|i| {
+            db.insert("Dept", vec![sval(&format!("d{i}")), Value::Ref(big)])
+                .unwrap()
+        })
+        .collect();
+    // Off the path for now, and below every other source in OID order: a
+    // source that joins later lands in the head chunk, not the tail.
+    let late: Vec<Oid> = (0..2)
+        .map(|i| {
+            db.insert(
+                "Emp1",
+                vec![sval(&format!("late{i}")), Value::Ref(Oid::NULL)],
+            )
+            .unwrap()
+        })
+        .collect();
+    let emps: Vec<Oid> = (0..600)
+        .map(|i| {
+            db.insert(
+                "Emp1",
+                vec![sval(&format!("e{i}")), Value::Ref(depts[i % 6])],
+            )
+            .unwrap()
+        })
+        .collect();
+    let p = db
+        .replicate_collapsed("Emp1.dept.org.name", Propagation::Eager)
+        .unwrap();
+    check_consistency(&mut db);
+    let link = db.catalog().links().next().unwrap().clone();
+    let head_of = |db: &Database| collapsed::find_store(&db.get(big).unwrap(), link.id.0);
+    let head = head_of(&db);
+    assert!(head.is_some());
+    assert_eq!(link_records(&db, link.file).len(), 3);
+
+    // A source joining (the first splits the full head chunk) or leaving
+    // edits the one chunk it belongs in, not the whole store.
+    let mut before = link_records(&db, link.file);
+    for (step, want) in [(0, 2), (1, 1), (2, 1)] {
+        match step {
+            2 => db.delete(emps[0]).unwrap(),
+            i => db
+                .update(late[i], &[("dept", Value::Ref(depts[0]))])
+                .unwrap(),
+        }
+        let after = link_records(&db, link.file);
+        assert_eq!(records_changed(&before, &after), want, "step {step}");
+        assert_eq!(head_of(&db), head, "the head OID is stable");
+        check_consistency(&mut db);
+        before = after;
+    }
+
+    // Emptying a chunk unlinks it: the tail from its predecessor, the head
+    // by absorbing its successor, so the head keeps its OID.
+    let tagged = |db: &Database, o: Oid, d: Option<Oid>| -> Vec<Oid> {
+        let entries = collapsed::members(db.sm(), &db.get(o).unwrap(), &link).unwrap();
+        let of_d = entries.into_iter().filter(|e| d.is_none_or(|d| e.1 == d));
+        of_d.map(|e| e.0).collect()
+    };
+    for from_tail in [true, false] {
+        let mut sources = tagged(&db, big, None);
+        if from_tail {
+            sources.reverse();
+        }
+        let records = link_records(&db, link.file).len();
+        let emptied = sources.iter().position(|&s| {
+            db.delete(s).unwrap();
+            link_records(&db, link.file).len() < records
+        });
+        assert!(emptied.is_some_and(|k| k < 251), "tail {from_tail}");
+        assert_eq!(link_records(&db, link.file).len(), records - 1);
+        assert_eq!(head_of(&db), head);
+        check_consistency(&mut db);
+    }
+
+    // A terminal rename reaches every source through the one store.
+    db.update(big, &[("name", sval("BIG"))]).unwrap();
+    check_consistency(&mut db);
+    for e in tagged(&db, big, None) {
+        assert_eq!(db.path_values(e, p).unwrap(), Some(vec![sval("BIG")]));
+    }
+
+    // Re-targeting d1 moves exactly its tagged entries to the spare org.
+    let moving = tagged(&db, big, Some(depts[1]));
+    assert!(!moving.is_empty());
+    db.update(depts[1], &[("org", Value::Ref(spare))]).unwrap();
+    check_consistency(&mut db);
+    assert!(tagged(&db, big, Some(depts[1])).is_empty());
+    assert_eq!(tagged(&db, spare, Some(depts[1])), moving);
+    assert_eq!(head_of(&db), head);
+    for &e in &moving {
+        assert_eq!(db.path_values(e, p).unwrap(), Some(vec![sval("spare")]));
+    }
+}
+
+#[test]
+fn a_malformed_chunk_is_a_typed_error_not_a_panic() {
+    // A short record, a count past its entries, a foreign mark: in a link
+    // store and in a collapsed store alike, the inverse and a terminal
+    // update that must read the store return an error.
+    for tagged in [false, true] {
+        for damage in 0..3 {
+            let mut db = employee_db();
+            let w = populate(&mut db);
+            let target = if tagged {
+                db.replicate_collapsed("Emp1.dept.org.name", Propagation::Eager)
+                    .unwrap();
+                w.orgs[0]
+            } else {
+                db.replicate("Emp1.dept.name", Strategy::InPlace).unwrap();
+                w.depts[0]
+            };
+            let link = db.catalog().links().next().unwrap().clone();
+            let head = collapsed::find_store(&db.get(target).unwrap(), link.id.0).unwrap();
+            let hf = HeapFile::open(link.file);
+            let (_, mut bytes) = hf.read(db.sm(), head).unwrap();
+            match damage {
+                0 => bytes.truncate(5),
+                1 => bytes[1] += 1,
+                _ => bytes[0] ^= 0x40,
+            }
+            {
+                let w = db.sm().apply_section();
+                hf.rec_update(&w, head, &bytes).unwrap();
+            }
+            let case = format!("collapsed {tagged}, damage {damage}");
+            assert!(db.inverse(link.id, target).is_err(), "inverse: {case}");
+            let rename = db.update(target, &[("name", sval("renamed"))]);
+            assert!(rename.is_err(), "terminal update: {case}");
+        }
+    }
 }

@@ -12,8 +12,9 @@
 //! 3. every replica anchor's refcount equals the number of source objects
 //!    sharing it, and replica values match the terminal object.
 
-use fieldrep_catalog::LinkId;
-use fieldrep_core::{Database, LINK_TAG, REPLICA_TAG};
+use fieldrep_catalog::{LinkDef, LinkId};
+use fieldrep_core::chain::{self, Entry};
+use fieldrep_core::{Database, REPLICA_TAG};
 use fieldrep_model::{Annotation, Value};
 use fieldrep_storage::{HeapFile, Oid};
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,12 +40,42 @@ fn chain_of(db: &mut Database, oid: Oid, hops: &[usize]) -> Vec<Option<Oid>> {
     chain
 }
 
+/// Walk the link store at `head` through the shared chunk decoder, which
+/// checks each chunk's record tag, mark byte (level, or the collapsed
+/// mark) and length, and check what both kinds of store promise: every
+/// chunk within capacity, no empty chunk but a lone head, keys ascending
+/// across the whole chain. Returns the entries; adds the chunks to
+/// `chunks`.
+fn walk_store<E: Entry>(db: &Database, link: &LinkDef, head: Oid, chunks: &mut u64) -> Vec<E> {
+    let (mut entries, mut lens) = (Vec::new(), Vec::new());
+    chain::walk::<E>(db.sm(), link, head, |_, chunk| {
+        lens.push(chunk.len());
+        entries.extend(chunk);
+        Ok(())
+    })
+    .unwrap_or_else(|e| panic!("store {head} of link {}: {e}", link.id.0));
+    assert!(
+        lens.iter().all(|&n| n <= E::CAPACITY),
+        "chunk over capacity in store {head}: {lens:?}"
+    );
+    assert!(
+        lens.len() == 1 || !lens.contains(&0),
+        "empty chunk in store {head}: {lens:?}"
+    );
+    assert!(
+        entries.windows(2).all(|x| x[0].key() < x[1].key()),
+        "keys ascend across store {head}"
+    );
+    *chunks += lens.len() as u64;
+    entries
+}
+
 /// Check one §4.3.3 collapsed link: every complete-or-parked chain has
 /// exactly one tagged entry at the right holder; `CollapsedVia` markers
 /// exist exactly on routing intermediates; no orphan chunks.
 fn check_collapsed_link(
     db: &mut Database,
-    link: &fieldrep_catalog::LinkDef,
+    link: &LinkDef,
     set_names: &[(fieldrep_catalog::SetId, String)],
 ) {
     let src_set_name = set_names
@@ -88,22 +119,7 @@ fn check_collapsed_link(
                 (None, Some(w)) => panic!("holder {h} missing collapsed store ({w:?})"),
                 (Some(_), None) => panic!("holder {h} has a stale collapsed store"),
                 (Some(head), Some(w)) => {
-                    // Walk the chunk chain manually to count chunks.
-                    let hf = HeapFile::open(link.file);
-                    let mut cur = Some(head);
-                    let mut entries = Vec::new();
-                    while let Some(c) = cur {
-                        chunks_seen += 1;
-                        let (tag, payload) = hf.read(db.sm(), c).unwrap();
-                        assert_eq!(tag, LINK_TAG);
-                        let (next, chunk) = fieldrep_core::collapsed::decode_chunk(&payload);
-                        entries.extend(chunk);
-                        cur = next;
-                    }
-                    assert!(
-                        entries.windows(2).all(|x| x[0].0 < x[1].0),
-                        "collapsed entries sorted by source on {h}"
-                    );
+                    let entries: Vec<(Oid, Oid)> = walk_store(db, link, head, &mut chunks_seen);
                     let got: BTreeSet<(Oid, Oid)> = entries.into_iter().collect();
                     assert_eq!(&got, w, "collapsed entries for holder {h}");
                 }
@@ -220,32 +236,12 @@ pub(crate) fn check_consistency(db: &mut Database) {
                         );
                     }
                     (Some(Annotation::LinkRef { oid, .. }), Some(w)) => {
-                        // Count the chunks of this store and verify the
-                        // chunk-chain invariants along the way.
-                        let hf = HeapFile::open(link.file);
-                        let mut cur = Some(*oid);
-                        let mut members: Vec<Oid> = Vec::new();
-                        while let Some(c) = cur {
-                            link_objects_seen += 1;
-                            let (tag, payload) = hf.read(db.sm(), c).unwrap();
-                            assert_eq!(tag, LINK_TAG);
-                            let (_, next, chunk) = fieldrep_core::links::decode_chunk(&payload);
-                            assert!(
-                                chunk.len() <= fieldrep_core::links::MAX_CHUNK_MEMBERS,
-                                "chunk within capacity on {t}"
-                            );
-                            members.extend(chunk);
-                            cur = next;
-                        }
+                        let members: Vec<Oid> = walk_store(db, link, *oid, &mut link_objects_seen);
                         assert!(
                             db.config().inline_link_threshold == 0
                                 || link.level != 0
                                 || members.len() > db.config().inline_link_threshold,
                             "link store on {t} should have been inlined"
-                        );
-                        assert!(
-                            members.windows(2).all(|x| x[0] < x[1]),
-                            "link members globally sorted for {t}"
                         );
                         let got: BTreeSet<Oid> = members.into_iter().collect();
                         assert_eq!(&got, w, "link-store members for {t}");

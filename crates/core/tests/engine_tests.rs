@@ -6,7 +6,7 @@ mod common;
 
 use common::check_consistency;
 use fieldrep_catalog::{IndexKind, Strategy};
-use fieldrep_core::links::MAX_CHUNK_MEMBERS;
+use fieldrep_core::chain::Entry;
 use fieldrep_core::{Database, DbConfig, DbError};
 use fieldrep_model::{Annotation, FieldType, TypeDef, Value};
 use fieldrep_storage::{HeapFile, Oid};
@@ -463,7 +463,7 @@ fn a_link_store_past_one_chunk_chains_and_propagates() {
     let links: Vec<_> = db.catalog().links().cloned().collect();
     assert_eq!(links.len(), 1);
     let chunks = HeapFile::open(links[0].file).count(db.sm()).unwrap();
-    assert_eq!(chunks, N.div_ceil(MAX_CHUNK_MEMBERS) as u64);
+    assert_eq!(chunks, N.div_ceil(Oid::CAPACITY) as u64);
     assert_eq!(chunks, 3);
 
     db.update(d, &[("name", sval("Bigger"))]).unwrap();
