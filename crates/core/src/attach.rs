@@ -20,7 +20,8 @@
 //! ([`fieldrep_storage::HeapFile::edit_pinned`] over
 //! [`fieldrep_model::ObjectView`]'s edits) instead of decoding, changing
 //! and re-encoding the object: a fan-out visits each source page once
-//! (`for_each_page_group`) and changes on it what the update changed.
+//! ([`fieldrep_storage::StorageManager::visit_sorted`], the one batched
+//! walk) and changes on it what the update changed.
 
 use crate::collapsed;
 use crate::error::{DbError, Result};
@@ -32,40 +33,7 @@ use crate::{EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{RepPathDef, Strategy};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
-use fieldrep_storage::{HeapFile, Oid, PageHandle, StorageError, StorageManager};
-
-/// Process a physically-sorted OID batch page-group by page-group: split
-/// it into chunks of at most half-the-pool distinct pages
-/// ([`fieldrep_storage::oid_page_chunks`]), batch-fetch each chunk's
-/// pages with grouped disk reads, and invoke `f` for every OID with the
-/// pinned handle of its page — so all co-located OIDs are rewritten under
-/// one pin, through that pin, the §4.1.3 payoff of keeping link-object
-/// OIDs sorted. Returns the number of distinct pages the batch spanned.
-pub(crate) fn for_each_page_group(
-    sm: &StorageManager,
-    oids: &[Oid],
-    mut f: impl FnMut(&PageHandle, Oid) -> Result<()>,
-) -> Result<usize> {
-    debug_assert!(oids.is_sorted(), "page grouping expects physical order");
-    // Half the pool keeps enough free frames for the work `f` does under
-    // the pins (forwarding, link pages, replica objects).
-    let max_pages = (sm.pool().capacity() / 2).clamp(1, 32);
-    let mut pages_total = 0;
-    let mut chunks = fieldrep_storage::oid_page_chunks(oids, max_pages, |o| *o);
-    while let Some((range, pages)) = chunks.next_chunk() {
-        pages_total += pages.len();
-        let pinned = sm.get_pages_batch(pages)?;
-        // Both run in page order: the handle of an OID's page is the
-        // current one or the next.
-        let mut handles = pinned.iter().peekable();
-        for &oid in &oids[range] {
-            while handles.next_if(|h| h.pid != oid.page_id()).is_some() {}
-            let page = handles.peek().ok_or(StorageError::InvalidOid(oid))?;
-            f(page, oid)?;
-        }
-    }
-    Ok(pages_total)
-}
+use fieldrep_storage::{HeapFile, Oid, PageHandle};
 
 /// Walk the forward chain of `path` starting from the already-loaded
 /// source object. `chain[0] = Some(source)`; `chain[i+1]` is the object
@@ -390,10 +358,10 @@ pub fn collect_sources(
         return Ok(members); // already sorted
     }
     let mut out = Vec::new();
-    for_each_page_group(ctx.sm, &members, |_, m| {
+    ctx.sm.visit_sorted(&members, |_, m, _| {
         let mobj = read_object(ctx.sm, ctx.cat, m)?;
         out.extend(collect_sources(ctx, path, at_level - 1, &mobj)?);
-        Ok(())
+        Ok::<_, DbError>(())
     })?;
     out.sort_unstable();
     out.dedup();

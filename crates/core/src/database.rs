@@ -913,6 +913,9 @@ impl Database {
     /// eager paths or when nothing is pending). Returns the number of
     /// work items applied.
     pub fn sync_path(&self, path: PathId) -> Result<usize> {
+        if self.pending.count(path) == 0 {
+            return Ok(0);
+        }
         self.apply_and_commit(|db, w| db.sync_pending(w, path))
     }
 
@@ -947,7 +950,7 @@ impl Database {
                     sources.dedup();
                     // Refresh the stale sources page-group by page-group
                     // (sorted physical order, one grouped read per run).
-                    crate::attach::for_each_page_group(ctx.sm, &sources, |page, s| {
+                    ctx.sm.visit_sorted(&sources, |page, s, _| {
                         let hop =
                             view_object(ctx.sm, ctx.cat, Some(page), s, |v| v.field(pdef.hops[0]))?;
                         let next = ref_target(&hop);
@@ -996,7 +999,7 @@ impl Database {
         let dropped_group = removed.dropped_group.clone();
         let w = self.sm.apply_section();
         let mut ctx = self.write_ctx(&w);
-        crate::attach::for_each_page_group(ctx.sm, &sources, |page, src| {
+        ctx.sm.visit_sorted(&sources, |page, src, _| {
             match (pdef.strategy, &dropped_group) {
                 (Strategy::InPlace, _) => {
                     crate::attach::set_source_replica_values(&mut ctx, pdef, Some(page), src, None)

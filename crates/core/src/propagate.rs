@@ -21,8 +21,8 @@
 //! discovers them.
 
 use crate::attach::{
-    attach_links_from, attach_path, detach_links_from, detach_path, for_each_page_group,
-    set_source_replica_ref, set_source_replica_values, terminal_values, values_at,
+    attach_links_from, attach_path, detach_links_from, detach_path, set_source_replica_ref,
+    set_source_replica_values, terminal_values, values_at,
 };
 use crate::collapsed;
 use crate::error::{DbError, Result};
@@ -276,7 +276,7 @@ fn propagate_terminal_inplace(
     let values = Value::encode_list(&terminal_values(path, terminal_obj));
     // The sorted OID array visits each source page once, all co-located
     // sources rewritten under one pin (§4.1.3).
-    let pages = for_each_page_group(ctx.sm, sources, |page, s| {
+    let pages = ctx.sm.visit_sorted(sources, |page, s, _| {
         set_source_replica_values(ctx, path, Some(page), s, Some(&values))
     })?;
     if FAIL_NEXT_INPLACE.swap(false, Ordering::SeqCst) {
@@ -304,7 +304,7 @@ fn refresh_sources(
     terminal: Option<Oid>,
 ) -> Result<()> {
     let values = values_at(ctx, path, terminal)?;
-    for_each_page_group(ctx.sm, sources, |page, s| {
+    ctx.sm.visit_sorted(sources, |page, s, _| {
         set_source_replica_values(ctx, path, Some(page), s, values.as_deref())
     })?;
     Ok(())
@@ -323,7 +323,7 @@ fn repoint_replica_refs(
     // Remove the sources' replica references (counting how many actually
     // pointed at the old replica).
     let mut released = 0u32;
-    for_each_page_group(ctx.sm, sources, |page, s| {
+    ctx.sm.visit_sorted(sources, |page, s, _| {
         released += u32::from(set_source_replica_ref(
             ctx,
             group.id.0,
@@ -331,7 +331,7 @@ fn repoint_replica_refs(
             s,
             None,
         )?);
-        Ok(())
+        Ok::<_, DbError>(())
     })?;
     if released > 0 {
         if let Some(t) = old_terminal {
@@ -341,7 +341,7 @@ fn repoint_replica_refs(
     // Point them at the new terminal's replica.
     if let Some(t) = new_terminal {
         let roid = anchor_acquire(ctx.w, ctx.cat, group, t, sources.len() as u32)?;
-        for_each_page_group(ctx.sm, sources, |page, s| {
+        ctx.sm.visit_sorted(sources, |page, s, _| {
             set_source_replica_ref(ctx, group.id.0, Some(page), s, Some(roid)).map(drop)
         })?;
     }

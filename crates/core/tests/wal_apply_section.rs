@@ -3,14 +3,17 @@
 //! block rather than interleave its page images into the holder's commit
 //! record. And when commit logging fails after a successful apply, the
 //! caller gets the distinct [`DbError::CommitNotDurable`] outcome, not a
-//! rejected update.
+//! rejected update. A read with nothing pending, on the other hand,
+//! enters no writer lock at all.
 
+use fieldrep_catalog::Strategy;
 use fieldrep_core::{Database, DbConfig, DbError};
 use fieldrep_model::{FieldType, TypeDef, Value};
+use fieldrep_query::ReadQuery;
 use fieldrep_storage::wal::fault::FaultWal;
 use fieldrep_storage::{MemDisk, MemWalStore};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -92,4 +95,58 @@ fn failed_commit_logging_reports_commit_not_durable() {
     );
     // The update *was* applied: only durability was lost.
     assert_eq!(db.get_field(oid, "salary").unwrap(), Value::Int(20));
+}
+
+#[test]
+fn a_read_with_nothing_pending_takes_no_writer_lock() {
+    let mut db = mem_db_with_wal(Box::new(MemWalStore::new()));
+    db.define_type(TypeDef::new(
+        "DEPT",
+        vec![("name", FieldType::Str), ("budget", FieldType::Int)],
+    ))
+    .unwrap();
+    db.define_type(TypeDef::new(
+        "WORKER",
+        vec![
+            ("name", FieldType::Str),
+            ("dept", FieldType::Ref("DEPT".into())),
+        ],
+    ))
+    .unwrap();
+    db.create_set("Dept", "DEPT").unwrap();
+    db.create_set("Staff", "WORKER").unwrap();
+    let dept = db
+        .insert("Dept", vec![Value::Str("toys".into()), Value::Int(7)])
+        .unwrap();
+    let worker = db
+        .insert("Staff", vec![Value::Str("ann".into()), Value::Ref(dept)])
+        .unwrap();
+    let in_place = db.replicate("Staff.dept.name", Strategy::InPlace).unwrap();
+    db.replicate("Staff.dept.budget", Strategy::Separate)
+        .unwrap();
+
+    let wal = db.sm().wal().expect("wal attached").clone();
+    let section = wal.apply_lock();
+    let (tx, rx) = mpsc::channel();
+    let reader = thread::spawn(move || {
+        let rows = ReadQuery::on("Staff")
+            .project(["dept.name", "dept.budget"])
+            .run(&mut db)
+            .expect("retrieve")
+            .rows;
+        let values = db.path_values(worker, in_place).expect("path_values");
+        tx.send((rows, values)).expect("main thread waits");
+    });
+    // The reader must finish while the section is held. A reader that
+    // waits on it fails the test instead of hanging it: the section is
+    // dropped before the join, which lets the reader through.
+    let got = rx.recv_timeout(Duration::from_secs(10));
+    drop(section);
+    reader.join().expect("reader thread");
+    let (rows, values) = got.expect("a read with nothing pending waited on the apply section");
+    assert_eq!(
+        rows,
+        vec![vec![Some(Value::Str("toys".into())), Some(Value::Int(7))]]
+    );
+    assert_eq!(values, Some(vec![Value::Str("toys".into())]));
 }

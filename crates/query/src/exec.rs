@@ -23,7 +23,7 @@ use fieldrep_btree::BTreeIndex;
 use fieldrep_core::{value_key, Database};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
 use fieldrep_obs::{io as obs_io, names as obs_names, Profile, Span};
-use fieldrep_storage::{oid_page_chunks, HeapFile, Oid};
+use fieldrep_storage::{HeapFile, Oid};
 
 /// One result row: one entry per projected column (`None` when a path was
 /// broken by a NULL reference).
@@ -55,48 +55,6 @@ pub struct UpdateResult {
     /// Per-operator breakdown; replica-propagation I/O done inside the
     /// apply loop is carved out as its own `core.propagate` operator.
     pub profile: Profile,
-}
-
-/// The page-chunk cap for batched fetches: half the pool, so decode work
-/// under the pins always has free frames available.
-fn max_batch_pages(db: &Database) -> usize {
-    (db.sm().pool().capacity() / 2).clamp(1, 32)
-}
-
-/// Read something from each of `oids` with every page requested once: the
-/// distinct OIDs are visited in physical order, each adjacent page run is
-/// moved with one grouped disk read
-/// ([`fieldrep_storage::StorageManager::get_pages_batch`]), and
-/// `visit(i, type_tag, payload)` takes what input `i` needs straight from
-/// the record's bytes in the pinned page. An OID named more than once is
-/// read once and visited once per position; a `None` is not visited.
-/// `visit` runs under the frame's read latch, so it must not touch the
-/// pool.
-fn read_batch(
-    db: &Database,
-    oids: impl ExactSizeIterator<Item = Option<Oid>>,
-    mut visit: impl FnMut(usize, u16, &[u8]) -> Result<()>,
-) -> Result<()> {
-    // (OID, position) pairs, sorted: physical order, repeats adjacent.
-    let mut order: Vec<(Oid, usize)> = Vec::with_capacity(oids.len());
-    order.extend(oids.enumerate().filter_map(|(i, oid)| Some((oid?, i))));
-    order.sort_unstable();
-    let mut chunks = oid_page_chunks(&order, max_batch_pages(db), |&(oid, _)| oid);
-    while let Some((range, pages)) = chunks.next_chunk() {
-        let pinned = db.sm().get_pages_batch(pages)?;
-        let mut page = 0;
-        for same in order[range].chunk_by(|a, b| a.0 == b.0) {
-            let oid = same[0].0;
-            while pinned[page].pid != oid.page_id() {
-                page += 1;
-            }
-            let hf = HeapFile::open(oid.file);
-            hf.read_pinned(db.sm(), &pinned[page], oid, |tag, payload| {
-                same.iter().try_for_each(|&(_, i)| visit(i, tag, payload))
-            })??;
-        }
-    }
-    Ok(())
 }
 
 /// A borrowed reader over the stored bytes of an object with type tag `tag`.
@@ -250,19 +208,20 @@ fn project(
         .iter()
         .any(|p| matches!(p, ProjPlan::CollapseThenJoin { .. }));
     let mut objs: Vec<Option<Object>> = vec![None; if collapses { n } else { 0 }];
-    read_batch(db, oids.iter().map(|&oid| Some(oid)), |i, tag, payload| {
-        let starts = &mut starts[i * nproj..(i + 1) * nproj];
-        rows[i] = read_source(
-            db,
-            projections,
-            width,
-            tag,
-            payload,
-            starts,
-            objs.get_mut(i),
-        )?;
-        Ok(())
-    })?;
+    db.sm()
+        .read_batch::<QueryError>(oids.iter().map(|&oid| Some(oid)), |i, tag, payload| {
+            let starts = &mut starts[i * nproj..(i + 1) * nproj];
+            rows[i] = read_source(
+                db,
+                projections,
+                width,
+                tag,
+                payload,
+                starts,
+                objs.get_mut(i),
+            )?;
+            Ok(())
+        })?;
     if let Some(p) = prof.as_deref_mut() {
         p.mark(obs_names::OP_FETCH);
     }
@@ -278,7 +237,7 @@ fn project(
             ProjPlan::SeparateReplica { positions, .. } => {
                 // S'-scan: batched over the sorted replica OIDs, one
                 // grouped read per adjacent page run.
-                read_batch(db, starts, |i, _, payload| {
+                db.sm().read_batch::<QueryError>(starts, |i, _, payload| {
                     for (slot, &pos) in rows[i][col..].iter_mut().zip(positions) {
                         let v = Value::list_item(payload, pos).map_err(|e| {
                             QueryError::BadQuery(format!("bad replica object: {e}"))
@@ -371,19 +330,21 @@ fn join_chain(
 ) -> Result<()> {
     for &hop in hops {
         let mut next = vec![None; current.len()];
-        read_batch(db, current.iter().copied(), |i, tag, payload| {
-            next[i] = ref_target(&object_view(db, tag, payload).field(hop)?);
-            Ok(())
-        })?;
+        db.sm()
+            .read_batch::<QueryError>(current.iter().copied(), |i, tag, payload| {
+                next[i] = ref_target(&object_view(db, tag, payload).field(hop)?);
+                Ok(())
+            })?;
         current = next;
     }
-    read_batch(db, current.iter().copied(), |i, tag, payload| {
-        let obj = object_view(db, tag, payload);
-        for (slot, &f) in rows[i][col..].iter_mut().zip(terminal_fields) {
-            *slot = Some(obj.field(f)?);
-        }
-        Ok(())
-    })
+    db.sm()
+        .read_batch::<QueryError>(current.iter().copied(), |i, tag, payload| {
+            let obj = object_view(db, tag, payload);
+            for (slot, &f) in rows[i][col..].iter_mut().zip(terminal_fields) {
+                *slot = Some(obj.field(f)?);
+            }
+            Ok(())
+        })
 }
 
 /// Compute the concrete `(field, new value)` changes of `assignments`
@@ -564,138 +525,5 @@ impl UpdateQuery {
             plan,
             profile: prof.finish(),
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fieldrep_core::DbConfig;
-    use fieldrep_model::{FieldType, TypeDef};
-    use fieldrep_storage::{
-        DiskManager, FileId, IoStats, MemDisk, PageId, Result as SResult, PAGE_SIZE,
-    };
-    use std::collections::BTreeSet;
-    use std::sync::{Arc, Mutex};
-
-    /// A `MemDisk` that logs every page it reads, in order.
-    struct Recording {
-        disk: MemDisk,
-        reads: Arc<Mutex<Vec<PageId>>>,
-    }
-
-    impl DiskManager for Recording {
-        fn create_file(&mut self) -> SResult<FileId> {
-            self.disk.create_file()
-        }
-        fn drop_file(&mut self, file: FileId) -> SResult<()> {
-            self.disk.drop_file(file)
-        }
-        fn allocate_page(&mut self, file: FileId) -> SResult<PageId> {
-            self.disk.allocate_page(file)
-        }
-        fn page_count(&self, file: FileId) -> SResult<u32> {
-            self.disk.page_count(file)
-        }
-        fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> SResult<()> {
-            self.reads.lock().unwrap().push(pid);
-            self.disk.read_page(pid, buf)
-        }
-        fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> SResult<()> {
-            let run = (first.page..).take(bufs.len());
-            let mut reads = self.reads.lock().unwrap();
-            reads.extend(run.map(|page| PageId::new(first.file, page)));
-            self.disk.read_pages(first, bufs)
-        }
-        fn write_page(&mut self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> SResult<()> {
-            self.disk.write_page(pid, buf)
-        }
-        fn sync(&mut self) -> SResult<()> {
-            self.disk.sync()
-        }
-        fn stats(&self) -> IoStats {
-            self.disk.stats()
-        }
-        fn reset_stats(&mut self) {
-            self.disk.reset_stats();
-        }
-    }
-
-    /// The page-request sequence a batched read must keep: inputs with
-    /// repeats and `None`s over more pages than one chunk holds are
-    /// answered position by position, with one request per distinct page,
-    /// ascending.
-    #[test]
-    fn read_batch_requests_each_page_once_and_answers_in_input_order() {
-        let reads = Arc::new(Mutex::new(Vec::new()));
-        let disk = Recording {
-            disk: MemDisk::new(),
-            reads: Arc::clone(&reads),
-        };
-        // Four frames: a chunk holds two pages.
-        let cfg = DbConfig {
-            pool_pages: 4,
-            ..DbConfig::default()
-        };
-        let mut db = Database::with_disk(Box::new(disk), cfg);
-        let fields = vec![("key", FieldType::Int), ("pad", FieldType::Pad(900))];
-        db.define_type(TypeDef::new("T", fields)).unwrap();
-        db.create_set("T", "T").unwrap();
-        // About four objects a page.
-        let oids: Vec<Oid> = (0..24)
-            .map(|k| db.insert("T", vec![Value::Int(k), Value::Unit]).unwrap())
-            .collect();
-        let picks = [
-            None,
-            Some(17),
-            Some(3),
-            Some(3),
-            None,
-            Some(22),
-            Some(9),
-            Some(0),
-            Some(17),
-            Some(5),
-            Some(12),
-            Some(21),
-            Some(8),
-            Some(1),
-            None,
-        ];
-        let input: Vec<Option<Oid>> = picks.iter().map(|p| p.map(|k| oids[k])).collect();
-        let pages: BTreeSet<PageId> = input.iter().flatten().map(Oid::page_id).collect();
-        assert_eq!(max_batch_pages(&db), 2);
-        assert!(
-            pages.len() > 2 * max_batch_pages(&db),
-            "three chunks or more"
-        );
-
-        // A cold pool: every request is a miss, and a disk read.
-        db.sm().flush_all().unwrap();
-        reads.lock().unwrap().clear();
-        let before = obs_io::snapshot();
-        let mut got = vec![None; input.len()];
-        let mut visits = 0;
-        read_batch(&db, input.iter().copied(), |i, tag, payload| {
-            visits += 1;
-            got[i] = Some(object_view(&db, tag, payload).field(0)?);
-            Ok(())
-        })
-        .unwrap();
-        let io = obs_io::snapshot() - before;
-
-        let want: Vec<Option<Value>> = picks
-            .iter()
-            .map(|p| p.map(|k| Value::Int(k as i64)))
-            .collect();
-        assert_eq!(got, want, "every position answered, in input order");
-        assert_eq!(visits, 12, "a repeat is visited once per position");
-        assert_eq!(
-            io.pool_hits + io.pool_misses,
-            pages.len() as u64,
-            "one request per distinct page"
-        );
-        let ascending: Vec<PageId> = pages.into_iter().collect();
-        assert_eq!(*reads.lock().unwrap(), ascending, "in ascending order");
     }
 }

@@ -20,12 +20,18 @@
 //! * [`HeapFile`] record management (insert / read / update / delete /
 //!   physical-order scan) with RID forwarding so that OIDs remain stable
 //!   when records grow — which happens routinely under *in-place
-//!   replication*, where hidden replica fields are appended to objects.
+//!   replication*, where hidden replica fields are appended to objects;
+//! * one batched walk over a physically-sorted OID run,
+//!   [`StorageManager::visit_sorted`], which every read join and
+//!   propagation fan-out takes: each page requested once, a chunk's
+//!   pages pinned in one batch and their records' cache lines warmed
+//!   before the first visit.
 //!
 //! Everything above this crate (B⁺-trees, the replication engine, query
 //! processing) does its I/O through [`StorageManager`], so a single pair of
 //! counters ([`IoStats`]) observes every page touched by an experiment.
 
+mod batch;
 pub mod buffer;
 pub mod checksum;
 pub mod disk;
@@ -38,6 +44,7 @@ pub mod page;
 pub mod stats;
 pub mod wal;
 
+pub use batch::BatchItem;
 pub use buffer::{BufferPool, PageHandle, PoolStats};
 pub use disk::{remove_db_dir, DiskManager, FileDisk, MemDisk};
 pub use error::{Result, StorageError};
@@ -203,11 +210,6 @@ impl StorageManager {
         self.pool.flush_all()
     }
 
-    /// Batched page fetch: see [`BufferPool::get_pages_batch`].
-    pub fn get_pages_batch(&self, pids: &[PageId]) -> Result<Vec<PageHandle>> {
-        self.pool.get_pages_batch(pids)
-    }
-
     /// Run `f` with exclusive access to `file`'s free-space placement
     /// state. The closure must not touch the pool (placement decisions
     /// and page I/O are deliberately decoupled so the free-space mutex is
@@ -257,68 +259,10 @@ impl std::ops::Deref for ApplySection<'_> {
     }
 }
 
-/// Split a physically-sorted run of OID-bearing items into chunks of at
-/// most `max_pages` **distinct** pages each; `oid` names an item's OID.
-/// [`OidPageChunks::next_chunk`] yields every chunk's index range and its
-/// distinct page ids (in order, deduplicated).
-///
-/// This is the bridge between a link object's sorted OID array (§4.1.3)
-/// and [`BufferPool::get_pages_batch`]: callers walk the chunks, batch-
-/// fetch each page list, and process the items in `range` while the pins
-/// are held. Chunking caps how many frames one batch pins at once, so the
-/// fast path works even with a tiny pool. Items sharing a page always
-/// land in the same chunk. `max_pages` is clamped to at least 1. All
-/// chunks share one page buffer, allocated once.
-pub fn oid_page_chunks<T>(
-    items: &[T],
-    max_pages: usize,
-    oid: fn(&T) -> Oid,
-) -> OidPageChunks<'_, T> {
-    let max_pages = max_pages.max(1);
-    OidPageChunks {
-        items,
-        oid,
-        max_pages,
-        start: 0,
-        pages: Vec::with_capacity(max_pages.min(items.len())),
-    }
-}
-
-/// The chunks of [`oid_page_chunks`], one at a time: each borrows the
-/// page buffer the next one refills.
-pub struct OidPageChunks<'a, T> {
-    items: &'a [T],
-    oid: fn(&T) -> Oid,
-    max_pages: usize,
-    start: usize,
-    pages: Vec<PageId>,
-}
-
-impl<T> OidPageChunks<'_, T> {
-    /// The next chunk: the range of items it covers and their distinct
-    /// pages, ascending.
-    pub fn next_chunk(&mut self) -> Option<(std::ops::Range<usize>, &[PageId])> {
-        let start = self.start;
-        self.pages.clear();
-        let mut end = start;
-        for item in &self.items[start..] {
-            let pid = (self.oid)(item).page_id();
-            if self.pages.last() != Some(&pid) {
-                if self.pages.len() == self.max_pages {
-                    break;
-                }
-                self.pages.push(pid);
-            }
-            end += 1;
-        }
-        self.start = end;
-        (end > start).then_some((start..end, &self.pages[..]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batch::oid_page_chunks;
 
     #[test]
     fn constants_match_paper() {
@@ -343,7 +287,7 @@ mod tests {
             oid(5, 0),
         ];
         let all = |items: &[Oid], max_pages| {
-            let mut chunks = oid_page_chunks(items, max_pages, |o| *o);
+            let mut chunks = oid_page_chunks(items, max_pages);
             let mut out = Vec::new();
             while let Some((range, pages)) = chunks.next_chunk() {
                 out.push((range, pages.to_vec()));
@@ -365,7 +309,7 @@ mod tests {
         assert!(all(&[], 4).is_empty());
         // Items carry their OID: the pairs a batched read sorts.
         let pairs: Vec<(Oid, usize)> = oids.iter().copied().zip(0..).collect();
-        let mut chunks = oid_page_chunks(&pairs, 8, |p| p.0);
+        let mut chunks = oid_page_chunks(&pairs, 8);
         assert_eq!(
             chunks.next_chunk().map(|(r, p)| (r, p.len())),
             Some((0..7, 4))

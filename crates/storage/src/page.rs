@@ -174,6 +174,24 @@ fn get_u32(data: &[u8], off: usize) -> u32 {
     u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]])
 }
 
+/// Ask the CPU to start loading the cache line `byte` lies in, without
+/// waiting for it: the hint of the warm pass ([`PageView::hint_slot`],
+/// [`PageView::hint_record`]). Compiles to nothing off x86-64.
+#[inline]
+fn hint(byte: &u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and changes no architectural state
+    // (no register, no memory, no flag), whatever the address; this one
+    // is a live reference besides.
+    #[allow(unsafe_code)]
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(byte).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = byte;
+}
+
 /// The write-mask bits of the lines that bytes `at .. at + len` lie in.
 pub(crate) fn lines_of(at: usize, len: usize) -> u64 {
     if len == 0 {
@@ -268,23 +286,49 @@ impl<'a> PageView<'a> {
         })
     }
 
-    /// Header and payload byte range of the record in `slot`; `None` if
-    /// the slot is empty/deleted or out of range.
-    fn locate(&self, slot: u16) -> Option<(RecordHeader, std::ops::Range<usize>)> {
+    /// Byte range of the record in `slot` (header included); `None` if
+    /// the slot is empty/deleted, out of range, or reaches past the page.
+    fn extent(&self, slot: u16) -> Option<Range<usize>> {
         if slot >= self.slot_count() {
             return None;
         }
         let (off, len) = self.slot(slot);
-        if off == 0 && len == 0 {
-            return None;
+        let (off, end) = (off as usize, off as usize + len as usize);
+        (off != 0 && end <= PAGE_SIZE && len as usize >= RECORD_HEADER_SIZE).then_some(off..end)
+    }
+
+    /// Header and payload byte range of the record in `slot`; `None` if
+    /// the slot is empty/deleted, out of range, or malformed.
+    fn locate(&self, slot: u16) -> Option<(RecordHeader, Range<usize>)> {
+        let extent = self.extent(slot)?;
+        let start = extent.start + RECORD_HEADER_SIZE;
+        let (hdr, payload_len) = RecordHeader::read(&self.data[extent.start..start]).ok()?;
+        let payload = start..start + payload_len as usize;
+        (payload.end <= extent.end).then_some((hdr, payload))
+    }
+
+    /// Warm pass, first sweep: ask the CPU for the page-header line and
+    /// the line of `slot`'s slot-array entry, reading neither, so the
+    /// misses of many pages overlap instead of following one another.
+    pub fn hint_slot(&self, slot: u16) {
+        hint(&self.data[OFF_SLOT_COUNT]);
+        if let Some(entry) = self.data.get(PAGE_HEADER_SIZE + SLOT_SIZE * slot as usize) {
+            hint(entry);
         }
-        let off = off as usize;
-        let len = len as usize;
-        let (hdr, payload_len) =
-            RecordHeader::read(&self.data[off..off + RECORD_HEADER_SIZE]).ok()?;
-        debug_assert!(RECORD_HEADER_SIZE + payload_len as usize <= len);
-        let start = off + RECORD_HEADER_SIZE;
-        Some((hdr, start..start + payload_len as usize))
+    }
+
+    /// Warm pass, second sweep: read `slot`'s entry (which the first
+    /// sweep asked for) and ask for every cache line of its record: one
+    /// byte every 64 and the last byte, since a frame need not start on
+    /// a cache line. A slot out of range, empty, or reaching past the
+    /// page gets no hint.
+    pub fn hint_record(&self, slot: u16) {
+        if let Some(extent) = self.extent(slot) {
+            let last = extent.end - 1;
+            for at in extent.step_by(LINE_SIZE).chain([last]) {
+                hint(&self.data[at]);
+            }
+        }
     }
 
     /// Fetch the record in `slot`, returning its header and payload, or

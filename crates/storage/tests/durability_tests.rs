@@ -71,7 +71,7 @@ fn corrupt_page_is_caught_on_the_batched_read_path() {
     }
     corrupt_byte(&dir, 0, 1, 2000); // second page of the run
     let sm = StorageManager::new(Box::new(FileDisk::open(&dir).unwrap()), 16);
-    let err = match sm.get_pages_batch(&pids) {
+    let err = match sm.pool().get_pages_batch(&pids) {
         Ok(_) => panic!("batched read over a corrupt page must fail"),
         Err(e) => e,
     };
