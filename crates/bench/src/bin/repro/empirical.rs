@@ -2,7 +2,7 @@
 //! engine, page I/O counted on a cold pool, set against the model.
 
 use fieldrep_bench::{
-    avg_read_io, avg_update_io, build_workload, measure_cell, strategy_name, WorkloadSpec,
+    avg_read_stats, avg_update_stats, build_workload, measure_cell, strategy_name, WorkloadSpec,
     ALL_STRATEGIES,
 };
 use fieldrep_catalog::Strategy;
@@ -85,8 +85,10 @@ pub(crate) fn curves(mut args: impl Iterator<Item = String>) {
                 model_params.get_or_insert_with(|| spec.params());
                 let mut w = build_workload(spec).expect("build workload");
                 meas.push((
-                    avg_read_io(&mut w, queries).expect("read measurement"),
-                    avg_update_io(&mut w, queries).expect("update measurement"),
+                    avg_read_stats(&mut w, queries).expect("read measurement").0,
+                    avg_update_stats(&mut w, queries)
+                        .expect("update measurement")
+                        .0,
                 ));
             }
             let params = model_params.unwrap();

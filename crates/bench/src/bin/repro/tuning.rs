@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p fieldrep-bench --bin repro -- tuning`
 
-use fieldrep_bench::{avg_read_io, avg_update_io, build_workload, WorkloadSpec};
+use fieldrep_bench::{avg_read_stats, avg_update_stats, build_workload, WorkloadSpec};
 use fieldrep_catalog::Strategy;
 use fieldrep_costmodel::{total_cost, IndexSetting, ModelStrategy};
 
@@ -31,8 +31,10 @@ pub(crate) fn run() {
         let spec = WorkloadSpec::paper(sharing, setting, strat).scaled(s_count);
         let params = spec.params();
         let mut w = build_workload(spec).expect("build workload");
-        let read = avg_read_io(&mut w, queries).expect("read measurement");
-        let update = avg_update_io(&mut w, queries).expect("update measurement");
+        let read = avg_read_stats(&mut w, queries).expect("read measurement").0;
+        let update = avg_update_stats(&mut w, queries)
+            .expect("update measurement")
+            .0;
         println!("{name:>9}: measured C_read = {read:7.1}   C_update = {update:7.1}");
         measured.push((name, read, update, params, model));
     }

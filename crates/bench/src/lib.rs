@@ -14,8 +14,9 @@
 //!   sizes on the real storage engine, runs the paper's read/update
 //!   queries, and measures actual page I/O with a cold buffer pool —
 //!   `cargo run --release -p fieldrep-bench --bin repro -- empirical`.
-//! * The **page-count suite** ([`suite`]) pins a fixed matrix of those
-//!   measurements against the committed `BENCH_BASELINE.json`.
+//! * The **page-count suite** ([`suite`]) runs a fixed matrix of those
+//!   measurements; `tests/baseline.rs` requires its report to equal the
+//!   committed `BENCH_BASELINE.json` byte for byte.
 //!
 //! This library holds the shared workload builder and measurement
 //! helpers; see `src/bin/` for the drivers.
@@ -24,13 +25,13 @@ pub mod figures;
 pub mod suite;
 pub mod trace;
 
-use fieldrep_catalog::{IndexKind, PathId, Strategy};
+use fieldrep_catalog::{IndexKind, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_costmodel::{read_cost, update_cost, IndexSetting, ModelStrategy, Params};
 use fieldrep_model::{FieldType, TypeDef, Value};
 use fieldrep_obs::{IoCounts, Profile, SpanNode};
 use fieldrep_query::{Assign, Filter, ReadQuery, Result, UpdateQuery};
-use fieldrep_storage::{IoProfile, Oid};
+use fieldrep_storage::IoProfile;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -124,18 +125,13 @@ impl WorkloadSpec {
     }
 }
 
-/// A built workload: the populated database plus bookkeeping.
+/// A built workload: the populated database and the spec it was built
+/// from.
 pub struct Workload {
     /// The database.
     pub db: Database,
     /// The spec it was built from.
     pub spec: WorkloadSpec,
-    /// The replication path, if any.
-    pub path: Option<PathId>,
-    /// S members in physical order.
-    pub s_oids: Vec<Oid>,
-    /// R members in physical order.
-    pub r_oids: Vec<Oid>,
 }
 
 /// Build the §6 schema and population:
@@ -204,9 +200,8 @@ pub fn build_workload(spec: WorkloadSpec) -> Result<Workload> {
         let oid = db.insert("S", vec![Value::Str(rep), Value::Int(key), Value::Unit])?;
         s_oids.push(oid);
     }
-    let mut r_oids = Vec::with_capacity(n_r);
     for (i, &key) in r_keys.iter().enumerate() {
-        let oid = db.insert(
+        db.insert(
             "R",
             vec![
                 Value::Ref(s_oids[assignment[i]]),
@@ -214,7 +209,6 @@ pub fn build_workload(spec: WorkloadSpec) -> Result<Workload> {
                 Value::Unit,
             ],
         )?;
-        r_oids.push(oid);
     }
 
     // Indexes on the selection fields (bulk-built).
@@ -226,20 +220,13 @@ pub fn build_workload(spec: WorkloadSpec) -> Result<Workload> {
     db.create_index("S.field_s", kind)?;
 
     // Replication.
-    let path = match spec.strategy {
-        Some(s) => Some(db.replicate("R.sref.repfield", s)?),
-        None => None,
-    };
+    if let Some(s) = spec.strategy {
+        db.replicate("R.sref.repfield", s)?;
+    }
 
     db.flush_all()?;
     db.reset_profile();
-    Ok(Workload {
-        db,
-        spec,
-        path,
-        s_oids,
-        r_oids,
-    })
+    Ok(Workload { db, spec })
 }
 
 /// The §6 read query over keys `[lo, lo + f_r·|R|)`: range-select on
@@ -281,9 +268,9 @@ fn update_rows(w: &Workload) -> i64 {
 }
 
 /// Run one §6 read query (cold pool, output file generated with
-/// `t = 100`) and return the full measured [`IoProfile`] — page counts
-/// plus the grouped-read call count (`disk.read_calls`).
-pub fn measure_read_query_profile(w: &mut Workload, lo: i64) -> Result<IoProfile> {
+/// `t = 100`) and return the measured [`IoProfile`] — page counts
+/// (`total_io`) plus the grouped-read call count (`disk.read_calls`).
+pub fn measure_read_query(w: &mut Workload, lo: i64) -> Result<IoProfile> {
     let count = read_rows(w);
     let q = read_query(w, lo);
     w.db.flush_all()?;
@@ -298,15 +285,9 @@ pub fn measure_read_query_profile(w: &mut Workload, lo: i64) -> Result<IoProfile
     Ok(prof)
 }
 
-/// Run one §6 read query and return the measured total page I/O
-/// (reads + writes, cold pool, output file generated with `t = 100`).
-pub fn measure_read_query(w: &mut Workload, lo: i64) -> Result<u64> {
-    Ok(measure_read_query_profile(w, lo)?.total_io())
-}
-
 /// Run one §6 update query (cold pool, dirty pages flushed and counted)
-/// and return the full measured [`IoProfile`].
-pub fn measure_update_query_profile(w: &mut Workload, lo: i64) -> Result<IoProfile> {
+/// and return the measured [`IoProfile`].
+pub fn measure_update_query(w: &mut Workload, lo: i64) -> Result<IoProfile> {
     let count = update_rows(w);
     let q = update_query(w, lo);
     w.db.flush_all()?;
@@ -315,12 +296,6 @@ pub fn measure_update_query_profile(w: &mut Workload, lo: i64) -> Result<IoProfi
     assert_eq!(res.updated, count as usize, "selectivity honoured");
     w.db.flush_all()?;
     Ok(w.db.io_profile())
-}
-
-/// Run one §6 update query and return the measured total page I/O
-/// (cold pool, dirty pages flushed and counted).
-pub fn measure_update_query(w: &mut Workload, lo: i64) -> Result<u64> {
-    Ok(measure_update_query_profile(w, lo)?.total_io())
 }
 
 /// Convert the storage layer's raw counters into the observability
@@ -409,41 +384,29 @@ pub fn profile_update_query(w: &mut Workload, lo: i64) -> Result<ProfiledRun> {
 /// the seek/syscall proxy the batched fast path shrinks while page I/O
 /// stays constant.
 pub fn avg_read_stats(w: &mut Workload, n: usize) -> Result<(f64, f64)> {
-    let count = (w.spec.read_sel * w.spec.r_count() as f64).round() as i64;
-    let max_lo = (w.spec.r_count() as i64 - count).max(1);
+    let max_lo = (w.spec.r_count() as i64 - read_rows(w)).max(1);
     let (mut io, mut calls) = (0.0, 0.0);
     for i in 0..n {
         let lo = (i as i64 * 7919) % max_lo;
-        let p = measure_read_query_profile(w, lo)?;
+        let p = measure_read_query(w, lo)?;
         io += p.total_io() as f64;
         calls += p.disk.read_calls as f64;
     }
     Ok((io / n as f64, calls / n as f64))
-}
-
-/// Average measured I/O of `n` read queries at distinct offsets.
-pub fn avg_read_io(w: &mut Workload, n: usize) -> Result<f64> {
-    Ok(avg_read_stats(w, n)?.0)
 }
 
 /// Average `(total page I/O, disk read calls)` of `n` update queries at
 /// distinct offsets.
 pub fn avg_update_stats(w: &mut Workload, n: usize) -> Result<(f64, f64)> {
-    let count = (w.spec.update_sel * w.spec.s_count as f64).round() as i64;
-    let max_lo = (w.spec.s_count as i64 - count).max(1);
+    let max_lo = (w.spec.s_count as i64 - update_rows(w)).max(1);
     let (mut io, mut calls) = (0.0, 0.0);
     for i in 0..n {
         let lo = (i as i64 * 6389) % max_lo;
-        let p = measure_update_query_profile(w, lo)?;
+        let p = measure_update_query(w, lo)?;
         io += p.total_io() as f64;
         calls += p.disk.read_calls as f64;
     }
     Ok((io / n as f64, calls / n as f64))
-}
-
-/// Average measured I/O of `n` update queries at distinct offsets.
-pub fn avg_update_io(w: &mut Workload, n: usize) -> Result<f64> {
-    Ok(avg_update_stats(w, n)?.0)
 }
 
 /// One cell of the empirical matrix: measured vs. analytical page I/O
@@ -505,8 +468,8 @@ mod tests {
         for strategy in [None, Some(Strategy::InPlace), Some(Strategy::Separate)] {
             let spec = WorkloadSpec::paper(2, IndexSetting::Unclustered, strategy).scaled(500);
             let mut w = build_workload(spec).unwrap();
-            let r = measure_read_query(&mut w, 0).unwrap();
-            let u = measure_update_query(&mut w, 0).unwrap();
+            let r = measure_read_query(&mut w, 0).unwrap().total_io();
+            let u = measure_update_query(&mut w, 0).unwrap().total_io();
             assert!(r > 0 && u > 0, "{strategy:?}: read={r} update={u}");
         }
     }
@@ -520,8 +483,8 @@ mod tests {
             WorkloadSpec::paper(4, IndexSetting::Unclustered, Some(Strategy::InPlace)).scaled(1000),
         )
         .unwrap();
-        let io_base = avg_read_io(&mut base, 3).unwrap();
-        let io_inp = avg_read_io(&mut inp, 3).unwrap();
+        let io_base = avg_read_stats(&mut base, 3).unwrap().0;
+        let io_inp = avg_read_stats(&mut inp, 3).unwrap().0;
         assert!(
             io_inp < io_base,
             "in-place read I/O {io_inp} should beat baseline {io_base}"

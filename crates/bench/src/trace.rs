@@ -7,7 +7,7 @@
 //! measured average I/O per query — the same quantity, observed rather
 //! than derived.
 
-use crate::{measure_read_query, measure_update_query, Workload};
+use crate::{measure_read_query, measure_update_query, read_rows, update_rows, Workload};
 use fieldrep_query::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,10 +43,8 @@ pub fn run_trace(
 ) -> Result<TraceResult> {
     assert!((0.0..=1.0).contains(&p_update));
     let mut rng = StdRng::seed_from_u64(seed);
-    let read_span = (w.spec.read_sel * w.spec.r_count() as f64).round() as i64;
-    let update_span = (w.spec.update_sel * w.spec.s_count as f64).round() as i64;
-    let max_read_lo = (w.spec.r_count() as i64 - read_span).max(1);
-    let max_update_lo = (w.spec.s_count as i64 - update_span).max(1);
+    let max_read_lo = (w.spec.r_count() as i64 - read_rows(w)).max(1);
+    let max_update_lo = (w.spec.s_count as i64 - update_rows(w)).max(1);
 
     let mut result = TraceResult {
         queries: n_queries,
@@ -57,11 +55,11 @@ pub fn run_trace(
     for _ in 0..n_queries {
         if rng.gen_bool(p_update) {
             let lo = rng.gen_range(0..max_update_lo);
-            result.total_io += measure_update_query(w, lo)?;
+            result.total_io += measure_update_query(w, lo)?.total_io();
             result.updates += 1;
         } else {
             let lo = rng.gen_range(0..max_read_lo);
-            result.total_io += measure_read_query(w, lo)?;
+            result.total_io += measure_read_query(w, lo)?.total_io();
             result.reads += 1;
         }
     }

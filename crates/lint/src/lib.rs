@@ -33,7 +33,7 @@
 //! `storage::ApplySection`).
 //!
 //! Violations print as rustc-style `file:line` diagnostics and make the
-//! process exit nonzero (`--json` emits JSONL instead). A
+//! process exit nonzero. A
 //! `// lint: allow(<rule>) <reason>` on (or right above) the offending
 //! line suppresses a finding; suppressions require a reason and are
 //! themselves budgeted.
@@ -44,7 +44,6 @@
 
 pub mod budget;
 pub mod callgraph;
-pub mod json;
 pub mod locks;
 pub mod registry;
 pub mod rules;

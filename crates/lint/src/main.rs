@@ -1,15 +1,14 @@
 //! CLI for the workspace lint. See the library docs for the rules.
 //!
-//! Usage: `cargo run -q -p fieldrep-lint [-- --root DIR] [--update-budget] [--json]`
+//! Usage: `cargo run -q -p fieldrep-lint [-- --root DIR] [--update-budget]`
 
-use fieldrep_lint::{budget, check_budget, json, run_checks};
+use fieldrep_lint::{budget, check_budget, run_checks};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut update_budget = false;
-    let mut as_json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -21,9 +20,8 @@ fn main() -> ExitCode {
                 }
             },
             "--update-budget" => update_budget = true,
-            "--json" => as_json = true,
             other => {
-                eprintln!("unknown flag {other:?} (try --root DIR, --update-budget, --json)");
+                eprintln!("unknown flag {other:?} (try --root DIR, --update-budget)");
                 return ExitCode::from(2);
             }
         }
@@ -69,17 +67,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if as_json {
-        // Budget diags live in `diags` after the report's own; split
-        // them back out so the JSONL marks suppressed findings too.
-        let budget_only = &diags[report.diags.len().min(diags.len())..];
-        print!("{}", json::render_jsonl(&report, budget_only));
-        return if diags.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     for d in &diags {
         println!("{d}");
     }

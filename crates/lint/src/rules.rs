@@ -52,8 +52,7 @@ pub struct Report {
     pub panic_counts: BTreeMap<String, u64>,
     /// Total `// lint: allow(..)` markers seen.
     pub suppressions: u64,
-    /// Findings silenced by a reasoned allow marker (reported by
-    /// `--json` so suppressions stay visible to tooling).
+    /// Findings silenced by a reasoned allow marker.
     pub suppressed: Vec<Diagnostic>,
 }
 

@@ -142,100 +142,6 @@ fn lockflow_rules_fire_exactly_once_on_the_lockflow_fixture() {
 }
 
 #[test]
-fn jsonl_output_is_structurally_valid() {
-    let r = run_checks(&fixture("lockflow")).unwrap();
-    let out = fieldrep_lint::json::render_jsonl(&r, &[]);
-    let lines: Vec<&str> = out.lines().collect();
-    // One object per diagnostic, suppressed findings included.
-    assert_eq!(lines.len(), r.diags.len() + r.suppressed.len());
-    for line in &lines {
-        let fields = parse_json_object(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        assert_eq!(
-            fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            ["rule", "file", "line", "msg", "suppressed"],
-            "{line}"
-        );
-    }
-    // Messages quote identifiers with backticks and cite file:line
-    // witnesses — none of that may break the JSON framing.
-    assert!(lines.iter().any(|l| l.contains("\"rule\":\"L5\"")));
-    assert!(out.ends_with('\n'));
-    let suppressed_line = lines
-        .iter()
-        .find(|l| l.contains("\"suppressed\":true"))
-        .expect("suppressed L5 finding rendered");
-    assert!(suppressed_line.contains("\"rule\":\"L5\""));
-}
-
-/// Minimal JSON object reader for the self-test: returns the key/value
-/// pairs in order, validating string escaping and framing.
-fn parse_json_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let mut c = line.chars().peekable();
-    let mut fields = Vec::new();
-    if c.next() != Some('{') {
-        return Err("missing '{'".into());
-    }
-    loop {
-        let key = parse_json_string(&mut c)?;
-        if c.next() != Some(':') {
-            return Err(format!("missing ':' after {key:?}"));
-        }
-        let value = match c.peek() {
-            Some('"') => parse_json_string(&mut c)?,
-            _ => {
-                let mut v = String::new();
-                while let Some(&ch) = c.peek() {
-                    if ch == ',' || ch == '}' {
-                        break;
-                    }
-                    v.push(ch);
-                    c.next();
-                }
-                if v.parse::<u64>().is_err() && v != "true" && v != "false" {
-                    return Err(format!("bad literal {v:?}"));
-                }
-                v
-            }
-        };
-        fields.push((key, value));
-        match c.next() {
-            Some(',') => {}
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    if c.next().is_some() {
-        return Err("trailing content after '}'".into());
-    }
-    Ok(fields)
-}
-
-fn parse_json_string(c: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    if c.next() != Some('"') {
-        return Err("missing '\"'".into());
-    }
-    let mut s = String::new();
-    loop {
-        match c.next() {
-            Some('"') => return Ok(s),
-            Some('\\') => match c.next() {
-                Some(e @ ('"' | '\\' | 'n' | 'r' | 't')) => s.push(e),
-                Some('u') => {
-                    for _ in 0..4 {
-                        c.next()
-                            .filter(char::is_ascii_hexdigit)
-                            .ok_or("bad \\u escape")?;
-                    }
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(ch) if (ch as u32) >= 0x20 => s.push(ch),
-            other => return Err(format!("unescaped control char {other:?}")),
-        }
-    }
-}
-
-#[test]
 fn the_ratchet_only_moves_down() {
     let r = run_checks(&fixture("violations")).unwrap();
     // Exact budget: no budget diagnostics.

@@ -1,11 +1,12 @@
 //! A minimal JSON value type with a parser, a renderer, and the one
 //! string escaper every obs exporter writes through.
 //!
-//! The bench suite writes and re-reads its own reports (for regression
-//! gating) and the tests validate the engine's JSONL exports without
-//! external crates, so this module covers exactly the JSON subset those
-//! use: objects, arrays, strings with `\"`/`\\`/`\n`/`\t`/`\u` escapes,
-//! finite numbers, booleans, and null.
+//! The exporters and the bench suite's report render through it. The
+//! parser exists for the tests: they validate the engine's JSONL exports
+//! without external crates. So this module covers exactly the JSON
+//! subset those use: objects, arrays, strings with
+//! `\"`/`\\`/`\n`/`\t`/`\u` escapes, finite numbers, booleans, and
+//! null.
 
 use std::fmt::Write as _;
 

@@ -27,6 +27,12 @@ stage clippy cargo clippy --workspace --all-targets -- -D warnings
 # site and apply-section coverage are types, checked by the build.
 stage lint cargo run -q -p fieldrep-lint
 
+# The workspace tests. Among them, crates/bench/tests/baseline.rs pins
+# page counts: the full bench_suite matrix must reproduce the committed
+# BENCH_BASELINE.json byte for byte (about 20 s unoptimised). The
+# exporters' JSON and Chrome-trace shape and the flight-recorder dump
+# are checked here too: obs::export's unit tests and
+# crates/core/tests/flight_recorder_dump.rs.
 stage test cargo test -q --workspace
 
 # The benchmark package has its own [workspace], so the stage above
@@ -48,14 +54,5 @@ stage concurrency_stress cargo test --release -q -p fieldrep-core --test concurr
 # update, a phantom uncommitted one, or a replica/source divergence
 # after replay fails here.
 stage crash_recovery cargo test --release -q -p fieldrep-core --test crash_recovery
-
-# Page-count gate: the full bench_suite matrix of the working tree
-# against the committed BENCH_BASELINE.json (I/O or read calls up > 10%,
-# drift beyond ±60%, or a vanished point fails; the gate logic's own
-# injected-regression checks are unit tests in crates/bench/src/suite.rs).
-# (The exporters' JSON and Chrome-trace shape and the flight-recorder
-# dump are checked in the test stage: obs::export's unit tests and
-# crates/core/tests/flight_recorder_dump.rs.)
-stage bench_smoke ./scripts/bench_gate.sh
 
 printf '\n== check.sh stage timings ==\n%s' "$STAGE_SUMMARY"

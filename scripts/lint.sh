@@ -2,9 +2,6 @@
 # Run the repo-specific static analysis (fieldrep-lint) on its own.
 #
 #   ./scripts/lint.sh                 check against lint_budget.toml
-#   ./scripts/lint.sh --json          machine-readable JSONL diagnostics
-#                                     (one object per finding, suppressed
-#                                     findings included)
 #   ./scripts/lint.sh --update-budget rewrite lint_budget.toml after a
 #                                     legitimate ratchet-down
 #
