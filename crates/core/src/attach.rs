@@ -34,6 +34,7 @@ use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{RepPathDef, Strategy};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
 use fieldrep_storage::{HeapFile, Oid, PageHandle};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Walk the forward chain of `path` starting from the already-loaded
 /// source object. `chain[0] = Some(source)`; `chain[i+1]` is the object
@@ -143,6 +144,31 @@ pub(crate) fn set_source_replica_ref(
         let view = ObjectView::new(ctx.cat.type_def(TypeId(tag)), bytes);
         Ok::<_, DbError>(view.edit_replica_ref(group, replica)?)
     })
+}
+
+/// Set the hidden values of `path` on every source of `chains`, in
+/// order, as an attach of each would: each terminal is read and its
+/// values encoded once, then lent to all of its sources.
+pub(crate) fn set_terminal_values(
+    ctx: &mut WriteCtx<'_>,
+    path: &RepPathDef,
+    chains: &[(Oid, Chain)],
+) -> Result<()> {
+    let mut encoded: HashMap<Oid, Vec<u8>> = HashMap::new();
+    for (source, chain) in chains {
+        let list = match chain.last().copied().flatten() {
+            Some(t) => Some(match encoded.entry(t) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let values = terminal_values(path, &read_object(ctx.sm, ctx.cat, t)?);
+                    e.insert(Value::encode_list(&values))
+                }
+            }),
+            None => None,
+        };
+        set_source_replica_values(ctx, path, None, *source, list.map(|l| &l[..]))?;
+    }
+    Ok(())
 }
 
 /// Read the terminal values of `path` from a loaded terminal object.

@@ -6,12 +6,15 @@
 //! `build btree on <path>`, plus object-level DML with full replication
 //! maintenance.
 
-use crate::attach::{attach_path, detach_path, read_path_values, walk_chain};
+use crate::attach::{
+    attach_path, detach_path, read_path_values, set_source_replica_ref, set_terminal_values,
+    walk_chain_via,
+};
 use crate::error::{DbError, Result};
-use crate::objects::{read_object, ref_target, value_key, view_object, write_object, REPLICA_TAG};
+use crate::objects::{read_object, ref_target, value_key, view_object, write_object};
 use crate::propagate::{apply_plan, is_referenced};
-use crate::replicas::{find_anchor, group_values, write_replica};
-use crate::ripple::{ChainPlan, RipplePlan};
+use crate::replicas::{anchor_acquire, find_anchor, group_values, write_replica};
+use crate::ripple::{Chain, ChainPlan, RipplePlan};
 use crate::{chain, links, DbConfig, EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
@@ -457,27 +460,16 @@ impl Database {
             return self.build_collapsed_path(w, path, pre_links);
         }
         // Pass 1: scan the source set, walk every chain.
-        let set = self.catalog.set(path.set).clone();
-        let sources = self.file_oids(set.file)?;
+        let chains = self.source_chains(path)?;
         // memberships[level]: target -> sorted members.
         let mut memberships: Vec<BTreeMap<Oid, BTreeSet<Oid>>> =
             vec![BTreeMap::new(); path.links.len()];
-        let mut chains: Vec<(Oid, Vec<Option<Oid>>)> = Vec::with_capacity(sources.len());
-        for &src in &sources {
-            let obj = {
-                let ctx = self.ctx();
-                read_object(ctx.sm, ctx.cat, src)?
-            };
-            let chain = {
-                let mut ctx = self.ctx();
-                walk_chain(&mut ctx, path, src, &obj)?
-            };
+        for (_, chain) in &chains {
             for lvl in 0..path.links.len() {
                 if let (Some(member), Some(target)) = (chain[lvl], chain[lvl + 1]) {
                     memberships[lvl].entry(target).or_default().insert(member);
                 }
             }
-            chains.push((src, chain));
         }
 
         // Pass 2: build link structures for links created by this path, in
@@ -487,45 +479,38 @@ impl Database {
             if pre_links.contains(&link_id.0) {
                 continue; // shared with an earlier path ⇒ already complete
             }
-            let link = self.catalog.link(*link_id).clone();
+            let link = self.catalog.link(*link_id);
             for (target, members) in &memberships[lvl] {
                 let members: Vec<Oid> = members.iter().copied().collect();
-                let ctx = self.ctx();
-                let mut tobj = read_object(ctx.sm, ctx.cat, *target)?;
-                if self.cfg.inline_link_threshold > 0
+                let annotation = if self.cfg.inline_link_threshold > 0
                     && link.level == 0
                     && members.len() <= self.cfg.inline_link_threshold
                 {
-                    tobj.annotations.push(Annotation::InlineLink {
+                    Annotation::InlineLink {
                         link: link.id.0,
                         oids: members,
-                    });
+                    }
                 } else {
-                    let head = chain::create(w, &link, &members)?;
-                    let ctx2 = self.ctx();
-                    tobj = read_object(ctx2.sm, ctx2.cat, *target)?;
-                    tobj.annotations.push(Annotation::LinkRef {
+                    Annotation::LinkRef {
                         link: link.id.0,
-                        oid: head,
-                    });
-                }
+                        oid: chain::create(w, link, &members)?,
+                    }
+                };
+                let mut tobj = read_object(w, &self.catalog, *target)?;
+                tobj.annotations.push(annotation);
                 write_object(w, &self.catalog, *target, &tobj)?;
             }
         }
 
-        // Pass 3: terminal materialisation.
+        // Pass 3: terminal materialisation, through the per-source edits
+        // of an incremental attach.
+        let mut ctx = self.write_ctx(w);
         match path.strategy {
-            Strategy::InPlace => {
-                let mut ctx = self.write_ctx(w);
-                for (src, chain) in &chains {
-                    crate::attach::attach_terminal(&mut ctx, path, None, *src, chain)?;
-                }
-            }
+            Strategy::InPlace => set_terminal_values(&mut ctx, path, &chains),
             Strategy::Separate => {
                 let group = self
                     .catalog
-                    .group(path.group.expect("separate path has a group"))
-                    .clone();
+                    .group(path.group.expect("separate path has a group"));
                 // Was this group freshly created by this path? If it has
                 // other paths, replicas already exist.
                 if group.paths.len() > 1 {
@@ -539,38 +524,30 @@ impl Database {
                         by_terminal.entry(t).or_default().push(*src);
                     }
                 }
-                let rf = HeapFile::open(group.file);
                 for (t, srcs) in &by_terminal {
-                    let (roid, values) = {
-                        let ctx = self.ctx();
-                        let tobj = read_object(ctx.sm, ctx.cat, *t)?;
-                        (find_anchor(&tobj, group.id.0), group_values(&group, &tobj))
-                    };
-                    debug_assert!(roid.is_none(), "fresh group has no anchors yet");
-                    let roid = rf.rec_insert(w, REPLICA_TAG, &Value::encode_list(&values))?;
-                    {
-                        let ctx = self.ctx();
-                        let mut tobj = read_object(ctx.sm, ctx.cat, *t)?;
-                        tobj.annotations.push(Annotation::ReplicaAnchor {
-                            group: group.id.0,
-                            oid: roid,
-                            refcount: srcs.len() as u32,
-                        });
-                        write_object(w, ctx.cat, *t, &tobj)?;
-                    }
+                    let roid = anchor_acquire(w, &self.catalog, group, *t, srcs.len() as u32)?;
                     for s in srcs {
-                        let ctx = self.ctx();
-                        let mut sobj = read_object(ctx.sm, ctx.cat, *s)?;
-                        sobj.annotations.push(Annotation::ReplicaRef {
-                            group: group.id.0,
-                            oid: roid,
-                        });
-                        write_object(w, ctx.cat, *s, &sobj)?;
+                        set_source_replica_ref(&mut ctx, group.id.0, None, *s, Some(roid))?;
                     }
                 }
+                Ok(())
             }
         }
-        Ok(())
+    }
+
+    /// Pass 1 of a bulk build: every member of `path`'s source set, in
+    /// file order, with its forward chain. A source's first hop is read
+    /// where it lies; the source is not decoded.
+    fn source_chains(&self, path: &RepPathDef) -> Result<Vec<(Oid, Chain)>> {
+        let mut ctx = self.ctx();
+        let sources = self.file_oids(self.catalog.set(path.set).file)?;
+        sources
+            .into_iter()
+            .map(|src| {
+                let hop = view_object(ctx.sm, ctx.cat, None, src, |v| v.field(path.hops[0]))?;
+                Ok((src, walk_chain_via(&mut ctx, path, src, ref_target(&hop))?))
+            })
+            .collect()
     }
 
     /// Bulk-build a §4.3.3 collapsed path: one tagged store per terminal
@@ -581,54 +558,29 @@ impl Database {
         path: &RepPathDef,
         pre_links: &BTreeSet<u8>,
     ) -> Result<()> {
-        let set = self.catalog.set(path.set).clone();
-        let sources = self.file_oids(set.file)?;
-        let link = self.catalog.link(path.links[0]).clone();
-        let link_is_new = !pre_links.contains(&link.id.0);
-
-        let mut chains: Vec<(Oid, Vec<Option<Oid>>)> = Vec::with_capacity(sources.len());
+        let link = self.catalog.link(path.links[0]);
+        let chains = self.source_chains(path)?;
         let mut holders: BTreeMap<Oid, Vec<(Oid, Oid)>> = BTreeMap::new();
         let mut vias: BTreeSet<Oid> = BTreeSet::new();
-        for &src in &sources {
-            let obj = {
-                let ctx = self.ctx();
-                read_object(ctx.sm, ctx.cat, src)?
-            };
-            let chain = {
-                let mut ctx = self.ctx();
-                walk_chain(&mut ctx, path, src, &obj)?
-            };
+        for (src, chain) in &chains {
             if let Some(d) = chain[1] {
                 let holder = chain[2].unwrap_or(d);
-                holders.entry(holder).or_default().push((src, d));
+                holders.entry(holder).or_default().push((*src, d));
                 vias.insert(d);
             }
-            chains.push((src, chain));
         }
 
         let mut ctx = self.write_ctx(w);
-        if link_is_new {
+        if !pre_links.contains(&link.id.0) {
             for (holder, mut entries) in holders {
                 entries.sort_unstable_by_key(|e| e.0);
-                crate::collapsed::tag(&ctx, &link, holder, &entries)?;
+                crate::collapsed::tag(&ctx, link, holder, &entries)?;
             }
             for via in vias {
                 crate::collapsed::mark_via(&ctx, link.id.0, via, true)?;
             }
         }
-
-        // Values.
-        for (src, chain) in &chains {
-            let values = crate::attach::values_at(&mut ctx, path, chain[2])?;
-            crate::attach::set_source_replica_values(
-                &mut ctx,
-                path,
-                None,
-                *src,
-                values.as_deref(),
-            )?;
-        }
-        Ok(())
+        set_terminal_values(&mut ctx, path, &chains)
     }
 
     /// Rewrite every replica object of `group` from its terminal object —

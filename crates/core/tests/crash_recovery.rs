@@ -510,9 +510,9 @@ fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
     // its header LSN says it has a record in this log — unless the write
     // was wide. Replaying the log page by page, an image of a page that
     // already has one differs from its last logged state in at least 16
-    // of its 64 lines (a delta holds up to 31; a compaction moves about
-    // half a page). A page fetched again without its LSN would be imaged
-    // again after a one-line change.
+    // of its 64 lines (a delta holds up to 31; a compaction, or a grown
+    // record's slide, moves about half a page). A page fetched again
+    // without its LSN would be imaged again after a one-line change.
     let log = std::fs::read(live.join("wal.log")).unwrap();
     let mut logged: HashMap<PageId, Box<[u8; PAGE_SIZE]>> = HashMap::new();
     let (mut deltas, mut narrowest) = (0, 64);

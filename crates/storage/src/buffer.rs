@@ -29,7 +29,8 @@
 //! lives behind one [`Mutex<PoolCore>`]. Keeping that state under a single
 //! lock makes every single-threaded run take exactly the eviction
 //! decisions and count exactly the I/O events the pre-concurrency pool
-//! did (the bit-identical page-I/O invariant the bench gate enforces).
+//! did (the bit-identical page-I/O invariant that
+//! `crates/bench/tests/baseline.rs` pins against `BENCH_BASELINE.json`).
 //! Page *bytes* stay parallel: the core mutex is released before the
 //! caller touches data, and reads/writes go through each frame's own
 //! `RwLock<PageBuf>`, so concurrent readers of distinct (or the same)

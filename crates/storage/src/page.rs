@@ -17,6 +17,11 @@
 //!   exactly the `O_r` of the cost model.
 //! * Slot numbers are never reused for *different* objects while a page is
 //!   live and the slot array never shrinks, so physical OIDs stay stable.
+//! * A record that grows grows where it lies: the records between the
+//!   free hole and it slide down by the growth, and it takes their place
+//!   ([`PageMut::update`]). The page is compacted first only when
+//!   fragmentation, not the hole, holds the room, so growing the records
+//!   of a full page one after another costs no repack.
 //! * Records that must move (they outgrew their page) leave a
 //!   [`RecordFlags::Forward`] stub holding the target OID; the target
 //!   record is marked [`RecordFlags::Moved`] so scans do not report it
@@ -50,6 +55,10 @@ pub const LINE_SIZE: usize = 64;
 /// bytes so that it can always be replaced *in place* by a forwarding stub
 /// (whose payload is one 8-byte OID) when it outgrows its page.
 pub const MIN_RECORD_PAYLOAD: usize = 8;
+/// The most live records a page can hold (144): each takes a slot and
+/// at least a minimum allocation.
+const MAX_LIVE_RECORDS: usize =
+    USER_BYTES_PER_PAGE / (RECORD_HEADER_SIZE + MIN_RECORD_PAYLOAD + SLOT_SIZE);
 
 const MAGIC: u16 = 0xF1DB;
 
@@ -490,9 +499,17 @@ impl<'a> PageMut<'a> {
 
     /// Replace the record in `slot` with a new header/payload.
     ///
-    /// Returns `Ok(true)` on success; `Ok(false)` if the new payload does
-    /// not fit on this page even after compaction (the caller must forward
-    /// the record elsewhere).
+    /// A record that shrinks or keeps its size is rewritten where it lies;
+    /// the tail it gives up becomes fragmentation. A record that grows by
+    /// `g` bytes grows where it lies too: the records between the free
+    /// hole and it slide `g` bytes down, and it is written `g` bytes
+    /// lower. The page is compacted first only if the hole is smaller
+    /// than `g`, that is, only when fragmentation holds the room.
+    ///
+    /// Returns `Ok(true)` on success; `Ok(false)` if the page's free bytes,
+    /// fragmentation included, are fewer than `g` (the caller must forward
+    /// the record elsewhere). Only offsets within the page differ from a
+    /// repack: what fits, and so every forward, does not.
     pub fn update(&mut self, slot: u16, header: RecordHeader, payload: &[u8]) -> Result<bool> {
         if payload.len() > MAX_RECORD_PAYLOAD {
             return Err(StorageError::RecordTooLarge {
@@ -519,23 +536,34 @@ impl<'a> PageMut<'a> {
             }
             return Ok(true);
         }
-        // Growing: free old space, then place anew if possible.
+        // Growing, where the record lies.
         let grow = new_len - len as usize;
         if self.view().total_free() < grow {
             return Ok(false);
         }
-        // Tombstone old location into fragmentation.
-        let frag = self.view().frag_bytes() + len;
-        self.put_u16(OFF_FRAG, frag);
-        self.set_slot(slot, 0, 0);
-        if self.view().contiguous_free() < new_len {
+        if self.view().contiguous_free() < grow {
             self.compact();
         }
+        let off = self.view().slot(slot).0 as usize;
         let free_end = self.view().free_end() as usize;
-        let off = free_end - new_len;
-        self.put_record(off, header, payload);
-        self.put_u16(OFF_FREE_END, off as u16);
-        self.set_slot(slot, off as u16, new_len as u16);
+        let new_off = off - grow;
+        // Slide the records between the hole and this one down by `grow`:
+        // one run, marked once with the slot array, as compaction does.
+        if free_end < off {
+            self.data.copy_within(free_end..off, free_end - grow);
+            let slots = PAGE_HEADER_SIZE..self.view().free_start();
+            for entry in self.data[slots.clone()].chunks_exact_mut(SLOT_SIZE) {
+                let o = u16::from_le_bytes([entry[0], entry[1]]);
+                if o != 0 && (o as usize) < off {
+                    entry[..2].copy_from_slice(&(o - grow as u16).to_le_bytes());
+                }
+            }
+            self.written |=
+                lines_of(free_end - grow, off - free_end) | lines_of(slots.start, slots.len());
+        }
+        self.put_record(new_off, header, payload);
+        self.put_u16(OFF_FREE_END, (free_end - grow) as u16);
+        self.set_slot(slot, new_off as u16, new_len as u16);
         Ok(true)
     }
 
@@ -554,18 +582,23 @@ impl<'a> PageMut<'a> {
     /// fragmentation. Slot numbers (and therefore OIDs) are unchanged.
     pub fn compact(&mut self) {
         let n = self.view().slot_count();
-        // Collect live (slot, off, len), sort by offset descending, repack
-        // from the page end.
-        let mut live: Vec<(u16, u16, u16)> = (0..n)
-            .filter_map(|s| {
-                let (off, len) = self.view().slot(s);
-                (!(off == 0 && len == 0)).then_some((s, off, len))
-            })
-            .collect();
-        live.sort_by_key(|e| std::cmp::Reverse(e.1));
+        // Gather the live records as `offset << 16 | slot` on the stack,
+        // sort them by offset descending, repack from the page end.
+        let mut live = [0u32; MAX_LIVE_RECORDS];
+        let mut k = 0;
+        for s in 0..n {
+            let (off, len) = self.view().slot(s);
+            if !(off == 0 && len == 0) {
+                live[k] = u32::from(off) << 16 | u32::from(s);
+                k += 1;
+            }
+        }
+        live[..k].sort_unstable_by(|a, b| b.cmp(a));
         let mut dest = PAGE_SIZE;
         let mut moved_end = 0;
-        for (slot, off, len) in live {
+        for &e in &live[..k] {
+            let slot = e as u16;
+            let (off, len) = self.view().slot(slot);
             let off = off as usize;
             let len = len as usize;
             dest -= len;
@@ -846,6 +879,123 @@ mod tests {
                 for (i, (a, b)) in before.iter().zip(&buf).enumerate() {
                     prop_assert!(a == b || written >> (i / LINE_SIZE) & 1 == 1,
                         "op {kind} changed byte {i} in an unmarked line");
+                }
+            }
+        }
+    }
+
+    /// A page as its fit rules describe it: the record in each slot,
+    /// `None` for a free slot.
+    type Model = Vec<Option<(RecordHeader, Vec<u8>)>>;
+
+    /// Free bytes by the model: what the slots and the live records'
+    /// allocations leave of `B`.
+    fn model_free(model: &Model) -> usize {
+        let used: usize = model
+            .iter()
+            .flatten()
+            .map(|(_, p)| alloc_len(p.len()))
+            .sum();
+        USER_BYTES_PER_PAGE - SLOT_SIZE * model.len() - used
+    }
+
+    /// Seeded random insert / grow / shrink / delete / forward-stub steps
+    /// on one page, against the model: an insert lands (in the lowest
+    /// free slot) iff `can_fit` says so and the model agrees, and a record
+    /// grows iff `total_free` holds the growth. After every step every
+    /// live record reads back as the model holds it, `total_free` and
+    /// `live_records` are the model's, and every byte that changed lies in
+    /// a line of `written()`.
+    #[test]
+    fn every_step_follows_the_fit_rules() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(0x9A6E + seed);
+            let mut buf = fresh();
+            let mut model: Model = Vec::new();
+            for step in 0..400u16 {
+                let before = buf.clone();
+                let mut pg = PageMut::new(&mut buf);
+                let live: Vec<u16> = (0..model.len() as u16)
+                    .filter(|&s| model[s as usize].is_some())
+                    .collect();
+                let pick = (!live.is_empty()).then(|| live[rng.gen_range(0..live.len())]);
+                let old = pick.map_or(0, |s| model[s as usize].as_ref().map_or(0, |r| r.1.len()));
+                let fill = rng.gen_range(0..256u32) as u8;
+                let bytes = |n: usize| (0..n).map(|i| fill ^ i as u8).collect::<Vec<u8>>();
+                let kind = rng.gen_range(0..10u32);
+                let what = match (kind, pick) {
+                    (0..=3, _) | (_, None) => {
+                        let payload = bytes(rng.gen_range(0..240usize));
+                        let free_slot = model.iter().position(Option::is_none);
+                        let slot_cost = if free_slot.is_some() { 0 } else { SLOT_SIZE };
+                        let fits = model_free(&model) >= alloc_len(payload.len()) + slot_cost;
+                        assert_eq!(
+                            pg.view().can_fit(payload.len()),
+                            fits,
+                            "seed {seed} step {step}"
+                        );
+                        let got = pg.insert(hdr(step), &payload).unwrap();
+                        let want = fits.then(|| free_slot.unwrap_or(model.len()) as u16);
+                        assert_eq!(got, want, "seed {seed} step {step}: insert");
+                        if let Some(s) = got {
+                            if s as usize == model.len() {
+                                model.push(None);
+                            }
+                            model[s as usize] = Some((hdr(step), payload));
+                        }
+                        "insert"
+                    }
+                    (4..=6, Some(s)) => {
+                        let payload =
+                            bytes((old + rng.gen_range(1..300usize)).min(MAX_RECORD_PAYLOAD));
+                        let grow = alloc_len(payload.len()).saturating_sub(alloc_len(old));
+                        let fits = model_free(&model) >= grow;
+                        let got = pg.update(s, hdr(step), &payload).unwrap();
+                        assert_eq!(got, fits, "seed {seed} step {step}: grow by {grow}");
+                        if fits {
+                            model[s as usize] = Some((hdr(step), payload));
+                        }
+                        "grow"
+                    }
+                    (7, Some(s)) => {
+                        let payload = bytes(rng.gen_range(0..old + 1));
+                        assert!(pg.update(s, hdr(step), &payload).unwrap());
+                        model[s as usize] = Some((hdr(step), payload));
+                        "shrink"
+                    }
+                    (8, Some(s)) => {
+                        pg.delete(s).unwrap();
+                        model[s as usize] = None;
+                        "delete"
+                    }
+                    (_, Some(s)) => {
+                        let target = Oid::new(FileId(2), u32::from(step), s);
+                        pg.write_forward_stub(s, step, target).unwrap();
+                        let stub = RecordHeader {
+                            type_tag: step,
+                            flags: RecordFlags::Forward,
+                        };
+                        model[s as usize] = Some((stub, target.to_bytes().to_vec()));
+                        "stub"
+                    }
+                };
+                let written = pg.written();
+                let v = PageView::new(&buf);
+                let at = format!("seed {seed} step {step} ({what})");
+                assert_eq!(v.total_free(), model_free(&model), "{at}: total_free");
+                let live = model.iter().flatten().count();
+                assert_eq!(v.live_records() as usize, live, "{at}: live");
+                assert_eq!(v.slot_count() as usize, model.len(), "{at}: slots");
+                for (s, want) in model.iter().enumerate() {
+                    let got = v.record(s as u16).map(|(h, p)| (h, p.to_vec()));
+                    assert_eq!(&got, want, "{at}: slot {s} reads back otherwise");
+                }
+                for (i, (a, b)) in before.iter().zip(&buf).enumerate() {
+                    assert!(
+                        a == b || written >> (i / LINE_SIZE) & 1 == 1,
+                        "{at}: byte {i} changed in an unmarked line"
+                    );
                 }
             }
         }

@@ -29,7 +29,8 @@ stage lint cargo run -q -p fieldrep-lint
 
 # The workspace tests. Among them, crates/bench/tests/baseline.rs pins
 # page counts: the full bench_suite matrix must reproduce the committed
-# BENCH_BASELINE.json byte for byte (about 20 s unoptimised). The
+# BENCH_BASELINE.json byte for byte (about 3 s: tests build at the
+# root Cargo.toml's [profile.test] opt-level 1, debug assertions on). The
 # exporters' JSON and Chrome-trace shape and the flight-recorder dump
 # are checked here too: obs::export's unit tests and
 # crates/core/tests/flight_recorder_dump.rs.
