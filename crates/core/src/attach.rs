@@ -21,19 +21,20 @@
 //! [`fieldrep_model::ObjectView`]'s edits) instead of decoding, changing
 //! and re-encoding the object: a fan-out visits each source page once
 //! ([`fieldrep_storage::StorageManager::visit_sorted`], the one batched
-//! walk) and changes on it what the update changed.
+//! walk) and changes on it what the update changed. Outside a batch the
+//! page comes from the operation's pins ([`WriteCtx::page_of`]).
 
 use crate::collapsed;
 use crate::error::{DbError, Result};
 use crate::links::{link_add, link_members, link_remove};
-use crate::objects::{pin_of, read_object, ref_target, value_key, view_object};
+use crate::objects::{read_object, ref_target, value_key, view_pinned};
 use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref, read_replica};
 use crate::ripple::Chain;
 use crate::{EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{RepPathDef, Strategy};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
-use fieldrep_storage::{HeapFile, Oid, PageHandle};
+use fieldrep_storage::{HeapFile, Oid, PageHandle, PagePins};
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Walk the forward chain of `path` starting from the already-loaded
@@ -50,15 +51,18 @@ pub fn walk_chain(
 }
 
 /// [`walk_chain`] for a caller that read only the source's first hop:
-/// `next` is its target.
+/// `next` is its target. A reader's walk: it keeps no pin.
 pub(crate) fn walk_chain_via(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
     source: Oid,
     next: Option<Oid>,
 ) -> Result<Chain> {
+    let pins = PagePins::none();
     walk_from(path, 0, source, next, &mut |oid, hop| {
-        Ok(ref_target(&read_object(ctx.sm, ctx.cat, oid)?.values[hop]))
+        Ok(ref_target(
+            &read_object(ctx.sm, &pins, ctx.cat, oid)?.values[hop],
+        ))
     })
 }
 
@@ -90,21 +94,22 @@ pub(crate) fn walk_from(
 
 /// Make the hidden replicated values of `path` on `source` the encoded
 /// list `list` (`None` clears them), maintaining any index built on the
-/// path's replicated values (§3.3.4); `page` is the caller's pin on
-/// `source`'s page, if it holds one. The one writer of hidden values: the
-/// bytes are edited where they lie ([`ObjectView::edit_replica_values`]),
-/// and a source that already holds `list` is neither dirtied nor logged.
+/// path's replicated values (§3.3.4); `page` is `source`'s page, from
+/// the caller's batch or [`WriteCtx::page_of`]. The one writer of hidden
+/// values: the bytes are edited where they lie
+/// ([`ObjectView::edit_replica_values`]), and a source that already holds
+/// `list` is neither dirtied nor logged.
 pub(crate) fn set_source_replica_values(
     ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
-    page: Option<&PageHandle>,
+    page: &PageHandle,
     source: Oid,
     list: Option<&[u8]>,
 ) -> Result<()> {
     let index = ctx.cat.index_on_path(path.id);
     let mut old_first = None;
-    let pin = pin_of(ctx.sm, page, source)?;
-    let changed = HeapFile::open(source.file).edit_pinned(ctx.w, pin, source, |tag, bytes| {
+    let hf = HeapFile::open(source.file);
+    let changed = hf.edit_pinned(ctx.w, &ctx.pins, page, source, |tag, bytes| {
         let view = ObjectView::new(ctx.cat.type_def(TypeId(tag)), bytes);
         if index.is_some() {
             old_first = view
@@ -130,17 +135,17 @@ pub(crate) fn set_source_replica_values(
 
 /// Append (`Some`) or remove (`None`) `source`'s reference to the shared
 /// replica object of path group `group`, editing the stored bytes
-/// ([`ObjectView::edit_replica_ref`]) under the caller's `page`, if any.
+/// ([`ObjectView::edit_replica_ref`]) under `page`, `source`'s page.
 /// Returns whether anything changed.
 pub(crate) fn set_source_replica_ref(
     ctx: &mut WriteCtx<'_>,
     group: u16,
-    page: Option<&PageHandle>,
+    page: &PageHandle,
     source: Oid,
     replica: Option<Oid>,
 ) -> Result<bool> {
-    let pin = pin_of(ctx.sm, page, source)?;
-    HeapFile::open(source.file).edit_pinned(ctx.w, pin, source, |tag, bytes| {
+    let hf = HeapFile::open(source.file);
+    hf.edit_pinned(ctx.w, &ctx.pins, page, source, |tag, bytes| {
         let view = ObjectView::new(ctx.cat.type_def(TypeId(tag)), bytes);
         Ok::<_, DbError>(view.edit_replica_ref(group, replica)?)
     })
@@ -160,13 +165,14 @@ pub(crate) fn set_terminal_values(
             Some(t) => Some(match encoded.entry(t) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
-                    let values = terminal_values(path, &read_object(ctx.sm, ctx.cat, t)?);
-                    e.insert(Value::encode_list(&values))
+                    let t = read_object(ctx.sm, &ctx.pins, ctx.cat, t)?;
+                    e.insert(Value::encode_list(&terminal_values(path, &t)))
                 }
             }),
             None => None,
         };
-        set_source_replica_values(ctx, path, None, *source, list.map(|l| &l[..]))?;
+        let page = ctx.page_of(*source)?;
+        set_source_replica_values(ctx, path, &page, *source, list.map(|l| &l[..]))?;
     }
     Ok(())
 }
@@ -183,14 +189,14 @@ pub fn terminal_values(path: &RepPathDef, terminal_obj: &Object) -> Vec<Value> {
 /// sources store them — `None` when the chain is broken (the sources'
 /// hidden values clear). Built once per step, lent to every source.
 pub(crate) fn values_at(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &WriteCtx<'_>,
     path: &RepPathDef,
     terminal: Option<Oid>,
 ) -> Result<Option<Vec<u8>>> {
     terminal
         .map(|t| {
-            let values = terminal_values(path, &read_object(ctx.sm, ctx.cat, t)?);
-            Ok(Value::encode_list(&values))
+            let t = read_object(ctx.sm, &ctx.pins, ctx.cat, t)?;
+            Ok(Value::encode_list(&terminal_values(path, &t)))
         })
         .transpose()
 }
@@ -207,7 +213,8 @@ pub fn attach_path(
         return attach_collapsed(ctx, path, source, chain);
     }
     attach_links_from(ctx, path, chain, 0)?;
-    attach_terminal(ctx, path, None, source, chain)
+    let page = ctx.page_of(source)?;
+    attach_terminal(ctx, path, &page, source, chain)
 }
 
 /// Where a collapsed entry for a chain lives: the terminal object when
@@ -233,7 +240,8 @@ fn attach_collapsed(
     }
     // Terminal values: only complete chains have them.
     let values = values_at(ctx, path, chain[2])?;
-    set_source_replica_values(ctx, path, None, source, values.as_deref())
+    let page = ctx.page_of(source)?;
+    set_source_replica_values(ctx, path, &page, source, values.as_deref())
 }
 
 /// Ensure link memberships for levels `from..` along `chain`.
@@ -254,11 +262,12 @@ pub fn attach_links_from(
 }
 
 /// Materialise the terminal of `path` for `source`, given its chain and
-/// `page`, the caller's pin on `source`'s page if it holds one.
+/// `page`, `source`'s page (from the caller's batch or
+/// [`WriteCtx::page_of`]).
 pub fn attach_terminal(
     ctx: &mut WriteCtx<'_>,
     path: &RepPathDef,
-    page: Option<&PageHandle>,
+    page: &PageHandle,
     source: Oid,
     chain: &[Option<Oid>],
 ) -> Result<()> {
@@ -272,12 +281,12 @@ pub fn attach_terminal(
             let group = ctx
                 .cat
                 .group(path.group.expect("separate path has a group"));
-            let already =
-                view_object(ctx.sm, ctx.cat, page, source, |v| v.replica_ref(group.id.0))?
-                    .is_some();
-            match (terminal, already) {
+            let already = view_pinned(ctx.sm, &ctx.pins, ctx.cat, page, source, |v| {
+                v.replica_ref(group.id.0)
+            })?;
+            match (terminal, already.is_some()) {
                 (Some(t), false) => {
-                    let roid = anchor_acquire(ctx.w, ctx.cat, group, t, 1)?;
+                    let roid = anchor_acquire(ctx.w, &ctx.pins, ctx.cat, group, t, 1)?;
                     set_source_replica_ref(ctx, group.id.0, page, source, Some(roid)).map(drop)
                 }
                 // Already attached (a sibling path of the same group did
@@ -301,15 +310,16 @@ pub fn detach_path(
     }
     detach_links_from(ctx, path, chain, 0)?;
 
+    let page = ctx.page_of(source)?;
     match path.strategy {
-        Strategy::InPlace => set_source_replica_values(ctx, path, None, source, None),
+        Strategy::InPlace => set_source_replica_values(ctx, path, &page, source, None),
         Strategy::Separate => {
             let group = ctx
                 .cat
                 .group(path.group.expect("separate path has a group"));
-            if set_source_replica_ref(ctx, group.id.0, None, source, None)? {
+            if set_source_replica_ref(ctx, group.id.0, &page, source, None)? {
                 if let Some(t) = chain.last().copied().flatten() {
-                    anchor_release(ctx.w, ctx.cat, group, t, 1)?;
+                    anchor_release(ctx.w, &ctx.pins, ctx.cat, group, t, 1)?;
                 }
             }
             Ok(())
@@ -356,16 +366,18 @@ fn detach_collapsed(
             collapsed::mark_via(ctx, link.id.0, via, false)?;
         }
     }
-    set_source_replica_values(ctx, path, None, source, None)
+    let page = ctx.page_of(source)?;
+    set_source_replica_values(ctx, path, &page, source, None)
 }
 
 /// Collect the source objects (level-0 members) that reach `obj` through
 /// the inverted path of `path`. `at_level` is the level of the link whose
 /// link object hangs off `obj` (`obj` is chain node `at_level + 1`).
 /// Results are sorted by OID, i.e. physical order — the order the paper
-/// propagates updates in.
+/// propagates updates in. Link stores are asked of `pins`.
 pub fn collect_sources(
-    ctx: &mut EngineCtx<'_>,
+    ctx: &EngineCtx<'_>,
+    pins: &PagePins,
     path: &RepPathDef,
     at_level: usize,
     obj: &Object,
@@ -373,20 +385,20 @@ pub fn collect_sources(
     if path.collapsed {
         debug_assert_eq!(at_level, 0, "collapsed paths have one link level");
         let link = ctx.cat.link(path.links[0]).clone();
-        return Ok(collapsed::members(ctx.sm, obj, &link)?
+        return Ok(collapsed::members(ctx.sm, pins, obj, &link)?
             .into_iter()
             .map(|(src, _)| src)
             .collect());
     }
     let link = ctx.cat.link(path.links[at_level]).clone();
-    let members = link_members(ctx.sm, obj, &link)?;
+    let members = link_members(ctx.sm, pins, obj, &link)?;
     if at_level == 0 {
         return Ok(members); // already sorted
     }
     let mut out = Vec::new();
     ctx.sm.visit_sorted(&members, |_, m, _| {
-        let mobj = read_object(ctx.sm, ctx.cat, m)?;
-        out.extend(collect_sources(ctx, path, at_level - 1, &mobj)?);
+        let mobj = read_object(ctx.sm, pins, ctx.cat, m)?;
+        out.extend(collect_sources(ctx, pins, path, at_level - 1, &mobj)?);
         Ok::<_, DbError>(())
     })?;
     out.sort_unstable();

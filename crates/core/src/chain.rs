@@ -12,13 +12,15 @@
 //! ```
 //!
 //! The mark is the link's level, or [`COLLAPSED_MARK`] if collapsed. A
-//! record that is not the chunk its link expects is `Corrupt`.
+//! record that is not the chunk its link expects is `Corrupt`. Every
+//! chunk is read and written through the operation's [`PagePins`], so a
+//! chunk read and then rewritten costs one page request.
 
 use crate::error::Result;
 use crate::objects::LINK_TAG;
 use fieldrep_catalog::LinkDef;
 use fieldrep_storage::{
-    ApplySection, HeapFile, Oid, StorageError, StorageManager, MAX_RECORD_PAYLOAD,
+    ApplySection, HeapFile, Oid, PagePins, StorageError, StorageManager, MAX_RECORD_PAYLOAD,
 };
 
 /// Bytes of chunk header (mark + count + next pointer).
@@ -113,39 +115,54 @@ pub fn decode_chunk<E: Entry>(mark: u8, b: &[u8]) -> fieldrep_storage::Result<Ch
 }
 
 /// Read and decode the chunk at `oid`.
-fn read_chunk<E: Entry>(sm: &StorageManager, link: &LinkDef, oid: Oid) -> Result<Chunk<E>> {
-    let (tag, payload) = HeapFile::open(link.file).read(sm, oid)?;
-    if tag != LINK_TAG {
-        return Err(StorageError::Corrupt(format!("link chunk {oid}: record tag {tag}")).into());
-    }
-    Ok(decode_chunk(mark_of(link), &payload)?)
+fn read_chunk<E: Entry>(
+    sm: &StorageManager,
+    pins: &PagePins,
+    link: &LinkDef,
+    oid: Oid,
+) -> Result<Chunk<E>> {
+    let chunk = HeapFile::open(link.file).view(sm, pins, oid, |tag, payload| {
+        if tag != LINK_TAG {
+            return Err(StorageError::Corrupt(format!(
+                "link chunk {oid}: record tag {tag}"
+            )));
+        }
+        decode_chunk(mark_of(link), payload)
+    })?;
+    Ok(chunk?)
 }
 
 /// Create a chain holding `entries` (sorted); returns the head's OID.
 /// Chunks are written tail-first so each can point at its successor; an
 /// empty list still gets one (empty) head chunk.
-pub fn create<E: Entry>(w: &ApplySection<'_>, link: &LinkDef, entries: &[E]) -> Result<Oid> {
+pub fn create<E: Entry>(
+    w: &ApplySection<'_>,
+    pins: &PagePins,
+    link: &LinkDef,
+    entries: &[E],
+) -> Result<Oid> {
     let (hf, mark) = (HeapFile::open(link.file), mark_of(link));
     let mut next = None;
     for chunk in entries.chunks(E::CAPACITY).rev() {
-        next = Some(hf.rec_insert(w, LINK_TAG, &encode_chunk(mark, next, chunk))?);
+        next = Some(hf.rec_insert(w, pins, LINK_TAG, &encode_chunk(mark, next, chunk))?);
     }
     match next {
         Some(head) => Ok(head),
-        None => Ok(hf.rec_insert(w, LINK_TAG, &encode_chunk::<E>(mark, None, &[]))?),
+        None => Ok(hf.rec_insert(w, pins, LINK_TAG, &encode_chunk::<E>(mark, None, &[]))?),
     }
 }
 
 /// Visit the chunks of the chain at `head` in order, as `f(oid, entries)`.
 pub fn walk<E: Entry>(
     sm: &StorageManager,
+    pins: &PagePins,
     link: &LinkDef,
     head: Oid,
     mut f: impl FnMut(Oid, Vec<E>) -> Result<()>,
 ) -> Result<()> {
     let mut cur = Some(head);
     while let Some(oid) = cur {
-        let (next, entries) = read_chunk(sm, link, oid)?;
+        let (next, entries) = read_chunk(sm, pins, link, oid)?;
         f(oid, entries)?;
         cur = next;
     }
@@ -153,9 +170,14 @@ pub fn walk<E: Entry>(
 }
 
 /// Every entry of the chain at `head`, in key order.
-pub fn read<E: Entry>(sm: &StorageManager, link: &LinkDef, head: Oid) -> Result<Vec<E>> {
+pub fn read<E: Entry>(
+    sm: &StorageManager,
+    pins: &PagePins,
+    link: &LinkDef,
+    head: Oid,
+) -> Result<Vec<E>> {
     let mut out = Vec::new();
-    walk::<E>(sm, link, head, |_, entries| {
+    walk::<E>(sm, pins, link, head, |_, entries| {
         out.extend(entries);
         Ok(())
     })?;
@@ -163,18 +185,31 @@ pub fn read<E: Entry>(sm: &StorageManager, link: &LinkDef, head: Oid) -> Result<
 }
 
 /// Delete every chunk of the chain at `head`.
-pub fn destroy<E: Entry>(w: &ApplySection<'_>, link: &LinkDef, head: Oid) -> Result<()> {
+pub fn destroy<E: Entry>(
+    w: &ApplySection<'_>,
+    pins: &PagePins,
+    link: &LinkDef,
+    head: Oid,
+) -> Result<()> {
     let hf = HeapFile::open(link.file);
-    walk::<E>(w, link, head, |oid, _| Ok(hf.rec_delete(w, oid)?))
+    walk::<E>(w, pins, link, head, |oid, _| {
+        Ok(hf.rec_delete(w, pins, oid)?)
+    })
 }
 
 /// Insert `entry` into the chain at `head`, or re-tag the entry already
 /// there under its key. Returns whether the chain changed.
-pub fn insert<E: Entry>(w: &ApplySection<'_>, link: &LinkDef, head: Oid, entry: E) -> Result<bool> {
+pub fn insert<E: Entry>(
+    w: &ApplySection<'_>,
+    pins: &PagePins,
+    link: &LinkDef,
+    head: Oid,
+    entry: E,
+) -> Result<bool> {
     let (hf, mark) = (HeapFile::open(link.file), mark_of(link));
     let key = entry.key();
     let mut cur = head;
-    let (mut next, mut entries) = read_chunk::<E>(w, link, cur)?;
+    let (mut next, mut entries) = read_chunk::<E>(w, pins, link, cur)?;
     // The entry belongs in the last chunk, or the first whose maximum it
     // does not pass.
     while let (Some(succ), Some(max)) = (next, entries.last()) {
@@ -182,7 +217,7 @@ pub fn insert<E: Entry>(w: &ApplySection<'_>, link: &LinkDef, head: Oid, entry: 
             break;
         }
         cur = succ;
-        (next, entries) = read_chunk(w, link, cur)?;
+        (next, entries) = read_chunk(w, pins, link, cur)?;
     }
     match entries.binary_search_by_key(&key, E::key) {
         Ok(pos) if entries[pos] == entry => return Ok(false),
@@ -190,12 +225,12 @@ pub fn insert<E: Entry>(w: &ApplySection<'_>, link: &LinkDef, head: Oid, entry: 
         Err(pos) => entries.insert(pos, entry),
     }
     if entries.len() <= E::CAPACITY {
-        hf.rec_update(w, cur, &encode_chunk(mark, next, &entries))?;
+        hf.rec_update(w, pins, cur, &encode_chunk(mark, next, &entries))?;
     } else {
         // Split: the upper half moves to a new chunk after this one.
         let upper = entries.split_off(entries.len() / 2);
-        let new_chunk = hf.rec_insert(w, LINK_TAG, &encode_chunk(mark, next, &upper))?;
-        hf.rec_update(w, cur, &encode_chunk(mark, Some(new_chunk), &entries))?;
+        let new_chunk = hf.rec_insert(w, pins, LINK_TAG, &encode_chunk(mark, next, &upper))?;
+        hf.rec_update(w, pins, cur, &encode_chunk(mark, Some(new_chunk), &entries))?;
     }
     Ok(true)
 }
@@ -206,6 +241,7 @@ pub fn insert<E: Entry>(w: &ApplySection<'_>, link: &LinkDef, head: Oid, entry: 
 /// put) or, if it was the only chunk, is deleted and the chain with it.
 pub fn remove<E: Entry>(
     w: &ApplySection<'_>,
+    pins: &PagePins,
     link: &LinkDef,
     head: Oid,
     key: Oid,
@@ -216,27 +252,27 @@ pub fn remove<E: Entry>(
     let mut prev: Option<(Oid, Vec<E>)> = None;
     let mut cur = Some(head);
     while let Some(oid) = cur {
-        let (mut next, mut entries) = read_chunk::<E>(w, link, oid)?;
+        let (mut next, mut entries) = read_chunk::<E>(w, pins, link, oid)?;
         if let (None, Ok(pos)) = (removed, entries.binary_search_by_key(&key, E::key)) {
             removed = Some(entries.remove(pos));
             match (&prev, next) {
                 _ if !entries.is_empty() => {
-                    hf.rec_update(w, oid, &encode_chunk(mark, next, &entries))?;
+                    hf.rec_update(w, pins, oid, &encode_chunk(mark, next, &entries))?;
                 }
                 // Unlink the emptied chunk from its predecessor.
                 (Some((poid, pentries)), _) => {
-                    hf.rec_update(w, *poid, &encode_chunk(mark, next, pentries))?;
-                    hf.rec_delete(w, oid)?;
+                    hf.rec_update(w, pins, *poid, &encode_chunk(mark, next, pentries))?;
+                    hf.rec_delete(w, pins, oid)?;
                     cur = next;
                     continue;
                 }
                 (None, Some(succ)) => {
-                    (next, entries) = read_chunk(w, link, succ)?;
-                    hf.rec_update(w, oid, &encode_chunk(mark, next, &entries))?;
-                    hf.rec_delete(w, succ)?;
+                    (next, entries) = read_chunk(w, pins, link, succ)?;
+                    hf.rec_update(w, pins, oid, &encode_chunk(mark, next, &entries))?;
+                    hf.rec_delete(w, pins, succ)?;
                 }
                 (None, None) => {
-                    hf.rec_delete(w, oid)?;
+                    hf.rec_delete(w, pins, oid)?;
                     return Ok(removed);
                 }
             }
@@ -252,19 +288,20 @@ pub fn remove<E: Entry>(
 /// keeping the head.
 pub fn rewrite<E: Entry>(
     w: &ApplySection<'_>,
+    pins: &PagePins,
     link: &LinkDef,
     head: Oid,
     entries: &[E],
 ) -> Result<()> {
     let (hf, mark) = (HeapFile::open(link.file), mark_of(link));
-    if let (Some(tail), _) = read_chunk::<E>(w, link, head)? {
-        destroy::<E>(w, link, tail)?;
+    if let (Some(tail), _) = read_chunk::<E>(w, pins, link, head)? {
+        destroy::<E>(w, pins, link, tail)?;
     }
     let (first, rest) = entries.split_at(entries.len().min(E::CAPACITY));
     let next = (!rest.is_empty())
-        .then(|| create(w, link, rest))
+        .then(|| create(w, pins, link, rest))
         .transpose()?;
-    Ok(hf.rec_update(w, head, &encode_chunk(mark, next, first))?)
+    Ok(hf.rec_update(w, pins, head, &encode_chunk(mark, next, first))?)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::objects::{read_object, write_object};
 use crate::WriteCtx;
 use fieldrep_catalog::LinkDef;
 use fieldrep_model::{Annotation, Object};
-use fieldrep_storage::{Oid, StorageManager};
+use fieldrep_storage::{Oid, PagePins, StorageManager};
 
 /// One tagged entry: the source object and the intermediate it goes
 /// through.
@@ -36,9 +36,15 @@ pub fn find_store(obj: &Object, link_id: u8) -> Option<Oid> {
     })
 }
 
-/// All entries of `holder`'s collapsed store for `link` (empty if none).
-pub fn members(sm: &StorageManager, holder: &Object, link: &LinkDef) -> Result<Vec<TaggedEntry>> {
-    find_store(holder, link.id.0).map_or(Ok(Vec::new()), |head| chain::read(sm, link, head))
+/// All entries of `holder`'s collapsed store for `link` (empty if none),
+/// its pages asked of `pins`.
+pub fn members(
+    sm: &StorageManager,
+    pins: &PagePins,
+    holder: &Object,
+    link: &LinkDef,
+) -> Result<Vec<TaggedEntry>> {
+    find_store(holder, link.id.0).map_or(Ok(Vec::new()), |head| chain::read(sm, pins, link, head))
 }
 
 /// Find whether an object carries the `CollapsedVia` marker for `link`.
@@ -58,7 +64,7 @@ fn edit_store(
     holder: Oid,
     edit: impl FnOnce(Option<Oid>) -> Result<Option<Oid>>,
 ) -> Result<()> {
-    let mut obj = read_object(ctx.w, ctx.cat, holder)?;
+    let mut obj = read_object(ctx.w, &ctx.pins, ctx.cat, holder)?;
     let before = find_store(&obj, link.id.0);
     let after = edit(before)?;
     if after != before {
@@ -67,7 +73,7 @@ fn edit_store(
             .retain(|a| !matches!(a, Annotation::LinkRef { link, .. } if *link == id));
         obj.annotations
             .extend(after.map(|oid| Annotation::LinkRef { link: id, oid }));
-        write_object(ctx.w, ctx.cat, holder, &obj)?;
+        write_object(ctx.w, &ctx.pins, ctx.cat, holder, &obj)?;
     }
     Ok(())
 }
@@ -78,11 +84,11 @@ pub fn tag(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, entries: &[TaggedEnt
     edit_store(ctx, link, holder, |head| match head {
         Some(head) => {
             for &e in entries {
-                chain::insert(ctx.w, link, head, e)?;
+                chain::insert(ctx.w, &ctx.pins, link, head, e)?;
             }
             Ok(Some(head))
         }
-        None => chain::create(ctx.w, link, entries).map(Some),
+        None => chain::create(ctx.w, &ctx.pins, link, entries).map(Some),
     })
 }
 
@@ -93,7 +99,7 @@ pub fn untag(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, src: Oid, via: Oid
     edit_store(ctx, link, holder, |head| {
         let Some(head) = head else { return Ok(None) };
         let mut left = 0;
-        removed = chain::remove(ctx.w, link, head, src, |e: &TaggedEntry| {
+        removed = chain::remove(ctx.w, &ctx.pins, link, head, src, |e: &TaggedEntry| {
             left += 1;
             routes |= e.1 == via;
         })?;
@@ -108,14 +114,14 @@ pub fn untag(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, src: Oid, via: Oid
 pub fn remove_tagged(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, via: Oid) -> Result<()> {
     edit_store(ctx, link, holder, |head| {
         let Some(head) = head else { return Ok(None) };
-        let all: Vec<TaggedEntry> = chain::read(ctx.w, link, head)?;
+        let all: Vec<TaggedEntry> = chain::read(ctx.w, &ctx.pins, link, head)?;
         let kept: Vec<TaggedEntry> = all.iter().copied().filter(|e| e.1 != via).collect();
         if kept.is_empty() {
-            chain::destroy::<TaggedEntry>(ctx.w, link, head)?;
+            chain::destroy::<TaggedEntry>(ctx.w, &ctx.pins, link, head)?;
             return Ok(None);
         }
         if kept.len() < all.len() {
-            chain::rewrite(ctx.w, link, head, &kept)?;
+            chain::rewrite(ctx.w, &ctx.pins, link, head, &kept)?;
         }
         Ok(Some(head))
     })
@@ -123,7 +129,7 @@ pub fn remove_tagged(ctx: &WriteCtx<'_>, link: &LinkDef, holder: Oid, via: Oid) 
 
 /// Set (`on`) or clear the `CollapsedVia` marker for `link` on `via`.
 pub fn mark_via(ctx: &WriteCtx<'_>, link: u8, via: Oid, on: bool) -> Result<()> {
-    let mut obj = read_object(ctx.w, ctx.cat, via)?;
+    let mut obj = read_object(ctx.w, &ctx.pins, ctx.cat, via)?;
     if has_via_marker(&obj, link) == on {
         return Ok(());
     }
@@ -131,7 +137,7 @@ pub fn mark_via(ctx: &WriteCtx<'_>, link: u8, via: Oid, on: bool) -> Result<()> 
         .retain(|a| !matches!(a, Annotation::CollapsedVia { link: l } if *l == link));
     obj.annotations
         .extend(on.then_some(Annotation::CollapsedVia { link }));
-    write_object(ctx.w, ctx.cat, via, &obj)
+    write_object(ctx.w, &ctx.pins, ctx.cat, via, &obj)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::attach::{
     walk_chain_via,
 };
 use crate::error::{DbError, Result};
-use crate::objects::{read_object, ref_target, value_key, view_object, write_object};
+use crate::objects::{read_object, ref_target, value_key, view_object, view_pinned, write_object};
 use crate::propagate::{apply_plan, is_referenced};
 use crate::replicas::{anchor_acquire, find_anchor, group_values, write_replica};
 use crate::ripple::{Chain, ChainPlan, RipplePlan};
@@ -21,9 +21,9 @@ use fieldrep_catalog::{
     Catalog, GroupId, IndexId, IndexKind, IndexTarget, LinkId, PathId, Propagation, RepPathDef,
     SetId, Strategy,
 };
-use fieldrep_model::{Annotation, FieldType, Object, PathExpr, TypeDef, TypeId, Value};
+use fieldrep_model::{Annotation, Object, PathExpr, TypeDef, TypeId, Value};
 use fieldrep_storage::{
-    ApplySection, DiskManager, FileId, HeapFile, IoProfile, Oid, StorageManager,
+    ApplySection, DiskManager, FileId, HeapFile, IoProfile, Oid, PagePins, StorageManager,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -145,9 +145,9 @@ impl Database {
     /// as sequence-numbered chunks.
     fn write_catalog(&self, w: &ApplySection<'_>) -> Result<()> {
         let image = fieldrep_catalog::persist::encode(&self.catalog);
-        let hf = HeapFile::open(self.catalog_file);
+        let (hf, pins) = (HeapFile::open(self.catalog_file), PagePins::none());
         for oid in self.file_oids(hf.file)? {
-            hf.rec_delete(w, oid)?;
+            hf.rec_delete(w, &pins, oid)?;
         }
         let max = fieldrep_storage::MAX_RECORD_PAYLOAD - 8;
         let count = image.chunks(max).count() as u32;
@@ -156,7 +156,7 @@ impl Database {
             payload.extend_from_slice(&(seq as u32).to_le_bytes());
             payload.extend_from_slice(&count.to_le_bytes());
             payload.extend_from_slice(chunk);
-            hf.rec_insert(w, 0xFFFC, &payload)?;
+            hf.rec_insert(w, &pins, 0xFFFC, &payload)?;
         }
         Ok(())
     }
@@ -277,9 +277,24 @@ impl Database {
         }
     }
 
-    /// The engine context of a write inside the section `w`.
+    /// The engine context of a write inside the section `w`, keeping no
+    /// page pin: what the bulk and sync paths write with.
     pub fn write_ctx<'a>(&'a self, w: &'a ApplySection<'a>) -> WriteCtx<'a> {
-        WriteCtx { ctx: self.ctx(), w }
+        self.write_ctx_with(w, PagePins::none())
+    }
+
+    /// The engine context of a write inside the section `w` whose page
+    /// requests are asked of `pins`.
+    pub(crate) fn write_ctx_with<'a>(
+        &'a self,
+        w: &'a ApplySection<'a>,
+        pins: PagePins,
+    ) -> WriteCtx<'a> {
+        WriteCtx {
+            ctx: self.ctx(),
+            w,
+            pins,
+        }
     }
 
     /// Observed per-path workload statistics (reads, update ripples,
@@ -461,6 +476,7 @@ impl Database {
         }
         // Pass 1: scan the source set, walk every chain.
         let chains = self.source_chains(path)?;
+        let pins = PagePins::none();
         // memberships[level]: target -> sorted members.
         let mut memberships: Vec<BTreeMap<Oid, BTreeSet<Oid>>> =
             vec![BTreeMap::new(); path.links.len()];
@@ -493,12 +509,12 @@ impl Database {
                 } else {
                     Annotation::LinkRef {
                         link: link.id.0,
-                        oid: chain::create(w, link, &members)?,
+                        oid: chain::create(w, &pins, link, &members)?,
                     }
                 };
-                let mut tobj = read_object(w, &self.catalog, *target)?;
+                let mut tobj = read_object(w, &pins, &self.catalog, *target)?;
                 tobj.annotations.push(annotation);
-                write_object(w, &self.catalog, *target, &tobj)?;
+                write_object(w, &pins, &self.catalog, *target, &tobj)?;
             }
         }
 
@@ -525,9 +541,11 @@ impl Database {
                     }
                 }
                 for (t, srcs) in &by_terminal {
-                    let roid = anchor_acquire(w, &self.catalog, group, *t, srcs.len() as u32)?;
+                    let roid =
+                        anchor_acquire(w, &ctx.pins, &self.catalog, group, *t, srcs.len() as u32)?;
                     for s in srcs {
-                        set_source_replica_ref(&mut ctx, group.id.0, None, *s, Some(roid))?;
+                        let page = ctx.page_of(*s)?;
+                        set_source_replica_ref(&mut ctx, group.id.0, &page, *s, Some(roid))?;
                     }
                 }
                 Ok(())
@@ -544,7 +562,9 @@ impl Database {
         sources
             .into_iter()
             .map(|src| {
-                let hop = view_object(ctx.sm, ctx.cat, None, src, |v| v.field(path.hops[0]))?;
+                let hop = view_object(ctx.sm, &PagePins::none(), ctx.cat, src, |v| {
+                    v.field(path.hops[0])
+                })?;
                 Ok((src, walk_chain_via(&mut ctx, path, src, ref_target(&hop))?))
             })
             .collect()
@@ -595,11 +615,11 @@ impl Database {
             .collect();
         for file in term_sets {
             for oid in self.file_oids(file)? {
-                let ctx = self.ctx();
-                let obj = read_object(ctx.sm, ctx.cat, oid)?;
+                let (ctx, pins) = (self.ctx(), PagePins::none());
+                let obj = read_object(ctx.sm, &pins, ctx.cat, oid)?;
                 if let Some((_, roid, _)) = find_anchor(&obj, group.id.0) {
                     let values = group_values(&group, &obj);
-                    write_replica(w, &group, roid, &values)?;
+                    write_replica(w, &pins, &group, roid, &values)?;
                 }
             }
         }
@@ -619,7 +639,7 @@ impl Database {
         let target = if resolved.hops.is_empty() {
             for oid in self.file_oids(set.file)? {
                 let ctx = self.ctx();
-                let obj = read_object(ctx.sm, ctx.cat, oid)?;
+                let obj = read_object(ctx.sm, &PagePins::none(), ctx.cat, oid)?;
                 entries.push((value_key(&obj.values[field]), oid));
             }
             IndexTarget::Field(field)
@@ -655,7 +675,7 @@ impl Database {
                 .expect("replica_for checked membership");
             for oid in self.file_oids(set.file)? {
                 let ctx = self.ctx();
-                let obj = read_object(ctx.sm, ctx.cat, oid)?;
+                let obj = read_object(ctx.sm, &PagePins::none(), ctx.cat, oid)?;
                 if let Some(vals) = obj.replica_values(rep_id.0) {
                     entries.push((value_key(&vals[pos]), oid));
                 }
@@ -717,30 +737,23 @@ impl Database {
         let set = cat.set(cat.set_id(set_name)?);
         let def = cat.type_def(set.elem_type);
         let obj = Object::new(set.elem_type, def, values)?;
-        // Check ref target types.
-        for (v, f) in obj.values.iter().zip(&def.fields) {
-            if let FieldType::Ref(tname) = &f.ftype {
-                crate::objects::check_ref_type(&self.sm, cat, v, cat.type_id(tname)?)?;
-            }
-        }
         let plan = || ChainPlan::attach(self, set.id, obj.clone());
-        self.write_locked(None, plan, |db, w, plan| {
+        self.write_locked(None, plan, |ctx, plan| {
             let hf = HeapFile::open(set.file);
-            let oid = hf.rec_insert(w, set.elem_type.0, &plan.obj.encode(def))?;
+            let oid = hf.rec_insert(ctx.w, &ctx.pins, set.elem_type.0, &plan.obj.encode(def))?;
 
             // Base-field index maintenance.
             for idx in cat.indexes_on(set.id) {
                 if let IndexTarget::Field(f) = idx.target {
                     let key = value_key(&plan.obj.values[f]);
-                    BTreeIndex::open(idx.file).insert(w, &key, oid)?;
+                    BTreeIndex::open(idx.file).insert(ctx.w, &key, oid)?;
                 }
             }
 
             // Replication attach.
-            let mut ctx = db.write_ctx(w);
             for (p, mut chain) in cat.paths_from(set.id).zip(plan.chains) {
                 chain[0] = Some(oid);
-                attach_path(&mut ctx, p, oid, &chain)?;
+                attach_path(ctx, p, oid, &chain)?;
             }
             Ok(oid)
         })
@@ -749,7 +762,7 @@ impl Database {
     /// Read the object at `oid` (base values + annotations).
     pub fn get(&self, oid: Oid) -> Result<Object> {
         let ctx = self.ctx();
-        read_object(ctx.sm, ctx.cat, oid)
+        read_object(ctx.sm, &PagePins::none(), ctx.cat, oid)
     }
 
     /// Read one base field by name.
@@ -818,10 +831,22 @@ impl Database {
     /// the crash-durability guarantee is lost. Any other error means the
     /// update was rejected.
     pub fn update(&self, oid: Oid, changes: &[(&str, Value)]) -> Result<()> {
-        let plan = || RipplePlan::build(self, oid, changes);
-        self.write_locked(Some(oid), plan, |db, w, plan| {
-            apply_plan(&mut db.write_ctx(w), plan)?;
-            db.txn.note_commit_applied();
+        self.update_with(oid, |_| Ok::<_, DbError>(changes.to_vec()))
+    }
+
+    /// [`Database::update`] of the changes `eval` computes from the
+    /// object: it is handed the image the plan decoded, so the object is
+    /// read once, and again only if the plan is rebuilt. An error of
+    /// `eval` is returned as it is; an engine error converts into `E`.
+    pub fn update_with<'c, E: From<DbError>>(
+        &self,
+        oid: Oid,
+        eval: impl Fn(&Object) -> std::result::Result<Vec<(&'c str, Value)>, E>,
+    ) -> std::result::Result<(), E> {
+        let plan = || RipplePlan::build_with(self, oid, &eval);
+        self.write_locked(Some(oid), plan, |ctx, plan| {
+            apply_plan(ctx, plan)?;
+            self.txn.note_commit_applied();
             Ok(())
         })
     }
@@ -838,25 +863,24 @@ impl Database {
     pub fn delete(&self, oid: Oid) -> Result<()> {
         let set = self.set_of(oid)?;
         let plan = || ChainPlan::detach(self, set, oid);
-        self.write_locked(Some(oid), plan, |db, w, plan| {
+        self.write_locked(Some(oid), plan, |ctx, plan| {
             if is_referenced(&plan.obj) {
                 return Err(DbError::StillReferenced(oid));
             }
             // Detach every replication path of the set.
-            let cat = &db.catalog;
-            let mut ctx = db.write_ctx(w);
+            let cat = ctx.cat;
             for (p, chain) in cat.paths_from(set).zip(&plan.chains) {
-                detach_path(&mut ctx, p, oid, chain)?;
+                detach_path(ctx, p, oid, chain)?;
             }
             // Base-field index removal.
             for idx in cat.indexes_on(set) {
                 if let IndexTarget::Field(f) = idx.target {
                     let key = value_key(&plan.obj.values[f]);
-                    BTreeIndex::open(idx.file).delete(w, &key, oid)?;
+                    BTreeIndex::open(idx.file).delete(ctx.w, &key, oid)?;
                 }
             }
-            HeapFile::open(oid.file).rec_delete(w, oid)?;
-            db.pending.purge_object(oid);
+            HeapFile::open(oid.file).rec_delete(ctx.w, &ctx.pins, oid)?;
+            ctx.pending.purge_object(oid);
             Ok(())
         })
     }
@@ -896,18 +920,19 @@ impl Database {
             let io_before = fieldrep_obs::io::snapshot();
             let fanout = match e {
                 crate::PendingEntry::StaleSources { obj, link_level } => {
-                    let o = read_object(ctx.sm, ctx.cat, obj)?;
+                    let o = read_object(ctx.sm, &ctx.pins, ctx.cat, obj)?;
                     let mut sources =
-                        crate::attach::collect_sources(&mut ctx, pdef, link_level, &o)?;
+                        crate::attach::collect_sources(&ctx, &ctx.pins, pdef, link_level, &o)?;
                     sources.dedup();
                     // Refresh the stale sources page-group by page-group
                     // (sorted physical order, one grouped read per run).
                     ctx.sm.visit_sorted(&sources, |page, s, _| {
-                        let hop =
-                            view_object(ctx.sm, ctx.cat, Some(page), s, |v| v.field(pdef.hops[0]))?;
+                        let hop = view_pinned(ctx.sm, &ctx.pins, ctx.cat, page, s, |v| {
+                            v.field(pdef.hops[0])
+                        })?;
                         let next = ref_target(&hop);
                         let chain = crate::attach::walk_chain_via(&mut ctx, pdef, s, next)?;
-                        crate::attach::attach_terminal(&mut ctx, pdef, Some(page), s, &chain)
+                        crate::attach::attach_terminal(&mut ctx, pdef, page, s, &chain)
                     })?;
                     sources.len() as u64
                 }
@@ -915,9 +940,9 @@ impl Database {
                     let group = self
                         .catalog
                         .group(pdef.group.expect("separate path has a group"));
-                    let o = read_object(ctx.sm, ctx.cat, obj)?;
+                    let o = read_object(ctx.sm, &ctx.pins, ctx.cat, obj)?;
                     if let Some((_, roid, _)) = find_anchor(&o, group.id.0) {
-                        write_replica(w, group, roid, &group_values(group, &o))?;
+                        write_replica(w, &ctx.pins, group, roid, &group_values(group, &o))?;
                     }
                     1
                 }
@@ -954,10 +979,10 @@ impl Database {
         ctx.sm.visit_sorted(&sources, |page, src, _| {
             match (pdef.strategy, &dropped_group) {
                 (Strategy::InPlace, _) => {
-                    crate::attach::set_source_replica_values(&mut ctx, pdef, Some(page), src, None)
+                    crate::attach::set_source_replica_values(&mut ctx, pdef, page, src, None)
                 }
                 (Strategy::Separate, Some(g)) => {
-                    crate::attach::set_source_replica_ref(&mut ctx, g.id.0, Some(page), src, None)
+                    crate::attach::set_source_replica_ref(&mut ctx, g.id.0, page, src, None)
                         .map(drop)
                 }
                 // Group still shared by other paths: refs stay.
@@ -980,8 +1005,8 @@ impl Database {
                 .collect();
             for file in dst_sets {
                 for oid in self.file_oids(file)? {
-                    let ctx = self.ctx();
-                    let mut obj = read_object(ctx.sm, ctx.cat, oid)?;
+                    let (ctx, pins) = (self.ctx(), PagePins::none());
+                    let mut obj = read_object(ctx.sm, &pins, ctx.cat, oid)?;
                     let before = obj.annotations.len();
                     obj.annotations.retain(|a| {
                         !matches!(a,
@@ -991,7 +1016,7 @@ impl Database {
                                 if *l == link.id.0)
                     });
                     if obj.annotations.len() != before {
-                        write_object(&w, ctx.cat, oid, &obj)?;
+                        write_object(&w, &pins, ctx.cat, oid, &obj)?;
                     }
                 }
             }
@@ -1006,14 +1031,14 @@ impl Database {
                 .collect();
             for file in term_sets {
                 for oid in self.file_oids(file)? {
-                    let ctx = self.ctx();
-                    let mut obj = read_object(ctx.sm, ctx.cat, oid)?;
+                    let (ctx, pins) = (self.ctx(), PagePins::none());
+                    let mut obj = read_object(ctx.sm, &pins, ctx.cat, oid)?;
                     let before = obj.annotations.len();
                     obj.annotations.retain(|a| {
                         !matches!(a, Annotation::ReplicaAnchor { group, .. } if *group == g.id.0)
                     });
                     if obj.annotations.len() != before {
-                        write_object(&w, ctx.cat, oid, &obj)?;
+                        write_object(&w, &pins, ctx.cat, oid, &obj)?;
                     }
                 }
             }
@@ -1035,15 +1060,15 @@ impl Database {
     /// the link — read straight from the link store, without scanning.
     pub fn inverse(&self, link: LinkId, target: Oid) -> Result<Vec<Oid>> {
         let ldef = self.catalog.link(link).clone();
-        let ctx = self.ctx();
-        let obj = read_object(ctx.sm, ctx.cat, target)?;
+        let (ctx, pins) = (self.ctx(), PagePins::none());
+        let obj = read_object(ctx.sm, &pins, ctx.cat, target)?;
         if ldef.collapsed {
-            return Ok(crate::collapsed::members(ctx.sm, &obj, &ldef)?
+            return Ok(crate::collapsed::members(ctx.sm, &pins, &obj, &ldef)?
                 .into_iter()
                 .map(|(src, _)| src)
                 .collect());
         }
-        links::link_members(ctx.sm, &obj, &ldef)
+        links::link_members(ctx.sm, &pins, &obj, &ldef)
     }
 
     /// Convenience: inverse of a 1-hop reference path given as

@@ -39,7 +39,7 @@ pub use txn::{LockSet, TxnManager, TxnStats};
 pub use workload::{PathWorkload, WorkloadStats};
 
 use fieldrep_catalog::{Catalog, PathId};
-use fieldrep_storage::{ApplySection, Oid, StorageManager};
+use fieldrep_storage::{ApplySection, Oid, PageHandle, PagePins, StorageManager};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 
@@ -92,6 +92,18 @@ pub struct WriteCtx<'a> {
     ctx: EngineCtx<'a>,
     /// The apply section this context writes under.
     pub w: &'a ApplySection<'a>,
+    /// The pins every page request of the write is asked of: an update's,
+    /// insert's or delete's plan hands over the set it read through
+    /// (see [`ripple`]); [`Database::write_ctx`] gives one that keeps
+    /// none. It drops with the context, when the apply returns.
+    pub(crate) pins: PagePins,
+}
+
+impl WriteCtx<'_> {
+    /// The handle of `oid`'s page, asked of the write's page pins.
+    pub fn page_of(&self, oid: Oid) -> fieldrep_storage::Result<PageHandle> {
+        self.pins.fetch(self.sm.pool(), oid.page_id())
+    }
 }
 
 impl<'a> std::ops::Deref for WriteCtx<'a> {

@@ -17,7 +17,7 @@ use crate::objects::{read_object, write_object};
 use crate::WriteCtx;
 use fieldrep_catalog::LinkDef;
 use fieldrep_model::{Annotation, Object};
-use fieldrep_storage::{Oid, StorageManager};
+use fieldrep_storage::{Oid, PagePins, StorageManager};
 
 /// Where a target keeps its members of one link.
 enum Held {
@@ -42,12 +42,18 @@ fn find_link(obj: &Object, link_id: u8) -> Option<(usize, Held)> {
 }
 
 /// The members of `target`'s link store for `link` (empty if none).
-/// `target_obj` must be the decoded target object.
-pub fn link_members(sm: &StorageManager, target_obj: &Object, link: &LinkDef) -> Result<Vec<Oid>> {
+/// `target_obj` must be the decoded target object; the store's pages
+/// are asked of `pins`.
+pub fn link_members(
+    sm: &StorageManager,
+    pins: &PagePins,
+    target_obj: &Object,
+    link: &LinkDef,
+) -> Result<Vec<Oid>> {
     match find_link(target_obj, link.id.0) {
         None => Ok(Vec::new()),
         Some((_, Held::Inline(oids))) => Ok(oids),
-        Some((_, Held::Store(head))) => chain::read(sm, link, head),
+        Some((_, Held::Store(head))) => chain::read(sm, pins, link, head),
     }
 }
 
@@ -62,10 +68,12 @@ fn inline_cap(ctx: &WriteCtx<'_>, link: &LinkDef) -> usize {
 
 /// Ensure `member` appears in `target`'s members of `link`. Idempotent.
 pub fn link_add(ctx: &WriteCtx<'_>, link: &LinkDef, target: Oid, member: Oid) -> Result<()> {
-    let w = ctx.w;
-    let mut obj = read_object(w, ctx.cat, target)?;
+    let (w, pins) = (ctx.w, &ctx.pins);
+    let mut obj = read_object(w, pins, ctx.cat, target)?;
     let (at, mut oids) = match find_link(&obj, link.id.0) {
-        Some((_, Held::Store(head))) => return chain::insert(w, link, head, member).map(drop),
+        Some((_, Held::Store(head))) => {
+            return chain::insert(w, pins, link, head, member).map(drop)
+        }
         Some((i, Held::Inline(oids))) => (Some(i), oids),
         None => (None, Vec::new()),
     };
@@ -76,7 +84,7 @@ pub fn link_add(ctx: &WriteCtx<'_>, link: &LinkDef, target: Oid, member: Oid) ->
     let id = link.id.0;
     let ann = if oids.len() > inline_cap(ctx, link) {
         // Grow out of inline form into a link store.
-        let oid = chain::create(w, link, &oids)?;
+        let oid = chain::create(w, pins, link, &oids)?;
         Annotation::LinkRef { link: id, oid }
     } else {
         Annotation::InlineLink { link: id, oids }
@@ -85,7 +93,7 @@ pub fn link_add(ctx: &WriteCtx<'_>, link: &LinkDef, target: Oid, member: Oid) ->
         Some(i) => obj.annotations[i] = ann,
         None => obj.annotations.push(ann),
     }
-    write_object(w, ctx.cat, target, &obj)
+    write_object(w, pins, ctx.cat, target, &obj)
 }
 
 /// Remove `member` from `target`'s members of `link` (if present).
@@ -94,8 +102,8 @@ pub fn link_add(ctx: &WriteCtx<'_>, link: &LinkDef, target: Oid, member: Oid) ->
 /// in the link object, it is deleted", §4.1.1). A store shrinks back to
 /// inline form when its count falls to the threshold.
 pub fn link_remove(ctx: &WriteCtx<'_>, link: &LinkDef, target: Oid, member: Oid) -> Result<bool> {
-    let w = ctx.w;
-    let mut obj = read_object(w, ctx.cat, target)?;
+    let (w, pins) = (ctx.w, &ctx.pins);
+    let mut obj = read_object(w, pins, ctx.cat, target)?;
     // The members left inline: none drops the annotation.
     let (i, oids) = match find_link(&obj, link.id.0) {
         None => return Ok(true),
@@ -109,12 +117,12 @@ pub fn link_remove(ctx: &WriteCtx<'_>, link: &LinkDef, target: Oid, member: Oid)
         }
         Some((i, Held::Store(head))) => {
             let mut remaining = 0;
-            let removed = chain::remove(w, link, head, member, |_: &Oid| remaining += 1)?;
+            let removed = chain::remove(w, pins, link, head, member, |_: &Oid| remaining += 1)?;
             if remaining == 0 {
                 (i, Vec::new()) // the chain went with its last member
             } else if removed.is_some() && remaining <= inline_cap(ctx, link) {
-                let oids = chain::read(w, link, head)?;
-                chain::destroy::<Oid>(w, link, head)?;
+                let oids = chain::read(w, pins, link, head)?;
+                chain::destroy::<Oid>(w, pins, link, head)?;
                 (i, oids)
             } else {
                 return Ok(false);
@@ -127,7 +135,7 @@ pub fn link_remove(ctx: &WriteCtx<'_>, link: &LinkDef, target: Oid, member: Oid)
     } else {
         obj.annotations[i] = Annotation::InlineLink { link: id, oids };
     }
-    write_object(w, ctx.cat, target, &obj)?;
+    write_object(w, pins, ctx.cat, target, &obj)?;
     Ok(now_empty)
 }
 

@@ -4,61 +4,70 @@ use crate::error::{DbError, Result};
 use fieldrep_btree::keys;
 use fieldrep_catalog::Catalog;
 use fieldrep_model::{ModelError, Object, ObjectView, TypeId, Value};
-use fieldrep_storage::{ApplySection, HeapFile, Oid, PageHandle, StorageManager};
-use std::borrow::Cow;
+use fieldrep_storage::{ApplySection, HeapFile, Oid, PageHandle, PagePins, StorageManager};
 
 /// Record type tag used for link objects (never a real `TypeId`).
 pub const LINK_TAG: u16 = 0xFFFF;
 /// Record type tag used for separate-replication replica objects.
 pub const REPLICA_TAG: u16 = 0xFFFE;
 
-/// Read and decode the object at `oid`.
-pub fn read_object(sm: &StorageManager, cat: &Catalog, oid: Oid) -> Result<Object> {
-    let hf = HeapFile::open(oid.file);
-    let (tag, payload) = hf.read(sm, oid)?;
-    debug_assert!(tag != LINK_TAG && tag != REPLICA_TAG, "not a data object");
-    let type_id = TypeId(tag);
-    let def = cat.type_def(type_id);
-    Ok(Object::decode(type_id, def, &payload)?)
-}
-
-/// Request `oid`'s page for one access to its record, unless the caller
-/// holds a pin on it already (`held`). A handle fetched here is passed to
-/// the heap file by value, which lets go of it before following a stub.
-pub(crate) fn pin_of<'a>(
+/// Read and decode the object at `oid`, its pages asked of `pins`.
+pub fn read_object(
     sm: &StorageManager,
-    held: Option<&'a PageHandle>,
+    pins: &PagePins,
+    cat: &Catalog,
     oid: Oid,
-) -> Result<Cow<'a, PageHandle>> {
-    Ok(match held {
-        Some(page) => Cow::Borrowed(page),
-        None => Cow::Owned(sm.pool().fetch(oid.page_id())?),
-    })
+) -> Result<Object> {
+    let decoded = HeapFile::open(oid.file).view(sm, pins, oid, |tag, payload| {
+        debug_assert!(tag != LINK_TAG && tag != REPLICA_TAG, "not a data object");
+        let type_id = TypeId(tag);
+        Object::decode(type_id, cat.type_def(type_id), payload)
+    })?;
+    Ok(decoded?)
 }
 
 /// Lend `f` a view of the stored object at `oid`, read without decoding
-/// it, through `page` if the caller holds a pin on `oid`'s page. `f` runs
-/// under the page's read latch and must not call back into the pool.
+/// it, its pages asked of `pins`. `f` runs under the page's read latch
+/// and must not call back into the pool.
 pub(crate) fn view_object<R>(
     sm: &StorageManager,
+    pins: &PagePins,
     cat: &Catalog,
-    page: Option<&PageHandle>,
     oid: Oid,
     f: impl FnOnce(ObjectView<'_>) -> std::result::Result<R, ModelError>,
 ) -> Result<R> {
-    let read =
-        HeapFile::open(oid.file).read_pinned(sm, pin_of(sm, page, oid)?, oid, |tag, bytes| {
-            f(ObjectView::new(cat.type_def(TypeId(tag)), bytes))
-        })?;
+    let page = pins.fetch(sm.pool(), oid.page_id())?;
+    view_pinned(sm, pins, cat, &page, oid, f)
+}
+
+/// [`view_object`] through `page`, `oid`'s page as a batch pinned it; a
+/// moved body's page is asked of `pins`.
+pub(crate) fn view_pinned<R>(
+    sm: &StorageManager,
+    pins: &PagePins,
+    cat: &Catalog,
+    page: &PageHandle,
+    oid: Oid,
+    f: impl FnOnce(ObjectView<'_>) -> std::result::Result<R, ModelError>,
+) -> Result<R> {
+    let read = HeapFile::open(oid.file).read_pinned(sm, pins, page, oid, |tag, bytes| {
+        f(ObjectView::new(cat.type_def(TypeId(tag)), bytes))
+    })?;
     Ok(read?)
 }
 
-/// Encode and write back the object at `oid` (same type tag).
-pub fn write_object(w: &ApplySection<'_>, cat: &Catalog, oid: Oid, obj: &Object) -> Result<()> {
+/// Encode and write back the object at `oid` (same type tag), its pages
+/// asked of `pins`.
+pub fn write_object(
+    w: &ApplySection<'_>,
+    pins: &PagePins,
+    cat: &Catalog,
+    oid: Oid,
+    obj: &Object,
+) -> Result<()> {
     let def = cat.type_def(obj.type_id);
     let payload = obj.encode(def);
-    let hf = HeapFile::open(oid.file);
-    hf.rec_update(w, oid, &payload)?;
+    HeapFile::open(oid.file).rec_update(w, pins, oid, &payload)?;
     Ok(())
 }
 
@@ -85,10 +94,11 @@ pub fn value_key(v: &Value) -> Vec<u8> {
 }
 
 /// Check that a `Value::Ref` points at an object of the expected type (or
-/// is NULL). Reads the referenced object's record header via a full read —
-/// callers that already walk the chain skip this.
+/// is NULL). Reads the referenced record's type tag where it lies, its
+/// pages asked of `pins`; the payload is neither copied nor decoded.
 pub fn check_ref_type(
     sm: &StorageManager,
+    pins: &PagePins,
     cat: &Catalog,
     v: &Value,
     expected: TypeId,
@@ -97,8 +107,7 @@ pub fn check_ref_type(
     if oid.is_null() {
         return Ok(());
     }
-    let hf = HeapFile::open(oid.file);
-    let (tag, _) = hf.read(sm, oid)?;
+    let tag = HeapFile::open(oid.file).view(sm, pins, oid, |tag, _| tag)?;
     if tag != expected.0 {
         return Err(DbError::WrongRefType {
             oid,

@@ -102,12 +102,12 @@ pub(crate) fn apply_plan(ctx: &mut WriteCtx<'_>, plan: RipplePlan) -> Result<()>
     let mut obj = if plan.own.is_empty() {
         plan.before
     } else {
-        read_object(ctx.sm, cat, oid)?
+        read_object(ctx.sm, &ctx.pins, cat, oid)?
     };
     for (i, _, new) in &plan.changes {
         obj.values[*i] = new.clone();
     }
-    write_object(ctx.w, cat, oid, &obj)?;
+    write_object(ctx.w, &ctx.pins, cat, oid, &obj)?;
 
     // Base-field index maintenance.
     for idx in cat.indexes_on(plan.set) {
@@ -177,7 +177,7 @@ fn run_step(ctx: &mut WriteCtx<'_>, oid: Oid, obj: &Object, step: &Step) -> Resu
             span.note("group", group.id.0);
             prop_metrics().separate.inc();
             let io_before = obs_io::snapshot();
-            write_replica(ctx.w, group, *replica, &group_values(group, obj))?;
+            write_replica(ctx.w, &ctx.pins, group, *replica, &group_values(group, obj))?;
             // One shared replica rewritten; every path reading through
             // the group observed the ripple.
             let pages = (obs_io::snapshot() - io_before).page_touches();
@@ -277,7 +277,7 @@ fn propagate_terminal_inplace(
     // The sorted OID array visits each source page once, all co-located
     // sources rewritten under one pin (§4.1.3).
     let pages = ctx.sm.visit_sorted(sources, |page, s, _| {
-        set_source_replica_values(ctx, path, Some(page), s, Some(&values))
+        set_source_replica_values(ctx, path, page, s, Some(&values))
     })?;
     if FAIL_NEXT_INPLACE.swap(false, Ordering::SeqCst) {
         return Err(DbError::Unsupported(
@@ -305,7 +305,7 @@ fn refresh_sources(
 ) -> Result<()> {
     let values = values_at(ctx, path, terminal)?;
     ctx.sm.visit_sorted(sources, |page, s, _| {
-        set_source_replica_values(ctx, path, Some(page), s, values.as_deref())
+        set_source_replica_values(ctx, path, page, s, values.as_deref())
     })?;
     Ok(())
 }
@@ -324,25 +324,19 @@ fn repoint_replica_refs(
     // pointed at the old replica).
     let mut released = 0u32;
     ctx.sm.visit_sorted(sources, |page, s, _| {
-        released += u32::from(set_source_replica_ref(
-            ctx,
-            group.id.0,
-            Some(page),
-            s,
-            None,
-        )?);
+        released += u32::from(set_source_replica_ref(ctx, group.id.0, page, s, None)?);
         Ok::<_, DbError>(())
     })?;
     if released > 0 {
         if let Some(t) = old_terminal {
-            anchor_release(ctx.w, ctx.cat, group, t, released)?;
+            anchor_release(ctx.w, &ctx.pins, ctx.cat, group, t, released)?;
         }
     }
     // Point them at the new terminal's replica.
     if let Some(t) = new_terminal {
-        let roid = anchor_acquire(ctx.w, ctx.cat, group, t, sources.len() as u32)?;
+        let roid = anchor_acquire(ctx.w, &ctx.pins, ctx.cat, group, t, sources.len() as u32)?;
         ctx.sm.visit_sorted(sources, |page, s, _| {
-            set_source_replica_ref(ctx, group.id.0, Some(page), s, Some(roid)).map(drop)
+            set_source_replica_ref(ctx, group.id.0, page, s, Some(roid)).map(drop)
         })?;
     }
     Ok(())

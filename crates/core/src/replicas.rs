@@ -10,7 +10,7 @@ use crate::error::{DbError, Result};
 use crate::objects::{read_object, write_object, REPLICA_TAG};
 use fieldrep_catalog::{Catalog, GroupDef};
 use fieldrep_model::{Annotation, Object, Value};
-use fieldrep_storage::{ApplySection, HeapFile, Oid, StorageManager};
+use fieldrep_storage::{ApplySection, HeapFile, Oid, PagePins, StorageManager};
 
 /// The values a replica object for `group` should hold, extracted from
 /// the terminal object (in `group.fields` order).
@@ -30,15 +30,16 @@ pub fn read_replica(sm: &StorageManager, group: &GroupDef, oid: Oid) -> Result<V
     Ok(Value::decode_list(&payload)?)
 }
 
-/// Overwrite a replica object's values.
+/// Overwrite a replica object's values, its pages asked of `pins`.
 pub fn write_replica(
     w: &ApplySection<'_>,
+    pins: &PagePins,
     group: &GroupDef,
     oid: Oid,
     values: &[Value],
 ) -> Result<()> {
     let hf = HeapFile::open(group.file);
-    hf.rec_update(w, oid, &Value::encode_list(values))?;
+    hf.rec_update(w, pins, oid, &Value::encode_list(values))?;
     Ok(())
 }
 
@@ -70,15 +71,17 @@ pub fn find_replica_ref(obj: &Object, group: u16) -> Option<(usize, Oid)> {
 
 /// Ensure a replica object exists for terminal object `target` and add
 /// `delta` to its refcount. Creates the replica (from the terminal's
-/// current values) on first use. Returns the replica OID.
+/// current values) on first use. Returns the replica OID. Pages are
+/// asked of `pins`.
 pub fn anchor_acquire(
     w: &ApplySection<'_>,
+    pins: &PagePins,
     cat: &Catalog,
     group: &GroupDef,
     target: Oid,
     delta: u32,
 ) -> Result<Oid> {
-    let mut obj = read_object(w, cat, target)?;
+    let mut obj = read_object(w, pins, cat, target)?;
     match find_anchor(&obj, group.id.0) {
         Some((i, roid, rc)) => {
             obj.annotations[i] = Annotation::ReplicaAnchor {
@@ -86,34 +89,36 @@ pub fn anchor_acquire(
                 oid: roid,
                 refcount: rc + delta,
             };
-            write_object(w, cat, target, &obj)?;
+            write_object(w, pins, cat, target, &obj)?;
             Ok(roid)
         }
         None => {
             let values = group_values(group, &obj);
             let hf = HeapFile::open(group.file);
-            let roid = hf.rec_insert(w, REPLICA_TAG, &Value::encode_list(&values))?;
+            let roid = hf.rec_insert(w, pins, REPLICA_TAG, &Value::encode_list(&values))?;
             obj.annotations.push(Annotation::ReplicaAnchor {
                 group: group.id.0,
                 oid: roid,
                 refcount: delta,
             });
-            write_object(w, cat, target, &obj)?;
+            write_object(w, pins, cat, target, &obj)?;
             Ok(roid)
         }
     }
 }
 
 /// Drop `delta` references from `target`'s anchor for `group`; deletes the
-/// replica object and the anchor when the count reaches zero.
+/// replica object and the anchor when the count reaches zero. Pages are
+/// asked of `pins`.
 pub fn anchor_release(
     w: &ApplySection<'_>,
+    pins: &PagePins,
     cat: &Catalog,
     group: &GroupDef,
     target: Oid,
     delta: u32,
 ) -> Result<()> {
-    let mut obj = read_object(w, cat, target)?;
+    let mut obj = read_object(w, pins, cat, target)?;
     let (i, roid, rc) = find_anchor(&obj, group.id.0).ok_or_else(|| {
         DbError::Unsupported(format!(
             "anchor_release on {target} without an anchor for group {}",
@@ -124,7 +129,7 @@ pub fn anchor_release(
     let rc = rc.saturating_sub(delta);
     if rc == 0 {
         let hf = HeapFile::open(group.file);
-        hf.rec_delete(w, roid)?;
+        hf.rec_delete(w, pins, roid)?;
         obj.annotations.remove(i);
     } else {
         obj.annotations[i] = Annotation::ReplicaAnchor {
@@ -133,6 +138,6 @@ pub fn anchor_release(
             refcount: rc,
         };
     }
-    write_object(w, cat, target, &obj)?;
+    write_object(w, pins, cat, target, &obj)?;
     Ok(())
 }

@@ -3,13 +3,27 @@
 //! The paper decides "how and when to propagate an update" from the
 //! `(link-OID, link-ID)` pairs and anchors stored *in the updated object*.
 //! [`RipplePlan::build`] is that dispatch, run once, read-only, over the
-//! object's pre-update state. Its result is plain data with two
-//! consumers: [`RipplePlan::oids`] is the set
+//! object's pre-update state. Its result is data with two consumers:
+//! [`RipplePlan::oids`] is the set
 //! [`TxnManager::lock_sorted`](crate::txn::TxnManager::lock_sorted) locks,
 //! and `propagate::apply_plan` executes the steps, taking chains and
 //! source lists from the plan instead of re-walking them. Nothing else
 //! discovers a fan-out. [`ChainPlan`] is the same pass for an `insert` or
 //! a `delete`: the chains the object joins or leaves.
+//!
+//! # The plan's pins
+//!
+//! A plan is also the operation's page set. Every page its build reads
+//! is asked of one [`PagePins`], and the plan hands that set to the
+//! apply (`Database::write_locked` moves it into the
+//! [`WriteCtx`](crate::WriteCtx)), so a page the plan read is not
+//! requested again: an update requests each page it touches once. The
+//! set keeps at most `min(pool / 8, 16)` pins (at least one); a request
+//! past that is made and not kept. It drops when the apply returns,
+//! before the commit's fsync, and a stale plan drops with it. A pin is
+//! not a latch and carries no version of its own: every access through a
+//! held page still latches the frame and resolves the slot again, and
+//! what the plan read counts only while the versions below still hold.
 //!
 //! The steps run *after* the object's own re-targets, so the plan must
 //! describe that state, not the annotations it read: on a reference cycle
@@ -37,7 +51,7 @@ use crate::EngineCtx;
 use fieldrep_catalog::{GroupId, LinkId, PathId, Propagation, RepPathDef, SetId, Strategy};
 use fieldrep_model::{Annotation, FieldType, ModelError, Object, Value};
 use fieldrep_obs::{io as obs_io, names as obs_names};
-use fieldrep_storage::Oid;
+use fieldrep_storage::{Oid, PagePins};
 
 /// One resolved field change: `(field index, old value, final new value)`.
 pub type FieldChange = (usize, Value, Value);
@@ -123,7 +137,7 @@ pub enum Step {
 }
 
 /// The replication consequence of one `update(oid, changes)`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RipplePlan {
     /// The updated object.
     pub(crate) oid: Oid,
@@ -142,6 +156,8 @@ pub struct RipplePlan {
     oids: Vec<Oid>,
     /// `seqs[i]` is the version recorded as `oids[i]` joined.
     pub(crate) seqs: Vec<u64>,
+    /// The pages the plan read, pinned for the apply.
+    pins: PagePins,
 }
 
 impl RipplePlan {
@@ -156,17 +172,39 @@ impl RipplePlan {
     /// its set and the annotations it carries, recording each OID's
     /// version in `db.txn()` as it joins. Reads only.
     pub fn build(db: &Database, oid: Oid, changes: &[(&str, Value)]) -> Result<RipplePlan> {
+        Self::build_with(db, oid, |_| Ok::<_, DbError>(changes.to_vec()))
+    }
+
+    /// [`RipplePlan::build`] of the changes `eval` computes from the
+    /// object as the plan decoded it. An error of `eval` is returned as
+    /// it is.
+    pub(crate) fn build_with<'c, E: From<DbError>>(
+        db: &Database,
+        oid: Oid,
+        eval: impl FnOnce(&Object) -> std::result::Result<Vec<(&'c str, Value)>, E>,
+    ) -> std::result::Result<RipplePlan, E> {
         let set = db.set_of(oid)?;
         let mut b = Builder::new(db, oid);
-        let cat = b.ctx.cat;
         let before = b.read(oid)?;
+        let changes = eval(&before)?;
+        Ok(Self::derive(b, set, before, changes)?)
+    }
+
+    /// The rest of a build, once the changes are known.
+    fn derive(
+        mut b: Builder<'_>,
+        set: SetId,
+        before: Object,
+        changes: Vec<(&str, Value)>,
+    ) -> Result<RipplePlan> {
+        let (cat, oid) = (b.ctx.cat, b.oid);
         let def = cat.type_def(cat.set(set).elem_type);
 
         let mut resolved: Vec<FieldChange> = Vec::new();
         for (name, new) in changes {
             let idx = def
                 .field_index(name)
-                .ok_or_else(|| DbError::Model(ModelError::NoSuchField((*name).into())))?;
+                .ok_or_else(|| DbError::Model(ModelError::NoSuchField(name.into())))?;
             let ftype = &def.fields[idx].ftype;
             if !new.matches(ftype) {
                 return Err(DbError::Model(ModelError::TypeMismatch {
@@ -175,11 +213,11 @@ impl RipplePlan {
                 }));
             }
             if let FieldType::Ref(tname) = ftype {
-                check_ref_type(b.ctx.sm, cat, new, cat.type_id(tname)?)?;
+                check_ref_type(b.ctx.sm, &b.pins, cat, &new, cat.type_id(tname)?)?;
             }
             match resolved.iter_mut().find(|c| c.0 == idx) {
-                Some(c) => c.2 = new.clone(),
-                None => resolved.push((idx, before.values[idx].clone(), new.clone())),
+                Some(c) => c.2 = new,
+                None => resolved.push((idx, before.values[idx].clone(), new)),
             }
         }
         resolved.retain(|(_, old, new)| old != new);
@@ -291,7 +329,7 @@ impl RipplePlan {
                     if p.collapsed {
                         let old_holder = old_ref.unwrap_or(oid);
                         let hobj = b.read(old_holder)?;
-                        let tagged = collapsed::members(b.ctx.sm, &hobj, cat.link(link))?
+                        let tagged = collapsed::members(b.ctx.sm, &b.pins, &hobj, cat.link(link))?
                             .into_iter()
                             .filter_map(|(src, via)| (via == oid).then_some(src))
                             .collect();
@@ -343,6 +381,7 @@ impl RipplePlan {
             steps,
             oids,
             seqs,
+            pins: b.pins,
         })
     }
 }
@@ -354,6 +393,10 @@ impl Planned for RipplePlan {
 
     fn seqs(&self) -> &[u64] {
         &self.seqs
+    }
+
+    fn take_pins(&mut self) -> PagePins {
+        std::mem::replace(&mut self.pins, PagePins::none())
     }
 }
 
@@ -369,13 +412,23 @@ pub(crate) struct ChainPlan {
     pub(crate) chains: Vec<Chain>,
     oids: Vec<Oid>,
     seqs: Vec<u64>,
+    pins: PagePins,
 }
 
 impl ChainPlan {
-    /// Plan attaching `obj`, not stored yet, to the paths of `set`. Its
-    /// chains start at [`Oid::NULL`]; the insert puts the new OID there.
+    /// Plan attaching `obj`, not stored yet, to the paths of `set`: its
+    /// references are type-checked first. Its chains start at
+    /// [`Oid::NULL`]; the insert puts the new OID there.
     pub(crate) fn attach(db: &Database, set: SetId, obj: Object) -> Result<ChainPlan> {
-        Self::walk(Builder::new(db, Oid::NULL), set, obj)
+        let b = Builder::new(db, Oid::NULL);
+        let cat = b.ctx.cat;
+        let def = cat.type_def(obj.type_id);
+        for (v, f) in obj.values.iter().zip(&def.fields) {
+            if let FieldType::Ref(tname) = &f.ftype {
+                check_ref_type(b.ctx.sm, &b.pins, cat, v, cat.type_id(tname)?)?;
+            }
+        }
+        Self::walk(b, set, obj)
     }
 
     /// Plan detaching the stored object at `oid`, a member of `set`; the
@@ -401,6 +454,7 @@ impl ChainPlan {
             chains,
             oids,
             seqs,
+            pins: b.pins,
         })
     }
 }
@@ -413,6 +467,10 @@ impl Planned for ChainPlan {
     fn seqs(&self) -> &[u64] {
         &self.seqs
     }
+
+    fn take_pins(&mut self) -> PagePins {
+        std::mem::replace(&mut self.pins, PagePins::none())
+    }
 }
 
 /// The noted OIDs, sorted, and aligned with them the version each had as
@@ -424,7 +482,9 @@ fn lock_set(mut seen: Vec<(Oid, u64)>) -> (Vec<Oid>, Vec<u64>) {
 }
 
 /// The read-only pass: every OID enters the plan through [`Builder::note`],
-/// which is what keeps the lock set and the recorded versions complete.
+/// which is what keeps the lock set and the recorded versions complete,
+/// and every page it reads is asked of `pins`, which the plan hands to
+/// the apply.
 struct Builder<'a> {
     ctx: EngineCtx<'a>,
     /// Whose versions to record.
@@ -435,6 +495,7 @@ struct Builder<'a> {
     /// Its own paths whose first hop this update re-targets.
     own: Vec<OwnRetarget>,
     seen: Vec<(Oid, u64)>,
+    pins: PagePins,
 }
 
 impl<'a> Builder<'a> {
@@ -445,6 +506,7 @@ impl<'a> Builder<'a> {
             oid,
             own: Vec::new(),
             seen: Vec::new(),
+            pins: PagePins::new(db.sm().pool()),
         }
     }
 
@@ -457,7 +519,7 @@ impl<'a> Builder<'a> {
 
     fn read(&mut self, oid: Oid) -> Result<Object> {
         self.note(oid);
-        read_object(self.ctx.sm, self.ctx.cat, oid)
+        read_object(self.ctx.sm, &self.pins, self.ctx.cat, oid)
     }
 
     /// The chain of `path` from the updated object, as its node `at`,
@@ -470,13 +532,12 @@ impl<'a> Builder<'a> {
         next: Option<Oid>,
         own_hop: &dyn Fn(usize) -> Option<Oid>,
     ) -> Result<Chain> {
-        let (sm, cat, me) = (self.ctx.sm, self.ctx.cat, self.oid);
+        let me = self.oid;
         let chain = walk_from(path, at, me, next, &mut |o, hop| {
             if o == me {
                 return Ok(own_hop(hop));
             }
-            self.note(o);
-            Ok(ref_target(&read_object(sm, cat, o)?.values[hop]))
+            Ok(ref_target(&self.read(o)?.values[hop]))
         })?;
         // The walk does not read the terminal; what reads it next does so
         // after this.
@@ -489,7 +550,7 @@ impl<'a> Builder<'a> {
     /// The sources that reach `obj` through `path`'s link at `level`,
     /// sorted and deduplicated.
     fn sources(&mut self, path: &RepPathDef, level: usize, obj: &Object) -> Result<Vec<Oid>> {
-        let mut sources = collect_sources(&mut self.ctx, path, level, obj)?;
+        let mut sources = collect_sources(&self.ctx, &self.pins, path, level, obj)?;
         sources.dedup();
         Ok(self.join_sources(path, sources))
     }

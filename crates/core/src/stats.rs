@@ -13,6 +13,7 @@ use crate::error::{DbError, Result};
 use crate::objects::read_object;
 use fieldrep_costmodel::{recommend, IndexSetting, Params, Recommendation};
 use fieldrep_model::{Object, Value};
+use fieldrep_storage::PagePins;
 use std::collections::BTreeMap;
 
 /// Measured statistics for one reference path.
@@ -87,7 +88,7 @@ impl Database {
         for &src in &sources {
             let obj = {
                 let ctx = self.ctx();
-                read_object(ctx.sm, ctx.cat, src)?
+                read_object(ctx.sm, &PagePins::none(), ctx.cat, src)?
             };
             src_bytes += base_size(&obj, &src_def) as u64;
             // Walk the chain.
@@ -102,7 +103,7 @@ impl Database {
                     Value::Ref(next) if !next.is_null() => {
                         cur = Some(*next);
                         let ctx = self.ctx();
-                        cur_obj = Some(read_object(ctx.sm, ctx.cat, *next)?);
+                        cur_obj = Some(read_object(ctx.sm, &PagePins::none(), ctx.cat, *next)?);
                     }
                     _ => {
                         cur = None;
@@ -126,7 +127,7 @@ impl Database {
         for &t in per_terminal.keys() {
             let obj = {
                 let ctx = self.ctx();
-                read_object(ctx.sm, ctx.cat, t)?
+                read_object(ctx.sm, &PagePins::none(), ctx.cat, t)?
             };
             term_bytes += base_size(&obj, &term_def) as u64;
             let vals: Vec<Value> = resolved

@@ -77,10 +77,11 @@ use crate::attach::{replica_path_values, terminal_values, walk_chain_via};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::objects::{ref_target, view_object};
+use crate::WriteCtx;
 use fieldrep_catalog::{PathId, RepPathDef, Strategy};
 use fieldrep_model::{Object, Value};
 use fieldrep_obs::{metrics, names as obs_names};
-use fieldrep_storage::{lockorder, ApplySection, Oid};
+use fieldrep_storage::{lockorder, Oid, PagePins};
 use parking_lot::Mutex;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -110,6 +111,9 @@ pub(crate) trait Planned {
     fn oids(&self) -> &[Oid];
     /// `seqs()[i]` is the version `oids()[i]` had as it first joined.
     fn seqs(&self) -> &[u64];
+    /// The pins of the pages it read, for the apply to take its pages
+    /// from; the plan keeps none after.
+    fn take_pins(&mut self) -> PagePins;
 }
 
 /// Process-wide transaction instruments (names in [`obs_names`]).
@@ -345,20 +349,24 @@ impl Database {
     /// The one write path's locking: take the index guard while any
     /// index exists, build the operation's plan without locks (recording
     /// versions), lock what it noted, and apply it through
-    /// [`Database::apply_and_commit`].
+    /// [`Database::apply_and_commit`] with the plan's page pins moved into
+    /// the apply's [`WriteCtx`]: a page the plan read is not requested
+    /// again. The pins drop when `apply` returns, before the commit's
+    /// fsync; a stale plan drops with its pins.
     ///
     /// If the versions held still until the locks were taken, the plan is
     /// applied as built. Otherwise the world is frozen now: it is rebuilt
     /// under the locks, and if a concurrent commit grew the closure past
     /// the locked set, the sets are unioned and the acquisition retried.
     /// An unlocked build can fail on a structure it caught mid-rewire; it
-    /// is then rebuilt with `first` locked, where a real error repeats.
-    pub(crate) fn write_locked<P: Planned, T>(
+    /// is then rebuilt with `first` locked, where a real error repeats,
+    /// as the plan returned it.
+    pub(crate) fn write_locked<P: Planned, T, E: From<DbError>>(
         &self,
         first: Option<Oid>,
-        plan: impl Fn() -> Result<P>,
-        apply: impl FnOnce(&Database, &ApplySection<'_>, P) -> Result<T>,
-    ) -> Result<T> {
+        plan: impl Fn() -> std::result::Result<P, E>,
+        apply: impl FnOnce(&mut WriteCtx<'_>, P) -> Result<T>,
+    ) -> std::result::Result<T, E> {
         let txn = self.txn();
         // B-tree pages have no OID identity: serialize index maintenance
         // coarsely while any index exists.
@@ -375,7 +383,8 @@ impl Database {
             let guard = txn.lock_sorted(&want)?;
             let current = match planned.take() {
                 Some(p) if guard.acquired_at(p.seqs()) => p,
-                _ => {
+                stale => {
+                    drop(stale); // and its pins, before the rebuild takes its own
                     let p = plan()?;
                     if !guard.covers(p.oids()) {
                         txn.note_conflict();
@@ -388,11 +397,14 @@ impl Database {
                     p
                 }
             };
-            return self.apply_and_commit(|db, w| apply(db, w, current));
+            let applied = self.apply_and_commit(|db, w| {
+                let mut current = current;
+                let pins = current.take_pins();
+                apply(&mut db.write_ctx_with(w, pins), current)
+            });
+            return Ok(applied?);
         }
-        Err(DbError::Unsupported(
-            "write-lock closure kept changing under contention".into(),
-        ))
+        Err(DbError::Unsupported("write-lock closure kept changing under contention".into()).into())
     }
 
     /// The one seqlock read loop. `body` is one optimistic attempt: it
@@ -469,7 +481,7 @@ impl Database {
             return Ok(None);
         }
         let mut ctx = self.ctx();
-        let (hop, hidden, roid) = view_object(ctx.sm, ctx.cat, None, source, |v| {
+        let (hop, hidden, roid) = view_object(ctx.sm, &PagePins::none(), ctx.cat, source, |v| {
             let hop = v.field(pdef.hops[0])?;
             Ok(match (pdef.strategy, pdef.group) {
                 (Strategy::Separate, Some(g)) => (hop, None, v.replica_ref(g.0)?),

@@ -7,7 +7,7 @@ use common::check_consistency;
 use fieldrep_catalog::{Propagation, Strategy};
 use fieldrep_core::{collapsed, Database, DbConfig, DbError};
 use fieldrep_model::{Annotation, FieldType, TypeDef, Value};
-use fieldrep_storage::{FileId, HeapFile, Oid};
+use fieldrep_storage::{FileId, HeapFile, Oid, PagePins};
 use std::collections::BTreeMap;
 
 fn sval(s: &str) -> Value {
@@ -453,7 +453,8 @@ fn a_collapsed_store_past_one_chunk_edits_one_chunk_per_source() {
     // Emptying a chunk unlinks it: the tail from its predecessor, the head
     // by absorbing its successor, so the head keeps its OID.
     let tagged = |db: &Database, o: Oid, d: Option<Oid>| -> Vec<Oid> {
-        let entries = collapsed::members(db.sm(), &db.get(o).unwrap(), &link).unwrap();
+        let entries =
+            collapsed::members(db.sm(), &PagePins::none(), &db.get(o).unwrap(), &link).unwrap();
         let of_d = entries.into_iter().filter(|e| d.is_none_or(|d| e.1 == d));
         of_d.map(|e| e.0).collect()
     };
@@ -521,7 +522,7 @@ fn a_malformed_chunk_is_a_typed_error_not_a_panic() {
             }
             {
                 let w = db.sm().apply_section();
-                hf.rec_update(&w, head, &bytes).unwrap();
+                hf.rec_update(&w, &PagePins::none(), head, &bytes).unwrap();
             }
             let case = format!("collapsed {tagged}, damage {damage}");
             assert!(db.inverse(link.id, target).is_err(), "inverse: {case}");

@@ -16,7 +16,7 @@ use fieldrep_catalog::{LinkDef, LinkId};
 use fieldrep_core::chain::{self, Entry};
 use fieldrep_core::{Database, REPLICA_TAG};
 use fieldrep_model::{Annotation, Value};
-use fieldrep_storage::{HeapFile, Oid};
+use fieldrep_storage::{HeapFile, Oid, PagePins};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Walk the forward chain for `oid` along the ref-field indexes `hops`.
@@ -48,7 +48,7 @@ fn chain_of(db: &mut Database, oid: Oid, hops: &[usize]) -> Vec<Option<Oid>> {
 /// `chunks`.
 fn walk_store<E: Entry>(db: &Database, link: &LinkDef, head: Oid, chunks: &mut u64) -> Vec<E> {
     let (mut entries, mut lens) = (Vec::new(), Vec::new());
-    chain::walk::<E>(db.sm(), link, head, |_, chunk| {
+    chain::walk::<E>(db.sm(), &PagePins::none(), link, head, |_, chunk| {
         lens.push(chunk.len());
         entries.extend(chunk);
         Ok(())

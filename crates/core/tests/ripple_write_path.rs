@@ -1,17 +1,17 @@
 //! The ripple write path costs what it changes (ISSUE 20): hidden values
 //! are patched where they lie, under the pin the page group already
 //! holds — so an in-place ripple makes one pool request per source
-//! *page* (plus one per forwarded body), a source that already holds the
-//! value is neither dirtied nor logged, a path index follows the patched
-//! value, and the steady-state log cost of an in-place commit is the few
-//! bytes per page that changed.
+//! *page* (plus one per page its forwarded bodies lie on), a source that
+//! already holds the value is neither dirtied nor logged, a path index
+//! follows the patched value, and the steady-state log cost of an
+//! in-place commit is the few bytes per page that changed.
 
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{IndexKind, PathId, Propagation, Strategy};
 use fieldrep_core::attach::{attach_terminal, walk_chain};
 use fieldrep_core::{value_key, Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_storage::{MemDisk, MemWalStore, Oid, PageView, RecordFlags};
+use fieldrep_storage::{MemDisk, MemWalStore, Oid, PageId, PageView, RecordFlags};
 use std::collections::BTreeSet;
 
 fn sval(s: &str) -> Value {
@@ -88,11 +88,12 @@ fn requests(db: &Database) -> u64 {
     db.io_profile().pool_hits + db.io_profile().pool_misses
 }
 
-fn is_forwarded(db: &Database, oid: Oid) -> bool {
+/// The page `oid`'s moved body lies on, if its record is forwarded.
+fn body_page(db: &Database, oid: Oid) -> Option<PageId> {
     let page = db.sm().pool().fetch(oid.page_id()).unwrap();
     let data = page.data();
-    let (hdr, _) = PageView::new(&data[..]).record(oid.slot).unwrap();
-    hdr.flags == RecordFlags::Forward
+    let (hdr, payload) = PageView::new(&data[..]).record(oid.slot).unwrap();
+    (hdr.flags == RecordFlags::Forward).then(|| Oid::from_bytes(payload).page_id())
 }
 
 fn assert_replicas(db: &Database, path: PathId, sources: &[Oid], want: &str) {
@@ -118,18 +119,24 @@ fn an_inplace_ripple_requests_each_source_page_once() {
         .map(Oid::page_id)
         .collect::<BTreeSet<_>>()
         .len();
-    let forwarded = |db: &Database| sources.iter().filter(|s| is_forwarded(db, **s)).count();
+    // The pages the forwarded sources' bodies lie on.
+    let forwarded = |db: &Database| {
+        let pages: BTreeSet<PageId> = sources.iter().filter_map(|s| body_page(db, *s)).collect();
+        pages.len()
+    };
     let k = forwarded(&db);
     assert!(p > 1 && f > 2 * p && k > 0, "f = {f}, p = {p}, k = {k}");
 
     // Apart from the fan-out, an update of the department reads it (the
-    // plan), reads the one link-store page that lists its sources, and
-    // writes it back: three requests.
-    let c = 3;
+    // plan) and reads the one link-store page that lists its sources:
+    // two requests. Writing the department back takes its page from the
+    // plan's pins, so the object's page is requested once.
+    let c = 2;
     // A list of the stored length is patched where it lies: one request
-    // per source page (the batch pin) and one per forwarded body, however
-    // many sources a page holds. The transactional door costs the same —
-    // its unlocked plan is the plan, not a second one.
+    // per source page (the batch pin) and one per page of forwarded
+    // bodies (kept by the pins), however many sources a page holds. The
+    // transactional door costs the same — its unlocked plan is the plan,
+    // not a second one.
     db.reset_profile();
     db.update(depts[0], &[("name", sval("dept-0001"))]).unwrap();
     assert_eq!(requests(&db), (p + k + c) as u64);
@@ -176,7 +183,8 @@ fn rematerialising_current_sources_dirties_and_logs_nothing() {
         db.apply_and_commit(|db, w| {
             let mut ctx = db.write_ctx(w);
             let chain = walk_chain(&mut ctx, &pdef, e, &db.get(e)?)?;
-            attach_terminal(&mut ctx, &pdef, None, e, &chain)
+            let page = ctx.page_of(e)?;
+            attach_terminal(&mut ctx, &pdef, &page, e, &chain)
         })
         .unwrap();
     }

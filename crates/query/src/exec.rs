@@ -23,7 +23,7 @@ use fieldrep_btree::BTreeIndex;
 use fieldrep_core::{value_key, Database};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
 use fieldrep_obs::{io as obs_io, names as obs_names, Profile, Span};
-use fieldrep_storage::{HeapFile, Oid};
+use fieldrep_storage::{HeapFile, Oid, PagePins};
 
 /// One result row: one entry per projected column (`None` when a path was
 /// broken by a NULL reference).
@@ -436,7 +436,8 @@ impl ReadQuery {
                 db.apply_and_commit(|_, w| {
                     let mut page = None;
                     for row in rest.by_ref() {
-                        let oid = hf.rec_insert(w, 0xFFFD, &self.spool_payload(row))?;
+                        let oid =
+                            hf.rec_insert(w, &PagePins::none(), 0xFFFD, &self.spool_payload(row))?;
                         if *page.get_or_insert(oid.page) != oid.page {
                             break;
                         }
@@ -508,12 +509,11 @@ impl UpdateQuery {
         // accumulated on this thread, so "apply" splits only its own.
         let _ = obs_io::component_take(obs_names::CORE_PROPAGATE);
 
-        let elem_type = db.catalog().set(plan.set).elem_type;
+        // The assignments are evaluated against the image the update's
+        // plan decodes: the object is read once.
+        let def = db.catalog().type_def(db.catalog().set(plan.set).elem_type);
         for oid in &oids {
-            let obj = db.get(*oid)?;
-            let def = db.catalog().type_def(elem_type);
-            let changes = eval_assignments(def, &obj, &self.assignments)?;
-            db.update(*oid, &changes)?;
+            db.update_with(*oid, |obj| eval_assignments(def, obj, &self.assignments))?;
         }
         prof.mark(obs_names::OP_APPLY);
         prof.split_last(

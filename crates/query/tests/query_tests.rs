@@ -4,7 +4,7 @@
 use fieldrep_catalog::{IndexKind, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_query::{AccessPlan, Assign, Filter, ProjPlan, ReadQuery, UpdateQuery};
+use fieldrep_query::{AccessPlan, Assign, Filter, ProjPlan, QueryError, ReadQuery, UpdateQuery};
 use fieldrep_storage::Oid;
 
 fn sval(s: &str) -> Value {
@@ -284,6 +284,50 @@ fn update_query_increment() {
         .unwrap();
     assert_eq!(read.rows[0][0], Some(Value::Int(5)));
     assert_eq!(read.rows[1][0], Some(Value::Int(15)));
+}
+
+/// The statement door evaluates its assignments against the image the
+/// update's plan decoded (`Database::update_with`): every source sees
+/// the value computed from the terminal's old one, through either
+/// strategy, and an assignment the field's type refuses stays a
+/// `BadQuery`, not an engine error.
+#[test]
+fn statement_assignments_ripple_what_they_computed_from_the_old_value() {
+    let (mut db, _, depts, emps) = make_db();
+    let budget = db.replicate("Emp1.dept.budget", Strategy::InPlace).unwrap();
+    let name = db.replicate("Emp1.dept.name", Strategy::Separate).unwrap();
+    db.update(depts[1], &[("name", sval("d#2"))]).unwrap();
+    let res = UpdateQuery::on("Dept")
+        .assign("budget", Assign::Increment(1))
+        .assign("name", Assign::CycleStr(3))
+        .run(&mut db)
+        .unwrap();
+    assert_eq!(res.updated, 4);
+    for (i, &e) in emps.iter().enumerate() {
+        let d = i % 4;
+        let cycled = if d == 1 {
+            "d#0".to_string()
+        } else {
+            format!("dept{d}#1")
+        };
+        assert_eq!(
+            db.path_values(e, budget).unwrap(),
+            Some(vec![Value::Int(10 * d as i64 + 1)]),
+            "in-place budget of emp {i}"
+        );
+        assert_eq!(
+            db.path_values(e, name).unwrap(),
+            Some(vec![sval(&cycled)]),
+            "separate name of emp {i}"
+        );
+    }
+
+    let err = UpdateQuery::on("Dept")
+        .assign("name", Assign::Increment(1))
+        .run(&mut db)
+        .unwrap_err();
+    assert!(matches!(err, QueryError::BadQuery(_)), "{err:?}");
+    assert_eq!(db.get_field(depts[0], "name").unwrap(), sval("dept0#1"));
 }
 
 #[test]

@@ -25,7 +25,7 @@
 use crate::error::StorageError;
 use crate::oid::{Oid, PageId};
 use crate::page::PageView;
-use crate::{HeapFile, PageHandle, StorageManager};
+use crate::{HeapFile, PageHandle, PagePins, StorageManager};
 use std::ops::Range;
 
 /// Pages one chunk pins at most: half the pool, so the work a visitor
@@ -117,9 +117,13 @@ impl StorageManager {
             u64::from(o.file.0) << 48 | u64::from(o.page) << 16 | u64::from(o.slot)
         });
         self.visit_sorted(&order, |page, oid, same| {
-            HeapFile::open(oid.file).read_pinned(self, page, oid, |tag, payload| {
-                same.iter().try_for_each(|&(_, i)| visit(i, tag, payload))
-            })?
+            HeapFile::open(oid.file).read_pinned(
+                self,
+                &PagePins::none(),
+                page,
+                oid,
+                |tag, payload| same.iter().try_for_each(|&(_, i)| visit(i, tag, payload)),
+            )?
         })?;
         Ok(())
     }
@@ -248,7 +252,7 @@ mod tests {
             .map(|k| {
                 let mut payload = vec![0u8; 900];
                 payload[..8].copy_from_slice(&k.to_le_bytes());
-                hf.rec_insert(&w, 7, &payload).unwrap()
+                hf.rec_insert(&w, &PagePins::none(), 7, &payload).unwrap()
             })
             .collect();
         (hf, oids)
@@ -329,7 +333,8 @@ mod tests {
         let (hf, oids) = keyed_records(&sm, 12);
         let mut grown = vec![0xAB; 3000];
         grown[..8].copy_from_slice(&5u64.to_le_bytes());
-        hf.rec_update(&sm.apply_section(), oids[5], &grown).unwrap();
+        hf.rec_update(&sm.apply_section(), &PagePins::none(), oids[5], &grown)
+            .unwrap();
         let mut got = vec![None; oids.len()];
         sm.read_batch(oids.iter().copied().map(Some), |i, tag, payload| {
             got[i] = Some((tag, key(payload), payload.len()));

@@ -17,11 +17,16 @@
 //! request, and [`HeapFile::edit_pinned`] lends the payload under a pin
 //! the caller already holds and is told whether to keep it, overwrite a
 //! few bytes of it where they lie, or replace it ([`RecordEdit`]).
+//!
+//! The operations a write makes take its [`PagePins`]: every page they
+//! ask for — the record's own, a moved body's, a placement candidate's —
+//! is asked of the set, so a page the operation already holds costs no
+//! request. [`HeapFile::read`], the readers' door, keeps no pin.
 
 use crate::error::{Result, StorageError};
 use crate::oid::{FileId, Oid, PageId};
 use crate::page::{PageKind, PageView, RecordFlags, RecordHeader};
-use crate::{ApplySection, PageHandle, StorageManager};
+use crate::{ApplySection, PageHandle, PagePins, StorageManager};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 
@@ -83,14 +88,23 @@ impl HeapFile {
         HeapFile { file }
     }
 
-    /// Insert a record, returning its stable OID.
-    pub fn rec_insert(&self, w: &ApplySection<'_>, type_tag: u16, payload: &[u8]) -> Result<Oid> {
-        self.insert_flagged(w, type_tag, RecordFlags::Normal, payload)
+    /// Insert a record, returning its stable OID. The placement
+    /// candidates are asked of `pins`, and a page the file grows by is
+    /// kept there.
+    pub fn rec_insert(
+        &self,
+        w: &ApplySection<'_>,
+        pins: &PagePins,
+        type_tag: u16,
+        payload: &[u8],
+    ) -> Result<Oid> {
+        self.insert_flagged(w, pins, type_tag, RecordFlags::Normal, payload)
     }
 
     fn insert_flagged(
         &self,
         sm: &StorageManager,
+        pins: &PagePins,
         type_tag: u16,
         flags: RecordFlags,
         payload: &[u8],
@@ -118,9 +132,8 @@ impl HeapFile {
 
         for page_no in candidates {
             let pid = PageId::new(self.file, page_no);
-            let placed = sm
-                .pool()
-                .fetch(pid)?
+            let placed = pins
+                .fetch(sm.pool(), pid)?
                 .data_mut()
                 .page(|pg| pg.insert(header, payload))?;
             if let Some(slot) = placed {
@@ -131,6 +144,7 @@ impl HeapFile {
 
         // 3. Extend the file.
         let (pid, h) = sm.pool().new_page(self.file)?;
+        pins.keep(&h);
         let slot = h
             .data_mut()
             .page(|pg| {
@@ -153,10 +167,26 @@ impl HeapFile {
     }
 
     /// Read a record by OID, following a forwarding stub if present.
-    /// Returns the record's type tag and payload.
+    /// Returns the record's type tag and payload. A reader's door: it
+    /// keeps no pin.
     pub fn read(&self, sm: &StorageManager, oid: Oid) -> Result<(u16, Vec<u8>)> {
-        let page = self.home_page(sm, oid)?;
-        self.read_pinned(sm, page, oid, |tag, payload| (tag, payload.to_vec()))
+        self.view(sm, &PagePins::none(), oid, |tag, payload| {
+            (tag, payload.to_vec())
+        })
+    }
+
+    /// Lend `f` the type tag and payload of the record at `oid` under the
+    /// read latch, its pages asked of `pins`. `f` must not call back into
+    /// the pool.
+    pub fn view<R>(
+        &self,
+        sm: &StorageManager,
+        pins: &PagePins,
+        oid: Oid,
+        f: impl FnOnce(u16, &[u8]) -> R,
+    ) -> Result<R> {
+        let page = self.home_page(sm, pins, oid)?;
+        self.read_pinned(sm, pins, page, oid, f)
     }
 
     /// Read the record at `oid` from `page`, a handle the caller already
@@ -166,22 +196,26 @@ impl HeapFile {
     /// pool. A forwarding stub is followed with one request for the moved
     /// body's page, after the stub's latch is released — and, when `page`
     /// was passed by value (fetched for this call only), after its pin is.
+    /// That request is asked of `pins`.
     pub fn read_pinned<R>(
         &self,
         sm: &StorageManager,
+        pins: &PagePins,
         page: impl Borrow<PageHandle>,
         oid: Oid,
         f: impl FnOnce(u16, &[u8]) -> R,
     ) -> Result<R> {
-        self.with_record(sm, page, oid, |_, _, hdr, payload| f(hdr.type_tag, payload))
+        self.with_record(sm, pins, page, oid, |_, _, hdr, payload| {
+            f(hdr.type_tag, payload)
+        })
     }
 
-    /// Request `oid`'s own page (where its record or its stub is).
-    fn home_page(&self, sm: &StorageManager, oid: Oid) -> Result<PageHandle> {
+    /// Ask `pins` for `oid`'s own page (where its record or its stub is).
+    fn home_page(&self, sm: &StorageManager, pins: &PagePins, oid: Oid) -> Result<PageHandle> {
         if oid.file != self.file {
             return Err(StorageError::InvalidOid(oid));
         }
-        sm.pool().fetch(oid.page_id())
+        pins.fetch(sm.pool(), oid.page_id())
     }
 
     /// Resolve the record `oid` names, following a forwarding stub — the
@@ -189,12 +223,13 @@ impl HeapFile {
     /// handle on `oid`'s own page; `f` is lent, under the read latch of
     /// the page the body is on, that page's handle, the OID the body is
     /// stored under (`oid` itself unless forwarded), its header and its
-    /// payload. The moved body's page is requested with no latch held and
-    /// with an owned `page` let go, so only a pin the caller keeps is
-    /// held across that request.
+    /// payload. The moved body's page is asked of `pins` with no latch
+    /// held and with an owned `page` let go, so only a pin the caller or
+    /// the set keeps is held across that request.
     fn with_record<R>(
         &self,
         sm: &StorageManager,
+        pins: &PagePins,
         page: impl Borrow<PageHandle>,
         oid: Oid,
         f: impl FnOnce(&PageHandle, Oid, RecordHeader, &[u8]) -> R,
@@ -214,7 +249,7 @@ impl HeapFile {
             Oid::from_bytes(payload)
         };
         drop(page);
-        let moved = sm.pool().fetch(target.page_id())?;
+        let moved = pins.fetch(sm.pool(), target.page_id())?;
         let data = moved.data();
         match PageView::new(&data[..]).record(target.slot) {
             Some((hdr, payload)) if hdr.flags == RecordFlags::Moved => {
@@ -228,11 +263,20 @@ impl HeapFile {
 
     /// Replace the payload of the record at `oid`, preserving its type tag
     /// and keeping `oid` valid even if the record must move pages. A
-    /// payload that fits where the record is costs the one page request.
-    pub fn rec_update(&self, w: &ApplySection<'_>, oid: Oid, payload: &[u8]) -> Result<()> {
-        let page = self.home_page(w, oid)?;
-        let body = self.with_record(w, page, oid, |body, at, hdr, _| (body.clone(), at, hdr))?;
-        self.write_resolved(w, oid, body, payload)
+    /// payload that fits where the record is costs the one page request,
+    /// none if `pins` holds the page.
+    pub fn rec_update(
+        &self,
+        w: &ApplySection<'_>,
+        pins: &PagePins,
+        oid: Oid,
+        payload: &[u8],
+    ) -> Result<()> {
+        let page = self.home_page(w, pins, oid)?;
+        let body = self.with_record(w, pins, page, oid, |body, at, hdr, _| {
+            (body.clone(), at, hdr)
+        })?;
+        self.write_resolved(w, pins, oid, body, payload)
     }
 
     /// Edit the record at `oid` where it lies. `page` is a handle on
@@ -242,20 +286,22 @@ impl HeapFile {
     /// answers with a [`RecordEdit`]. The write latch is taken only for a
     /// change, and for an overwrite only across the copy, on the handle
     /// already held — a forwarded body costs the one request for its
-    /// page. Returns whether the record changed. Whoever serialises
-    /// writers of `oid` (its write lock, the apply section) must cover the
-    /// call: the record is resolved again under the write latch, its
-    /// bytes are not compared again.
+    /// page, asked of `pins`. Returns whether the record changed.
+    /// Whoever serialises writers of `oid` (its write lock, the apply
+    /// section) must cover the call: the record is resolved again under
+    /// the write latch, its bytes are not compared again.
     pub fn edit_pinned<'e, E: From<StorageError>>(
         &self,
         w: &ApplySection<'_>,
+        pins: &PagePins,
         page: impl Borrow<PageHandle>,
         oid: Oid,
         f: impl FnOnce(u16, &[u8]) -> std::result::Result<RecordEdit<'e>, E>,
     ) -> std::result::Result<bool, E> {
-        let (edit, body, at, hdr) = self.with_record(w, page, oid, |body, at, hdr, payload| {
-            (f(hdr.type_tag, payload), body.clone(), at, hdr)
-        })?;
+        let (edit, body, at, hdr) =
+            self.with_record(w, pins, page, oid, |body, at, hdr, payload| {
+                (f(hdr.type_tag, payload), body.clone(), at, hdr)
+            })?;
         match edit? {
             RecordEdit::Keep => return Ok(false),
             RecordEdit::Overwrite { at: k, bytes } => {
@@ -268,7 +314,7 @@ impl HeapFile {
                     .ok_or(StorageError::InvalidOid(oid))?;
             }
             RecordEdit::Replace(payload) => {
-                self.write_resolved(w, oid, (body, at, hdr), &payload)?;
+                self.write_resolved(w, pins, oid, (body, at, hdr), &payload)?;
             }
         }
         Ok(true)
@@ -280,6 +326,7 @@ impl HeapFile {
     fn write_resolved(
         &self,
         sm: &StorageManager,
+        pins: &PagePins,
         oid: Oid,
         (body, at, hdr): (PageHandle, Oid, RecordHeader),
         payload: &[u8],
@@ -300,12 +347,12 @@ impl HeapFile {
             }
             // Re-forward: delete the old body, write a new one, and
             // repoint the stub so chains never exceed length one.
-            RecordFlags::Moved => self.delete_raw(sm, at)?,
+            RecordFlags::Moved => self.delete_raw(sm, pins, at)?,
             _ => {}
         }
         // Move: place the record elsewhere as Moved, stub here.
-        let target = self.insert_flagged(sm, hdr.type_tag, RecordFlags::Moved, payload)?;
-        let home = sm.pool().fetch(oid.page_id())?;
+        let target = self.insert_flagged(sm, pins, hdr.type_tag, RecordFlags::Moved, payload)?;
+        let home = pins.fetch(sm.pool(), oid.page_id())?;
         home.data_mut()
             .page(|pg| pg.write_forward_stub(oid.slot, hdr.type_tag, target))?;
         if at == oid {
@@ -315,17 +362,17 @@ impl HeapFile {
     }
 
     /// Delete the record at `oid` (and its forwarded body, if any).
-    pub fn rec_delete(&self, w: &ApplySection<'_>, oid: Oid) -> Result<()> {
-        let page = self.home_page(w, oid)?;
-        let at = self.with_record(w, page, oid, |_, at, _, _| at)?;
+    pub fn rec_delete(&self, w: &ApplySection<'_>, pins: &PagePins, oid: Oid) -> Result<()> {
+        let page = self.home_page(w, pins, oid)?;
+        let at = self.with_record(w, pins, page, oid, |_, at, _, _| at)?;
         if at != oid {
-            self.delete_raw(w, at)?;
+            self.delete_raw(w, pins, at)?;
         }
-        self.delete_raw(w, oid)
+        self.delete_raw(w, pins, oid)
     }
 
-    fn delete_raw(&self, sm: &StorageManager, oid: Oid) -> Result<()> {
-        let h = sm.pool().fetch(oid.page_id())?;
+    fn delete_raw(&self, sm: &StorageManager, pins: &PagePins, oid: Oid) -> Result<()> {
+        let h = pins.fetch(sm.pool(), oid.page_id())?;
         h.data_mut().page(|pg| pg.delete(oid.slot))?;
         self.note_shrink(sm, oid.page);
         Ok(())
@@ -450,8 +497,8 @@ mod tests {
         let sm = sm();
         let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let a = hf.rec_insert(&w, 1, b"alpha").unwrap();
-        let b = hf.rec_insert(&w, 2, b"bravo").unwrap();
+        let a = hf.rec_insert(&w, &PagePins::none(), 1, b"alpha").unwrap();
+        let b = hf.rec_insert(&w, &PagePins::none(), 2, b"bravo").unwrap();
         assert_eq!(hf.read(&sm, a).unwrap(), (1, b"alpha".to_vec()));
         assert_eq!(hf.read(&sm, b).unwrap(), (2, b"bravo".to_vec()));
     }
@@ -463,7 +510,8 @@ mod tests {
         let hf = HeapFile::create(&sm).unwrap();
         // 100-byte payloads → 33 objects/page (O_r in the paper).
         for _ in 0..330 {
-            hf.rec_insert(&w, 1, &[0u8; 100]).unwrap();
+            hf.rec_insert(&w, &PagePins::none(), 1, &[0u8; 100])
+                .unwrap();
         }
         assert_eq!(sm.page_count(hf.file).unwrap(), 10);
     }
@@ -473,8 +521,9 @@ mod tests {
         let sm = sm();
         let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let oid = hf.rec_insert(&w, 1, &[1u8; 50]).unwrap();
-        hf.rec_update(&w, oid, &[2u8; 50]).unwrap();
+        let oid = hf.rec_insert(&w, &PagePins::none(), 1, &[1u8; 50]).unwrap();
+        hf.rec_update(&w, &PagePins::none(), oid, &[2u8; 50])
+            .unwrap();
         assert_eq!(hf.read(&sm, oid).unwrap().1, vec![2u8; 50]);
     }
 
@@ -486,19 +535,25 @@ mod tests {
         // Fill a page completely.
         let mut oids = vec![];
         for _ in 0..33 {
-            oids.push(hf.rec_insert(&w, 1, &[3u8; 100]).unwrap());
+            oids.push(
+                hf.rec_insert(&w, &PagePins::none(), 1, &[3u8; 100])
+                    .unwrap(),
+            );
         }
         let victim = oids[0];
         // Grow it so it cannot stay on its full page.
-        hf.rec_update(&w, victim, &[4u8; 600]).unwrap();
+        hf.rec_update(&w, &PagePins::none(), victim, &[4u8; 600])
+            .unwrap();
         let (tag, body) = hf.read(&sm, victim).unwrap();
         assert_eq!(tag, 1);
         assert_eq!(body, vec![4u8; 600]);
         // Update through the stub again (fits at the forwarded location).
-        hf.rec_update(&w, victim, &[5u8; 600]).unwrap();
+        hf.rec_update(&w, &PagePins::none(), victim, &[5u8; 600])
+            .unwrap();
         assert_eq!(hf.read(&sm, victim).unwrap().1, vec![5u8; 600]);
         // And grow it further, forcing a re-forward.
-        hf.rec_update(&w, victim, &[6u8; 3000]).unwrap();
+        hf.rec_update(&w, &PagePins::none(), victim, &[6u8; 3000])
+            .unwrap();
         assert_eq!(hf.read(&sm, victim).unwrap().1, vec![6u8; 3000]);
     }
 
@@ -508,29 +563,38 @@ mod tests {
         let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         let oids: Vec<Oid> = (0..33u8)
-            .map(|i| hf.rec_insert(&w, 7, &[i; 100]).unwrap())
+            .map(|i| hf.rec_insert(&w, &PagePins::none(), 7, &[i; 100]).unwrap())
             .collect();
-        hf.rec_update(&w, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
+        hf.rec_update(&w, &PagePins::none(), oids[0], &[9u8; 600])
+            .unwrap(); // moves: stub at oids[0]
         let page = sm.pool().fetch(oids[0].page_id()).unwrap();
         sm.reset_profile();
         let len_and_first = |tag: u16, body: &[u8]| (tag, body.len(), body[0]);
         // Under the pin a record costs no page request at all…
-        let got = hf.read_pinned(&sm, &page, oids[5], len_and_first).unwrap();
+        let got = hf
+            .read_pinned(&sm, &PagePins::none(), &page, oids[5], len_and_first)
+            .unwrap();
         assert_eq!(got, (7, 100, 5));
         assert_eq!(sm.io_profile().pool_hits + sm.io_profile().pool_misses, 0);
         // …and a forwarded one exactly the request for its moved body.
-        let got = hf.read_pinned(&sm, &page, oids[0], len_and_first).unwrap();
+        let got = hf
+            .read_pinned(&sm, &PagePins::none(), &page, oids[0], len_and_first)
+            .unwrap();
         assert_eq!(got, (7, 600, 9));
         assert_eq!(sm.io_profile().pool_hits + sm.io_profile().pool_misses, 1);
         // The handle must be the OID's own page, and the slot a live record.
-        let other = hf.rec_insert(&w, 7, &[1u8; 3000]).unwrap();
+        let other = hf
+            .rec_insert(&w, &PagePins::none(), 7, &[1u8; 3000])
+            .unwrap();
         assert_ne!(other.page, oids[0].page);
         assert!(matches!(
-            hf.read_pinned(&sm, &page, other, len_and_first),
+            hf.read_pinned(&sm, &PagePins::none(), &page, other, len_and_first),
             Err(StorageError::InvalidOid(o)) if o == other
         ));
-        hf.rec_delete(&w, oids[5]).unwrap();
-        assert!(hf.read_pinned(&sm, &page, oids[5], len_and_first).is_err());
+        hf.rec_delete(&w, &PagePins::none(), oids[5]).unwrap();
+        assert!(hf
+            .read_pinned(&sm, &PagePins::none(), &page, oids[5], len_and_first)
+            .is_err());
     }
 
     #[test]
@@ -538,8 +602,8 @@ mod tests {
         let sm = sm();
         let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let oid = hf.rec_insert(&w, 1, b"gone").unwrap();
-        hf.rec_delete(&w, oid).unwrap();
+        let oid = hf.rec_insert(&w, &PagePins::none(), 1, b"gone").unwrap();
+        hf.rec_delete(&w, &PagePins::none(), oid).unwrap();
         assert!(hf.read(&sm, oid).is_err());
     }
 
@@ -550,12 +614,17 @@ mod tests {
         let hf = HeapFile::create(&sm).unwrap();
         let mut oids = vec![];
         for _ in 0..33 {
-            oids.push(hf.rec_insert(&w, 1, &[7u8; 100]).unwrap());
+            oids.push(
+                hf.rec_insert(&w, &PagePins::none(), 1, &[7u8; 100])
+                    .unwrap(),
+            );
         }
         assert_eq!(sm.page_count(hf.file).unwrap(), 1);
-        hf.rec_delete(&w, oids[10]).unwrap();
+        hf.rec_delete(&w, &PagePins::none(), oids[10]).unwrap();
         // The next insert should reuse page 0, not extend the file.
-        let oid = hf.rec_insert(&w, 1, &[8u8; 100]).unwrap();
+        let oid = hf
+            .rec_insert(&w, &PagePins::none(), 1, &[8u8; 100])
+            .unwrap();
         assert_eq!(oid.page, 0);
         assert_eq!(sm.page_count(hf.file).unwrap(), 1);
     }
@@ -567,12 +636,13 @@ mod tests {
         let hf = HeapFile::create(&sm).unwrap();
         let mut expect = vec![];
         for i in 0..100u8 {
-            let oid = hf.rec_insert(&w, 1, &[i; 60]).unwrap();
+            let oid = hf.rec_insert(&w, &PagePins::none(), 1, &[i; 60]).unwrap();
             expect.push((oid, vec![i; 60]));
         }
         // Forward a few by growing them.
         for &(oid, _) in expect.iter().take(80).step_by(7) {
-            hf.rec_update(&w, oid, &[0xEE; 900]).unwrap();
+            hf.rec_update(&w, &PagePins::none(), oid, &[0xEE; 900])
+                .unwrap();
         }
         let mut seen = std::collections::HashMap::new();
         let mut scan = hf.scan(&sm).unwrap();
@@ -596,11 +666,13 @@ mod tests {
         let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         for _ in 0..33 {
-            hf.rec_insert(&w, 1, &[1u8; 100]).unwrap();
+            hf.rec_insert(&w, &PagePins::none(), 1, &[1u8; 100])
+                .unwrap();
         }
         let victim = Oid::new(hf.file, 0, 0);
-        hf.rec_update(&w, victim, &[2u8; 1000]).unwrap(); // forwards
-        hf.rec_delete(&w, victim).unwrap();
+        hf.rec_update(&w, &PagePins::none(), victim, &[2u8; 1000])
+            .unwrap(); // forwards
+        hf.rec_delete(&w, &PagePins::none(), victim).unwrap();
         assert!(hf.read(&sm, victim).is_err());
         // Nothing in the scan refers to the moved body.
         let mut scan = hf.scan(&sm).unwrap();
@@ -617,7 +689,7 @@ mod tests {
         let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
         for _ in 0..250 {
-            hf.rec_insert(&w, 3, &[0u8; 30]).unwrap();
+            hf.rec_insert(&w, &PagePins::none(), 3, &[0u8; 30]).unwrap();
         }
         assert_eq!(hf.count(&sm).unwrap(), 250);
     }
@@ -631,9 +703,10 @@ mod tests {
     /// page: `(oids, pin on the full page)`.
     fn page_with_a_forwarded_record(w: &ApplySection<'_>, hf: &HeapFile) -> (Vec<Oid>, PageHandle) {
         let oids: Vec<Oid> = (0..33u8)
-            .map(|i| hf.rec_insert(w, 7, &[i; 100]).unwrap())
+            .map(|i| hf.rec_insert(w, &PagePins::none(), 7, &[i; 100]).unwrap())
             .collect();
-        hf.rec_update(w, oids[0], &[9u8; 600]).unwrap(); // moves: stub at oids[0]
+        hf.rec_update(w, &PagePins::none(), oids[0], &[9u8; 600])
+            .unwrap(); // moves: stub at oids[0]
         let page = w.pool().fetch(oids[0].page_id()).unwrap();
         (oids, page)
     }
@@ -645,11 +718,13 @@ mod tests {
         let sm = sm();
         let w = sm.apply_section();
         let hf = HeapFile::create(&sm).unwrap();
-        let oid = hf.rec_insert(&w, 1, &[1u8; 50]).unwrap();
+        let oid = hf.rec_insert(&w, &PagePins::none(), 1, &[1u8; 50]).unwrap();
         sm.reset_profile();
-        hf.rec_update(&w, oid, &[2u8; 50]).unwrap();
+        hf.rec_update(&w, &PagePins::none(), oid, &[2u8; 50])
+            .unwrap();
         assert_eq!(requests(&sm), 1);
-        hf.rec_update(&w, oid, &[3u8; 80]).unwrap(); // grows, still fits
+        hf.rec_update(&w, &PagePins::none(), oid, &[3u8; 80])
+            .unwrap(); // grows, still fits
         assert_eq!(requests(&sm), 2);
         assert_eq!(hf.read(&sm, oid).unwrap().1, vec![3u8; 80]);
     }
@@ -663,13 +738,19 @@ mod tests {
         sm.reset_profile();
         // A normal record: lent under the pin, patched under the pin.
         let changed = hf
-            .edit_pinned(&w, &page, oids[5], |tag, body| -> Edit<'_> {
-                assert_eq!((tag, body), (7, &[5u8; 100][..]));
-                Ok(RecordEdit::Overwrite {
-                    at: 10,
-                    bytes: b"patch",
-                })
-            })
+            .edit_pinned(
+                &w,
+                &PagePins::none(),
+                &page,
+                oids[5],
+                |tag, body| -> Edit<'_> {
+                    assert_eq!((tag, body), (7, &[5u8; 100][..]));
+                    Ok(RecordEdit::Overwrite {
+                        at: 10,
+                        bytes: b"patch",
+                    })
+                },
+            )
             .unwrap();
         assert!(changed);
         assert_eq!(requests(&sm), 0);
@@ -680,13 +761,19 @@ mod tests {
         // lands on the body's page, for the one request that finds it.
         sm.reset_profile();
         let changed = hf
-            .edit_pinned(&w, &page, oids[0], |tag, body| -> Edit<'_> {
-                assert_eq!((tag, body), (7, &[9u8; 600][..]));
-                Ok(RecordEdit::Overwrite {
-                    at: 595,
-                    bytes: b"patch",
-                })
-            })
+            .edit_pinned(
+                &w,
+                &PagePins::none(),
+                &page,
+                oids[0],
+                |tag, body| -> Edit<'_> {
+                    assert_eq!((tag, body), (7, &[9u8; 600][..]));
+                    Ok(RecordEdit::Overwrite {
+                        at: 595,
+                        bytes: b"patch",
+                    })
+                },
+            )
             .unwrap();
         assert!(changed);
         assert_eq!(requests(&sm), 1);
@@ -696,7 +783,7 @@ mod tests {
         // Its neighbours were not touched.
         assert_eq!(hf.read(&sm, oids[1]).unwrap().1, vec![1u8; 100]);
         // An overwrite past the payload's end is refused, not clipped.
-        let past_end = hf.edit_pinned(&w, &page, oids[5], |_, _| -> Edit<'_> {
+        let past_end = hf.edit_pinned(&w, &PagePins::none(), &page, oids[5], |_, _| -> Edit<'_> {
             Ok(RecordEdit::Overwrite {
                 at: 98,
                 bytes: b"patch",
@@ -712,7 +799,7 @@ mod tests {
         let hf = HeapFile::create(&sm).unwrap();
         let (oids, page) = page_with_a_forwarded_record(&w, &hf);
         let replace = |oid: Oid, payload: Vec<u8>| {
-            hf.edit_pinned(&w, &page, oid, |_, _| -> Edit<'_> {
+            hf.edit_pinned(&w, &PagePins::none(), &page, oid, |_, _| -> Edit<'_> {
                 Ok(RecordEdit::Replace(payload))
             })
             .unwrap()
@@ -741,27 +828,33 @@ mod tests {
         let (oids, page) = page_with_a_forwarded_record(&w, &hf);
         let keep = |_: u16, _: &[u8]| -> Edit<'_> { Ok(RecordEdit::Keep) };
         // Wrong page: a record of the same file that lives elsewhere.
-        let elsewhere = hf.rec_insert(&w, 7, &[1u8; 3000]).unwrap();
+        let elsewhere = hf
+            .rec_insert(&w, &PagePins::none(), 7, &[1u8; 3000])
+            .unwrap();
         assert_ne!(elsewhere.page, oids[0].page);
         assert!(matches!(
-            hf.edit_pinned(&w, &page, elsewhere, keep),
+            hf.edit_pinned(&w, &PagePins::none(), &page, elsewhere, keep),
             Err(StorageError::InvalidOid(o)) if o == elsewhere
         ));
         // Wrong file: the handle's page number matches, its file does not.
-        let foreign = other_file.rec_insert(&w, 7, b"foreign").unwrap();
+        let foreign = other_file
+            .rec_insert(&w, &PagePins::none(), 7, b"foreign")
+            .unwrap();
         assert_eq!(foreign.page, oids[0].page);
         assert!(matches!(
-            hf.edit_pinned(&w, &page, foreign, keep),
+            hf.edit_pinned(&w, &PagePins::none(), &page, foreign, keep),
             Err(StorageError::InvalidOid(o)) if o == foreign
         ));
         assert!(matches!(
-            other_file.edit_pinned(&w, &page, foreign, keep),
+            other_file.edit_pinned(&w, &PagePins::none(), &page, foreign, keep),
             Err(StorageError::InvalidOid(_))
         ));
         // A dead slot, and the closure's own error.
-        hf.rec_delete(&w, oids[5]).unwrap();
-        assert!(hf.edit_pinned(&w, &page, oids[5], keep).is_err());
-        let refused = hf.edit_pinned(&w, &page, oids[6], |_, _| -> Edit<'_> {
+        hf.rec_delete(&w, &PagePins::none(), oids[5]).unwrap();
+        assert!(hf
+            .edit_pinned(&w, &PagePins::none(), &page, oids[5], keep)
+            .is_err());
+        let refused = hf.edit_pinned(&w, &PagePins::none(), &page, oids[6], |_, _| -> Edit<'_> {
             Err(StorageError::Corrupt("refused".into()))
         });
         assert!(matches!(refused, Err(StorageError::Corrupt(m)) if m == "refused"));
@@ -787,9 +880,13 @@ mod tests {
         let appends = sm.wal_stats().appends;
         for oid in [oids[0], oids[5]] {
             let changed = hf
-                .edit_pinned(&sm.apply_section(), &page, oid, |_, _| -> Edit<'_> {
-                    Ok(RecordEdit::Keep)
-                })
+                .edit_pinned(
+                    &sm.apply_section(),
+                    &PagePins::none(),
+                    &page,
+                    oid,
+                    |_, _| -> Edit<'_> { Ok(RecordEdit::Keep) },
+                )
                 .unwrap();
             assert!(!changed);
         }
@@ -797,9 +894,13 @@ mod tests {
         assert_eq!(sm.pool().log_txn_commit().unwrap(), None, "nothing to log");
         assert_eq!(sm.wal_stats().appends, appends);
         // The same walk with a change dirties exactly the body's page.
-        hf.edit_pinned(&sm.apply_section(), &page, oids[0], |_, _| -> Edit<'_> {
-            Ok(RecordEdit::Overwrite { at: 0, bytes: b"x" })
-        })
+        hf.edit_pinned(
+            &sm.apply_section(),
+            &PagePins::none(),
+            &page,
+            oids[0],
+            |_, _| -> Edit<'_> { Ok(RecordEdit::Overwrite { at: 0, bytes: b"x" }) },
+        )
         .unwrap();
         assert!(!page.is_dirty() && moved.is_dirty());
         assert!(sm.pool().log_txn_commit().unwrap().is_some());
@@ -832,7 +933,7 @@ mod tests {
         ];
         for oid in [oids[0], oids[9]] {
             for edit in edits {
-                hf.edit_pinned(&w, &page, oid, |_, _| -> Edit<'_> {
+                hf.edit_pinned(&w, &PagePins::none(), &page, oid, |_, _| -> Edit<'_> {
                     probe();
                     Ok(edit())
                 })

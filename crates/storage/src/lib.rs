@@ -41,6 +41,7 @@ pub mod heap;
 pub mod lockorder;
 pub mod oid;
 pub mod page;
+mod pins;
 pub mod stats;
 pub mod wal;
 
@@ -56,6 +57,7 @@ pub use page::{
     OBJECT_OVERHEAD, PAGE_HEADER_SIZE, PAGE_SIZE, RECORD_HEADER_SIZE, SLOT_SIZE,
     USER_BYTES_PER_PAGE,
 };
+pub use pins::PagePins;
 pub use stats::{IoProfile, IoStats};
 pub use wal::{FileWalStore, MemWalStore, RecoveryReport, Wal, WalStats, WalStore, WalSyncer};
 
@@ -233,18 +235,18 @@ impl StorageManager {
 /// manager for the reads a writer makes.
 ///
 /// ```
-/// # use fieldrep_storage::{HeapFile, StorageManager};
+/// # use fieldrep_storage::{HeapFile, PagePins, StorageManager};
 /// let sm = StorageManager::in_memory(4);
 /// let hf = HeapFile::create(&sm).unwrap();
 /// let w = sm.apply_section();
-/// hf.rec_insert(&w, 1, b"row").unwrap();
+/// hf.rec_insert(&w, &PagePins::none(), 1, b"row").unwrap();
 /// ```
 ///
 /// ```compile_fail,E0308
-/// # use fieldrep_storage::{HeapFile, StorageManager};
+/// # use fieldrep_storage::{HeapFile, PagePins, StorageManager};
 /// let sm = StorageManager::in_memory(4);
 /// let hf = HeapFile::create(&sm).unwrap();
-/// hf.rec_insert(&sm, 1, b"row").unwrap(); // no section, no write
+/// hf.rec_insert(&sm, &PagePins::none(), 1, b"row").unwrap(); // no section, no write
 /// ```
 pub struct ApplySection<'a> {
     sm: &'a StorageManager,

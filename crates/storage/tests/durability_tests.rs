@@ -2,8 +2,8 @@
 //! buffer pool, and WAL-backed crash survival at the storage level.
 
 use fieldrep_storage::{
-    checksum, FileDisk, FileId, FileWalStore, HeapFile, MemDisk, MemWalStore, PageId, StorageError,
-    StorageManager, PAGE_SIZE,
+    checksum, FileDisk, FileId, FileWalStore, HeapFile, MemDisk, MemWalStore, PageId, PagePins,
+    StorageError, StorageManager, PAGE_SIZE,
 };
 use std::path::{Path, PathBuf};
 
@@ -31,7 +31,12 @@ fn corrupt_page_surfaces_as_checksum_mismatch_through_the_pool() {
         let sm = StorageManager::new(Box::new(FileDisk::open(&dir).unwrap()), 8);
         let hf = HeapFile::create(&sm).unwrap();
         oid = hf
-            .rec_insert(&sm.apply_section(), 7, b"precious payload")
+            .rec_insert(
+                &sm.apply_section(),
+                &PagePins::none(),
+                7,
+                b"precious payload",
+            )
             .unwrap();
         sm.flush_all().unwrap();
     }
@@ -56,8 +61,13 @@ fn corrupt_page_is_caught_on_the_batched_read_path() {
         let hf = HeapFile::create(&sm).unwrap();
         // Fill several pages so a batched run exists.
         for i in 0..600u32 {
-            hf.rec_insert(&sm.apply_section(), 1, &i.to_le_bytes().repeat(8))
-                .unwrap();
+            hf.rec_insert(
+                &sm.apply_section(),
+                &PagePins::none(),
+                1,
+                &i.to_le_bytes().repeat(8),
+            )
+            .unwrap();
         }
         let pages = sm.page_count(fieldrep_storage::FileId(0)).unwrap();
         assert!(pages >= 3, "need a multi-page run, got {pages}");
@@ -92,7 +102,7 @@ fn checkpoint_then_reopen_needs_no_replay() {
         let sm = StorageManager::new_with_wal(Box::new(MemDisk::new()), Box::new(store.clone()), 8)
             .unwrap();
         let hf = HeapFile::create(&sm).unwrap();
-        hf.rec_insert(&sm.apply_section(), 1, b"checkpointed")
+        hf.rec_insert(&sm.apply_section(), &PagePins::none(), 1, b"checkpointed")
             .unwrap();
         sm.checkpoint().unwrap();
         assert_eq!(sm.wal_stats().last_lsn, sm.wal_stats().durable_lsn);
@@ -128,8 +138,13 @@ fn lsn_space_never_regresses_across_reopens() {
     {
         let sm = open();
         let hf = HeapFile::create(&sm).unwrap();
-        hf.rec_insert(&sm.apply_section(), 1, b"committed, never checkpointed")
-            .unwrap();
+        hf.rec_insert(
+            &sm.apply_section(),
+            &PagePins::none(),
+            1,
+            b"committed, never checkpointed",
+        )
+        .unwrap();
         let wal = sm.wal().unwrap();
         let lsn = {
             let _apply = wal.apply_lock();

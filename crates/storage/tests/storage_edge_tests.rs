@@ -2,8 +2,8 @@
 //! records and forwarding stubs, I/O accounting, error formatting.
 
 use fieldrep_storage::{
-    HeapFile, IoStats, StorageError, StorageManager, MAX_RECORD_PAYLOAD, MIN_RECORD_PAYLOAD,
-    PAGE_SIZE,
+    HeapFile, IoStats, PagePins, StorageError, StorageManager, MAX_RECORD_PAYLOAD,
+    MIN_RECORD_PAYLOAD, PAGE_SIZE,
 };
 
 #[test]
@@ -15,7 +15,9 @@ fn tiny_records_can_always_be_forwarded() {
     let mut oids = Vec::new();
     // Fill a page with 1-byte records.
     loop {
-        let oid = hf.rec_insert(&sm.apply_section(), 1, &[7u8]).unwrap();
+        let oid = hf
+            .rec_insert(&sm.apply_section(), &PagePins::none(), 1, &[7u8])
+            .unwrap();
         if oid.page > 0 {
             break;
         }
@@ -23,7 +25,7 @@ fn tiny_records_can_always_be_forwarded() {
     }
     // Grow every page-0 record far beyond the page: each needs a stub.
     for &oid in &oids {
-        hf.rec_update(&sm.apply_section(), oid, &[9u8; 300])
+        hf.rec_update(&sm.apply_section(), &PagePins::none(), oid, &[9u8; 300])
             .unwrap();
     }
     for &oid in &oids {
@@ -36,11 +38,15 @@ fn tiny_records_can_always_be_forwarded() {
 fn zero_length_payload_roundtrip() {
     let sm = StorageManager::in_memory(16);
     let hf = HeapFile::create(&sm).unwrap();
-    let oid = hf.rec_insert(&sm.apply_section(), 3, &[]).unwrap();
+    let oid = hf
+        .rec_insert(&sm.apply_section(), &PagePins::none(), 3, &[])
+        .unwrap();
     assert_eq!(hf.read(&sm, oid).unwrap(), (3, vec![]));
-    hf.rec_update(&sm.apply_section(), oid, &[]).unwrap();
+    hf.rec_update(&sm.apply_section(), &PagePins::none(), oid, &[])
+        .unwrap();
     assert_eq!(hf.read(&sm, oid).unwrap().1, Vec::<u8>::new());
-    hf.rec_delete(&sm.apply_section(), oid).unwrap();
+    hf.rec_delete(&sm.apply_section(), &PagePins::none(), oid)
+        .unwrap();
 }
 
 #[test]
@@ -48,12 +54,14 @@ fn max_payload_roundtrip_through_heap() {
     let sm = StorageManager::in_memory(16);
     let hf = HeapFile::create(&sm).unwrap();
     let big = vec![0x5A; MAX_RECORD_PAYLOAD];
-    let oid = hf.rec_insert(&sm.apply_section(), 2, &big).unwrap();
+    let oid = hf
+        .rec_insert(&sm.apply_section(), &PagePins::none(), 2, &big)
+        .unwrap();
     assert_eq!(hf.read(&sm, oid).unwrap().1, big);
     // One byte more is rejected cleanly.
     let too_big = vec![0u8; MAX_RECORD_PAYLOAD + 1];
     assert!(matches!(
-        hf.rec_insert(&sm.apply_section(), 2, &too_big),
+        hf.rec_insert(&sm.apply_section(), &PagePins::none(), 2, &too_big),
         Err(StorageError::RecordTooLarge { .. })
     ));
 }
@@ -65,7 +73,10 @@ fn per_query_io_accounting_with_cold_pool() {
     // 10 pages of 100-byte records.
     let mut oids = Vec::new();
     for _ in 0..330 {
-        oids.push(hf.rec_insert(&sm.apply_section(), 1, &[1u8; 100]).unwrap());
+        oids.push(
+            hf.rec_insert(&sm.apply_section(), &PagePins::none(), 1, &[1u8; 100])
+                .unwrap(),
+        );
     }
     sm.flush_all().unwrap();
     sm.reset_profile();
@@ -92,7 +103,7 @@ fn per_query_io_accounting_with_cold_pool() {
     // Updating 5 records on one page then flushing writes exactly 1 page.
     sm.reset_profile();
     for oid in oids.iter().filter(|o| o.page == 3).take(5) {
-        hf.rec_update(&sm.apply_section(), *oid, &[2u8; 100])
+        hf.rec_update(&sm.apply_section(), &PagePins::none(), *oid, &[2u8; 100])
             .unwrap();
     }
     sm.flush_all().unwrap();
@@ -108,8 +119,13 @@ fn pool_thrashing_still_correct() {
     let mut oids = Vec::new();
     for i in 0..1320u32 {
         oids.push(
-            hf.rec_insert(&sm.apply_section(), 1, &i.to_le_bytes().repeat(25))
-                .unwrap(),
+            hf.rec_insert(
+                &sm.apply_section(),
+                &PagePins::none(),
+                1,
+                &i.to_le_bytes().repeat(25),
+            )
+            .unwrap(),
         );
     }
     for (i, oid) in oids.iter().enumerate().step_by(31) {
@@ -124,8 +140,11 @@ fn pool_thrashing_still_correct() {
 fn error_messages_are_informative() {
     let sm = StorageManager::in_memory(8);
     let hf = HeapFile::create(&sm).unwrap();
-    let oid = hf.rec_insert(&sm.apply_section(), 1, b"x").unwrap();
-    hf.rec_delete(&sm.apply_section(), oid).unwrap();
+    let oid = hf
+        .rec_insert(&sm.apply_section(), &PagePins::none(), 1, b"x")
+        .unwrap();
+    hf.rec_delete(&sm.apply_section(), &PagePins::none(), oid)
+        .unwrap();
     let err = hf.read(&sm, oid).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("does not name a live record"), "{msg}");
@@ -145,10 +164,15 @@ fn interleaved_files_do_not_interfere() {
     let mut pairs = Vec::new();
     for i in 0..500u32 {
         let oa = a
-            .rec_insert(&sm.apply_section(), 1, &i.to_le_bytes())
+            .rec_insert(&sm.apply_section(), &PagePins::none(), 1, &i.to_le_bytes())
             .unwrap();
         let ob = b
-            .rec_insert(&sm.apply_section(), 2, &(i * 2).to_le_bytes())
+            .rec_insert(
+                &sm.apply_section(),
+                &PagePins::none(),
+                2,
+                &(i * 2).to_le_bytes(),
+            )
             .unwrap();
         pairs.push((oa, ob, i));
     }

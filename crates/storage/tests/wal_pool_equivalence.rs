@@ -9,8 +9,8 @@
 use fieldrep_storage::page::{OFF_PAGE_CRC, OFF_PAGE_LSN};
 use fieldrep_storage::wal::{record, recover, WalRecord};
 use fieldrep_storage::{
-    DiskManager, FileId, HeapFile, MemDisk, MemWalStore, Oid, PageId, PageKind, RecordEdit,
-    RecordFlags, RecordHeader, StorageError, StorageManager, PAGE_SIZE,
+    DiskManager, FileId, HeapFile, MemDisk, MemWalStore, Oid, PageId, PageKind, PagePins,
+    RecordEdit, RecordFlags, RecordHeader, StorageError, StorageManager, PAGE_SIZE,
 };
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
@@ -52,12 +52,20 @@ fn run(seed: u64) {
         match rng.gen_range(0..10u32) {
             0..=2 => {
                 let payload = vec![rng.next_u32() as u8; rng.gen_range(1..1200)];
-                oids.push(hf.rec_insert(&sm.apply_section(), 1, &payload).unwrap());
+                oids.push(
+                    hf.rec_insert(&sm.apply_section(), &PagePins::none(), 1, &payload)
+                        .unwrap(),
+                );
             }
             3..=4 if !oids.is_empty() => {
                 let payload = vec![rng.next_u32() as u8; rng.gen_range(1..1500)];
-                hf.rec_update(&sm.apply_section(), pick(&mut rng, &oids), &payload)
-                    .unwrap();
+                hf.rec_update(
+                    &sm.apply_section(),
+                    &PagePins::none(),
+                    pick(&mut rng, &oids),
+                    &payload,
+                )
+                .unwrap();
             }
             5..=6 if !oids.is_empty() => {
                 let oid = pick(&mut rng, &oids);
@@ -65,14 +73,15 @@ fn run(seed: u64) {
                 let at = rng.gen_range(0..len);
                 let bytes = vec![rng.next_u32() as u8; rng.gen_range(1..(len - at).min(100) + 1)];
                 let page = sm.pool().fetch(oid.page_id()).unwrap();
-                hf.edit_pinned(&sm.apply_section(), page, oid, |_, _| {
+                hf.edit_pinned(&sm.apply_section(), &PagePins::none(), page, oid, |_, _| {
                     Ok::<_, StorageError>(RecordEdit::Overwrite { at, bytes: &bytes })
                 })
                 .unwrap();
             }
             7 if !oids.is_empty() => {
                 let oid = oids.swap_remove(rng.gen_range(0..oids.len()));
-                hf.rec_delete(&sm.apply_section(), oid).unwrap();
+                hf.rec_delete(&sm.apply_section(), &PagePins::none(), oid)
+                    .unwrap();
             }
             8 => {
                 // A whole page formatted again, over whatever it held.

@@ -33,8 +33,21 @@ stage lint cargo run -q -p fieldrep-lint
 # root Cargo.toml's [profile.test] opt-level 1, debug assertions on). The
 # exporters' JSON and Chrome-trace shape and the flight-recorder dump
 # are checked here too: obs::export's unit tests and
-# crates/core/tests/flight_recorder_dump.rs.
-stage test cargo test -q --workspace
+# crates/core/tests/flight_recorder_dump.rs. The stage ends with one
+# line summing passed, failed and ignored over every test binary, and
+# the summary at the end repeats it.
+TEST_TOTALS=""
+workspace_tests() {
+    local log status=0
+    log=$(mktemp)
+    cargo test -q --workspace 2>&1 | tee "$log" || status=$?
+    TEST_TOTALS=$(awk '/^test result:/ { p += $4; f += $6; i += $8 }
+        END { printf "%d passed, %d failed, %d ignored", p, f, i }' "$log")
+    rm -f "$log"
+    printf '== test totals: %s\n' "$TEST_TOTALS"
+    return "$status"
+}
+stage test workspace_tests
 
 # The benchmark package has its own [workspace], so the stage above
 # never builds it: a public-API slip in storage/core would otherwise
@@ -57,3 +70,4 @@ stage concurrency_stress cargo test --release -q -p fieldrep-core --test concurr
 stage crash_recovery cargo test --release -q -p fieldrep-core --test crash_recovery
 
 printf '\n== check.sh stage timings ==\n%s' "$STAGE_SUMMARY"
+printf '== test totals: %s\n' "$TEST_TOTALS"
