@@ -11,10 +11,10 @@ use crate::attach::{
     walk_chain_via,
 };
 use crate::error::{DbError, Result};
-use crate::objects::{read_object, ref_target, value_key, view_object, view_pinned, write_object};
-use crate::propagate::{apply_plan, is_referenced};
+use crate::objects::{read_object, ref_target, value_key, view_object, write_object};
+use crate::propagate::{apply_plan, apply_sync, is_referenced};
 use crate::replicas::{anchor_acquire, find_anchor, group_values, write_replica};
-use crate::ripple::{Chain, ChainPlan, RipplePlan};
+use crate::ripple::{Chain, ChainPlan, RipplePlan, SyncPlan};
 use crate::{chain, links, DbConfig, EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
@@ -278,7 +278,7 @@ impl Database {
     }
 
     /// The engine context of a write inside the section `w`, keeping no
-    /// page pin: what the bulk and sync paths write with.
+    /// page pin: what the bulk DDL paths write with.
     pub fn write_ctx<'a>(&'a self, w: &'a ApplySection<'a>) -> WriteCtx<'a> {
         self.write_ctx_with(w, PagePins::none())
     }
@@ -887,72 +887,20 @@ impl Database {
 
     /// Apply every deferred propagation recorded for `path` (a no-op for
     /// eager paths or when nothing is pending). Returns the number of
-    /// work items applied.
+    /// work items applied. A sync is a write like any other: a
+    /// `SyncPlan` locked and applied by `Database::write_locked`.
     pub fn sync_path(&self, path: PathId) -> Result<usize> {
         if self.pending.count(path) == 0 {
             return Ok(0);
         }
-        self.apply_and_commit(|db, w| db.sync_pending(w, path))
+        self.write_locked(None, || SyncPlan::build(self, &[path]), apply_sync)
     }
 
     /// Sync every path with pending deferred work, as one unit: one
     /// commit covers all of them.
     pub fn sync_all_pending(&self) -> Result<usize> {
-        self.apply_and_commit(|db, w| {
-            let mut total = 0;
-            for p in db.pending.dirty_paths() {
-                total += db.sync_pending(w, p)?;
-            }
-            Ok(total)
-        })
-    }
-
-    /// The body of a sync, inside the apply section `w`.
-    fn sync_pending(&self, w: &ApplySection<'_>, path: PathId) -> Result<usize> {
-        let entries = self.pending.take(path);
-        if entries.is_empty() {
-            return Ok(0);
-        }
-        let pdef = self.catalog.path(path);
-        let n = entries.len();
-        let mut ctx = self.write_ctx(w);
-        for e in entries {
-            let io_before = fieldrep_obs::io::snapshot();
-            let fanout = match e {
-                crate::PendingEntry::StaleSources { obj, link_level } => {
-                    let o = read_object(ctx.sm, &ctx.pins, ctx.cat, obj)?;
-                    let mut sources =
-                        crate::attach::collect_sources(&ctx, &ctx.pins, pdef, link_level, &o)?;
-                    sources.dedup();
-                    // Refresh the stale sources page-group by page-group
-                    // (sorted physical order, one grouped read per run).
-                    ctx.sm.visit_sorted(&sources, |page, s, _| {
-                        let hop = view_pinned(ctx.sm, &ctx.pins, ctx.cat, page, s, |v| {
-                            v.field(pdef.hops[0])
-                        })?;
-                        let next = ref_target(&hop);
-                        let chain = crate::attach::walk_chain_via(&mut ctx, pdef, s, next)?;
-                        crate::attach::attach_terminal(&mut ctx, pdef, page, s, &chain)
-                    })?;
-                    sources.len() as u64
-                }
-                crate::PendingEntry::StaleReplica { obj } => {
-                    let group = self
-                        .catalog
-                        .group(pdef.group.expect("separate path has a group"));
-                    let o = read_object(ctx.sm, &ctx.pins, ctx.cat, obj)?;
-                    if let Some((_, roid, _)) = find_anchor(&o, group.id.0) {
-                        write_replica(w, &ctx.pins, group, roid, &group_values(group, &o))?;
-                    }
-                    1
-                }
-            };
-            // A synced entry is an update ripple that was parked; count
-            // it against the path now that its pages are known.
-            let pages = (fieldrep_obs::io::snapshot() - io_before).page_touches();
-            self.workload.record_update(&pdef.expr_text, fanout, pages);
-        }
-        Ok(n)
+        let plan = || SyncPlan::build(self, &self.pending.dirty_paths());
+        self.write_locked(None, plan, apply_sync)
     }
 
     /// Number of deferred work items queued for `path`.

@@ -93,7 +93,7 @@ pub struct WriteCtx<'a> {
     /// The apply section this context writes under.
     pub w: &'a ApplySection<'a>,
     /// The pins every page request of the write is asked of: an update's,
-    /// insert's or delete's plan hands over the set it read through
+    /// insert's, delete's or sync's plan hands over the set it read through
     /// (see [`ripple`]); [`Database::write_ctx`] gives one that keeps
     /// none. It drops with the context, when the apply returns.
     pub(crate) pins: PagePins,
@@ -145,8 +145,11 @@ pub enum PendingEntry {
 /// collapse into one eventual propagation.
 ///
 /// Internally synchronized (`&self` everywhere): deferred-mode writers
-/// on different threads enqueue concurrently, and `sync` drains under
-/// the same lock.
+/// on different threads enqueue concurrently, each under the lock of the
+/// object its entry names. A sync plans from the entries it reads,
+/// leaving them in place, and removes exactly those it applied while it
+/// still holds their objects' locks: an entry parked after the plan
+/// waits for the next sync.
 #[derive(Default)]
 pub struct PendingSet {
     map: Mutex<HashMap<u16, BTreeSet<PendingEntry>>>,
@@ -158,13 +161,21 @@ impl PendingSet {
         self.map.lock().entry(path.0).or_default().insert(entry);
     }
 
-    /// Take (and clear) the pending entries of `path`.
-    pub fn take(&self, path: PathId) -> Vec<PendingEntry> {
-        self.map
-            .lock()
-            .remove(&path.0)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default()
+    /// The pending entries of `path`, left in place.
+    pub(crate) fn entries(&self, path: PathId) -> Vec<PendingEntry> {
+        let map = self.map.lock();
+        map.get(&path.0).into_iter().flatten().copied().collect()
+    }
+
+    /// Remove `entry` of `path`: a sync applied it.
+    pub(crate) fn remove(&self, path: PathId, entry: PendingEntry) {
+        let mut map = self.map.lock();
+        if map
+            .get_mut(&path.0)
+            .is_some_and(|s| s.remove(&entry) && s.is_empty())
+        {
+            map.remove(&path.0);
+        }
     }
 
     /// Pending-entry count for `path`.
@@ -194,10 +205,5 @@ impl PendingSet {
     /// Drop every entry of `path` (called when the path is dropped).
     pub fn purge_path(&self, path: PathId) {
         self.map.lock().remove(&path.0);
-    }
-
-    /// Total pending entries across all paths.
-    pub fn total(&self) -> usize {
-        self.map.lock().values().map(BTreeSet::len).sum()
     }
 }

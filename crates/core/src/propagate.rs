@@ -28,7 +28,7 @@ use crate::collapsed;
 use crate::error::{DbError, Result};
 use crate::objects::{read_object, value_key, write_object};
 use crate::replicas::{anchor_acquire, anchor_release, group_values, write_replica};
-use crate::ripple::{RipplePlan, Step};
+use crate::ripple::{Refresh, RipplePlan, Step, SyncPlan};
 use crate::{EngineCtx, PendingEntry, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{GroupId, IndexTarget, RepPathDef};
@@ -128,6 +128,32 @@ pub(crate) fn apply_plan(ctx: &mut WriteCtx<'_>, plan: RipplePlan) -> Result<()>
 
     // Phase D: propagate to objects that replicate *from* this object.
     propagate(ctx, oid, &plan.steps, &obj)
+}
+
+/// Execute `plan` — the whole of a sync: refresh each pending entry with
+/// the writer its eager step uses, count it against its path as the
+/// update ripple it was, and remove it. Returns the entries applied.
+pub(crate) fn apply_sync(ctx: &mut WriteCtx<'_>, plan: SyncPlan) -> Result<usize> {
+    for e in &plan.entries {
+        let path = ctx.cat.path(e.path);
+        let io_before = obs_io::snapshot();
+        let fanout = match &e.refresh {
+            Refresh::Sources { sources, terminal } => {
+                refresh_sources(ctx, path, sources, *terminal)?;
+                sources.len() as u64
+            }
+            Refresh::Replica { replica, values } => {
+                if let Some((group, roid)) = replica {
+                    write_replica(ctx.w, &ctx.pins, ctx.cat.group(*group), *roid, values)?;
+                }
+                1
+            }
+        };
+        let pages = e.discovery_pages + (obs_io::snapshot() - io_before).page_touches();
+        ctx.workload.record_update(&path.expr_text, fanout, pages);
+        ctx.pending.remove(e.path, e.entry);
+    }
+    Ok(plan.entries.len())
 }
 
 /// Run a plan's propagation `steps` for the object at `oid`; `obj`

@@ -9,7 +9,9 @@
 //! and `propagate::apply_plan` executes the steps, taking chains and
 //! source lists from the plan instead of re-walking them. Nothing else
 //! discovers a fan-out. [`ChainPlan`] is the same pass for an `insert` or
-//! a `delete`: the chains the object joins or leaves.
+//! a `delete`: the chains the object joins or leaves. `SyncPlan` is the
+//! one for a sync of deferred work (§8): the refreshes its pending
+//! entries ask for.
 //!
 //! # The plan's pins
 //!
@@ -45,9 +47,9 @@ use crate::collapsed;
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::objects::{check_ref_type, read_object, ref_target};
-use crate::replicas::{find_anchor, find_replica_ref};
-use crate::txn::{Planned, TxnManager};
-use crate::EngineCtx;
+use crate::replicas::{find_anchor, find_replica_ref, group_values};
+use crate::txn::{Noted, Planned, TxnManager};
+use crate::{EngineCtx, PendingEntry};
 use fieldrep_catalog::{GroupId, LinkId, PathId, Propagation, RepPathDef, SetId, Strategy};
 use fieldrep_model::{Annotation, FieldType, ModelError, Object, Value};
 use fieldrep_obs::{io as obs_io, names as obs_names};
@@ -151,20 +153,16 @@ pub struct RipplePlan {
     pub(crate) own: Vec<OwnRetarget>,
     /// Propagation steps, in execution order.
     pub(crate) steps: Vec<Step>,
-    /// Every OID a step may rewrite or a snapshot reader validates, sorted
-    /// and deduplicated.
-    oids: Vec<Oid>,
-    /// `seqs[i]` is the version recorded as `oids[i]` joined.
-    pub(crate) seqs: Vec<u64>,
-    /// The pages the plan read, pinned for the apply.
-    pins: PagePins,
+    /// Every OID a step may rewrite or a snapshot reader validates, and
+    /// the pages the plan read, pinned for the apply.
+    pub(crate) noted: Noted,
 }
 
 impl RipplePlan {
     /// The write-lock closure, ready for
     /// [`TxnManager::lock_sorted`](crate::txn::TxnManager::lock_sorted).
     pub fn oids(&self) -> &[Oid] {
-        &self.oids
+        &self.noted.oids
     }
 
     /// Plan `db.update(oid, changes)`: resolve and type-check the changes
@@ -371,7 +369,6 @@ impl RipplePlan {
         steps.append(&mut repoints);
         obs_io::component_add(obs_names::CORE_PROPAGATE, obs_io::snapshot() - io_before);
 
-        let (oids, seqs) = lock_set(b.seen);
         Ok(RipplePlan {
             oid,
             set,
@@ -379,24 +376,14 @@ impl RipplePlan {
             changes: resolved,
             own: b.own,
             steps,
-            oids,
-            seqs,
-            pins: b.pins,
+            noted: Noted::new(b.seen, b.pins),
         })
     }
 }
 
 impl Planned for RipplePlan {
-    fn oids(&self) -> &[Oid] {
-        &self.oids
-    }
-
-    fn seqs(&self) -> &[u64] {
-        &self.seqs
-    }
-
-    fn take_pins(&mut self) -> PagePins {
-        std::mem::replace(&mut self.pins, PagePins::none())
+    fn noted(&mut self) -> &mut Noted {
+        &mut self.noted
     }
 }
 
@@ -410,9 +397,7 @@ pub(crate) struct ChainPlan {
     pub(crate) obj: Object,
     /// One chain per path of the object's set, in `paths_from` order.
     pub(crate) chains: Vec<Chain>,
-    oids: Vec<Oid>,
-    seqs: Vec<u64>,
-    pins: PagePins,
+    noted: Noted,
 }
 
 impl ChainPlan {
@@ -448,37 +433,108 @@ impl ChainPlan {
             b.note_anchor(p.group, &chain)?;
             chains.push(chain);
         }
-        let (oids, seqs) = lock_set(b.seen);
         Ok(ChainPlan {
             obj,
             chains,
-            oids,
-            seqs,
-            pins: b.pins,
+            noted: Noted::new(b.seen, b.pins),
         })
     }
 }
 
 impl Planned for ChainPlan {
-    fn oids(&self) -> &[Oid] {
-        &self.oids
-    }
-
-    fn seqs(&self) -> &[u64] {
-        &self.seqs
-    }
-
-    fn take_pins(&mut self) -> PagePins {
-        std::mem::replace(&mut self.pins, PagePins::none())
+    fn noted(&mut self) -> &mut Noted {
+        &mut self.noted
     }
 }
 
-/// The noted OIDs, sorted, and aligned with them the version each had as
-/// it *first* joined: the sort is stable, the dedup keeps the first.
-fn lock_set(mut seen: Vec<(Oid, u64)>) -> (Vec<Oid>, Vec<u64>) {
-    seen.sort_by_key(|&(oid, _)| oid);
-    seen.dedup_by_key(|&mut (oid, _)| oid);
-    seen.into_iter().unzip()
+/// What a sync applies: the pending entries of the synced paths, read and
+/// left in place, each with the refresh it asks for. The apply removes
+/// exactly these, so an entry parked after the plan waits for the next
+/// sync, and a re-plan reads them again.
+pub(crate) struct SyncPlan {
+    pub(crate) entries: Vec<SyncEntry>,
+    noted: Noted,
+}
+
+/// One pending entry of `path` and its refresh.
+pub(crate) struct SyncEntry {
+    pub(crate) path: PathId,
+    pub(crate) entry: PendingEntry,
+    pub(crate) refresh: Refresh,
+    /// Pages touched planning it, for the workload statistics.
+    pub(crate) discovery_pages: u64,
+}
+
+/// The writes one pending entry asks for.
+pub(crate) enum Refresh {
+    /// In-place: re-materialise `sources` from `terminal`, the end their
+    /// chains reach now (`None`: broken, the values clear).
+    Sources {
+        sources: Vec<Oid>,
+        terminal: Option<Oid>,
+    },
+    /// Separate: rewrite the `S'` replica of a group anchored at the
+    /// terminal, if it still has one, with the group's `values` there.
+    Replica {
+        replica: Option<(GroupId, Oid)>,
+        values: Vec<Value>,
+    },
+}
+
+impl SyncPlan {
+    /// Plan syncing `paths`: for a `StaleSources` entry its sources and
+    /// the one chain they share from its object on; for a `StaleReplica`
+    /// entry the replica its object anchors. Reads only.
+    pub(crate) fn build(db: &Database, paths: &[PathId]) -> Result<SyncPlan> {
+        let mut b = Builder::new(db, Oid::NULL);
+        let cat = b.ctx.cat;
+        let mut entries = Vec::new();
+        for &path in paths {
+            let p = cat.path(path);
+            for entry in b.ctx.pending.entries(path) {
+                let io0 = obs_io::snapshot();
+                let refresh = match entry {
+                    PendingEntry::StaleSources { obj, link_level } => {
+                        let o = b.read(obj)?;
+                        let sources = b.sources(p, link_level, &o)?;
+                        // Every source reaches `obj` as the same chain node
+                        // (a collapsed link spans two hops): walk on once.
+                        let at = link_level + 1 + usize::from(p.collapsed);
+                        let own_hop = |hop: usize| ref_target(&o.values[hop]);
+                        b.oid = obj;
+                        let next = p.hops.get(at).and_then(|&hop| own_hop(hop));
+                        let terminal = b.walk(p, at, next, &own_hop)?.last().copied().flatten();
+                        Refresh::Sources { sources, terminal }
+                    }
+                    PendingEntry::StaleReplica { obj } => {
+                        let group = cat.group(p.group.expect("separate path has a group"));
+                        let o = b.read(obj)?;
+                        let anchor = find_anchor(&o, group.id.0);
+                        let replica = anchor.map(|(_, roid, _)| (group.id, b.note(roid)));
+                        let values = group_values(group, &o);
+                        Refresh::Replica { replica, values }
+                    }
+                };
+                let discovery_pages = (obs_io::snapshot() - io0).page_touches();
+                entries.push(SyncEntry {
+                    path,
+                    entry,
+                    refresh,
+                    discovery_pages,
+                });
+            }
+        }
+        Ok(SyncPlan {
+            entries,
+            noted: Noted::new(b.seen, b.pins),
+        })
+    }
+}
+
+impl Planned for SyncPlan {
+    fn noted(&mut self) -> &mut Noted {
+        &mut self.noted
+    }
 }
 
 /// The read-only pass: every OID enters the plan through [`Builder::note`],
@@ -489,8 +545,8 @@ struct Builder<'a> {
     ctx: EngineCtx<'a>,
     /// Whose versions to record.
     txn: &'a TxnManager,
-    /// The object planned for: updated, deleted, or (as [`Oid::NULL`])
-    /// about to be inserted.
+    /// The object planned for: updated, deleted, a sync entry's, or (as
+    /// [`Oid::NULL`]) about to be inserted.
     oid: Oid,
     /// Its own paths whose first hop this update re-targets.
     own: Vec<OwnRetarget>,
@@ -598,7 +654,7 @@ mod tests {
         drop(txn.lock_sorted(&[x]).unwrap()); // a commit to `x`: version 0 -> 2
         b.note(y);
         b.note(x);
-        let (oids, seqs) = lock_set(b.seen);
+        let Noted { oids, seqs, .. } = Noted::new(b.seen, PagePins::none());
         assert_eq!(oids, [y, x], "sorted, each once");
         assert_eq!(seqs, [0, 0], "x at the version recorded first, not 2");
         let guard = txn.lock_sorted(&oids).unwrap();

@@ -12,7 +12,8 @@
 //! * **Writers** ([`Database::update`]) build the update's
 //!   [`RipplePlan`](crate::ripple::RipplePlan) — the one description of
 //!   its fan-out, which the apply executes too — then write-lock every
-//!   OID it noted (an `insert` or `delete`: every node of its chains)
+//!   OID it noted (an `insert` or `delete`: every node of its chains; a
+//!   sync: the objects, sources and replicas its pending entries name)
 //!   through the single blessed helper [`TxnManager::lock_sorted`], which
 //!   maps the OIDs to their lock words and takes the distinct words **in
 //!   ascending word order**. Sorted acquisition over a total order makes
@@ -61,13 +62,14 @@
 //! protocol correct without leaning on that (both compile to nothing on
 //! x86-64).
 //!
-//! Two scope notes. Deferred-propagation paths are *not* synced by
-//! snapshot reads (syncing writes, and a reader must not write); they
-//! serve whatever is materialised, which is the documented semantics of
-//! §8 deferral. And B-tree maintenance has page-, not OID-granular
-//! state, so while any index exists, writers additionally serialize on
-//! one coarse guard — the paper's experiments (and the concurrent bench)
-//! run without secondary indexes.
+//! Two scope notes. Snapshot reads do not sync a deferred path (syncing
+//! writes, and a reader must not write): they serve what the last sync
+//! materialised, the §8 deferral contract. The sync itself is a writer
+//! like the others, its `SyncPlan` locked and applied by the same
+//! protocol. And B-tree maintenance has page-, not OID-granular state,
+//! so while any index exists, writers additionally serialize on one
+//! coarse guard — the paper's experiments (and the concurrent bench) run
+//! without secondary indexes.
 
 mod words;
 
@@ -104,16 +106,32 @@ const LOCK_WORDS: usize = 1 << 16;
 /// changing under it.
 const MAX_LOCK_ATTEMPTS: usize = 32;
 
-/// A plan built without locks (see [`crate::ripple`]): what the lock
-/// protocol needs of it.
-pub(crate) trait Planned {
+/// What a plan built without locks (see [`crate::ripple`]) hands the
+/// lock protocol.
+#[derive(Debug)]
+pub(crate) struct Noted {
     /// Every OID it noted, sorted and deduplicated.
-    fn oids(&self) -> &[Oid];
-    /// `seqs()[i]` is the version `oids()[i]` had as it first joined.
-    fn seqs(&self) -> &[u64];
-    /// The pins of the pages it read, for the apply to take its pages
-    /// from; the plan keeps none after.
-    fn take_pins(&mut self) -> PagePins;
+    pub(crate) oids: Vec<Oid>,
+    /// `seqs[i]` is the version `oids[i]` had as it *first* joined.
+    pub(crate) seqs: Vec<u64>,
+    /// The pins of the pages it read, for the apply to take its pages from.
+    pub(crate) pins: PagePins,
+}
+
+impl Noted {
+    /// From the `(OID, version)` pairs in the order they joined: the sort
+    /// is stable, so the dedup keeps the version recorded first.
+    pub(crate) fn new(mut seen: Vec<(Oid, u64)>, pins: PagePins) -> Noted {
+        seen.sort_by_key(|&(oid, _)| oid);
+        seen.dedup_by_key(|&mut (oid, _)| oid);
+        let (oids, seqs) = seen.into_iter().unzip();
+        Noted { oids, seqs, pins }
+    }
+}
+
+/// A plan: what it noted is all the lock protocol needs of it.
+pub(crate) trait Planned {
+    fn noted(&mut self) -> &mut Noted;
 }
 
 /// Process-wide transaction instruments (names in [`obs_names`]).
@@ -377,19 +395,24 @@ impl Database {
         };
         let mut planned = plan().ok();
         let mut want = planned
-            .as_ref()
-            .map_or_else(|| first.into_iter().collect(), |p| p.oids().to_vec());
+            .as_mut()
+            .map_or_else(|| first.into_iter().collect(), |p| p.noted().oids.clone());
         for _ in 0..MAX_LOCK_ATTEMPTS {
             let guard = txn.lock_sorted(&want)?;
-            let current = match planned.take() {
-                Some(p) if guard.acquired_at(p.seqs()) => p,
-                stale => {
-                    drop(stale); // and its pins, before the rebuild takes its own
-                    let p = plan()?;
-                    if !guard.covers(p.oids()) {
+            // A stale plan drops here, and its pins with it, before the
+            // rebuild takes its own.
+            let fresh = planned
+                .take()
+                .and_then(|mut p| guard.acquired_at(&p.noted().seqs).then_some(p));
+            let current = match fresh {
+                Some(p) => p,
+                None => {
+                    let mut p = plan()?;
+                    let oids = &p.noted().oids;
+                    if !guard.covers(oids) {
                         txn.note_conflict();
                         drop(guard);
-                        want.extend_from_slice(p.oids());
+                        want.extend_from_slice(oids);
                         want.sort_unstable();
                         want.dedup();
                         continue;
@@ -399,7 +422,7 @@ impl Database {
             };
             let applied = self.apply_and_commit(|db, w| {
                 let mut current = current;
-                let pins = current.take_pins();
+                let pins = std::mem::replace(&mut current.noted().pins, PagePins::none());
                 apply(&mut db.write_ctx_with(w, pins), current)
             });
             return Ok(applied?);
@@ -766,7 +789,7 @@ mod tests {
         db.update_txn(d2, &[("org", Value::Ref(o2))]).unwrap();
         let guard = db.txn().lock_sorted(plan.oids()).unwrap();
         assert!(
-            !guard.acquired_at(&plan.seqs),
+            !guard.acquired_at(&plan.noted.seqs),
             "d2 moved after it joined the plan"
         );
         let replan = RipplePlan::build(&db, e, &changes).unwrap();
@@ -778,7 +801,7 @@ mod tests {
         // its members were held, i.e. at odd versions).
         let fresh = RipplePlan::build(&db, e, &changes).unwrap();
         let guard = db.txn().lock_sorted(fresh.oids()).unwrap();
-        assert!(guard.acquired_at(&fresh.seqs));
+        assert!(guard.acquired_at(&fresh.noted.seqs));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Seeded multi-threaded hostile stress: 8 threads hammer one database
 //! with snapshot path reads, terminal updates, and reference re-points
 //! across all three replication strategies at once (in-place, separate,
-//! collapsed) — and, in a second case, with inserts and deletes beside
-//! them. The acceptance invariant is the paper's consistency
+//! collapsed) — in a second case with inserts and deletes beside them,
+//! and in a third with two deferred paths (§8) and a thread syncing them.
+//! The acceptance invariant is the paper's consistency
 //! contract under concurrency: every committed read observes replica
 //! values equal to their source field — no torn ripples — and the run
 //! finishes with zero errors (a deadlock would surface as
@@ -19,6 +20,7 @@ use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
 use fieldrep_storage::Oid;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::Barrier;
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 300;
@@ -318,6 +320,121 @@ fn inserts_deletes_and_updates_mix_with_update_txn_and_snapshot_readers() {
         for &p in &w.paths {
             let (visible, truth) = w.db.snapshot_path_check(e, p).unwrap();
             assert_eq!(visible, truth, "seed {seed}: emp {e:?} path {p:?}");
+        }
+    }
+    check_consistency(&mut w.db);
+    assert_eq!(w.db.txn().stats().active, 0);
+}
+
+/// The stress world plus two deferred paths (§8): `Emp1.dept.org.budget`
+/// in place and `Emp1.dept.org.all` separate. Their ids follow the three
+/// eager paths in `paths`.
+fn build_deferred_world() -> World {
+    let mut w = build_world();
+    for (path, strategy) in [
+        ("Emp1.dept.org.budget", Strategy::InPlace),
+        ("Emp1.dept.org.all", Strategy::Separate),
+    ] {
+        let p = w.db.replicate_with(path, strategy, Propagation::Deferred);
+        w.paths.push(p.unwrap());
+    }
+    w
+}
+
+/// One worker of the deferred case. All start together at `start`, so the
+/// syncs overlap the writes from the first op on. Thread 0 only runs
+/// `sync_all_pending`. The others read snapshots — exact on the three
+/// eager paths; a deferred one serves what was last synced, so there the
+/// read only has to succeed — and write: terminal fields (`dept.name`,
+/// `org.name`, `org.budget`), an employee's own plain fields (written back
+/// as a whole record, over the hidden values a sync refreshes), and both
+/// references.
+fn deferred_worker(w: &World, start: &Barrier, thread: usize, seed: u64) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0xDEF + thread as u64));
+    start.wait();
+    for op in 0..OPS_PER_THREAD {
+        let fail = |what: &str, e: fieldrep_core::DbError| {
+            format!("thread {thread} op {op} ({what}): {e}")
+        };
+        let e = w.emps[rng.gen_range(0..w.emps.len())];
+        let d = w.depts[rng.gen_range(0..w.depts.len())];
+        let o = w.orgs[rng.gen_range(0..w.orgs.len())];
+        if thread == 0 {
+            w.db.sync_all_pending().map_err(|e| fail("sync", e))?;
+            continue;
+        }
+        match rng.gen_range(0..100u32) {
+            0..=39 => {
+                let i = rng.gen_range(0..w.paths.len());
+                let (visible, truth) =
+                    w.db.snapshot_path_check(e, w.paths[i])
+                        .map_err(|e| fail("read", e))?;
+                if i < 3 && visible != truth {
+                    return Err(format!(
+                        "thread {thread} op {op}: torn ripple on {e:?} path {:?}: \
+                         replica {visible:?} != source {truth:?}",
+                        w.paths[i]
+                    ));
+                }
+            }
+            40..=59 => {
+                let (oid, change) = match rng.gen_range(0..3u32) {
+                    0 => (d, ("name", Value::Str(format!("dept-d{thread}-{op}")))),
+                    1 => (o, ("name", Value::Str(format!("org-d{thread}-{op}")))),
+                    _ => (o, ("budget", Value::Int(rng.gen_range(0..1_000_000)))),
+                };
+                w.db.update_txn(oid, &[change])
+                    .map_err(|e| fail("terminal", e))?;
+            }
+            60..=79 => {
+                let change = match rng.gen_bool(0.5) {
+                    true => ("salary", Value::Int(op as i64)),
+                    false => ("name", Value::Str(format!("emp-d{thread}-{op}"))),
+                };
+                w.db.update(e, &[change]).map_err(|e| fail("source", e))?;
+            }
+            80..=89 => {
+                w.db.update(e, &[("dept", Value::Ref(d))])
+                    .map_err(|e| fail("emp.dept re-point", e))?;
+            }
+            _ => {
+                w.db.update_txn(d, &[("org", Value::Ref(o))])
+                    .map_err(|e| fail("dept.org re-point", e))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Deferred paths under the writer protocol: a sync is a locked write, so
+/// one racing the updates of terminals, of references and of the sources
+/// themselves loses no refresh. After a final sync nothing is pending and
+/// every replica, deferred ones included, equals its source; the run ends
+/// with no error and a clean structural checker.
+#[test]
+fn deferred_paths_sync_under_writers_and_snapshot_readers() {
+    let mut w = build_deferred_world();
+    let seed = seed();
+    let start = Barrier::new(THREADS);
+    let errors: Vec<String> = std::thread::scope(|s| {
+        let (w, start) = (&w, &start);
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| s.spawn(move || deferred_worker(w, start, t, seed)))
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("worker panicked").err())
+            .collect()
+    });
+    assert!(errors.is_empty(), "seed {seed}: {errors:#?}");
+
+    w.db.sync_all_pending().unwrap();
+    for &e in &w.emps {
+        for &p in &w.paths {
+            assert_eq!(w.db.pending_count(p), 0, "seed {seed}: path {p:?}");
+            let (visible, truth) = w.db.snapshot_path_check(e, p).unwrap();
+            assert_eq!(visible, truth, "seed {seed}: emp {e:?} path {p:?}");
+            assert!(visible.is_some(), "seed {seed}: broken chain on {e:?}");
         }
     }
     check_consistency(&mut w.db);

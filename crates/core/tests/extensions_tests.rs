@@ -6,7 +6,7 @@ mod common;
 
 use common::check_consistency;
 use fieldrep_catalog::{IndexKind, LinkId, Propagation, Strategy};
-use fieldrep_core::{Database, DbConfig};
+use fieldrep_core::{Database, DbConfig, DbError};
 use fieldrep_model::{Annotation, FieldType, TypeDef, Value};
 use fieldrep_storage::Oid;
 
@@ -286,6 +286,40 @@ fn deferred_entries_purged_on_delete() {
     db.delete(d).unwrap();
     assert_eq!(db.pending_count(p), 0);
     assert_eq!(db.sync_path(p).unwrap(), 0);
+}
+
+#[test]
+fn an_update_planned_before_a_sync_keeps_the_refresh() {
+    let mut db = employee_db();
+    let d = db
+        .insert(
+            "Dept",
+            vec![sval("Shoe"), Value::Int(0), Value::Ref(Oid::NULL)],
+        )
+        .unwrap();
+    let e = db
+        .insert("Emp1", vec![sval("e"), Value::Int(100), Value::Ref(d)])
+        .unwrap();
+    let p = db
+        .replicate_with("Emp1.dept.name", Strategy::InPlace, Propagation::Deferred)
+        .unwrap();
+    db.update(d, &[("name", sval("Boots"))]).unwrap();
+    assert_eq!(db.pending_count(p), 1);
+
+    // The update's plan has read the employee when its changes are
+    // computed; computing them syncs the path, which refreshes the
+    // employee's hidden value. The sync is a locked write, so the plan is
+    // stale by the time the update holds its locks: it is rebuilt over the
+    // refreshed employee, not applied over the image read before.
+    db.update_with(e, |_| {
+        db.sync_path(p)?;
+        Ok::<_, DbError>(vec![("salary", Value::Int(200))])
+    })
+    .unwrap();
+    assert_eq!(db.pending_count(p), 0);
+    assert_eq!(db.path_values(e, p).unwrap(), Some(vec![sval("Boots")]));
+    assert_eq!(db.get_field(e, "salary").unwrap(), Value::Int(200));
+    check_consistency(&mut db);
 }
 
 #[test]

@@ -163,6 +163,40 @@ fn an_inplace_ripple_requests_each_source_page_once() {
 }
 
 #[test]
+fn a_synced_rename_requests_what_the_eager_rename_does() {
+    // Twin worlds, as in the test above, one path eager and one deferred.
+    let world = |propagation| {
+        let (mut db, depts, emps) = populate(Database::in_memory(cfg()), 2, 200, |i| {
+            usize::from(i % 8 != 0)
+        });
+        let path = db
+            .replicate_with("Emp.dept.name", Strategy::InPlace, propagation)
+            .unwrap();
+        let sources: Vec<Oid> = emps.iter().copied().step_by(8).collect();
+        (db, depts[0], sources, path)
+    };
+    let (eager, dept, sources, path) = world(Propagation::Eager);
+    eager.reset_profile();
+    eager.update(dept, &[("name", sval("dept-0001"))]).unwrap();
+    let want = requests(&eager);
+    assert_replicas(&eager, path, &sources, "dept-0001");
+
+    // A sync plans the parked rename as the update planned its fan-out —
+    // the department, the link-store page listing its sources — and
+    // refreshes them through the same pins: one request per source page
+    // and per page of forwarded bodies, the terminal read once.
+    let (deferred, dept, sources, path) = world(Propagation::Deferred);
+    deferred
+        .update(dept, &[("name", sval("dept-0001"))])
+        .unwrap();
+    assert_eq!(deferred.pending_count(path), 1);
+    deferred.reset_profile();
+    assert_eq!(deferred.sync_path(path).unwrap(), 1);
+    assert_eq!(requests(&deferred), want);
+    assert_replicas(&deferred, path, &sources, "dept-0001");
+}
+
+#[test]
 fn rematerialising_current_sources_dirties_and_logs_nothing() {
     let (mut db, depts, emps) = populate(wal_db(), 4, 120, |i| i % 4);
     let eager = db.replicate("Emp.dept.name", Strategy::InPlace).unwrap();

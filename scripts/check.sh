@@ -57,7 +57,10 @@ stage benchmark_pkg cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Concurrency stress smoke: the seeded 8-thread hostile mix across all
 # three replication strategies (release mode, fixed seed). A torn
-# replica read or a lock-ordering deadlock fails here.
+# replica read or a lock-ordering deadlock fails here. Its deferred-sync
+# case adds a deferred in-place and a deferred separate path, with one
+# thread running sync_all_pending beside the writers and snapshot
+# readers; after a final sync every replica must equal its source.
 stage concurrency_stress cargo test --release -q -p fieldrep-core --test concurrency_stress
 
 # Crash-recovery smoke: kill a committed workload's WAL at 100 seeded
