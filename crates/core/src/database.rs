@@ -7,8 +7,7 @@
 //! maintenance.
 
 use crate::attach::{
-    attach_path, detach_path, read_path_values, set_source_replica_ref, set_terminal_values,
-    walk_chain_via,
+    attach_path, detach_path, set_source_replica_ref, set_terminal_values, walk_chain_via,
 };
 use crate::error::{DbError, Result};
 use crate::objects::{read_object, ref_target, value_key, view_object, write_object};
@@ -738,7 +737,7 @@ impl Database {
         let def = cat.type_def(set.elem_type);
         let obj = Object::new(set.elem_type, def, values)?;
         let plan = || ChainPlan::attach(self, set.id, obj.clone());
-        self.write_locked(None, plan, |ctx, plan| {
+        self.write_locked(plan, |ctx, plan| {
             let hf = HeapFile::open(set.file);
             let oid = hf.rec_insert(ctx.w, &ctx.pins, set.elem_type.0, &plan.obj.encode(def))?;
 
@@ -776,16 +775,7 @@ impl Database {
     /// `oid` (`None` if the path chain is broken).
     pub fn path_values(&self, oid: Oid, path: PathId) -> Result<Option<Vec<Value>>> {
         self.sync_path(path)?;
-        let path = self.catalog.path(path).clone();
-        let before = fieldrep_obs::io::snapshot();
-        let obj = self.get(oid)?;
-        let values = {
-            let mut ctx = self.ctx();
-            read_path_values(&mut ctx, &path, &obj)?
-        };
-        let pages = (fieldrep_obs::io::snapshot() - before).page_touches();
-        self.workload.record_read(&path.expr_text, 1, pages);
-        Ok(values)
+        self.snapshot_path_values(oid, path)
     }
 
     /// Dereference a path with plain functional joins (the no-replication
@@ -844,7 +834,7 @@ impl Database {
         eval: impl Fn(&Object) -> std::result::Result<Vec<(&'c str, Value)>, E>,
     ) -> std::result::Result<(), E> {
         let plan = || RipplePlan::build_with(self, oid, &eval);
-        self.write_locked(Some(oid), plan, |ctx, plan| {
+        self.write_locked(plan, |ctx, plan| {
             apply_plan(ctx, plan)?;
             self.txn.note_commit_applied();
             Ok(())
@@ -863,7 +853,7 @@ impl Database {
     pub fn delete(&self, oid: Oid) -> Result<()> {
         let set = self.set_of(oid)?;
         let plan = || ChainPlan::detach(self, set, oid);
-        self.write_locked(Some(oid), plan, |ctx, plan| {
+        self.write_locked(plan, |ctx, plan| {
             if is_referenced(&plan.obj) {
                 return Err(DbError::StillReferenced(oid));
             }
@@ -893,14 +883,14 @@ impl Database {
         if self.pending.count(path) == 0 {
             return Ok(0);
         }
-        self.write_locked(None, || SyncPlan::build(self, &[path]), apply_sync)
+        self.write_locked(|| SyncPlan::build(self, &[path]), apply_sync)
     }
 
     /// Sync every path with pending deferred work, as one unit: one
     /// commit covers all of them.
     pub fn sync_all_pending(&self) -> Result<usize> {
         let plan = || SyncPlan::build(self, &self.pending.dirty_paths());
-        self.write_locked(None, plan, apply_sync)
+        self.write_locked(plan, apply_sync)
     }
 
     /// Number of deferred work items queued for `path`.

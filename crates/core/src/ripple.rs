@@ -40,7 +40,8 @@
 //! below an object by that object (every writer that changes a membership
 //! holds the whole forward chain through it), a replica anchor by its
 //! terminal. [`Database::update`] applies a plan as built only if no
-//! recorded version moved before the locks were held (DESIGN.md §10).
+//! recorded version moved before the locks were held, and returns a
+//! failed build's error only if what it recorded held still (DESIGN.md §10).
 
 use crate::attach::{collect_sources, walk_from};
 use crate::collapsed;
@@ -48,12 +49,15 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::objects::{check_ref_type, read_object, ref_target};
 use crate::replicas::{find_anchor, find_replica_ref, group_values};
-use crate::txn::{Noted, Planned, TxnManager};
+use crate::txn::{Noted, Planned, TxnManager, Unplanned};
 use crate::{EngineCtx, PendingEntry};
 use fieldrep_catalog::{GroupId, LinkId, PathId, Propagation, RepPathDef, SetId, Strategy};
 use fieldrep_model::{Annotation, FieldType, ModelError, Object, Value};
 use fieldrep_obs::{io as obs_io, names as obs_names};
 use fieldrep_storage::{Oid, PagePins};
+
+/// A plan, or the error of a build that failed and what it had noted.
+pub(crate) type Planning<P> = std::result::Result<P, Unplanned<DbError>>;
 
 /// One resolved field change: `(field index, old value, final new value)`.
 pub type FieldChange = (usize, Value, Value);
@@ -170,27 +174,28 @@ impl RipplePlan {
     /// its set and the annotations it carries, recording each OID's
     /// version in `db.txn()` as it joins. Reads only.
     pub fn build(db: &Database, oid: Oid, changes: &[(&str, Value)]) -> Result<RipplePlan> {
-        Self::build_with(db, oid, |_| Ok::<_, DbError>(changes.to_vec()))
+        Self::build_with(db, oid, |_| Ok::<_, DbError>(changes.to_vec())).map_err(|u| u.err)
     }
 
     /// [`RipplePlan::build`] of the changes `eval` computes from the
-    /// object as the plan decoded it. An error of `eval` is returned as
-    /// it is.
+    /// object as the plan decoded it. An error of `eval` comes back as it
+    /// is, with what the build had noted.
     pub(crate) fn build_with<'c, E: From<DbError>>(
         db: &Database,
         oid: Oid,
         eval: impl FnOnce(&Object) -> std::result::Result<Vec<(&'c str, Value)>, E>,
-    ) -> std::result::Result<RipplePlan, E> {
-        let set = db.set_of(oid)?;
-        let mut b = Builder::new(db, oid);
-        let before = b.read(oid)?;
-        let changes = eval(&before)?;
-        Ok(Self::derive(b, set, before, changes)?)
+    ) -> std::result::Result<RipplePlan, Unplanned<E>> {
+        Builder::run(db, oid, |b| {
+            let set = db.set_of(oid)?;
+            let before = b.read(oid)?;
+            let changes = eval(&before)?;
+            Ok(Self::derive(b, set, before, changes)?)
+        })
     }
 
     /// The rest of a build, once the changes are known.
     fn derive(
-        mut b: Builder<'_>,
+        b: &mut Builder<'_>,
         set: SetId,
         before: Object,
         changes: Vec<(&str, Value)>,
@@ -374,9 +379,9 @@ impl RipplePlan {
             set,
             before,
             changes: resolved,
-            own: b.own,
+            own: std::mem::take(&mut b.own),
             steps,
-            noted: Noted::new(b.seen, b.pins),
+            noted: b.noted(),
         })
     }
 }
@@ -404,27 +409,29 @@ impl ChainPlan {
     /// Plan attaching `obj`, not stored yet, to the paths of `set`: its
     /// references are type-checked first. Its chains start at
     /// [`Oid::NULL`]; the insert puts the new OID there.
-    pub(crate) fn attach(db: &Database, set: SetId, obj: Object) -> Result<ChainPlan> {
-        let b = Builder::new(db, Oid::NULL);
-        let cat = b.ctx.cat;
-        let def = cat.type_def(obj.type_id);
-        for (v, f) in obj.values.iter().zip(&def.fields) {
-            if let FieldType::Ref(tname) = &f.ftype {
-                check_ref_type(b.ctx.sm, &b.pins, cat, v, cat.type_id(tname)?)?;
+    pub(crate) fn attach(db: &Database, set: SetId, obj: Object) -> Planning<ChainPlan> {
+        Builder::run(db, Oid::NULL, |b| {
+            let cat = b.ctx.cat;
+            let def = cat.type_def(obj.type_id);
+            for (v, f) in obj.values.iter().zip(&def.fields) {
+                if let FieldType::Ref(tname) = &f.ftype {
+                    check_ref_type(b.ctx.sm, &b.pins, cat, v, cat.type_id(tname)?)?;
+                }
             }
-        }
-        Self::walk(b, set, obj)
+            Self::walk(b, set, obj)
+        })
     }
 
     /// Plan detaching the stored object at `oid`, a member of `set`; the
     /// object itself joins the plan first.
-    pub(crate) fn detach(db: &Database, set: SetId, oid: Oid) -> Result<ChainPlan> {
-        let mut b = Builder::new(db, oid);
-        let obj = b.read(oid)?;
-        Self::walk(b, set, obj)
+    pub(crate) fn detach(db: &Database, set: SetId, oid: Oid) -> Planning<ChainPlan> {
+        Builder::run(db, oid, |b| {
+            let obj = b.read(oid)?;
+            Self::walk(b, set, obj)
+        })
     }
 
-    fn walk(mut b: Builder<'_>, set: SetId, obj: Object) -> Result<ChainPlan> {
+    fn walk(b: &mut Builder<'_>, set: SetId, obj: Object) -> Result<ChainPlan> {
         let cat = b.ctx.cat;
         let own_hop = |hop: usize| ref_target(&obj.values[hop]);
         let mut chains = Vec::new();
@@ -436,7 +443,7 @@ impl ChainPlan {
         Ok(ChainPlan {
             obj,
             chains,
-            noted: Noted::new(b.seen, b.pins),
+            noted: b.noted(),
         })
     }
 }
@@ -485,8 +492,11 @@ impl SyncPlan {
     /// Plan syncing `paths`: for a `StaleSources` entry its sources and
     /// the one chain they share from its object on; for a `StaleReplica`
     /// entry the replica its object anchors. Reads only.
-    pub(crate) fn build(db: &Database, paths: &[PathId]) -> Result<SyncPlan> {
-        let mut b = Builder::new(db, Oid::NULL);
+    pub(crate) fn build(db: &Database, paths: &[PathId]) -> Planning<SyncPlan> {
+        Builder::run(db, Oid::NULL, |b| Self::plan(b, paths))
+    }
+
+    fn plan(b: &mut Builder<'_>, paths: &[PathId]) -> Result<SyncPlan> {
         let cat = b.ctx.cat;
         let mut entries = Vec::new();
         for &path in paths {
@@ -526,7 +536,7 @@ impl SyncPlan {
         }
         Ok(SyncPlan {
             entries,
-            noted: Noted::new(b.seen, b.pins),
+            noted: b.noted(),
         })
     }
 }
@@ -564,6 +574,24 @@ impl<'a> Builder<'a> {
             seen: Vec::new(),
             pins: PagePins::new(db.sm().pool()),
         }
+    }
+
+    /// Run `build` on a fresh builder for `oid`. A build that fails hands
+    /// back, with its error, the versions it had recorded: whether the
+    /// error stands is the lock protocol's call (`Database::write_locked`).
+    fn run<P, E>(
+        db: &'a Database,
+        oid: Oid,
+        build: impl FnOnce(&mut Builder<'a>) -> std::result::Result<P, E>,
+    ) -> std::result::Result<P, Unplanned<E>> {
+        let mut b = Builder::new(db, oid);
+        build(&mut b).map_err(|err| Unplanned { err, seen: b.seen })
+    }
+
+    /// What the build recorded, and its pins: the plan's [`Noted`].
+    fn noted(&mut self) -> Noted {
+        let pins = std::mem::replace(&mut self.pins, PagePins::none());
+        Noted::new(std::mem::take(&mut self.seen), pins)
     }
 
     /// `oid` joins the plan: record its version now, before anything it

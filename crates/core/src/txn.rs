@@ -25,7 +25,9 @@
 //!   structures concurrent writers mutate, so it records each OID's
 //!   version as the OID joins; if any moved by the time the locks are
 //!   held it is rebuilt *under* them and the acquisition retried (counted
-//!   as `txn.conflict`) until the locked set covers it.
+//!   as `txn.conflict`) until the locked set covers it. A build that
+//!   fails is believed only if nothing it recorded moved; otherwise it
+//!   caught a structure mid-rewire and is stale like a moved plan.
 //! * **Readers** ([`Database::snapshot_path_values`],
 //!   [`Database::snapshot_path_check`], [`Database::snapshot_get`])
 //!   never take locks and never wait on one: a version is one atomic
@@ -127,6 +129,13 @@ impl Noted {
         let (oids, seqs) = seen.into_iter().unzip();
         Noted { oids, seqs, pins }
     }
+}
+
+/// A build that failed: its error, and the `(OID, version)` pairs it had
+/// recorded when it did.
+pub(crate) struct Unplanned<E> {
+    pub(crate) err: E,
+    pub(crate) seen: Vec<(Oid, u64)>,
 }
 
 /// A plan: what it noted is all the lock protocol needs of it.
@@ -240,19 +249,18 @@ impl TxnManager {
     /// statistics window and, for read-only work, the right to abort.
     pub fn begin(&self) -> u64 {
         self.begun.fetch_add(1, Ordering::Relaxed);
-        let now_active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
+        self.active.fetch_add(1, Ordering::Relaxed);
         let m = txn_metrics();
         m.begin.inc();
-        m.active.set(now_active as i64);
+        m.active.add(1);
         self.next_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Commit transaction `_txn`.
     pub fn commit(&self, _txn: u64) {
         self.committed.fetch_add(1, Ordering::Relaxed);
-        let m = txn_metrics();
-        m.commit.inc();
-        m.active.set(self.dec_active() as i64);
+        txn_metrics().commit.inc();
+        self.dec_active();
     }
 
     /// Abort transaction `_txn`. Writes already applied stay applied
@@ -260,20 +268,21 @@ impl TxnManager {
     /// writes.
     pub fn abort(&self, _txn: u64) {
         self.aborted.fetch_add(1, Ordering::Relaxed);
-        let m = txn_metrics();
-        m.abort.inc();
-        m.active.set(self.dec_active() as i64);
+        txn_metrics().abort.inc();
+        self.dec_active();
     }
 
-    fn dec_active(&self) -> u64 {
-        let prev = match self
+    /// One transaction fewer, here and in the process-wide `txn.active`
+    /// gauge, which every manager moves by deltas so that it sums the
+    /// databases; an end without a begin moves neither.
+    fn dec_active(&self) {
+        let dec = |v: u64| v.checked_sub(1);
+        let was = self
             .active
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            }) {
-            Ok(v) | Err(v) => v,
-        };
-        prev.saturating_sub(1)
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, dec);
+        if was.is_ok() {
+            txn_metrics().active.add(-1);
+        }
     }
 
     /// Acquire write locks on every OID of `oids` — which **must** be
@@ -312,6 +321,16 @@ impl TxnManager {
         })?;
         txn_metrics().lockset.record(oids.len() as u64);
         Ok(set)
+    }
+
+    /// Can the error of a build that recorded `seen` be believed? Only
+    /// if what it read held still: every OID it recorded is on a word
+    /// `held` holds, or still at the even version it was recorded at.
+    /// Anything else may have been caught mid-rewire.
+    fn settled(&self, held: Option<&LockSet<'_>>, seen: &[(Oid, u64)]) -> bool {
+        seen.iter().all(|&(oid, seq)| {
+            held.is_some_and(|g| g.holds_word_of(oid)) || (seq % 2 == 0 && self.seq_of(oid) == seq)
+        })
     }
 
     /// Current seqlock version of `oid` (0 if its word was never
@@ -376,13 +395,13 @@ impl Database {
     /// applied as built. Otherwise the world is frozen now: it is rebuilt
     /// under the locks, and if a concurrent commit grew the closure past
     /// the locked set, the sets are unioned and the acquisition retried.
-    /// An unlocked build can fail on a structure it caught mid-rewire; it
-    /// is then rebuilt with `first` locked, where a real error repeats,
-    /// as the plan returned it.
+    /// A build's error is returned only if what it read held still
+    /// ([`TxnManager::settled`]); a build that failed on a structure it
+    /// caught mid-rewire is stale, and what it noted joins the lock set
+    /// for the next build, like the closure of a plan.
     pub(crate) fn write_locked<P: Planned, T, E: From<DbError>>(
         &self,
-        first: Option<Oid>,
-        plan: impl Fn() -> std::result::Result<P, E>,
+        plan: impl Fn() -> std::result::Result<P, Unplanned<E>>,
         apply: impl FnOnce(&mut WriteCtx<'_>, P) -> Result<T>,
     ) -> std::result::Result<T, E> {
         let txn = self.txn();
@@ -393,35 +412,38 @@ impl Database {
         } else {
             None
         };
-        let mut planned = plan().ok();
-        let mut want = planned
-            .as_mut()
-            .map_or_else(|| first.into_iter().collect(), |p| p.noted().oids.clone());
+        let mut want: Vec<Oid> = Vec::new();
+        let mut guard: Option<LockSet<'_>> = None;
         for _ in 0..MAX_LOCK_ATTEMPTS {
-            let guard = txn.lock_sorted(&want)?;
-            // A stale plan drops here, and its pins with it, before the
-            // rebuild takes its own.
-            let fresh = planned
-                .take()
-                .and_then(|mut p| guard.acquired_at(&p.noted().seqs).then_some(p));
-            let current = match fresh {
-                Some(p) => p,
-                None => {
-                    let mut p = plan()?;
-                    let oids = &p.noted().oids;
-                    if !guard.covers(oids) {
-                        txn.note_conflict();
-                        drop(guard);
-                        want.extend_from_slice(oids);
-                        want.sort_unstable();
-                        want.dedup();
-                        continue;
-                    }
-                    p
-                }
+            // Built under `guard`: with nothing locked, the first time.
+            let mut built = plan();
+            let stands = match &mut built {
+                Ok(p) => guard.as_ref().is_some_and(|g| g.covers(&p.noted().oids)),
+                Err(u) => txn.settled(guard.as_ref(), &u.seen),
             };
+            if !stands {
+                if guard.take().is_some() {
+                    txn.note_conflict();
+                }
+                match &mut built {
+                    Ok(p) => want.extend_from_slice(&p.noted().oids),
+                    Err(u) => want.extend(u.seen.iter().map(|&(oid, _)| oid)),
+                }
+                want.sort_unstable();
+                want.dedup();
+                let held = guard.insert(txn.lock_sorted(&want)?);
+                // A stale plan drops here, and its pins with it, before the
+                // rebuild takes its own.
+                let fresh = match &mut built {
+                    Ok(p) => held.acquired_at(&p.noted().seqs),
+                    Err(_) => false,
+                };
+                if !fresh {
+                    continue;
+                }
+            }
+            let mut current = built.map_err(|u| u.err)?;
             let applied = self.apply_and_commit(|db, w| {
-                let mut current = current;
                 let pins = std::mem::replace(&mut current.noted().pins, PagePins::none());
                 apply(&mut db.write_ctx_with(w, pins), current)
             });

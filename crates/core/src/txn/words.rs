@@ -109,6 +109,11 @@ impl LockSet<'_> {
         oids.iter().all(|o| self.oids.binary_search(o).is_ok())
     }
 
+    /// Is the word of `oid`, in this set or not, one this set holds?
+    pub(crate) fn holds_word_of(&self, oid: Oid) -> bool {
+        self.words.binary_search(&self.table.word_of(oid)).is_ok()
+    }
+
     /// Was every member at version `seqs[i]` — even, so no writer was in
     /// flight — immediately before this set locked it? `seqs` must align
     /// with the OIDs the set was acquired over.

@@ -8,20 +8,18 @@
 //! the live workload next to the model's assumptions.
 //!
 //! The registry is per-[`Database`](crate::Database) (no global state —
-//! parallel tests never pollute each other) but mirrors aggregate totals
-//! into the process-wide [`fieldrep_obs::metrics`] registry under the
-//! `core.workload.*` names, so `sys.metrics` and the JSONL metrics
-//! export show workload movement alongside the storage counters.
+//! parallel tests never pollute each other): one map behind one lock,
+//! which a record holds for one lookup and one EWMA fold. Only two
+//! totals reach the process-wide [`fieldrep_obs::metrics`] registry, the
+//! `core.workload.reads` and `core.workload.updates` counters, since
+//! counts add up across databases where per-database ratios would not.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use fieldrep_obs::metrics::{registry, Counter, Gauge};
-use fieldrep_obs::names as obs_names;
-use parking_lot::RwLock;
+use fieldrep_obs::metrics::{registry, Counter};
+use fieldrep_obs::names::{CORE_WORKLOAD_READS, CORE_WORKLOAD_UPDATES};
+use parking_lot::Mutex;
 
 /// Smoothing factor for the per-path EWMAs: each new sample contributes
 /// 20%, history 80% — enough memory to ride out one odd ripple, fresh
@@ -70,92 +68,20 @@ fn ewma_fold(ewma: f64, seeded: bool, sample: f64) -> f64 {
     }
 }
 
-/// Aggregate `core.workload.*` mirrors in the global metrics registry.
-struct Mirror {
-    reads: Arc<Counter>,
-    updates: Arc<Counter>,
-    paths: Arc<Gauge>,
-    p_up_permille: Arc<Gauge>,
-    fanout_x100: Arc<Gauge>,
-    read_pages_x100: Arc<Gauge>,
-    update_pages_x100: Arc<Gauge>,
-}
-
-fn mirror() -> &'static Mirror {
-    static MIRROR: OnceLock<Mirror> = OnceLock::new();
-    MIRROR.get_or_init(|| {
-        let r = registry();
-        Mirror {
-            reads: r.counter(obs_names::CORE_WORKLOAD_READS),
-            updates: r.counter(obs_names::CORE_WORKLOAD_UPDATES),
-            paths: r.gauge(obs_names::CORE_WORKLOAD_PATHS),
-            p_up_permille: r.gauge(obs_names::CORE_WORKLOAD_P_UP_PERMILLE),
-            fanout_x100: r.gauge(obs_names::CORE_WORKLOAD_FANOUT_X100),
-            read_pages_x100: r.gauge(obs_names::CORE_WORKLOAD_READ_PAGES_X100),
-            update_pages_x100: r.gauge(obs_names::CORE_WORKLOAD_UPDATE_PAGES_X100),
-        }
-    })
-}
-
-/// Shards in the per-path registry. Paths hash to a shard; recording
-/// sites only contend when two threads hit paths in the same shard.
-const WORKLOAD_SHARDS: usize = 16;
-
-/// Add `delta` to an `f64` stored as bits in an atomic (CAS loop).
-fn atomic_f64_add(a: &AtomicU64, delta: f64) {
-    let mut cur = a.load(Ordering::Relaxed);
-    loop {
-        let new = (f64::from_bits(cur) + delta).to_bits();
-        match a.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(c) => cur = c,
-        }
-    }
-}
-
-fn atomic_f64_get(a: &AtomicU64) -> f64 {
-    f64::from_bits(a.load(Ordering::Relaxed))
+/// The `core.workload.{reads,updates}` counters, looked up once.
+fn counters() -> &'static [Arc<Counter>; 2] {
+    static COUNTERS: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
+    let names = [CORE_WORKLOAD_READS, CORE_WORKLOAD_UPDATES];
+    COUNTERS.get_or_init(|| names.map(|n| registry().counter(n)))
 }
 
 /// Live per-path workload registry; one per [`Database`](crate::Database).
 ///
-/// The path map is split into [`WORKLOAD_SHARDS`] hash-selected shards,
-/// each behind its own read-write lock, and the aggregate totals the
-/// `core.workload.*` gauges mirror are maintained **incrementally** in
-/// atomics: a recording site locks exactly one shard, folds its sample
-/// into that path's EWMAs, and publishes the aggregate delta without
-/// touching (or even reading) any other path. The previous design — one
-/// pool-wide lock plus a full-map walk per sample to recompute the
-/// gauges — serialized every recording site; under the multi-threaded
-/// bench that made telemetry the bottleneck rather than the engine.
+/// A `BTreeMap` behind one mutex: a record holds it for one lookup and
+/// one EWMA fold, and [`all`](Self::all) comes out sorted without a sort.
+#[derive(Default)]
 pub struct WorkloadStats {
-    shards: [RwLock<HashMap<String, PathWorkload>>; WORKLOAD_SHARDS],
-    /// Distinct paths across all shards.
-    path_count: AtomicU64,
-    /// Σ reads across paths.
-    reads: AtomicU64,
-    /// Σ updates across paths.
-    updates: AtomicU64,
-    /// f64 bits: Σ fanout_ewma · updates across paths.
-    fanout_w: AtomicU64,
-    /// f64 bits: Σ read_pages_ewma · reads across paths.
-    read_pages_w: AtomicU64,
-    /// f64 bits: Σ update_pages_ewma · updates across paths.
-    update_pages_w: AtomicU64,
-}
-
-impl Default for WorkloadStats {
-    fn default() -> Self {
-        WorkloadStats {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            path_count: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            fanout_w: AtomicU64::new(f64::to_bits(0.0)),
-            read_pages_w: AtomicU64::new(f64::to_bits(0.0)),
-            update_pages_w: AtomicU64::new(f64::to_bits(0.0)),
-        }
-    }
+    paths: Mutex<BTreeMap<String, PathWorkload>>,
 }
 
 impl WorkloadStats {
@@ -164,10 +90,14 @@ impl WorkloadStats {
         WorkloadStats::default()
     }
 
-    fn shard(&self, path: &str) -> &RwLock<HashMap<String, PathWorkload>> {
-        let mut h = DefaultHasher::new();
-        path.hash(&mut h);
-        &self.shards[(h.finish() as usize) % WORKLOAD_SHARDS]
+    /// Run `f` on `path`'s entry under the lock, copying the key only
+    /// the first time the path is seen.
+    fn with_path(&self, path: &str, f: impl FnOnce(&mut PathWorkload)) {
+        let mut map = self.paths.lock();
+        match map.get_mut(path) {
+            Some(w) => f(w),
+            None => f(map.entry(path.to_string()).or_default()),
+        }
     }
 
     /// Record `n` replicated reads through `path` that touched `pages`
@@ -177,103 +107,34 @@ impl WorkloadStats {
             return;
         }
         let per_read = pages as f64 / n as f64;
-        let delta = {
-            let mut map = self.shard(path).write();
-            let is_new = !map.contains_key(path);
-            // The key is copied only the first time a path is seen.
-            let w = match map.get_mut(path) {
-                Some(w) => w,
-                None => map.entry(path.to_string()).or_default(),
-            };
-            let old_w = w.read_pages_ewma * w.reads as f64;
-            let seeded = w.reads > 0;
-            w.read_pages_ewma = ewma_fold(w.read_pages_ewma, seeded, per_read);
+        self.with_path(path, |w| {
+            w.read_pages_ewma = ewma_fold(w.read_pages_ewma, w.reads > 0, per_read);
             w.reads += n;
-            if is_new {
-                self.path_count.fetch_add(1, Ordering::Relaxed);
-            }
-            w.read_pages_ewma * w.reads as f64 - old_w
-        };
-        self.reads.fetch_add(n, Ordering::Relaxed);
-        atomic_f64_add(&self.read_pages_w, delta);
-        self.refresh_gauges();
-        mirror().reads.add(n);
+        });
+        counters()[0].add(n);
     }
 
     /// Record one update ripple through `path` that refreshed `fanout`
     /// sources and touched `pages` pages.
     pub fn record_update(&self, path: &str, fanout: u64, pages: u64) {
-        let (fanout_delta, pages_delta) = {
-            let mut map = self.shard(path).write();
-            let is_new = !map.contains_key(path);
-            // As in `record_read`: the key is copied on first sight only.
-            let w = match map.get_mut(path) {
-                Some(w) => w,
-                None => map.entry(path.to_string()).or_default(),
-            };
-            let old_fanout_w = w.fanout_ewma * w.updates as f64;
-            let old_pages_w = w.update_pages_ewma * w.updates as f64;
+        self.with_path(path, |w| {
             let seeded = w.updates > 0;
             w.fanout_ewma = ewma_fold(w.fanout_ewma, seeded, fanout as f64);
             w.update_pages_ewma = ewma_fold(w.update_pages_ewma, seeded, pages as f64);
             w.updates += 1;
-            if is_new {
-                self.path_count.fetch_add(1, Ordering::Relaxed);
-            }
-            (
-                w.fanout_ewma * w.updates as f64 - old_fanout_w,
-                w.update_pages_ewma * w.updates as f64 - old_pages_w,
-            )
-        };
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_add(&self.fanout_w, fanout_delta);
-        atomic_f64_add(&self.update_pages_w, pages_delta);
-        self.refresh_gauges();
-        mirror().updates.inc();
+        });
+        counters()[1].inc();
     }
 
     /// Observed workload for one path, if any access has been recorded.
     pub fn get(&self, path: &str) -> Option<PathWorkload> {
-        self.shard(path).read().get(path).cloned()
+        self.paths.lock().get(path).cloned()
     }
 
     /// All observed paths with their workloads, sorted by path expression.
     pub fn all(&self) -> Vec<(String, PathWorkload)> {
-        let mut v: Vec<(String, PathWorkload)> = Vec::new();
-        for shard in &self.shards {
-            v.extend(shard.read().iter().map(|(k, w)| (k.clone(), w.clone())));
-        }
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// Push aggregate values into the global `core.workload.*` gauges,
-    /// from the incrementally maintained atomics — O(1), no shard locks.
-    ///
-    /// Ratios are fixed-point: `P_up` in permille, EWMAs ×100 — gauges
-    /// are integers, and three significant digits is plenty for a
-    /// dashboard line.
-    fn refresh_gauges(&self) {
-        let m = mirror();
-        m.paths.set(self.path_count.load(Ordering::Relaxed) as i64);
-        let reads = self.reads.load(Ordering::Relaxed);
-        let updates = self.updates.load(Ordering::Relaxed);
-        let total = reads + updates;
-        if total > 0 {
-            m.p_up_permille
-                .set((1000.0 * updates as f64 / total as f64).round() as i64);
-        }
-        if updates > 0 {
-            m.fanout_x100
-                .set((100.0 * atomic_f64_get(&self.fanout_w) / updates as f64).round() as i64);
-            m.update_pages_x100.set(
-                (100.0 * atomic_f64_get(&self.update_pages_w) / updates as f64).round() as i64,
-            );
-        }
-        if reads > 0 {
-            m.read_pages_x100
-                .set((100.0 * atomic_f64_get(&self.read_pages_w) / reads as f64).round() as i64);
-        }
+        let map = self.paths.lock();
+        map.iter().map(|(k, w)| (k.clone(), w.clone())).collect()
     }
 }
 
@@ -322,9 +183,9 @@ mod tests {
         assert_eq!(ws.get("P").expect("recorded").reads, 4);
     }
 
-    /// The sharded registry must absorb concurrent recording on many
-    /// paths without losing samples: exact counts per path, exact
-    /// aggregate totals.
+    /// The registry must absorb concurrent recording on many paths
+    /// without losing samples: exact counts per path, exact aggregate
+    /// totals.
     #[test]
     fn concurrent_recording_loses_nothing() {
         let ws = std::sync::Arc::new(WorkloadStats::new());

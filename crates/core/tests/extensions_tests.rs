@@ -6,9 +6,9 @@ mod common;
 
 use common::check_consistency;
 use fieldrep_catalog::{IndexKind, LinkId, Propagation, Strategy};
-use fieldrep_core::{Database, DbConfig, DbError};
+use fieldrep_core::{write_object, Database, DbConfig, DbError};
 use fieldrep_model::{Annotation, FieldType, TypeDef, Value};
-use fieldrep_storage::Oid;
+use fieldrep_storage::{HeapFile, Oid, PagePins};
 
 fn sval(s: &str) -> Value {
     Value::Str(s.into())
@@ -319,6 +319,76 @@ fn an_update_planned_before_a_sync_keeps_the_refresh() {
     assert_eq!(db.pending_count(p), 0);
     assert_eq!(db.path_values(e, p).unwrap(), Some(vec![sval("Boots")]));
     assert_eq!(db.get_field(e, "salary").unwrap(), Value::Int(200));
+    check_consistency(&mut db);
+}
+
+/// A sync whose plan reads a link store while another writer holds the
+/// store's owner and has taken the store apart must not return the error
+/// that half-rewired store gives: its build is stale, and the sync waits
+/// for the owner's lock and plans again. The writer's sleep is the window
+/// the sync must start in: a sync that waits cannot signal back.
+#[test]
+fn a_sync_planned_while_a_store_is_mid_rewire_waits_for_it() {
+    let mut db = employee_db();
+    let w = populate(&mut db);
+    let p = db
+        .replicate_with(
+            "Emp1.dept.org.budget",
+            Strategy::InPlace,
+            Propagation::Deferred,
+        )
+        .unwrap();
+    let org = w.orgs[0];
+    db.update(org, &[("budget", Value::Int(77))]).unwrap();
+    assert_eq!(db.pending_count(p), 1, "a StaleSources entry on the org");
+    let level1 = db.catalog().path(p).links[1].0;
+    let chunk = db
+        .get(org)
+        .unwrap()
+        .annotations
+        .iter()
+        .find_map(|a| match a {
+            Annotation::LinkRef { link, oid } if *link == level1 => Some(*oid),
+            _ => None,
+        })
+        .expect("a level-1 link is never inline");
+
+    let (taken_apart, wait) = std::sync::mpsc::channel();
+    let synced = std::thread::scope(|s| {
+        let db = &db;
+        s.spawn(move || {
+            let _held = db.txn().lock_sorted(&[org]).unwrap();
+            db.apply_and_commit(|db, w| {
+                let heap = HeapFile::open(chunk.file);
+                let (tag, payload) = heap.read(w, chunk)?;
+                heap.rec_delete(w, &PagePins::none(), chunk)?;
+                taken_apart.send(()).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                let moved = heap.rec_insert(w, &PagePins::none(), tag, &payload)?;
+                let mut obj = db.get(org)?;
+                for a in &mut obj.annotations {
+                    if let Annotation::LinkRef { link, oid } = a {
+                        if *link == level1 {
+                            *oid = moved;
+                        }
+                    }
+                }
+                write_object(w, &PagePins::none(), db.catalog(), org, &obj)
+            })
+            .unwrap();
+        });
+        wait.recv().unwrap();
+        db.sync_path(p)
+    });
+    assert_eq!(synced.unwrap(), 1);
+    assert_eq!(db.pending_count(p), 0);
+    let mut refreshed = 0;
+    for &e in &w.emps {
+        let want = db.deref_path(e, "dept.org.budget").unwrap();
+        assert_eq!(db.path_values(e, p).unwrap(), want, "emp {e:?}");
+        refreshed += usize::from(want == Some(vec![Value::Int(77)]));
+    }
+    assert_eq!(refreshed, 6, "every source of the org sees the new budget");
     check_consistency(&mut db);
 }
 

@@ -175,16 +175,6 @@ pub const SYS_WAL: Name = Name("sys.wal");
 pub const CORE_WORKLOAD_READS: Name = Name("core.workload.reads");
 /// Path-update propagations observed by the workload registry (counter).
 pub const CORE_WORKLOAD_UPDATES: Name = Name("core.workload.updates");
-/// Distinct replication paths with observed traffic (gauge).
-pub const CORE_WORKLOAD_PATHS: Name = Name("core.workload.paths");
-/// Observed update probability across paths, in permille (gauge).
-pub const CORE_WORKLOAD_P_UP_PERMILLE: Name = Name("core.workload.p_up_permille");
-/// Observed propagation fan-out EWMA across paths, ×100 (gauge).
-pub const CORE_WORKLOAD_FANOUT_X100: Name = Name("core.workload.fanout_x100");
-/// Observed page touches per path read, EWMA ×100 (gauge).
-pub const CORE_WORKLOAD_READ_PAGES_X100: Name = Name("core.workload.read_pages_x100");
-/// Observed page touches per path update, EWMA ×100 (gauge).
-pub const CORE_WORKLOAD_UPDATE_PAGES_X100: Name = Name("core.workload.update_pages_x100");
 
 // --- core: transactions -----------------------------------------------------
 
@@ -329,11 +319,6 @@ pub const ALL: &[Name] = &[
     TXN_LOCKSET,
     CORE_WORKLOAD_READS,
     CORE_WORKLOAD_UPDATES,
-    CORE_WORKLOAD_PATHS,
-    CORE_WORKLOAD_P_UP_PERMILLE,
-    CORE_WORKLOAD_FANOUT_X100,
-    CORE_WORKLOAD_READ_PAGES_X100,
-    CORE_WORKLOAD_UPDATE_PAGES_X100,
     QUERY_READ,
     QUERY_UPDATE,
     QUERY_PROJECT,

@@ -219,19 +219,24 @@ fn separate_replica_results_match_joins() {
 
 #[test]
 fn collapse_path_shortcut() {
-    let (mut db, _, _, _) = make_db();
-    db.replicate("Emp1.dept.org", Strategy::InPlace).unwrap();
     let q = ReadQuery::on("Emp1").project(["dept.org.budget"]);
-    let plan = q.plan(&db).unwrap();
-    match &plan.projections[0] {
-        ProjPlan::CollapseThenJoin { remaining_hops, .. } => {
-            assert!(remaining_hops.is_empty(), "org.budget is one jump away");
+    let (mut plain, _, _, _) = make_db();
+    let joined = q.run(&mut plain).unwrap().rows;
+    assert_eq!(joined[0][0], Some(Value::Int(0)));
+    assert_eq!(joined[1][0], Some(Value::Int(1000)));
+    for strategy in [Strategy::InPlace, Strategy::Separate] {
+        let (mut db, _, _, _) = make_db();
+        db.replicate("Emp1.dept.org", strategy).unwrap();
+        let plan = q.plan(&db).unwrap();
+        match &plan.projections[0] {
+            ProjPlan::CollapseThenJoin { remaining_hops, .. } => {
+                assert!(remaining_hops.is_empty(), "org.budget is one jump away");
+            }
+            other => panic!("{strategy:?}: expected collapse, got {other:?}"),
         }
-        other => panic!("expected collapse, got {other:?}"),
+        let res = q.run(&mut db).unwrap();
+        assert_eq!(res.rows, joined, "{strategy:?} collapse vs the join");
     }
-    let res = q.run(&mut db).unwrap();
-    assert_eq!(res.rows[0][0], Some(Value::Int(0)));
-    assert_eq!(res.rows[1][0], Some(Value::Int(1000)));
 }
 
 #[test]

@@ -60,7 +60,9 @@ stage benchmark_pkg cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # replica read or a lock-ordering deadlock fails here. Its deferred-sync
 # case adds a deferred in-place and a deferred separate path, with one
 # thread running sync_all_pending beside the writers and snapshot
-# readers; after a final sync every replica must equal its source.
+# readers; after a final sync every replica must equal its source. A
+# sync planned while a writer has a link store taken apart must wait
+# and re-plan, not return the half-rewired store's error.
 stage concurrency_stress cargo test --release -q -p fieldrep-core --test concurrency_stress
 
 # Crash-recovery smoke: kill a committed workload's WAL at 100 seeded
