@@ -579,6 +579,16 @@ impl Catalog {
         self.groups[id.0 as usize].as_ref().expect("live group id")
     }
 
+    /// The replica group separate `path` reads through: an error, not a
+    /// panic, when the path names none or a dropped one.
+    pub fn group_of(&self, path: &RepPathDef) -> Result<&GroupDef> {
+        path.group
+            .and_then(|g| self.groups.get(g.0 as usize)?.as_ref())
+            .ok_or_else(|| {
+                CatalogError::Invalid(format!("path {} has no live replica group", path.id))
+            })
+    }
+
     /// All live replica groups.
     pub fn groups(&self) -> impl Iterator<Item = &GroupDef> + '_ {
         self.groups.iter().flatten()
@@ -670,15 +680,6 @@ impl Catalog {
                 .position(|l| *l == link)
                 .is_some_and(|lvl| p.hops.get(lvl + 1) == Some(&field_idx))
         })
-    }
-
-    /// Groups whose terminal type is `t` — candidates when a data field of
-    /// an object of type `t` is updated under separate replication.
-    pub fn groups_with_terminal(&self, t: TypeId) -> impl Iterator<Item = &GroupDef> + '_ {
-        self.groups
-            .iter()
-            .flatten()
-            .filter(move |g| g.terminal_type == t)
     }
 
     /// Find a replication path that answers `(set, hops, field)` without a

@@ -429,6 +429,27 @@ pub fn decode(bytes: &[u8]) -> Result<Catalog> {
         }));
     }
 
+    // A path has a group exactly when it is separate, and that group is
+    // live, lists the path and carries the path's terminal fields.
+    for p in cat.paths.iter().flatten() {
+        let separate = p.strategy == Strategy::Separate;
+        if separate != p.group.is_some() {
+            return Err(CatalogError::Invalid(format!(
+                "path {} is {:?} but names group {:?}",
+                p.id, p.strategy, p.group
+            )));
+        }
+        if separate {
+            let g = cat.group_of(p)?;
+            if !g.paths.contains(&p.id) || !p.terminal_fields.iter().all(|f| g.fields.contains(f)) {
+                return Err(CatalogError::Invalid(format!(
+                    "replica group #{} does not list path {} or carry its fields",
+                    g.id.0, p.id
+                )));
+            }
+        }
+    }
+
     if r.pos != bytes.len() {
         return Err(CatalogError::Invalid(format!(
             "trailing bytes in catalog image ({} unread)",
@@ -436,4 +457,45 @@ pub fn decode(bytes: &[u8]) -> Result<Catalog> {
         )));
     }
     Ok(cat)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fieldrep_storage::StorageManager;
+
+    /// The image of a catalog with `R.sref.name` replicated separately,
+    /// encoded after `damage` has edited that path's definition.
+    fn image_with(damage: fn(&mut RepPathDef)) -> Vec<u8> {
+        let sm = StorageManager::in_memory(8);
+        let mut cat = Catalog::new();
+        cat.define_type(TypeDef::new("STYPE", vec![("name", FieldType::Str)]))
+            .unwrap();
+        let sref = ("sref", FieldType::Ref("STYPE".into()));
+        cat.define_type(TypeDef::new("RTYPE", vec![sref])).unwrap();
+        cat.create_set("S", "STYPE", sm.create_file().unwrap())
+            .unwrap();
+        cat.create_set("R", "RTYPE", sm.create_file().unwrap())
+            .unwrap();
+        let expr = PathExpr::parse("R.sref.name").unwrap();
+        let decl = cat
+            .declare_replication_full(&expr, Strategy::Separate, Propagation::Eager, false, &sm)
+            .unwrap();
+        damage(cat.paths[decl.path.0 as usize].as_mut().unwrap());
+        encode(&cat)
+    }
+
+    #[test]
+    fn a_path_whose_group_contradicts_it_is_refused() {
+        assert!(decode(&image_with(|_| {})).is_ok());
+        let damages: [fn(&mut RepPathDef); 3] = [
+            |p| p.group = None,
+            |p| p.group = Some(GroupId(7)),
+            |p| p.strategy = Strategy::InPlace,
+        ];
+        for damage in damages {
+            let got = decode(&image_with(damage)).err();
+            assert!(matches!(got, Some(CatalogError::Invalid(_))), "{got:?}");
+        }
+    }
 }

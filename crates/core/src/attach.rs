@@ -28,11 +28,11 @@ use crate::collapsed;
 use crate::error::{DbError, Result};
 use crate::links::{link_add, link_members, link_remove};
 use crate::objects::{read_object, ref_target, value_key, view_pinned};
-use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref, read_replica};
+use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref};
 use crate::ripple::Chain;
 use crate::{EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
-use fieldrep_catalog::{RepPathDef, Strategy};
+use fieldrep_catalog::{CatalogError, RepPathDef, Strategy};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
 use fieldrep_storage::{HeapFile, Oid, PageHandle, PagePins};
 use std::collections::hash_map::{Entry, HashMap};
@@ -278,9 +278,7 @@ pub fn attach_terminal(
             set_source_replica_values(ctx, path, page, source, values.as_deref())
         }
         Strategy::Separate => {
-            let group = ctx
-                .cat
-                .group(path.group.expect("separate path has a group"));
+            let group = ctx.cat.group_of(path)?;
             let already = view_pinned(ctx.sm, &ctx.pins, ctx.cat, page, source, |v| {
                 v.replica_ref(group.id.0)
             })?;
@@ -314,9 +312,7 @@ pub fn detach_path(
     match path.strategy {
         Strategy::InPlace => set_source_replica_values(ctx, path, &page, source, None),
         Strategy::Separate => {
-            let group = ctx
-                .cat
-                .group(path.group.expect("separate path has a group"));
+            let group = ctx.cat.group_of(path)?;
             if set_source_replica_ref(ctx, group.id.0, &page, source, None)? {
                 if let Some(t) = chain.last().copied().flatten() {
                     anchor_release(ctx.w, &ctx.pins, ctx.cat, group, t, 1)?;
@@ -425,26 +421,25 @@ pub fn read_path_values(
 }
 
 /// The values separate `path` serves through the shared replica object
-/// at `roid`: the group's values projected on the path's terminal fields.
+/// at `roid`: the group's values at the path's terminal fields, each
+/// decoded where it lies on the replica's page.
 pub(crate) fn replica_path_values(
     ctx: &mut EngineCtx<'_>,
     path: &RepPathDef,
     roid: Oid,
 ) -> Result<Vec<Value>> {
-    let group = ctx
-        .cat
-        .group(path.group.expect("separate path has a group"));
-    let all = read_replica(ctx.sm, group, roid)?;
-    Ok(path
-        .terminal_fields
-        .iter()
-        .map(|f| {
-            let pos = group
-                .fields
-                .iter()
-                .position(|g| g == f)
-                .expect("path fields are a subset of group fields");
-            all[pos].clone()
-        })
-        .collect())
+    let group = ctx.cat.group_of(path)?;
+    let hf = HeapFile::open(group.file);
+    hf.view(ctx.sm, &PagePins::none(), roid, |_, payload| {
+        let value = |f: &usize| -> Result<Value> {
+            let pos = group.fields.iter().position(|g| g == f).ok_or_else(|| {
+                CatalogError::Invalid(format!(
+                    "replica group #{} does not carry field {f} of path {}",
+                    group.id.0, path.id
+                ))
+            })?;
+            Ok(Value::list_item(payload, pos)?)
+        };
+        path.terminal_fields.iter().map(value).collect()
+    })?
 }

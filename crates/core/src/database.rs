@@ -17,8 +17,8 @@ use crate::ripple::{Chain, ChainPlan, RipplePlan, SyncPlan};
 use crate::{chain, links, DbConfig, EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
-    Catalog, GroupId, IndexId, IndexKind, IndexTarget, LinkId, PathId, Propagation, RepPathDef,
-    SetId, Strategy,
+    Catalog, IndexId, IndexKind, IndexTarget, LinkId, PathId, Propagation, RepPathDef, SetId,
+    Strategy,
 };
 use fieldrep_model::{Annotation, Object, PathExpr, TypeDef, TypeId, Value};
 use fieldrep_storage::{
@@ -87,11 +87,22 @@ impl Database {
     pub fn with_disk(disk: Box<dyn DiskManager>, cfg: DbConfig) -> Database {
         let sm = StorageManager::new(disk, cfg.pool_pages);
         let catalog_file = sm.create_file().expect("allocate catalog file");
+        Self::assemble(sm, Catalog::new(), cfg, catalog_file)
+    }
+
+    /// The one place a `Database` is put together: `catalog`, whose image
+    /// lives in `catalog_file`, over `sm`.
+    fn assemble(
+        sm: StorageManager,
+        catalog: Catalog,
+        cfg: DbConfig,
+        catalog_file: FileId,
+    ) -> Database {
         Database {
+            file_sets: catalog.sets().iter().map(|s| (s.file, s.id)).collect(),
             sm,
-            catalog: Catalog::new(),
+            catalog,
             cfg,
-            file_sets: HashMap::new(),
             pending: crate::PendingSet::default(),
             workload: crate::WorkloadStats::new(),
             catalog_file,
@@ -113,16 +124,7 @@ impl Database {
     ) -> Result<Database> {
         let sm = StorageManager::new_with_wal(disk, store, cfg.pool_pages)?;
         let catalog_file = sm.create_file()?;
-        let db = Database {
-            sm,
-            catalog: Catalog::new(),
-            cfg,
-            file_sets: HashMap::new(),
-            pending: crate::PendingSet::default(),
-            workload: crate::WorkloadStats::new(),
-            catalog_file,
-            txn: crate::txn::TxnManager::default(),
-        };
+        let db = Self::assemble(sm, Catalog::new(), cfg, catalog_file);
         db.apply_and_commit(Database::write_catalog)?;
         Ok(db)
     }
@@ -193,20 +195,16 @@ impl Database {
     }
 
     fn open_with_sm(sm: StorageManager, cfg: DbConfig) -> Result<Database> {
-        let catalog_file = FileId(0);
-        let hf = HeapFile::open(catalog_file);
+        let hf = HeapFile::open(FileId(0));
+        let bad = || DbError::Unsupported("corrupt catalog image (bad chunk)".into());
         let mut chunks: Vec<(u32, Vec<u8>)> = Vec::new();
-        {
-            let mut scan = hf.scan(&sm)?;
-            while let Some((_, tag, payload)) = scan.next_record()? {
-                if tag != 0xFFFC || payload.len() < 8 {
-                    return Err(DbError::Unsupported(
-                        "corrupt catalog image (bad chunk)".into(),
-                    ));
-                }
-                let seq = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-                chunks.push((seq, payload[8..].to_vec()));
-            }
+        for oid in hf.oids(&sm)? {
+            let chunk = hf.view(&sm, &PagePins::none(), oid, |tag, payload| {
+                let (seq, rest) = payload.split_first_chunk::<4>()?;
+                let chunk = rest.get(4..).filter(|_| tag == 0xFFFC)?;
+                Some((u32::from_le_bytes(*seq), chunk.to_vec()))
+            })?;
+            chunks.push(chunk.ok_or_else(bad)?);
         }
         if chunks.is_empty() {
             return Err(DbError::Unsupported(
@@ -214,22 +212,9 @@ impl Database {
             ));
         }
         chunks.sort_by_key(|(seq, _)| *seq);
-        let mut image = Vec::new();
-        for (_, c) in chunks {
-            image.extend_from_slice(&c);
-        }
+        let image: Vec<u8> = chunks.into_iter().flat_map(|(_, c)| c).collect();
         let catalog = fieldrep_catalog::persist::decode(&image)?;
-        let file_sets = catalog.sets().iter().map(|s| (s.file, s.id)).collect();
-        Ok(Database {
-            sm,
-            catalog,
-            cfg,
-            file_sets,
-            pending: crate::PendingSet::default(),
-            workload: crate::WorkloadStats::new(),
-            catalog_file,
-            txn: crate::txn::TxnManager::default(),
-        })
+        Ok(Self::assemble(sm, catalog, cfg, FileId(0)))
     }
 
     /// Tests only: this database over a lock table of `words` words, so
@@ -457,7 +442,7 @@ impl Database {
         let path_def = self.catalog.path(decl.path).clone();
         self.build_path(&w, &path_def, &pre_links)?;
         if decl.group_extended {
-            self.resync_group(&w, decl.group.expect("extended ⇒ group"))?;
+            self.resync_group(&w, &path_def)?;
         }
         self.commit_ddl(w)?;
         Ok(decl.path)
@@ -523,9 +508,7 @@ impl Database {
         match path.strategy {
             Strategy::InPlace => set_terminal_values(&mut ctx, path, &chains),
             Strategy::Separate => {
-                let group = self
-                    .catalog
-                    .group(path.group.expect("separate path has a group"));
+                let group = self.catalog.group_of(path)?;
                 // Was this group freshly created by this path? If it has
                 // other paths, replicas already exist.
                 if group.paths.len() > 1 {
@@ -602,10 +585,10 @@ impl Database {
         set_terminal_values(&mut ctx, path, &chains)
     }
 
-    /// Rewrite every replica object of `group` from its terminal object —
-    /// needed when a new path extends the group's field list.
-    fn resync_group(&self, w: &ApplySection<'_>, group_id: GroupId) -> Result<()> {
-        let group = self.catalog.group(group_id).clone();
+    /// Rewrite every replica object of `path`'s group from its terminal
+    /// object — needed when a new path extends the group's field list.
+    fn resync_group(&self, w: &ApplySection<'_>, path: &RepPathDef) -> Result<()> {
+        let group = self.catalog.group_of(path)?;
         let term_type = group.terminal_type;
         let term_sets: Vec<FileId> = self
             .catalog
@@ -617,8 +600,8 @@ impl Database {
                 let (ctx, pins) = (self.ctx(), PagePins::none());
                 let obj = read_object(ctx.sm, &pins, ctx.cat, oid)?;
                 if let Some((_, roid, _)) = find_anchor(&obj, group.id.0) {
-                    let values = group_values(&group, &obj);
-                    write_replica(w, &pins, &group, roid, &values)?;
+                    let values = group_values(group, &obj);
+                    write_replica(w, &pins, group, roid, &values)?;
                 }
             }
         }
@@ -1040,14 +1023,10 @@ impl Database {
         self.file_oids(self.catalog.set(self.catalog.set_id(set_name)?).file)
     }
 
-    /// The OIDs of every live record of a heap file, in physical order.
+    /// The OIDs of every live record of a heap file, in physical order:
+    /// [`HeapFile::oids`], one page request per page.
     pub fn file_oids(&self, file: FileId) -> Result<Vec<Oid>> {
-        let mut oids = Vec::new();
-        let mut scan = HeapFile::open(file).scan(&self.sm)?;
-        while let Some((oid, _, _)) = scan.next_record()? {
-            oids.push(oid);
-        }
-        Ok(oids)
+        Ok(HeapFile::open(file).oids(&self.sm)?)
     }
 
     /// Number of members of a set.

@@ -10,7 +10,7 @@ use crate::error::{DbError, Result};
 use crate::objects::{read_object, write_object, REPLICA_TAG};
 use fieldrep_catalog::{Catalog, GroupDef};
 use fieldrep_model::{Annotation, Object, Value};
-use fieldrep_storage::{ApplySection, HeapFile, Oid, PagePins, StorageManager};
+use fieldrep_storage::{ApplySection, HeapFile, Oid, PagePins};
 
 /// The values a replica object for `group` should hold, extracted from
 /// the terminal object (in `group.fields` order).
@@ -20,14 +20,6 @@ pub fn group_values(group: &GroupDef, terminal_obj: &Object) -> Vec<Value> {
         .iter()
         .map(|&i| terminal_obj.values[i].clone())
         .collect()
-}
-
-/// Read a replica object's values.
-pub fn read_replica(sm: &StorageManager, group: &GroupDef, oid: Oid) -> Result<Vec<Value>> {
-    let hf = HeapFile::open(group.file);
-    let (tag, payload) = hf.read(sm, oid)?;
-    debug_assert_eq!(tag, REPLICA_TAG);
-    Ok(Value::decode_list(&payload)?)
 }
 
 /// Overwrite a replica object's values, its pages asked of `pins`.

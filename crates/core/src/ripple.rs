@@ -517,7 +517,7 @@ impl SyncPlan {
                         Refresh::Sources { sources, terminal }
                     }
                     PendingEntry::StaleReplica { obj } => {
-                        let group = cat.group(p.group.expect("separate path has a group"));
+                        let group = cat.group_of(p)?;
                         let o = b.read(obj)?;
                         let anchor = find_anchor(&o, group.id.0);
                         let replica = anchor.map(|(_, roid, _)| (group.id, b.note(roid)));

@@ -374,12 +374,10 @@ fn collapsed_and_uncollapsed_agree() {
 
 /// Every record of a link file, by OID: what a chunk edit changes.
 fn link_records(db: &Database, file: FileId) -> BTreeMap<Oid, Vec<u8>> {
-    let mut scan = HeapFile::open(file).scan(db.sm()).unwrap();
-    let mut out = BTreeMap::new();
-    while let Some((oid, _, payload)) = scan.next_record().unwrap() {
-        out.insert(oid, payload);
-    }
-    out
+    let hf = HeapFile::open(file);
+    let oids = hf.oids(db.sm()).unwrap();
+    let read = |oid| (oid, hf.read(db.sm(), oid).unwrap().1);
+    oids.into_iter().map(read).collect()
 }
 
 /// Records of `after` that are new or whose payload differs from `before`.

@@ -143,9 +143,9 @@ fn stored_objects(db: &Database) -> BTreeMap<Oid, Vec<u8>> {
         .chain(cat.groups().map(|g| g.file));
     let mut out = BTreeMap::new();
     for file in files {
-        let mut scan = HeapFile::open(file).scan(db.sm()).unwrap();
-        while let Some((oid, _, payload)) = scan.next_record().unwrap() {
-            out.insert(oid, payload);
+        let hf = HeapFile::open(file);
+        for oid in hf.oids(db.sm()).unwrap() {
+            out.insert(oid, hf.read(db.sm(), oid).unwrap().1);
         }
     }
     out

@@ -1,4 +1,5 @@
-//! A write requests each page it touches once. The plan of an update,
+//! A write requests each page it touches once, and so does the listing of
+//! a file (forwarded records included). The plan of an update,
 //! insert or delete reads through a bounded set of page pins, and the
 //! apply takes its pages from the same set, so on a cold pool every pool
 //! request of the operation is a miss: no hits, and the misses are the
@@ -182,6 +183,21 @@ fn an_insert_and_a_delete_request_each_page_once() {
         once_per_page(&db, "delete", |db| db.delete(oid).unwrap());
     }
     check_consistency(&mut db);
+}
+
+#[test]
+fn a_listing_requests_each_page_of_the_file_once() {
+    let (db, s, r) = world(512);
+    for (set, all) in [("S", s), ("R", r)] {
+        some(&db, &all); // forwarded records among them
+        let file = db.catalog().set(db.catalog().set_id(set).unwrap()).file;
+        let pages = u64::from(db.sm().page_count(file).unwrap());
+        let listed = once_per_page(&db, set, |db| db.file_oids(file).unwrap());
+        assert_eq!(db.io_profile().pool_misses, pages, "{set}");
+        let mut want = all;
+        want.sort_unstable();
+        assert_eq!(listed, want, "{set}: every member once, in physical order");
+    }
 }
 
 #[test]

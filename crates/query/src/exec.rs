@@ -6,6 +6,12 @@
 //! With a cold buffer pool this makes measured page I/O directly
 //! comparable to the analytical `C_read` / `C_update`.
 //!
+//! A full scan lists the set's OIDs with one page request per page
+//! (`Database::file_oids`). A filter on it is planned once and evaluated
+//! as one batched projection of its path over the listed OIDs, so a
+//! filter through a reference joins once for the whole set, not once per
+//! object.
+//!
 //! A read allocates for the rows it returns, not for the plumbing that
 //! finds them: one `Vec` per row, one allocation per returned string, one
 //! handle vector per page chunk, and a bounded constant per statement
@@ -90,37 +96,17 @@ fn run_access(db: &Database, plan: &Plan, filter: Option<&Filter>) -> Result<Vec
         }
         AccessPlan::FullScan => {
             let oids = db.file_oids(db.catalog().set(plan.set).file)?;
-            match filter {
-                None => Ok(oids),
-                Some(f) => {
-                    // Evaluate the filter per object (base field or path
-                    // dereference — the no-index fallback).
-                    let mut keep = Vec::new();
-                    for oid in oids {
-                        let v = eval_filter_value(db, plan.set, f, oid)?;
-                        if let Some(v) = v {
-                            if f.matches(&v) {
-                                keep.push(oid);
-                            }
-                        }
-                    }
-                    Ok(keep)
-                }
-            }
+            let Some(f) = filter else { return Ok(oids) };
+            // The no-index fallback: the filter's path is one batched
+            // projection over every listed object.
+            let proj = plan_projection(db.catalog(), plan.set, f.path())?;
+            let rows = project(db, &oids, std::slice::from_ref(&proj), None)?;
+            let hit = |(oid, row): (Oid, Row)| {
+                matches!(row.last(), Some(Some(v)) if f.matches(v)).then_some(oid)
+            };
+            Ok(oids.into_iter().zip(rows).filter_map(hit).collect())
         }
     }
-}
-
-fn eval_filter_value(
-    db: &Database,
-    set: fieldrep_catalog::SetId,
-    f: &Filter,
-    oid: Oid,
-) -> Result<Option<Value>> {
-    // Reuse the projection machinery for a single object.
-    let proj = plan_projection(db.catalog(), set, f.path())?;
-    let mut rows = project(db, &[oid], std::slice::from_ref(&proj), None)?;
-    Ok(rows.pop().and_then(|mut r| r.pop()).flatten())
 }
 
 /// Take what `projections` need from one source record's bytes into a new
@@ -169,8 +155,8 @@ fn read_source(
 /// Compute the projected columns for `oids`, one row per OID.
 ///
 /// With `prof`, the sync/fetch phases and every projection operator close
-/// their own profile segment (`None` when called for a nested filter
-/// evaluation, whose I/O belongs to the enclosing access segment).
+/// their own profile segment (`None` when called for a full scan's
+/// filter, whose I/O belongs to the enclosing access segment).
 fn project(
     db: &Database,
     oids: &[Oid],

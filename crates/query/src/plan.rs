@@ -250,13 +250,7 @@ pub fn plan_projection(cat: &Catalog, set: SetId, dotted: &str) -> Result<ProjPl
                 });
             }
             Strategy::Separate => {
-                let Some(gid) = p.group else {
-                    return Err(QueryError::BadQuery(format!(
-                        "separate-strategy path {} has no replica group in the catalog",
-                        p.id
-                    )));
-                };
-                let group = cat.group(gid);
+                let group = cat.group_of(p)?;
                 let positions =
                     positions_of(&resolved.terminal_fields, &group.fields).ok_or_else(|| {
                         QueryError::BadQuery(format!(
@@ -343,7 +337,7 @@ pub fn plan_access(cat: &Catalog, set: SetId, filter: Option<&Filter>) -> Result
 
     // Path filter: use a path index if one exists over an in-place
     // replicated path (§3.3.4); otherwise a full scan evaluates the path
-    // per object.
+    // as one batched projection over the set.
     if let Some(p) = cat.replica_for(set, &resolved.hops, first_terminal) {
         if let Some(idx) = cat.index_on_path(p.id) {
             return Ok(AccessPlan::PathIndexRange {

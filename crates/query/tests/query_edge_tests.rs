@@ -55,9 +55,9 @@ fn spooled_rows_decode_back() {
     let f = res.output_file.unwrap();
     // The output file contains exactly the rows, decodable as value lists.
     let hf = HeapFile::open(f);
-    let mut scan = hf.scan(db.sm()).unwrap();
     let mut decoded = Vec::new();
-    while let Some((_, tag, payload)) = scan.next_record().unwrap() {
+    for oid in hf.oids(db.sm()).unwrap() {
+        let (tag, payload) = hf.read(db.sm(), oid).unwrap();
         assert_eq!(tag, 0xFFFD);
         decoded.push(Value::decode_list(&payload).unwrap());
     }

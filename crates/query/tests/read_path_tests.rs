@@ -217,3 +217,45 @@ fn a_two_frame_pool_still_answers() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// The no-index fallback: a full scan lists `R` with one request per page,
+/// and its filter through `sref` is one batched projection — each `R` page
+/// once more and the one `S` page — before the fetch of the matches.
+#[test]
+fn a_full_scan_filter_through_a_reference_is_one_batched_join() {
+    let (mut db, r) = build(Database::in_memory(DbConfig::default()), 400, 3000, None);
+    let pages: std::collections::BTreeSet<PageId> = r.iter().map(Oid::page_id).collect();
+    assert_eq!(pages.len(), 400, "one R object per page");
+    let q = ReadQuery::on("R")
+        .filter(Filter::Eq {
+            path: "sref.name".into(),
+            value: sval("s0"),
+        })
+        .project(["field_r"]);
+    assert_eq!(q.plan(&db).unwrap().access, AccessPlan::FullScan);
+
+    let pool_before = db.io_profile();
+    let res = q.run(&mut db).unwrap();
+    let pool_after = db.io_profile();
+    let want: Vec<Row> = (0..400)
+        .step_by(5)
+        .map(|i| vec![Some(Value::Int(i))])
+        .collect();
+    assert_eq!(res.rows, want);
+    let requests = (pool_after.pool_hits + pool_after.pool_misses)
+        - (pool_before.pool_hits + pool_before.pool_misses);
+    // Listing 400, filter 400, S 1, fetch 80.
+    assert_eq!(requests, 400 + 400 + 1 + 80);
+
+    // The per-operator profile still telescopes to the raw pool totals.
+    assert_eq!(res.profile.ops_io_sum(), res.profile.total_io);
+    assert_eq!(res.profile.total_io.page_touches(), requests);
+    let op = |name: &str| {
+        let op = res.profile.ops.iter().find(|o| o.name.starts_with(name));
+        op.unwrap_or_else(|| panic!("no {name} operator"))
+            .io
+            .page_touches()
+    };
+    assert_eq!(op("access"), 801);
+    assert_eq!(op("fetch"), 80);
+}

@@ -2,7 +2,7 @@
 //!
 //! Wraps any disk manager and injects three failure modes at seeded
 //! operation counts, so crash/corruption tests (and the future chaos
-//! harness, ROADMAP item 1) can deterministically provoke them:
+//! harness, ROADMAP item 4) can deterministically provoke them:
 //!
 //! * **torn page write** — the N-th `write_page` transfers only the
 //!   first half of the page, then fails (a crash mid-sector-run);
@@ -57,11 +57,6 @@ impl<D: DiskManager> FaultDisk<D> {
     /// `"sync_error"`).
     pub fn fired(&self) -> &[&'static str] {
         &self.fired
-    }
-
-    /// The wrapped disk (e.g. to inspect pages after a fault).
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
     }
 }
 

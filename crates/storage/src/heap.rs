@@ -8,8 +8,9 @@
 //! normal case when in-place replication adds a hidden field to an existing
 //! object — the record moves and leaves a forwarding stub behind
 //! ([`RecordFlags::Forward`]), exactly the technique slotted-page systems
-//! use for stable RIDs. Scans report each logical record once, at its
-//! original OID.
+//! use for stable RIDs. [`HeapFile::oids`] lists each logical record once,
+//! at its original OID, with one page request per page; it does not
+//! follow a stub.
 //!
 //! Every read and write of a record starts with the same private step —
 //! resolve it, following a stub (`with_record`) — and a write costs what
@@ -389,98 +390,29 @@ impl HeapFile {
         });
     }
 
-    /// Open a physical-order scan over the file.
-    pub fn scan<'a>(&self, sm: &'a StorageManager) -> Result<HeapScan<'a>> {
-        let npages = sm.page_count(self.file)?;
-        Ok(HeapScan {
-            sm,
-            file: self.file,
-            npages,
-            page: 0,
-            slot: 0,
-        })
+    /// The OIDs of every live logical record, in physical order: each page
+    /// is asked of the pool once and its slot directory walked under the
+    /// read latch. A forwarding stub is named at its own OID, neither
+    /// followed nor copied, and a moved body is skipped: a caller that
+    /// reads the bytes pays for the moved body there.
+    pub fn oids(&self, sm: &StorageManager) -> Result<Vec<Oid>> {
+        let mut oids = Vec::new();
+        for page in 0..sm.page_count(self.file)? {
+            let h = sm.pool().fetch(PageId::new(self.file, page))?;
+            let data = h.data();
+            oids.extend(
+                PageView::new(&data[..])
+                    .records()
+                    .filter(|(_, hdr, _)| hdr.flags != RecordFlags::Moved)
+                    .map(|(slot, _, _)| Oid::new(self.file, page, slot)),
+            );
+        }
+        Ok(oids)
     }
 
-    /// Number of live logical records (counts stubs, skips moved bodies).
+    /// Number of live logical records: the length of [`HeapFile::oids`].
     pub fn count(&self, sm: &StorageManager) -> Result<u64> {
-        let mut scan = self.scan(sm)?;
-        let mut n = 0;
-        while scan.next_record()?.is_some() {
-            n += 1;
-        }
-        Ok(n)
-    }
-}
-
-/// Streaming physical-order scan. Yields each logical record once, at its
-/// stable OID; forwarding stubs are followed (costing the extra page read a
-/// real system would pay), moved bodies are skipped.
-pub struct HeapScan<'a> {
-    sm: &'a StorageManager,
-    file: FileId,
-    npages: u32,
-    page: u32,
-    slot: u16,
-}
-
-impl<'a> HeapScan<'a> {
-    /// Advance to the next logical record: `(oid, type_tag, payload)`.
-    pub fn next_record(&mut self) -> Result<Option<(Oid, u16, Vec<u8>)>> {
-        loop {
-            if self.page >= self.npages {
-                return Ok(None);
-            }
-            let pid = PageId::new(self.file, self.page);
-            let h = self.sm.pool().fetch(pid)?;
-            let found = {
-                let data = h.data();
-                let view = PageView::new(&data[..]);
-                let mut found = None;
-                let n = view.slot_count();
-                while self.slot < n {
-                    let s = self.slot;
-                    self.slot += 1;
-                    if let Some((hdr, payload)) = view.record(s) {
-                        match hdr.flags {
-                            RecordFlags::Moved => continue,
-                            RecordFlags::Normal => {
-                                found = Some((
-                                    Oid::new(self.file, self.page, s),
-                                    hdr.type_tag,
-                                    payload.to_vec(),
-                                    false,
-                                ));
-                                break;
-                            }
-                            RecordFlags::Forward => {
-                                let target = Oid::from_bytes(payload);
-                                found = Some((
-                                    Oid::new(self.file, self.page, s),
-                                    hdr.type_tag,
-                                    target.to_bytes().to_vec(),
-                                    true,
-                                ));
-                                break;
-                            }
-                        }
-                    }
-                }
-                found
-            };
-            match found {
-                Some((oid, tag, payload, true)) => {
-                    // Follow the stub.
-                    let target = Oid::from_bytes(&payload);
-                    let (_, body) = HeapFile::open(self.file).read(self.sm, target)?;
-                    return Ok(Some((oid, tag, body)));
-                }
-                Some((oid, tag, payload, false)) => return Ok(Some((oid, tag, payload))),
-                None => {
-                    self.page += 1;
-                    self.slot = 0;
-                }
-            }
-        }
+        Ok(self.oids(sm)?.len() as u64)
     }
 }
 
@@ -645,9 +577,9 @@ mod tests {
                 .unwrap();
         }
         let mut seen = std::collections::HashMap::new();
-        let mut scan = hf.scan(&sm).unwrap();
-        while let Some((oid, _tag, body)) = scan.next_record().unwrap() {
-            assert!(seen.insert(oid, body).is_none(), "duplicate oid in scan");
+        for oid in hf.oids(&sm).unwrap() {
+            let (_tag, body) = hf.read(&sm, oid).unwrap();
+            assert!(seen.insert(oid, body).is_none(), "duplicate oid in listing");
         }
         assert_eq!(seen.len(), 100);
         for (i, (oid, orig)) in expect.iter().enumerate() {
@@ -674,13 +606,8 @@ mod tests {
             .unwrap(); // forwards
         hf.rec_delete(&w, &PagePins::none(), victim).unwrap();
         assert!(hf.read(&sm, victim).is_err());
-        // Nothing in the scan refers to the moved body.
-        let mut scan = hf.scan(&sm).unwrap();
-        let mut n = 0;
-        while scan.next_record().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 32);
+        // Nothing in the listing refers to the moved body.
+        assert_eq!(hf.oids(&sm).unwrap().len(), 32);
     }
 
     #[test]
@@ -709,6 +636,44 @@ mod tests {
             .unwrap(); // moves: stub at oids[0]
         let page = w.pool().fetch(oids[0].page_id()).unwrap();
         (oids, page)
+    }
+
+    #[test]
+    fn oids_ask_for_each_page_once_and_follow_no_stub() {
+        let sm = sm();
+        let w = sm.apply_section();
+        let hf = HeapFile::create(&sm).unwrap();
+        let oids: Vec<Oid> = (0..100u8)
+            .map(|i| hf.rec_insert(&w, &PagePins::none(), 1, &[i; 100]).unwrap())
+            .collect();
+        for &oid in oids.iter().step_by(9) {
+            hf.rec_update(&w, &PagePins::none(), oid, &[0xEE; 900])
+                .unwrap(); // forwards
+        }
+        let pages = u64::from(sm.page_count(hf.file).unwrap());
+        sm.reset_profile();
+        assert_eq!(hf.oids(&sm).unwrap(), oids, "physical order, stubs at home");
+        assert_eq!(requests(&sm), pages);
+    }
+
+    #[test]
+    fn a_stub_that_names_a_normal_record_is_listed_and_read_as_corrupt() {
+        let sm = sm();
+        let w = sm.apply_section();
+        let hf = HeapFile::create(&sm).unwrap();
+        let (oids, page) = page_with_a_forwarded_record(&w, &hf);
+        // Damage the stub: it now names its neighbour, a normal record.
+        page.data_mut()
+            .page(|pg| pg.write_forward_stub(oids[0].slot, 7, oids[1]))
+            .unwrap();
+        drop(page);
+        let listed = hf.oids(&sm).unwrap();
+        assert_eq!(listed.len(), 33);
+        assert_eq!(listed[0], oids[0], "the listing names the stub's OID");
+        match hf.read(&sm, oids[0]) {
+            Err(StorageError::Corrupt(m)) => assert!(m.contains("non-moved record"), "{m}"),
+            other => panic!("expected a corrupt stub, got {other:?}"),
+        }
     }
 
     type Edit<'a> = std::result::Result<RecordEdit<'a>, StorageError>;

@@ -17,10 +17,11 @@
 //!   both of which count page reads and writes — the paper's evaluation
 //!   metric is page I/O, so accounting is built into the lowest layer;
 //! * a [`BufferPool`] with clock eviction and pin/unpin page handles;
-//! * [`HeapFile`] record management (insert / read / update / delete /
-//!   physical-order scan) with RID forwarding so that OIDs remain stable
-//!   when records grow — which happens routinely under *in-place
-//!   replication*, where hidden replica fields are appended to objects;
+//! * [`HeapFile`] record management (insert / read / update / delete, and
+//!   a physical-order listing of OIDs that asks for each page once) with
+//!   RID forwarding so that OIDs remain stable when records grow — which
+//!   happens routinely under *in-place replication*, where hidden replica
+//!   fields are appended to objects;
 //! * one batched walk over a physically-sorted OID run,
 //!   [`StorageManager::visit_sorted`], which every read join and
 //!   propagation fan-out takes: each page requested once, a chunk's
@@ -50,7 +51,7 @@ pub use buffer::{BufferPool, PageHandle, PoolStats};
 pub use disk::{remove_db_dir, DiskManager, FileDisk, MemDisk};
 pub use error::{Result, StorageError};
 pub use fault::{FaultDisk, FaultPlan};
-pub use heap::{HeapFile, HeapScan, RecordEdit};
+pub use heap::{HeapFile, RecordEdit};
 pub use oid::{FileId, Oid, PageId};
 pub use page::{
     PageKind, PageMut, PageView, RecordFlags, RecordHeader, MAX_RECORD_PAYLOAD, MIN_RECORD_PAYLOAD,

@@ -223,11 +223,6 @@ impl<'a> PageView<'a> {
         PageView { data }
     }
 
-    /// True if the page has been formatted (magic number present).
-    pub fn is_formatted(&self) -> bool {
-        get_u16(self.data, OFF_MAGIC) == MAGIC
-    }
-
     /// The page's kind.
     pub fn kind(&self) -> Result<PageKind> {
         PageKind::from_u8(self.data[OFF_KIND])

@@ -133,10 +133,10 @@ proptest! {
             prop_assert_eq!(tag, 9);
             prop_assert_eq!(&got, payload);
         }
-        // Scan sees exactly the live set, each once.
+        // The listing names exactly the live set, each once.
         let mut seen: HashMap<fieldrep_storage::Oid, Vec<u8>> = HashMap::new();
-        let mut scan = hf.scan(&sm).unwrap();
-        while let Some((oid, tag, body)) = scan.next_record().unwrap() {
+        for oid in hf.oids(&sm).unwrap() {
+            let (tag, body) = hf.read(&sm, oid).unwrap();
             prop_assert_eq!(tag, 9);
             prop_assert!(seen.insert(oid, body).is_none());
         }
