@@ -17,6 +17,11 @@
 //!   indexed record, so duplicate user keys are supported and deletes are
 //!   exact.
 //! * Leaves are chained left-to-right for range scans.
+//! * The root stays at page 0 of the index file, so a descent needs no
+//!   directory page: a lookup, insert or delete of a tree of height `h`
+//!   requests `h` pages (plus the further leaves a range crosses), the
+//!   paper's `⌈log_m N⌉`. Files written when page 0 was a meta page are
+//!   brought to this layout by [`BTreeIndex::upgrade`].
 //! * Deletion is lazy (no rebalancing): emptied leaves are skipped by
 //!   scans and reclaimed only on rebuild. Real systems (e.g. PostgreSQL)
 //!   make the same trade-off; the workloads of the paper never shrink
@@ -31,7 +36,8 @@ pub mod node;
 
 use fieldrep_obs::{metrics, names as obs_names, Span};
 use fieldrep_storage::{
-    ApplySection, FileId, Oid, PageId, PageKind, PageMut, Result, StorageError, StorageManager,
+    ApplySection, FileId, Oid, PageHandle, PageId, PageKind, PageView, Result, StorageError,
+    StorageManager,
 };
 use node::{entry_size, Node, NodeView, Payload, NODE_CAPACITY};
 use std::sync::{Arc, OnceLock};
@@ -42,17 +48,23 @@ fn split_counter() -> &'static Arc<metrics::Counter> {
     SPLITS.get_or_init(|| metrics::registry().counter(obs_names::BTREE_SPLITS))
 }
 
-/// Offsets within the meta page (page 0 of the index file).
-const OFF_ROOT: usize = 40;
-const OFF_HEIGHT: usize = 44;
-const OFF_COUNT: usize = 46;
+/// The root's page. The root never moves: when it splits, its left half
+/// moves to a new page as its right half does, and page 0 becomes the
+/// internal node above the two. So a descent starts at a known page and
+/// pays one request per level, the paper's `⌈log_m N⌉`.
+const ROOT: u32 = 0;
+
+/// The deepest descent a tree can need. Each level multiplies the entries
+/// below it by the node fanout, so no index comes near it; a descent that
+/// goes deeper is following a cycle of child pointers.
+const MAX_HEIGHT: u16 = 64;
 
 /// A B⁺-tree index stored in its own file. The handle is a plain file id;
 /// all state lives on pages. The operations that write take an
 /// [`ApplySection`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BTreeIndex {
-    /// The index file. Page 0 is the meta page; the rest are nodes.
+    /// The index file. Page 0 holds the root node.
     pub file: FileId,
 }
 
@@ -66,20 +78,40 @@ fn composite(key: &[u8], oid: Oid) -> Vec<u8> {
     k
 }
 
-impl BTreeIndex {
-    /// Create an empty index (meta page + one empty leaf as root).
-    pub fn create(w: &ApplySection<'_>) -> Result<BTreeIndex> {
-        let file = w.create_file()?;
-        let (meta_pid, meta) = w.pool().new_page(file)?;
-        debug_assert_eq!(meta_pid.page, 0);
-        let (root_pid, root) = w.pool().new_page(file)?;
-        Node::new(true).serialize(root.data_mut().whole_mut());
-        {
-            let mut data = meta.data_mut();
-            PageMut::new(data.whole_mut()).init(PageKind::Meta);
-            write_meta(data.whole_mut(), root_pid.page, 1, 0);
+/// Copy the node on the page `h` holds out for mutation.
+fn copy_node(h: &PageHandle) -> Result<Node> {
+    let data = h.data();
+    NodeView::new(&data[..])?.to_node()
+}
+
+/// Pack `entries`, in order, into nodes of at most `budget` entry bytes.
+fn pack(
+    entries: impl Iterator<Item = (Vec<u8>, Payload)>,
+    is_leaf: bool,
+    budget: usize,
+) -> Vec<Node> {
+    let mut nodes = Vec::new();
+    let mut cur = Node::new(is_leaf);
+    for (key, payload) in entries {
+        let sz = entry_size(&key, &payload);
+        if !cur.entries.is_empty() && cur.used_bytes() + sz > budget {
+            nodes.push(std::mem::replace(&mut cur, Node::new(is_leaf)));
         }
-        Ok(BTreeIndex { file })
+        cur.entries.push((key, payload));
+    }
+    nodes.push(cur);
+    nodes
+}
+
+impl BTreeIndex {
+    /// Create an empty index: one empty leaf, the root, at page 0.
+    pub fn create(w: &ApplySection<'_>) -> Result<BTreeIndex> {
+        let index = BTreeIndex {
+            file: w.create_file()?,
+        };
+        let root = index.alloc_node(w, &Node::new(true))?;
+        debug_assert_eq!(root, ROOT);
+        Ok(index)
     }
 
     /// Wrap an existing index file id (e.g. recorded in the catalog).
@@ -87,54 +119,106 @@ impl BTreeIndex {
         BTreeIndex { file }
     }
 
-    fn meta(&self, sm: &StorageManager) -> Result<(u32, u16, u64)> {
-        let h = sm.pool().fetch(PageId::new(self.file, 0))?;
-        let data = h.data();
-        Ok(read_meta(&data[..]))
+    /// Bring an index file written before the root was fixed at page 0 to
+    /// today's layout, in place. Such a file's page 0 is a meta page that
+    /// names the root's page (a `u32` at byte 40); the root node is copied
+    /// onto page 0, and its old page is left behind, unreferenced. Returns
+    /// whether the file was rewritten. This is the one reader of
+    /// [`PageKind::Meta`].
+    pub fn upgrade(&self, w: &ApplySection<'_>) -> Result<bool> {
+        let page0 = w.pool().fetch(PageId::new(self.file, ROOT))?;
+        let root = {
+            let data = page0.data();
+            if PageView::new(&data[..]).kind()? != PageKind::Meta {
+                return Ok(false);
+            }
+            u32::from_le_bytes([data[40], data[41], data[42], data[43]])
+        };
+        if root == ROOT {
+            return Err(StorageError::Corrupt(format!(
+                "index {}: its meta page names itself as the root",
+                self.file
+            )));
+        }
+        let node = copy_node(&w.pool().fetch(PageId::new(self.file, root))?)?;
+        node.serialize(page0.data_mut().whole_mut());
+        Ok(true)
     }
 
-    fn set_meta(&self, sm: &StorageManager, root: u32, height: u16, count: u64) -> Result<()> {
-        let h = sm.pool().fetch(PageId::new(self.file, 0))?;
-        write_meta(h.data_mut().whole_mut(), root, height, count);
-        Ok(())
-    }
-
-    /// Number of entries in the index.
+    /// Number of entries in the index: a walk of the leaf chain.
     pub fn entry_count(&self, sm: &StorageManager) -> Result<u64> {
-        Ok(self.meta(sm)?.2)
+        let mut count = 0u64;
+        self.walk_leaves(sm, &[], |leaf| {
+            count = leaf.entries().try_fold(count, |n, e| e.map(|_| n + 1))?;
+            Ok(leaf.next_leaf())
+        })?;
+        Ok(count)
     }
 
-    /// Height of the tree (1 = root is a leaf).
+    /// Height of the tree (1 = root is a leaf): a descent to the first
+    /// leaf.
     pub fn height(&self, sm: &StorageManager) -> Result<u16> {
-        Ok(self.meta(sm)?.1)
-    }
-
-    /// Run `f` over a borrowed view of node `page`, under its frame's read
-    /// latch. `f` must not call back into the pool: the latch is held.
-    fn with_node<R>(
-        &self,
-        sm: &StorageManager,
-        page: u32,
-        f: impl FnOnce(NodeView<'_>) -> Result<R>,
-    ) -> Result<R> {
-        let h = sm.pool().fetch(PageId::new(self.file, page))?;
-        let data = h.data();
-        f(NodeView::new(&data[..])?)
-    }
-
-    /// Copy node `page` out for mutation.
-    fn load_node(&self, sm: &StorageManager, page: u32) -> Result<Node> {
-        self.with_node(sm, page, |n| n.to_node())
+        let mut height = 1;
+        self.descend(sm, &[], |_, _| height += 1)?;
+        Ok(height)
     }
 
     /// Descend from the root to the leaf whose key range holds `comp`,
-    /// routing in place on each internal page.
-    fn find_leaf(&self, sm: &StorageManager, root: u32, height: u16, comp: &[u8]) -> Result<u32> {
-        let mut page = root;
-        for _ in 1..height {
-            page = self.with_node(sm, page, |n| n.route(comp))?.1;
+    /// routing in place on each internal page, and return the leaf's
+    /// handle: each page on the way is requested once, the leaf included.
+    /// `on_internal(page, slot)` sees each internal node, root first, with
+    /// the slot it routed through.
+    fn descend(
+        &self,
+        sm: &StorageManager,
+        comp: &[u8],
+        mut on_internal: impl FnMut(u32, usize),
+    ) -> Result<PageHandle> {
+        let mut page = ROOT;
+        for _ in 0..MAX_HEIGHT {
+            let h = sm.pool().fetch(PageId::new(self.file, page))?;
+            let route = {
+                let data = h.data();
+                let node = NodeView::new(&data[..])?;
+                if node.is_leaf() {
+                    None
+                } else {
+                    Some(node.route(comp)?)
+                }
+            };
+            let Some((slot, child)) = route else {
+                return Ok(h);
+            };
+            on_internal(page, slot);
+            page = child;
         }
-        Ok(page)
+        Err(StorageError::Corrupt(format!(
+            "index {}: a descent passed {MAX_HEIGHT} levels (a child pointer cycles)",
+            self.file
+        )))
+    }
+
+    /// Walk the leaf chain from the leaf whose key range holds `from`.
+    /// `visit` runs on each leaf under its frame's read latch and returns
+    /// the leaf to go on to, or `None` to stop. The first leaf is visited
+    /// under the descent's own request.
+    fn walk_leaves(
+        &self,
+        sm: &StorageManager,
+        from: &[u8],
+        mut visit: impl FnMut(NodeView<'_>) -> Result<Option<u32>>,
+    ) -> Result<()> {
+        let mut h = self.descend(sm, from, |_, _| {})?;
+        loop {
+            let next = {
+                let data = h.data();
+                visit(NodeView::new(&data[..])?)?
+            };
+            let Some(page) = next else {
+                return Ok(());
+            };
+            h = sm.pool().fetch(PageId::new(self.file, page))?;
+        }
     }
 
     fn store_node(&self, sm: &StorageManager, page: u32, node: &Node) -> Result<()> {
@@ -149,111 +233,90 @@ impl BTreeIndex {
         Ok(pid.page)
     }
 
+    /// Write `node` back through `h`, the handle of its page, splitting it
+    /// if it has outgrown the page. The right half of a split goes to a new
+    /// page, and its separator and page are returned for the parent to
+    /// take. A split root hands nothing up: its left half moves to a new
+    /// page too, and the root's page becomes the internal node above both.
+    fn write_node(
+        &self,
+        sm: &StorageManager,
+        h: &PageHandle,
+        mut node: Node,
+    ) -> Result<Option<(Vec<u8>, u32)>> {
+        if node.used_bytes() <= NODE_CAPACITY {
+            node.serialize(h.data_mut().whole_mut());
+            return Ok(None);
+        }
+        split_counter().inc();
+        let right = node.split();
+        let sep = right.entries[0].0.clone();
+        let (right_pid, right_h) = sm.pool().new_page(self.file)?;
+        if node.is_leaf {
+            // `split` gave `right` the old successor.
+            node.next_leaf = Some(right_pid.page);
+        }
+        right.serialize(right_h.data_mut().whole_mut());
+        if h.pid.page != ROOT {
+            node.serialize(h.data_mut().whole_mut());
+            return Ok(Some((sep, right_pid.page)));
+        }
+        let left = self.alloc_node(sm, &node)?;
+        let mut root = Node::new(false);
+        root.entries
+            .push((node.entries[0].0.clone(), Payload::Child(left)));
+        root.entries.push((sep, Payload::Child(right_pid.page)));
+        root.serialize(h.data_mut().whole_mut());
+        Ok(None)
+    }
+
     /// Insert `(key, oid)`. Duplicate user keys are allowed; the exact
     /// `(key, oid)` pair must be unique (inserting it twice is an error
     /// surfaced as `Corrupt`, because the replication engine relies on
-    /// exact-once index maintenance).
+    /// exact-once index maintenance). An insert that splits nothing
+    /// requests each page on its descent once and writes the leaf through
+    /// the descent's handle.
     pub fn insert(&self, w: &ApplySection<'_>, key: &[u8], oid: Oid) -> Result<()> {
         let _span = Span::enter(obs_names::BTREE_INSERT);
         let comp = composite(key, oid);
-        let (root, height, count) = self.meta(w)?;
-        if let Some((sep, right_page)) = self.insert_rec(w, root, height, &comp, oid)? {
-            // Root split: make a new root above.
-            let old_root_min = self.min_key_of(w, root)?;
-            let mut new_root = Node::new(false);
-            new_root.entries.push((old_root_min, Payload::Child(root)));
-            new_root.entries.push((sep, Payload::Child(right_page)));
-            let new_root_page = self.alloc_node(w, &new_root)?;
-            self.set_meta(w, new_root_page, height + 1, count + 1)?;
-        } else {
-            self.set_meta(w, root, height, count + 1)?;
+        // The internal nodes above the leaf, root first, with the slot
+        // each routed through: where a split's separator goes.
+        let mut path: Vec<(u32, usize)> = Vec::new();
+        let leaf = self.descend(w, &comp, |page, slot| path.push((page, slot)))?;
+        let mut node = copy_node(&leaf)?;
+        let Err(idx) = node.entries.binary_search_by(|(k, _)| k[..].cmp(&comp)) else {
+            return Err(StorageError::Corrupt(format!(
+                "duplicate (key, oid) insert into index {}",
+                self.file
+            )));
+        };
+        node.entries.insert(idx, (comp, Payload::Rid(oid)));
+        let mut split = self.write_node(w, &leaf, node)?;
+        drop(leaf);
+        for (page, slot) in path.into_iter().rev() {
+            let Some((sep, right)) = split else { break };
+            let h = w.pool().fetch(PageId::new(self.file, page))?;
+            let mut node = copy_node(&h)?;
+            node.entries.insert(slot + 1, (sep, Payload::Child(right)));
+            split = self.write_node(w, &h, node)?;
         }
+        debug_assert!(split.is_none(), "the root takes its own split");
         Ok(())
     }
 
-    fn min_key_of(&self, sm: &StorageManager, page: u32) -> Result<Vec<u8>> {
-        self.with_node(sm, page, |n| {
-            let first = n.entries().next().transpose()?;
-            Ok(first.map(|(k, _)| k.to_vec()).unwrap_or_default())
-        })
-    }
-
-    /// Recursive insert into the node at `level` (1 = leaf); returns
-    /// `Some((min_key_of_new_right, new_page))` if this node split. Internal
-    /// nodes are routed in place and copied out only when a child split
-    /// hands them a separator to take.
-    fn insert_rec(
-        &self,
-        sm: &StorageManager,
-        page: u32,
-        level: u16,
-        comp: &[u8],
-        oid: Oid,
-    ) -> Result<Option<(Vec<u8>, u32)>> {
-        let mut node = if level > 1 {
-            let (slot, child) = self.with_node(sm, page, |n| n.route(comp))?;
-            let Some((sep, right)) = self.insert_rec(sm, child, level - 1, comp, oid)? else {
-                return Ok(None);
-            };
-            let mut node = self.load_node(sm, page)?;
-            node.entries.insert(slot + 1, (sep, Payload::Child(right)));
-            node
-        } else {
-            let mut node = self.load_node(sm, page)?;
-            debug_assert!(node.is_leaf);
-            let idx = node.lower_bound(comp);
-            if node
-                .entries
-                .get(idx)
-                .is_some_and(|(k, _)| k.as_slice() == comp)
-            {
-                return Err(StorageError::Corrupt(format!(
-                    "duplicate (key, oid) insert into index {}",
-                    self.file
-                )));
-            }
-            node.entries.insert(idx, (comp.to_vec(), Payload::Rid(oid)));
-            node
-        };
-        if node.used_bytes() <= NODE_CAPACITY {
-            self.store_node(sm, page, &node)?;
-            return Ok(None);
-        }
-        // Split.
-        split_counter().inc();
-        let mut right = node.split();
-        let sep = right.entries[0].0.clone();
-        let right_page = self.alloc_node(sm, &right)?;
-        if node.is_leaf {
-            right.next_leaf = node.next_leaf;
-            node.next_leaf = Some(right_page);
-            // `right` was serialized before the next_leaf fix-up; rewrite it.
-            self.store_node(sm, right_page, &right)?;
-        }
-        self.store_node(sm, page, &node)?;
-        Ok(Some((sep, right_page)))
-    }
-
     /// Delete the exact `(key, oid)` entry. Returns `true` if it existed.
+    /// Each page on the descent is requested once; the leaf is written
+    /// through the descent's handle.
     pub fn delete(&self, w: &ApplySection<'_>, key: &[u8], oid: Oid) -> Result<bool> {
         let comp = composite(key, oid);
-        let (root, height, count) = self.meta(w)?;
-        let page = self.find_leaf(w, root, height, &comp)?;
-        let mut leaf = self.load_node(w, page)?;
-        debug_assert!(leaf.is_leaf);
-        let idx = leaf.lower_bound(&comp);
-        if leaf
-            .entries
-            .get(idx)
-            .is_some_and(|(k, _)| k.as_slice() == comp)
-        {
-            leaf.entries.remove(idx);
-            self.store_node(w, page, &leaf)?;
-            self.set_meta(w, root, height, count - 1)?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        let leaf = self.descend(w, &comp, |_, _| {})?;
+        let mut node = copy_node(&leaf)?;
+        let Ok(idx) = node.entries.binary_search_by(|(k, _)| k[..].cmp(&comp)) else {
+            return Ok(false);
+        };
+        node.entries.remove(idx);
+        node.serialize(leaf.data_mut().whole_mut());
+        Ok(true)
     }
 
     /// All OIDs stored under exactly `key`, in OID order.
@@ -291,22 +354,16 @@ impl BTreeIndex {
         let lo_comp = composite(lo, Oid::new(FileId(0), 0, 0));
         let mut hi_comp = hi.to_vec();
         hi_comp.extend_from_slice(&[0xFF; 8]);
-
-        let (root, height, _) = self.meta(sm)?;
-        let mut next = Some(self.find_leaf(sm, root, height, &lo_comp)?);
         // Only the first leaf can hold keys below `lo`; emptied
         // (lazily-deleted) leaves fall through to their successor.
         let mut lo = Some(lo_comp.as_slice());
         let mut entries = 0usize;
-        while let Some(page) = next {
-            next = self.with_node(sm, page, |leaf| {
-                leaf.visit_range(lo, &hi_comp, |comp, oid| {
-                    entries += 1;
-                    f(&comp[..comp.len().saturating_sub(8)], oid);
-                })
-            })?;
-            lo = None;
-        }
+        self.walk_leaves(sm, &lo_comp, |leaf| {
+            leaf.visit_range(lo.take(), &hi_comp, |comp, oid| {
+                entries += 1;
+                f(&comp[..comp.len().saturating_sub(8)], oid);
+            })
+        })?;
         span.note("entries", entries);
         Ok(())
     }
@@ -317,6 +374,9 @@ impl BTreeIndex {
     }
 
     /// Build an index bottom-up from entries sorted by `(key, oid)`.
+    /// Leaves take pages 1, 2, … in key order, each level above takes the
+    /// pages after the one below, and the top node goes to the root's
+    /// page, 0.
     ///
     /// `fill` is the leaf/internal fill factor in `(0, 1]`; the benchmark
     /// harness uses 1.0 for static files (the paper's sets never grow
@@ -336,75 +396,38 @@ impl BTreeIndex {
             return Ok(index);
         }
         let budget = (((NODE_CAPACITY as f64) * fill) as usize).min(NODE_CAPACITY);
-
-        // Build leaves.
-        let mut leaf_nodes: Vec<Node> = Vec::new();
-        let mut cur = Node::new(true);
-        for (key, oid) in entries {
-            let comp = composite(key, *oid);
-            let sz = entry_size(&comp, &Payload::Rid(*oid));
-            if !cur.entries.is_empty() && cur.used_bytes() + sz > budget {
-                leaf_nodes.push(std::mem::replace(&mut cur, Node::new(true)));
-            }
-            cur.entries.push((comp, Payload::Rid(*oid)));
-        }
-        leaf_nodes.push(cur);
-
-        // Allocate leaf pages, chain them, record min keys.
-        let mut pages = Vec::with_capacity(leaf_nodes.len());
-        for _ in 0..leaf_nodes.len() {
-            let (pid, _h) = w.pool().new_page(index.file)?;
-            pages.push(pid.page);
-        }
-        let mut level: Vec<(Vec<u8>, u32)> = Vec::with_capacity(leaf_nodes.len());
-        for (i, mut n) in leaf_nodes.into_iter().enumerate() {
-            n.next_leaf = pages.get(i + 1).copied();
-            index.store_node(w, pages[i], &n)?;
-            level.push((n.entries[0].0.clone(), pages[i]));
-        }
-
-        // Build internal levels until one node remains.
-        let mut height = 1u16;
-        while level.len() > 1 {
-            let below = std::mem::take(&mut level);
-            let mut nodes: Vec<Node> = Vec::new();
-            let mut cur = Node::new(false);
-            for (min_key, page) in below {
-                let sz = entry_size(&min_key, &Payload::Child(page));
-                if !cur.entries.is_empty() && cur.used_bytes() + sz > budget {
-                    nodes.push(std::mem::replace(&mut cur, Node::new(false)));
+        let leaves = entries
+            .iter()
+            .map(|(key, oid)| (composite(key, *oid), Payload::Rid(*oid)));
+        let mut nodes = pack(leaves, true, budget);
+        loop {
+            let pages: Vec<u32> = if nodes.len() == 1 {
+                vec![ROOT]
+            } else {
+                nodes
+                    .iter()
+                    .map(|_| Ok(w.pool().new_page(index.file)?.0.page))
+                    .collect::<Result<_>>()?
+            };
+            let mut level = Vec::with_capacity(nodes.len());
+            for (i, mut n) in nodes.into_iter().enumerate() {
+                if n.is_leaf {
+                    n.next_leaf = pages.get(i + 1).copied();
                 }
-                cur.entries.push((min_key, Payload::Child(page)));
+                index.store_node(w, pages[i], &n)?;
+                level.push((n.entries[0].0.clone(), Payload::Child(pages[i])));
             }
-            nodes.push(cur);
-            for n in nodes {
-                let page = index.alloc_node(w, &n)?;
-                level.push((n.entries[0].0.clone(), page));
+            if level.len() == 1 {
+                return Ok(index);
             }
-            height += 1;
+            nodes = pack(level.into_iter(), false, budget);
         }
-        let root = level[0].1;
-        index.set_meta(w, root, height, entries.len() as u64)?;
-        Ok(index)
     }
 
     /// Number of pages in the index file.
     pub fn pages(&self, sm: &StorageManager) -> Result<u32> {
         sm.page_count(self.file)
     }
-}
-
-fn write_meta(data: &mut [u8], root: u32, height: u16, count: u64) {
-    data[OFF_ROOT..OFF_ROOT + 4].copy_from_slice(&root.to_le_bytes());
-    data[OFF_HEIGHT..OFF_HEIGHT + 2].copy_from_slice(&height.to_le_bytes());
-    data[OFF_COUNT..OFF_COUNT + 8].copy_from_slice(&count.to_le_bytes());
-}
-
-fn read_meta(data: &[u8]) -> (u32, u16, u64) {
-    let root = u32::from_le_bytes(data[OFF_ROOT..OFF_ROOT + 4].try_into().unwrap());
-    let height = u16::from_le_bytes(data[OFF_HEIGHT..OFF_HEIGHT + 2].try_into().unwrap());
-    let count = u64::from_le_bytes(data[OFF_COUNT..OFF_COUNT + 8].try_into().unwrap());
-    (root, height, count)
 }
 
 #[cfg(test)]

@@ -97,6 +97,16 @@ impl<'a> NodeView<'a> {
         })
     }
 
+    /// Whether the node is a leaf (its page kind says so).
+    pub fn is_leaf(&self) -> bool {
+        self.is_leaf
+    }
+
+    /// The next leaf in the chain (leaves only).
+    pub fn next_leaf(&self) -> Option<u32> {
+        self.next_leaf
+    }
+
     /// The entries in key order, borrowed from the page. An entry whose
     /// length runs past the page yields `Corrupt` and ends the walk.
     pub fn entries(&self) -> Entries<'a> {

@@ -273,9 +273,9 @@ fn hostile_node_page_is_a_typed_error_not_a_panic() {
         .collect();
     let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
     assert_eq!(idx.height(&sm).unwrap(), 2);
-    // Page 2 is the first leaf a bulk load writes (0 is the meta page, 1
-    // the empty root `create` left behind): turn it into something else.
-    let leaf = sm.pool().fetch(PageId::new(idx.file, 2)).unwrap();
+    // Page 1 is the first leaf a bulk load writes (0 is the root): turn
+    // it into something else.
+    let leaf = sm.pool().fetch(PageId::new(idx.file, 1)).unwrap();
     let saved = leaf.data().to_vec();
     PageMut::new(leaf.data_mut().whole_mut()).init(PageKind::Heap);
     let key = keys::encode_i64(3);
@@ -323,10 +323,12 @@ fn file_fingerprint(sm: &StorageManager, idx: &BTreeIndex) -> (u32, u64) {
 
 #[test]
 fn file_bytes_match_the_owned_node_implementation() {
-    // The same operations, run by the code before nodes were read through
-    // a borrowed view (every node parsed into an owned `Node`), produced
-    // exactly these pages: the on-page format and the split/placement
-    // decisions are unchanged, so files written by either open in both.
+    // The node format and the split decisions are those of the
+    // implementation that parsed every node into an owned `Node`; the
+    // page placement is today's layout: the root at page 0, no meta page,
+    // a split root's left half on a new page. A layout change re-records
+    // the pin, and files of an older layout are rewritten to this one by
+    // `BTreeIndex::upgrade`.
     let sm = sm();
     let w = sm.apply_section();
     let idx = BTreeIndex::create(&w).unwrap();
@@ -348,5 +350,132 @@ fn file_bytes_match_the_owned_node_implementation() {
         .windows(2)
         .all(|w| (&w[0].0, w[0].1) < (&w[1].0, w[1].1)));
     assert_eq!(idx.height(&sm).unwrap(), 2);
-    assert_eq!(file_fingerprint(&sm, &idx), (62, 6_870_923_918_513_344_098));
+    assert_eq!(file_fingerprint(&sm, &idx), (61, 4_934_225_561_788_985_684));
+}
+
+/// Pool requests (hits and misses) made by `f`.
+fn requests_during<R>(sm: &StorageManager, f: impl FnOnce() -> R) -> (u64, R) {
+    sm.reset_profile();
+    let out = f();
+    let io = sm.io_profile();
+    (io.pool_hits + io.pool_misses, out)
+}
+
+#[test]
+fn a_descent_requests_one_page_per_level() {
+    let sm = sm();
+    let w = sm.apply_section();
+    let entries: Vec<Entry> = (0..100_000i64)
+        .map(|i| (keys::encode_i64(i * 2).to_vec(), oid(i as u32)))
+        .collect();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 0.9).unwrap();
+    let height = u64::from(idx.height(&sm).unwrap());
+    assert_eq!(height, 3);
+    // A lookup: the root, the internal level, one leaf.
+    let (n, hits) = requests_during(&sm, || idx.lookup(&sm, &keys::encode_i64(5000)).unwrap());
+    assert_eq!((n, hits.len()), (height, 1));
+    // A range over ~140 entries per leaf crosses into further leaves,
+    // one request each.
+    let (n, hits) = requests_during(&sm, || {
+        idx.range(&sm, &keys::encode_i64(0), &keys::encode_i64(999))
+            .unwrap()
+    });
+    assert_eq!(hits.len(), 500);
+    let leaves = n - (height - 1);
+    assert!((4..=5).contains(&leaves), "{leaves} leaves for 500 entries");
+    // An insert and a delete that split nothing: each page once.
+    let (n, ()) = requests_during(&sm, || {
+        idx.insert(&w, &keys::encode_i64(5001), oid(1_000_000))
+            .unwrap();
+    });
+    assert_eq!(n, height, "insert");
+    let (n, found) = requests_during(&sm, || {
+        idx.delete(&w, &keys::encode_i64(5001), oid(1_000_000))
+            .unwrap()
+    });
+    assert_eq!((n, found), (height, true), "delete");
+    let (n, found) = requests_during(&sm, || {
+        idx.delete(&w, &keys::encode_i64(5001), oid(1_000_000))
+            .unwrap()
+    });
+    assert_eq!((n, found), (height, false), "delete of a missing entry");
+}
+
+#[test]
+fn a_child_pointer_cycle_is_corrupt_not_a_hang() {
+    use fieldrep_btree::node::{NodeView, Payload};
+    use fieldrep_storage::{PageId, StorageError};
+    let sm = sm();
+    let w = sm.apply_section();
+    let entries: Vec<Entry> = (0..1000i64)
+        .map(|i| (keys::encode_i64(i).to_vec(), oid(i as u32)))
+        .collect();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
+    assert_eq!(idx.height(&sm).unwrap(), 2);
+    // Every child of the root points back at the root.
+    let root = sm.pool().fetch(PageId::new(idx.file, 0)).unwrap();
+    let mut node = NodeView::new(&root.data()[..]).unwrap().to_node().unwrap();
+    for (_, payload) in &mut node.entries {
+        *payload = Payload::Child(0);
+    }
+    node.serialize(root.data_mut().whole_mut());
+    let key = keys::encode_i64(3);
+    let cycle = |r: Result<(), StorageError>| {
+        assert!(
+            matches!(&r, Err(StorageError::Corrupt(m)) if m.contains("cycles")),
+            "{r:?}"
+        );
+    };
+    cycle(idx.lookup(&sm, &key).map(drop));
+    cycle(idx.scan_all(&sm).map(drop));
+    cycle(idx.height(&sm).map(drop));
+    cycle(idx.entry_count(&sm).map(drop));
+    cycle(idx.insert(&w, &key, oid(5000)));
+    cycle(idx.delete(&w, &key, oid(3)).map(drop));
+}
+
+#[test]
+fn a_file_with_a_meta_page_is_upgraded_once_in_place() {
+    use fieldrep_storage::{PageId, PageKind, PageMut, StorageError};
+    let sm = sm();
+    let w = sm.apply_section();
+    for n in [100i64, 20_000] {
+        let entries: Vec<Entry> = (0..n)
+            .map(|i| (keys::encode_i64(i * 3).to_vec(), oid(i as u32)))
+            .collect();
+        let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
+        let height = idx.height(&sm).unwrap();
+        // The older layout: page 0 a meta page naming the root (u32 at
+        // byte 40), the height (u16 at 44) and the entry count (u64 at
+        // 46); the root on a page of its own.
+        let page0 = sm.pool().fetch(PageId::new(idx.file, 0)).unwrap();
+        let (root_pid, old_root) = sm.pool().new_page(idx.file).unwrap();
+        old_root
+            .data_mut()
+            .whole_mut()
+            .copy_from_slice(&page0.data()[..]);
+        {
+            let mut data = page0.data_mut();
+            let data = data.whole_mut();
+            data.fill(0);
+            PageMut::new(data).init(PageKind::Meta);
+            data[40..44].copy_from_slice(&root_pid.page.to_le_bytes());
+            data[44..46].copy_from_slice(&height.to_le_bytes());
+            data[46..54].copy_from_slice(&(n as u64).to_le_bytes());
+        }
+        assert!(matches!(idx.scan_all(&sm), Err(StorageError::Corrupt(_))));
+        assert!(idx.upgrade(&w).unwrap(), "rewritten");
+        assert!(!idx.upgrade(&w).unwrap(), "once");
+        assert_eq!(idx.height(&sm).unwrap(), height);
+        assert_eq!(idx.entry_count(&sm).unwrap(), n as u64);
+        assert_eq!(idx.scan_all(&sm).unwrap(), entries);
+        let (lo, hi) = (keys::encode_i64(30), keys::encode_i64(59));
+        assert_eq!(idx.range(&sm, &lo, &hi).unwrap(), entries[10..20].to_vec());
+        // It grows like a tree built in today's layout.
+        for i in 0..2000i64 {
+            idx.insert(&w, &keys::encode_i64(i * 3 + 1), oid(100_000 + i as u32))
+                .unwrap();
+        }
+        assert_eq!(idx.entry_count(&sm).unwrap(), n as u64 + 2000);
+    }
 }

@@ -214,7 +214,16 @@ impl Database {
         chunks.sort_by_key(|(seq, _)| *seq);
         let image: Vec<u8> = chunks.into_iter().flat_map(|(_, c)| c).collect();
         let catalog = fieldrep_catalog::persist::decode(&image)?;
-        Ok(Self::assemble(sm, catalog, cfg, FileId(0)))
+        let db = Self::assemble(sm, catalog, cfg, FileId(0));
+        // An index file from before the B⁺-tree root was fixed at page 0
+        // is rewritten to today's layout, all of them in one commit.
+        db.apply_and_commit(|db, w| {
+            for idx in db.catalog.indexes() {
+                BTreeIndex::open(idx.file).upgrade(w)?;
+            }
+            Ok(())
+        })?;
+        Ok(db)
     }
 
     /// Tests only: this database over a lock table of `words` words, so

@@ -4,11 +4,15 @@
 mod common;
 
 use common::check_consistency;
+use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{persist, IndexKind, LinkId, Propagation, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, PathExpr, TypeDef, Value};
 use fieldrep_query::{Assign, Filter, ReadQuery, UpdateQuery};
-use fieldrep_storage::{FileDisk, MemDisk, StorageManager};
+use fieldrep_storage::{
+    checksum, DiskManager, FileDisk, FileId, MemDisk, PageId, PageKind, PageMut, StorageManager,
+    PAGE_SIZE,
+};
 
 fn schema(db: &mut Database) {
     db.define_type(TypeDef::new(
@@ -182,6 +186,144 @@ fn file_backed_save_and_reopen_full_stack() {
     assert_eq!(db.set_len("Emp1").unwrap(), 201);
     check_consistency(&mut db);
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Rewrite index file `file` on `disk` in the layout written before the
+/// B⁺-tree root was fixed at page 0: page 0 a meta page naming the root
+/// (a `u32` at byte 40), the height (`u16` at 44) and the entry count
+/// (`u64` at 46), and the root node on a page of its own.
+fn to_meta_page_layout(disk: &mut FileDisk, file: FileId, height: u16, count: u64) {
+    let mut page = [0u8; PAGE_SIZE];
+    disk.read_page(PageId::new(file, 0), &mut page).unwrap();
+    let root = disk.allocate_page(file).unwrap();
+    disk.write_page(root, &page).unwrap();
+    page.fill(0);
+    PageMut::new(&mut page).init(PageKind::Meta);
+    page[40..44].copy_from_slice(&root.page.to_le_bytes());
+    page[44..46].copy_from_slice(&height.to_le_bytes());
+    page[46..54].copy_from_slice(&count.to_le_bytes());
+    checksum::stamp(&mut page, 0);
+    disk.write_page(PageId::new(file, 0), &page).unwrap();
+    disk.sync().unwrap();
+}
+
+#[test]
+fn an_index_in_the_meta_page_layout_is_upgraded_once_at_open() {
+    let dir = std::env::temp_dir().join(format!("fieldrep-persist-meta-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || Database::open(Box::new(FileDisk::open(&dir).unwrap()), DbConfig::default());
+    let index_files =
+        |db: &Database| -> Vec<FileId> { db.catalog().indexes().map(|i| i.file).collect() };
+    let scans = |db: &Database| -> Vec<Vec<(Vec<u8>, fieldrep_storage::Oid)>> {
+        index_files(db)
+            .into_iter()
+            .map(|f| BTreeIndex::open(f).scan_all(db.sm()).unwrap())
+            .collect()
+    };
+    let (want, shapes, d) = {
+        let mut db =
+            Database::with_disk(Box::new(FileDisk::open(&dir).unwrap()), DbConfig::default());
+        schema(&mut db);
+        let o = db
+            .insert("Org", vec![Value::Str("Acme".into()), Value::Int(1)])
+            .unwrap();
+        let depts: Vec<_> = (0..3)
+            .map(|i| {
+                let vals = vec![Value::Str(format!("d{i}")), Value::Int(i), Value::Ref(o)];
+                db.insert("Dept", vals).unwrap()
+            })
+            .collect();
+        for i in 0..2000 {
+            let vals = vec![
+                Value::Str(format!("e{i}")),
+                Value::Int(i * 7 % 2000),
+                Value::Ref(depts[i as usize % 3]),
+            ];
+            db.insert("Emp1", vals).unwrap();
+        }
+        db.create_index("Emp1.salary", IndexKind::Unclustered)
+            .unwrap();
+        db.create_index("Dept.budget", IndexKind::Unclustered)
+            .unwrap();
+        db.replicate("Emp1.dept.name", Strategy::InPlace).unwrap();
+        db.create_index("Emp1.dept.name", IndexKind::Unclustered)
+            .unwrap();
+        let shapes: Vec<(FileId, u16, u64)> = index_files(&db)
+            .into_iter()
+            .map(|f| {
+                let tree = BTreeIndex::open(f);
+                let shape = (
+                    tree.height(db.sm()).unwrap(),
+                    tree.entry_count(db.sm()).unwrap(),
+                );
+                (f, shape.0, shape.1)
+            })
+            .collect();
+        assert_eq!(
+            shapes.iter().map(|s| s.1).collect::<Vec<_>>(),
+            vec![2, 1, 2],
+            "leaf roots and internal roots"
+        );
+        db.save().unwrap();
+        (scans(&db), shapes, depts[0])
+    };
+    let mut disk = FileDisk::open(&dir).unwrap();
+    for &(file, height, count) in &shapes {
+        to_meta_page_layout(&mut disk, file, height, count);
+    }
+    drop(disk);
+
+    // The first open rewrites page 0 of each index, and nothing else.
+    let mut db = open().unwrap();
+    assert_eq!(db.sm().pool().pool_stats().dirty, shapes.len());
+    assert_eq!(scans(&db), want, "the same entries, in the same order");
+    for &(file, height, count) in &shapes {
+        let tree = BTreeIndex::open(file);
+        assert_eq!(tree.height(db.sm()).unwrap(), height);
+        assert_eq!(tree.entry_count(db.sm()).unwrap(), count);
+    }
+    let res = ReadQuery::on("Emp1")
+        .filter(Filter::Range {
+            path: "salary".into(),
+            lo: Value::Int(100),
+            hi: Value::Int(119),
+        })
+        .project(["salary", "dept.name"])
+        .run(&mut db)
+        .unwrap();
+    assert_eq!(res.rows.len(), 20);
+    check_consistency(&mut db);
+    // The upgraded trees take inserts (leaf splits included), deletes and
+    // index-maintaining updates.
+    for i in 0..400 {
+        let vals = vec![
+            Value::Str(format!("n{i}")),
+            Value::Int(5000 + i),
+            Value::Ref(d),
+        ];
+        db.insert("Emp1", vals).unwrap();
+    }
+    db.update(d, &[("name", Value::Str("renamed".into()))])
+        .unwrap();
+    check_consistency(&mut db);
+    db.save().unwrap();
+    drop(db);
+
+    // The second open finds nothing to upgrade.
+    let mut db = open().unwrap();
+    assert_eq!(db.sm().pool().pool_stats().dirty, 0);
+    assert_eq!(db.set_len("Emp1").unwrap(), 2400);
+    let salary = BTreeIndex::open(shapes[0].0);
+    let hits = salary
+        .range(
+            db.sm(),
+            &fieldrep_core::value_key(&Value::Int(5000)),
+            &fieldrep_core::value_key(&Value::Int(5399)),
+        )
+        .unwrap();
+    assert_eq!(hits.len(), 400);
+    check_consistency(&mut db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -7,9 +7,9 @@
 //!
 //! The world is the benchmark's shape, small: `R.sref → S` with an
 //! in-place path and a separate path on the one link, populated before
-//! it is replicated, so that some R and S records are forwarded. No
-//! updated field is indexed (the B-tree descents of index maintenance
-//! start at the meta page each time).
+//! it is replicated, so that some R and S records are forwarded. S is
+//! indexed on `field_s`, which no update writes; an insert or delete of
+//! an S maintains the index, and asks for each index page once too.
 
 mod common;
 
@@ -18,10 +18,13 @@ use fieldrep_catalog::{IndexKind, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_lang::Interpreter;
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_storage::{Oid, PageView, RecordFlags};
+use fieldrep_storage::{
+    DiskManager, FileId, IoStats, MemDisk, Oid, PageId, PageView, RecordFlags, Result, PAGE_SIZE,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 
 const N_S: usize = 60;
 const F: usize = 10;
@@ -30,10 +33,18 @@ const F: usize = 10;
 /// exactly `F` R objects from shuffled positions, then both paths
 /// replicated. Returns the database, S's and R's OIDs.
 fn world(pool_pages: usize) -> (Database, Vec<Oid>, Vec<Oid>) {
-    let mut db = Database::in_memory(DbConfig {
-        pool_pages,
-        ..DbConfig::default()
-    });
+    world_over(Box::new(MemDisk::new()), pool_pages)
+}
+
+/// [`world`] over `disk`.
+fn world_over(disk: Box<dyn DiskManager>, pool_pages: usize) -> (Database, Vec<Oid>, Vec<Oid>) {
+    let mut db = Database::with_disk(
+        disk,
+        DbConfig {
+            pool_pages,
+            ..DbConfig::default()
+        },
+    );
     db.define_type(TypeDef::new(
         "STYPE",
         vec![
@@ -181,6 +192,82 @@ fn an_insert_and_a_delete_request_each_page_once() {
         ];
         let oid = once_per_page(&db, "insert", |db| db.insert("R", values).unwrap());
         once_per_page(&db, "delete", |db| db.delete(oid).unwrap());
+    }
+    check_consistency(&mut db);
+}
+
+/// A [`MemDisk`] that records the page of every read.
+struct ReadLog {
+    disk: MemDisk,
+    reads: Arc<Mutex<Vec<PageId>>>,
+}
+
+impl DiskManager for ReadLog {
+    fn create_file(&mut self) -> Result<FileId> {
+        self.disk.create_file()
+    }
+    fn drop_file(&mut self, file: FileId) -> Result<()> {
+        self.disk.drop_file(file)
+    }
+    fn allocate_page(&mut self, file: FileId) -> Result<PageId> {
+        self.disk.allocate_page(file)
+    }
+    fn page_count(&self, file: FileId) -> Result<u32> {
+        self.disk.page_count(file)
+    }
+    fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
+        self.reads.lock().unwrap().push(pid);
+        self.disk.read_page(pid, buf)
+    }
+    fn write_page(&mut self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
+        self.disk.write_page(pid, buf)
+    }
+    fn sync(&mut self) -> Result<()> {
+        self.disk.sync()
+    }
+    fn stats(&self) -> IoStats {
+        self.disk.stats()
+    }
+    fn reset_stats(&mut self) {
+        self.disk.reset_stats();
+    }
+}
+
+#[test]
+fn index_maintenance_requests_each_index_page_once() {
+    let reads = Arc::new(Mutex::new(Vec::new()));
+    let disk = ReadLog {
+        disk: MemDisk::new(),
+        reads: Arc::clone(&reads),
+    };
+    let (mut db, _, _) = world_over(Box::new(disk), 512);
+    let s_set = db.catalog().set_id("S").unwrap();
+    let index = db.catalog().indexes_on(s_set).next().unwrap().file;
+    let height = fieldrep_btree::BTreeIndex::open(index)
+        .height(db.sm())
+        .unwrap();
+    // On a cold pool each request is one read, so the index's share of
+    // the reads is its share of the requests.
+    let index_share = || {
+        let mut reads = reads.lock().unwrap();
+        let n = reads.iter().filter(|p| p.file == index).count();
+        reads.clear();
+        n
+    };
+    for n in 0..6 {
+        let values = vec![
+            Value::Int(1_000 + n),
+            Value::Str(format!("{n:05}n")),
+            Value::Str(format!("{n:05}i")),
+            Value::Str(format!("{n:05}s")),
+            Value::Unit,
+        ];
+        index_share();
+        let oid = once_per_page(&db, "insert", |db| db.insert("S", values).unwrap());
+        assert_eq!(index_share(), usize::from(height), "insert {n}");
+        index_share();
+        once_per_page(&db, "delete", |db| db.delete(oid).unwrap());
+        assert_eq!(index_share(), usize::from(height), "delete {n}");
     }
     check_consistency(&mut db);
 }

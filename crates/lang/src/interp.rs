@@ -6,7 +6,7 @@ use crate::LangError;
 use fieldrep_catalog::{IndexKind, Propagation, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_query::{Assign, Filter, ReadQuery, UpdateQuery};
+use fieldrep_query::{Assign, DeleteQuery, Filter, ReadQuery, UpdateQuery};
 use fieldrep_storage::Oid;
 use std::collections::HashMap;
 use std::fmt;
@@ -553,35 +553,17 @@ impl Interpreter {
                 ))
             }
             Stmt::Delete { set, predicate } => {
-                // Evaluate the predicate per object (index use is a
-                // possible refinement; deletes are rare in the paper's
-                // workloads).
-                let oids = self.db.scan_set(set)?;
-                let mut victims = Vec::new();
-                match predicate {
-                    None => victims = oids,
-                    Some(pred) => {
-                        let (pset, filter) = self.filter_of(pred)?;
-                        if pset != set {
-                            return Err(LangError::Exec(format!(
-                                "predicate set {pset} differs from target set {set}"
-                            )));
-                        }
-                        for oid in oids {
-                            let vals = self.db.deref_path(oid, filter.path())?;
-                            if let Some(v) = vals.and_then(|v| v.into_iter().next()) {
-                                if filter.matches(&v) {
-                                    victims.push(oid);
-                                }
-                            }
-                        }
+                let mut q = DeleteQuery::on(set.clone());
+                if let Some(pred) = predicate {
+                    let (pset, filter) = self.filter_of(pred)?;
+                    if pset != *set {
+                        return Err(LangError::Exec(format!(
+                            "predicate set {pset} differs from target set {set}"
+                        )));
                     }
+                    q = q.filter(filter);
                 }
-                let n = victims.len();
-                for oid in victims {
-                    self.db.delete(oid)?;
-                }
-                Ok(Output::Deleted(n))
+                Ok(Output::Deleted(q.run(&self.db)?))
             }
             Stmt::Advise { path, p_update } => {
                 let dotted = path.join(".");

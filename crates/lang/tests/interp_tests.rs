@@ -320,3 +320,92 @@ fn show_stats_reports_the_driven_workload_per_path() {
     // A path with no observed statistics is an error, not an empty table.
     assert!(it.execute("show stats path Emp1.dept.budget").is_err());
 }
+
+/// `delete … where` finds its victims through the query's access path: a
+/// predicate through a reference that no index serves is one listing of
+/// the set and one batched projection of the path, not a walk of the
+/// path per member.
+#[test]
+fn a_delete_predicate_through_a_reference_is_one_batched_join() {
+    use fieldrep_core::Database;
+    use fieldrep_model::{FieldType, TypeDef};
+    let mut db = Database::in_memory(DbConfig::default());
+    db.define_type(TypeDef::new("STYPE", vec![("name", FieldType::Str)]))
+        .unwrap();
+    db.define_type(TypeDef::new(
+        "RTYPE",
+        vec![
+            ("sref", FieldType::Ref("STYPE".into())),
+            ("pad", FieldType::Pad(3000)),
+        ],
+    ))
+    .unwrap();
+    db.create_set("S", "STYPE").unwrap();
+    db.create_set("R", "RTYPE").unwrap();
+    let s: Vec<_> = (0..5)
+        .map(|i| db.insert("S", vec![Value::Str(format!("s{i}"))]).unwrap())
+        .collect();
+    let pages: std::collections::BTreeSet<_> = (0..400)
+        .map(|i| {
+            let oid = db.insert("R", vec![Value::Ref(s[i % 5]), Value::Unit]);
+            oid.unwrap().page_id()
+        })
+        .collect();
+    assert_eq!(pages.len(), 400, "one R object per page");
+    let mut it = Interpreter::with_db(db);
+    let requests = |it: &Interpreter| {
+        let io = it.db.io_profile();
+        io.pool_hits + io.pool_misses
+    };
+
+    let before = requests(&it);
+    let out = it
+        .execute("delete from R where R.sref.name = \"zz\"")
+        .unwrap();
+    assert!(matches!(out, Output::Deleted(0)));
+    // The listing's 400 R pages, the projection's 400 and the one S page.
+    assert_eq!(requests(&it) - before, 801);
+
+    let out = it
+        .execute("delete from R where R.sref.name = \"s0\"")
+        .unwrap();
+    assert!(matches!(out, Output::Deleted(80)));
+    let left = rows(it.execute("retrieve (R.sref.name)").unwrap());
+    assert_eq!(left.len(), 320);
+    assert!(left
+        .iter()
+        .all(|row| row[0] != Some(Value::Str("s0".into()))));
+}
+
+/// With an index on the predicate's field, `delete … where` reads the
+/// index range, not the whole set.
+#[test]
+fn a_delete_predicate_on_an_indexed_field_uses_the_index() {
+    let mut it = interpreter_with_figure_1();
+    it.execute("build btree on Emp1.salary").unwrap();
+    let q = fieldrep_query::DeleteQuery::on("Emp1").filter(fieldrep_query::Filter::Range {
+        path: "salary".into(),
+        lo: Value::Int(100_000),
+        hi: Value::Int(130_000),
+    });
+    let access = q.plan(&it.db).unwrap().access;
+    assert!(
+        matches!(access, fieldrep_query::AccessPlan::IndexRange { .. }),
+        "{access:?}"
+    );
+    let out = it
+        .execute("delete from Emp1 where Emp1.salary between 100000 and 130000")
+        .unwrap();
+    assert!(matches!(out, Output::Deleted(1))); // Alice
+    let out = it
+        .execute("retrieve (Emp1.name) where Emp1.salary > 0")
+        .unwrap();
+    let names: Vec<_> = rows(out).into_iter().map(|r| r[0].clone()).collect();
+    assert_eq!(
+        names,
+        vec![
+            Some(Value::Str("Bob".into())),
+            Some(Value::Str("Cara".into()))
+        ]
+    );
+}

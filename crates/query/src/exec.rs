@@ -24,7 +24,7 @@
 
 use crate::error::{QueryError, Result};
 use crate::plan::{plan_access, plan_projection, AccessPlan, Plan, ProjPlan};
-use crate::{Assign, Filter, ReadQuery, UpdateQuery};
+use crate::{Assign, DeleteQuery, Filter, ReadQuery, UpdateQuery};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_core::{value_key, Database};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
@@ -461,16 +461,21 @@ impl ReadQuery {
     }
 }
 
+/// The plan of a write query: the access path to `set`'s members that
+/// `filter` selects, with nothing projected.
+fn plan_write(db: &Database, set: &str, filter: Option<&Filter>) -> Result<Plan> {
+    let set = db.catalog().set_id(set)?;
+    Ok(Plan {
+        set,
+        access: plan_access(db.catalog(), set, filter)?,
+        projections: Vec::new(),
+    })
+}
+
 impl UpdateQuery {
     /// Plan this query.
     pub fn plan(&self, db: &Database) -> Result<Plan> {
-        let set = db.catalog().set_id(&self.set)?;
-        let access = plan_access(db.catalog(), set, self.filter.as_ref())?;
-        Ok(Plan {
-            set,
-            access,
-            projections: Vec::new(),
-        })
+        plan_write(db, &self.set, self.filter.as_ref())
     }
 
     /// Execute the query: locate qualifying objects and apply the
@@ -511,5 +516,27 @@ impl UpdateQuery {
             plan,
             profile: prof.finish(),
         })
+    }
+}
+
+impl DeleteQuery {
+    /// Plan this query.
+    pub fn plan(&self, db: &Database) -> Result<Plan> {
+        plan_write(db, &self.set, self.filter.as_ref())
+    }
+
+    /// Execute the query: locate the qualifying objects through the plan
+    /// (an index serves the predicate; a full scan filters with one
+    /// batched projection), then delete each through the engine, in
+    /// physical order, one commit each. Returns how many were deleted.
+    pub fn run(&self, db: &Database) -> Result<usize> {
+        let plan = self.plan(db)?;
+        let mut oids = run_access(db, &plan, self.filter.as_ref())?;
+        oids.sort_unstable();
+        oids.dedup();
+        for oid in &oids {
+            db.delete(*oid)?;
+        }
+        Ok(oids.len())
     }
 }

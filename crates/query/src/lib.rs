@@ -12,7 +12,9 @@
 //!   batching and sorting OIDs before fetching);
 //! * **update queries**: `replace (S.fields = newvalues) where …` —
 //!   executed in physical order, with all replica propagation handled by
-//!   the engine.
+//!   the engine;
+//! * **delete queries**: `delete from S where …` — the same access path,
+//!   then each qualifying object deleted in physical order.
 
 pub mod error;
 pub mod exec;
@@ -181,6 +183,31 @@ impl UpdateQuery {
     /// Add an assignment.
     pub fn assign(mut self, field: impl Into<String>, a: Assign) -> Self {
         self.assignments.push((field.into(), a));
+        self
+    }
+}
+
+/// A delete query: `delete from <set> where <filter>`.
+#[derive(Clone, Debug)]
+pub struct DeleteQuery {
+    /// The set deleted from.
+    pub set: String,
+    /// Optional selection predicate (none deletes every member).
+    pub filter: Option<Filter>,
+}
+
+impl DeleteQuery {
+    /// Start building a delete query on `set`.
+    pub fn on(set: impl Into<String>) -> DeleteQuery {
+        DeleteQuery {
+            set: set.into(),
+            filter: None,
+        }
+    }
+
+    /// Add a selection predicate.
+    pub fn filter(mut self, f: Filter) -> Self {
+        self.filter = Some(f);
         self
     }
 }

@@ -109,10 +109,7 @@ fn twenty_row_index_read_requests_each_object_page_once() {
             .unwrap();
         let tree_pages = (obs_io::snapshot() - before).page_touches();
         assert_eq!(hits, 20);
-        assert!(
-            (3..=4).contains(&tree_pages),
-            "meta, root, one or two leaves"
-        );
+        assert!((2..=3).contains(&tree_pages), "root, one or two leaves");
 
         let pool_before = db.io_profile();
         let res = q.run(&mut db).unwrap();

@@ -52,8 +52,13 @@ stage test workspace_tests
 # The benchmark package has its own [workspace], so the stage above
 # never builds it: a public-API slip in storage/core would otherwise
 # surface only in the benchmark pipeline. Its tests run the harness at
-# a hundredth of the scale.
-stage benchmark_pkg cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# a hundredth of the scale, built as the workspace's tests are (the root
+# Cargo.toml's [profile.test], which the package's own manifest lacks):
+# opt-level 1, with debug assertions and overflow checks spelled out.
+stage benchmark_pkg cargo test -q --offline --manifest-path benchmark/Cargo.toml \
+    --config profile.test.opt-level=1 \
+    --config profile.test.debug-assertions=true \
+    --config profile.test.overflow-checks=true
 
 # Concurrency stress smoke: the seeded 8-thread hostile mix across all
 # three replication strategies (release mode, fixed seed). A torn
