@@ -201,7 +201,9 @@ impl BTreeIndex {
     /// Walk the leaf chain from the leaf whose key range holds `from`.
     /// `visit` runs on each leaf under its frame's read latch and returns
     /// the leaf to go on to, or `None` to stop. The first leaf is visited
-    /// under the descent's own request.
+    /// under the descent's own request. A walk that follows more links
+    /// than the file has pages has come back to a leaf it visited: the
+    /// chain cycles, and the walk is `Corrupt` rather than endless.
     fn walk_leaves(
         &self,
         sm: &StorageManager,
@@ -209,6 +211,9 @@ impl BTreeIndex {
         mut visit: impl FnMut(NodeView<'_>) -> Result<Option<u32>>,
     ) -> Result<()> {
         let mut h = self.descend(sm, from, |_, _| {})?;
+        // Links left to follow; counted once the walk leaves its first
+        // leaf, which most walks never do.
+        let mut links: Option<u32> = None;
         loop {
             let next = {
                 let data = h.data();
@@ -217,6 +222,17 @@ impl BTreeIndex {
             let Some(page) = next else {
                 return Ok(());
             };
+            let left = match &mut links {
+                Some(left) => left,
+                None => links.insert(sm.page_count(self.file)?),
+            };
+            if *left == 0 {
+                return Err(StorageError::Corrupt(format!(
+                    "index {}: a leaf walk outran the file's pages (a leaf chain cycles)",
+                    self.file
+                )));
+            }
+            *left -= 1;
             h = sm.pool().fetch(PageId::new(self.file, page))?;
         }
     }

@@ -435,6 +435,40 @@ fn a_child_pointer_cycle_is_corrupt_not_a_hang() {
 }
 
 #[test]
+fn a_leaf_chain_cycle_is_corrupt_not_a_hang() {
+    use fieldrep_btree::node::NodeView;
+    use fieldrep_storage::{PageId, StorageError};
+    let sm = sm();
+    let w = sm.apply_section();
+    let entries: Vec<Entry> = (0..1000i64)
+        .map(|i| (keys::encode_i64(i).to_vec(), oid(i as u32)))
+        .collect();
+    let idx = BTreeIndex::bulk_load(&w, &entries, 1.0).unwrap();
+    // The first leaf (page 1) names itself as its successor.
+    let leaf = sm.pool().fetch(PageId::new(idx.file, 1)).unwrap();
+    let last = {
+        let node = NodeView::new(&leaf.data()[..]).unwrap().to_node().unwrap();
+        let (comp, _) = node.entries.last().unwrap().clone();
+        comp[..comp.len() - 8].to_vec()
+    };
+    leaf.data_mut().page(|pg| pg.set_next_page(Some(1)));
+    drop(leaf);
+    let cycle = |r: Result<(), StorageError>| {
+        assert!(
+            matches!(&r, Err(StorageError::Corrupt(m)) if m.contains("cycles")),
+            "{r:?}"
+        );
+    };
+    cycle(idx.lookup(&sm, &last).map(drop));
+    let (lo, hi) = (keys::encode_i64(0), keys::encode_i64(999));
+    cycle(idx.range(&sm, &lo, &hi).map(drop));
+    cycle(idx.scan_all(&sm).map(drop));
+    cycle(idx.entry_count(&sm).map(drop));
+    // A key inside the leaf never leaves it.
+    assert_eq!(idx.lookup(&sm, &keys::encode_i64(0)).unwrap(), [oid(0)]);
+}
+
+#[test]
 fn a_file_with_a_meta_page_is_upgraded_once_in_place() {
     use fieldrep_storage::{PageId, PageKind, PageMut, StorageError};
     let sm = sm();

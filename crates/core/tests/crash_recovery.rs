@@ -33,7 +33,9 @@ use common::check_consistency;
 use fieldrep_catalog::{Propagation, Strategy};
 use fieldrep_core::{Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
-use fieldrep_storage::{FileDisk, FileWalStore, MemDisk, MemWalStore, Oid, PageId, PAGE_SIZE};
+use fieldrep_storage::{
+    DiskManager, FileDisk, FileWalStore, MemDisk, MemWalStore, Oid, PageId, PAGE_SIZE,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -401,6 +403,85 @@ fn wal_on_and_off_do_identical_page_io() {
 /// one ripple's write set is a few pages while the file is many.
 const CROWD: usize = 2400;
 
+/// What every department and organisation must read: department names
+/// and budgets, and organisation names.
+#[derive(Clone)]
+struct Acked {
+    dept_names: Vec<String>,
+    dept_budgets: Vec<i64>,
+    org_names: Vec<String>,
+}
+
+impl Acked {
+    /// The values `populate` gave them.
+    fn initial(w: &World) -> Acked {
+        Acked {
+            dept_names: (0..w.depts.len()).map(|i| format!("dept{i}")).collect(),
+            dept_budgets: (0..w.depts.len()).map(|i| 100 * i as i64).collect(),
+            org_names: (0..w.orgs.len()).map(|i| format!("org{i}")).collect(),
+        }
+    }
+
+    /// One seeded update through `db` — a department name (`kind` 0), a
+    /// department budget (1) or an organisation name (2), drawn from
+    /// `kinds` — recorded here once `db` returns (acknowledged) and not
+    /// at all if it fails.
+    fn update(
+        &mut self,
+        db: &Database,
+        w: &World,
+        rng: &mut StdRng,
+        kinds: std::ops::Range<u32>,
+        step: usize,
+    ) -> bool {
+        match rng.gen_range(kinds) {
+            0 => {
+                let i = rng.gen_range(0..w.depts.len());
+                let v = format!("d{i}-n{step}");
+                let ok = db.update_txn(w.depts[i], &[("name", Value::Str(v.clone()))]);
+                ok.map(|()| self.dept_names[i] = v).is_ok()
+            }
+            1 => {
+                let i = rng.gen_range(0..w.depts.len());
+                let v = rng.gen_range(0..1_000_000i64);
+                let ok = db.update_txn(w.depts[i], &[("budget", Value::Int(v))]);
+                ok.map(|()| self.dept_budgets[i] = v).is_ok()
+            }
+            _ => {
+                let i = rng.gen_range(0..w.orgs.len());
+                let v = format!("o{i}-n{step}");
+                let ok = db.update_txn(w.orgs[i], &[("name", Value::Str(v.clone()))]);
+                ok.map(|()| self.org_names[i] = v).is_ok()
+            }
+        }
+    }
+
+    /// `db` reads exactly these values, and every replica equals its
+    /// source.
+    fn check(&self, db: &mut Database, w: &World, at: &str) {
+        for (i, d) in w.depts.iter().enumerate() {
+            assert_eq!(
+                db.get_field(*d, "name").unwrap(),
+                Value::Str(self.dept_names[i].clone()),
+                "{at}: dept{i} name"
+            );
+            assert_eq!(
+                db.get_field(*d, "budget").unwrap(),
+                Value::Int(self.dept_budgets[i]),
+                "{at}: dept{i} budget"
+            );
+        }
+        for (i, o) in w.orgs.iter().enumerate() {
+            assert_eq!(
+                db.get_field(*o, "name").unwrap(),
+                Value::Str(self.org_names[i].clone()),
+                "{at}: org{i} name"
+            );
+        }
+        check_consistency(db);
+    }
+}
+
 /// The eviction-bearing case (see the module docs): a pool a fraction
 /// of the data, so between crash points committed pages are written
 /// back, fetched again and logged again as deltas against what the
@@ -416,49 +497,29 @@ fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
     };
     let live = temp_dir("evict-live");
     let scratch = temp_dir("evict-scratch");
+    let checkpoint = temp_dir("evict-checkpoint");
     // Built (bulk replication pins whole files under no-steal) and
     // checkpointed through a roomy pool, then reopened through the
     // small one.
     let mut w = build_world(&live, cfg(), CROWD, |i| i * 8 / CROWD);
+    stage_crash(&live, &[], 0, &checkpoint);
     w.db = open_db(&live, small());
     let wal = w.db.sm().wal().unwrap().clone();
 
     // What every object must read after the commits so far.
-    let mut dept_names: Vec<String> = (0..w.depts.len()).map(|i| format!("dept{i}")).collect();
-    let mut dept_budgets: Vec<i64> = (0..w.depts.len()).map(|i| 100 * i as i64).collect();
-    let mut org_names: Vec<String> = (0..w.orgs.len()).map(|i| format!("org{i}")).collect();
-
+    let mut now = Acked::initial(&w);
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xE71C);
     let mut crashes = 0;
     w.db.reset_profile();
     for step in 0..STEPS {
         let crash_here = step % CRASH_EVERY == CRASH_EVERY - 1;
-        let acked = (dept_names.clone(), dept_budgets.clone(), org_names.clone());
+        let acked = now.clone();
         let len_before = wal.log_len().unwrap() as usize;
         if crash_here {
             // The data files as a kill right now would leave them.
             stage_crash(&live, &[], 0, &scratch);
         }
-        match rng.gen_range(0..3u32) {
-            0 => {
-                let i = rng.gen_range(0..w.depts.len());
-                dept_names[i] = format!("d{i}-n{step}");
-                w.db.update_txn(w.depts[i], &[("name", Value::Str(dept_names[i].clone()))])
-                    .unwrap();
-            }
-            1 => {
-                let i = rng.gen_range(0..w.depts.len());
-                dept_budgets[i] = rng.gen_range(0..1_000_000i64);
-                w.db.update_txn(w.depts[i], &[("budget", Value::Int(dept_budgets[i]))])
-                    .unwrap();
-            }
-            _ => {
-                let i = rng.gen_range(0..w.orgs.len());
-                org_names[i] = format!("o{i}-n{step}");
-                w.db.update_txn(w.orgs[i], &[("name", Value::Str(org_names[i].clone()))])
-                    .unwrap();
-            }
-        }
+        assert!(now.update(&w.db, &w, &mut rng, 0..3, step), "step {step}");
         if !crash_here {
             continue;
         }
@@ -470,31 +531,8 @@ fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
         for cut in [0, rng.gen_range(1..group), group] {
             std::fs::write(scratch.join("wal.log"), &log[..len_before + cut]).unwrap();
             let mut db = open_db(&scratch, small());
-            let (names, budgets, orgs) = if cut == group {
-                (&dept_names, &dept_budgets, &org_names)
-            } else {
-                (&acked.0, &acked.1, &acked.2)
-            };
-            for (i, d) in w.depts.iter().enumerate() {
-                assert_eq!(
-                    db.get_field(*d, "name").unwrap(),
-                    Value::Str(names[i].clone()),
-                    "step {step} cut {cut}/{group}: dept{i} name"
-                );
-                assert_eq!(
-                    db.get_field(*d, "budget").unwrap(),
-                    Value::Int(budgets[i]),
-                    "step {step} cut {cut}/{group}: dept{i} budget"
-                );
-            }
-            for (i, o) in w.orgs.iter().enumerate() {
-                assert_eq!(
-                    db.get_field(*o, "name").unwrap(),
-                    Value::Str(orgs[i].clone()),
-                    "step {step} cut {cut}/{group}: org{i} name"
-                );
-            }
-            check_consistency(&mut db);
+            let want = if cut == group { &now } else { &acked };
+            want.check(&mut db, &w, &format!("step {step} cut {cut}/{group}"));
             crashes += 1;
         }
     }
@@ -506,29 +544,43 @@ fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
         prof.evictions > 100 && prof.pool_misses > 100,
         "workload must write pages back and fetch them again: {prof:?}"
     );
-    // A page logged again after a round trip through disk is a delta —
-    // its header LSN says it has a record in this log — unless the write
-    // was wide. Replaying the log page by page, an image of a page that
-    // already has one differs from its last logged state in at least 16
-    // of its 64 lines (a delta holds up to 31; a compaction, or a grown
-    // record's slide, moves about half a page). A page fetched again
-    // without its LSN would be imaged again after a one-line change.
+    // A page with a base is logged as a delta, unless the write was
+    // wide; and a page's first write-back in the epoch logs its image.
+    // Replaying the log page by page onto the checkpoint's data files,
+    // an image either equals the page's last logged state (a write-back
+    // image: the pages written back were all logged) or differs from it
+    // in at least 16 of its 64 lines (a delta holds up to 31; a
+    // compaction, or a grown record's slide, moves about half a page).
+    // A page logged as an image after a narrow change lost its base.
+    let mut base = FileDisk::open(&checkpoint).unwrap();
     let log = std::fs::read(live.join("wal.log")).unwrap();
     let mut logged: HashMap<PageId, Box<[u8; PAGE_SIZE]>> = HashMap::new();
-    let (mut deltas, mut narrowest) = (0, 64);
+    let (mut deltas, mut write_back_images, mut narrowest) = (0, 0, 64);
     for e in record::scan(&log).entries {
         match e.rec {
             WalRecord::PageImage { page, image, .. } => {
                 if let Some(was) = logged.get(&page) {
-                    let lines = was.chunks(64).zip(image.chunks(64));
-                    narrowest = narrowest.min(lines.filter(|(a, b)| a != b).count());
+                    // The LSN and CRC a write-back stamps aside.
+                    let body = |p: &[u8; PAGE_SIZE]| [&p[..16], &p[28..]].concat();
+                    let (was, now) = (body(was), body(&image));
+                    match was
+                        .chunks(64)
+                        .zip(now.chunks(64))
+                        .filter(|(a, b)| a != b)
+                        .count()
+                    {
+                        0 => write_back_images += 1,
+                        n => narrowest = narrowest.min(n),
+                    }
                 }
                 logged.insert(page, image);
             }
             WalRecord::PageDelta { page, ranges, .. } => {
-                let was = logged
-                    .get_mut(&page)
-                    .expect("a page's first record is an image");
+                let was = logged.entry(page).or_insert_with(|| {
+                    let mut buf = Box::new([0u8; PAGE_SIZE]);
+                    base.read_page(page, &mut buf).unwrap();
+                    buf
+                });
                 record::apply_delta(was, &ranges);
                 deltas += 1;
             }
@@ -536,14 +588,79 @@ fn kill_between_commits_with_a_small_pool_recovers_every_acknowledged_value() {
         }
     }
     assert!(
-        deltas > 100 && narrowest >= 16,
-        "pages logged again after a round trip through disk are deltas: \
-         {deltas} deltas, and a page imaged again after a {narrowest}-line change"
+        deltas > 100 && write_back_images > 0 && narrowest >= 16,
+        "pages with a base are logged as deltas: {deltas} deltas, \
+         {write_back_images} write-back images, and a page imaged again \
+         after a {narrowest}-line change"
     );
 
     drop(w);
     let _ = std::fs::remove_dir_all(&live);
     let _ = std::fs::remove_dir_all(&scratch);
+    let _ = std::fs::remove_dir_all(&checkpoint);
+}
+
+/// A torn write-back is repaired by recovery. Over a file log, a fault
+/// disk tears one page write half-way, and the process dies there: in
+/// a pool a fraction of the data, the write is an eviction; in a pool
+/// that holds it, a page of the checkpoint's flush. The workload updates
+/// department budgets, a separate replica, so the pages written back
+/// (the departments' and the replicas') were logged as narrow deltas on
+/// their disk copies, which the tear destroys. Recovery must bring back
+/// every acknowledged value with every replica equal to its source —
+/// which is why a page's first write-back in a log epoch logs its image.
+#[test]
+fn a_torn_write_back_is_repaired_by_recovery() {
+    use fieldrep_storage::{FaultDisk, FaultPlan};
+    const STEPS: usize = 20;
+    let built = temp_dir("torn-built");
+    let live = temp_dir("torn-live");
+    let w = build_world(&built, cfg(), CROWD, |i| i * 8 / CROWD);
+    let emps = w.db.scan_set("Emp1").unwrap();
+    let marker = std::fs::read(built.join("wal.log")).unwrap();
+    // (pool pages, the page write that tears): evictions, then the flush.
+    for (pool_pages, tear) in [(40, 1), (40, 2), (40, 7), (512, 2), (512, 3)] {
+        let at = format!("{pool_pages}-page pool, write {tear} torn");
+        stage_crash(&built, &marker, marker.len(), &live);
+        let disk = FaultDisk::new(
+            FileDisk::open(&live).unwrap(),
+            FaultPlan {
+                torn_write_at: Some(tear),
+                ..FaultPlan::default()
+            },
+        );
+        let cfg = DbConfig {
+            pool_pages,
+            inline_link_threshold: 4,
+        };
+        let mut db = Database::open_with_wal(
+            Box::new(disk),
+            Box::new(FileWalStore::open(&live).unwrap()),
+            cfg.clone(),
+        )
+        .unwrap();
+        let mut acked = Acked::initial(&w);
+        let mut rng = StdRng::seed_from_u64(SEED ^ tear);
+        // Each update, then reads over every employee page.
+        let torn = (0..STEPS).any(|step| {
+            !acked.update(&db, &w, &mut rng, 1..2, step)
+                || emps.iter().step_by(10).any(|&e| db.get(e).is_err())
+        });
+        match pool_pages {
+            40 => assert!(torn, "{at}: no eviction tore"),
+            _ => {
+                assert!(!torn, "{at}: the workload fits the pool");
+                assert!(db.save().is_err(), "{at}: the checkpoint tore");
+            }
+        }
+        drop(db); // the crash: no save, no flush
+        let mut db = open_db(&live, cfg);
+        assert!(db.sm().recovery_report().replayed_pages > 0, "{at}");
+        acked.check(&mut db, &w, &at);
+    }
+    drop(w);
+    let _ = std::fs::remove_dir_all(&built);
+    let _ = std::fs::remove_dir_all(&live);
 }
 
 /// Employees of the one-commit case, 750 to a department: the shape of

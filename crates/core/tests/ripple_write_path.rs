@@ -280,11 +280,11 @@ fn a_path_index_follows_the_patched_value() {
 
 /// The decision gate that closed the logical-ripple-record question
 /// (ROADMAP "Parked": 448 B physical is under the 2 KB bar): what an
-/// in-place commit costs the log once every page it touches has been
-/// imaged in the current checkpoint epoch. The benchmark's 12.7 KB per
-/// in-place commit is first-image-per-epoch traffic from its
-/// 2 048-commit truncation; between truncations the `PageDelta` stream
-/// carries the ~20 bytes each source page changed.
+/// in-place commit costs the log. Every page it touches has a base —
+/// its disk copy, or the image its first commit logged — so from the
+/// first pass on the `PageDelta` stream carries the ~20 bytes each
+/// source page changed; a page's 4 KiB image waits for its first
+/// write-back in the epoch, and this pool writes nothing back.
 #[test]
 fn steady_state_inplace_commit_logs_well_under_2_kb() {
     // f = 10, unclustered: department d's sources are employees d, d + 50,
@@ -292,20 +292,21 @@ fn steady_state_inplace_commit_logs_well_under_2_kb() {
     let (mut db, depts, emps) = populate(wal_db(), 50, 500, |i| i % 50);
     let path = db.replicate("Emp.dept.name", Strategy::InPlace).unwrap();
     let rename_all = |version: u32| {
+        let before = db.sm().wal_stats().bytes;
         for (d, &dept) in depts.iter().enumerate() {
             db.update_txn(dept, &[("name", sval(&format!("d{d:03}v{version:04}")))])
                 .unwrap();
         }
+        (db.sm().wal_stats().bytes - before) / depts.len() as u64
     };
-    rename_all(0); // the pass that images each touched page
-    let before = db.sm().wal_stats();
-    rename_all(1);
-    rename_all(2);
-    let after = db.sm().wal_stats();
-    let commits = 2 * depts.len() as u64;
-    let per_commit = (after.bytes - before.bytes) / commits;
-    println!("steady-state WAL bytes per in-place commit (f = 10): {per_commit}");
-    assert!(per_commit < 2048, "{per_commit} B per in-place commit");
+    for pass in 0..3 {
+        let per_commit = rename_all(pass);
+        println!("WAL bytes per in-place commit (f = 10), pass {pass}: {per_commit}");
+        assert!(
+            per_commit < 2048,
+            "pass {pass}: {per_commit} B per in-place commit"
+        );
+    }
     for (i, &e) in emps.iter().enumerate() {
         let want = format!("d{:03}v0002", i % 50);
         assert_eq!(db.path_values(e, path).unwrap(), Some(vec![sval(&want)]));

@@ -150,10 +150,12 @@ pub const LOCKS: &[LockDef] = &[
         what: "the buffer-pool metadata mutex",
         rank: 40,
         reentrant: false,
-        // Page I/O and even fsync under PoolCore are load-bearing: a
-        // miss reads and an eviction writes back under it, and the steal
-        // rule's `sync_to` makes the victim's log records durable first
-        // (DESIGN.md §11), so only sleeping is forbidden here.
+        // Page I/O, log I/O and even fsync under PoolCore are
+        // load-bearing: a miss reads and an eviction writes back under
+        // it, a page's first write-back in a log epoch appends its image
+        // to the log, and the steal rule's `sync_to` makes the victim's
+        // log records durable first (DESIGN.md §11), so only sleeping is
+        // forbidden here.
         forbids: &[BlockClass::Sleep],
         owner_hint: Some("PoolCore"),
         acquires: &[pat_in(

@@ -63,6 +63,13 @@
 //! they touch, and ORs its marks into the frame's **line mask** as it
 //! drops: the lines written since the page's last log record, which a
 //! commit copies straight from the frame as the page's delta.
+//!
+//! A delta needs a **base** for recovery to patch: the page's disk copy,
+//! or an image logged in the current epoch. A frame knows whether its page
+//! has a disk copy and the LSN of its newest full copy, so a commit logs a
+//! fresh page as an image and every other page as a delta; and a
+//! write-back logs the page's image first when the epoch holds none (see
+//! `write_back_frame`), because a torn write can destroy the disk copy.
 
 use crate::checksum;
 use crate::disk::DiskManager;
@@ -226,6 +233,13 @@ struct FrameInner {
     /// rule requires it durable before write-back, and write-back
     /// stamps it into the page header.
     lsn: AtomicU64,
+    /// The page has a disk copy: it was read from disk or written back.
+    on_disk: AtomicBool,
+    /// LSN of the page's newest full copy: its last logged image, or its
+    /// disk copy's header LSN (0: none). Like `lsn`, written by a commit
+    /// under the apply section and by a write-back under `PoolCore`,
+    /// which never meet on one frame.
+    base: AtomicU64,
 }
 
 impl FrameInner {
@@ -238,6 +252,23 @@ impl FrameInner {
 
     fn set_pid(&self, pid: Option<PageId>) {
         self.pid.store(pid.map_or(NO_PAGE, pack), Ordering::Relaxed);
+    }
+
+    /// The frame's page as a commit hands it to the log.
+    fn page_log<'a>(&self, page: PageId, image: &'a [u8; PAGE_SIZE]) -> PageLog<'a> {
+        PageLog {
+            page,
+            image,
+            on_disk: self.on_disk.load(Ordering::Relaxed),
+            base: self.base.load(Ordering::Relaxed),
+            lines: self.lines.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Whether the page's next write-back must log its image first: the
+    /// epoch whose marker is at `floor` holds no full copy of it.
+    fn needs_image(&self, floor: u64) -> bool {
+        self.base.load(Ordering::Relaxed) <= floor
     }
 
     /// Flag the frame unlogged; on the false→true transition (its first
@@ -445,26 +476,56 @@ struct PoolCore {
     evictions: u64,
 }
 
+/// Log the images of `frames` as one committed group — an image a later
+/// torn write-back cannot destroy — and make it their newest full copy.
+/// Does not fsync: the write-back's [`Wal::sync_to`] does.
+fn log_images(wal: &Wal, frames: &[(PageId, &FrameInner)]) -> Result<()> {
+    if frames.is_empty() {
+        return Ok(());
+    }
+    let bufs: Vec<RwLockReadGuard<'_, PageBuf>> =
+        frames.iter().map(|(_, f)| f.data.read()).collect();
+    let pages: Vec<(PageId, &[u8; PAGE_SIZE])> = frames
+        .iter()
+        .zip(&bufs)
+        .map(|(&(pid, _), buf)| (pid, &***buf))
+        .collect();
+    let lsn = wal.append_commit(wal.begin_txn(), &pages)?;
+    for (_, f) in frames {
+        f.lsn.store(lsn, Ordering::Relaxed);
+        f.base.store(lsn, Ordering::Relaxed);
+    }
+    Ok(())
+}
+
 /// Write one frame's bytes back to `pid`, enforcing the WAL steal rule
 /// and stamping the durability header (LSN + CRC) into a stack copy —
 /// the resident frame bytes are never mutated, so concurrent readers
-/// under the frame's read lock see a stable image.
+/// under the frame's read lock see a stable image. The page's first
+/// write-back in a log epoch logs its image first, so that a torn write
+/// leaves recovery an image to start from.
 fn write_back_frame(
     disk: &mut dyn DiskManager,
     wal: Option<&Wal>,
     pid: PageId,
     inner: &FrameInner,
 ) -> Result<()> {
-    let lsn = inner.lsn.load(Ordering::Relaxed);
     if let Some(w) = wal {
+        debug_assert!(!inner.unlogged.load(Ordering::Relaxed), "steal of {pid}");
+        if inner.needs_image(w.checkpoint_lsn()) {
+            log_images(w, &[(pid, inner)])?;
+        }
         // The steal rule: covering log records must be durable before
         // the page image may overwrite its disk home.
-        debug_assert!(!inner.unlogged.load(Ordering::Relaxed), "steal of {pid}");
-        w.sync_to(lsn)?;
+        w.sync_to(inner.lsn.load(Ordering::Relaxed))?;
     }
+    let lsn = inner.lsn.load(Ordering::Relaxed);
     let mut copy: [u8; PAGE_SIZE] = **inner.data.read();
     checksum::stamp(&mut copy, lsn);
-    disk.write_page(pid, &copy)
+    disk.write_page(pid, &copy)?;
+    inner.on_disk.store(true, Ordering::Relaxed);
+    inner.base.fetch_max(lsn, Ordering::Relaxed);
+    Ok(())
 }
 
 impl BufferPool {
@@ -498,6 +559,8 @@ impl BufferPool {
                     unlogged: AtomicBool::new(false),
                     lines: AtomicU64::new(0),
                     lsn: AtomicU64::new(0),
+                    on_disk: AtomicBool::new(false),
+                    base: AtomicU64::new(0),
                 })
             })
             .collect();
@@ -532,7 +595,7 @@ impl BufferPool {
 
     /// Issue a durability barrier on the backing disk (fsync every data
     /// file on a [`crate::FileDisk`]).
-    pub fn sync_disk(&self) -> Result<()> {
+    fn sync_disk(&self) -> Result<()> {
         let _o = core_order();
         self.core.lock().disk.sync()
     }
@@ -547,7 +610,7 @@ impl BufferPool {
     /// operation's page can be captured, and unlogged frames being
     /// unevictable, none of the set can change frames underneath the
     /// commit. Each page is logged as its marked lines where it has a
-    /// record in the current log epoch, as a full image otherwise. Does
+    /// base ([`PageLog::is_image`]), as a full image otherwise. Does
     /// **not** fsync — pass the LSN to [`Wal::sync_to`] so concurrent
     /// commits group-commit.
     pub fn log_txn_commit(&self) -> Result<Option<u64>> {
@@ -576,21 +639,22 @@ impl BufferPool {
             handles.iter().map(|h| h.inner.data.read()).collect();
         let logged = wal.append_pages(
             wal.begin_txn(),
-            handles.iter().zip(&bufs).map(|(h, buf)| PageLog {
-                page: h.pid,
-                image: buf,
-                covered: h.inner.lsn.load(Ordering::Relaxed),
-                lines: h.inner.lines.load(Ordering::Relaxed),
-            }),
+            handles
+                .iter()
+                .zip(&bufs)
+                .map(|(h, buf)| h.inner.page_log(h.pid, buf)),
         );
         match logged {
-            Ok(lsn) => {
-                for h in &handles {
+            Ok(at) => {
+                for (h, buf) in handles.iter().zip(&bufs) {
+                    if h.inner.page_log(h.pid, buf).is_image(at.floor) {
+                        h.inner.base.store(at.lsn, Ordering::Relaxed);
+                    }
                     h.inner.lines.store(0, Ordering::Relaxed);
-                    h.inner.lsn.store(lsn, Ordering::Relaxed);
+                    h.inner.lsn.store(at.lsn, Ordering::Relaxed);
                     h.inner.unlogged.store(false, Ordering::Relaxed);
                 }
-                Ok(Some(lsn))
+                Ok(Some(at.lsn))
             }
             Err(e) => {
                 // Still unlogged: back into the set for the next commit.
@@ -676,6 +740,23 @@ impl BufferPool {
         let _apply = self.log_leftovers()?;
         let _o = core_order();
         self.core.lock().flush_all()
+    }
+
+    /// Checkpoint: under one apply section, so that no commit lands
+    /// between the flush and the truncation, write back every dirty page
+    /// ([`BufferPool::flush_all`]), sync the data files, and start a new
+    /// log epoch ([`Wal::checkpoint_truncate`]).
+    pub fn checkpoint(&self) -> Result<()> {
+        let _apply = self.log_leftovers()?;
+        {
+            let _o = core_order();
+            self.core.lock().flush_all()?;
+        }
+        self.sync_disk()?;
+        match self.shared.wal.as_ref() {
+            Some(w) => w.checkpoint_truncate(),
+            None => Ok(()),
+        }
     }
 
     /// A flush's first step under a WAL: enter the apply section, so no
@@ -876,6 +957,8 @@ impl PoolCore {
                     h.inner.unlogged.store(false, Ordering::Relaxed);
                     h.inner.lines.store(0, Ordering::Relaxed);
                     h.inner.lsn.store(lsn, Ordering::Relaxed);
+                    h.inner.on_disk.store(true, Ordering::Relaxed);
+                    h.inner.base.store(lsn, Ordering::Relaxed);
                 }
                 self.misses += run.len() as u64;
                 for _ in run {
@@ -979,13 +1062,15 @@ impl PoolCore {
                     pool_metrics().checksum_failures.inc();
                     return Err(StorageError::ChecksumMismatch(pid));
                 }
-                inner
-                    .lsn
-                    .store(checksum::read_lsn(&data), Ordering::Relaxed);
+                let lsn = checksum::read_lsn(&data);
+                inner.lsn.store(lsn, Ordering::Relaxed);
+                inner.base.store(lsn, Ordering::Relaxed);
             } else {
                 data.fill(0);
                 inner.lsn.store(0, Ordering::Relaxed);
+                inner.base.store(0, Ordering::Relaxed);
             }
+            inner.on_disk.store(read, Ordering::Relaxed);
             inner.dirty.store(false, Ordering::Relaxed);
             inner.unlogged.store(false, Ordering::Relaxed);
             inner.lines.store(0, Ordering::Relaxed);
@@ -1012,7 +1097,24 @@ impl PoolCore {
         Ok(())
     }
 
+    /// Write back every dirty page and empty the pool. Under a WAL, the
+    /// images the write-backs need go to the log first, as one group
+    /// behind one fsync.
     fn flush_all(&mut self) -> Result<()> {
+        if let Some(w) = self.shared.wal.as_deref() {
+            let floor = w.checkpoint_lsn();
+            let imaged: Vec<(PageId, &FrameInner)> = self
+                .frames
+                .iter()
+                .filter_map(|f| Some((f.inner.pid()?, &*f.inner)))
+                .filter(|(_, f)| {
+                    f.pins.load(Ordering::Relaxed) == 0
+                        && f.dirty.load(Ordering::Relaxed)
+                        && f.needs_image(floor)
+                })
+                .collect();
+            log_images(w, &imaged)?;
+        }
         for idx in 0..self.frames.len() {
             let frame = &self.frames[idx];
             let Some(pid) = frame.inner.pid() else {
@@ -1656,9 +1758,10 @@ mod tests {
             .collect()
     }
 
-    /// A page's first record in an epoch is an image, later ones are
-    /// deltas a fraction of its size; a checkpoint starts over; and a
-    /// commit with nothing written logs nothing.
+    /// A fresh page's first record is an image, later ones are deltas a
+    /// fraction of its size; after a checkpoint the flushed page has a
+    /// base on disk, so its first record is a delta; and a commit with
+    /// nothing written logs nothing.
     #[test]
     fn commits_log_an_image_then_deltas() {
         let (bp, wal, store) = wal_pool(8);
@@ -1679,14 +1782,89 @@ mod tests {
         );
         assert_eq!(page_records(&store), [("image", pid), ("delta", pid)]);
 
-        wal.checkpoint_truncate().unwrap();
-        h.data_mut()[100] = 4;
+        drop(h);
+        bp.checkpoint().unwrap();
+        bp.fetch(pid).unwrap().data_mut()[100] = 4;
         assert!(commit(&bp, &wal).is_some());
         assert_eq!(
             page_records(&store),
-            [("image", pid)],
-            "first record after a checkpoint is an image again"
+            [("delta", pid)],
+            "first record after a checkpoint is a delta on the flushed page"
         );
+    }
+
+    /// A flush logs every image its write-backs need as one group
+    /// behind one fsync, before its first write.
+    #[test]
+    fn a_flush_logs_its_images_in_one_append_and_one_fsync() {
+        let mut disk = MemDisk::new();
+        let f = disk.create_file().unwrap();
+        let mut page = [0u8; PAGE_SIZE];
+        checksum::stamp(&mut page, 0);
+        let pids: Vec<PageId> = (0..5)
+            .map(|_| {
+                let pid = disk.allocate_page(f).unwrap();
+                disk.write_page(pid, &page).unwrap();
+                pid
+            })
+            .collect();
+        let store = crate::wal::MemWalStore::new();
+        let wal = Arc::new(Wal::new(Box::new(store.clone()), 1));
+        let bp = BufferPool::new_with_wal(Box::new(disk), 8, Some(Arc::clone(&wal)));
+        for &pid in &pids {
+            bp.fetch(pid).unwrap().data_mut()[100] = 1;
+        }
+        let lsn = commit(&bp, &wal).unwrap();
+        wal.sync_to(lsn).unwrap();
+        let before = wal.stats();
+        bp.flush_all().unwrap();
+        let after = wal.stats();
+        assert_eq!(
+            (after.appends - before.appends, after.fsyncs - before.fsyncs),
+            (pids.len() as u64 + 2, 1),
+            "one Begin / 5 images / Commit group, one fsync"
+        );
+        assert_eq!(bp.io_profile().disk.writes, 5 + pids.len() as u64);
+        let records = page_records(&store);
+        assert_eq!(records.len(), 2 * pids.len());
+        assert!(records[pids.len()..]
+            .iter()
+            .all(|&(kind, _)| kind == "image"));
+    }
+
+    /// A page read from disk has its base there: its commits log deltas
+    /// from the first one on, even when its header LSN predates the
+    /// epoch; its first write-back in the epoch logs its image, and its
+    /// later ones none. The log then rebuilds it from that image.
+    #[test]
+    fn a_commit_on_a_page_read_from_disk_logs_no_image() {
+        let mut disk = MemDisk::new();
+        let f = disk.create_file().unwrap();
+        let pid = disk.allocate_page(f).unwrap();
+        let mut page = [0u8; PAGE_SIZE];
+        checksum::stamp(&mut page, 0);
+        disk.write_page(pid, &page).unwrap();
+        let store = crate::wal::MemWalStore::new();
+        let wal = Arc::new(Wal::new(Box::new(store.clone()), 1));
+        let bp = BufferPool::new_with_wal(Box::new(disk), 4, Some(Arc::clone(&wal)));
+
+        let mut kinds = Vec::new();
+        for v in 1..=3u8 {
+            bp.fetch(pid).unwrap().data_mut()[100] = v;
+            commit(&bp, &wal).unwrap();
+            bp.flush_all().unwrap();
+            kinds.extend(page_records(&store).drain(kinds.len()..));
+        }
+        assert_eq!(
+            kinds.iter().map(|&(kind, _)| kind).collect::<Vec<_>>(),
+            ["delta", "image", "delta", "delta"],
+            "deltas, and one image at the first write-back"
+        );
+        let mut rebuilt = MemDisk::new();
+        crate::wal::recover(&mut rebuilt, &mut store.clone()).unwrap();
+        let mut buf = [0u8; PAGE_SIZE];
+        rebuilt.read_page(pid, &mut buf).unwrap();
+        assert_eq!(buf[100], 3, "rebuilt from the image, not from a disk copy");
     }
 
     /// The image-or-delta choice rides in the page header: a page that

@@ -141,17 +141,14 @@ impl StorageManager {
 
     /// Checkpoint: log what no commit has logged yet as one commit, write
     /// back every dirty page (each gated on its log records being
-    /// durable), fsync the data files, then truncate the log — after this
-    /// the WAL is empty and the on-disk state alone is the database.
-    /// Without a WAL this is a flush plus a disk sync (still a real
-    /// durability barrier on a [`FileDisk`]).
+    /// durable, the images their write-backs need logged first in one
+    /// group), fsync the data files, then truncate the log — after this
+    /// the WAL is empty and the on-disk state alone is the database. One
+    /// apply section covers it all, so no commit lands between the flush
+    /// and the truncation. Without a WAL this is a flush plus a disk sync
+    /// (still a real durability barrier on a [`FileDisk`]).
     pub fn checkpoint(&self) -> Result<()> {
-        self.pool.flush_all()?;
-        self.pool.sync_disk()?;
-        if let Some(w) = self.pool.wal() {
-            w.checkpoint_truncate()?;
-        }
-        Ok(())
+        self.pool.checkpoint()
     }
 
     /// Convenience constructor: an in-memory disk, suitable for tests and

@@ -27,7 +27,9 @@ pub const TXN_INDEX_GUARD: u8 = 10;
 pub const OID_SEQLOCK: u8 = 20;
 /// Rank of the WAL apply section.
 pub const WAL_APPLY: u8 = 30;
-/// Rank of the buffer-pool metadata mutex.
+/// Rank of the buffer-pool metadata mutex. An eviction's write-back
+/// appends the page's image and syncs the log under it, so
+/// [`WAL_SYNC`] and [`WAL_APPEND`] rank above it.
 pub const POOL_CORE: u8 = 40;
 /// Rank of the buffer-frame page write latches (reentrant among
 /// themselves; above [`POOL_CORE`], so a thread holding one may not

@@ -9,18 +9,23 @@
 //!   `Begin / (PageImage | PageDelta)* / Commit` group and fsynced.
 //!   There is nothing to undo because nothing unlogged ever overwrites
 //!   a committed on-disk page.
-//! * **Image, then deltas**: a commit costs the bytes it changed, not
-//!   the pages it touched. A page's *first* record in a log epoch (its
-//!   covering LSN is at or below the epoch's `Checkpoint` marker — the
-//!   LSN is stamped in the page header at write-back, so the test
-//!   survives eviction and re-fetch) is a full `PageImage`: recovery
-//!   then never depends on an on-disk page a crash may have torn. Every
-//!   later record is a `PageDelta` — the runs of 64-byte lines written
-//!   since the page's previous record, which the pool marks as they are
-//!   written (its line mask, see `buffer.rs`); a delta that would exceed
-//!   half a page is logged as an image instead. The choice is made under
-//!   the append lock, where epochs change, so a delta can never land in
-//!   an epoch that lacks its base.
+//! * **Deltas, and an image before a write-back**: a commit costs the
+//!   bytes it changed, not the pages it touched. A page with a *base*
+//!   recovery can patch — its disk copy (read from disk or written back)
+//!   or an image logged in the current epoch — is logged as a
+//!   `PageDelta`: the runs of 64-byte lines written since the page's
+//!   previous record, which the pool marks as they are written (its line
+//!   mask, see `buffer.rs`). A page with no base (a fresh page, never
+//!   written to disk) and a delta that would exceed half a page are
+//!   logged as a full `PageImage`. Only a write-back can tear a page, so
+//!   only a write-back needs an image: before a page's first write-back
+//!   in an epoch (its disk copy's header LSN and its last image are at or
+//!   below the epoch's `Checkpoint` marker) the pool logs its image as a
+//!   one-page committed group, makes it durable, and stamps the disk copy
+//!   with its LSN; later write-backs in the epoch need none, because the
+//!   image and the deltas after it rebuild the page whatever a torn write
+//!   left. The image-or-delta choice is made under the append lock, where
+//!   epochs change.
 //! * **the steal rule**: the buffer pool may write a dirty page back
 //!   only after the page's covering log records are durable
 //!   ([`Wal::sync_to`]). A dirty page no commit has logged yet belongs to
@@ -35,7 +40,8 @@
 //!   append lock *released*, so followers keep appending (and so keep
 //!   feeding the next leader's barrier) while the fsync is in flight.
 //! * **Recovery** ([`recover`]) scans the log, discards the torn tail,
-//!   rebuilds every committed page in memory from its image and deltas,
+//!   rebuilds every committed page in memory from its last image (or its
+//!   disk copy, when the epoch logged none) and the deltas after it,
 //!   writes each once, syncs the data files, and starts a new epoch
 //!   whose `Checkpoint` marker keeps the LSN space rising.
 //!
@@ -99,11 +105,35 @@ pub struct PageLog<'a> {
     pub page: PageId,
     /// Its current bytes.
     pub image: &'a [u8; PAGE_SIZE],
-    /// The covering LSN of the page's previous log record (0: none).
-    pub covered: u64,
-    /// The lines written since that record, one bit each (see
+    /// Whether its disk copy is a base recovery can patch: the page was
+    /// read from disk or written back.
+    pub on_disk: bool,
+    /// LSN of its newest full copy: the last image logged of it, or the
+    /// header LSN of its disk copy (0: none).
+    pub base: u64,
+    /// The lines written since its previous record, one bit each (see
     /// [`crate::page::LINE_SIZE`]): what a delta carries.
     pub lines: u64,
+}
+
+impl PageLog<'_> {
+    /// Whether the page is logged as a full image in an epoch whose
+    /// `Checkpoint` marker is at `floor`: it has no base recovery could
+    /// patch (no disk copy, no image in this epoch), or its delta would
+    /// exceed half a page.
+    pub fn is_image(&self, floor: u64) -> bool {
+        !(self.on_disk || self.base > floor) || !record::delta_fits(self.lines)
+    }
+}
+
+/// Where [`Wal::append_pages`] put a commit group.
+#[derive(Clone, Copy, Debug)]
+pub struct Appended {
+    /// The group's commit LSN.
+    pub lsn: u64,
+    /// The epoch floor its image-or-delta choices were made against
+    /// ([`PageLog::is_image`]).
+    pub floor: u64,
 }
 
 /// A commit buffer that grew past this is freed rather than kept.
@@ -212,7 +242,8 @@ impl Wal {
     }
 
     /// LSN of the current log epoch's `Checkpoint` marker: a page whose
-    /// covering LSN is at or below it gets a full image next.
+    /// last image and disk copy are at or below it has no full copy in
+    /// this epoch's log, so its next write-back logs one first.
     pub fn checkpoint_lsn(&self) -> u64 {
         self.checkpoint_lsn.load(Ordering::Relaxed)
     }
@@ -222,41 +253,42 @@ impl Wal {
     /// fsync — call [`Wal::sync_to`] with the returned LSN (that is
     /// what group commit coalesces).
     pub fn append_commit(&self, txn: u64, pages: &[(PageId, &[u8; PAGE_SIZE])]) -> Result<u64> {
-        self.append_pages(
+        let appended = self.append_pages(
             txn,
             pages.iter().map(|&(page, image)| PageLog {
                 page,
                 image,
-                covered: 0,
+                on_disk: false,
+                base: 0,
                 lines: u64::MAX,
             }),
-        )
+        )?;
+        Ok(appended.lsn)
     }
 
-    /// [`Wal::append_commit`] for pages that may have a record already:
-    /// each is logged as a delta of its marked lines when its previous
-    /// record is in the current epoch and the delta is under half a
-    /// page, as a full image otherwise.
+    /// [`Wal::append_commit`] for pages that may have a base: each is
+    /// logged as a delta of its marked lines or as a full image, as
+    /// [`PageLog::is_image`] decides under the append lock.
     pub fn append_pages<'a>(
         &self,
         txn: u64,
         pages: impl ExactSizeIterator<Item = PageLog<'a>>,
-    ) -> Result<u64> {
+    ) -> Result<Appended> {
         let records = pages.len() as u64 + 2;
         let _append_order = lockorder::acquired(lockorder::WAL_APPEND, false, "WalAppend");
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let epoch_floor = self.checkpoint_lsn();
+        let floor = self.checkpoint_lsn();
         inner.buf.clear();
         let mut lsn = inner.next_lsn;
         record::put_begin(&mut inner.buf, lsn, txn);
         for p in pages {
             lsn += 1;
-            if p.covered > epoch_floor && record::delta_fits(p.lines) {
+            if p.is_image(floor) {
+                record::put_image(&mut inner.buf, lsn, txn, p.page, p.image);
+            } else {
                 let runs = record::line_runs(p.lines).map(|r| (r.start as u16, &p.image[r]));
                 record::put_delta(&mut inner.buf, lsn, txn, p.page, runs);
-            } else {
-                record::put_image(&mut inner.buf, lsn, txn, p.page, p.image);
             }
         }
         let commit_lsn = lsn + 1;
@@ -274,7 +306,10 @@ impl Wal {
         let m = wal_metrics();
         m.appends.add(records);
         m.bytes.add(bytes);
-        Ok(commit_lsn)
+        Ok(Appended {
+            lsn: commit_lsn,
+            floor,
+        })
     }
 
     /// Make every record up to `lsn` durable. The group-commit path: a
@@ -313,7 +348,12 @@ impl Wal {
     /// Checkpoint: the caller has flushed and synced every data page, so
     /// the log's history is dead weight — truncate it and write a fresh
     /// `Checkpoint` marker (durable) as the new epoch's first record.
-    /// Every page's next record is then a full image again.
+    ///
+    /// That contract is what makes the next epoch's deltas sound: a
+    /// page's first record after the marker is a delta on its disk copy,
+    /// so the disk copy must hold every change the truncated log did. A
+    /// page still dirty here would lose those changes at recovery. Each
+    /// page's next write-back logs an image first.
     pub fn checkpoint_truncate(&self) -> Result<()> {
         let _leader_order = lockorder::acquired(lockorder::WAL_SYNC, false, "WalSync");
         let _leader = self.sync_lock.lock();

@@ -8,16 +8,22 @@
 //!    of transactions whose `Commit` never became durable);
 //! 2. collect the set of committed transaction ids;
 //! 3. rebuild every page a committed transaction logged, in memory and
-//!    in log order: a `PageImage` replaces the page, a `PageDelta`
-//!    patches it. A page's first record in a log epoch is an image, so
-//!    the rebuild normally never reads the data files; a delta with no
-//!    image before it (a log written across an LSN-space reset) patches
-//!    the on-disk page, whose CRC must verify;
-//! 4. write each rebuilt page **once**, stamped with the LSN of its
+//!    in log order, starting at its last committed `PageImage`: the
+//!    records before that image are history it already holds, and the
+//!    disk copy they would patch may be one that a write-back tore after
+//!    logging the image. A page the epoch never imaged starts from its
+//!    disk copy, whose CRC must verify; that copy holds every change the
+//!    previous epoch logged (a checkpoint flushes before it truncates),
+//!    and no write-back has touched it since, because the first one in
+//!    an epoch logs an image first. Each `PageDelta` patches the page;
+//! 4. log the pages rebuilt on their disk copies as one committed group
+//!    of images and sync it, so that a crash tearing the writes below
+//!    leaves a second run an image to start from;
+//! 5. write each rebuilt page **once**, stamped with the LSN of its
 //!    last record (recreating files and extending them as needed — a
 //!    crash can lose file metadata that was never synced), and sync the
 //!    data files;
-//! 5. replace the log with a durable `Checkpoint` marker one LSN above
+//! 6. replace the log with a durable `Checkpoint` marker one LSN above
 //!    everything seen, so the next epoch's LSNs stay above every LSN
 //!    stamped in a page header.
 //!
@@ -105,7 +111,7 @@ pub fn recover(disk: &mut dyn DiskManager, store: &mut dyn WalStore) -> Result<R
         truncated_bytes: bytes.len() as u64 - scanned.valid_len,
         ..RecoveryReport::default()
     };
-    let seen_lsn = scanned.entries.last().map(|e| e.lsn).unwrap_or(0);
+    let mut seen_lsn = scanned.entries.last().map(|e| e.lsn).unwrap_or(0);
 
     let committed: BTreeSet<u64> = scanned
         .entries
@@ -117,17 +123,34 @@ pub fn recover(disk: &mut dyn DiskManager, store: &mut dyn WalStore) -> Result<R
         .collect();
     report.committed_txns = committed.len();
 
-    // Each logged page, rebuilt in log order, with its last record's LSN.
-    let mut pages: BTreeMap<PageId, (Box<[u8; PAGE_SIZE]>, u64)> = BTreeMap::new();
-    for e in scanned.entries {
-        match e.rec {
-            WalRecord::PageImage { txn, page, image } if committed.contains(&txn) => {
-                pages.insert(page, (image, e.lsn));
+    // Where each page's replay starts: its last committed image.
+    let mut start: BTreeMap<PageId, usize> = BTreeMap::new();
+    let mut last_txn = 0;
+    for (i, e) in scanned.entries.iter().enumerate() {
+        match &e.rec {
+            WalRecord::Begin { txn } => last_txn = last_txn.max(*txn),
+            WalRecord::PageImage { txn, page, .. } if committed.contains(txn) => {
+                start.insert(*page, i);
             }
-            WalRecord::PageDelta { txn, page, ranges } if committed.contains(&txn) => {
-                let (image, lsn) = match pages.entry(page) {
+            _ => {}
+        }
+    }
+
+    let replays =
+        |txn, page, i| committed.contains(&txn) && start.get(&page).is_none_or(|&s| s <= i);
+
+    // Each logged page, rebuilt in log order: its bytes, its last
+    // record's LSN, and whether it was rebuilt on its disk copy.
+    let mut pages: BTreeMap<PageId, (Box<[u8; PAGE_SIZE]>, u64, bool)> = BTreeMap::new();
+    for (i, e) in scanned.entries.into_iter().enumerate() {
+        match e.rec {
+            WalRecord::PageImage { txn, page, image } if replays(txn, page, i) => {
+                pages.insert(page, (image, e.lsn, false));
+            }
+            WalRecord::PageDelta { txn, page, ranges } if replays(txn, page, i) => {
+                let (image, lsn, _) = match pages.entry(page) {
                     Entry::Occupied(o) => o.into_mut(),
-                    Entry::Vacant(v) => v.insert((read_base(disk, page)?, 0)),
+                    Entry::Vacant(v) => v.insert((read_base(disk, page)?, 0, true)),
                 };
                 record::apply_delta(image, &ranges);
                 *lsn = e.lsn;
@@ -135,8 +158,27 @@ pub fn recover(disk: &mut dyn DiskManager, store: &mut dyn WalStore) -> Result<R
             _ => {}
         }
     }
+    // Step 4 of the module docs: the pages about to overwrite the only
+    // base the log has for them go to the log whole first.
+    if pages.values().any(|&(_, _, on_disk)| on_disk) {
+        store.wal_truncate(scanned.valid_len)?;
+        let txn = last_txn + 1;
+        let mut group = Vec::new();
+        record::put_begin(&mut group, seen_lsn + 1, txn);
+        seen_lsn += 1;
+        for (page, (image, _, on_disk)) in &pages {
+            if *on_disk {
+                seen_lsn += 1;
+                record::put_image(&mut group, seen_lsn, txn, *page, image);
+            }
+        }
+        seen_lsn += 1;
+        record::put_commit(&mut group, seen_lsn, txn);
+        store.wal_append(&group)?;
+        store.wal_sync()?;
+    }
     if !pages.is_empty() {
-        for (page, (mut image, lsn)) in pages {
+        for (page, (mut image, lsn, _)) in pages {
             ensure_file(disk, page.file)?;
             while disk.page_count(page.file)? <= page.page {
                 disk.allocate_page(page.file)?;
@@ -314,18 +356,20 @@ mod tests {
         v2[4000] = 0x32;
         let mut last = 0;
         // Lines 1 and 62 hold the changes.
-        for (cur, covered, lines) in [(&v1, first, 1 << 1), (&v2, first + 3, 1 << 62)] {
+        for (cur, lines) in [(&v1, 1 << 1), (&v2, 1 << 62)] {
             last = wal
                 .append_pages(
                     wal.begin_txn(),
                     std::iter::once(PageLog {
                         page: p0,
                         image: cur,
-                        covered,
+                        on_disk: false,
+                        base: first,
                         lines,
                     }),
                 )
-                .unwrap();
+                .unwrap()
+                .lsn;
         }
         let before = store.snapshot().len();
         assert!(
@@ -361,34 +405,42 @@ mod tests {
         assert_eq!(buf[4000], 0x32);
     }
 
-    /// A delta whose covering LSN is at or below the epoch's floor must
-    /// not be written: the log no longer holds its base.
+    /// A page whose only full copy in the log predates the checkpoint,
+    /// and which has no disk copy, must not be logged as a delta: the
+    /// log no longer holds its base. With a disk copy it is a delta.
     #[test]
     fn a_base_from_before_the_checkpoint_is_logged_as_an_image() {
         let store = MemWalStore::new();
         let wal = Wal::new(Box::new(store.clone()), 1);
         let p0 = PageId::new(FileId(0), 0);
         let v0 = img(0x10);
-        let covered = wal.append_commit(wal.begin_txn(), &[(p0, &v0)]).unwrap();
+        let base = wal.append_commit(wal.begin_txn(), &[(p0, &v0)]).unwrap();
         wal.checkpoint_truncate().unwrap();
-        assert!(wal.checkpoint_lsn() > covered);
+        assert!(wal.checkpoint_lsn() > base);
         let mut v1 = v0.clone();
         v1[7] = 0x99;
-        wal.append_pages(
-            wal.begin_txn(),
-            std::iter::once(PageLog {
-                page: p0,
-                image: &v1,
-                covered,
-                lines: 1,
-            }),
-        )
-        .unwrap();
+        for on_disk in [false, true] {
+            wal.append_pages(
+                wal.begin_txn(),
+                std::iter::once(PageLog {
+                    page: p0,
+                    image: &v1,
+                    on_disk,
+                    base,
+                    lines: 1,
+                }),
+            )
+            .unwrap();
+        }
         let entries = scan(&store.snapshot()).entries;
         assert!(
             matches!(&entries[2].rec, WalRecord::PageImage { image, .. } if image[7] == 0x99),
             "first record of the new epoch is a full image: {:?}",
             entries.iter().map(|e| e.lsn).collect::<Vec<_>>()
+        );
+        assert!(
+            matches!(&entries[5].rec, WalRecord::PageDelta { .. }),
+            "a page with a disk copy is a delta"
         );
     }
 
@@ -437,6 +489,53 @@ mod tests {
             recover(&mut disk, &mut s),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    /// A crash that tears recovery's own write of a page it rebuilt on
+    /// the page's disk copy leaves a second run the image recovery
+    /// logged before writing: the second run starts there, not at the
+    /// torn copy.
+    #[test]
+    fn a_write_torn_during_recovery_is_repaired_by_a_second_run() {
+        use crate::fault::{FaultDisk, FaultPlan};
+        let mut disk = MemDisk::new();
+        let f = disk.create_file().unwrap();
+        let p0 = disk.allocate_page(f).unwrap();
+        let mut base = img(0x44);
+        crate::checksum::stamp(&mut base, 500);
+        disk.write_page(p0, &base).unwrap();
+        // One delta on the disk copy, a change in each half of the page.
+        let mut log = record::encode(1, &WalRecord::Begin { txn: 1 });
+        let ranges = [(200, 0x55), (3000, 0x66)]
+            .map(|(offset, b)| record::DeltaRange {
+                offset,
+                bytes: vec![b; 4],
+            })
+            .to_vec();
+        let delta = WalRecord::PageDelta {
+            txn: 1,
+            page: p0,
+            ranges,
+        };
+        log.extend_from_slice(&record::encode(2, &delta));
+        log.extend_from_slice(&record::encode(3, &WalRecord::Commit { txn: 1 }));
+        let mut s = MemWalStore::new();
+        s.wal_append(&log).unwrap();
+
+        let plan = FaultPlan {
+            torn_write_at: Some(1),
+            ..FaultPlan::default()
+        };
+        let mut disk = FaultDisk::new(disk, plan);
+        assert!(recover(&mut disk, &mut s).is_err(), "the write tore");
+        let report = recover(&mut disk, &mut s).unwrap();
+        assert_eq!(report.replayed_pages, 1);
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(p0, &mut buf).unwrap();
+        assert!(crate::checksum::verify(&buf));
+        assert_eq!((buf[199], buf[200], buf[3003]), (0x44, 0x55, 0x66));
+        let epoch = scan(&s.wal_read_all().unwrap()).entries;
+        assert_eq!(epoch.len(), 1, "and the log is a fresh epoch");
     }
 
     /// Format pin: a log laid out byte by byte the way the image-only

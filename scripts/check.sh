@@ -74,9 +74,12 @@ stage concurrency_stress cargo test --release -q -p fieldrep-core --test concurr
 # byte offsets and reopen each truncated image; then the eviction-
 # bearing case — a pool a fraction of the data, crash images taken
 # between commits while pages are written back, re-fetched and
-# delta-logged again (release mode, fixed seeds). A lost committed
-# update, a phantom uncommitted one, or a replica/source divergence
-# after replay fails here.
+# delta-logged again (release mode, fixed seeds); then the torn
+# write-back case — one page write torn half-way, at an eviction in a
+# small pool and in the checkpoint's flush, and the process killed
+# there. A lost committed update, a phantom uncommitted one, a torn
+# page recovery cannot rebuild, or a replica/source divergence after
+# replay fails here.
 stage crash_recovery cargo test --release -q -p fieldrep-core --test crash_recovery
 
 printf '\n== check.sh stage timings ==\n%s' "$STAGE_SUMMARY"
