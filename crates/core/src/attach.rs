@@ -27,7 +27,7 @@
 use crate::collapsed;
 use crate::error::{DbError, Result};
 use crate::links::{link_add, link_members, link_remove};
-use crate::objects::{read_object, ref_target, value_key, view_pinned};
+use crate::objects::{read_object, value_key, view_pinned};
 use crate::replicas::{anchor_acquire, anchor_release, find_replica_ref};
 use crate::ripple::Chain;
 use crate::{EngineCtx, WriteCtx};
@@ -36,35 +36,6 @@ use fieldrep_catalog::{CatalogError, RepPathDef, Strategy};
 use fieldrep_model::{Object, ObjectView, TypeId, Value};
 use fieldrep_storage::{HeapFile, Oid, PageHandle, PagePins};
 use std::collections::hash_map::{Entry, HashMap};
-
-/// Walk the forward chain of `path` starting from the already-loaded
-/// source object. `chain[0] = Some(source)`; `chain[i+1]` is the object
-/// after hop `i`, or `None` from the first NULL/broken reference onward.
-pub fn walk_chain(
-    ctx: &mut EngineCtx<'_>,
-    path: &RepPathDef,
-    source: Oid,
-    source_obj: &Object,
-) -> Result<Chain> {
-    let next = ref_target(&source_obj.values[path.hops[0]]);
-    walk_chain_via(ctx, path, source, next)
-}
-
-/// [`walk_chain`] for a caller that read only the source's first hop:
-/// `next` is its target. A reader's walk: it keeps no pin.
-pub(crate) fn walk_chain_via(
-    ctx: &mut EngineCtx<'_>,
-    path: &RepPathDef,
-    source: Oid,
-    next: Option<Oid>,
-) -> Result<Chain> {
-    let pins = PagePins::none();
-    walk_from(path, 0, source, next, &mut |oid, hop| {
-        Ok(ref_target(
-            &read_object(ctx.sm, &pins, ctx.cat, oid)?.values[hop],
-        ))
-    })
-}
 
 /// The chain of `path` from node `at` onward: `node` is chain node `at`
 /// and `next` the target of its hop (given, not read — the caller may be

@@ -7,18 +7,17 @@
 //! maintenance.
 
 use crate::attach::{
-    attach_path, detach_path, set_source_replica_ref, set_terminal_values, walk_chain_via,
+    attach_path, detach_path, set_source_replica_ref, set_terminal_values, walk_from,
 };
 use crate::error::{DbError, Result};
 use crate::objects::{read_object, ref_target, value_key, view_object, write_object};
 use crate::propagate::{apply_plan, apply_sync, is_referenced};
 use crate::replicas::{anchor_acquire, find_anchor, group_values, write_replica};
 use crate::ripple::{Chain, ChainPlan, RipplePlan, SyncPlan};
-use crate::{chain, links, DbConfig, EngineCtx, WriteCtx};
+use crate::{chain, DbConfig, EngineCtx, WriteCtx};
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{
-    Catalog, IndexId, IndexKind, IndexTarget, LinkId, PathId, Propagation, RepPathDef, SetId,
-    Strategy,
+    Catalog, IndexId, IndexKind, IndexTarget, PathId, Propagation, RepPathDef, SetId, Strategy,
 };
 use fieldrep_model::{Annotation, Object, PathExpr, TypeDef, TypeId, Value};
 use fieldrep_storage::{
@@ -545,18 +544,21 @@ impl Database {
     }
 
     /// Pass 1 of a bulk build: every member of `path`'s source set, in
-    /// file order, with its forward chain. A source's first hop is read
-    /// where it lies; the source is not decoded.
+    /// file order, with its forward chain. Each node's hop is read where it
+    /// lies; no node is decoded, and no pin is kept.
     fn source_chains(&self, path: &RepPathDef) -> Result<Vec<(Oid, Chain)>> {
-        let mut ctx = self.ctx();
-        let sources = self.file_oids(self.catalog.set(path.set).file)?;
+        let (cat, pins) = (&self.catalog, PagePins::none());
+        let mut hop_of = |oid: Oid, hop: usize| {
+            Ok(ref_target(&view_object(&self.sm, &pins, cat, oid, |v| {
+                v.field(hop)
+            })?))
+        };
+        let sources = self.file_oids(cat.set(path.set).file)?;
         sources
             .into_iter()
             .map(|src| {
-                let hop = view_object(ctx.sm, &PagePins::none(), ctx.cat, src, |v| {
-                    v.field(path.hops[0])
-                })?;
-                Ok((src, walk_chain_via(&mut ctx, path, src, ref_target(&hop))?))
+                let next = hop_of(src, path.hops[0])?;
+                Ok((src, walk_from(path, 0, src, next, &mut hop_of)?))
             })
             .collect()
     }
@@ -750,49 +752,11 @@ impl Database {
         })
     }
 
-    /// Read the object at `oid` (base values + annotations).
-    pub fn get(&self, oid: Oid) -> Result<Object> {
-        let ctx = self.ctx();
-        read_object(ctx.sm, &PagePins::none(), ctx.cat, oid)
-    }
-
-    /// Read one base field by name.
-    pub fn get_field(&self, oid: Oid, field: &str) -> Result<Value> {
-        let obj = self.get(oid)?;
-        let def = self.catalog.type_def(obj.type_id);
-        Ok(obj.get(def, field)?.clone())
-    }
-
     /// The replicated values of `path` as seen from the source object at
     /// `oid` (`None` if the path chain is broken).
     pub fn path_values(&self, oid: Oid, path: PathId) -> Result<Option<Vec<Value>>> {
         self.sync_path(path)?;
         self.snapshot_path_values(oid, path)
-    }
-
-    /// Dereference a path with plain functional joins (the no-replication
-    /// baseline): reads one object per hop.
-    pub fn deref_path(&self, oid: Oid, dotted: &str) -> Result<Option<Vec<Value>>> {
-        let obj = self.get(oid)?;
-        let set = self.set_of(oid)?;
-        let set_name = self.catalog.set(set).name.clone();
-        let resolved = self
-            .catalog
-            .resolve_path_str(&format!("{set_name}.{dotted}"))?;
-        let mut cur = obj;
-        for &hop in &resolved.hops {
-            let Some(next) = ref_target(&cur.values[hop]) else {
-                return Ok(None);
-            };
-            cur = self.get(next)?;
-        }
-        Ok(Some(
-            resolved
-                .terminal_fields
-                .iter()
-                .map(|&f| cur.values[f].clone())
-                .collect(),
-        ))
     }
 
     /// Update named fields of the object at `oid`, propagating to all
@@ -984,23 +948,6 @@ impl Database {
         Ok(())
     }
 
-    /// Inverse function over an inverted path (§8: "ways in which
-    /// inverted paths can be used … in implementing inverse functions"):
-    /// the objects of `link`'s source side that reference `target` along
-    /// the link — read straight from the link store, without scanning.
-    pub fn inverse(&self, link: LinkId, target: Oid) -> Result<Vec<Oid>> {
-        let ldef = self.catalog.link(link).clone();
-        let (ctx, pins) = (self.ctx(), PagePins::none());
-        let obj = read_object(ctx.sm, &pins, ctx.cat, target)?;
-        if ldef.collapsed {
-            return Ok(crate::collapsed::members(ctx.sm, &pins, &obj, &ldef)?
-                .into_iter()
-                .map(|(src, _)| src)
-                .collect());
-        }
-        links::link_members(ctx.sm, &pins, &obj, &ldef)
-    }
-
     /// Convenience: inverse of a 1-hop reference path given as
     /// `"Set.reffield"` (e.g. `"Emp1.dept"`): which members of `Set`
     /// reference `target` through `reffield`? Requires a replication path
@@ -1009,15 +956,15 @@ impl Database {
         let resolved = self.catalog.resolve_path_str(dotted)?;
         // The "terminal field" of a 1-segment path like Emp1.dept is the
         // ref field itself.
-        let prefix: Vec<usize> = if resolved.hops.is_empty() {
-            resolved.terminal_fields.clone()
+        let prefix = if resolved.hops.is_empty() {
+            &resolved.terminal_fields
         } else {
-            resolved.hops.clone()
+            &resolved.hops
         };
         let link = self
             .catalog
             .links()
-            .find(|l| l.set == resolved.set && l.prefix == prefix)
+            .find(|l| l.set == resolved.set && l.prefix == *prefix)
             .map(|l| l.id)
             .ok_or_else(|| {
                 DbError::Unsupported(format!(

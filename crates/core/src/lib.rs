@@ -35,7 +35,7 @@ pub use database::Database;
 pub use error::{DbError, Result};
 pub use objects::{read_object, value_key, write_object, LINK_TAG, REPLICA_TAG};
 pub use stats::PathStats;
-pub use txn::{LockSet, TxnManager, TxnStats};
+pub use txn::{LockSet, PathWalk, TxnManager, TxnStats};
 pub use workload::{PathWorkload, WorkloadStats};
 
 use fieldrep_catalog::{Catalog, PathId};

@@ -10,7 +10,7 @@
 
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::objects::read_object;
+use crate::objects::{read_object, ref_target};
 use fieldrep_costmodel::{recommend, IndexSetting, Params, Recommendation};
 use fieldrep_model::{Object, Value};
 use fieldrep_storage::PagePins;
@@ -65,70 +65,53 @@ fn base_size(obj: &Object, def: &fieldrep_model::TypeDef) -> usize {
     bare.encoded_len(def)
 }
 
+/// `sum / n`, and 0 over nothing.
+fn mean(sum: u64, n: u64) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        sum as f64 / n as f64
+    }
+}
+
 impl Database {
     /// Measure [`PathStats`] for a dotted reference path (replicated or
     /// not): scans the source set once, walks every chain.
     pub fn analyze_path(&mut self, dotted: &str) -> Result<PathStats> {
         let resolved = self.catalog().resolve_path_str(dotted)?;
-        if resolved.hops.is_empty() {
+        let (Some((&first, rest)), Some(&term_type)) =
+            (resolved.hops.split_first(), resolved.node_types.last())
+        else {
             return Err(DbError::Unsupported(format!(
                 "{dotted:?} has no reference hops to analyse"
             )));
-        }
+        };
         let set = self.catalog().set(resolved.set).clone();
         let sources = self.file_oids(set.file)?;
 
         let src_def = self.catalog().type_def(set.elem_type).clone();
-        let term_type = *resolved.node_types.last().unwrap();
         let term_def = self.catalog().type_def(term_type).clone();
 
         let mut per_terminal: BTreeMap<fieldrep_storage::Oid, u64> = BTreeMap::new();
         let mut src_bytes = 0u64;
-        let mut complete = 0u64;
         for &src in &sources {
-            let obj = {
-                let ctx = self.ctx();
-                read_object(ctx.sm, &PagePins::none(), ctx.cat, src)?
-            };
+            let obj = read_object(self.sm(), &PagePins::none(), self.catalog(), src)?;
             src_bytes += base_size(&obj, &src_def) as u64;
-            // Walk the chain.
-            let mut cur = Some(src);
-            let mut cur_obj = Some(obj);
-            for &hop in &resolved.hops {
-                let o = match &cur_obj {
-                    Some(o) => o,
-                    None => break,
-                };
-                match &o.values[hop] {
-                    Value::Ref(next) if !next.is_null() => {
-                        cur = Some(*next);
-                        let ctx = self.ctx();
-                        cur_obj = Some(read_object(ctx.sm, &PagePins::none(), ctx.cat, *next)?);
-                    }
-                    _ => {
-                        cur = None;
-                        cur_obj = None;
-                    }
-                }
-            }
-            if let Some(t) = cur {
-                if cur_obj.is_some() {
-                    *per_terminal.entry(t).or_default() += 1;
-                    complete += 1;
-                }
+            // The rest of the chain: one walk from the first hop's target.
+            let Some(next) = ref_target(&obj.values[first]) else {
+                continue;
+            };
+            if let Some(t) = self.walk_path(next, rest, &[])?.terminal() {
+                *per_terminal.entry(t).or_default() += 1;
             }
         }
+        let complete = per_terminal.values().sum();
 
         // Terminal sizes and replicated-value sizes.
         let mut term_bytes = 0u64;
         let mut repl_bytes = 0u64;
-        // Use a fake path-def shaped view for terminal_values: we only
-        // need the terminal field list.
         for &t in per_terminal.keys() {
-            let obj = {
-                let ctx = self.ctx();
-                read_object(ctx.sm, &PagePins::none(), ctx.cat, t)?
-            };
+            let obj = read_object(self.sm(), &PagePins::none(), self.catalog(), t)?;
             term_bytes += base_size(&obj, &term_def) as u64;
             let vals: Vec<Value> = resolved
                 .terminal_fields
@@ -137,32 +120,15 @@ impl Database {
                 .collect();
             repl_bytes += Value::encode_list(&vals).len() as u64;
         }
-        let n_term = per_terminal.len() as u64;
-
+        let (n_src, n_term) = (sources.len() as u64, per_terminal.len() as u64);
         Ok(PathStats {
-            source_count: sources.len() as u64,
+            source_count: n_src,
             terminal_count: n_term,
             complete_chains: complete,
-            sharing: if n_term == 0 {
-                0.0
-            } else {
-                complete as f64 / n_term as f64
-            },
-            source_bytes: if sources.is_empty() {
-                0.0
-            } else {
-                src_bytes as f64 / sources.len() as f64
-            },
-            terminal_bytes: if n_term == 0 {
-                0.0
-            } else {
-                term_bytes as f64 / n_term as f64
-            },
-            replicated_bytes: if n_term == 0 {
-                0.0
-            } else {
-                repl_bytes as f64 / n_term as f64
-            },
+            sharing: mean(complete, n_term),
+            source_bytes: mean(src_bytes, n_src),
+            terminal_bytes: mean(term_bytes, n_term),
+            replicated_bytes: mean(repl_bytes, n_term),
         })
     }
 

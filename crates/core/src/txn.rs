@@ -28,15 +28,17 @@
 //!   as `txn.conflict`) until the locked set covers it. A build that
 //!   fails is believed only if nothing it recorded moved; otherwise it
 //!   caught a structure mid-rewire and is stale like a moved plan.
-//! * **Readers** ([`Database::snapshot_path_values`],
-//!   [`Database::snapshot_path_check`], [`Database::snapshot_get`])
-//!   never take locks and never wait on one: a version is one atomic
-//!   load. Readers capture the versions of the objects whose bytes they
-//!   consume (source, shared replica, terminal), read optimistically,
-//!   and retry (`txn.snapshot_retry`) if any version moved. Versions are
-//!   monotonic — a word is never reset — so a validated read is a true
-//!   point-in-time snapshot: it observed no mid-flight ripple, which is
-//!   exactly the "no torn replicas" invariant the stress harness asserts.
+//! * **Readers** — every `&self` read of object bytes: [`Database::get`],
+//!   [`Database::get_field`], [`Database::deref_path`] (one
+//!   [`Database::walk_path`]), [`Database::inverse`],
+//!   [`Database::snapshot_path_values`] / [`Database::path_values`],
+//!   [`Database::snapshot_path_check`] — run in the one seqlock loop and
+//!   never take or wait on a lock: a version is one atomic load. They
+//!   capture the versions of the objects whose bytes they consume, read
+//!   optimistically, and retry (`txn.snapshot_retry`) if any moved.
+//!   Versions are monotonic, so a validated read is a point-in-time
+//!   snapshot: no mid-flight ripple (the stress harness's "no torn
+//!   replicas"), no stub whose body a re-forward moved.
 //!
 //! # The lock table
 //!
@@ -77,12 +79,12 @@ mod words;
 
 pub use words::LockSet;
 
-use crate::attach::{replica_path_values, terminal_values, walk_chain_via};
+use crate::attach::replica_path_values;
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::objects::{ref_target, view_object};
-use crate::WriteCtx;
-use fieldrep_catalog::{PathId, RepPathDef, Strategy};
+use crate::objects::{read_object, ref_target, view_object};
+use crate::{collapsed, links, WriteCtx};
+use fieldrep_catalog::{LinkId, PathId, RepPathDef, Strategy};
 use fieldrep_model::{Object, Value};
 use fieldrep_obs::{metrics, names as obs_names};
 use fieldrep_storage::{lockorder, Oid, PagePins};
@@ -452,18 +454,24 @@ impl Database {
         Err(DbError::Unsupported("write-lock closure kept changing under contention".into()).into())
     }
 
-    /// The one seqlock read loop. `body` is one optimistic attempt: it
-    /// [`Watch::enter`]s every OID whose bytes it is about to consume and
-    /// returns `Ok(None)` when told a writer holds one. The attempt's
-    /// outcome — value or error — stands only if every entered OID is
-    /// still at the version it was entered under; otherwise it is retried
-    /// (counted, with backoff), and after [`DEADLOCK_WATCHDOG`] given up
-    /// as [`DbError::LockTimeout`] on `anchor`. Never blocks.
+    /// The one seqlock read loop: every `&self` read of object bytes runs
+    /// in it. `body` is one optimistic attempt: it reads every OID whose
+    /// bytes it consumes through [`Watch::read`], and returns `Ok(None)`
+    /// when told a writer holds one. The attempt's outcome — value or error —
+    /// stands only if every entered OID is still at the version it was
+    /// entered under; otherwise it is retried (counted, with backoff), and
+    /// after [`DEADLOCK_WATCHDOG`] given up as [`DbError::LockTimeout`] on
+    /// `anchor`. Never blocks.
+    ///
+    /// A reader waits on the words as a locker would: under a held
+    /// [`LockSet`] it would wait on its own word, so writers read with
+    /// `read_object`, and debug builds assert it on the lock-rank stack.
     fn snapshot_read<T>(
         &self,
         anchor: Oid,
         mut body: impl FnMut(&mut Watch<'_>) -> Result<Option<T>>,
     ) -> Result<T> {
+        let _order = lockorder::acquired(lockorder::OID_SEQLOCK, false, "OidSeqlock read");
         let txn = self.txn();
         // The watchdog's clock starts at the first retry.
         let mut retrying_since: Option<Instant> = None;
@@ -482,6 +490,7 @@ impl Database {
                 table: &txn.table,
                 seen: [(0, 0); 3],
                 len: 0,
+                more: Vec::new(),
             };
             match body(&mut watch) {
                 Ok(Some(v)) if watch.still_valid() => return Ok(v),
@@ -491,22 +500,113 @@ impl Database {
         }
     }
 
-    /// Seqlock-validated snapshot read of one object. Never blocks:
-    /// retries (with backoff) while a writer's ripple is in flight.
-    pub fn snapshot_get(&self, oid: Oid) -> Result<Object> {
+    /// Read the object at `oid` (base values + annotations): one snapshot.
+    pub fn get(&self, oid: Oid) -> Result<Object> {
         self.snapshot_read(oid, |watch| {
-            if !watch.enter(oid) {
-                return Ok(None);
-            }
-            self.get(oid).map(Some)
+            watch.read(oid, || {
+                read_object(self.sm(), &PagePins::none(), self.catalog(), oid)
+            })
         })
     }
 
-    /// Snapshot read of one base field by name.
+    /// Read one base field by name, where it is stored: the object is not
+    /// decoded.
+    pub fn get_field(&self, oid: Oid, field: &str) -> Result<Value> {
+        self.snapshot_read(oid, |watch| {
+            watch.read(oid, || {
+                view_object(self.sm(), &PagePins::none(), self.catalog(), oid, |v| {
+                    v.field_named(field)
+                })
+            })
+        })
+    }
+
+    /// [`Database::get`], under its former name.
+    #[doc(hidden)]
+    pub fn snapshot_get(&self, oid: Oid) -> Result<Object> {
+        self.get(oid)
+    }
+
+    /// [`Database::get_field`], under its former name.
+    #[doc(hidden)]
     pub fn snapshot_field(&self, oid: Oid, field: &str) -> Result<Value> {
-        let obj = self.snapshot_get(oid)?;
-        let def = self.catalog().type_def(obj.type_id);
-        Ok(obj.get(def, field)?.clone())
+        self.get_field(oid, field)
+    }
+
+    /// Dereference a path with plain functional joins (the no-replication
+    /// baseline): one [`Database::walk_path`] from `oid`, reading one
+    /// object per hop.
+    pub fn deref_path(&self, oid: Oid, dotted: &str) -> Result<Option<Vec<Value>>> {
+        let cat = self.catalog();
+        let set = cat.set(self.set_of(oid)?);
+        let path = cat.resolve_path_str(&format!("{}.{dotted}", set.name))?;
+        Ok(self
+            .walk_path(oid, &path.hops, &path.terminal_fields)?
+            .values)
+    }
+
+    /// The one walk of a resolved dotted path: from `start`, each object's
+    /// reference field `hops[i]` is read where it lies, up to the object
+    /// the last hop reaches, whose `fields` are read. Every object it reads
+    /// is entered in one validation window, so the walk is one snapshot.
+    pub fn walk_path(&self, start: Oid, hops: &[usize], fields: &[usize]) -> Result<PathWalk> {
+        self.snapshot_read(start, |watch| self.walk(watch, start, hops, fields))
+    }
+
+    /// One attempt's [`Database::walk_path`]; `None` asks for a retry.
+    fn walk(
+        &self,
+        watch: &mut Watch<'_>,
+        start: Oid,
+        hops: &[usize],
+        fields: &[usize],
+    ) -> Result<Option<PathWalk>> {
+        let (sm, cat, pins) = (self.sm(), self.catalog(), PagePins::none());
+        let (mut chain, mut at) = (vec![start], start);
+        for &hop in hops {
+            let read = watch.read(at, || view_object(sm, &pins, cat, at, |v| v.field(hop)))?;
+            let Some(next) = read else {
+                return Ok(None);
+            };
+            let Some(next) = ref_target(&next) else {
+                return Ok(Some(PathWalk {
+                    chain,
+                    values: None,
+                }));
+            };
+            chain.push(next);
+            at = next;
+        }
+        let values = watch.read(at, || {
+            view_object(sm, &pins, cat, at, |v| {
+                fields.iter().map(|&f| v.field(f)).collect()
+            })
+        })?;
+        Ok(values.map(|values| PathWalk {
+            chain,
+            values: Some(values),
+        }))
+    }
+
+    /// Inverse function over an inverted path (§8: "ways in which
+    /// inverted paths can be used … in implementing inverse functions"):
+    /// the objects of `link`'s source side that reference `target` along
+    /// the link — read straight from the link store, without scanning.
+    /// The store below `target` is guarded by `target` (see
+    /// [`crate::ripple`]), so the read enters `target` alone.
+    pub fn inverse(&self, link: LinkId, target: Oid) -> Result<Vec<Oid>> {
+        let ldef = self.catalog().link(link);
+        self.snapshot_read(target, |watch| {
+            watch.read(target, || {
+                let (sm, pins) = (self.sm(), PagePins::none());
+                let obj = read_object(sm, &pins, self.catalog(), target)?;
+                if !ldef.collapsed {
+                    return links::link_members(sm, &pins, &obj, ldef);
+                }
+                let members = collapsed::members(sm, &pins, &obj, ldef)?;
+                Ok(members.into_iter().map(|(src, _)| src).collect())
+            })
+        })
     }
 
     /// One attempt's read of `source` for `pdef`: enters the source and,
@@ -522,24 +622,24 @@ impl Database {
         source: Oid,
         pdef: &RepPathDef,
     ) -> Result<Option<(Option<Oid>, Option<Vec<Value>>)>> {
-        if !watch.enter(source) {
-            return Ok(None);
-        }
         let mut ctx = self.ctx();
-        let (hop, hidden, roid) = view_object(ctx.sm, &PagePins::none(), ctx.cat, source, |v| {
-            let hop = v.field(pdef.hops[0])?;
-            Ok(match (pdef.strategy, pdef.group) {
-                (Strategy::Separate, Some(g)) => (hop, None, v.replica_ref(g.0)?),
-                _ => (hop, v.replica_values(pdef.id.0)?, None),
+        let read = watch.read(source, || {
+            view_object(ctx.sm, &PagePins::none(), ctx.cat, source, |v| {
+                let hop = v.field(pdef.hops[0])?;
+                Ok(match (pdef.strategy, pdef.group) {
+                    (Strategy::Separate, Some(g)) => (hop, None, v.replica_ref(g.0)?),
+                    _ => (hop, v.replica_values(pdef.id.0)?, None),
+                })
             })
         })?;
+        let Some((hop, hidden, roid)) = read else {
+            return Ok(None);
+        };
         let visible = match roid {
-            Some(roid) => {
-                if !watch.enter(roid) {
-                    return Ok(None);
-                }
-                Some(replica_path_values(&mut ctx, pdef, roid)?)
-            }
+            Some(roid) => match watch.read(roid, || replica_path_values(&mut ctx, pdef, roid))? {
+                Some(values) => Some(values),
+                None => return Ok(None),
+            },
             None => hidden,
         };
         Ok(Some((ref_target(&hop), visible)))
@@ -568,9 +668,9 @@ impl Database {
 
     /// One consistent snapshot of both sides of a replication path: the
     /// replicated values visible at `source` and the terminal's true
-    /// field values (via the forward chain). The two are read under one
-    /// validation window, so `visible == truth` — both `None` on a
-    /// broken chain, or equal value lists — is exactly the paper's
+    /// field values (the walk of the forward chain). The two are read
+    /// under one validation window, so `visible == truth` — both `None` on
+    /// a broken chain, or equal value lists — is exactly the paper's
     /// replica-consistency invariant; the concurrent stress harness
     /// asserts it under hostile interleavings. (Deferred paths may
     /// legitimately disagree until synced.)
@@ -585,13 +685,12 @@ impl Database {
             let Some((next, visible)) = self.snapshot_source(watch, source, pdef)? else {
                 return Ok(None);
             };
-            let chain = walk_chain_via(&mut self.ctx(), pdef, source, next)?;
-            let truth = match chain.last().copied().flatten() {
-                Some(t) => {
-                    if !watch.enter(t) {
-                        return Ok(None);
+            let truth = match next {
+                Some(next) => {
+                    match self.walk(watch, next, &pdef.hops[1..], &pdef.terminal_fields)? {
+                        Some(walk) => walk.values,
+                        None => return Ok(None),
                     }
-                    Some(terminal_values(pdef, &self.get(t)?))
                 }
                 None => None,
             };
@@ -600,35 +699,63 @@ impl Database {
     }
 }
 
+/// Where a dotted path leads from one object: what
+/// [`Database::walk_path`] read.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PathWalk {
+    /// The objects the walk reached, the start first: one more than there
+    /// are hops when every hop reached one.
+    pub chain: Vec<Oid>,
+    /// The last object's values of the walk's fields, when every hop
+    /// reached an object; `None` from the first NULL reference on.
+    pub values: Option<Vec<Value>>,
+}
+
+impl PathWalk {
+    /// The object the last hop reached, if every hop reached one.
+    pub fn terminal(&self) -> Option<Oid> {
+        self.values.as_ref().and(self.chain.last().copied())
+    }
+}
+
 /// The lock words of the OIDs one optimistic read attempt consumed bytes
 /// of, each with the (even) version it was entered under. Three is the
-/// most any snapshot read touches: source, shared replica object, terminal.
+/// most a read of one path's source touches (source, shared replica
+/// object, terminal) and is kept inline; a longer walk spills.
 struct Watch<'a> {
     table: &'a LockTable,
     seen: [(u32, u64); 3],
     len: usize,
+    /// The entries past the third; never allocated by a read of three
+    /// OIDs or fewer.
+    more: Vec<(u32, u64)>,
 }
 
 impl Watch<'_> {
-    /// Start watching `oid`; `false` means a writer holds its word right
+    /// Start watching `oid`, then run `read`, which consumes its bytes.
+    /// `None`, without running `read`, means a writer holds the word right
     /// now and the attempt should be abandoned.
-    fn enter(&mut self, oid: Oid) -> bool {
+    fn read<R>(&mut self, oid: Oid, read: impl FnOnce() -> Result<R>) -> Result<Option<R>> {
         let w = self.table.word_of(oid);
         let seq = self.table.load(w);
         if seq & 1 == 1 {
-            return false;
+            return Ok(None);
         }
-        self.seen[self.len] = (w, seq);
-        self.len += 1;
-        true
+        match self.seen.get_mut(self.len) {
+            Some(slot) => {
+                *slot = (w, seq);
+                self.len += 1;
+            }
+            None => self.more.push((w, seq)),
+        }
+        read().map(Some)
     }
 
     /// Whether no entered word has been write-locked since it was entered.
     fn still_valid(&self) -> bool {
         fence(Ordering::Acquire); // the attempt's reads, then the re-loads
-        self.seen[..self.len]
-            .iter()
-            .all(|&(w, seq)| self.table.reload(w) == seq)
+        let unmoved = |&(w, seq): &(u32, u64)| self.table.reload(w) == seq;
+        self.seen[..self.len].iter().all(unmoved) && self.more.iter().all(unmoved)
     }
 }
 
@@ -854,10 +981,7 @@ mod tests {
         let (visible, truth) = db.snapshot_path_check(emps[0], p).unwrap();
         assert_eq!(visible, Some(vec![Value::Str("Boots".into())]));
         assert_eq!(visible, truth);
-        assert_eq!(
-            db.snapshot_field(d, "name").unwrap(),
-            Value::Str("Boots".into())
-        );
+        assert_eq!(db.get_field(d, "name").unwrap(), Value::Str("Boots".into()));
     }
 
     #[test]
@@ -980,7 +1104,7 @@ mod tests {
             .unwrap();
         let g = db.txn().lock_sorted(&[a]).unwrap();
         std::thread::scope(|s| {
-            let reader = s.spawn(|| db.snapshot_get(b).unwrap());
+            let reader = s.spawn(|| db.get(b).unwrap());
             while db.txn().stats().snapshot_retries == 0 {
                 std::thread::yield_now();
             }
@@ -988,6 +1112,82 @@ mod tests {
             drop(g);
             assert_eq!(reader.join().unwrap(), db.get(b).unwrap());
         });
+    }
+
+    /// Runs `read` on a thread while this one holds `held`'s word: it must
+    /// not return until the release, and must retry meanwhile. Returns
+    /// what it read after the release.
+    fn held_back<T: Send>(db: &Database, held: Oid, read: impl Fn() -> Result<T> + Sync) -> T {
+        let retries = db.txn().stats().snapshot_retries;
+        let g = db.txn().lock_sorted(&[held]).unwrap();
+        std::thread::scope(|s| {
+            let reader = s.spawn(&read);
+            while !reader.is_finished() && db.txn().stats().snapshot_retries == retries {
+                std::thread::yield_now();
+            }
+            assert!(!reader.is_finished(), "returned while the word was held");
+            drop(g);
+            let got = reader.join().unwrap().unwrap();
+            assert!(db.txn().stats().snapshot_retries > retries);
+            got
+        })
+    }
+
+    /// Every read door validates: `get`, `get_field`, `deref_path`
+    /// through an object and `inverse` on it wait while a writer holds the
+    /// object's word, then return the committed value.
+    #[test]
+    fn every_read_door_waits_while_a_word_it_reads_is_held() {
+        let (db, d, emps, _p) = db_with_path(Strategy::InPlace);
+        let shoe = Value::Str("Shoe".into());
+        assert_eq!(held_back(&db, d, || db.get(d)), db.get(d).unwrap());
+        assert_eq!(held_back(&db, d, || db.get_field(d, "name")), shoe);
+        assert_eq!(
+            held_back(&db, d, || db.deref_path(emps[0], "dept.name")),
+            Some(vec![shoe])
+        );
+        let mut sources = held_back(&db, d, || db.inverse_of("Emp.dept", d));
+        sources.sort_unstable();
+        assert_eq!(sources, emps);
+    }
+
+    /// A walk enters every node it reads, past the three words a watch
+    /// keeps inline: the fifth node of a four-hop walk holds it back.
+    #[test]
+    fn a_walk_longer_than_three_hops_waits_on_its_last_node() {
+        let mut db = Database::in_memory(DbConfig::default());
+        let node = vec![
+            ("v", FieldType::Int),
+            ("next", FieldType::Ref("NODE".into())),
+        ];
+        db.define_type(TypeDef::new("NODE", node)).unwrap();
+        db.create_set("Nodes", "NODE").unwrap();
+        let mut chain = vec![Oid::NULL];
+        for v in (0..5).rev() {
+            let next = Value::Ref(chain[0]);
+            chain.insert(0, db.insert("Nodes", vec![Value::Int(v), next]).unwrap());
+        }
+        let four_hops = || db.deref_path(chain[0], "next.next.next.next.v");
+        assert_eq!(
+            held_back(&db, chain[4], four_hops),
+            Some(vec![Value::Int(4)])
+        );
+        let walk = db.walk_path(chain[0], &[1, 1, 1, 1], &[0]).unwrap();
+        assert_eq!(
+            (walk.terminal(), &walk.chain[..]),
+            (Some(chain[4]), &chain[..5])
+        );
+    }
+
+    /// A reader that holds a lock set would wait on its own word until
+    /// the watchdog: debug builds refuse it on the lock-rank stack.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-order violation")]
+    fn a_read_under_a_held_lock_set_trips_the_rank_check() {
+        let (db, d, _emps, _p) = db_with_path(Strategy::InPlace);
+        let _held = db.txn().lock_sorted(&[d]).unwrap();
+        let _ = db.get(d);
     }
 
     #[test]

@@ -451,3 +451,111 @@ fn single_thread_mix_smoke() {
     let stats = w.db.txn().stats();
     assert_eq!(stats.conflicts, 0, "no conflicts possible single-threaded");
 }
+
+/// How long the re-forward case runs.
+const REFORWARD_RUN: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// One writer regrows the names of forwarded departments to 200–2 000
+/// bytes, so their bodies move again and again, while two readers go
+/// through every read door at once: `get` and `get_field` of a
+/// department, `deref_path` through it, and `inverse` on it. A read that
+/// followed a stub to a body a re-forward had just moved would report a
+/// healthy store corrupt; the run must end with no error and every read
+/// well formed.
+#[test]
+fn every_read_door_survives_re_forwarded_bodies() {
+    let mut db = Database::in_memory(DbConfig {
+        pool_pages: 256,
+        inline_link_threshold: 0,
+    });
+    let dept = vec![("name", FieldType::Str), ("budget", FieldType::Int)];
+    db.define_type(TypeDef::new("DEPT", dept)).unwrap();
+    let emp = vec![
+        ("name", FieldType::Str),
+        ("dept", FieldType::Ref("DEPT".into())),
+    ];
+    db.define_type(TypeDef::new("EMP", emp)).unwrap();
+    db.create_set("Dept", "DEPT").unwrap();
+    db.create_set("Emp", "EMP").unwrap();
+    let fill = |c: u8, len: usize| Value::Str(String::from_utf8(vec![c; len]).unwrap());
+    // Forty small departments share a page; growing them forwards them.
+    let depts: Vec<Oid> = (0..40)
+        .map(|i| db.insert("Dept", vec![fill(b'a', 8), Value::Int(i)]))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let staff: Vec<Vec<Oid>> = depts
+        .iter()
+        .map(|&d| {
+            (0..4)
+                .map(|i| db.insert("Emp", vec![fill(b'e', i + 1), Value::Ref(d)]))
+                .collect::<Result<_, _>>()
+                .unwrap()
+        })
+        .collect();
+    // The link `inverse` reads; budgets never change, so nothing ripples.
+    db.replicate("Emp.dept.budget", Strategy::InPlace).unwrap();
+    for &d in &depts {
+        db.update(d, &[("name", fill(b'b', 1_000))]).unwrap();
+    }
+
+    // A name is one letter repeated: anything else is a torn read.
+    let well_formed = |v: &Value| {
+        matches!(v, Value::Str(s) if s.len() >= 8
+        && s.bytes().all(|b| b == s.as_bytes()[0]))
+    };
+    let seed = seed();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let reader = |thread: u64| -> Result<u64, String> {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x5EAD + thread));
+        let mut reads = 0u64;
+        while !done.load(std::sync::atomic::Ordering::Relaxed) {
+            let i = rng.gen_range(0..depts.len());
+            let (d, e) = (depts[i], staff[i][rng.gen_range(0..4)]);
+            let fail = |what: &str, got: &dyn std::fmt::Debug| {
+                format!("read {reads} ({what} of {d}): {got:?}")
+            };
+            let obj = db.get(d).map_err(|e| fail("get", &e))?;
+            let name = db.get_field(d, "name").map_err(|e| fail("get_field", &e))?;
+            let path = db
+                .deref_path(e, "dept.name")
+                .map_err(|e| fail("deref_path", &e))?;
+            let mut sources = db
+                .inverse_of("Emp.dept", d)
+                .map_err(|e| fail("inverse", &e))?;
+            sources.sort_unstable();
+            let path_ok = matches!(path.as_deref(), Some([v]) if well_formed(v));
+            if !well_formed(&obj.values[0]) || !well_formed(&name) || !path_ok {
+                return Err(fail("value", &(&obj.values[0], name, path)));
+            }
+            if sources != staff[i] {
+                return Err(fail("inverse", &(sources, &staff[i])));
+            }
+            reads += 4;
+        }
+        Ok(reads)
+    };
+    let (writes, reads) = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2).map(|t| s.spawn(move || reader(t))).collect();
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x3E6));
+        let (start, mut writes) = (std::time::Instant::now(), 0u64);
+        while start.elapsed() < REFORWARD_RUN {
+            let (d, c) = (
+                depts[rng.gen_range(0..depts.len())],
+                rng.gen_range(b'c'..b'z'),
+            );
+            db.update(d, &[("name", fill(c, rng.gen_range(200..2_001)))])
+                .unwrap();
+            writes += 1;
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        let reads: Result<Vec<u64>, String> =
+            readers.into_iter().map(|h| h.join().unwrap()).collect();
+        (writes, reads)
+    });
+    let reads = reads.unwrap_or_else(|e| panic!("seed {seed}, {writes} writes: {e}"));
+    assert!(
+        writes > 0 && reads.iter().all(|&n| n > 0),
+        "{writes} {reads:?}"
+    );
+    check_consistency(&mut db);
+}

@@ -6,7 +6,7 @@ mod common;
 
 use common::check_consistency;
 use fieldrep_catalog::{IndexKind, LinkId, Propagation, Strategy};
-use fieldrep_core::{write_object, Database, DbConfig, DbError};
+use fieldrep_core::{read_object, write_object, Database, DbConfig, DbError};
 use fieldrep_model::{Annotation, FieldType, TypeDef, Value};
 use fieldrep_storage::{HeapFile, Oid, PagePins};
 
@@ -365,7 +365,8 @@ fn a_sync_planned_while_a_store_is_mid_rewire_waits_for_it() {
                 taken_apart.send(()).unwrap();
                 std::thread::sleep(std::time::Duration::from_millis(300));
                 let moved = heap.rec_insert(w, &PagePins::none(), tag, &payload)?;
-                let mut obj = db.get(org)?;
+                // A writer reads with a plain read: `get` would wait on its own word.
+                let mut obj = read_object(w, &PagePins::none(), db.catalog(), org)?;
                 for a in &mut obj.annotations {
                     if let Annotation::LinkRef { link, oid } = a {
                         if *link == level1 {

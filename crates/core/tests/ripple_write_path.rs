@@ -8,7 +8,7 @@
 
 use fieldrep_btree::BTreeIndex;
 use fieldrep_catalog::{IndexKind, PathId, Propagation, Strategy};
-use fieldrep_core::attach::{attach_terminal, walk_chain};
+use fieldrep_core::attach::attach_terminal;
 use fieldrep_core::{value_key, Database, DbConfig};
 use fieldrep_model::{FieldType, TypeDef, Value};
 use fieldrep_storage::{MemDisk, MemWalStore, Oid, PageId, PageView, RecordFlags};
@@ -214,9 +214,10 @@ fn rematerialising_current_sources_dirties_and_logs_nothing() {
     // values it already holds.
     let pdef = db.catalog().path(eager).clone();
     for &e in emps.iter().step_by(4) {
+        let walk = db.walk_path(e, &pdef.hops, &[]).unwrap();
+        let chain: Vec<_> = walk.chain.into_iter().map(Some).collect();
         db.apply_and_commit(|db, w| {
             let mut ctx = db.write_ctx(w);
-            let chain = walk_chain(&mut ctx, &pdef, e, &db.get(e)?)?;
             let page = ctx.page_of(e)?;
             attach_terminal(&mut ctx, &pdef, &page, e, &chain)
         })

@@ -301,6 +301,13 @@ impl<'a> ObjectView<'a> {
         )))
     }
 
+    /// Base field `name` (what [`Object::get`] returns for the decoded
+    /// object).
+    pub fn field_named(&self, name: &str) -> Result<Value, ModelError> {
+        let idx = self.def.field_index(name);
+        self.field(idx.ok_or_else(|| ModelError::NoSuchField(name.into()))?)
+    }
+
     /// One walk over the payload: where the annotation section (its count
     /// byte) starts, where the first annotation with encoding tag `tag`
     /// and id `id` lies, and where the last annotation ends. The fields

@@ -89,42 +89,23 @@ impl GemstonePathIndex {
             ));
         }
         let terminal_field = resolved.terminal_fields[0];
-        let set = db.catalog().set(resolved.set).clone();
+        let sources = db.file_oids(db.catalog().set(resolved.set).file)?;
 
         // Walk every source chain once, collecting component entries.
         let n = resolved.hops.len();
         // entries[0]: (terminal value key, terminal oid)
         // entries[i≥1]: (target oid key, member oid)
         let mut entries: Vec<Vec<(Vec<u8>, Oid)>> = vec![Vec::new(); n + 1];
-        let sources = db.scan_set(&set.name)?;
         for src in sources {
-            let mut chain = vec![src];
-            let mut cur = src;
-            let mut complete = true;
-            for &hop in &resolved.hops {
-                let obj = db.get(cur)?;
-                match &obj.values[hop] {
-                    Value::Ref(o) if !o.is_null() => {
-                        chain.push(*o);
-                        cur = *o;
-                    }
-                    _ => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            if !complete {
-                continue;
-            }
-            let terminal = *chain.last().unwrap();
-            let tobj = db.get(terminal)?;
-            entries[0].push((value_key(&tobj.values[terminal_field]), terminal));
+            let walk = db.walk_path(src, &resolved.hops, &[terminal_field])?;
+            let (Some(terminal), Some([value])) = (walk.terminal(), walk.values.as_deref()) else {
+                continue; // the chain breaks before the terminal
+            };
+            entries[0].push((value_key(value), terminal));
             // Component i ≥ 1 inverts hop n−i.
-            for i in 1..=n {
-                let target = chain[n - i + 1];
-                let member = chain[n - i];
-                entries[i].push((target.to_bytes().to_vec(), member));
+            for (i, es) in entries.iter_mut().enumerate().skip(1) {
+                let (member, target) = (walk.chain[n - i], walk.chain[n - i + 1]);
+                es.push((target.to_bytes().to_vec(), member));
             }
         }
 
