@@ -893,49 +893,26 @@ impl Database {
                 // node_types = [source, intermediate, terminal]
                 ann_types.push(removed.path.node_types[1]);
             }
-            let dst_sets: Vec<FileId> = ann_types
+            let dst_sets = ann_types
                 .iter()
-                .flat_map(|t| self.catalog.sets_of_type(*t).map(|s| s.file))
-                .collect();
-            for file in dst_sets {
-                for oid in self.file_oids(file)? {
-                    let (ctx, pins) = (self.ctx(), PagePins::none());
-                    let mut obj = read_object(ctx.sm, &pins, ctx.cat, oid)?;
-                    let before = obj.annotations.len();
-                    obj.annotations.retain(|a| {
-                        !matches!(a,
-                            Annotation::LinkRef { link: l, .. }
-                            | Annotation::InlineLink { link: l, .. }
-                            | Annotation::CollapsedVia { link: l }
-                                if *l == link.id.0)
-                    });
-                    if obj.annotations.len() != before {
-                        write_object(&w, &pins, ctx.cat, oid, &obj)?;
-                    }
-                }
-            }
+                .flat_map(|t| self.catalog.sets_of_type(*t).map(|s| s.file));
+            self.strip_annotations(&w, dst_sets, |a| {
+                matches!(a,
+                    Annotation::LinkRef { link: l, .. }
+                    | Annotation::InlineLink { link: l, .. }
+                    | Annotation::CollapsedVia { link: l }
+                        if *l == link.id.0)
+            })?;
         }
 
         // Tear down a dropped group: anchors off the terminals.
         if let Some(g) = &dropped_group {
-            let term_sets: Vec<FileId> = self
-                .catalog
-                .sets_of_type(g.terminal_type)
-                .map(|s| s.file)
-                .collect();
-            for file in term_sets {
-                for oid in self.file_oids(file)? {
-                    let (ctx, pins) = (self.ctx(), PagePins::none());
-                    let mut obj = read_object(ctx.sm, &pins, ctx.cat, oid)?;
-                    let before = obj.annotations.len();
-                    obj.annotations.retain(|a| {
-                        !matches!(a, Annotation::ReplicaAnchor { group, .. } if *group == g.id.0)
-                    });
-                    if obj.annotations.len() != before {
-                        write_object(&w, &pins, ctx.cat, oid, &obj)?;
-                    }
-                }
-            }
+            let term_sets = self.catalog.sets_of_type(g.terminal_type).map(|s| s.file);
+            self.strip_annotations(
+                &w,
+                term_sets,
+                |a| matches!(a, Annotation::ReplicaAnchor { group, .. } if *group == g.id.0),
+            )?;
         }
         // The link files and the S' file (replica objects go with it) are
         // dropped once the catalog no longer names them: a crash before
@@ -983,6 +960,28 @@ impl Database {
     /// [`HeapFile::oids`], one page request per page.
     pub fn file_oids(&self, file: FileId) -> Result<Vec<Oid>> {
         Ok(HeapFile::open(file).oids(&self.sm)?)
+    }
+
+    /// Take the annotations `strip` names off every object of `files`,
+    /// writing back only the objects that lost one.
+    fn strip_annotations(
+        &self,
+        w: &ApplySection<'_>,
+        files: impl IntoIterator<Item = FileId>,
+        strip: impl Fn(&Annotation) -> bool,
+    ) -> Result<()> {
+        let (ctx, pins) = (self.ctx(), PagePins::none());
+        for file in files {
+            for oid in self.file_oids(file)? {
+                let mut obj = read_object(ctx.sm, &pins, ctx.cat, oid)?;
+                let before = obj.annotations.len();
+                obj.annotations.retain(|a| !strip(a));
+                if obj.annotations.len() != before {
+                    write_object(w, &pins, ctx.cat, oid, &obj)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Number of members of a set.

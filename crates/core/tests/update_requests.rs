@@ -196,7 +196,7 @@ fn an_insert_and_a_delete_request_each_page_once() {
     check_consistency(&mut db);
 }
 
-/// A [`MemDisk`] that records the page of every read.
+/// A [`MemDisk`] that records every page it reads.
 struct ReadLog {
     disk: MemDisk,
     reads: Arc<Mutex<Vec<PageId>>>,
@@ -215,9 +215,11 @@ impl DiskManager for ReadLog {
     fn page_count(&self, file: FileId) -> Result<u32> {
         self.disk.page_count(file)
     }
-    fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        self.reads.lock().unwrap().push(pid);
-        self.disk.read_page(pid, buf)
+    fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
+        let run = (first.page..).take(bufs.len());
+        let mut reads = self.reads.lock().unwrap();
+        reads.extend(run.map(|page| PageId::new(first.file, page)));
+        self.disk.read_pages(first, bufs)
     }
     fn write_page(&mut self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         self.disk.write_page(pid, buf)

@@ -282,11 +282,6 @@ pub const BLOCKING_OPS: &[BlockOp] = &[
     ),
     bop(
         BlockClass::PageIo,
-        &[".", "write_pages", "("],
-        "DiskManager::write_pages",
-    ),
-    bop(
-        BlockClass::PageIo,
         &[".", "create_file", "("],
         "DiskManager::create_file",
     ),

@@ -65,7 +65,7 @@ struct Allow {
 
 /// Rules L1/L2 fire as diagnostics; L3 only counts. `DiskManager` page
 /// I/O and raw file APIs are the layering surface.
-const DISK_METHODS: [&str; 4] = ["read_page", "read_pages", "write_page", "write_pages"];
+const DISK_METHODS: [&str; 3] = ["read_page", "read_pages", "write_page"];
 /// Raw `WalStore` methods: the log's framing, fsync, and truncation
 /// surface. Deliberately distinctive names so call sites are greppable.
 const WAL_STORE_METHODS: [&str; 7] = [

@@ -77,7 +77,7 @@ impl StorageManager {
         let mut chunks = oid_page_chunks(items, chunk_pages(self.pool().capacity()));
         while let Some((range, pages)) = chunks.next_chunk() {
             pages_total += pages.len();
-            let (pinned, resident) = self.pool().pin_batch(pages)?;
+            let (pinned, resident) = self.pool().get_pages_batch(pages)?;
             let chunk = &items[range];
             if resident {
                 warm(&pinned, chunk);
@@ -218,10 +218,6 @@ mod tests {
         }
         fn page_count(&self, file: FileId) -> Result<u32> {
             self.disk.page_count(file)
-        }
-        fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-            self.reads.lock().unwrap().push(pid);
-            self.disk.read_page(pid, buf)
         }
         fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
             let run = (first.page..).take(bufs.len());

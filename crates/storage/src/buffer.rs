@@ -1,5 +1,5 @@
-//! Buffer pool with clock eviction, pinned page handles, and a batched
-//! read fast path.
+//! Buffer pool with clock eviction, pinned page handles, and batched
+//! reads.
 //!
 //! Pages are served through [`PageHandle`]s. A handle pins its frame: the
 //! clock hand skips pinned frames, so on-page references stay valid while a
@@ -10,17 +10,28 @@
 //! unpinned, unreferenced frame from the hand, and an allocation fails
 //! only when every frame in the pool is pinned.
 //!
-//! [`BufferPool::get_pages_batch`] is the batched fast path the paper's
-//! sorted link objects make possible (§4.1.3): a sorted page-id run is
-//! split into maximal adjacent runs and each run is moved with one
-//! [`DiskManager::read_pages`] call (single seek / vectored read).
+//! A frame has one way in and one way out. A miss claims a victim frame
+//! per page and maps the page to it (`claim`), reads the pages with one
+//! [`DiskManager::read_pages`] call, verifies each page's checksum and
+//! takes its state from its header, and releases every claimed frame on
+//! any error (`load`). [`BufferPool::fetch`] takes that path for a run
+//! of one page; [`BufferPool::get_pages_batch`], the batched read the
+//! paper's sorted link objects make possible (§4.1.3), splits a sorted
+//! page-id run into maximal adjacent runs of missing pages and takes it
+//! once per run. Only how the read's buffers are gathered depends on the
+//! run's length. Every write-back — an eviction, `flush_page`,
+//! `flush_all` — is one `write_back`, and every frame leaves its page
+//! through one `release`.
 //!
 //! The pool tracks hits, misses, and eviction write-backs. Together with
 //! the disk manager's physical counters this is the complete I/O profile
 //! the benchmark harness reports. Batched and per-page paths record the
 //! identical per-page events, so page-I/O totals are independent of the
 //! access path; only the grouped-call count (`IoStats::read_calls`) and
-//! the `storage.disk.batch_len` histogram reveal the batching.
+//! the `storage.disk.batch_len` histogram reveal the batching. A fetch
+//! counts its miss before it claims a frame (a fetch the pool cannot
+//! serve is still a miss); a batch counts a run's misses once the run is
+//! in.
 //!
 //! # Concurrency
 //!
@@ -36,8 +47,9 @@
 //! `RwLock<PageBuf>`, so concurrent readers of distinct (or the same)
 //! resident pages never serialize on the pool. The lock order is
 //! `PoolCore` → frame data, and the pool only data-locks unpinned frames
-//! (eviction, install) or freshly claimed ones (`read_run`), so a caller
-//! holding a pinned page's guard can never deadlock against the pool.
+//! (write-back) or ones it has just claimed (`load`, `new_page`), so a
+//! caller holding a pinned page's guard can never deadlock against the
+//! pool.
 //! The caller's half of that order is one rule — never enter the pool
 //! holding a frame write latch — which [`lockorder`] asserts in debug
 //! builds and lint rule L5 checks statically.
@@ -269,6 +281,19 @@ impl FrameInner {
     /// epoch whose marker is at `floor` holds no full copy of it.
     fn needs_image(&self, floor: u64) -> bool {
         self.base.load(Ordering::Relaxed) <= floor
+    }
+
+    /// Start the frame's state over for the page it now holds: read from
+    /// disk with header LSN `Some(lsn)`, or new (`None`). Either way it is
+    /// clean and logged, with no lines written.
+    fn reset_state(&self, disk_lsn: Option<u64>) {
+        let lsn = disk_lsn.unwrap_or(0);
+        self.lsn.store(lsn, Ordering::Relaxed);
+        self.base.store(lsn, Ordering::Relaxed);
+        self.on_disk.store(disk_lsn.is_some(), Ordering::Relaxed);
+        self.dirty.store(false, Ordering::Relaxed);
+        self.unlogged.store(false, Ordering::Relaxed);
+        self.lines.store(0, Ordering::Relaxed);
     }
 
     /// Flag the frame unlogged; on the false→true transition (its first
@@ -711,18 +736,13 @@ impl BufferPool {
     /// touches nothing. Resident pages are pinned as hits, and each maximal run
     /// of adjacent missing pages is moved with one
     /// [`DiskManager::read_pages`] call. Returns one pinned handle per
-    /// input id, in input order.
+    /// input id, in input order, and whether every page was resident (no
+    /// disk read).
     ///
     /// Every page of the batch stays pinned until its returned handle is
     /// dropped, so batches are bounded by pool capacity; a sorted OID
     /// run goes through `visit_sorted`, which chunks it.
-    pub fn get_pages_batch(&self, pids: &[PageId]) -> Result<Vec<PageHandle>> {
-        self.pin_batch(pids).map(|(handles, _)| handles)
-    }
-
-    /// [`BufferPool::get_pages_batch`], and whether every page was
-    /// resident (no disk read).
-    pub(crate) fn pin_batch(&self, pids: &[PageId]) -> Result<(Vec<PageHandle>, bool)> {
+    pub fn get_pages_batch(&self, pids: &[PageId]) -> Result<(Vec<PageHandle>, bool)> {
         let _o = core_order();
         self.core.lock().get_pages_batch(pids)
     }
@@ -811,66 +831,53 @@ impl BufferPool {
 
 impl PoolCore {
     fn drop_file(&mut self, file: FileId) -> Result<()> {
-        let frames = &mut self.frames;
-        self.map.retain(|&pid, idx| {
-            if pid >> 32 != u64::from(file.0) {
-                return true;
+        for idx in 0..self.frames.len() {
+            let inner = &self.frames[idx].inner;
+            if let Some(pid) = inner.pid().filter(|pid| pid.file == file) {
+                debug_assert!(
+                    inner.pins.load(Ordering::Relaxed) == 0,
+                    "pin leak: dropping {file:?} while its page {pid} is \
+                     still pinned"
+                );
+                self.release(idx);
             }
-            let f = &mut frames[*idx];
-            debug_assert!(
-                f.inner.pins.load(Ordering::Relaxed) == 0,
-                "pin leak: dropping {file:?} while its page {pid:#x} is \
-                 still pinned"
-            );
-            f.inner.set_pid(None);
-            f.referenced = false;
-            f.inner.dirty.store(false, Ordering::Relaxed);
-            f.inner.unlogged.store(false, Ordering::Relaxed);
-            f.inner.lines.store(0, Ordering::Relaxed);
-            false
-        });
+        }
         self.disk.drop_file(file)
     }
 
     fn new_page(&mut self, file: FileId) -> Result<(PageId, PageHandle)> {
         let pid = self.disk.allocate_page(file)?;
         obs_io::record_disk_alloc();
-        let idx = self.find_victim()?;
-        self.install(idx, pid, false)?;
-        let h = self.handle(idx, pid);
+        let h = self.claim(pid)?;
+        h.inner.data.write().fill(0);
+        h.inner.reset_state(None);
         h.inner.dirty.store(true, Ordering::Relaxed);
         h.inner.mark_unlogged();
         Ok((pid, h))
     }
 
     fn fetch(&mut self, pid: PageId) -> Result<PageHandle> {
-        if let Some(&idx) = self.map.get(&pack(pid)) {
-            self.hits += 1;
-            obs_io::record_pool_hit();
-            self.frames[idx].referenced = true;
-            return Ok(self.handle(idx, pid));
+        if let Some(h) = self.hit(pid) {
+            return Ok(h);
         }
+        // Counted before the claim: a fetch the pool cannot serve (every
+        // frame pinned) is still a miss.
         self.misses += 1;
         obs_io::record_pool_miss();
-        let idx = self.find_victim()?;
-        self.install(idx, pid, true)?;
-        Ok(self.handle(idx, pid))
+        let h = self.claim(pid)?;
+        self.load(std::slice::from_ref(&h))?;
+        Ok(h)
     }
 
     fn get_pages_batch(&mut self, pids: &[PageId]) -> Result<(Vec<PageHandle>, bool)> {
         if let Some(w) = pids.windows(2).find(|w| w[0] >= w[1]) {
             return Err(StorageError::BatchNotAscending(w[1]));
         }
-        // Pin every resident page first, so the installs below cannot
+        // Pin every resident page first, so the runs read below cannot
         // evict a page of this very batch. All resident: that is the batch.
         let mut hits = Vec::with_capacity(pids.len());
         for &pid in pids {
-            if let Some(&idx) = self.map.get(&pack(pid)) {
-                self.hits += 1;
-                obs_io::record_pool_hit();
-                self.frames[idx].referenced = true;
-                hits.push(self.handle(idx, pid));
-            }
+            hits.extend(self.hit(pid));
         }
         if hits.len() == pids.len() {
             return Ok((hits, true));
@@ -879,10 +886,10 @@ impl PoolCore {
         // (ascending input makes such a run a contiguous slice of `pids`),
         // merged with the hits in input order. A page is resident here
         // exactly when it was a hit: the pins keep the hits, and only the
-        // runs before it were installed since.
+        // runs before it were read since.
         let mut out = Vec::with_capacity(pids.len());
         let mut hits = hits.into_iter();
-        let max_run = self.max_batch_run();
+        let max_run = (self.frames.len() / 2).clamp(1, MAX_BATCH_RUN);
         let resident = |core: &Self, pid| core.map.contains_key(&pack(pid));
         let mut i = 0;
         while i < pids.len() {
@@ -906,92 +913,135 @@ impl PoolCore {
         Ok((out, false))
     }
 
-    fn max_batch_run(&self) -> usize {
-        (self.frames.len() / 2).clamp(1, MAX_BATCH_RUN)
-    }
-
-    /// Install and read one adjacent run of missing pages: pin a victim
-    /// frame per page, then fill them all with a single grouped disk
-    /// read, appending the run's handles to `out`. On any error the
-    /// partially-installed run is rolled back and `out` is as it was.
+    /// A batch's adjacent run of missing pages: claim a frame per page
+    /// and [`PoolCore::load`] them all, appending the run's handles to
+    /// `out`. On any error no page of the run stays resident and `out` is
+    /// as it was.
     fn read_run(&mut self, run: &[PageId], out: &mut Vec<PageHandle>) -> Result<()> {
         let base = out.len();
-        let mut idxs: Vec<usize> = Vec::with_capacity(run.len());
         for &pid in run {
-            let idx = match self.find_victim() {
-                Ok(i) => i,
+            match self.claim(pid) {
+                Ok(h) => out.push(h),
                 Err(e) => {
-                    out.truncate(base);
-                    self.uninstall_run(&idxs);
+                    for h in out.drain(base..) {
+                        self.release(h.inner.idx);
+                    }
                     return Err(e);
                 }
-            };
-            self.frames[idx].inner.set_pid(Some(pid));
-            self.frames[idx].referenced = true;
-            self.map.insert(pack(pid), idx);
-            out.push(self.handle(idx, pid));
-            idxs.push(idx);
-        }
-        let handles = &out[base..];
-        let res = {
-            let mut guards: Vec<RwLockWriteGuard<'_, PageBuf>> =
-                handles.iter().map(|h| h.inner.data.write()).collect();
-            let mut bufs: Vec<&mut [u8; PAGE_SIZE]> =
-                guards.iter_mut().map(|g| &mut ***g).collect();
-            self.disk.read_pages(run[0], &mut bufs).and_then(|()| {
-                let mut lsns = Vec::with_capacity(bufs.len());
-                for (i, buf) in bufs.iter().enumerate() {
-                    if !checksum::verify(buf) {
-                        pool_metrics().checksum_failures.inc();
-                        return Err(StorageError::ChecksumMismatch(run[i]));
-                    }
-                    lsns.push(checksum::read_lsn(buf));
-                }
-                Ok(lsns)
-            })
-        };
-        match res {
-            Ok(lsns) => {
-                for (h, lsn) in handles.iter().zip(lsns) {
-                    h.inner.dirty.store(false, Ordering::Relaxed);
-                    h.inner.unlogged.store(false, Ordering::Relaxed);
-                    h.inner.lines.store(0, Ordering::Relaxed);
-                    h.inner.lsn.store(lsn, Ordering::Relaxed);
-                    h.inner.on_disk.store(true, Ordering::Relaxed);
-                    h.inner.base.store(lsn, Ordering::Relaxed);
-                }
-                self.misses += run.len() as u64;
-                for _ in run {
-                    obs_io::record_pool_miss();
-                    obs_io::record_disk_read();
-                }
-                pool_metrics().batch_len.record(run.len() as u64);
-                Ok(())
-            }
-            Err(e) => {
-                out.truncate(base);
-                self.uninstall_run(&idxs);
-                Err(e)
             }
         }
+        if let Err(e) = self.load(&out[base..]) {
+            out.truncate(base);
+            return Err(e);
+        }
+        self.misses += run.len() as u64;
+        for _ in run {
+            obs_io::record_pool_miss();
+        }
+        pool_metrics().batch_len.record(run.len() as u64);
+        Ok(())
     }
 
-    /// Roll back frames claimed by a failed batch: clear their page ids
-    /// and map entries. Callers drop the pinning handles first.
-    fn uninstall_run(&mut self, idxs: &[usize]) {
-        for &idx in idxs {
-            debug_assert!(
-                self.frames[idx].inner.pins.load(Ordering::Relaxed) == 0,
-                "pin leak: rolling back batch frame {idx} while it is still \
-                 pinned; callers must drop the run's handles before \
-                 uninstall_run"
-            );
-            if let Some(pid) = self.frames[idx].inner.pid() {
-                self.frames[idx].inner.set_pid(None);
-                self.map.remove(&pack(pid));
+    /// A hit: pin `pid`'s frame and mark it referenced, if it is resident.
+    /// Inlined: it is most of a fetch, which a call would slow by a tenth.
+    #[inline]
+    fn hit(&mut self, pid: PageId) -> Option<PageHandle> {
+        let &idx = self.map.get(&pack(pid))?;
+        self.hits += 1;
+        obs_io::record_pool_hit();
+        self.frames[idx].referenced = true;
+        Some(self.handle(idx, pid))
+    }
+
+    /// Claim a frame for the non-resident `pid`: evict a victim, map the
+    /// page to it, and pin it. The frame's bytes and state are the
+    /// caller's to fill.
+    fn claim(&mut self, pid: PageId) -> Result<PageHandle> {
+        let idx = self.find_victim()?;
+        self.frames[idx].inner.set_pid(Some(pid));
+        self.frames[idx].referenced = true;
+        self.map.insert(pack(pid), idx);
+        Ok(self.handle(idx, pid))
+    }
+
+    /// The one miss read: fill the claimed frames of `run`, adjacent pages
+    /// in order, with one [`DiskManager::read_pages`] call, then verify
+    /// each page's checksum and take its state from its header. On any
+    /// error every frame of the run is released. Only the gathering of
+    /// the call's buffers depends on the run's length: one page borrows
+    /// its latch guard, and needs no heap.
+    fn load(&mut self, run: &[PageHandle]) -> Result<()> {
+        let loaded = match run {
+            [h] => self.fill(run, &mut [&mut **h.inner.data.write()]),
+            _ => {
+                let mut guards: Vec<RwLockWriteGuard<'_, PageBuf>> =
+                    run.iter().map(|h| h.inner.data.write()).collect();
+                let mut bufs: Vec<&mut [u8; PAGE_SIZE]> =
+                    guards.iter_mut().map(|g| &mut ***g).collect();
+                self.fill(run, &mut bufs)
             }
-            self.frames[idx].referenced = false;
+        };
+        if loaded.is_err() {
+            for h in run {
+                self.release(h.inner.idx);
+            }
         }
+        loaded
+    }
+
+    /// [`PoolCore::load`]'s read into `bufs`, the latched bytes of `run`'s
+    /// frames. The disk reads count once the call returns.
+    fn fill(&mut self, run: &[PageHandle], bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
+        let Some(first) = run.first() else {
+            return Ok(());
+        };
+        self.disk.read_pages(first.pid, bufs)?;
+        for _ in run {
+            obs_io::record_disk_read();
+        }
+        for (h, buf) in run.iter().zip(bufs.iter()) {
+            if !checksum::verify(buf) {
+                pool_metrics().checksum_failures.inc();
+                return Err(StorageError::ChecksumMismatch(h.pid));
+            }
+            h.inner.reset_state(Some(checksum::read_lsn(buf)));
+        }
+        Ok(())
+    }
+
+    /// Take frame `idx` off its page: unmapped, unreferenced, and with
+    /// nothing left to write back. Every way a frame leaves a page —
+    /// eviction, `flush_all`, `drop_file`, a failed read's rollback —
+    /// goes through here.
+    fn release(&mut self, idx: usize) {
+        let frame = &mut self.frames[idx];
+        if let Some(pid) = frame.inner.pid() {
+            self.map.remove(&pack(pid));
+        }
+        frame.inner.set_pid(None);
+        frame.referenced = false;
+        frame.inner.dirty.store(false, Ordering::Relaxed);
+        frame.inner.unlogged.store(false, Ordering::Relaxed);
+        frame.inner.lines.store(0, Ordering::Relaxed);
+    }
+
+    /// The one write-back: if frame `idx` (holding `pid`) is dirty, write
+    /// it back ([`write_back_frame`]) and count the disk write. A failed
+    /// write-back leaves the page dirty: treating it as clean would
+    /// silently drop its modifications at the next eviction. Returns
+    /// whether it wrote.
+    fn write_back(&mut self, idx: usize, pid: PageId) -> Result<bool> {
+        let inner = &self.frames[idx].inner;
+        if !inner.dirty.swap(false, Ordering::Relaxed) {
+            return Ok(false);
+        }
+        let wal = self.shared.wal.as_deref();
+        if let Err(e) = write_back_frame(self.disk.as_mut(), wal, pid, inner) {
+            inner.dirty.store(true, Ordering::Relaxed);
+            return Err(e);
+        }
+        obs_io::record_disk_write();
+        Ok(true)
     }
 
     fn handle(&self, idx: usize, pid: PageId) -> PageHandle {
@@ -1008,91 +1058,35 @@ impl PoolCore {
         for _ in 0..2 * len {
             let idx = self.clock;
             self.clock = (idx + 1) % len;
-            if self.frames[idx].inner.pins.load(Ordering::Relaxed) > 0 {
+            let frame = &mut self.frames[idx];
+            if frame.inner.pins.load(Ordering::Relaxed) > 0 {
                 continue;
             }
-            if self.frames[idx].referenced {
-                self.frames[idx].referenced = false;
+            if frame.referenced {
+                frame.referenced = false;
                 continue;
             }
             // No-steal: an unlogged page belongs to an operation still in
             // flight, and there is no undo to take it back from disk. It
             // becomes evictable once a commit logs it.
-            if self.frames[idx].inner.unlogged.load(Ordering::Relaxed) {
+            if frame.inner.unlogged.load(Ordering::Relaxed) {
                 continue;
             }
-            // Victim found: write back if needed, then unregister.
-            if let Some(old) = self.frames[idx].inner.pid() {
-                let inner = Arc::clone(&self.frames[idx].inner);
-                if inner.dirty.swap(false, Ordering::Relaxed) {
-                    if let Err(e) = write_back_frame(
-                        self.disk.as_mut(),
-                        self.shared.wal.as_deref(),
-                        old,
-                        &inner,
-                    ) {
-                        // Failed write-back must leave the page dirty:
-                        // treating it as clean would silently drop its
-                        // modifications at the next eviction.
-                        inner.dirty.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
+            if let Some(old) = frame.inner.pid() {
+                if self.write_back(idx, old)? {
                     self.evictions += 1;
-                    obs_io::record_disk_write();
                     obs_io::record_eviction();
                 }
-                self.map.remove(&pack(old));
-                self.frames[idx].inner.set_pid(None);
+                self.release(idx);
             }
             return Ok(idx);
         }
         Err(StorageError::BufferExhausted)
     }
 
-    /// Put `pid` into frame `idx`; `read` loads from disk, otherwise the
-    /// frame is zero-filled (fresh page).
-    fn install(&mut self, idx: usize, pid: PageId, read: bool) -> Result<()> {
-        {
-            let inner = Arc::clone(&self.frames[idx].inner);
-            let mut data = inner.data.write();
-            if read {
-                self.disk.read_page(pid, &mut data)?;
-                obs_io::record_disk_read();
-                if !checksum::verify(&data) {
-                    pool_metrics().checksum_failures.inc();
-                    return Err(StorageError::ChecksumMismatch(pid));
-                }
-                let lsn = checksum::read_lsn(&data);
-                inner.lsn.store(lsn, Ordering::Relaxed);
-                inner.base.store(lsn, Ordering::Relaxed);
-            } else {
-                data.fill(0);
-                inner.lsn.store(0, Ordering::Relaxed);
-                inner.base.store(0, Ordering::Relaxed);
-            }
-            inner.on_disk.store(read, Ordering::Relaxed);
-            inner.dirty.store(false, Ordering::Relaxed);
-            inner.unlogged.store(false, Ordering::Relaxed);
-            inner.lines.store(0, Ordering::Relaxed);
-        }
-        self.frames[idx].inner.set_pid(Some(pid));
-        self.frames[idx].referenced = true;
-        self.map.insert(pack(pid), idx);
-        Ok(())
-    }
-
     fn flush_page(&mut self, pid: PageId) -> Result<()> {
         if let Some(&idx) = self.map.get(&pack(pid)) {
-            let inner = Arc::clone(&self.frames[idx].inner);
-            if inner.dirty.swap(false, Ordering::Relaxed) {
-                if let Err(e) =
-                    write_back_frame(self.disk.as_mut(), self.shared.wal.as_deref(), pid, &inner)
-                {
-                    inner.dirty.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-                obs_io::record_disk_write();
-            }
+            self.write_back(idx, pid)?;
         }
         Ok(())
     }
@@ -1116,26 +1110,15 @@ impl PoolCore {
             log_images(w, &imaged)?;
         }
         for idx in 0..self.frames.len() {
-            let frame = &self.frames[idx];
-            let Some(pid) = frame.inner.pid() else {
+            let inner = &self.frames[idx].inner;
+            let Some(pid) = inner.pid() else {
                 continue;
             };
-            if frame.inner.pins.load(Ordering::Relaxed) > 0 {
+            if inner.pins.load(Ordering::Relaxed) > 0 {
                 return Err(StorageError::BufferExhausted);
             }
-            let inner = Arc::clone(&frame.inner);
-            if inner.dirty.swap(false, Ordering::Relaxed) {
-                if let Err(e) =
-                    write_back_frame(self.disk.as_mut(), self.shared.wal.as_deref(), pid, &inner)
-                {
-                    inner.dirty.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-                obs_io::record_disk_write();
-            }
-            self.map.remove(&pack(pid));
-            self.frames[idx].inner.set_pid(None);
-            self.frames[idx].referenced = false;
+            self.write_back(idx, pid)?;
+            self.release(idx);
         }
         Ok(())
     }
@@ -1437,7 +1420,7 @@ mod tests {
         bp.flush_all().unwrap();
         bp.reset_profile();
 
-        let handles = bp.get_pages_batch(&pids).unwrap();
+        let handles = bp.get_pages_batch(&pids).unwrap().0;
         for (i, h) in handles.iter().enumerate() {
             assert_eq!(h.data()[0], i as u8);
         }
@@ -1451,7 +1434,7 @@ mod tests {
         drop(handles);
 
         // A second batch is all hits: no further disk traffic.
-        let handles = bp.get_pages_batch(&pids).unwrap();
+        let handles = bp.get_pages_batch(&pids).unwrap().0;
         let prof = bp.io_profile();
         assert_eq!(prof.disk.reads, 10);
         assert_eq!(prof.pool_hits, 10);
@@ -1472,7 +1455,7 @@ mod tests {
         bp.reset_profile();
         // Pages 0,1,2 and 5,6 — two runs with a gap.
         let want = [pids[0], pids[1], pids[2], pids[5], pids[6]];
-        let handles = bp.get_pages_batch(&want).unwrap();
+        let handles = bp.get_pages_batch(&want).unwrap().0;
         for (h, pid) in handles.iter().zip(&want) {
             assert_eq!(h.pid, *pid);
         }
@@ -1508,8 +1491,8 @@ mod tests {
         // Ascending across files is fine; so is nothing at all.
         let g = bp.create_file().unwrap();
         let (gp, _) = bp.new_page(g).unwrap();
-        assert_eq!(bp.get_pages_batch(&[pids[3], gp]).unwrap().len(), 2);
-        assert!(bp.get_pages_batch(&[]).unwrap().is_empty());
+        assert_eq!(bp.get_pages_batch(&[pids[3], gp]).unwrap().0.len(), 2);
+        assert!(bp.get_pages_batch(&[]).unwrap().0.is_empty());
     }
 
     #[test]
@@ -1526,7 +1509,7 @@ mod tests {
         let _warm = (bp.fetch(pids[1]).unwrap(), bp.fetch(pids[4]).unwrap());
         bp.reset_profile();
         // Resident pages 1 and 4 split the misses into runs 0, 2-3 and 5.
-        let handles = bp.get_pages_batch(&pids).unwrap();
+        let handles = bp.get_pages_batch(&pids).unwrap().0;
         for (i, h) in handles.iter().enumerate() {
             assert_eq!((h.pid, h.data()[0]), (pids[i], i as u8));
         }

@@ -20,7 +20,9 @@ use std::path::PathBuf;
 ///
 /// All methods address whole 4 KiB pages; the buffer pool above never does
 /// partial transfers. Implementations count reads/writes/allocations in an
-/// [`IoStats`] that the benchmark harness samples.
+/// [`IoStats`] that the benchmark harness samples. A backend implements
+/// one read, [`DiskManager::read_pages`]; [`DiskManager::read_page`] is a
+/// run of one over it.
 pub trait DiskManager: Send {
     /// Create a new empty file and return its id.
     fn create_file(&mut self) -> Result<FileId>;
@@ -34,22 +36,18 @@ pub trait DiskManager: Send {
     fn allocate_page(&mut self, file: FileId) -> Result<PageId>;
     /// Number of allocated pages in `file`.
     fn page_count(&self, file: FileId) -> Result<u32>;
-    /// Read page `pid` into `buf`.
-    fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()>;
-    /// Read `bufs.len()` *adjacent* pages starting at `first` — the
-    /// grouped transfer behind [`BufferPool::get_pages_batch`]
-    /// (see [`crate::BufferPool`]): one call moves a whole sorted run.
+    /// Read `bufs.len()` *adjacent* pages starting at `first`: the disk's
+    /// one read. Every miss of [`crate::BufferPool`] is one call — a
+    /// single-page fetch a run of one, a batch one call per run of
+    /// adjacent missing pages.
     ///
-    /// Backends override this to issue the run as a single seek +
-    /// vectored read; the default falls back to per-page reads. Either
-    /// way every page is still counted in [`IoStats::reads`], so batched
-    /// and unbatched paths report identical page-I/O totals; only
-    /// [`IoStats::read_calls`] differs.
-    fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            self.read_page(PageId::new(first.file, first.page + i as u32), buf)?;
-        }
-        Ok(())
+    /// One call is one [`IoStats::read_calls`], and every page of it one
+    /// [`IoStats::reads`], so batched and single-page paths report
+    /// identical page-I/O totals; only the call count differs.
+    fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()>;
+    /// Read page `pid` into `buf`: a run of one.
+    fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
+        self.read_pages(pid, &mut [buf])
     }
     /// Write `buf` to page `pid`.
     fn write_page(&mut self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()>;
@@ -123,20 +121,6 @@ impl DiskManager for MemDisk {
             .get(&file)
             .map(|p| p.len() as u32)
             .ok_or(StorageError::FileNotFound(file))
-    }
-
-    fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        let pages = self
-            .files
-            .get(&pid.file)
-            .ok_or(StorageError::FileNotFound(pid.file))?;
-        let page = pages
-            .get(pid.page as usize)
-            .ok_or(StorageError::PageOutOfBounds(pid))?;
-        buf.copy_from_slice(&page[..]);
-        self.stats.reads += 1;
-        self.stats.read_calls += 1;
-        Ok(())
     }
 
     fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
@@ -296,26 +280,7 @@ impl DiskManager for FileDisk {
             .ok_or(StorageError::FileNotFound(file))
     }
 
-    fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        let of = self
-            .files
-            .get(&pid.file)
-            .ok_or(StorageError::FileNotFound(pid.file))?;
-        if pid.page >= of.pages {
-            return Err(StorageError::PageOutOfBounds(pid));
-        }
-        // Positional: one syscall, and no dependence on the cursor the
-        // vectored path below leaves behind.
-        of.handle.read_exact_at(&mut buf[..], offset(pid.page))?;
-        self.stats.reads += 1;
-        self.stats.read_calls += 1;
-        Ok(())
-    }
-
     fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
-        if let [buf] = bufs {
-            return self.read_page(first, buf);
-        }
         if bufs.is_empty() {
             return Ok(());
         }
@@ -330,20 +295,26 @@ impl DiskManager for FileDisk {
                 last as u32,
             )));
         }
-        of.handle.seek(SeekFrom::Start(offset(first.page)))?;
-        // One vectored read for the whole run; a short read (the kernel
-        // may split large vectors) falls back to per-page reads at
-        // explicit offsets for the remainder.
-        let mut slices: Vec<std::io::IoSliceMut<'_>> = bufs
-            .iter_mut()
-            .map(|b| std::io::IoSliceMut::new(&mut b[..]))
-            .collect();
-        let n = of.handle.read_vectored(&mut slices)?;
-        let done_pages = n / PAGE_SIZE;
-        if n % PAGE_SIZE != 0 || done_pages < bufs.len() {
-            for (i, buf) in bufs.iter_mut().enumerate().skip(done_pages) {
-                of.handle
-                    .read_exact_at(&mut buf[..], offset(first.page + i as u32))?;
+        if let [buf] = bufs {
+            // Positional: one syscall, and no dependence on the cursor the
+            // vectored read below leaves behind.
+            of.handle.read_exact_at(&mut buf[..], offset(first.page))?;
+        } else {
+            of.handle.seek(SeekFrom::Start(offset(first.page)))?;
+            // One vectored read for the whole run; a short read (the
+            // kernel may split large vectors) falls back to per-page
+            // reads at explicit offsets for the remainder.
+            let mut slices: Vec<std::io::IoSliceMut<'_>> = bufs
+                .iter_mut()
+                .map(|b| std::io::IoSliceMut::new(&mut b[..]))
+                .collect();
+            let n = of.handle.read_vectored(&mut slices)?;
+            let done_pages = n / PAGE_SIZE;
+            if n % PAGE_SIZE != 0 || done_pages < bufs.len() {
+                for (i, buf) in bufs.iter_mut().enumerate().skip(done_pages) {
+                    of.handle
+                        .read_exact_at(&mut buf[..], offset(first.page + i as u32))?;
+                }
             }
         }
         self.stats.reads += bufs.len() as u64;

@@ -6,7 +6,8 @@
 //!
 //! * **torn page write** — the N-th `write_page` transfers only the
 //!   first half of the page, then fails (a crash mid-sector-run);
-//! * **read error** — the N-th page read fails with an I/O error;
+//! * **read error** — the read call that transfers the N-th page fails
+//!   with an I/O error;
 //! * **sync failure** — the N-th `sync` fails (full disk, dying drive).
 //!
 //! Counts are cumulative across the wrapper's lifetime and each armed
@@ -24,7 +25,7 @@ use crate::stats::IoStats;
 pub struct FaultPlan {
     /// Tear the n-th page write (half the page reaches disk, then error).
     pub torn_write_at: Option<u64>,
-    /// Fail the n-th page read (`read_page` or any page of `read_pages`).
+    /// Fail the read call that transfers the n-th page.
     pub read_error_at: Option<u64>,
     /// Fail the n-th durability barrier.
     pub sync_error_at: Option<u64>,
@@ -81,26 +82,14 @@ impl<D: DiskManager> DiskManager for FaultDisk<D> {
         self.inner.page_count(file)
     }
 
-    fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        self.reads_seen += 1;
-        if self.plan.read_error_at == Some(self.reads_seen) {
-            self.fired.push("read_error");
-            return Err(injected("read"));
-        }
-        self.inner.read_page(pid, buf)
-    }
-
     fn read_pages(&mut self, first: PageId, bufs: &mut [&mut [u8; PAGE_SIZE]]) -> Result<()> {
+        let seen = self.reads_seen;
+        self.reads_seen += bufs.len() as u64;
         if let Some(at) = self.plan.read_error_at {
-            let lo = self.reads_seen + 1;
-            let hi = self.reads_seen + bufs.len() as u64;
-            self.reads_seen = hi;
-            if (lo..=hi).contains(&at) {
+            if seen < at && at <= self.reads_seen {
                 self.fired.push("read_error");
-                return Err(injected("batched read"));
+                return Err(injected("read"));
             }
-        } else {
-            self.reads_seen += bufs.len() as u64;
         }
         self.inner.read_pages(first, bufs)
     }

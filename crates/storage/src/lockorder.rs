@@ -33,8 +33,8 @@ pub const WAL_APPLY: u8 = 30;
 pub const POOL_CORE: u8 = 40;
 /// Rank of the buffer-frame page write latches (reentrant among
 /// themselves; above [`POOL_CORE`], so a thread holding one may not
-/// enter the pool — `fetch`, `new_page` and `get_pages_batch` all
-/// trip).
+/// enter the pool — `fetch`, `new_page`, the batch read and the flushes
+/// all trip).
 pub const FRAME_DATA: u8 = 50;
 /// Rank of the group-commit leader lock.
 pub const WAL_SYNC: u8 = 60;

@@ -2,8 +2,8 @@
 //! buffer pool, and WAL-backed crash survival at the storage level.
 
 use fieldrep_storage::{
-    checksum, FileDisk, FileId, FileWalStore, HeapFile, MemDisk, MemWalStore, PageId, PagePins,
-    StorageError, StorageManager, PAGE_SIZE,
+    checksum, BufferPool, FaultDisk, FaultPlan, FileDisk, FileId, FileWalStore, HeapFile, MemDisk,
+    MemWalStore, PageId, PagePins, StorageError, StorageManager, PAGE_SIZE,
 };
 use std::path::{Path, PathBuf};
 
@@ -92,6 +92,60 @@ fn corrupt_page_is_caught_on_the_batched_read_path() {
     // The pool stays usable: the undamaged first page still reads.
     sm.pool().fetch(pids[0]).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed single-page read rolls back like a batch's run: the page is
+/// not left resident, a second fetch goes back to the disk instead of
+/// serving the bad frame, and a one-frame pool still serves other pages.
+/// Both failures still count the fetch as a miss.
+#[test]
+fn a_failed_single_page_read_rolls_back_like_a_batch() {
+    let (p0, p1) = (PageId::new(FileId(0), 0), PageId::new(FileId(0), 1));
+    // Two pages, marked 0xA0 and 0xA1 at byte 100, written back.
+    let write_two = |bp: &BufferPool| {
+        let f = bp.create_file().unwrap();
+        for mark in [0xA0, 0xA1] {
+            bp.new_page(f).unwrap().1.data_mut()[100] = mark;
+        }
+        bp.flush_all().unwrap();
+    };
+    let mark = |bp: &BufferPool, pid| bp.fetch(pid).map(|h| h.data()[100]);
+
+    // A checksum mismatch, on every attempt: each one reads the disk.
+    let dir = temp_dir("crc-single");
+    write_two(&BufferPool::new(Box::new(FileDisk::open(&dir).unwrap()), 4));
+    corrupt_byte(&dir, 0, 1, 2000);
+    let bp = BufferPool::new(Box::new(FileDisk::open(&dir).unwrap()), 1);
+    for attempt in 1..=2 {
+        match mark(&bp, p1) {
+            Err(StorageError::ChecksumMismatch(p)) => assert_eq!(p, p1),
+            Err(e) => panic!("attempt {attempt}: wrong error {e}"),
+            Ok(_) => panic!("attempt {attempt}: a corrupt page must not be served"),
+        }
+        assert_eq!(bp.pool_stats().resident, 0, "attempt {attempt}");
+        let prof = bp.io_profile();
+        assert_eq!((prof.disk.reads, prof.pool_misses), (attempt, attempt));
+    }
+    assert_eq!(mark(&bp, p0).unwrap(), 0xA0, "the one frame serves page 0");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // An injected read error, once: the retry reads the right bytes.
+    let disk = FaultDisk::new(
+        MemDisk::new(),
+        FaultPlan {
+            read_error_at: Some(1),
+            ..FaultPlan::default()
+        },
+    );
+    let bp = BufferPool::new(Box::new(disk), 1);
+    write_two(&bp);
+    assert!(matches!(mark(&bp, p1), Err(StorageError::Io(_))));
+    assert_eq!(bp.pool_stats().resident, 0);
+    assert_eq!(bp.io_profile().pool_misses, 1);
+    assert_eq!(mark(&bp, p1).unwrap(), 0xA1, "the retry re-reads page 1");
+    assert_eq!(mark(&bp, p0).unwrap(), 0xA0, "and the one frame moves on");
+    let prof = bp.io_profile();
+    assert_eq!((prof.disk.reads, prof.pool_misses), (2, 3));
 }
 
 #[test]
