@@ -1,8 +1,8 @@
 //! Fault-injecting [`DiskManager`] wrapper.
 //!
 //! Wraps any disk manager and injects three failure modes at seeded
-//! operation counts, so crash/corruption tests (and the future chaos
-//! harness, ROADMAP item 4) can deterministically provoke them:
+//! operation counts, so crash/corruption tests (and the future
+//! deterministic simulation harness) can deterministically provoke them:
 //!
 //! * **torn page write** — the N-th `write_page` transfers only the
 //!   first half of the page, then fails (a crash mid-sector-run);
@@ -11,7 +11,9 @@
 //! * **sync failure** — the N-th `sync` fails (full disk, dying drive).
 //!
 //! Counts are cumulative across the wrapper's lifetime and each armed
-//! fault fires once.
+//! fault fires once. The wrapper's [`IoStats`] are the inner disk's,
+//! less the reads a torn write makes of the old bytes: the caller asked
+//! for a write, and a write is all it is counted.
 
 use crate::disk::DiskManager;
 use crate::error::Result;
@@ -38,6 +40,9 @@ pub struct FaultDisk<D: DiskManager> {
     writes_seen: u64,
     reads_seen: u64,
     syncs_seen: u64,
+    /// Single-page reads of the inner disk made by torn writes since
+    /// the last `reset_stats`, left out of `stats`.
+    torn_reads: u64,
     fired: Vec<&'static str>,
 }
 
@@ -50,6 +55,7 @@ impl<D: DiskManager> FaultDisk<D> {
             writes_seen: 0,
             reads_seen: 0,
             syncs_seen: 0,
+            torn_reads: 0,
             fired: Vec::new(),
         }
     }
@@ -101,7 +107,8 @@ impl<D: DiskManager> DiskManager for FaultDisk<D> {
             // the tail keeps its *old* bytes, exactly what a crash
             // between sector runs leaves behind.
             let mut torn = [0u8; PAGE_SIZE];
-            let _ = self.inner.read_page(pid, &mut torn);
+            self.inner.read_page(pid, &mut torn)?;
+            self.torn_reads += 1;
             torn[..PAGE_SIZE / 2].copy_from_slice(&buf[..PAGE_SIZE / 2]);
             self.inner.write_page(pid, &torn)?;
             self.fired.push("torn_write");
@@ -120,10 +127,14 @@ impl<D: DiskManager> DiskManager for FaultDisk<D> {
     }
 
     fn stats(&self) -> IoStats {
-        self.inner.stats()
+        let mut stats = self.inner.stats();
+        stats.reads -= self.torn_reads;
+        stats.read_calls -= self.torn_reads;
+        stats
     }
 
     fn reset_stats(&mut self) {
+        self.torn_reads = 0;
         self.inner.reset_stats();
     }
 }
@@ -151,6 +162,61 @@ mod tests {
         d.read_page(p, &mut buf).unwrap();
         assert_eq!(buf[0], 0xBB, "front half is the new image");
         assert_eq!(buf[PAGE_SIZE - 1], 0xAA, "tail kept the old image");
+    }
+
+    #[test]
+    fn a_torn_write_counts_one_write_and_no_read() {
+        let mut d = FaultDisk::new(
+            MemDisk::new(),
+            FaultPlan {
+                torn_write_at: Some(1),
+                ..FaultPlan::default()
+            },
+        );
+        let f = d.create_file().unwrap();
+        let p = d.allocate_page(f).unwrap();
+        assert!(d.write_page(p, &[0xBB; PAGE_SIZE]).is_err());
+        assert_eq!(d.fired(), &["torn_write"]);
+        let stats = d.stats();
+        assert_eq!((stats.reads, stats.read_calls, stats.writes), (0, 0, 1));
+
+        let mut buf = [0u8; PAGE_SIZE];
+        d.read_page(p, &mut buf).unwrap();
+        let stats = d.stats();
+        assert_eq!(
+            (stats.reads, stats.read_calls),
+            (1, 1),
+            "a real read still counts"
+        );
+        d.reset_stats();
+        assert_eq!(d.stats(), IoStats::default());
+    }
+
+    #[test]
+    fn a_torn_write_whose_read_fails_returns_that_error() {
+        let failing_reads = FaultDisk::new(
+            MemDisk::new(),
+            FaultPlan {
+                read_error_at: Some(1),
+                ..FaultPlan::default()
+            },
+        );
+        let mut d = FaultDisk::new(
+            failing_reads,
+            FaultPlan {
+                torn_write_at: Some(1),
+                ..FaultPlan::default()
+            },
+        );
+        let f = d.create_file().unwrap();
+        let p = d.allocate_page(f).unwrap();
+        let err = d.write_page(p, &[0xBB; PAGE_SIZE]).unwrap_err();
+        assert!(
+            err.to_string().contains("injected disk fault: read"),
+            "{err}"
+        );
+        assert!(d.fired().is_empty(), "no half page was written");
+        assert_eq!(d.stats().writes, 0);
     }
 
     #[test]

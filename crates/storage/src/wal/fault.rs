@@ -1,7 +1,7 @@
 //! Fault-injecting [`WalStore`] wrapper: short (torn) appends at a
 //! seeded byte offset, the log-side counterpart of
 //! [`crate::fault::FaultDisk`]. Used by the crash tests and available
-//! to the future chaos harness (ROADMAP item 4).
+//! to the future deterministic simulation harness.
 
 use super::store::{WalStore, WalSyncer};
 use crate::error::Result;
